@@ -65,6 +65,13 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
 _COMMON_OPTIONAL = {"seed", "out", "format"}
 
 
+def _count(value, key: str) -> int:
+    """A config count: a JSON integer of at least one, never a bool or float."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _resolve_state(spec, seed_pool, where: str):
     """Resolve a state spec: inline arrays, a file reference, or a random draw."""
     if not isinstance(spec, dict):
@@ -75,10 +82,11 @@ def _resolve_state(spec, seed_pool, where: str):
     kind = spec.get("kind")
     if kind == "random-quantum":
         _check_keys(spec, {"kind", "dim", "rank"}, set(), where)
-        return random_state(int(spec["dim"]), int(spec["rank"]), seed_pool())
+        dim = _count(spec["dim"], f"{where}.dim")
+        return random_state(dim, _count(spec["rank"], f"{where}.rank"), seed_pool())
     if kind == "random-classical":
         _check_keys(spec, {"kind", "dim"}, set(), where)
-        return random_distribution(int(spec["dim"]), seed_pool())
+        return random_distribution(_count(spec["dim"], f"{where}.dim"), seed_pool())
     return serialize.state_from_jsonable(spec)
 
 
@@ -167,7 +175,12 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     )
     if ("N" in config) == ("N_grid" in config):
         raise ConfigError("config needs exactly one of 'N' or 'N_grid'")
-    grid = [int(config["N"])] if "N" in config else [int(n) for n in config["N_grid"]]
+    if "N" in config:
+        grid = [_count(config["N"], "N")]
+    elif isinstance(config["N_grid"], list):
+        grid = [_count(n, "N_grid") for n in config["N_grid"]]
+    else:
+        raise ConfigError(f"N_grid must be a list, got {config['N_grid']!r}")
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     resolved["path"] = resolved_spec
     rule = config.get("step_rule")
@@ -211,7 +224,7 @@ def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
     b = _resolve_state(config["state_b"], seed_pool, "state_b")
     resolved["state_a"] = serialize.state_to_jsonable(a)
     resolved["state_b"] = serialize.state_to_jsonable(b)
-    scan = convergence_scan(a, b, int(config["n_max"]))
+    scan = convergence_scan(a, b, _count(config["n_max"], "n_max"))
     _write_record(
         resolved,
         serialize.RESERVOIR_COLUMNS,
@@ -243,9 +256,9 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     result = minimize_path(
         a,
         b,
-        int(config["N"]),
+        _count(config["N"], "N"),
         seed_path,
-        max_iter=int(config.get("max_iter", 5000)),
+        max_iter=_count(config.get("max_iter", 5000), "max_iter"),
         ridge=config.get("ridge"),
     )
     fid = state_fidelity(a, b)

@@ -36,11 +36,15 @@ from .states import (
     validate_density,
     validate_distribution,
     _freeze,
+    _sqrt_rows,
+    _validate_density_rows,
+    _validate_distribution_rows,
 )
 
 RANK_TOL = 1e-10          # smallest eigenvalue for a state to count as full rank
 COMMUTE_TOL = 1e-10       # max-entry commutator tolerance
 DEGENERATE_LENGTH = 1e-12
+SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 STEP_RULES = ("arc", "chord")
 
 
@@ -56,10 +60,21 @@ def _require_kind(tangent: TangentPerturbation, kind: str) -> None:
 
 # ---------- fidelities ----------
 
+def _classical_fidelities(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise sum_a sqrt(p_a q_a) of two weight stacks, clamped to [0, 1]."""
+    return np.clip(np.sum(np.sqrt(p * q), axis=-1), 0.0, 1.0)
+
+
+def _root_fidelities(root_a: np.ndarray, root_b: np.ndarray) -> np.ndarray:
+    """Row-wise ||sqrt(rho) sqrt(sigma)||_1 from two stacks of square roots."""
+    singular = np.linalg.svd(root_a @ root_b, compute_uv=False)
+    return np.clip(np.sum(singular, axis=-1), 0.0, 1.0)
+
+
 def fidelity_classical(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:
     """Classical fidelity sum_a sqrt(p_a q_a), clamped to [0, 1]."""
     _same_dim(p, q)
-    return float(np.clip(np.sum(np.sqrt(p.weights * q.weights)), 0.0, 1.0))
+    return float(_classical_fidelities(p.weights, q.weights))
 
 
 def fidelity_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -72,8 +87,8 @@ def fidelity_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     states.
     """
     _same_dim(rho, sigma)
-    product = mat_sqrt(rho) @ mat_sqrt(sigma)
-    return float(np.clip(np.sum(np.linalg.svd(product, compute_uv=False)), 0.0, 1.0))
+    roots = _sqrt_rows(np.stack((rho.matrix, sigma.matrix)))
+    return float(_root_fidelities(roots[0], roots[1]))
 
 
 def state_fidelity(a, b) -> float:
@@ -195,22 +210,65 @@ def geodesic_length_bures(fidelity: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StatePath:
-    """Parametrized curve t in [0, 1] -> state with pinned endpoints."""
+    """Parametrized curve t in [0, 1] -> state with pinned endpoints.
+
+    ``sampler`` maps a vector of K parameters, all strictly inside (0, 1),
+    to the states there as one raw array: (K, d) weights on classical
+    paths, (K, d, d) matrices on quantum ones.  The path validates those
+    rows; t = 0 and t = 1 are never sampled but give ``start`` and ``end``.
+    """
 
     kind: str
     start: object
     end: object
-    sampler: Callable[[float], object]
+    sampler: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, t: float):
         """State at parameter t; t = 0 and t = 1 return the stored endpoints."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"path parameter must lie in [0, 1], got {t}")
+        row = self.sample_many([t])[0]
         if t == 0.0:
             return self.start
         if t == 1.0:
             return self.end
-        return self.sampler(t)
+        return ProbabilityDistribution(row) if self.kind == "classical" else DensityMatrix(row)
+
+    def sample_many(self, ts) -> np.ndarray:
+        """Read-only stack of the validated states at the parameters ``ts``."""
+        return self._rows(ts)[0]
+
+    def _rows(self, ts):
+        """Validated rows at ``ts``, with the endpoints' rows copied in, not sampled.
+
+        Returns ``(rows, spectra)``.  ``spectra`` is None on classical
+        paths and otherwise ``(eigenvalues, eigenvectors, fresh)`` as
+        ``_validate_density_rows`` gives them; endpoint rows are not
+        ``fresh``.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.ndim != 1:
+            raise ValueError(f"path parameters must be a vector, got shape {ts.shape}")
+        outside = ~((ts >= 0.0) & (ts <= 1.0))
+        if outside.any():
+            raise ValueError(f"path parameter must lie in [0, 1], got {ts[outside][0]}")
+        start, end = _state_array(self.start), _state_array(self.end)
+        rows = np.empty((ts.size,) + start.shape, dtype=start.dtype)
+        rows[ts == 0.0] = start
+        rows[ts == 1.0] = end
+        inner = (ts > 0.0) & (ts < 1.0)
+        if self.kind == "classical":
+            if inner.any():
+                rows[inner] = _validate_distribution_rows(self.sampler(ts[inner]))
+            return _freeze(rows), None
+        spectra = (np.zeros(rows.shape[:2]), np.zeros_like(rows), np.zeros(ts.size, dtype=bool))
+        if inner.any():
+            validated = _validate_density_rows(self.sampler(ts[inner]))
+            for whole, part in zip((rows,) + spectra, validated):
+                whole[inner] = part
+        return _freeze(rows), spectra
+
+
+def _state_array(state) -> np.ndarray:
+    return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
 
 
 def classical_geodesic_path(p: ProbabilityDistribution, q: ProbabilityDistribution) -> StatePath:
@@ -224,15 +282,18 @@ def classical_geodesic_path(p: ProbabilityDistribution, q: ProbabilityDistributi
     theta = float(np.arccos(np.clip(fidelity_classical(p, q), 0.0, 1.0)))
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
-        return StatePath("classical", p, q, lambda t: p)
+        return StatePath("classical", p, q, lambda ts: np.broadcast_to(p.weights, (ts.size, p.dim)))
     sqrt_p = np.sqrt(p.weights)
     sqrt_q = np.sqrt(q.weights)
 
-    def _point(t: float) -> ProbabilityDistribution:
-        amp = (np.sin((1.0 - t) * theta) * sqrt_p + np.sin(t * theta) * sqrt_q) / sin_theta
-        return validate_distribution(amp * amp)
+    def _points(ts: np.ndarray) -> np.ndarray:
+        amp = (
+            np.sin((1.0 - ts) * theta)[:, None] * sqrt_p
+            + np.sin(ts * theta)[:, None] * sqrt_q
+        ) / sin_theta
+        return amp * amp
 
-    return StatePath("classical", p, q, _point)
+    return StatePath("classical", p, q, _points)
 
 
 def _simultaneous_eigenbasis(a: np.ndarray, b: np.ndarray, gap: float = 1e-8) -> np.ndarray:
@@ -267,11 +328,11 @@ def commuting_quantum_geodesic(rho: DensityMatrix, sigma: DensityMatrix) -> Stat
     q = validate_distribution(np.real(np.diag(basis.conj().T @ sigma.matrix @ basis)))
     inner = classical_geodesic_path(p, q)
 
-    def _point(t: float) -> DensityMatrix:
-        w = inner.sample(t).weights
-        return validate_density((basis * w) @ basis.conj().T)
+    def _points(ts: np.ndarray) -> np.ndarray:
+        w = inner.sample_many(ts)
+        return (basis * w[:, None, :]) @ basis.conj().T
 
-    return StatePath("quantum", rho, sigma, _point)
+    return StatePath("quantum", rho, sigma, _points)
 
 
 def linear_mixture_path(a, b) -> StatePath:
@@ -279,11 +340,14 @@ def linear_mixture_path(a, b) -> StatePath:
     if type(a) is not type(b):
         raise DimensionMismatch("endpoints must be states of the same kind")
     _same_dim(a, b)
-    if isinstance(a, ProbabilityDistribution):
-        sampler = lambda t: validate_distribution((1.0 - t) * a.weights + t * b.weights)
-        return StatePath("classical", a, b, sampler)
-    sampler = lambda t: validate_density((1.0 - t) * a.matrix + t * b.matrix)
-    return StatePath("quantum", a, b, sampler)
+    kind = "classical" if isinstance(a, ProbabilityDistribution) else "quantum"
+    start, end = _state_array(a), _state_array(b)
+
+    def _points(ts: np.ndarray) -> np.ndarray:
+        t = ts.reshape((-1,) + (1,) * start.ndim)
+        return (1.0 - t) * start + t * end
+
+    return StatePath(kind, a, b, _points)
 
 
 # ---------- discrete lengths and schedules ----------
@@ -302,10 +366,37 @@ def _step_lengths_from_fidelities(fids: np.ndarray, rule: str) -> np.ndarray:
     raise ValueError(f"unknown step rule {rule!r}; choose from {STEP_RULES}")
 
 
-def _consecutive_fidelities(states) -> np.ndarray:
-    return np.array(
-        [state_fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)]
-    )
+def _chain_fidelities(kind: str, rows: np.ndarray, spectra=None) -> np.ndarray:
+    """Fidelities of consecutive rows of a stack of states.
+
+    ``spectra`` is the second item of ``StatePath._rows``: quantum rows
+    reuse the ``eigh`` their validation took and decompose only the rest.
+    """
+    if kind == "classical":
+        return _classical_fidelities(rows[:-1], rows[1:])
+    eig = None
+    if spectra is not None:
+        lam, vec, fresh = spectra
+        if not fresh.all():
+            lam[~fresh], vec[~fresh] = np.linalg.eigh(rows[~fresh])
+        eig = (lam, vec)
+    roots = _sqrt_rows(rows, eig)
+    return _root_fidelities(roots[:-1], roots[1:])
+
+
+def _sampled_step_lengths(path: StatePath, ts: np.ndarray, rule: str) -> np.ndarray:
+    """Step lengths between the path's states at consecutive ``ts``.
+
+    The states are sampled, validated and compared in stacked blocks that
+    overlap by one parameter, which bounds the memory whatever len(ts) is.
+    """
+    block = max(1, SAMPLE_BLOCK_BYTES // _state_array(path.start).nbytes)
+    return np.concatenate([
+        _step_lengths_from_fidelities(
+            _chain_fidelities(path.kind, *path._rows(ts[i:i + block + 1])), rule
+        )
+        for i in range(0, max(ts.size - 1, 1), block)
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,9 +431,7 @@ def discrete_path_length(path: StatePath, n_steps: int, step_rule: str | None = 
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     rule = step_rule or default_step_rule(path.kind)
-    ts = np.linspace(0.0, 1.0, n_steps + 1)
-    samples = [path.sample(float(t)) for t in ts]
-    steps = _step_lengths_from_fidelities(_consecutive_fidelities(samples), rule)
+    steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1), rule)
     return PathLengthReport(float(steps.sum()), _freeze(steps), n_steps, rule)
 
 
@@ -358,16 +447,17 @@ def even_schedule(
     length inverted by linear interpolation, and the path resampled at the
     resulting parameters; the step lengths then agree to about 0.1%.
     Paths shorter than 1e-12 fall back to the uniform (trivial) schedule.
+
+    The table is evaluated as stacked arrays (batched sampling, validation
+    and fidelities, in blocks of bounded size) and gives bit for bit the
+    values that sampling it one state at a time would give.
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     rule = step_rule or default_step_rule(path.kind)
     resolution = presample if presample is not None else max(64 * n_steps, 4096)
     dense_ts = np.linspace(0.0, 1.0, resolution + 1)
-    dense_states = [path.sample(float(t)) for t in dense_ts]
-    dense_steps = _step_lengths_from_fidelities(
-        _consecutive_fidelities(dense_states), rule
-    )
+    dense_steps = _sampled_step_lengths(path, dense_ts, rule)
     cumulative = np.concatenate(([0.0], np.cumsum(dense_steps)))
     total = float(cumulative[-1])
     if total < DEGENERATE_LENGTH:
@@ -378,5 +468,6 @@ def even_schedule(
         ts[0] = 0.0
         ts[-1] = 1.0
     states = tuple(path.sample(float(t)) for t in ts)
-    steps = _step_lengths_from_fidelities(_consecutive_fidelities(states), rule)
+    rows = np.stack([_state_array(s) for s in states])
+    steps = _step_lengths_from_fidelities(_chain_fidelities(path.kind, rows), rule)
     return TransportSchedule(path.kind, states, _freeze(ts), _freeze(steps), n_steps, rule)

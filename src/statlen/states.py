@@ -5,11 +5,12 @@ matrices.  Construction goes through :func:`validate_distribution` and
 :func:`validate_density`, which reject genuinely bad inputs and clean up
 roundoff-level violations (clip, then renormalize), so everything
 downstream can assume well-formed states.  Re-validating an already
-validated state returns it unchanged.
+validated state returns it unchanged.  Both are the one-row case of a
+validator that checks a whole stack of states row by row.
 
 All matrix functions here (square root, supported logarithm, entropies)
-are built on a single spectral-decomposition primitive, and entropies
-are in nats throughout.
+are built on one Hermitian eigendecomposition, taken with eigenvalues in
+descending order, and entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -90,6 +91,39 @@ class TangentPerturbation:
         return self.delta.shape[0]
 
 
+def _validate_distribution_rows(raw) -> np.ndarray:
+    """Validate every row of a (K, d) weight array; see :func:`validate_distribution`.
+
+    Each row gets the checks and repairs of a single distribution, so a
+    row comes out bit for bit as it would alone.  Returns a new array.
+    """
+    weights = np.array(raw, dtype=np.float64, copy=True)
+    if weights.ndim != 2 or weights.shape[1] < 1:
+        raise ValidationError(
+            f"distributions must be a (K, d) array with d >= 1, got shape {weights.shape}"
+        )
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("distribution contains non-finite entries")
+    wmin = weights.min(axis=1)
+    bad = wmin < -VALIDATION_TOL
+    if bad.any():
+        raise NegativeWeight(f"weight {wmin[bad][0]:.3e} below -{VALIDATION_TOL}")
+    total = weights.sum(axis=1)
+    bad = np.abs(total - 1.0) > INPUT_SUM_TOL
+    if bad.any():
+        raise NotNormalized(
+            f"weights sum to {float(total[bad][0])!r}, expected 1 within {INPUT_SUM_TOL}"
+        )
+    clip = wmin < 0.0
+    if clip.any():
+        weights[clip] = np.clip(weights[clip], 0.0, None)
+        total[clip] = weights[clip].sum(axis=1)
+    renorm = np.abs(total - 1.0) > _RENORM_SKIP
+    if renorm.any():
+        weights[renorm] = weights[renorm] / total[renorm, None]
+    return weights
+
+
 def validate_distribution(raw) -> ProbabilityDistribution:
     """Check, clip, and renormalize a raw weight vector.
 
@@ -98,25 +132,56 @@ def validate_distribution(raw) -> ProbabilityDistribution:
     renormalized only when it deviates by more than roundoff, so validated
     output passes through unchanged.
     """
-    weights = np.array(raw, dtype=np.float64, copy=True)
+    weights = np.asarray(raw, dtype=np.float64)
     if weights.ndim != 1 or weights.size < 1:
         raise ValidationError(
             f"distribution must be a nonempty vector, got shape {weights.shape}"
         )
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError("distribution contains non-finite entries")
-    wmin = float(weights.min())
-    if wmin < -VALIDATION_TOL:
-        raise NegativeWeight(f"weight {wmin:.3e} below -{VALIDATION_TOL}")
-    total = float(weights.sum())
-    if abs(total - 1.0) > INPUT_SUM_TOL:
-        raise NotNormalized(f"weights sum to {total!r}, expected 1 within {INPUT_SUM_TOL}")
-    if wmin < 0.0:
-        weights = np.clip(weights, 0.0, None)
-        total = float(weights.sum())
-    if abs(total - 1.0) > _RENORM_SKIP:
-        weights = weights / total
-    return ProbabilityDistribution(_freeze(weights))
+    return ProbabilityDistribution(_freeze(_validate_distribution_rows(weights[None])[0]))
+
+
+def _validate_density_rows(raw):
+    """Validate every matrix of a (K, d, d) stack; see :func:`validate_density`.
+
+    Returns ``(matrices, eigenvalues, eigenvectors, fresh)``: the validated
+    stack, the ``eigh`` of each matrix taken for the positivity check, and
+    the mask of matrices left as they were decomposed (not repaired
+    afterwards), whose ``eigh`` is therefore that of the returned matrix.
+    """
+    mat = np.array(raw, dtype=np.complex128, copy=True)
+    if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] < 1:
+        raise ValidationError(f"density matrices must be a (K, d, d) stack, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError("density matrix contains non-finite entries")
+    adjoint = mat.conj().swapaxes(1, 2)
+    herm_dev = np.abs(mat - adjoint).max(axis=(1, 2))
+    bad = herm_dev > VALIDATION_TOL
+    if bad.any():
+        raise NotHermitian(
+            f"Hermiticity deviation {herm_dev[bad][0]:.3e} exceeds {VALIDATION_TOL}"
+        )
+    sym = herm_dev > 0.0
+    if sym.any():
+        mat[sym] = 0.5 * (mat[sym] + adjoint[sym])
+    lam, vec = np.linalg.eigh(mat)
+    lam_min = lam[:, 0]
+    bad = lam_min < -VALIDATION_TOL
+    if bad.any():
+        raise NotPositive(f"eigenvalue {lam_min[bad][0]:.3e} below -{VALIDATION_TOL}")
+    trace = np.real(np.trace(mat, axis1=1, axis2=2))
+    bad = np.abs(trace - 1.0) > INPUT_SUM_TOL
+    if bad.any():
+        raise NotUnitTrace(
+            f"trace {float(trace[bad][0])!r}, expected 1 within {INPUT_SUM_TOL}"
+        )
+    repair = (lam_min < -_PSD_SKIP) | (np.abs(trace - 1.0) > _RENORM_SKIP)
+    if repair.any():
+        kept = np.clip(lam[repair], 0.0, None)
+        kept = kept / kept.sum(axis=1, keepdims=True)
+        basis = vec[repair]
+        fixed = (basis * kept[:, None, :]) @ basis.conj().swapaxes(1, 2)
+        mat[repair] = 0.5 * (fixed + fixed.conj().swapaxes(1, 2))
+    return mat, lam, vec, ~repair
 
 
 def validate_density(raw) -> DensityMatrix:
@@ -126,29 +191,10 @@ def validate_density(raw) -> DensityMatrix:
     beyond 1e-9 are errors; smaller ones are repaired.  As with
     distributions, already-clean matrices are returned unchanged.
     """
-    mat = np.array(raw, dtype=np.complex128, copy=True)
+    mat = np.asarray(raw, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("density matrix contains non-finite entries")
-    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_dev > VALIDATION_TOL:
-        raise NotHermitian(f"Hermiticity deviation {herm_dev:.3e} exceeds {VALIDATION_TOL}")
-    if herm_dev > 0.0:
-        mat = 0.5 * (mat + mat.conj().T)
-    lam, vec = np.linalg.eigh(mat)
-    lam_min = float(lam[0])
-    if lam_min < -VALIDATION_TOL:
-        raise NotPositive(f"eigenvalue {lam_min:.3e} below -{VALIDATION_TOL}")
-    trace = float(np.real(np.trace(mat)))
-    if abs(trace - 1.0) > INPUT_SUM_TOL:
-        raise NotUnitTrace(f"trace {trace!r}, expected 1 within {INPUT_SUM_TOL}")
-    if lam_min < -_PSD_SKIP or abs(trace - 1.0) > _RENORM_SKIP:
-        lam = np.clip(lam, 0.0, None)
-        lam = lam / lam.sum()
-        mat = (vec * lam) @ vec.conj().T
-        mat = 0.5 * (mat + mat.conj().T)
-    return DensityMatrix(_freeze(mat))
+    return DensityMatrix(_freeze(_validate_density_rows(mat[None])[0][0]))
 
 
 def tangent_classical(raw) -> TangentPerturbation:
@@ -191,12 +237,24 @@ def spectral(rho) -> SpectralDecomposition:
     )
 
 
+def _sqrt_rows(mats: np.ndarray, eig=None) -> np.ndarray:
+    """Hermitian PSD square roots of a (K, d, d) stack, eigenvalues clipped at zero.
+
+    ``eig`` is the ``np.linalg.eigh`` of ``mats`` when the caller already
+    has it.  The eigenpairs are taken in :func:`spectral`'s descending
+    order, which fixes the summation order of the reconstruction.
+    """
+    lam, vec = np.linalg.eigh(mats) if eig is None else eig
+    vec = np.ascontiguousarray(vec[..., ::-1])
+    root = np.sqrt(np.clip(lam[..., ::-1], 0.0, None))
+    out = (vec * root[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
 def mat_sqrt(rho) -> np.ndarray:
     """Hermitian PSD square root, with eigenvalues clipped at zero."""
-    dec = spectral(rho)
-    root = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    out = (dec.eigenvectors * root) @ dec.eigenvectors.conj().T
-    return 0.5 * (out + out.conj().T)
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    return _sqrt_rows(mat[None])[0]
 
 
 def mat_log_on_support(rho, floor: float = SUPPORT_FLOOR):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, InfiniteYield, RankDeficient
 from .geometry import (
+    RANK_TOL,
     TransportSchedule,
     bures_element,
     fisher_element,
@@ -35,7 +36,6 @@ from .states import (
 )
 
 LEAK_TOL = 1e-12   # tolerated weight outside the support of the second state
-RANK_TOL = 1e-10
 
 
 def relative_entropy(a, b) -> float:

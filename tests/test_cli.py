@@ -261,6 +261,65 @@ class TestGeodesicCommand:
         assert json.loads(out.read_text())["results"]["converged"] is False
 
 
+GEODESIC_CLASSICAL = {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_B}
+BAD_COUNTS = [2.7, True, "16", 0, -3]
+
+
+class TestStrictCounts:
+    """Counts that scale the work must be JSON integers >= 1: no silent int()."""
+
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_transport_N(self, tmp_path, capsys, value):
+        config = {"path": GEODESIC_CLASSICAL, "N": value}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "N must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_transport_N_grid_entry(self, tmp_path, capsys, value):
+        config = {"path": GEODESIC_CLASSICAL, "N_grid": [8, value]}
+        code, _ = _run(tmp_path, "transport", config)
+        assert code == EXIT_INVALID
+        assert "N_grid must be an integer >= 1" in capsys.readouterr().err
+
+    def test_transport_N_grid_must_be_a_list(self, tmp_path, capsys):
+        config = {"path": GEODESIC_CLASSICAL, "N_grid": "16"}
+        code, _ = _run(tmp_path, "transport", config)
+        assert code == EXIT_INVALID
+        assert "N_grid must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_reservoir_n_max(self, tmp_path, capsys, value):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "n_max": value}
+        code, _ = _run(tmp_path, "reservoir", config)
+        assert code == EXIT_INVALID
+        assert "n_max must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["N", "max_iter"])
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_geodesic_counts(self, tmp_path, capsys, key, value):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, key: value}
+        code, _ = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_INVALID
+        assert f"{key} must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    def test_random_state_dim(self, tmp_path, capsys, value):
+        config = {
+            "state_a": {"kind": "random-classical", "dim": value},
+            "state_b": {"kind": "random-classical", "dim": 3},
+        }
+        code, _ = _run(tmp_path, "fidelity", config)
+        assert code == EXIT_INVALID
+        assert "state_a.dim must be an integer >= 1" in capsys.readouterr().err
+
+    def test_integer_counts_still_run(self, tmp_path):
+        config = {"path": GEODESIC_CLASSICAL, "N_grid": [1, 2]}
+        code, _ = _run(tmp_path, "transport", config)
+        assert code == EXIT_OK
+
+
 class TestProbeCommand:
     def test_classical_table(self, tmp_path):
         config = {

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statlen import (
     DimensionMismatch,
     NotCommuting,
+    ProbabilityDistribution,
     RankDeficient,
     StatePath,
     SupportViolation,
     bures_element,
     classical_geodesic_path,
     commuting_quantum_geodesic,
+    default_step_rule,
     discrete_path_length,
     even_schedule,
     fidelity_classical,
@@ -27,6 +30,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
+from statlen.geometry import _simultaneous_eigenbasis
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -369,7 +373,7 @@ class TestEvenSchedule:
 
     def test_skewed_parametrization_is_evened_out(self):
         geo = classical_geodesic_path(P_HALF, P_SKEW)
-        skewed = StatePath("classical", P_HALF, P_SKEW, lambda t: geo.sample(t * t * t))
+        skewed = StatePath("classical", P_HALF, P_SKEW, lambda ts: geo.sample_many(ts * ts * ts))
         schedule = even_schedule(skewed, 16)
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
@@ -394,3 +398,181 @@ class TestEvenSchedule:
         schedule = even_schedule(linear_mixture_path(rho, sigma), 12)
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
+
+
+# ---------- batched sampling and schedules against the per-sample reference ----------
+
+PATH_KINDS = ("classical-geodesic", "classical-mixture", "commuting-geodesic", "quantum-mixture")
+
+
+def _raw(state) -> np.ndarray:
+    return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
+
+
+def _path_of_kind(kind, seed, dim):
+    p, q = _random_pair(dim, seed)
+    if kind == "classical-geodesic":
+        return classical_geodesic_path(p, q)
+    if kind == "classical-mixture":
+        return linear_mixture_path(p, q)
+    if kind == "commuting-geodesic":
+        basis = _haar_basis(dim, seed)
+        rho = validate_density((basis * p.weights) @ basis.conj().T)
+        sigma = validate_density((basis * q.weights) @ basis.conj().T)
+        return commuting_quantum_geodesic(rho, sigma)
+    rank = 1 + seed % dim
+    return linear_mixture_path(random_state(dim, rank, seed), random_state(dim, dim, seed + 1))
+
+
+def _reference_point(kind, a, b):
+    """The state at one parameter t, computed from the endpoints as a scalar
+    formula per path kind: the reference for the batched samplers."""
+    if kind == "classical-mixture":
+        return lambda t: validate_distribution((1.0 - t) * a.weights + t * b.weights)
+    if kind == "quantum-mixture":
+        return lambda t: validate_density((1.0 - t) * a.matrix + t * b.matrix)
+    if kind == "commuting-geodesic":
+        basis = _simultaneous_eigenbasis(a.matrix, b.matrix)
+        p = validate_distribution(np.real(np.diag(basis.conj().T @ a.matrix @ basis)))
+        q = validate_distribution(np.real(np.diag(basis.conj().T @ b.matrix @ basis)))
+        inner = _reference_point("classical-geodesic", p, q)
+        return lambda t: validate_density((basis * inner(t).weights) @ basis.conj().T)
+    theta = float(np.arccos(np.clip(fidelity_classical(a, b), 0.0, 1.0)))
+    sin_theta = float(np.sin(theta))
+    if sin_theta == 0.0:
+        return lambda t: a
+
+    def point(t):
+        amp = (np.sin((1.0 - t) * theta) * np.sqrt(a.weights)
+               + np.sin(t * theta) * np.sqrt(b.weights)) / sin_theta
+        return validate_distribution(amp * amp)
+
+    return point
+
+
+def _reference_samples(kind, path, ts):
+    point = _reference_point(kind, path.start, path.end)
+    return [path.start if t == 0.0 else path.end if t == 1.0 else point(float(t)) for t in ts]
+
+
+def _reference_fidelity(a, b) -> float:
+    """Fidelity of one pair, computed state by state as the reference."""
+    if isinstance(a, ProbabilityDistribution):
+        return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
+
+    def root(mat):
+        lam, vec = np.linalg.eigh(mat)
+        lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
+        out = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+        return 0.5 * (out + out.conj().T)
+
+    product = root(a.matrix) @ root(b.matrix)
+    return float(np.clip(np.sum(np.linalg.svd(product, compute_uv=False)), 0.0, 1.0))
+
+
+def _reference_steps(states, rule) -> np.ndarray:
+    fids = np.clip(
+        np.array([_reference_fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)]),
+        0.0,
+        1.0,
+    )
+    return 2.0 * np.arccos(fids) if rule == "arc" else np.sqrt(8.0 * (1.0 - fids))
+
+
+def _reference_even_schedule(kind, path, n_steps, presample=None):
+    """The even schedule built from one path sample and one fidelity at a time."""
+    rule = default_step_rule(path.kind)
+    resolution = presample if presample is not None else max(64 * n_steps, 4096)
+    dense_ts = np.linspace(0.0, 1.0, resolution + 1)
+    dense_steps = _reference_steps(_reference_samples(kind, path, dense_ts), rule)
+    cumulative = np.concatenate(([0.0], np.cumsum(dense_steps)))
+    total = float(cumulative[-1])
+    if total < 1e-12:
+        ts = np.linspace(0.0, 1.0, n_steps + 1)
+    else:
+        ts = np.interp(total * np.arange(n_steps + 1) / n_steps, cumulative, dense_ts)
+        ts[0] = 0.0
+        ts[-1] = 1.0
+    return ts, _reference_steps(_reference_samples(kind, path, ts), rule)
+
+
+class TestBatchedPaths:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        kind=st.sampled_from(PATH_KINDS),
+        seed=st.integers(0, 10**6),
+        dim=st.integers(2, 4),
+        ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_sample_many_rows_equal_single_samples(self, kind, seed, dim, ts):
+        path = _path_of_kind(kind, seed, dim)
+        ts = np.array(ts + [0.0, 1.0])
+        rows = path.sample_many(ts)
+        assert rows.shape[0] == ts.size
+        for k, (t, expected) in enumerate(zip(ts, _reference_samples(kind, path, ts))):
+            assert np.array_equal(rows[k], _raw(path.sample(float(t))))
+            assert np.array_equal(rows[k], _raw(expected))
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 6))
+    def test_pair_fidelities_match_reference(self, seed, dim):
+        rho = random_state(dim, 1 + seed % dim, seed)
+        sigma = random_state(dim, dim, seed + 1)
+        assert fidelity_quantum(rho, sigma) == _reference_fidelity(rho, sigma)
+        p, q = _random_pair(dim, seed)
+        assert fidelity_classical(p, q) == _reference_fidelity(p, q)
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_sample_many_pins_endpoints(self, kind):
+        path = _path_of_kind(kind, 5, 3)
+        rows = path.sample_many([1.0, 0.0, 0.5, 0.0])
+        assert np.array_equal(rows[0], _raw(path.end))
+        assert np.array_equal(rows[1], _raw(path.start))
+        assert np.array_equal(rows[3], _raw(path.start))
+        assert path.sample(0.0) is path.start
+        assert path.sample(1.0) is path.end
+        with pytest.raises(ValueError):
+            rows[2][0] = 0.0
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1], [np.nan], [[0.5]]])
+    def test_sample_many_rejects_bad_parameters(self, bad):
+        with pytest.raises(ValueError):
+            classical_geodesic_path(P_HALF, P_SKEW).sample_many(bad)
+
+    def test_sampler_output_is_validated(self):
+        # a user sampler whose rows carry roundoff gets them repaired
+        raw = np.array([0.5 + 1e-12, 0.5])
+        path = StatePath("classical", P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
+        assert np.array_equal(path.sample(0.5).weights, validate_distribution(raw).weights)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(
+        kind=st.sampled_from(PATH_KINDS),
+        seed=st.integers(0, 10**6),
+        dim=st.integers(2, 4),
+        n_steps=st.integers(1, 12),
+        presample=st.integers(1, 400),
+    )
+    def test_even_schedule_matches_per_sample_reference(self, kind, seed, dim, n_steps, presample):
+        path = _path_of_kind(kind, seed, dim)
+        schedule = even_schedule(path, n_steps, presample=presample)
+        ts, steps = _reference_even_schedule(kind, path, n_steps, presample)
+        assert np.array_equal(schedule.ts, ts)
+        assert np.array_equal(schedule.step_lengths, steps)
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_even_schedule_default_presample_matches_reference(self, kind):
+        path = _path_of_kind(kind, 11, 4)
+        schedule = even_schedule(path, 16)
+        ts, steps = _reference_even_schedule(kind, path, 16)
+        assert np.array_equal(schedule.ts, ts)
+        assert np.array_equal(schedule.step_lengths, steps)
+        for state, expected in zip(schedule.states, _reference_samples(kind, path, ts)):
+            assert np.array_equal(_raw(state), _raw(expected))
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_discrete_length_matches_reference(self, kind):
+        path = _path_of_kind(kind, 13, 3)
+        report = discrete_path_length(path, 40)
+        states = _reference_samples(kind, path, np.linspace(0.0, 1.0, 41))
+        assert np.array_equal(report.step_lengths, _reference_steps(states, report.step_rule))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statlen import (
     BadRank,
@@ -23,6 +24,14 @@ from statlen import (
     validate_density,
     validate_distribution,
     von_neumann_entropy,
+)
+from statlen.states import (
+    INPUT_SUM_TOL,
+    VALIDATION_TOL,
+    _PSD_SKIP,
+    _RENORM_SKIP,
+    _validate_density_rows,
+    _validate_distribution_rows,
 )
 
 
@@ -275,3 +284,173 @@ class TestTangentsAndRidge:
     def test_ridge_zero_is_identity(self):
         p = validate_distribution([0.4, 0.6])
         assert add_ridge(p, 0.0) is p
+
+
+# ---------- batched validation against the single-state reference ----------
+
+def _reference_distribution(raw) -> np.ndarray:
+    """Validation of one weight vector, written out here as the reference."""
+    weights = np.array(raw, dtype=np.float64, copy=True)
+    wmin = float(weights.min())
+    if wmin < -VALIDATION_TOL:
+        raise NegativeWeight(wmin)
+    total = float(weights.sum())
+    if abs(total - 1.0) > INPUT_SUM_TOL:
+        raise NotNormalized(total)
+    if wmin < 0.0:
+        weights = np.clip(weights, 0.0, None)
+        total = float(weights.sum())
+    if abs(total - 1.0) > _RENORM_SKIP:
+        weights = weights / total
+    return weights
+
+
+def _reference_density(raw) -> np.ndarray:
+    """Validation of one matrix, written out here as the reference."""
+    mat = np.array(raw, dtype=np.complex128, copy=True)
+    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm_dev > VALIDATION_TOL:
+        raise NotHermitian(herm_dev)
+    if herm_dev > 0.0:
+        mat = 0.5 * (mat + mat.conj().T)
+    lam, vec = np.linalg.eigh(mat)
+    lam_min = float(lam[0])
+    if lam_min < -VALIDATION_TOL:
+        raise NotPositive(lam_min)
+    trace = float(np.real(np.trace(mat)))
+    if abs(trace - 1.0) > INPUT_SUM_TOL:
+        raise NotUnitTrace(trace)
+    if lam_min < -_PSD_SKIP or abs(trace - 1.0) > _RENORM_SKIP:
+        lam = np.clip(lam, 0.0, None)
+        lam = lam / lam.sum()
+        mat = (vec * lam) @ vec.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+    return mat
+
+
+# Row defects: clean rows pass through, roundoff ones are repaired, bad ones raise.
+CLASSICAL_DEFECTS = ("clean", "negative_entry", "sum_off")
+QUANTUM_DEFECTS = ("clean", "negative_eigenvalue", "trace_off", "hermiticity")
+
+
+def _raw_distribution(rng, dim, defect):
+    w = rng.random(dim) ** 2 + 1e-3
+    w = w / w.sum()
+    if defect == "negative_entry" and dim > 1:
+        i = int(rng.integers(dim))
+        w[(i + 1) % dim] += w[i] + 1e-13
+        w[i] = -1e-13
+    elif defect == "sum_off":
+        w = w * (1.0 + 1e-12)
+    return w
+
+
+def _raw_density(rng, dim, defect):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    lam = rng.random(dim) + 1e-3
+    if defect == "negative_eigenvalue" and dim > 1:
+        lam[-1] = 0.0
+    lam = lam / lam.sum()
+    if defect == "negative_eigenvalue" and dim > 1:
+        lam[-1] = -1e-13
+    mat = (q * lam) @ q.conj().T
+    mat = 0.5 * (mat + mat.conj().T)
+    if defect == "trace_off":
+        mat = mat * (1.0 + 1e-12)
+    elif defect == "hermiticity" and dim > 1:
+        mat[0, 1] += 1e-13
+    return mat
+
+
+class TestBatchedValidation:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 150),
+        defects=st.lists(st.sampled_from(CLASSICAL_DEFECTS), min_size=1, max_size=6),
+    )
+    def test_distribution_rows_match_reference(self, seed, dim, defects):
+        rng = np.random.default_rng(seed)
+        raw = np.stack([_raw_distribution(rng, dim, d) for d in defects])
+        rows = _validate_distribution_rows(raw)
+        for k in range(len(defects)):
+            expected = _reference_distribution(raw[k])
+            assert np.array_equal(rows[k], expected)
+            assert np.array_equal(validate_distribution(raw[k]).weights, expected)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 12),
+        defects=st.lists(st.sampled_from(QUANTUM_DEFECTS), min_size=1, max_size=6),
+    )
+    def test_density_rows_match_reference(self, seed, dim, defects):
+        rng = np.random.default_rng(seed)
+        raw = np.stack([_raw_density(rng, dim, d) for d in defects])
+        mats, lam, vec, fresh = _validate_density_rows(raw)
+        for k in range(len(defects)):
+            expected = _reference_density(raw[k])
+            assert np.array_equal(mats[k], expected)
+            assert np.array_equal(validate_density(raw[k]).matrix, expected)
+            if fresh[k]:
+                # the decomposition handed on is that of the returned matrix
+                again = np.linalg.eigh(mats[k])
+                assert np.array_equal(lam[k], again[0])
+                assert np.array_equal(vec[k], again[1])
+
+    def test_defects_are_repaired_not_passed(self):
+        rng = np.random.default_rng(3)
+        raw = np.stack([_raw_density(rng, 3, d) for d in QUANTUM_DEFECTS])
+        mats, _, _, fresh = _validate_density_rows(raw)
+        assert np.array_equal(mats[0], raw[0])
+        assert list(fresh) == [True, False, False, True]
+        assert not np.array_equal(mats[3], raw[3])
+        assert np.array_equal(mats[3], mats[3].conj().T)
+        clipped = _validate_distribution_rows(
+            np.stack([_raw_distribution(rng, 4, d) for d in CLASSICAL_DEFECTS])
+        )
+        assert clipped[1].min() == 0.0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([1.001, -0.001], NegativeWeight),
+            ([0.6, 0.6], NotNormalized),
+        ],
+    )
+    def test_distribution_errors_match_single(self, bad, error):
+        with pytest.raises(error):
+            validate_distribution(bad)
+        stack = np.array([[0.5, 0.5], bad, [0.2, 0.8]])
+        with pytest.raises(error):
+            _validate_distribution_rows(stack)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[0.5, 1e-6], [0.0, 0.5]], NotHermitian),
+            ([[1.001, 0.0], [0.0, -0.001]], NotPositive),
+            ([[0.55, 0.0], [0.0, 0.55]], NotUnitTrace),
+        ],
+    )
+    def test_density_errors_match_single(self, bad, error):
+        with pytest.raises(error):
+            validate_density(bad)
+        stack = np.array([np.eye(2) / 2, bad, np.diag([0.3, 0.7])], dtype=complex)
+        with pytest.raises(error):
+            _validate_density_rows(stack)
+
+    def test_batched_shapes_checked(self):
+        with pytest.raises(ValidationError):
+            _validate_distribution_rows(np.ones(3) / 3)
+        with pytest.raises(ValidationError):
+            _validate_density_rows(np.eye(2) / 2)
+        with pytest.raises(ValidationError):
+            _validate_distribution_rows([[0.5, np.nan]])
+
+    def test_input_is_not_modified(self):
+        raw = np.array([[0.5, 0.5, -1e-13]])
+        before = raw.copy()
+        _validate_distribution_rows(raw)
+        assert np.array_equal(raw, before)

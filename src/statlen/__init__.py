@@ -41,7 +41,6 @@ from .states import (
     spectral,
     tangent_classical,
     tangent_quantum,
-    tensor_product,
     validate_density,
     validate_distribution,
     von_neumann_entropy,
@@ -69,20 +68,17 @@ from .geometry import (
 from .transport import (
     ExpansionProbe,
     TransportReport,
-    entropy_per_unit_length,
     expansion_probe,
     geodesic_bound,
     min_entropy_production,
     relative_entropy,
     run_transport,
-    single_step_yield,
 )
 from .reservoir import (
     ReservoirScanResult,
     classical_step_entropy_production,
     convergence_scan,
     step_entropy_production,
-    swap_state,
     twirl_state,
 )
 from .pathopt import PathOptimizationResult, minimize_path

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,6 +73,17 @@ def _count(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A config number as a float: a finite JSON integer or float, never a bool or string."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _resolve_state(spec, seed_pool, where: str):
     """Resolve a state spec: inline arrays, a file reference, or a random draw."""
     if not isinstance(spec, dict):
@@ -90,6 +102,22 @@ def _resolve_state(spec, seed_pool, where: str):
     return serialize.state_from_jsonable(spec)
 
 
+def _resolve_pair(spec: dict, seed_pool, resolved: dict, where: str = "") -> tuple:
+    """Resolve ``state_a`` and ``state_b`` of a spec and record their resolved forms."""
+    a = _resolve_state(spec["state_a"], seed_pool, where + "state_a")
+    b = _resolve_state(spec["state_b"], seed_pool, where + "state_b")
+    resolved["state_a"] = serialize.state_to_jsonable(a)
+    resolved["state_b"] = serialize.state_to_jsonable(b)
+    return a, b
+
+
+def _geodesic(a, b):
+    """The closed-form geodesic between two states of the same kind."""
+    if isinstance(a, ProbabilityDistribution):
+        return classical_geodesic_path(a, b)
+    return commuting_quantum_geodesic(a, b)
+
+
 def _seed_pool(seed: int):
     seeds = iter(np.random.SeedSequence(seed).generate_state(64))
 
@@ -104,20 +132,23 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict) -> None:
-    base_meta = {
+def _record_meta(resolved: dict) -> dict:
+    """Metadata every output file carries: tool, version, config hash and seed."""
+    return {
         "tool": "statlen",
         "version": __version__,
         "config_hash": _config_hash(resolved),
         "seed": resolved["seed"],
     }
+
+
+def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict) -> None:
+    record = _record_meta(resolved)
     if resolved["format"] == "csv":
-        meta = dict(base_meta)
-        meta["config"] = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-        meta.update(metadata)
-        serialize.write_csv(resolved["out"], columns, rows, meta)
+        record["config"] = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+        record.update(metadata)
+        serialize.write_csv(resolved["out"], columns, rows, record)
     else:
-        record = dict(base_meta)
         record["config"] = resolved
         record["results"] = results
         with open(resolved["out"], "w", newline="\n", encoding="utf-8") as fh:
@@ -129,34 +160,23 @@ def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict) 
 
 def _path_from_config(spec: dict, seed_pool) -> tuple:
     _check_keys(spec, {"type", "state_a", "state_b"}, set(), "path")
-    a = _resolve_state(spec["state_a"], seed_pool, "path.state_a")
-    b = _resolve_state(spec["state_b"], seed_pool, "path.state_b")
+    ptype = spec["type"]
+    resolved_spec = {"type": ptype}
+    a, b = _resolve_pair(spec, seed_pool, resolved_spec, "path.")
     if type(a) is not type(b):
         raise ConfigError("path endpoints must be states of the same kind")
-    ptype = spec["type"]
     if ptype == "mixture":
         path = linear_mixture_path(a, b)
     elif ptype == "geodesic":
-        if isinstance(a, ProbabilityDistribution):
-            path = classical_geodesic_path(a, b)
-        else:
-            path = commuting_quantum_geodesic(a, b)
+        path = _geodesic(a, b)
     else:
         raise ConfigError(f"unknown path type {ptype!r}; choose 'geodesic' or 'mixture'")
-    resolved_spec = {
-        "type": ptype,
-        "state_a": serialize.state_to_jsonable(a),
-        "state_b": serialize.state_to_jsonable(b),
-    }
     return path, resolved_spec
 
 
 def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
     _check_keys(config, {"state_a", "state_b"}, _COMMON_OPTIONAL, "config")
-    a = _resolve_state(config["state_a"], seed_pool, "state_a")
-    b = _resolve_state(config["state_b"], seed_pool, "state_b")
-    resolved["state_a"] = serialize.state_to_jsonable(a)
-    resolved["state_b"] = serialize.state_to_jsonable(b)
+    a, b = _resolve_pair(config, seed_pool, resolved)
     fid = state_fidelity(a, b)
     results = {
         "fidelity": fid,
@@ -220,10 +240,7 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
 
 def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
     _check_keys(config, {"state_a", "state_b", "n_max"}, _COMMON_OPTIONAL, "config")
-    a = _resolve_state(config["state_a"], seed_pool, "state_a")
-    b = _resolve_state(config["state_b"], seed_pool, "state_b")
-    resolved["state_a"] = serialize.state_to_jsonable(a)
-    resolved["state_b"] = serialize.state_to_jsonable(b)
+    a, b = _resolve_pair(config, seed_pool, resolved)
     scan = convergence_scan(a, b, _count(config["n_max"], "n_max"))
     _write_record(
         resolved,
@@ -238,28 +255,24 @@ def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
 def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     optional = _COMMON_OPTIONAL | {"seed_path", "ridge", "max_iter", "history_out"}
     _check_keys(config, {"state_a", "state_b", "N"}, optional, "config")
-    a = _resolve_state(config["state_a"], seed_pool, "state_a")
-    b = _resolve_state(config["state_b"], seed_pool, "state_b")
-    resolved["state_a"] = serialize.state_to_jsonable(a)
-    resolved["state_b"] = serialize.state_to_jsonable(b)
+    a, b = _resolve_pair(config, seed_pool, resolved)
     seed_kind = config.get("seed_path", "mixture")
     if seed_kind == "mixture":
         seed_path = None
     elif seed_kind == "geodesic":
-        seed_path = (
-            classical_geodesic_path(a, b)
-            if isinstance(a, ProbabilityDistribution)
-            else commuting_quantum_geodesic(a, b)
-        )
+        seed_path = _geodesic(a, b)
     else:
         raise ConfigError(f"unknown seed_path {seed_kind!r}")
+    ridge = config.get("ridge")
+    if ridge is not None and _number(ridge, "ridge") < 0:
+        raise ConfigError(f"ridge must be null or a number >= 0, got {ridge!r}")
     result = minimize_path(
         a,
         b,
         _count(config["N"], "N"),
         seed_path,
         max_iter=_count(config.get("max_iter", 5000), "max_iter"),
-        ridge=config.get("ridge"),
+        ridge=ridge,
     )
     fid = state_fidelity(a, b)
     results = serialize.pathopt_result_to_jsonable(result)
@@ -290,12 +303,7 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         history_out,
         serialize.HISTORY_COLUMNS,
         serialize.pathopt_history_rows(result),
-        {
-            "tool": "statlen",
-            "version": __version__,
-            "config_hash": _config_hash(resolved),
-            "seed": resolved["seed"],
-        },
+        _record_meta(resolved),
     )
     _write_record(resolved, columns, rows, {"history": history_out}, results)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
@@ -308,12 +316,13 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
     if isinstance(state, ProbabilityDistribution):
         tangent = tangent_classical(config["perturbation"])
     else:
-        rows = config["perturbation"]
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128
+        tangent = tangent_quantum(
+            serialize.matrix_from_jsonable(config["perturbation"], "perturbation")
         )
-        tangent = tangent_quantum(mat)
-    probe = expansion_probe(state, tangent, [float(e) for e in config["eps_grid"]])
+    if not isinstance(config["eps_grid"], list):
+        raise ConfigError(f"eps_grid must be a list, got {config['eps_grid']!r}")
+    eps_grid = [_number(e, "eps_grid") for e in config["eps_grid"]]
+    probe = expansion_probe(state, tangent, eps_grid)
     results = {
         "metric": probe.metric_name,
         "eps": [float(e) for e in probe.eps],
@@ -372,7 +381,10 @@ def main(argv=None) -> int:
         print("statlen: config must be a JSON object", file=sys.stderr)
         return EXIT_INVALID
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        print(f"statlen: seed must be an integer >= 0, got {seed!r}", file=sys.stderr)
+        return EXIT_INVALID
     out = args.out if args.out is not None else config.get("out")
     fmt = args.format if args.format is not None else config.get("format", "csv")
     if out is None:

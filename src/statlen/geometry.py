@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import (
+    DimensionCapExceeded,
     DimensionMismatch,
     NotCommuting,
     RankDeficient,
@@ -45,6 +46,7 @@ RANK_TOL = 1e-10          # smallest eigenvalue for a state to count as full ran
 COMMUTE_TOL = 1e-10       # max-entry commutator tolerance
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
+MAX_PRESAMPLE = 2 ** 22        # cap on the dense table of an even schedule
 STEP_RULES = ("arc", "chord")
 
 
@@ -447,6 +449,8 @@ def even_schedule(
     length inverted by linear interpolation, and the path resampled at the
     resulting parameters; the step lengths then agree to about 0.1%.
     Paths shorter than 1e-12 fall back to the uniform (trivial) schedule.
+    A table larger than ``MAX_PRESAMPLE`` raises :class:`DimensionCapExceeded`
+    with the largest feasible N (or presample, when one is given).
 
     The table is evaluated as stacked arrays (batched sampling, validation
     and fidelities, in blocks of bounded size) and gives bit for bit the
@@ -456,6 +460,14 @@ def even_schedule(
         raise ValueError(f"need at least one step, got {n_steps}")
     rule = step_rule or default_step_rule(path.kind)
     resolution = presample if presample is not None else max(64 * n_steps, 4096)
+    if resolution > MAX_PRESAMPLE:
+        what = "N" if presample is None else "presample"
+        feasible = MAX_PRESAMPLE // 64 if presample is None else MAX_PRESAMPLE
+        raise DimensionCapExceeded(
+            f"presample of {resolution} states exceeds cap {MAX_PRESAMPLE}; "
+            f"largest feasible {what} is {feasible}",
+            max_feasible=feasible,
+        )
     dense_ts = np.linspace(0.0, 1.0, resolution + 1)
     dense_steps = _sampled_step_lengths(path, dense_ts, rule)
     cumulative = np.concatenate(([0.0], np.cumsum(dense_steps)))

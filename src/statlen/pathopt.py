@@ -42,6 +42,10 @@ MIN_STEPS = 4
 MAX_DIM_CLASSICAL = 8
 MAX_DIM_QUANTUM = 4
 AUTO_RIDGE = 1e-6
+GRAD_STEP = 1e-6      # central-difference step in the unconstrained coordinates
+ARMIJO = 1e-4         # sufficient-decrease factor of the line search
+ENERGY_TOL = 1e-10    # relative energy decrease that counts as a stall
+STALL_WINDOW = 10     # accepted iterations the stall test looks back over
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,17 +183,13 @@ def minimize_path(
     seed_path: StatePath | None = None,
     *,
     max_iter: int = 5000,
-    grad_step: float = 1e-6,
-    armijo: float = 1e-4,
-    energy_tol: float = 1e-10,
-    stall_window: int = 10,
     ridge: float | None = None,
 ) -> PathOptimizationResult:
     """Minimize the discrete chord energy of an N-step path between two states.
 
     ``seed_path`` defaults to the straight mixture; iteration stops when the
-    relative energy decrease over ``stall_window`` accepted iterations falls
-    below ``energy_tol``, when the line search stalls, or at ``max_iter``
+    relative energy decrease over ``STALL_WINDOW`` accepted iterations falls
+    below ``ENERGY_TOL``, when the line search stalls, or at ``max_iter``
     (in which case ``converged`` is False and the best iterate is returned).
     ``ridge=None`` enables a 1e-6 ridge automatically for rank-deficient
     quantum endpoints and is off otherwise.
@@ -239,7 +239,6 @@ def minimize_path(
     converged = False
     iterations = 0
     alpha = 1.0
-    h = grad_step
     for _ in range(max_iter):
         grads = [np.zeros_like(c) for c in coords]
         for j, block in enumerate(coords):
@@ -248,14 +247,14 @@ def minimize_path(
             grad_flat = grads[j].reshape(-1)
             for c in range(flat.size):
                 keep = flat[c]
-                flat[c] = keep + h
+                flat[c] = keep + GRAD_STEP
                 plus = lane.node(block)
-                flat[c] = keep - h
+                flat[c] = keep - GRAD_STEP
                 minus = lane.node(block)
                 flat[c] = keep
                 e_plus = lane.chord_sq(left, plus) + lane.chord_sq(plus, right)
                 e_minus = lane.chord_sq(left, minus) + lane.chord_sq(minus, right)
-                grad_flat[c] = (e_plus - e_minus) / (2.0 * h)
+                grad_flat[c] = (e_plus - e_minus) / (2.0 * GRAD_STEP)
         grad_norm_sq = sum(float(np.sum(g * g)) for g in grads)
         if grad_norm_sq == 0.0:
             converged = True
@@ -267,7 +266,7 @@ def minimize_path(
             trial = [c - alpha * g for c, g in zip(coords, grads)]
             trial_nodes = build_nodes(trial)
             trial_energy = total_energy(trial_nodes)
-            if trial_energy <= energy - armijo * alpha * grad_norm_sq:
+            if trial_energy <= energy - ARMIJO * alpha * grad_norm_sq:
                 accepted = True
                 break
             alpha *= 0.5
@@ -279,9 +278,9 @@ def minimize_path(
         coords, nodes, energy = trial, trial_nodes, trial_energy
         iterations += 1
         record(nodes, energy)
-        if len(energies) > stall_window:
-            drop = energies[-1 - stall_window] - energy
-            if drop < energy_tol * max(energy, 1e-300):
+        if len(energies) > STALL_WINDOW:
+            drop = energies[-1 - STALL_WINDOW] - energy
+            if drop < ENERGY_TOL * max(energy, 1e-300):
                 converged = True
                 break
 

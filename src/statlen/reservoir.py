@@ -30,73 +30,45 @@ from .transport import relative_entropy
 CLASSICAL_DIM_CAP = 2 ** 20
 
 
-def _max_feasible_n(dim: int, limit: int, extra_slot: bool) -> int:
-    # largest n with dim**(n + extra) <= limit
-    n = 0
-    size = dim if extra_slot else 1
-    while size * dim <= limit:
-        size *= dim
-        n += 1
-    return n
-
-
-def _check_dense_cap(dim: int, n: int, cap) -> None:
-    limit = dimension_cap() if cap is None else int(cap)
-    if dim ** (n + 1) > limit:
-        feasible = _max_feasible_n(dim, limit, extra_slot=True)
+def _check_cap(dim: int, n: int, extra: int, limit: int, what: str) -> None:
+    """Raise unless dim**(n + extra) <= limit, naming the largest feasible n."""
+    if dim ** (n + extra) > limit:
+        feasible = 0
+        while dim ** (feasible + 1 + extra) <= limit:
+            feasible += 1
         raise DimensionCapExceeded(
-            f"composite dimension {dim}**{n + 1} exceeds cap {limit}; "
+            f"{what} {dim}**{n + extra} exceeds cap {limit}; "
             f"largest feasible n is {feasible}",
             max_feasible=feasible,
         )
 
 
-def _check_classical_cap(dim: int, n: int, cap) -> None:
-    limit = CLASSICAL_DIM_CAP if cap is None else int(cap)
-    if dim ** n > limit:
-        feasible = _max_feasible_n(dim, limit, extra_slot=False)
-        raise DimensionCapExceeded(
-            f"vector dimension {dim}**{n} exceeds cap {limit}; "
-            f"largest feasible n is {feasible}",
-            max_feasible=feasible,
-        )
-
-
-def swap_state(rho: DensityMatrix, sigma: DensityMatrix, n: int, cap=None) -> DensityMatrix:
-    """Composite state sigma (x) rho (x) sigma^(n-1) after the swap.
-
-    The swap is a relabeling, so the total entropy S(rho) + n S(sigma) is
-    unchanged; it sets up the reservoir state the twirl acts on.
-    """
-    _require_pair(rho, sigma, n)
-    _check_dense_cap(rho.dim, n, cap)
-    out = np.kron(sigma.matrix, rho.matrix)
+def _twirl(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) sum_k b^(x k) (x) a (x) b^(x n-k-1) for weight vectors or matrices."""
+    powers = [np.ones((1,) * b.ndim, b.dtype)]
     for _ in range(n - 1):
-        out = np.kron(out, sigma.matrix)
-    return DensityMatrix(_freeze(out))
+        powers.append(np.kron(powers[-1], b))
+    acc = np.zeros((a.shape[0] ** n,) * a.ndim, b.dtype)
+    for k in range(n):
+        acc += np.kron(powers[k], np.kron(a, powers[n - k - 1]))
+    acc /= n
+    return _freeze(acc)
 
 
-def twirl_state(rho: DensityMatrix, sigma: DensityMatrix, n: int, cap=None) -> DensityMatrix:
+def twirl_state(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> DensityMatrix:
     """Twirled reservoir: (1/n) sum_k sigma^(x k) (x) rho (x) sigma^(x n-k-1)."""
     _require_pair(rho, sigma, n)
-    _check_dense_cap(rho.dim, n, cap)
-    powers = [np.array([[1.0 + 0.0j]])]
-    for _ in range(n - 1):
-        powers.append(np.kron(powers[-1], sigma.matrix))
-    acc = np.zeros((rho.dim ** n, rho.dim ** n), dtype=np.complex128)
-    for k in range(n):
-        acc += np.kron(powers[k], np.kron(rho.matrix, powers[n - k - 1]))
-    acc /= n
-    return DensityMatrix(_freeze(acc))
+    _check_cap(rho.dim, n, 1, dimension_cap(), "composite dimension")
+    return DensityMatrix(_twirl(rho.matrix, sigma.matrix, n))
 
 
-def step_entropy_production(rho: DensityMatrix, sigma: DensityMatrix, n: int, cap=None) -> float:
+def step_entropy_production(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
     """Entropy generated by the twirl: S(twirl) - S(rho) - (n-1) S(sigma).
 
     Equals S(twirl) - S(rho (x) sigma^(x n-1)) by additivity of the
     entropy over tensor factors.
     """
-    twirled = twirl_state(rho, sigma, n, cap)
+    twirled = twirl_state(rho, sigma, n)
     return (
         von_neumann_entropy(twirled)
         - von_neumann_entropy(rho)
@@ -105,7 +77,7 @@ def step_entropy_production(rho: DensityMatrix, sigma: DensityMatrix, n: int, ca
 
 
 def classical_step_entropy_production(
-    p: ProbabilityDistribution, q: ProbabilityDistribution, n: int, cap=None
+    p: ProbabilityDistribution, q: ProbabilityDistribution, n: int
 ) -> float:
     """Same quantity on probability vectors, reaching much larger n.
 
@@ -113,15 +85,8 @@ def classical_step_entropy_production(
     directly as a vector of index-placement products.
     """
     _require_pair(p, q, n)
-    _check_classical_cap(p.dim, n, cap)
-    powers = [np.array([1.0])]
-    for _ in range(n - 1):
-        powers.append(np.kron(powers[-1], q.weights))
-    acc = np.zeros(p.dim ** n)
-    for k in range(n):
-        acc += np.kron(powers[k], np.kron(p.weights, powers[n - k - 1]))
-    acc /= n
-    mixed = ProbabilityDistribution(_freeze(acc))
+    _check_cap(p.dim, n, 0, CLASSICAL_DIM_CAP, "vector dimension")
+    mixed = ProbabilityDistribution(_twirl(p.weights, q.weights, n))
     return (
         shannon_entropy(mixed)
         - shannon_entropy(p)
@@ -149,7 +114,7 @@ class ReservoirScanResult:
     gaps: np.ndarray
 
 
-def convergence_scan(rho, sigma, n_max: int, cap=None) -> ReservoirScanResult:
+def convergence_scan(rho, sigma, n_max: int) -> ReservoirScanResult:
     """Entropy production for n = 1..n_max against the S(rho||sigma) limit.
 
     Probability-vector inputs run in "classical-fast" mode, density
@@ -164,7 +129,7 @@ def convergence_scan(rho, sigma, n_max: int, cap=None) -> ReservoirScanResult:
         mode = "dense"
         step = step_entropy_production
     n_values = np.arange(1, n_max + 1)
-    values = np.array([step(rho, sigma, int(n), cap) for n in n_values])
+    values = np.array([step(rho, sigma, int(n)) for n in n_values])
     reference = relative_entropy(rho, sigma)
     if math.isinf(reference):
         gaps = np.full(values.shape, math.inf)

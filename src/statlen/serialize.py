@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .exceptions import ValidationError
-from .geometry import PathLengthReport, TransportSchedule
 from .pathopt import PathOptimizationResult
 from .reservoir import ReservoirScanResult
 from .states import (
@@ -83,22 +82,19 @@ def state_from_jsonable(obj):
         extra = set(obj) - {"kind", "matrix"}
         if extra:
             raise ValidationError(f"unknown state keys: {sorted(extra)}")
-        rows = obj["matrix"]
-        try:
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in rows],
-                dtype=np.complex128,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("quantum state entries must be [re, im] pairs") from exc
-        return validate_density(mat)
+        return validate_density(matrix_from_jsonable(obj["matrix"], "quantum state"))
     raise ValidationError(f"unknown state kind {kind!r}")
 
 
-def save_state(state, path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        json.dump(state_to_jsonable(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def matrix_from_jsonable(rows, what: str) -> np.ndarray:
+    """Complex matrix from rows of ``[re, im]`` pairs; ``what`` names it in errors."""
+    try:
+        return np.array(
+            [[complex(re, im) for re, im in row] for row in rows],
+            dtype=np.complex128,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} entries must be [re, im] pairs") from exc
 
 
 def load_state(path):
@@ -107,57 +103,6 @@ def load_state(path):
 
 
 # ---------- reports ----------
-
-PATH_COLUMNS = ("i", "t_i", "delta_ell", "cumulative_ell")
-
-
-def path_report_rows(report: PathLengthReport):
-    """Rows (i, t_i, delta_ell, cumulative_ell) for a uniform-t length report."""
-    cumulative = np.cumsum(report.step_lengths)
-    return [
-        (i, i / report.n_steps, float(report.step_lengths[i]), float(cumulative[i]))
-        for i in range(report.n_steps)
-    ]
-
-
-def schedule_rows(schedule: TransportSchedule):
-    """Rows (i, t_i, delta_ell, cumulative_ell) for a transport schedule."""
-    cumulative = np.cumsum(schedule.step_lengths)
-    return [
-        (i, float(schedule.ts[i]), float(schedule.step_lengths[i]), float(cumulative[i]))
-        for i in range(schedule.n_steps)
-    ]
-
-
-def path_report_to_jsonable(report: PathLengthReport) -> dict:
-    return {
-        "total_length": report.total_length,
-        "n_steps": report.n_steps,
-        "step_rule": report.step_rule,
-        "step_lengths": [float(x) for x in report.step_lengths],
-    }
-
-
-def schedule_to_jsonable(schedule: TransportSchedule) -> dict:
-    return {
-        "kind": schedule.kind,
-        "n_steps": schedule.n_steps,
-        "step_rule": schedule.step_rule,
-        "ts": [float(t) for t in schedule.ts],
-        "step_lengths": [float(x) for x in schedule.step_lengths],
-        "states": [state_to_jsonable(s) for s in schedule.states],
-    }
-
-
-TRANSPORT_COLUMNS = ("i", "delta_ell_i", "yield_i")
-
-
-def transport_rows(report: TransportReport):
-    return [
-        (i, float(report.step_lengths[i]), float(report.step_yields[i]))
-        for i in range(report.n_steps)
-    ]
-
 
 def transport_summary(report: TransportReport) -> dict:
     """Summary record attached to transport CSV output and JSON results."""
@@ -204,17 +149,6 @@ def probe_rows(probe: ExpansionProbe):
         (float(probe.eps[i]), float(probe.ratio_metric[i]), float(probe.ratio_kubo_mori[i]))
         for i in range(probe.eps.size)
     ]
-
-
-def transport_report_to_jsonable(report: TransportReport) -> dict:
-    out = transport_summary(report)
-    out.update(
-        kind=report.kind,
-        endpoint_fidelity=report.endpoint_fidelity,
-        step_lengths=[float(x) for x in report.step_lengths],
-        step_yields=[float(x) for x in report.step_yields],
-    )
-    return out
 
 
 def reservoir_result_to_jsonable(result: ReservoirScanResult) -> dict:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .exceptions import (
     BadRank,
-    DimensionCapExceeded,
     NegativeWeight,
     NotHermitian,
     NotNormalized,
@@ -257,14 +256,14 @@ def mat_sqrt(rho) -> np.ndarray:
     return _sqrt_rows(mat[None])[0]
 
 
-def mat_log_on_support(rho, floor: float = SUPPORT_FLOOR):
-    """Matrix logarithm restricted to eigenvalues above ``floor``.
+def mat_log_on_support(rho):
+    """Matrix logarithm restricted to eigenvalues above ``SUPPORT_FLOOR``.
 
     Returns ``(log_matrix, support_projector)``; the projector lets callers
     measure how much of another state lives outside the support.
     """
     dec = spectral(rho)
-    keep = dec.eigenvalues > floor
+    keep = dec.eigenvalues > SUPPORT_FLOOR
     vecs = dec.eigenvectors[:, keep]
     log_mat = (vecs * np.log(dec.eigenvalues[keep])) @ vecs.conj().T
     projector = vecs @ vecs.conj().T
@@ -274,21 +273,21 @@ def mat_log_on_support(rho, floor: float = SUPPORT_FLOOR):
     )
 
 
-def _entropy_of_weights(weights: np.ndarray, floor: float) -> float:
-    kept = weights[weights > floor]
+def _entropy_of_weights(weights: np.ndarray) -> float:
+    kept = weights[weights > SUPPORT_FLOOR]
     if kept.size == 0:
         return 0.0
     return max(0.0, float(-np.sum(kept * np.log(kept))))
 
 
-def von_neumann_entropy(rho, floor: float = SUPPORT_FLOOR) -> float:
+def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum_i lam_i ln lam_i in nats; lies in [0, ln d]."""
-    return _entropy_of_weights(spectral(rho).eigenvalues, floor)
+    return _entropy_of_weights(spectral(rho).eigenvalues)
 
 
-def shannon_entropy(p: ProbabilityDistribution, floor: float = SUPPORT_FLOOR) -> float:
+def shannon_entropy(p: ProbabilityDistribution) -> float:
     """H(p) = -sum_a p_a ln p_a in nats."""
-    return _entropy_of_weights(p.weights, floor)
+    return _entropy_of_weights(p.weights)
 
 
 def dimension_cap() -> int:
@@ -303,23 +302,6 @@ def dimension_cap() -> int:
     if cap < 1:
         raise ValidationError(f"{DIM_CAP_ENV} must be positive, got {cap}")
     return cap
-
-
-def _check_cap(dim: int, cap) -> None:
-    limit = dimension_cap() if cap is None else int(cap)
-    if dim > limit:
-        raise DimensionCapExceeded(f"composite dimension {dim} exceeds cap {limit}")
-
-
-def tensor_product(a, b, cap=None):
-    """Kronecker product of two states of the same kind."""
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        _check_cap(a.dim * b.dim, cap)
-        return DensityMatrix(_freeze(np.kron(a.matrix, b.matrix)))
-    if isinstance(a, ProbabilityDistribution) and isinstance(b, ProbabilityDistribution):
-        _check_cap(a.dim * b.dim, cap)
-        return ProbabilityDistribution(_freeze(np.kron(a.weights, b.weights)))
-    raise ValidationError("tensor_product needs two states of the same kind")
 
 
 def random_state(dim: int, rank: int, seed: int) -> DensityMatrix:

@@ -69,11 +69,6 @@ def relative_entropy(a, b) -> float:
     )
 
 
-def single_step_yield(rho, sigma) -> float:
-    """Entropy produced by one equilibration step: S(rho||sigma)."""
-    return relative_entropy(rho, sigma)
-
-
 def min_entropy_production(length: float, n_steps: int) -> float:
     """Minimum total entropy production along a path of the given length: l^2/(2N)."""
     if n_steps < 1:
@@ -96,13 +91,6 @@ def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
         angle = float(np.arccos(f))
         return 2.0 * angle * angle / n_steps
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def entropy_per_unit_length(nu: float) -> float:
-    """Dissipation rate 1/(2 nu) in nats per unit length at step density nu."""
-    if nu <= 0.0:
-        raise ValueError(f"step density must be positive, got {nu}")
-    return 1.0 / (2.0 * nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,31 +168,26 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
         raise ValueError("eps_list must be a nonempty vector")
     if np.any(eps <= 0.0) or (eps.size > 1 and np.any(np.diff(eps) >= 0.0)):
         raise ValueError("eps_list must be positive and strictly descending")
-    entropies = np.empty(eps.size)
-    ratio_metric = np.empty(eps.size)
-    ratio_km = np.empty(eps.size)
     if isinstance(state, ProbabilityDistribution):
         if float(state.weights.min()) <= RANK_TOL:
             raise RankDeficient("expansion probe needs a full-support distribution")
-        metric_name = "fisher"
-        for k, e in enumerate(eps):
-            perturbed = validate_distribution(state.weights + e * perturbation.delta)
-            entropies[k] = relative_entropy(state, perturbed)
-            element = fisher_element(state, perturbation, e)
-            ratio_metric[k] = entropies[k] / (0.5 * element)
-            # classical Kubo-Mori coincides with the Fisher element
-            ratio_km[k] = ratio_metric[k]
+        metric_name, base, validate = "fisher", state.weights, validate_distribution
+        # classical Kubo-Mori coincides with the Fisher element
+        metric = kubo_mori = fisher_element
     elif isinstance(state, DensityMatrix):
         if float(spectral(state).eigenvalues[-1]) <= RANK_TOL:
             raise RankDeficient("expansion probe needs a full-rank state")
-        metric_name = "bures"
-        for k, e in enumerate(eps):
-            perturbed = validate_density(state.matrix + e * perturbation.delta)
-            entropies[k] = relative_entropy(state, perturbed)
-            ratio_metric[k] = entropies[k] / (0.5 * bures_element(state, perturbation, e))
-            ratio_km[k] = entropies[k] / (0.5 * kubo_mori_element(state, perturbation, e))
+        metric_name, base, validate = "bures", state.matrix, validate_density
+        metric, kubo_mori = bures_element, kubo_mori_element
     else:
         raise DimensionMismatch(f"cannot probe object of type {type(state).__name__}")
+    entropies = np.empty(eps.size)
+    ratio_metric = np.empty(eps.size)
+    ratio_km = np.empty(eps.size)
+    for k, e in enumerate(eps):
+        entropies[k] = relative_entropy(state, validate(base + e * perturbation.delta))
+        ratio_metric[k] = entropies[k] / (0.5 * metric(state, perturbation, e))
+        ratio_km[k] = entropies[k] / (0.5 * kubo_mori(state, perturbation, e))
     return ExpansionProbe(
         _freeze(eps.copy()),
         _freeze(entropies),

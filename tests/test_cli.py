@@ -168,6 +168,14 @@ class TestTransportCommand:
             results[name] = json.loads(out.read_text())["results"]["grid"][0]["Delta_S"]
         assert results["geo"] < results["mix"]
 
+    @pytest.mark.parametrize("n", [65537, 10**12])
+    def test_presample_cap_exits_3_with_max_n(self, tmp_path, capsys, n):
+        config = {"path": GEODESIC_CLASSICAL, "N_grid": [16, n]}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert "largest feasible N is 65536" in capsys.readouterr().err
+
     def test_requires_exactly_one_grid(self, tmp_path):
         config = {
             "path": {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_B},
@@ -318,6 +326,77 @@ class TestStrictCounts:
         config = {"path": GEODESIC_CLASSICAL, "N_grid": [1, 2]}
         code, _ = _run(tmp_path, "transport", config)
         assert code == EXIT_OK
+
+
+BAD_NUMBERS = [True, "1e-6", float("nan"), [1e-6]]
+
+
+class TestStrictFields:
+    """Numeric config fields are JSON numbers: no bool, string or silent int()."""
+
+    @pytest.mark.parametrize("value", [2.7, True, "3", -1, None])
+    def test_seed(self, tmp_path, capsys, value):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "seed": value}
+        code, out = _run(tmp_path, "fidelity", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_ridge_type(self, tmp_path, capsys, value):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "ridge": value}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "ridge must be a finite number" in capsys.readouterr().err
+
+    def test_negative_ridge(self, tmp_path, capsys):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "ridge": -1e-6}
+        code, _ = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_INVALID
+        assert "ridge must be null or a number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_eps_grid_entry(self, tmp_path, capsys, value):
+        config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": [1e-2, value]}
+        code, out = _run(tmp_path, "probe", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "eps_grid must be a finite number" in capsys.readouterr().err
+
+    def test_eps_grid_must_be_a_list(self, tmp_path, capsys):
+        config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": 1e-2}
+        code, _ = _run(tmp_path, "probe", config)
+        assert code == EXIT_INVALID
+        assert "eps_grid must be a list" in capsys.readouterr().err
+
+    def test_quantum_perturbation_uses_the_state_parser(self, tmp_path, capsys):
+        config = {
+            "state": {
+                "kind": "quantum",
+                "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+            },
+            "perturbation": [[0.1, 0.0], [0.0, -0.1]],
+            "eps_grid": [1e-2],
+        }
+        code, _ = _run(tmp_path, "probe", config)
+        assert code == EXIT_INVALID
+        assert "perturbation entries must be [re, im] pairs" in capsys.readouterr().err
+
+    def test_valid_fields_still_run(self, tmp_path):
+        config = {
+            "state_a": CLASSICAL_A,
+            "state_b": CLASSICAL_B,
+            "N": 8,
+            "ridge": 0,
+            "seed": 5,
+            "format": "json",
+        }
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_OK
+        record = json.loads(out.read_text())
+        assert record["seed"] == 5
+        assert record["results"]["ridge"] == 0
 
 
 class TestProbeCommand:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
+    DimensionCapExceeded,
     DimensionMismatch,
     NotCommuting,
     ProbabilityDistribution,
@@ -30,7 +31,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import _simultaneous_eigenbasis
+from statlen.geometry import MAX_PRESAMPLE, _simultaneous_eigenbasis
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -366,6 +367,19 @@ class TestDiscreteLength:
 
 
 class TestEvenSchedule:
+    def test_presample_cap(self):
+        path = classical_geodesic_path(P_HALF, P_SKEW)
+        # 64 N presamples reach the cap exactly at N = 65536
+        assert 64 * 65536 == MAX_PRESAMPLE
+        with pytest.raises(DimensionCapExceeded) as err:
+            even_schedule(path, 65537)
+        assert err.value.max_feasible == 65536
+        assert "largest feasible N is 65536" in str(err.value)
+        with pytest.raises(DimensionCapExceeded) as err:
+            even_schedule(path, 4, presample=MAX_PRESAMPLE + 1)
+        assert err.value.max_feasible == MAX_PRESAMPLE
+        assert f"largest feasible presample is {MAX_PRESAMPLE}" in str(err.value)
+
     def test_geodesic_already_even(self):
         schedule = even_schedule(classical_geodesic_path(P_HALF, P_SKEW), 16)
         steps = schedule.step_lengths

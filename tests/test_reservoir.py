@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
+    ProbabilityDistribution,
     classical_step_entropy_production,
     convergence_scan,
+    random_distribution,
     random_state,
     relative_entropy,
     shannon_entropy,
     step_entropy_production,
-    swap_state,
-    tensor_product,
     twirl_state,
     validate_density,
     validate_distribution,
-    von_neumann_entropy,
 )
 
 P = validate_distribution([0.5, 0.5])
@@ -37,29 +37,57 @@ def _mixture_entropy_oracle(p, q, n):
     return float(-np.sum(kept * np.log(kept)))
 
 
-class TestSwap:
-    def test_swap_one_copy(self):
-        out = swap_state(RHO, validate_density(np.eye(2) / 2), 1)
-        expected = np.kron(np.eye(2) / 2, np.diag([0.5, 0.5]))
-        assert np.allclose(out.matrix, expected, atol=1e-15)
+def _kron_loop_twirl(rho, sigma, n):
+    """Reference dense twirl: a kron loop over the matrix powers of sigma."""
+    powers = [np.array([[1.0 + 0.0j]])]
+    for _ in range(n - 1):
+        powers.append(np.kron(powers[-1], sigma))
+    acc = np.zeros((rho.shape[0] ** n, rho.shape[0] ** n), dtype=np.complex128)
+    for k in range(n):
+        acc += np.kron(powers[k], np.kron(rho, powers[n - k - 1]))
+    acc /= n
+    return acc
 
-    def test_swap_preserves_total_entropy(self):
-        rho = random_state(2, 2, 5)
-        sigma = random_state(2, 2, 6)
-        before = von_neumann_entropy(rho) + 2 * von_neumann_entropy(sigma)
-        after = von_neumann_entropy(swap_state(rho, sigma, 2))
-        assert after == pytest.approx(before, abs=1e-9)
 
-    def test_swap_two_copies_matches_kron_oracle(self):
-        out = swap_state(RHO, SIGMA, 2)
-        expected = np.kron(SIGMA.matrix, np.kron(RHO.matrix, SIGMA.matrix))
-        assert np.allclose(out.matrix, expected, atol=1e-15)
+def _kron_loop_classical_step(p, q, n):
+    """Reference classical step: a kron loop over the weight powers of q, then entropies."""
+    powers = [np.array([1.0])]
+    for _ in range(n - 1):
+        powers.append(np.kron(powers[-1], q.weights))
+    acc = np.zeros(p.dim ** n)
+    for k in range(n):
+        acc += np.kron(powers[k], np.kron(p.weights, powers[n - k - 1]))
+    acc /= n
+    return (
+        shannon_entropy(ProbabilityDistribution(acc))
+        - shannon_entropy(p)
+        - (n - 1) * shannon_entropy(q)
+    )
 
-    def test_swap_cap(self):
-        with pytest.raises(DimensionCapExceeded) as err:
-            swap_state(RHO, SIGMA, 12)  # 2^13 > 4096
-        assert err.value.max_feasible == 11
-        assert "11" in str(err.value)
+
+class TestSharedTwirlKernel:
+    """The shared twirl kernel gives the reference kron loops bit for bit."""
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(
+        dim=st.integers(2, 3),
+        n=st.integers(1, 6),
+        ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 10**6),
+    )
+    def test_dense_twirl_matches_kron_loop(self, dim, n, ranks, seed):
+        rho = random_state(dim, min(ranks[0], dim), seed)
+        sigma = random_state(dim, min(ranks[1], dim), seed + 1)
+        out = twirl_state(rho, sigma, n).matrix
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, _kron_loop_twirl(rho.matrix, sigma.matrix, n))
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(dim=st.integers(2, 3), n=st.integers(1, 6), seed=st.integers(0, 10**6))
+    def test_classical_step_matches_kron_loop(self, dim, n, seed):
+        p = random_distribution(dim, seed)
+        q = random_distribution(dim, seed + 1)
+        assert classical_step_entropy_production(p, q, n) == _kron_loop_classical_step(p, q, n)
 
 
 class TestTwirl:
@@ -68,7 +96,7 @@ class TestTwirl:
 
     def test_equal_states_give_product(self):
         out = twirl_state(SIGMA, SIGMA, 3)
-        expected = tensor_product(tensor_product(SIGMA, SIGMA), SIGMA).matrix
+        expected = np.kron(np.kron(SIGMA.matrix, SIGMA.matrix), SIGMA.matrix)
         assert np.allclose(out.matrix, expected, atol=1e-14)
 
     def test_two_slots_explicit_mixture(self):
@@ -77,6 +105,12 @@ class TestTwirl:
             np.kron(RHO.matrix, SIGMA.matrix) + np.kron(SIGMA.matrix, RHO.matrix)
         )
         assert np.allclose(out.matrix, expected, atol=1e-15)
+
+    def test_twirl_cap(self):
+        with pytest.raises(DimensionCapExceeded) as err:
+            twirl_state(RHO, SIGMA, 12)  # 2^13 > 4096
+        assert err.value.max_feasible == 11
+        assert "11" in str(err.value)
 
     def test_trace_and_hermiticity(self):
         rho = random_state(2, 2, 1)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from statlen import (
     ValidationError,
     classical_geodesic_path,
     even_schedule,
-    discrete_path_length,
     minimize_path,
     random_distribution,
     random_state,
@@ -19,14 +20,14 @@ class TestStateRoundtrip:
     def test_classical_roundtrip(self, tmp_path):
         p = random_distribution(5, 3)
         target = tmp_path / "p.json"
-        serialize.save_state(p, target)
+        target.write_text(json.dumps(serialize.state_to_jsonable(p)))
         loaded = serialize.load_state(target)
         assert np.allclose(loaded.weights, p.weights, atol=1e-15)
 
     def test_quantum_roundtrip(self, tmp_path):
         rho = random_state(3, 2, 4)
         target = tmp_path / "rho.json"
-        serialize.save_state(rho, target)
+        target.write_text(json.dumps(serialize.state_to_jsonable(rho)))
         loaded = serialize.load_state(target)
         assert np.allclose(loaded.matrix, rho.matrix, atol=1e-15)
 
@@ -69,24 +70,10 @@ class TestCsvOutput:
         assert "0.333333333333" in text  # 12 significant digits
         assert "inf" in text
 
-    def test_path_report_rows(self):
-        p = validate_distribution([0.5, 0.5])
-        q = validate_distribution([0.9, 0.1])
-        report = discrete_path_length(classical_geodesic_path(p, q), 4)
-        rows = serialize.path_report_rows(report)
-        assert len(rows) == 4
-        assert rows[0][0] == 0 and rows[0][1] == 0.0
-        assert rows[-1][3] == pytest.approx(report.total_length, abs=1e-12)
-
     def test_schedule_and_transport_rows(self):
         p = validate_distribution([0.5, 0.5])
         q = validate_distribution([0.9, 0.1])
-        schedule = even_schedule(classical_geodesic_path(p, q), 8)
-        srows = serialize.schedule_rows(schedule)
-        assert len(srows) == 8
-        report = run_transport(schedule)
-        trows = serialize.transport_rows(report)
-        assert len(trows) == 8
+        report = run_transport(even_schedule(classical_geodesic_path(p, q), 8))
         summary = serialize.transport_summary(report)
         assert summary["N"] == 8
         assert summary["Delta_S"] == pytest.approx(report.total_entropy, abs=1e-15)
@@ -98,18 +85,3 @@ class TestCsvOutput:
         rows = serialize.pathopt_history_rows(result)
         assert rows[0][0] == 0
         assert len(rows) == result.lengths.size
-
-    def test_structured_forms_of_reports(self):
-        p = validate_distribution([0.5, 0.5])
-        q = validate_distribution([0.9, 0.1])
-        path = classical_geodesic_path(p, q)
-        report_obj = serialize.path_report_to_jsonable(discrete_path_length(path, 4))
-        assert report_obj["n_steps"] == 4
-        assert len(report_obj["step_lengths"]) == 4
-        schedule_obj = serialize.schedule_to_jsonable(even_schedule(path, 4))
-        assert len(schedule_obj["states"]) == 5
-        assert schedule_obj["states"][0]["kind"] == "classical"
-        report = run_transport(even_schedule(path, 4))
-        transport_obj = serialize.transport_report_to_jsonable(report)
-        assert transport_obj["N"] == 4
-        assert len(transport_obj["step_yields"]) == 4

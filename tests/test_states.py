@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from statlen import (
     BadRank,
-    DimensionCapExceeded,
     NegativeWeight,
     NotHermitian,
     NotNormalized,
@@ -20,7 +19,6 @@ from statlen import (
     spectral,
     tangent_classical,
     tangent_quantum,
-    tensor_product,
     validate_density,
     validate_distribution,
     von_neumann_entropy,
@@ -195,43 +193,10 @@ class TestEntropies:
     def test_additivity_over_tensor_factors(self):
         rho = random_state(3, 3, 41)
         sigma = random_state(4, 2, 42)
-        combined = von_neumann_entropy(tensor_product(rho, sigma))
+        combined = von_neumann_entropy(np.kron(rho.matrix, sigma.matrix))
         assert combined == pytest.approx(
             von_neumann_entropy(rho) + von_neumann_entropy(sigma), abs=1e-9
         )
-
-
-class TestTensorProduct:
-    def test_projector_pair(self):
-        a = validate_density(np.diag([1.0, 0.0]))
-        out = tensor_product(a, a)
-        assert np.allclose(out.matrix, np.diag([1.0, 0, 0, 0]))
-
-    def test_mixed_pair(self):
-        half = validate_density(np.eye(2) / 2)
-        assert np.allclose(tensor_product(half, half).matrix, np.eye(4) / 4)
-
-    def test_diagonal_products(self):
-        a = validate_density(np.diag([0.3, 0.7]))
-        b = validate_density(np.diag([0.8, 0.2]))
-        expected = np.diag([0.24, 0.06, 0.56, 0.14])
-        assert np.allclose(tensor_product(a, b).matrix, expected, atol=1e-15)
-
-    def test_associative(self):
-        a, b, c = (random_state(2, 2, s) for s in (8, 9, 10))
-        left = tensor_product(tensor_product(a, b), c)
-        right = tensor_product(a, tensor_product(b, c))
-        assert np.max(np.abs(left.matrix - right.matrix)) < 1e-12
-
-    def test_cap_enforced(self):
-        rho = random_state(3, 3, 12)
-        with pytest.raises(DimensionCapExceeded):
-            tensor_product(rho, rho, cap=8)
-
-    def test_classical_kron(self):
-        p = validate_distribution([0.5, 0.5])
-        q = validate_distribution([0.9, 0.1])
-        assert np.allclose(tensor_product(p, q).weights, [0.45, 0.05, 0.45, 0.05])
 
 
 class TestRandomStates:

@@ -8,7 +8,6 @@ from statlen import (
     InfiniteYield,
     RankDeficient,
     classical_geodesic_path,
-    entropy_per_unit_length,
     even_schedule,
     expansion_probe,
     fidelity_classical,
@@ -20,7 +19,6 @@ from statlen import (
     random_state,
     relative_entropy,
     run_transport,
-    single_step_yield,
     tangent_classical,
     tangent_quantum,
     validate_density,
@@ -75,9 +73,6 @@ class TestRelativeEntropy:
         with pytest.raises(DimensionMismatch):
             relative_entropy(P_HALF, random_state(2, 2, 0))
 
-    def test_single_step_yield_delegates(self):
-        assert single_step_yield(P_HALF, P_SKEW) == relative_entropy(P_HALF, P_SKEW)
-
 
 class TestClosedForms:
     def test_min_entropy_production_trivials(self):
@@ -108,12 +103,6 @@ class TestClosedForms:
                 assert geodesic_bound(f, n, "quantum") == pytest.approx(
                     min_entropy_production(geodesic_length_bures(f), n), abs=1e-12
                 )
-
-    def test_entropy_rate(self):
-        assert entropy_per_unit_length(0.5) == 1.0
-        assert entropy_per_unit_length(math.inf) == 0.0
-        with pytest.raises(ValueError):
-            entropy_per_unit_length(0.0)
 
 
 class TestRunTransport:
@@ -156,7 +145,8 @@ class TestRunTransport:
         path = classical_geodesic_path(P_HALF, P_SKEW)
         report = run_transport(even_schedule(path, 128))
         rate = report.total_entropy / report.total_length
-        assert rate == pytest.approx(entropy_per_unit_length(report.nu), rel=0.02)
+        # the dissipation rate per unit length at step density nu is 1/(2 nu)
+        assert rate == pytest.approx(1.0 / (2.0 * report.nu), rel=0.02)
 
     def test_infinite_yield_reports_step(self):
         a = validate_distribution([1.0, 0.0])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -71,17 +70,6 @@ def _count(value, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     return value
-
-
-def _number(value, key: str) -> float:
-    """A config number as a float: a finite JSON integer or float, never a bool or string."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _resolve_state(spec, seed_pool, where: str):
@@ -264,7 +252,7 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     else:
         raise ConfigError(f"unknown seed_path {seed_kind!r}")
     ridge = config.get("ridge")
-    if ridge is not None and _number(ridge, "ridge") < 0:
+    if ridge is not None and serialize._finite_number(ridge, "ridge") < 0:
         raise ConfigError(f"ridge must be null or a number >= 0, got {ridge!r}")
     result = minimize_path(
         a,
@@ -314,14 +302,14 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
     state = _resolve_state(config["state"], seed_pool, "state")
     resolved["state"] = serialize.state_to_jsonable(state)
     if isinstance(state, ProbabilityDistribution):
-        tangent = tangent_classical(config["perturbation"])
+        tangent = tangent_classical(
+            serialize._finite_numbers(config["perturbation"], "perturbation")
+        )
     else:
         tangent = tangent_quantum(
             serialize.matrix_from_jsonable(config["perturbation"], "perturbation")
         )
-    if not isinstance(config["eps_grid"], list):
-        raise ConfigError(f"eps_grid must be a list, got {config['eps_grid']!r}")
-    eps_grid = [_number(e, "eps_grid") for e in config["eps_grid"]]
+    eps_grid = serialize._finite_numbers(config["eps_grid"], "eps_grid")
     probe = expansion_probe(state, tangent, eps_grid)
     results = {
         "metric": probe.metric_name,

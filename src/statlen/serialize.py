@@ -77,7 +77,7 @@ def state_from_jsonable(obj):
         extra = set(obj) - {"kind", "weights"}
         if extra:
             raise ValidationError(f"unknown state keys: {sorted(extra)}")
-        return validate_distribution(obj["weights"])
+        return validate_distribution(_finite_numbers(obj["weights"], "weights"))
     if kind == "quantum":
         extra = set(obj) - {"kind", "matrix"}
         if extra:
@@ -88,13 +88,37 @@ def state_from_jsonable(obj):
 
 def matrix_from_jsonable(rows, what: str) -> np.ndarray:
     """Complex matrix from rows of ``[re, im]`` pairs; ``what`` names it in errors."""
+    entry = f"{what} entry"
     try:
         return np.array(
-            [[complex(re, im) for re, im in row] for row in rows],
+            [
+                [complex(_finite_number(re, entry), _finite_number(im, entry)) for re, im in row]
+                for row in rows
+            ],
             dtype=np.complex128,
         )
+    except ValidationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} entries must be [re, im] pairs") from exc
+
+
+def _finite_number(value, what: str) -> float:
+    """A finite JSON number (integer or float) as a float; bools and strings are refused."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _finite_numbers(values, what: str) -> list:
+    """A JSON list of finite numbers as floats; see :func:`_finite_number`."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a list, got {values!r}")
+    return [_finite_number(v, what) for v in values]
 
 
 def load_state(path):

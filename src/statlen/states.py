@@ -273,11 +273,18 @@ def mat_log_on_support(rho):
     )
 
 
-def _entropy_of_weights(weights: np.ndarray) -> float:
-    kept = weights[weights > SUPPORT_FLOOR]
-    if kept.size == 0:
-        return 0.0
-    return max(0.0, float(-np.sum(kept * np.log(kept))))
+def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
+    """-sum w ln w over the weights above ``SUPPORT_FLOOR``.
+
+    ``multiplicity`` gives how often each weight occurs in the spectrum,
+    once each when omitted.
+    """
+    keep = weights > SUPPORT_FLOOR
+    kept = weights[keep]
+    terms = kept * np.log(kept)
+    if multiplicity is not None:
+        terms = multiplicity[keep] * terms
+    return max(0.0, float(-np.sum(terms)))
 
 
 def von_neumann_entropy(rho) -> float:

@@ -13,6 +13,8 @@ from statlen.cli import (
 
 CLASSICAL_A = {"kind": "classical", "weights": [0.5, 0.5]}
 CLASSICAL_B = {"kind": "classical", "weights": [0.9, 0.1]}
+QUBIT_A = {"kind": "quantum", "matrix": [[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.5, 0.0]]]}
+QUBIT_B = {"kind": "quantum", "matrix": [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]}
 
 
 def _run(tmp_path, command, config, name="run", extra_args=()):
@@ -212,6 +214,18 @@ class TestReservoirCommand:
         assert code == EXIT_CAP
         assert "20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "pair, feasible",
+        [((CLASSICAL_A, CLASSICAL_B), 20), ((QUBIT_A, QUBIT_B), 11)],
+        ids=["classical", "qubit"],
+    )
+    def test_huge_n_max_exits_3_before_allocating(self, tmp_path, capsys, pair, feasible):
+        config = {"state_a": pair[0], "state_b": pair[1], "n_max": 10**12}
+        code, out = _run(tmp_path, "reservoir", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert f"largest feasible n is {feasible}" in capsys.readouterr().err
+
     def test_env_var_overrides_dense_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("STATLEN_DIM_CAP", "16")
         config = {
@@ -382,6 +396,32 @@ class TestStrictFields:
         code, _ = _run(tmp_path, "probe", config)
         assert code == EXIT_INVALID
         assert "perturbation entries must be [re, im] pairs" in capsys.readouterr().err
+
+    def test_classical_weights_must_be_numbers(self, tmp_path, capsys):
+        config = {
+            "state_a": {"kind": "classical", "weights": ["0.5", "0.5"]},
+            "state_b": {"kind": "classical", "weights": [True, False]},
+        }
+        code, out = _run(tmp_path, "fidelity", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "weights must be a finite number, got '0.5'" in capsys.readouterr().err
+
+    def test_quantum_entries_must_be_numbers(self, tmp_path, capsys):
+        config = {
+            "state_a": {"kind": "quantum", "matrix": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            "state_b": QUBIT_B,
+        }
+        code, _ = _run(tmp_path, "fidelity", config)
+        assert code == EXIT_INVALID
+        assert "quantum state entry must be a finite number, got True" in capsys.readouterr().err
+
+    def test_classical_perturbation_must_be_numbers(self, tmp_path, capsys):
+        config = {"state": CLASSICAL_A, "perturbation": ["1", -1], "eps_grid": [1e-2]}
+        code, out = _run(tmp_path, "probe", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "perturbation must be a finite number, got '1'" in capsys.readouterr().err
 
     def test_valid_fields_still_run(self, tmp_path):
         config = {

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import statlen.reservoir as reservoir
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -65,8 +68,41 @@ def _kron_loop_classical_step(p, q, n):
     )
 
 
+def _eigvalsh_entropy(mat):
+    """Reference von Neumann entropy: eigvalsh, eigenvalues at or below 1e-14 dropped."""
+    lam = np.linalg.eigvalsh(mat)
+    kept = lam[lam > 1e-14]
+    return float(-np.sum(kept * np.log(kept)))
+
+
+def _kron_loop_dense_step(rho, sigma, n):
+    """Reference dense step: the kron loop twirl and eigvalsh entropies."""
+    return (
+        _eigvalsh_entropy(_kron_loop_twirl(rho.matrix, sigma.matrix, n))
+        - _eigvalsh_entropy(rho.matrix)
+        - (n - 1) * _eigvalsh_entropy(sigma.matrix)
+    )
+
+
+def _qubit_pair(kind, seed):
+    if kind == "diagonal":
+        return tuple(
+            validate_density(np.diag(random_distribution(2, seed + i).weights))
+            for i in (0, 1)
+        )
+    rank_rho, rank_sigma = {"full": (2, 2), "pure-sigma": (2, 1), "pure-rho": (1, 2)}[kind]
+    return random_state(2, rank_rho, seed), random_state(2, rank_sigma, seed + 1)
+
+
+def _with_zero(p, index):
+    w = p.weights.copy()
+    w[index % w.size] = 0.0
+    return validate_distribution(w / w.sum())
+
+
 class TestSharedTwirlKernel:
-    """The shared twirl kernel gives the reference kron loops bit for bit."""
+    """The dense twirl kernel gives the reference kron loop bit for bit; the
+    classical step, a sum over types, agrees with it to rounding."""
 
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(
@@ -87,7 +123,61 @@ class TestSharedTwirlKernel:
     def test_classical_step_matches_kron_loop(self, dim, n, seed):
         p = random_distribution(dim, seed)
         q = random_distribution(dim, seed + 1)
-        assert classical_step_entropy_production(p, q, n) == _kron_loop_classical_step(p, q, n)
+        assert classical_step_entropy_production(p, q, n) == pytest.approx(
+            _kron_loop_classical_step(p, q, n), abs=1e-12
+        )
+
+
+class TestReducedStepsMatchKronOracle:
+    """Spin blocks (qubits) and types (probability vectors) against the kron loops."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(
+        kind=st.sampled_from(["full", "pure-sigma", "pure-rho", "diagonal"]),
+        n=st.integers(1, 10),
+        seed=st.integers(0, 10**6),
+    )
+    def test_qubit_step(self, kind, n, seed):
+        rho, sigma = _qubit_pair(kind, seed)
+        assert step_entropy_production(rho, sigma, n) == pytest.approx(
+            _kron_loop_dense_step(rho, sigma, n), abs=1e-12
+        )
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        dim=st.integers(2, 4),
+        n=st.integers(1, 8),
+        zero=st.sampled_from([None, "p", "q", "both"]),
+        index=st.integers(0, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_classical_step(self, dim, n, zero, index, seed):
+        p = random_distribution(dim, seed)
+        q = random_distribution(dim, seed + 1)
+        if zero in ("p", "both"):
+            p = _with_zero(p, index)
+        if zero in ("q", "both"):
+            q = _with_zero(q, index + 1)
+        assert classical_step_entropy_production(p, q, n) == pytest.approx(
+            _kron_loop_classical_step(p, q, n), abs=1e-12
+        )
+
+
+class _DenseTwirlBuilt(Exception):
+    pass
+
+
+class TestNoDenseFallback:
+    def test_only_qutrits_and_up_build_the_dense_twirl(self, monkeypatch):
+        def refuse(*args):
+            raise _DenseTwirlBuilt
+
+        monkeypatch.setattr(reservoir, "_twirl", refuse)
+        assert math.isfinite(classical_step_entropy_production(P, Q, 20))
+        rho, sigma = random_state(2, 2, 1), random_state(2, 2, 2)
+        assert math.isfinite(step_entropy_production(rho, sigma, 11))
+        with pytest.raises(_DenseTwirlBuilt):
+            step_entropy_production(random_state(3, 3, 1), random_state(3, 3, 2), 2)
 
 
 class TestTwirl:

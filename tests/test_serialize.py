@@ -52,6 +52,29 @@ class TestStateRoundtrip:
         with pytest.raises(ValidationError):
             serialize.state_from_jsonable({"kind": "quantum", "matrix": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None, float("inf"), [0.5]])
+    def test_weights_must_be_finite_numbers(self, bad):
+        with pytest.raises(ValidationError, match="weights must be a finite number"):
+            serialize.state_from_jsonable({"kind": "classical", "weights": [bad, 0.5]})
+
+    def test_weights_must_be_a_list(self):
+        with pytest.raises(ValidationError, match="weights must be a list"):
+            serialize.state_from_jsonable({"kind": "classical", "weights": "0.5"})
+
+    @pytest.mark.parametrize("bad", ["1", True, None, float("nan")])
+    def test_matrix_entries_must_be_finite_numbers(self, bad):
+        rows = [[[1.0, 0.0], [0.0, bad]], [[0.0, 0.0], [0.0, 0.0]]]
+        with pytest.raises(ValidationError, match="perturbation entry must be a finite number"):
+            serialize.matrix_from_jsonable(rows, "perturbation")
+
+    def test_integer_entries_accepted(self):
+        p = serialize.state_from_jsonable({"kind": "classical", "weights": [1, 0]})
+        assert p.weights.tolist() == [1.0, 0.0]
+        rho = serialize.state_from_jsonable(
+            {"kind": "quantum", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        )
+        assert rho.matrix[0, 0] == 1.0
+
 
 class TestCsvOutput:
     def test_formatting_and_line_endings(self, tmp_path):

@@ -293,7 +293,8 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         serialize.pathopt_history_rows(result),
         _record_meta(resolved),
     )
-    _write_record(resolved, columns, rows, {"history": history_out}, results)
+    metadata = {"history": history_out, "stop_reason": result.stop_reason}
+    _write_record(resolved, columns, rows, metadata, results)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 

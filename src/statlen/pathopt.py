@@ -1,40 +1,55 @@
 """Numerical geodesic search by discrete path-energy minimization.
 
-The optimizer pins the endpoints and parametrizes the N - 1 interior
-states without constraints: x^2/|x|^2 on the simplex, A A*/tr(A A*) for
-density matrices.  It descends the chord energy
+The optimizer pins the endpoints and carries each of the N - 1 interior
+states as an unconstrained d x d matrix A with rho = A A*/||A||_F^2.  A
+probability vector is the real diagonal case, A = diag(x) with
+p = x^2/|x|^2, so both kinds share one code path and differ only in which
+entries of A are free.  It descends the chord energy
 
-    E = sum_i dl_i^2,    dl_i^2 = 8 (1 - F(s_i, s_{i+1})),
+    E = sum_i dl_i^2,    dl_i^2 = 8 (1 - min(1, F(rho_i, rho_{i+1}))).
 
-with central-difference gradients and a backtracking (halving) Armijo
-line search.  Minimizing E at fixed endpoints equalizes the steps and
-shortens the path at the same time, so the converged configuration is an
-even-step approximation of the shortest path; the spread of the step
-lengths doubles as a convergence diagnostic.
+Every state enters through a factor B with B B* = rho: sqrt(rho) at the
+endpoints, A/||A||_F inside.  With a ridge r every state is
+(rho + r I/d)/(1 + r); an interior factor is then the wider
+[A, sqrt(r t/d) I]/sqrt(t (1 + r)) with t = ||A||_F^2, and the endpoint
+roots are zero-padded to that width.  By Uhlmann's theorem
+F(B B*, C C*) = ||B* C||_1, so one stacked SVD of the N matrices
+M_i = B_i* B_{i+1} = W S V* gives every fidelity as the sum of S, and the
+polar factor U_i = W V* gives its exact gradient: B_i U_i with respect to
+B_{i+1} and B_{i+1} U_i* with respect to B_i, then the chain rule through
+the normalization.  Chords clipped at F = 1 contribute no gradient.
+
+The step is steepest descent with a backtracking (halving) Armijo line
+search.  Minimizing E at fixed endpoints equalizes the steps and shortens
+the path at the same time, so the converged configuration is an even-step
+approximation of the shortest path; the spread of the step lengths doubles
+as a convergence diagnostic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, RankCollapse
+from .exceptions import DimensionCapExceeded, DimensionMismatch, RankCollapse
 from .geometry import (
     RANK_TOL,
     StatePath,
     default_step_rule,
     linear_mixture_path,
+    _state_array,
     _step_lengths_from_fidelities,
 )
 from .states import (
     DensityMatrix,
     ProbabilityDistribution,
     add_ridge,
-    mat_sqrt,
     spectral,
     validate_density,
     validate_distribution,
     _freeze,
+    _sqrt_rows,
 )
 
 MAX_STEPS = 64
@@ -42,7 +57,6 @@ MIN_STEPS = 4
 MAX_DIM_CLASSICAL = 8
 MAX_DIM_QUANTUM = 4
 AUTO_RIDGE = 1e-6
-GRAD_STEP = 1e-6      # central-difference step in the unconstrained coordinates
 ARMIJO = 1e-4         # sufficient-decrease factor of the line search
 ENERGY_TOL = 1e-10    # relative energy decrease that counts as a stall
 STALL_WINDOW = 10     # accepted iterations the stall test looks back over
@@ -55,6 +69,9 @@ class PathOptimizationResult:
     ``lengths``, ``energies`` and ``step_cvs`` hold one entry per accepted
     iterate, starting from the seed; ``step_cvs`` is the coefficient of
     variation of the step lengths (zero means perfectly even steps).
+    ``stop_reason`` is "stall" (the energy stopped falling), "line_search"
+    (no step length decreased it enough), "zero_grad" (the gradient
+    vanished) or "max_iter"; only "max_iter" leaves ``converged`` False.
     """
 
     kind: str
@@ -63,105 +80,92 @@ class PathOptimizationResult:
     final_energy: float
     iterations: int
     converged: bool
+    stop_reason: str
     lengths: np.ndarray
     energies: np.ndarray
     step_cvs: np.ndarray
     ridge: float
 
 
-def _chord_sq_classical(p: np.ndarray, q: np.ndarray) -> float:
-    f = min(1.0, float(np.sum(np.sqrt(p * q))))
-    return 8.0 * (1.0 - f)
+class _Chain(NamedTuple):
+    """A path evaluated chord by chord."""
+
+    factors: np.ndarray   # (N + 1, d, w): B_i with B_i B_i* = rho_i
+    norms: np.ndarray     # (N - 1,): ||A_i||_F of the interior coordinates
+    fids: np.ndarray      # (N,): min(1, ||B_i* B_{i+1}||_1)
+    polar: np.ndarray     # (N, w, w): polar factor W V* of B_i* B_{i+1}
+    energy: float
 
 
-def _chord_sq_quantum(node_a, node_b) -> float:
-    root = node_a[1]
-    lam = np.linalg.eigvalsh(root @ node_b[0] @ root)
-    f = min(1.0, float(np.sum(np.sqrt(np.clip(lam, 0.0, None)))))
-    return 8.0 * (1.0 - f)
+def _roots(rows: np.ndarray, classical: bool) -> np.ndarray:
+    """Square roots of a stack of states as (K, d, d) matrices."""
+    if classical:
+        return np.sqrt(rows)[:, None, :] * np.eye(rows.shape[1])
+    return _sqrt_rows(rows)
 
 
-class _ClassicalLane:
-    """Interior coordinates are real vectors x with p = x^2 / |x|^2."""
-
-    def __init__(self, dim: int, ridge: float):
-        self.dim = dim
-        self.ridge = ridge
-
-    def endpoint_node(self, state):
-        return np.asarray(state.weights, dtype=np.float64)
-
-    def seed_coords(self, state):
-        return np.sqrt(state.weights)
-
-    def node(self, coords: np.ndarray) -> np.ndarray:
-        p = coords * coords
-        p = p / p.sum()
-        if self.ridge > 0.0:
-            p = (p + self.ridge / self.dim) / (1.0 + self.ridge)
-        return p
-
-    chord_sq = staticmethod(_chord_sq_classical)
-
-    def wrap(self, node) -> ProbabilityDistribution:
-        return validate_distribution(node)
+def _end_factors(endpoints, ridge: float, classical: bool) -> np.ndarray:
+    """sqrt(rho) of both endpoints, zero-padded to the width of an interior factor."""
+    ends = _roots(np.stack([_state_array(s) for s in endpoints]), classical)
+    if ridge > 0.0:
+        ends = np.concatenate([ends, np.zeros_like(ends)], axis=2)
+    return ends
 
 
-class _QuantumLane:
-    """Interior coordinates are (re, im) stacks of A with rho = A A*/tr."""
-
-    def __init__(self, dim: int, ridge: float):
-        self.dim = dim
-        self.ridge = ridge
-
-    def endpoint_node(self, state):
-        # caller hands over the already-ridged endpoint; do not ridge again
-        lam, vec = np.linalg.eigh(state.matrix)
-        return self._assemble(np.clip(lam, 0.0, None), vec)
-
-    def seed_coords(self, state):
-        root = mat_sqrt(state)
-        return np.stack([root.real, root.imag])
-
-    def node(self, coords: np.ndarray):
-        a = coords[0] + 1j * coords[1]
-        m = a @ a.conj().T
-        trace = float(np.real(np.trace(m)))
-        if trace <= 0.0:
-            raise RankCollapse("iterate collapsed to the zero matrix")
-        lam, vec = np.linalg.eigh(m)
-        lam = np.clip(lam, 0.0, None) / trace
-        if self.ridge > 0.0:
-            lam = (lam + self.ridge / self.dim) / (1.0 + self.ridge)
-        elif float(lam.min()) < RANK_TOL:
+def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool) -> _Chain:
+    """Factors of the interior coordinates between the endpoint factors, and every chord."""
+    norms = np.sqrt(np.sum(np.abs(coords) ** 2, axis=(1, 2)))
+    if not np.all(norms > 0.0):
+        raise RankCollapse("iterate collapsed to the zero matrix")
+    unit = coords / norms[:, None, None]
+    if check_rank:
+        smallest = float(np.min(np.linalg.svd(unit, compute_uv=False)[:, -1])) ** 2
+        if smallest < RANK_TOL:
             raise RankCollapse(
-                f"iterate eigenvalue {float(lam.min()):.3e} below {RANK_TOL} "
-                "with the ridge disabled"
+                f"iterate eigenvalue {smallest:.3e} below {RANK_TOL} with the ridge disabled"
             )
-        return self._assemble(lam, vec)
-
-    @staticmethod
-    def _assemble(lam, vec):
-        rho = (vec * lam) @ vec.conj().T
-        root = (vec * np.sqrt(lam)) @ vec.conj().T
-        return 0.5 * (rho + rho.conj().T), 0.5 * (root + root.conj().T)
-
-    chord_sq = staticmethod(_chord_sq_quantum)
-
-    def wrap(self, node) -> DensityMatrix:
-        return validate_density(node[0])
+    if ridge > 0.0:
+        dim = coords.shape[-1]
+        pad = np.sqrt(ridge / (dim * (1.0 + ridge))) * np.eye(dim)
+        unit = np.concatenate(
+            [unit / np.sqrt(1.0 + ridge), np.broadcast_to(pad, unit.shape)], axis=2
+        )
+    factors = np.concatenate([ends[:1], unit, ends[1:]])
+    w, s, vh = np.linalg.svd(factors[:-1].conj().swapaxes(1, 2) @ factors[1:])
+    fids = np.minimum(1.0, s.sum(axis=1))
+    return _Chain(factors, norms, fids, w @ vh, float(np.sum(8.0 * (1.0 - fids))))
 
 
-def _make_lane(start, end, ridge):
+def _gradient(coords: np.ndarray, chain: _Chain, ridge: float, classical: bool) -> np.ndarray:
+    """dE/dA for every interior coordinate, restricted to the free entries."""
+    polar = np.where((chain.fids < 1.0)[:, None, None], chain.polar, 0.0)
+    factors = chain.factors
+    grad = -8.0 * (
+        factors[:-2] @ polar[:-1] + factors[2:] @ polar[1:].conj().swapaxes(1, 2)
+    )
+    dim = coords.shape[-1]
+    grad = grad[:, :, :dim] / np.sqrt(1.0 + ridge)
+    unit = coords / chain.norms[:, None, None]
+    radial = np.sum(np.real(unit.conj() * grad), axis=(1, 2))
+    grad = (grad - radial[:, None, None] * unit) / chain.norms[:, None, None]
+    return grad * np.eye(dim) if classical else grad
+
+
+def _check_dim(dim: int, cap: int, kind: str) -> None:
+    if dim > cap:
+        raise DimensionCapExceeded(
+            f"{kind} search dim {dim} exceeds cap {cap}; largest feasible dim is {cap}",
+            max_feasible=cap,
+        )
+
+
+def _search_kind(start, end, ridge):
+    """The kind of a search and its ridge, after the dimension and rank checks."""
     if isinstance(start, ProbabilityDistribution) and isinstance(end, ProbabilityDistribution):
-        if start.dim > MAX_DIM_CLASSICAL:
-            raise ValueError(f"classical search supports dim <= {MAX_DIM_CLASSICAL}")
-        if ridge is None:
-            ridge = 0.0
-        return _ClassicalLane(start.dim, ridge), "classical", ridge
+        _check_dim(start.dim, MAX_DIM_CLASSICAL, "classical")
+        return "classical", 0.0 if ridge is None else ridge
     if isinstance(start, DensityMatrix) and isinstance(end, DensityMatrix):
-        if start.dim > MAX_DIM_QUANTUM:
-            raise ValueError(f"quantum search supports dim <= {MAX_DIM_QUANTUM}")
+        _check_dim(start.dim, MAX_DIM_QUANTUM, "quantum")
         smallest = min(
             float(spectral(start).eigenvalues[-1]), float(spectral(end).eigenvalues[-1])
         )
@@ -172,7 +176,7 @@ def _make_lane(start, end, ridge):
                 f"endpoint eigenvalue {smallest:.3e} below {RANK_TOL}; "
                 "enable a ridge to search from rank-deficient endpoints"
             )
-        return _QuantumLane(start.dim, ridge), "quantum", ridge
+        return "quantum", ridge
     raise DimensionMismatch("endpoints must be two states of the same kind")
 
 
@@ -189,117 +193,91 @@ def minimize_path(
 
     ``seed_path`` defaults to the straight mixture; iteration stops when the
     relative energy decrease over ``STALL_WINDOW`` accepted iterations falls
-    below ``ENERGY_TOL``, when the line search stalls, or at ``max_iter``
-    (in which case ``converged`` is False and the best iterate is returned).
-    ``ridge=None`` enables a 1e-6 ridge automatically for rank-deficient
-    quantum endpoints and is off otherwise.
+    below ``ENERGY_TOL``, when the line search stalls, when the gradient
+    vanishes, or at ``max_iter`` (in which case ``converged`` is False and
+    the best iterate is returned).  ``ridge=None`` enables a 1e-6 ridge
+    automatically for rank-deficient quantum endpoints and is off otherwise.
+    ``n_steps`` above ``MAX_STEPS`` and dimensions above ``MAX_DIM_CLASSICAL``
+    or ``MAX_DIM_QUANTUM`` raise :class:`DimensionCapExceeded`.
     """
-    if not MIN_STEPS <= n_steps <= MAX_STEPS:
-        raise ValueError(f"n_steps must lie in {MIN_STEPS}..{MAX_STEPS}, got {n_steps}")
+    if n_steps < MIN_STEPS:
+        raise ValueError(f"n_steps must be at least {MIN_STEPS}, got {n_steps}")
+    if n_steps > MAX_STEPS:
+        raise DimensionCapExceeded(
+            f"n_steps {n_steps} exceeds cap {MAX_STEPS}; largest feasible N is {MAX_STEPS}",
+            max_feasible=MAX_STEPS,
+        )
     if start.dim != end.dim:
         raise DimensionMismatch(f"dimensions differ: {start.dim} vs {end.dim}")
-    lane, kind, ridge = _make_lane(start, end, ridge)
+    kind, ridge = _search_kind(start, end, ridge)
+    classical = kind == "classical"
+    check_rank = not classical and ridge == 0.0
     rule = default_step_rule(kind)
     if seed_path is None:
         seed_path = linear_mixture_path(start, end)
 
-    first = lane.endpoint_node(add_ridge(start, ridge) if ridge > 0.0 else start)
-    last = lane.endpoint_node(add_ridge(end, ridge) if ridge > 0.0 else end)
-    coords = [
-        lane.seed_coords(seed_path.sample(i / n_steps)) for i in range(1, n_steps)
-    ]
+    endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
+    ends = _end_factors(endpoints, ridge, classical)
+    coords = _roots(seed_path.sample_many(np.arange(1, n_steps) / n_steps), classical)
 
-    def build_nodes(cs):
-        return [first] + [lane.node(c) for c in cs] + [last]
-
-    def total_energy(nodes):
-        return sum(
-            lane.chord_sq(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)
-        )
-
-    def record(nodes, energy):
-        dl2 = np.array(
-            [lane.chord_sq(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
-        )
-        fids = 1.0 - dl2 / 8.0
-        steps = _step_lengths_from_fidelities(fids, rule)
-        mean = float(steps.mean())
-        cv = float(steps.std() / mean) if mean > 0.0 else 0.0
-        lengths.append(float(steps.sum()))
-        energies.append(energy)
-        step_cvs.append(cv)
-
-    nodes = build_nodes(coords)
-    energy = total_energy(nodes)
     lengths: list[float] = []
     energies: list[float] = []
     step_cvs: list[float] = []
-    record(nodes, energy)
 
-    converged = False
+    def record(chain):
+        steps = _step_lengths_from_fidelities(chain.fids, rule)
+        mean = float(steps.mean())
+        lengths.append(float(steps.sum()))
+        energies.append(chain.energy)
+        step_cvs.append(float(steps.std() / mean) if mean > 0.0 else 0.0)
+
+    chain = _chain(coords, ends, ridge, check_rank)
+    record(chain)
+    stop_reason = "max_iter"
     iterations = 0
     alpha = 1.0
     for _ in range(max_iter):
-        grads = [np.zeros_like(c) for c in coords]
-        for j, block in enumerate(coords):
-            left, right = nodes[j], nodes[j + 2]
-            flat = block.reshape(-1)
-            grad_flat = grads[j].reshape(-1)
-            for c in range(flat.size):
-                keep = flat[c]
-                flat[c] = keep + GRAD_STEP
-                plus = lane.node(block)
-                flat[c] = keep - GRAD_STEP
-                minus = lane.node(block)
-                flat[c] = keep
-                e_plus = lane.chord_sq(left, plus) + lane.chord_sq(plus, right)
-                e_minus = lane.chord_sq(left, minus) + lane.chord_sq(minus, right)
-                grad_flat[c] = (e_plus - e_minus) / (2.0 * GRAD_STEP)
-        grad_norm_sq = sum(float(np.sum(g * g)) for g in grads)
+        grad = _gradient(coords, chain, ridge, classical)
+        grad_norm_sq = float(np.real(np.vdot(grad, grad)))
         if grad_norm_sq == 0.0:
-            converged = True
+            stop_reason = "zero_grad"
             break
 
         alpha = min(alpha * 2.0, 16.0)
-        accepted = False
         for _ in range(60):
-            trial = [c - alpha * g for c, g in zip(coords, grads)]
-            trial_nodes = build_nodes(trial)
-            trial_energy = total_energy(trial_nodes)
-            if trial_energy <= energy - ARMIJO * alpha * grad_norm_sq:
-                accepted = True
+            trial = coords - alpha * grad
+            trial_chain = _chain(trial, ends, ridge, check_rank)
+            if trial_chain.energy <= chain.energy - ARMIJO * alpha * grad_norm_sq:
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             # gradient is at the numerical noise floor; nothing left to gain
-            converged = True
+            stop_reason = "line_search"
             break
 
-        coords, nodes, energy = trial, trial_nodes, trial_energy
+        coords, chain = trial, trial_chain
         iterations += 1
-        record(nodes, energy)
+        record(chain)
         if len(energies) > STALL_WINDOW:
-            drop = energies[-1 - STALL_WINDOW] - energy
-            if drop < ENERGY_TOL * max(energy, 1e-300):
-                converged = True
+            drop = energies[-1 - STALL_WINDOW] - chain.energy
+            if drop < ENERGY_TOL * max(chain.energy, 1e-300):
+                stop_reason = "stall"
                 break
 
-    if ridge > 0.0:
-        endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
+    interior = chain.factors[1:-1]
+    rhos = interior @ interior.conj().swapaxes(1, 2)
+    if classical:
+        states = [validate_distribution(np.diagonal(rho)) for rho in rhos]
     else:
-        endpoints = (start, end)
-    states = (
-        endpoints[0],
-        *[lane.wrap(lane.node(c)) for c in coords],
-        endpoints[1],
-    )
+        states = [validate_density(rho) for rho in rhos]
     return PathOptimizationResult(
         kind=kind,
-        states=states,
+        states=(endpoints[0], *states, endpoints[1]),
         final_length=lengths[-1],
-        final_energy=energy,
+        final_energy=chain.energy,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason != "max_iter",
+        stop_reason=stop_reason,
         lengths=_freeze(np.asarray(lengths)),
         energies=_freeze(np.asarray(energies)),
         step_cvs=_freeze(np.asarray(step_cvs)),

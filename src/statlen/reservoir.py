@@ -51,15 +51,16 @@ def _check_cap(dim: int, n: int, extra: int, limit: int, what: str) -> None:
     """Raise unless dim**(n + extra) <= limit, naming the largest feasible n.
 
     The power is never formed for n itself, so a huge n is refused at once.
+    A one-dimensional pair is held to the bound of a two-dimensional one,
+    because 1**n never reaches the cap but a scan still does work per n.
     """
-    if dim < 2:
-        return
+    base = max(dim, 2)
     feasible = 0
-    while dim ** (feasible + 1 + extra) <= limit:
+    while base ** (feasible + 1 + extra) <= limit:
         feasible += 1
     if n > feasible:
         raise DimensionCapExceeded(
-            f"{what} {dim}**{n + extra} exceeds cap {limit}; "
+            f"{what} {base}**{n + extra} exceeds cap {limit}; "
             f"largest feasible n is {feasible}",
             max_feasible=feasible,
         )

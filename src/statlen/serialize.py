@@ -192,6 +192,7 @@ def pathopt_result_to_jsonable(result: PathOptimizationResult) -> dict:
         "final_energy": result.final_energy,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "ridge": result.ridge,
         "states": [state_to_jsonable(s) for s in result.states],
     }

@@ -226,6 +226,20 @@ class TestReservoirCommand:
         assert not out.exists()
         assert f"largest feasible n is {feasible}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "state, feasible",
+        [({"kind": "classical", "weights": [1.0]}, 20),
+         ({"kind": "quantum", "matrix": [[[1.0, 0.0]]]}, 11)],
+        ids=["classical", "quantum"],
+    )
+    def test_one_dimensional_pair_is_capped(self, tmp_path, capsys, state, feasible):
+        # 1**n never reaches the cap; the pair is held to the dim-2 bound
+        config = {"state_a": state, "state_b": state, "n_max": 10**12}
+        code, out = _run(tmp_path, "reservoir", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert f"largest feasible n is {feasible}" in capsys.readouterr().err
+
     def test_env_var_overrides_dense_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("STATLEN_DIM_CAP", "16")
         config = {
@@ -281,6 +295,43 @@ class TestGeodesicCommand:
         assert code == EXIT_NOT_CONVERGED
         assert out.exists()
         assert json.loads(out.read_text())["results"]["converged"] is False
+
+
+    def test_stop_reason_in_json_and_csv(self, tmp_path):
+        antipodal = {
+            "state_a": {"kind": "classical", "weights": [1.0, 0.0]},
+            "state_b": {"kind": "classical", "weights": [0.0, 1.0]},
+            "N": 16,
+        }
+        code, out = _run(tmp_path, "geodesic", {**antipodal, "format": "json"}, name="j")
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["results"]["stop_reason"] == "stall"
+        code, out = _run(tmp_path, "geodesic", {**antipodal, "max_iter": 2}, name="c")
+        assert code == EXIT_NOT_CONVERGED
+        text = out.read_text()
+        assert "# stop_reason=max_iter\n" in text
+        assert "iterations,converged\n" in text
+
+    @pytest.mark.parametrize(
+        "state, n_steps, feasible",
+        [
+            ({"kind": "classical", "weights": [0.5, 0.5]}, 65, "N is 64"),
+            ({"kind": "classical", "weights": [1.0 / 9] * 9}, 8, "dim is 8"),
+            (
+                {"kind": "quantum",
+                 "matrix": [[[0.2 if i == j else 0.0, 0.0] for j in range(5)] for i in range(5)]},
+                8,
+                "dim is 4",
+            ),
+        ],
+        ids=["N", "classical-dim", "quantum-dim"],
+    )
+    def test_optimizer_caps_exit_3(self, tmp_path, capsys, state, n_steps, feasible):
+        config = {"state_a": state, "state_b": state, "N": n_steps}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert f"largest feasible {feasible}" in capsys.readouterr().err
 
 
 GEODESIC_CLASSICAL = {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_B}

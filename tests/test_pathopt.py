@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statlen import (
+    DimensionCapExceeded,
     DimensionMismatch,
     RankCollapse,
     classical_geodesic_path,
@@ -15,6 +17,9 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
+from statlen import pathopt
+from statlen.geometry import StatePath
+from statlen.states import add_ridge
 
 
 class TestClassicalSearch:
@@ -56,6 +61,7 @@ class TestClassicalSearch:
         q = random_distribution(3, 14)
         result = minimize_path(p, q, 16)
         assert result.converged
+        assert result.stop_reason == "stall"
         assert result.step_cvs[-1] <= 0.02
 
     def test_geodesic_seed_converges_fast(self):
@@ -70,6 +76,7 @@ class TestClassicalSearch:
         q = random_distribution(4, 32)
         result = minimize_path(p, q, 16, max_iter=3)
         assert not result.converged
+        assert result.stop_reason == "max_iter"
         assert result.iterations <= 3
 
     def test_precondition_checks(self):
@@ -77,10 +84,12 @@ class TestClassicalSearch:
         q = random_distribution(3, 2)
         with pytest.raises(ValueError):
             minimize_path(p, q, 3)  # too few steps
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(p, q, 65)
-        with pytest.raises(ValueError):
+        assert info.value.max_feasible == 64
+        with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(random_distribution(9, 1), random_distribution(9, 2), 8)
+        assert info.value.max_feasible == 8
         with pytest.raises(DimensionMismatch):
             minimize_path(p, random_distribution(4, 2), 8)
 
@@ -91,6 +100,7 @@ class TestQuantumSearch:
         sigma = random_state(2, 2, 12)
         result = minimize_path(rho, sigma, 8, max_iter=2000)
         assert result.converged
+        assert result.stop_reason == "stall"
         assert result.ridge == 0.0
         assert result.final_length <= result.lengths[0] + 1e-9
         assert result.step_cvs[-1] <= 0.02
@@ -123,8 +133,9 @@ class TestQuantumSearch:
 
     def test_dimension_limit(self):
         big = random_state(5, 5, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(big, random_state(5, 5, 2), 8)
+        assert info.value.max_feasible == 4
 
     def test_history_columns_align(self):
         rho = random_state(2, 2, 21)
@@ -132,3 +143,160 @@ class TestQuantumSearch:
         result = minimize_path(rho, sigma, 8, max_iter=50)
         assert result.lengths.size == result.energies.size == result.step_cvs.size
         assert result.lengths.size == result.iterations + 1
+
+    def test_rank_deficient_interior_iterate_rejected(self):
+        # full-rank endpoints, a rank-1 seed inside: the first evaluated
+        # iterate already falls below RANK_TOL with the ridge disabled
+        rho = random_state(2, 2, 11)
+        sigma = random_state(2, 2, 12)
+        pure = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        seed = StatePath("quantum", rho, sigma, lambda ts: np.broadcast_to(pure, (ts.size, 2, 2)))
+        with pytest.raises(RankCollapse):
+            minimize_path(rho, sigma, 8, seed, ridge=0.0)
+
+    def test_rank_check_covers_every_evaluated_iterate(self):
+        # line-search trials go through the same evaluation as accepted iterates
+        ends = pathopt._end_factors((random_state(2, 2, 1), random_state(2, 2, 2)), 0.0, False)
+        coords = np.stack([np.eye(2), np.diag([1.0, 1e-6]), np.eye(2)]).astype(complex)
+        with pytest.raises(RankCollapse):
+            pathopt._chain(coords, ends, 0.0, check_rank=True)
+        pathopt._chain(coords, ends, 0.0, check_rank=False)
+
+
+# ---------- the central-difference lanes of the earlier optimizer, as oracles ----------
+
+GRAD_STEP = 1e-6
+
+
+def _old_node_classical(x, ridge):
+    p = x * x
+    p = p / p.sum()
+    if ridge > 0.0:
+        p = (p + ridge / x.size) / (1.0 + ridge)
+    return p
+
+
+def _old_chord_classical(p, q):
+    return 8.0 * (1.0 - min(1.0, float(np.sum(np.sqrt(p * q)))))
+
+
+def _assemble(lam, vec):
+    rho = (vec * lam) @ vec.conj().T
+    root = (vec * np.sqrt(lam)) @ vec.conj().T
+    return 0.5 * (rho + rho.conj().T), 0.5 * (root + root.conj().T)
+
+
+def _old_node_quantum(coords, ridge):
+    a = coords[0] + 1j * coords[1]
+    m = a @ a.conj().T
+    lam, vec = np.linalg.eigh(m)
+    lam = np.clip(lam, 0.0, None) / float(np.real(np.trace(m)))
+    if ridge > 0.0:
+        lam = (lam + ridge / a.shape[0]) / (1.0 + ridge)
+    return _assemble(lam, vec)
+
+
+def _old_end_quantum(state):
+    lam, vec = np.linalg.eigh(state.matrix)
+    return _assemble(np.clip(lam, 0.0, None), vec)
+
+
+def _old_chord_quantum(node_a, node_b):
+    root = node_a[1]
+    lam = np.linalg.eigvalsh(root @ node_b[0] @ root)
+    return 8.0 * (1.0 - min(1.0, float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))))
+
+
+def _problem(kind, dim, n_steps, ridge, seed):
+    """Ridged endpoints, old-layout interior coordinates and the old energy."""
+    rng = np.random.default_rng(seed)
+    if kind == "classical":
+        a, b = random_distribution(dim, seed), random_distribution(dim, seed + 1)
+        old = rng.uniform(0.2, 1.0, (n_steps - 1, dim))
+        ends = [add_ridge(s, ridge).weights for s in (a, b)]
+        node, chord = _old_node_classical, _old_chord_classical
+    else:
+        a, b = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
+        old = rng.standard_normal((n_steps - 1, 2, dim, dim))
+        old[:, 0] += 2.0 * np.eye(dim)
+        ends = [_old_end_quantum(add_ridge(s, ridge)) for s in (a, b)]
+        node, chord = _old_node_quantum, _old_chord_quantum
+
+    def chords(coords):
+        nodes = [ends[0]] + [node(c, ridge) for c in coords] + [ends[1]]
+        return np.array([chord(nodes[i], nodes[i + 1]) for i in range(n_steps)])
+
+    return (add_ridge(a, ridge), add_ridge(b, ridge)), old, chords
+
+
+def _new_layout(kind, old):
+    if kind == "classical":
+        return old[:, :, None] * np.eye(old.shape[1])
+    return old[:, 0] + 1j * old[:, 1]
+
+
+def _old_layout(kind, grad):
+    if kind == "classical":
+        return np.diagonal(grad, axis1=1, axis2=2)
+    return np.stack([grad.real, grad.imag], axis=1)
+
+
+PROBLEMS = st.one_of(
+    st.tuples(st.just("classical"), st.integers(2, 8)),
+    st.tuples(st.just("quantum"), st.integers(2, 4)),
+)
+
+
+class TestAnalyticGradient:
+    """The batched Uhlmann chords and gradient against the earlier optimizer's
+    per-node formulas: eigvalsh chords and central differences."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(PROBLEMS, st.integers(4, 7), st.sampled_from([0.0, 1e-6, 0.3]), st.integers(0, 10**6))
+    def test_chords_match_eigvalsh_chords(self, problem, n_steps, ridge, seed):
+        kind, dim = problem
+        endpoints, old, chords = _problem(kind, dim, n_steps, ridge, seed)
+        classical = kind == "classical"
+        ends = pathopt._end_factors(endpoints, ridge, classical)
+        chain = pathopt._chain(_new_layout(kind, old), ends, ridge, False)
+        expected = chords(old)
+        assert np.max(np.abs(8.0 * (1.0 - chain.fids) - expected)) <= 1e-12
+        assert chain.energy == pytest.approx(float(expected.sum()), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(PROBLEMS, st.integers(4, 7), st.sampled_from([0.0, 1e-6, 0.3]), st.integers(0, 10**6))
+    def test_gradient_matches_central_differences(self, problem, n_steps, ridge, seed):
+        kind, dim = problem
+        endpoints, old, chords = _problem(kind, dim, n_steps, ridge, seed)
+        classical = kind == "classical"
+        ends = pathopt._end_factors(endpoints, ridge, classical)
+        coords = _new_layout(kind, old)
+        chain = pathopt._chain(coords, ends, ridge, False)
+        grad = _old_layout(kind, pathopt._gradient(coords, chain, ridge, classical))
+        oracle = np.zeros_like(old)
+        flat, out = old.reshape(-1), oracle.reshape(-1)
+        for c in range(flat.size):
+            keep = flat[c]
+            flat[c] = keep + GRAD_STEP
+            plus = chords(old).sum()
+            flat[c] = keep - GRAD_STEP
+            minus = chords(old).sum()
+            flat[c] = keep
+            out[c] = (plus - minus) / (2.0 * GRAD_STEP)
+        assert np.linalg.norm(grad - oracle) <= 1e-5 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_diagonal_density_pair_matches_classical_pair(self, seed):
+        p, q = random_distribution(3, seed), random_distribution(3, seed + 1)
+        classical = minimize_path(p, q, 8)
+        quantum = minimize_path(
+            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights)), 8
+        )
+        assert classical.stop_reason == quantum.stop_reason == "stall"
+        # the classical length takes the arc rule; recompute the quantum path's
+        arcs = [
+            geodesic_length_fisher(fidelity_quantum(a, b))
+            for a, b in zip(quantum.states[:-1], quantum.states[1:])
+        ]
+        assert sum(arcs) == pytest.approx(classical.final_length, abs=1e-9)
+        assert quantum.final_energy == pytest.approx(classical.final_energy, abs=1e-9)

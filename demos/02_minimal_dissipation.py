@@ -8,10 +8,10 @@ converging to l^2/2 from above, and the dissipation rate settling at
 is run for comparison: same endpoints, more entropy.
 """
 from statlen import (
-    classical_geodesic_path,
     even_schedule,
     fidelity_classical,
     geodesic_length_fisher,
+    geodesic_path,
     linear_mixture_path,
     run_transport,
     validate_distribution,
@@ -19,7 +19,7 @@ from statlen import (
 
 p = validate_distribution([0.5, 0.5])
 q = validate_distribution([0.9, 0.1])
-path = classical_geodesic_path(p, q)
+path = geodesic_path(p, q)
 ell = geodesic_length_fisher(fidelity_classical(p, q))
 print(f"geodesic length l = {ell:.6f},  l^2/2 = {0.5 * ell * ell:.6f}")
 print()
@@ -35,7 +35,7 @@ for n in (16, 32, 64, 128, 256, 512):
 print("\n=== geodesic vs straight mixture on a 3-outcome pair, N = 64 ===")
 a = validate_distribution([0.6, 0.3, 0.1])
 b = validate_distribution([0.2, 0.3, 0.5])
-for label, build in (("geodesic", classical_geodesic_path), ("mixture ", linear_mixture_path)):
+for label, build in (("geodesic", geodesic_path), ("mixture ", linear_mixture_path)):
     report = run_transport(even_schedule(build(a, b), 64))
     print(
         f"{label}: length = {report.total_length:.6f}, Delta_S = {report.total_entropy:.6e},"

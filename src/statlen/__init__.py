@@ -15,7 +15,6 @@ from .exceptions import (
     DimensionMismatch,
     InfiniteYield,
     NegativeWeight,
-    NotCommuting,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -50,8 +49,6 @@ from .geometry import (
     StatePath,
     TransportSchedule,
     bures_element,
-    classical_geodesic_path,
-    commuting_quantum_geodesic,
     default_step_rule,
     discrete_path_length,
     even_schedule,
@@ -60,6 +57,7 @@ from .geometry import (
     fisher_element,
     geodesic_length_bures,
     geodesic_length_fisher,
+    geodesic_path,
     hellinger_element,
     kubo_mori_element,
     linear_mixture_path,

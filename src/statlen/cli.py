@@ -21,11 +21,10 @@ from . import __version__
 from . import serialize
 from .exceptions import DimensionCapExceeded, StatlenError
 from .geometry import (
-    classical_geodesic_path,
-    commuting_quantum_geodesic,
     even_schedule,
     geodesic_length_bures,
     geodesic_length_fisher,
+    geodesic_path,
     linear_mixture_path,
     state_fidelity,
 )
@@ -99,13 +98,6 @@ def _resolve_pair(spec: dict, seed_pool, resolved: dict, where: str = "") -> tup
     return a, b
 
 
-def _geodesic(a, b):
-    """The closed-form geodesic between two states of the same kind."""
-    if isinstance(a, ProbabilityDistribution):
-        return classical_geodesic_path(a, b)
-    return commuting_quantum_geodesic(a, b)
-
-
 def _seed_pool(seed: int):
     seeds = iter(np.random.SeedSequence(seed).generate_state(64))
 
@@ -151,12 +143,10 @@ def _path_from_config(spec: dict, seed_pool) -> tuple:
     ptype = spec["type"]
     resolved_spec = {"type": ptype}
     a, b = _resolve_pair(spec, seed_pool, resolved_spec, "path.")
-    if type(a) is not type(b):
-        raise ConfigError("path endpoints must be states of the same kind")
     if ptype == "mixture":
         path = linear_mixture_path(a, b)
     elif ptype == "geodesic":
-        path = _geodesic(a, b)
+        path = geodesic_path(a, b)
     else:
         raise ConfigError(f"unknown path type {ptype!r}; choose 'geodesic' or 'mixture'")
     return path, resolved_spec
@@ -185,10 +175,10 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         raise ConfigError("config needs exactly one of 'N' or 'N_grid'")
     if "N" in config:
         grid = [_count(config["N"], "N")]
-    elif isinstance(config["N_grid"], list):
+    elif isinstance(config["N_grid"], list) and config["N_grid"]:
         grid = [_count(n, "N_grid") for n in config["N_grid"]]
     else:
-        raise ConfigError(f"N_grid must be a list, got {config['N_grid']!r}")
+        raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     resolved["path"] = resolved_spec
     rule = config.get("step_rule")
@@ -248,7 +238,7 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     if seed_kind == "mixture":
         seed_path = None
     elif seed_kind == "geodesic":
-        seed_path = _geodesic(a, b)
+        seed_path = geodesic_path(a, b)
     else:
         raise ConfigError(f"unknown seed_path {seed_kind!r}")
     ridge = config.get("ridge")

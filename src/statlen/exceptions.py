@@ -53,10 +53,6 @@ class RankDeficient(StatlenError, ValueError):
     """Operation requires a full-rank state; enable a ridge to proceed."""
 
 
-class NotCommuting(StatlenError, ValueError):
-    """Operation requires commuting states."""
-
-
 class InfiniteYield(StatlenError):
     """A transport step has infinite relative entropy (support violation)."""
 

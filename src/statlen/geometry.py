@@ -5,9 +5,9 @@ Conventions
 The squared line element is ``sum_a dp_a^2 / p_a`` on the probability
 simplex and its superoperator generalization
 ``tr(drho [2/(rho_L + rho_R)] drho)`` on density matrices.  With this
-normalization the geodesic length between two distributions is
-``2 arccos F``, and a small step of fidelity F has squared length
-``8 (1 - F)`` to leading order.  The two discrete step rules below
+normalization the geodesic length between two states is ``2 arccos F``,
+for distributions and density matrices alike, and a small step of
+fidelity F has squared length ``8 (1 - F)`` to leading order.  The two discrete step rules below
 ("arc" and "chord") are exact to that order and are cross-checked
 against each other in the tests.
 """
@@ -21,7 +21,6 @@ import numpy as np
 from .exceptions import (
     DimensionCapExceeded,
     DimensionMismatch,
-    NotCommuting,
     RankDeficient,
     SupportViolation,
 )
@@ -35,7 +34,6 @@ from .states import (
     mat_sqrt,
     spectral,
     validate_density,
-    validate_distribution,
     _freeze,
     _sqrt_rows,
     _validate_density_rows,
@@ -43,7 +41,6 @@ from .states import (
 )
 
 RANK_TOL = 1e-10          # smallest eigenvalue for a state to count as full rank
-COMMUTE_TOL = 1e-10       # max-entry commutator tolerance
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_PRESAMPLE = 2 ** 22        # cap on the dense table of an even schedule
@@ -203,7 +200,13 @@ def geodesic_length_fisher(fidelity: float) -> float:
 
 
 def geodesic_length_bures(fidelity: float) -> float:
-    """Geodesic length 2 sqrt(1 - F^2) for density matrices, in [0, 2]."""
+    """Chordal Bures distance 2 sqrt(1 - F^2), in [0, 2].
+
+    This is the straight-line distance 2 sin(theta) between the unit
+    amplitudes of the two states, theta = arccos F, not a path length:
+    the geodesic of :func:`geodesic_path` has length 2 arccos F for
+    density matrices as for probability vectors.
+    """
     f = float(np.clip(fidelity, 0.0, 1.0))
     return float(2.0 * np.sqrt(max(0.0, 1.0 - f * f)))
 
@@ -273,76 +276,65 @@ def _state_array(state) -> np.ndarray:
     return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
 
 
-def classical_geodesic_path(p: ProbabilityDistribution, q: ProbabilityDistribution) -> StatePath:
-    """Fisher geodesic: the great circle through sqrt(p) and sqrt(q).
+def _pair_kind(a, b) -> str:
+    """The kind of two endpoint states, which must share their kind and dimension."""
+    if type(a) is not type(b):
+        raise DimensionMismatch("endpoints must be states of the same kind")
+    _same_dim(a, b)
+    return a.kind
 
-    With theta = arccos F(p, q), the point at parameter t is
-    [(sin((1-t) theta) sqrt(p) + sin(t theta) sqrt(q)) / sin(theta)]^2.
-    Coinciding endpoints give the constant path.
+
+def geodesic_path(a, b) -> StatePath:
+    """The Fisher/Bures geodesic between two states of the same kind, in closed form.
+
+    Each endpoint is lifted to an amplitude of unit norm, and the path is
+    the great circle between the two amplitudes: with theta = arccos F(a, b),
+
+        A(t) = (sin((1-t) theta) A + sin(t theta) B) / sin(theta),
+
+    and the state at t is A(t)^2 entrywise for probability vectors and
+    A(t) A(t)* for density matrices.  Along it F(state(s), state(t)) =
+    cos(|t - s| theta), so the speed is constant and the length is
+    2 arccos F.
+
+    Probability vectors use A = sqrt(p) and B = sqrt(q).  Density matrices
+    use A = sqrt(rho) and B = sqrt(sigma) U, where U = V W* comes from the
+    SVD sqrt(rho) sqrt(sigma) = W S V*: then A* B = W S W* >= 0 and
+    F = tr S (Uhlmann 1976; Hubner, Phys. Lett. A 163, 239 (1992)).  On
+    full-rank diagonal matrices U = I, and this is the probability-vector
+    path of the diagonals.  For rank-deficient endpoints the SVD completes W and V
+    arbitrarily on the zero singular values; any completion is valid,
+    because A* B = W S W* >= 0 whatever columns the SVD adds.  Coinciding
+    endpoints (sin theta == 0) give the constant path.
     """
-    _same_dim(p, q)
-    theta = float(np.arccos(np.clip(fidelity_classical(p, q), 0.0, 1.0)))
+    kind = _pair_kind(a, b)
+    start = _state_array(a)
+    if kind == "classical":
+        theta = float(np.arccos(fidelity_classical(a, b)))
+        root_a, root_b = np.sqrt(a.weights), np.sqrt(b.weights)
+    else:
+        root_a, root_b = _sqrt_rows(np.stack((a.matrix, b.matrix)))
+        w, singular, vh = np.linalg.svd(root_a @ root_b)
+        theta = float(np.arccos(min(1.0, float(np.sum(singular)))))
+        root_b = root_b @ (vh.conj().T @ w.conj().T)
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
-        return StatePath("classical", p, q, lambda ts: np.broadcast_to(p.weights, (ts.size, p.dim)))
-    sqrt_p = np.sqrt(p.weights)
-    sqrt_q = np.sqrt(q.weights)
+        return StatePath(kind, a, b, lambda ts: np.broadcast_to(start, ts.shape + start.shape))
+    column = (-1,) + (1,) * start.ndim
 
     def _points(ts: np.ndarray) -> np.ndarray:
         amp = (
-            np.sin((1.0 - ts) * theta)[:, None] * sqrt_p
-            + np.sin(ts * theta)[:, None] * sqrt_q
+            np.sin((1.0 - ts) * theta).reshape(column) * root_a
+            + np.sin(ts * theta).reshape(column) * root_b
         ) / sin_theta
-        return amp * amp
+        return amp * amp if kind == "classical" else amp @ amp.conj().swapaxes(-1, -2)
 
-    return StatePath("classical", p, q, _points)
-
-
-def _simultaneous_eigenbasis(a: np.ndarray, b: np.ndarray, gap: float = 1e-8) -> np.ndarray:
-    """Common eigenbasis of two commuting Hermitian matrices.
-
-    Eigenvectors of ``a`` are refined inside near-degenerate eigenvalue
-    clusters by diagonalizing the corresponding block of ``b``.
-    """
-    lam, vec = np.linalg.eigh(a)
-    vec = vec.copy()
-    b_rot = vec.conj().T @ b @ vec
-    start = 0
-    for i in range(1, lam.size + 1):
-        if i == lam.size or lam[i] - lam[i - 1] > gap:
-            if i - start > 1:
-                block = b_rot[start:i, start:i]
-                _, u = np.linalg.eigh(0.5 * (block + block.conj().T))
-                vec[:, start:i] = vec[:, start:i] @ u
-            start = i
-    return vec
-
-
-def commuting_quantum_geodesic(rho: DensityMatrix, sigma: DensityMatrix) -> StatePath:
-    """Geodesic between commuting states, via their simultaneous eigenbasis."""
-    _same_dim(rho, sigma)
-    comm = rho.matrix @ sigma.matrix - sigma.matrix @ rho.matrix
-    comm_norm = float(np.max(np.abs(comm)))
-    if comm_norm > COMMUTE_TOL:
-        raise NotCommuting(f"max-entry commutator {comm_norm:.3e} exceeds {COMMUTE_TOL}")
-    basis = _simultaneous_eigenbasis(rho.matrix, sigma.matrix)
-    p = validate_distribution(np.real(np.diag(basis.conj().T @ rho.matrix @ basis)))
-    q = validate_distribution(np.real(np.diag(basis.conj().T @ sigma.matrix @ basis)))
-    inner = classical_geodesic_path(p, q)
-
-    def _points(ts: np.ndarray) -> np.ndarray:
-        w = inner.sample_many(ts)
-        return (basis * w[:, None, :]) @ basis.conj().T
-
-    return StatePath("quantum", rho, sigma, _points)
+    return StatePath(kind, a, b, _points)
 
 
 def linear_mixture_path(a, b) -> StatePath:
     """Straight-line mixture (1 - t) a + t b; a non-geodesic reference path."""
-    if type(a) is not type(b):
-        raise DimensionMismatch("endpoints must be states of the same kind")
-    _same_dim(a, b)
-    kind = "classical" if isinstance(a, ProbabilityDistribution) else "quantum"
+    kind = _pair_kind(a, b)
     start, end = _state_array(a), _state_array(b)
 
     def _points(ts: np.ndarray) -> np.ndarray:
@@ -359,13 +351,17 @@ def default_step_rule(kind: str) -> str:
     return "arc" if kind == "classical" else "chord"
 
 
+def _step_rule(kind: str, step_rule) -> str:
+    """The given step rule, or the kind's default for None; anything else raises."""
+    rule = default_step_rule(kind) if step_rule is None else step_rule
+    if rule not in STEP_RULES:
+        raise ValueError(f"unknown step rule {rule!r}; choose from {STEP_RULES}")
+    return rule
+
+
 def _step_lengths_from_fidelities(fids: np.ndarray, rule: str) -> np.ndarray:
     f = np.clip(fids, 0.0, 1.0)
-    if rule == "arc":
-        return 2.0 * np.arccos(f)
-    if rule == "chord":
-        return np.sqrt(8.0 * (1.0 - f))
-    raise ValueError(f"unknown step rule {rule!r}; choose from {STEP_RULES}")
+    return 2.0 * np.arccos(f) if rule == "arc" else np.sqrt(8.0 * (1.0 - f))
 
 
 def _chain_fidelities(kind: str, rows: np.ndarray, spectra=None) -> np.ndarray:
@@ -432,7 +428,7 @@ def discrete_path_length(path: StatePath, n_steps: int, step_rule: str | None = 
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    rule = step_rule or default_step_rule(path.kind)
+    rule = _step_rule(path.kind, step_rule)
     steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1), rule)
     return PathLengthReport(float(steps.sum()), _freeze(steps), n_steps, rule)
 
@@ -458,7 +454,7 @@ def even_schedule(
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    rule = step_rule or default_step_rule(path.kind)
+    rule = _step_rule(path.kind, step_rule)
     resolution = presample if presample is not None else max(64 * n_steps, 4096)
     if resolution > MAX_PRESAMPLE:
         what = "N" if presample is None else "presample"

@@ -32,18 +32,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionCapExceeded, DimensionMismatch, RankCollapse
+from .exceptions import DimensionCapExceeded, RankCollapse
 from .geometry import (
     RANK_TOL,
     StatePath,
     default_step_rule,
     linear_mixture_path,
+    _pair_kind,
     _state_array,
     _step_lengths_from_fidelities,
 )
 from .states import (
-    DensityMatrix,
-    ProbabilityDistribution,
     add_ridge,
     spectral,
     validate_density,
@@ -161,23 +160,21 @@ def _check_dim(dim: int, cap: int, kind: str) -> None:
 
 def _search_kind(start, end, ridge):
     """The kind of a search and its ridge, after the dimension and rank checks."""
-    if isinstance(start, ProbabilityDistribution) and isinstance(end, ProbabilityDistribution):
+    if _pair_kind(start, end) == "classical":
         _check_dim(start.dim, MAX_DIM_CLASSICAL, "classical")
         return "classical", 0.0 if ridge is None else ridge
-    if isinstance(start, DensityMatrix) and isinstance(end, DensityMatrix):
-        _check_dim(start.dim, MAX_DIM_QUANTUM, "quantum")
-        smallest = min(
-            float(spectral(start).eigenvalues[-1]), float(spectral(end).eigenvalues[-1])
+    _check_dim(start.dim, MAX_DIM_QUANTUM, "quantum")
+    smallest = min(
+        float(spectral(start).eigenvalues[-1]), float(spectral(end).eigenvalues[-1])
+    )
+    if ridge is None:
+        ridge = AUTO_RIDGE if smallest < RANK_TOL else 0.0
+    if ridge == 0.0 and smallest < RANK_TOL:
+        raise RankCollapse(
+            f"endpoint eigenvalue {smallest:.3e} below {RANK_TOL}; "
+            "enable a ridge to search from rank-deficient endpoints"
         )
-        if ridge is None:
-            ridge = AUTO_RIDGE if smallest < RANK_TOL else 0.0
-        if ridge == 0.0 and smallest < RANK_TOL:
-            raise RankCollapse(
-                f"endpoint eigenvalue {smallest:.3e} below {RANK_TOL}; "
-                "enable a ridge to search from rank-deficient endpoints"
-            )
-        return "quantum", ridge
-    raise DimensionMismatch("endpoints must be two states of the same kind")
+    return "quantum", ridge
 
 
 def minimize_path(
@@ -207,8 +204,6 @@ def minimize_path(
             f"n_steps {n_steps} exceeds cap {MAX_STEPS}; largest feasible N is {MAX_STEPS}",
             max_feasible=MAX_STEPS,
         )
-    if start.dim != end.dim:
-        raise DimensionMismatch(f"dimensions differ: {start.dim} vs {end.dim}")
     kind, ridge = _search_kind(start, end, ridge)
     classical = kind == "classical"
     check_rank = not classical and ridge == 0.0

@@ -77,10 +77,15 @@ def min_entropy_production(length: float, n_steps: int) -> float:
 
 
 def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
-    """Lower bound over all N-step transports between states of fidelity F.
+    """The l^2/(2N) that N-step transport between states of fidelity F is compared with.
 
-    (2/N)(1 - F^2) for quantum states, (2/N)(arccos F)^2 for classical ones;
-    these are the minimum l^2/(2N) evaluated at the geodesic lengths.
+    (2/N)(arccos F)^2 for classical states takes the geodesic length
+    2 arccos F; (2/N)(1 - F^2) for quantum states takes the chordal
+    distance 2 sqrt(1 - F^2), which is shorter.  Neither is a bound at
+    every N.  The classical value is the large-N entropy of the geodesic
+    schedule, which reads down to 0.898 of it at N = 4, 0.945 at N = 8,
+    0.971 at N = 16 and 0.993 at N = 64 (smallest ratio over 40 seeded
+    pairs of 4-outcome distributions).
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
@@ -99,7 +104,9 @@ class TransportReport:
 
     ``nu`` is the number of steps per unit path length; ``bound_path_length``
     is l^2/(2N) for the measured length, ``bound_fidelity`` the
-    endpoint-fidelity bound that no path can beat.
+    endpoint-fidelity value of :func:`geodesic_bound`, which the entropy of
+    a classical geodesic schedule approaches as N grows (and may undercut
+    at small N).
     """
 
     kind: str

@@ -9,7 +9,6 @@ import numpy as np
 
 from statlen import (
     bures_element,
-    classical_geodesic_path,
     classical_step_entropy_production,
     convergence_scan,
     even_schedule,
@@ -19,6 +18,7 @@ from statlen import (
     fisher_element,
     geodesic_length_bures,
     geodesic_length_fisher,
+    geodesic_path,
     minimize_path,
     random_distribution,
     relative_entropy,
@@ -133,7 +133,7 @@ def test_criterion_05_reservoir_limit():
 
 
 def test_criterion_06_even_spacing_optimality():
-    path = classical_geodesic_path(P_DOC, Q_DOC)
+    path = geodesic_path(P_DOC, Q_DOC)
     even = run_transport(even_schedule(path, 32)).total_entropy
     rng = np.random.default_rng(606)
     worst_margin = 0.0
@@ -156,7 +156,7 @@ def test_criterion_06_even_spacing_optimality():
 
 
 def test_criterion_07_minimum_dissipation_scaling():
-    path = classical_geodesic_path(P_DOC, Q_DOC)
+    path = geodesic_path(P_DOC, Q_DOC)
     ell = geodesic_length_fisher(fidelity_classical(P_DOC, Q_DOC))
     half_sq = 0.5 * ell * ell
     devs = {}
@@ -173,7 +173,7 @@ def test_criterion_07_minimum_dissipation_scaling():
 
 
 def test_criterion_08_linear_dissipation_rate():
-    path = classical_geodesic_path(P_DOC, Q_DOC)
+    path = geodesic_path(P_DOC, Q_DOC)
     report = run_transport(even_schedule(path, 256))
     ratio = report.total_entropy * 2.0 * report.nu / report.total_length
     _report(8, 0.98 <= ratio <= 1.02, f"dS * 2 nu / l = {ratio:.5f} at N = 256")

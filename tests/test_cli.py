@@ -178,6 +178,29 @@ class TestTransportCommand:
         assert not out.exists()
         assert "largest feasible N is 65536" in capsys.readouterr().err
 
+    def test_geodesic_on_noncommuting_qutrits(self, tmp_path):
+        config = {
+            "path": {
+                "type": "geodesic",
+                "state_a": {"kind": "random-quantum", "dim": 3, "rank": 3},
+                "state_b": {"kind": "random-quantum", "dim": 3, "rank": 3},
+            },
+            "N_grid": [16, 64],
+            "format": "json",
+        }
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_OK
+        record = json.loads(out.read_text())
+        rho, sigma = (_matrix(record["config"]["path"][k]) for k in ("state_a", "state_b"))
+        assert np.max(np.abs(rho @ sigma - sigma @ rho)) > 1e-3
+        theta = np.arccos(_fidelity(rho, sigma))
+        grid = record["results"]["grid"]
+        assert grid[1]["Delta_S"] < grid[0]["Delta_S"]
+        for row in grid:
+            # constant speed: N chords of fidelity cos(theta/N)
+            chord = row["N"] * np.sqrt(8.0 * (1.0 - np.cos(theta / row["N"])))
+            assert row["ell"] == pytest.approx(chord, rel=1e-6)
+
     def test_requires_exactly_one_grid(self, tmp_path):
         config = {
             "path": {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_B},
@@ -312,6 +335,26 @@ class TestGeodesicCommand:
         assert "# stop_reason=max_iter\n" in text
         assert "iterations,converged\n" in text
 
+    def test_geodesic_seed_on_noncommuting_qubits_is_the_discrete_minimum(self, tmp_path):
+        n_steps = 8
+        config = {
+            "state_a": QUBIT_A,
+            "state_b": QUBIT_B,
+            "N": n_steps,
+            "seed_path": "geodesic",
+            "format": "json",
+        }
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        rho, sigma = _matrix(QUBIT_A), _matrix(QUBIT_B)
+        assert np.max(np.abs(rho @ sigma - sigma @ rho)) > 1e-3
+        theta = np.arccos(_fidelity(rho, sigma))
+        # equal Bures angles theta/N attain the minimum of sum 8 (1 - F_i)
+        exact = 8.0 * n_steps * (1.0 - np.cos(theta / n_steps))
+        assert results["final_energy"] == pytest.approx(exact, rel=0.0, abs=1e-10)
+        assert results["stop_reason"] == "stall"
+
     @pytest.mark.parametrize(
         "state, n_steps, feasible",
         [
@@ -332,6 +375,17 @@ class TestGeodesicCommand:
         assert code == EXIT_CAP
         assert not out.exists()
         assert f"largest feasible {feasible}" in capsys.readouterr().err
+
+
+def _matrix(spec) -> np.ndarray:
+    return np.array([[re + 1j * im for re, im in row] for row in spec["matrix"]])
+
+
+def _fidelity(rho, sigma) -> float:
+    """tr sqrt(sqrt(sigma) rho sqrt(sigma)), from eigendecompositions."""
+    lam, vec = np.linalg.eigh(sigma)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    return float(np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(root @ rho @ root), 0.0, None))))
 
 
 GEODESIC_CLASSICAL = {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_B}
@@ -361,6 +415,13 @@ class TestStrictCounts:
         code, _ = _run(tmp_path, "transport", config)
         assert code == EXIT_INVALID
         assert "N_grid must be a list" in capsys.readouterr().err
+
+    def test_transport_N_grid_must_not_be_empty(self, tmp_path, capsys):
+        config = {"path": GEODESIC_CLASSICAL, "N_grid": []}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "N_grid must be a list of one or more N" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", BAD_COUNTS)
     def test_reservoir_n_max(self, tmp_path, capsys, value):
@@ -473,6 +534,23 @@ class TestStrictFields:
         assert code == EXIT_INVALID
         assert not out.exists()
         assert "perturbation must be a finite number, got '1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["", False, 0, "spline", ["arc"]])
+    def test_step_rule(self, tmp_path, capsys, value):
+        config = {"path": GEODESIC_CLASSICAL, "N": 8, "step_rule": value}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert f"unknown step rule {value!r}" in capsys.readouterr().err
+
+    def test_null_step_rule_is_the_default(self, tmp_path):
+        grids = []
+        for name, extra in (("null", {"step_rule": None}), ("absent", {}), ("arc", {"step_rule": "arc"})):
+            config = {"path": GEODESIC_CLASSICAL, "N": 8, "format": "json", **extra}
+            code, out = _run(tmp_path, "transport", config, name=name)
+            assert code == EXIT_OK
+            grids.append(json.loads(out.read_text())["results"]["grid"])
+        assert grids[0] == grids[1] == grids[2]
 
     def test_valid_fields_still_run(self, tmp_path):
         config = {

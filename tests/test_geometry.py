@@ -5,14 +5,11 @@ from hypothesis import given, settings, strategies as st
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
-    NotCommuting,
     ProbabilityDistribution,
     RankDeficient,
     StatePath,
     SupportViolation,
     bures_element,
-    classical_geodesic_path,
-    commuting_quantum_geodesic,
     default_step_rule,
     discrete_path_length,
     even_schedule,
@@ -21,6 +18,7 @@ from statlen import (
     fisher_element,
     geodesic_length_bures,
     geodesic_length_fisher,
+    geodesic_path,
     hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
@@ -31,7 +29,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import MAX_PRESAMPLE, _simultaneous_eigenbasis
+from statlen.geometry import MAX_PRESAMPLE
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -264,26 +262,26 @@ class TestGeodesicLengths:
 
 class TestPaths:
     def test_classical_geodesic_endpoints(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         assert path.sample(0.0) is P_HALF
         assert path.sample(1.0) is P_SKEW
         mid = path.sample(0.5)
         assert abs(mid.weights.sum() - 1.0) < 1e-12
 
     def test_classical_geodesic_constant_for_equal_endpoints(self):
-        path = classical_geodesic_path(P_HALF, P_HALF)
+        path = geodesic_path(P_HALF, P_HALF)
         assert np.allclose(path.sample(0.37).weights, P_HALF.weights)
 
     def test_classical_geodesic_length_is_analytic(self):
         a = validate_distribution([1.0, 0.0])
         b = validate_distribution([0.0, 1.0])
-        report = discrete_path_length(classical_geodesic_path(a, b), 10_000, "arc")
+        report = discrete_path_length(geodesic_path(a, b), 10_000, "arc")
         assert report.total_length == pytest.approx(np.pi, abs=1e-6)
 
     def test_classical_geodesic_length_d3(self):
         p, q = _random_pair(3, 17)
         expected = geodesic_length_fisher(fidelity_classical(p, q))
-        report = discrete_path_length(classical_geodesic_path(p, q), 2048, "arc")
+        report = discrete_path_length(geodesic_path(p, q), 2048, "arc")
         assert report.total_length == pytest.approx(expected, abs=1e-9)
 
     def test_commuting_geodesic_matches_classical_in_rotated_basis(self):
@@ -291,17 +289,30 @@ class TestPaths:
         p, q = _random_pair(3, 23)
         rho = validate_density((basis * p.weights) @ basis.conj().T)
         sigma = validate_density((basis * q.weights) @ basis.conj().T)
-        path = commuting_quantum_geodesic(rho, sigma)
+        path = geodesic_path(rho, sigma)
         assert path.sample(0.0) is rho
         expected = geodesic_length_fisher(fidelity_classical(p, q))
         report = discrete_path_length(path, 256, "arc")
         assert report.total_length == pytest.approx(expected, abs=1e-8)
+        # the states are the classical path's states, rotated into the common basis
+        ts = np.linspace(0.0, 1.0, 9)
+        lifted = (basis * geodesic_path(p, q).sample_many(ts)[:, None, :]) @ basis.conj().T
+        assert np.allclose(path.sample_many(ts), lifted, rtol=0.0, atol=1e-12)
 
-    def test_commuting_geodesic_rejects_noncommuting(self):
+    def test_geodesic_joins_noncommuting_states(self):
         rho = validate_density(np.diag([0.8, 0.2]))
         plus = validate_density(np.full((2, 2), 0.5))
-        with pytest.raises(NotCommuting):
-            commuting_quantum_geodesic(rho, plus)
+        path = geodesic_path(rho, plus)
+        assert path.kind == "quantum"
+        expected = geodesic_length_fisher(fidelity_quantum(rho, plus))
+        report = discrete_path_length(path, 256, "arc")
+        assert report.total_length == pytest.approx(expected, abs=1e-8)
+
+    def test_geodesic_rejects_mixed_kinds(self):
+        with pytest.raises(DimensionMismatch):
+            geodesic_path(P_HALF, validate_density(np.diag(P_HALF.weights)))
+        with pytest.raises(DimensionMismatch):
+            geodesic_path(P_HALF, validate_distribution([0.2, 0.3, 0.5]))
 
     def test_mixture_endpoints_and_midpoint(self):
         a = validate_density(np.diag([1.0, 0.0]))
@@ -313,7 +324,7 @@ class TestPaths:
     def test_mixture_is_longer_than_geodesic_d3(self):
         # strict once the simplex has more than one dimension
         p, q = _random_pair(3, 31)
-        geo = discrete_path_length(classical_geodesic_path(p, q), 512, "arc")
+        geo = discrete_path_length(geodesic_path(p, q), 512, "arc")
         mix = discrete_path_length(linear_mixture_path(p, q), 512, "arc")
         assert mix.total_length > geo.total_length + 1e-6
 
@@ -331,6 +342,116 @@ class TestPaths:
             path.sample(1.5)
 
 
+def _pure(vector):
+    """The density matrix of the normalized state vector."""
+    v = np.asarray(vector, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return validate_density(np.outer(v, v.conj()))
+
+
+class TestGeodesicPath:
+    """The closed-form geodesic on full-rank, rank-deficient and pure pairs."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        seed=st.integers(0, 10**6),
+        dim=st.integers(2, 4),
+        s=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_fidelity_along_path_is_cos_full_rank(self, seed, dim, s, t):
+        rho, sigma = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
+        theta = np.arccos(fidelity_quantum(rho, sigma))
+        path = geodesic_path(rho, sigma)
+        f = fidelity_quantum(path.sample(s), path.sample(t))
+        assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        seed=st.integers(0, 10**6),
+        dim=st.integers(2, 4),
+        s=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_fidelity_along_path_is_cos_pure(self, seed, dim, s, t):
+        # pure samples: F is the overlap of the leading eigenvectors, which a
+        # float64 matrix fixes to roundoff (its matrix square root does not)
+        def vector(mat):
+            return np.linalg.eigh(mat)[1][:, -1]
+
+        rho, sigma = random_state(dim, 1, seed), random_state(dim, 1, seed + 1)
+        theta = np.arccos(abs(np.vdot(vector(rho.matrix), vector(sigma.matrix))))
+        rows = geodesic_path(rho, sigma).sample_many([s, t])
+        assert np.allclose(np.linalg.eigvalsh(rows)[:, -1], 1.0, rtol=0.0, atol=1e-12)
+        f = abs(np.vdot(vector(rows[0]), vector(rows[1])))
+        assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        seed=st.integers(0, 10**6),
+        dim=st.integers(2, 4),
+        ranks=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+        s=st.floats(0.0, 1.0),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_fidelity_along_path_is_cos_rank_deficient(self, seed, dim, ranks, s, t):
+        # At least one endpoint is rank-deficient.  A zero eigenvalue carries
+        # roundoff of about 1e-17, whose square root (3e-9) enters F, so F of
+        # such a matrix is fixed only to about sqrt(eps): 4e-9 off the exact
+        # value for random_state(2, 1, 0) and random_state(2, 2, 1) already.
+        rho = random_state(dim, min(ranks[0], dim - 1), seed)
+        sigma = random_state(dim, min(ranks[1], dim), seed + 1)
+        theta = np.arccos(fidelity_quantum(rho, sigma))
+        path = geodesic_path(rho, sigma)
+        f = fidelity_quantum(path.sample(s), path.sample(t))
+        assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-7
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(seed=st.integers(0, 10**6), dim=st.integers(1, 5))
+    def test_diagonal_pair_samples_the_probability_pair(self, seed, dim):
+        p, q = _random_pair(dim, seed)
+        ts = np.linspace(0.0, 1.0, 11)
+        classical = geodesic_path(p, q).sample_many(ts)
+        quantum = geodesic_path(
+            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
+        ).sample_many(ts)
+        diagonal = classical[:, None, :] * np.eye(dim)
+        assert np.allclose(quantum, diagonal, rtol=0.0, atol=1e-12)
+
+    def test_diagonal_rank_deficient_pair_samples_the_probability_pair(self):
+        # Rank-deficient pairs can have several geodesics.  The SVD of the
+        # diagonal sqrt(rho) sqrt(sigma) completes both sides with the same
+        # unit vectors, so U = I and the classical one is returned.
+        p = validate_distribution([0.6, 0.4, 0.0])
+        q = validate_distribution([0.0, 0.3, 0.7])
+        ts = np.linspace(0.0, 1.0, 11)
+        classical = geodesic_path(p, q).sample_many(ts)
+        quantum = geodesic_path(
+            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
+        ).sample_many(ts)
+        assert np.allclose(quantum, classical[:, None, :] * np.eye(3), rtol=0.0, atol=1e-12)
+
+    def test_unit_fidelity_gives_the_constant_path(self):
+        ts = np.linspace(0.0, 1.0, 7)
+        # F computes to exactly 1 here, so sin(theta) == 0
+        for state in (P_SKEW, validate_density(np.diag([1.0, 0.0]))):
+            raw = _raw(state)
+            samples = geodesic_path(state, state).sample_many(ts)
+            assert np.array_equal(samples, np.broadcast_to(raw, (7,) + raw.shape))
+        # here F is 1 to roundoff, and the path stays on the state to roundoff
+        for state in (_pure([1.0, 1j]), random_state(3, 3, 4)):
+            samples = geodesic_path(state, state).sample_many(ts)
+            assert np.allclose(samples, state.matrix, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("pair", [([1.0, 0.0], [0.0, 1.0]), ([1.0, 1j], [1.0, -1j])])
+    def test_orthogonal_pure_qubits_have_length_pi(self, pair):
+        path = geodesic_path(_pure(pair[0]), _pure(pair[1]))
+        for n in (1, 16, 64):
+            assert discrete_path_length(path, n, "arc").total_length == pytest.approx(
+                np.pi, abs=1e-10
+            )
+
+
 class TestDiscreteLength:
     def test_constant_path_zero(self):
         path = linear_mixture_path(P_HALF, P_HALF)
@@ -338,7 +459,7 @@ class TestDiscreteLength:
             assert discrete_path_length(path, n).total_length == pytest.approx(0.0, abs=1e-7)
 
     def test_report_consistency(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         report = discrete_path_length(path, 16)
         assert report.n_steps == 16
         assert np.all(report.step_lengths >= 0)
@@ -353,7 +474,7 @@ class TestDiscreteLength:
             assert fine >= coarse - 1e-9
 
     def test_arc_chord_gap_shrinks_quadratically(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         gaps = []
         for n in (8, 16):
             arc = discrete_path_length(path, n, "arc").total_length
@@ -363,12 +484,22 @@ class TestDiscreteLength:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError):
-            discrete_path_length(classical_geodesic_path(P_HALF, P_SKEW), 4, "spline")
+            discrete_path_length(geodesic_path(P_HALF, P_SKEW), 4, "spline")
+
+    @pytest.mark.parametrize("rule", ["", False, 0, "spline"])
+    def test_bad_rule_rejected_before_sampling(self, rule):
+        def never(ts):
+            raise AssertionError("sampled before the step rule was checked")
+
+        path = StatePath("classical", P_HALF, P_SKEW, never)
+        for run in (discrete_path_length, even_schedule):
+            with pytest.raises(ValueError, match="unknown step rule"):
+                run(path, 4, rule)
 
 
 class TestEvenSchedule:
     def test_presample_cap(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         # 64 N presamples reach the cap exactly at N = 65536
         assert 64 * 65536 == MAX_PRESAMPLE
         with pytest.raises(DimensionCapExceeded) as err:
@@ -381,12 +512,12 @@ class TestEvenSchedule:
         assert f"largest feasible presample is {MAX_PRESAMPLE}" in str(err.value)
 
     def test_geodesic_already_even(self):
-        schedule = even_schedule(classical_geodesic_path(P_HALF, P_SKEW), 16)
+        schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 16)
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
 
     def test_skewed_parametrization_is_evened_out(self):
-        geo = classical_geodesic_path(P_HALF, P_SKEW)
+        geo = geodesic_path(P_HALF, P_SKEW)
         skewed = StatePath("classical", P_HALF, P_SKEW, lambda ts: geo.sample_many(ts * ts * ts))
         schedule = even_schedule(skewed, 16)
         steps = schedule.step_lengths
@@ -396,7 +527,7 @@ class TestEvenSchedule:
         assert np.allclose(steps, total / 16, rtol=2e-3)
 
     def test_single_step(self):
-        schedule = even_schedule(classical_geodesic_path(P_HALF, P_SKEW), 1)
+        schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 1)
         assert schedule.n_steps == 1
         assert schedule.states[0] is P_HALF
         assert schedule.states[-1] is P_SKEW
@@ -416,7 +547,15 @@ class TestEvenSchedule:
 
 # ---------- batched sampling and schedules against the per-sample reference ----------
 
-PATH_KINDS = ("classical-geodesic", "classical-mixture", "commuting-geodesic", "quantum-mixture")
+PATH_KINDS = (
+    "classical-geodesic",
+    "classical-mixture",
+    "commuting-geodesic",
+    "quantum-geodesic",
+    "quantum-mixture",
+)
+# the kinds whose reference is the Uhlmann-amplitude formula for density matrices
+UHLMANN_KINDS = ("commuting-geodesic", "quantum-geodesic")
 
 
 def _raw(state) -> np.ndarray:
@@ -426,16 +565,18 @@ def _raw(state) -> np.ndarray:
 def _path_of_kind(kind, seed, dim):
     p, q = _random_pair(dim, seed)
     if kind == "classical-geodesic":
-        return classical_geodesic_path(p, q)
+        return geodesic_path(p, q)
     if kind == "classical-mixture":
         return linear_mixture_path(p, q)
     if kind == "commuting-geodesic":
+        # commuting endpoints: the two distributions in one rotated eigenbasis
         basis = _haar_basis(dim, seed)
         rho = validate_density((basis * p.weights) @ basis.conj().T)
         sigma = validate_density((basis * q.weights) @ basis.conj().T)
-        return commuting_quantum_geodesic(rho, sigma)
+        return geodesic_path(rho, sigma)
     rank = 1 + seed % dim
-    return linear_mixture_path(random_state(dim, rank, seed), random_state(dim, dim, seed + 1))
+    build = geodesic_path if kind == "quantum-geodesic" else linear_mixture_path
+    return build(random_state(dim, rank, seed), random_state(dim, dim, seed + 1))
 
 
 def _reference_point(kind, a, b):
@@ -445,20 +586,23 @@ def _reference_point(kind, a, b):
         return lambda t: validate_distribution((1.0 - t) * a.weights + t * b.weights)
     if kind == "quantum-mixture":
         return lambda t: validate_density((1.0 - t) * a.matrix + t * b.matrix)
-    if kind == "commuting-geodesic":
-        basis = _simultaneous_eigenbasis(a.matrix, b.matrix)
-        p = validate_distribution(np.real(np.diag(basis.conj().T @ a.matrix @ basis)))
-        q = validate_distribution(np.real(np.diag(basis.conj().T @ b.matrix @ basis)))
-        inner = _reference_point("classical-geodesic", p, q)
-        return lambda t: validate_density((basis * inner(t).weights) @ basis.conj().T)
-    theta = float(np.arccos(np.clip(fidelity_classical(a, b), 0.0, 1.0)))
+    if kind in UHLMANN_KINDS:
+        # Uhlmann amplitudes sqrt(a) and sqrt(b) V W*, from sqrt(a) sqrt(b) = W S V*
+        root_a, root_b = _reference_root(a.matrix), _reference_root(b.matrix)
+        w, singular, vh = np.linalg.svd(root_a @ root_b)
+        theta = float(np.arccos(min(1.0, float(np.sum(singular)))))
+        root_b = root_b @ (vh.conj().T @ w.conj().T)
+    else:
+        theta = float(np.arccos(np.clip(fidelity_classical(a, b), 0.0, 1.0)))
+        root_a, root_b = np.sqrt(a.weights), np.sqrt(b.weights)
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
         return lambda t: a
 
     def point(t):
-        amp = (np.sin((1.0 - t) * theta) * np.sqrt(a.weights)
-               + np.sin(t * theta) * np.sqrt(b.weights)) / sin_theta
+        amp = (np.sin((1.0 - t) * theta) * root_a + np.sin(t * theta) * root_b) / sin_theta
+        if kind in UHLMANN_KINDS:
+            return validate_density(amp @ amp.conj().T)
         return validate_distribution(amp * amp)
 
     return point
@@ -469,18 +613,19 @@ def _reference_samples(kind, path, ts):
     return [path.start if t == 0.0 else path.end if t == 1.0 else point(float(t)) for t in ts]
 
 
+def _reference_root(mat) -> np.ndarray:
+    """Square root of one density matrix, eigenvalues in descending order."""
+    lam, vec = np.linalg.eigh(mat)
+    lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
+    out = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
 def _reference_fidelity(a, b) -> float:
     """Fidelity of one pair, computed state by state as the reference."""
     if isinstance(a, ProbabilityDistribution):
         return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
-
-    def root(mat):
-        lam, vec = np.linalg.eigh(mat)
-        lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
-        out = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
-        return 0.5 * (out + out.conj().T)
-
-    product = root(a.matrix) @ root(b.matrix)
+    product = _reference_root(a.matrix) @ _reference_root(b.matrix)
     return float(np.clip(np.sum(np.linalg.svd(product, compute_uv=False)), 0.0, 1.0))
 
 
@@ -551,7 +696,7 @@ class TestBatchedPaths:
     @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1], [np.nan], [[0.5]]])
     def test_sample_many_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
-            classical_geodesic_path(P_HALF, P_SKEW).sample_many(bad)
+            geodesic_path(P_HALF, P_SKEW).sample_many(bad)
 
     def test_sampler_output_is_validated(self):
         # a user sampler whose rows carry roundoff gets them repaired

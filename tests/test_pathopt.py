@@ -6,11 +6,11 @@ from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
     RankCollapse,
-    classical_geodesic_path,
     fidelity_classical,
     fidelity_quantum,
     geodesic_length_bures,
     geodesic_length_fisher,
+    geodesic_path,
     minimize_path,
     random_distribution,
     random_state,
@@ -67,7 +67,7 @@ class TestClassicalSearch:
     def test_geodesic_seed_converges_fast(self):
         p = random_distribution(3, 5)
         q = random_distribution(3, 6)
-        seeded = minimize_path(p, q, 16, seed_path=classical_geodesic_path(p, q))
+        seeded = minimize_path(p, q, 16, seed_path=geodesic_path(p, q))
         geo = geodesic_length_fisher(fidelity_classical(p, q))
         assert seeded.final_length == pytest.approx(geo, rel=1e-3)
 

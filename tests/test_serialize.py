@@ -5,8 +5,8 @@ import pytest
 
 from statlen import (
     ValidationError,
-    classical_geodesic_path,
     even_schedule,
+    geodesic_path,
     minimize_path,
     random_distribution,
     random_state,
@@ -96,7 +96,7 @@ class TestCsvOutput:
     def test_schedule_and_transport_rows(self):
         p = validate_distribution([0.5, 0.5])
         q = validate_distribution([0.9, 0.1])
-        report = run_transport(even_schedule(classical_geodesic_path(p, q), 8))
+        report = run_transport(even_schedule(geodesic_path(p, q), 8))
         summary = serialize.transport_summary(report)
         assert summary["N"] == 8
         assert summary["Delta_S"] == pytest.approx(report.total_entropy, abs=1e-15)

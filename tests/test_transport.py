@@ -7,13 +7,13 @@ from statlen import (
     DimensionMismatch,
     InfiniteYield,
     RankDeficient,
-    classical_geodesic_path,
     even_schedule,
     expansion_probe,
     fidelity_classical,
     geodesic_bound,
     geodesic_length_bures,
     geodesic_length_fisher,
+    geodesic_path,
     linear_mixture_path,
     min_entropy_production,
     random_state,
@@ -107,7 +107,7 @@ class TestClosedForms:
 
 class TestRunTransport:
     def test_single_step_documented_pair(self):
-        schedule = even_schedule(classical_geodesic_path(P_HALF, P_SKEW), 1)
+        schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 1)
         report = run_transport(schedule)
         assert report.total_entropy == pytest.approx(KL_DOC, abs=1e-12)
         assert report.n_steps == 1
@@ -118,7 +118,7 @@ class TestRunTransport:
         assert report.total_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_report_totals_and_bounds(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         report = run_transport(even_schedule(path, 64))
         assert report.total_entropy == pytest.approx(report.step_yields.sum(), abs=1e-12)
         assert np.all(report.step_yields >= 0.0)
@@ -131,7 +131,7 @@ class TestRunTransport:
         assert report.total_entropy >= report.bound_path_length * (1.0 - 0.05)
 
     def test_scaling_toward_minimum(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         ell = geodesic_length_fisher(fidelity_classical(P_HALF, P_SKEW))
         half_sq = ell * ell / 2.0
         devs = {}
@@ -142,7 +142,7 @@ class TestRunTransport:
         assert devs[128] <= 0.6 * devs[64]
 
     def test_rate_ratio_near_one(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         report = run_transport(even_schedule(path, 128))
         rate = report.total_entropy / report.total_length
         # the dissipation rate per unit length at step density nu is 1/(2 nu)
@@ -157,7 +157,7 @@ class TestRunTransport:
         assert err.value.step == 3
 
     def test_even_beats_random_monotone_reallocations(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         even = run_transport(even_schedule(path, 32)).total_entropy
         rng = np.random.default_rng(123)
         for _ in range(20):
@@ -172,15 +172,9 @@ class TestRunTransport:
     def test_diagonal_quantum_transport_matches_classical(self):
         rho = validate_density(np.diag(P_HALF.weights))
         sigma = validate_density(np.diag(P_SKEW.weights))
-        quantum = run_transport(even_schedule(commuting_path(rho, sigma), 32))
-        classical = run_transport(even_schedule(classical_geodesic_path(P_HALF, P_SKEW), 32))
+        quantum = run_transport(even_schedule(geodesic_path(rho, sigma), 32))
+        classical = run_transport(even_schedule(geodesic_path(P_HALF, P_SKEW), 32))
         assert quantum.total_entropy == pytest.approx(classical.total_entropy, abs=1e-9)
-
-
-def commuting_path(rho, sigma):
-    from statlen import commuting_quantum_geodesic
-
-    return commuting_quantum_geodesic(rho, sigma)
 
 
 class TestExpansionProbe:
@@ -239,7 +233,7 @@ class TestExpansionProbe:
 
 class TestScheduleInvariants:
     def test_schedule_endpoints_pinned(self):
-        path = classical_geodesic_path(P_HALF, P_SKEW)
+        path = geodesic_path(P_HALF, P_SKEW)
         schedule = even_schedule(path, 16)
         assert schedule.states[0] is P_HALF
         assert schedule.states[-1] is P_SKEW

@@ -77,7 +77,6 @@ from .reservoir import (
     classical_step_entropy_production,
     convergence_scan,
     step_entropy_production,
-    twirl_state,
 )
 from .pathopt import PathOptimizationResult, minimize_path
 

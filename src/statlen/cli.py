@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -71,13 +72,20 @@ def _count(value, key: str) -> int:
     return value
 
 
+def _path(value, key: str) -> str:
+    """A config file path: a JSON string, never a number that ``open`` reads as a descriptor."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _resolve_state(spec, seed_pool, where: str):
     """Resolve a state spec: inline arrays, a file reference, or a random draw."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a mapping")
     if "file" in spec:
         _check_keys(spec, {"file"}, set(), where)
-        return serialize.load_state(spec["file"])
+        return serialize.load_state(_path(spec["file"], f"{where}.file"))
     kind = spec.get("kind")
     if kind == "random-quantum":
         _check_keys(spec, {"kind", "dim", "rank"}, set(), where)
@@ -161,9 +169,7 @@ def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
         "length_fisher": geodesic_length_fisher(fid),
         "length_bures": geodesic_length_bures(fid),
     }
-    columns = ("fidelity", "length_fisher", "length_bures")
-    rows = [(results["fidelity"], results["length_fisher"], results["length_bures"])]
-    _write_record(resolved, columns, rows, {}, results)
+    _write_record(resolved, tuple(results), [tuple(results.values())], {}, results)
     return EXIT_OK
 
 
@@ -197,21 +203,19 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         report = run_transport(even_schedule(path, n, step_rule=rule))
         ds = report.total_entropy
         ell = report.total_length
-        rate_ratio = ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0
+        entry = {
+            "N": n,
+            "ell": ell,
+            "Delta_S": ds,
+            "bound_path_length": report.bound_path_length,
+            "bound_fidelity": report.bound_fidelity,
+            "nu": serialize._json_float(report.nu),
+            "rate_ratio": ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0,
+        }
+        results.append(entry)
         rows.append(
-            (
-                n,
-                ds,
-                n * ds,
-                0.5 * ell * ell,
-                report.bound_fidelity,
-                report.nu,
-                rate_ratio,
-            )
+            (n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"])
         )
-        summary = serialize.transport_summary(report)
-        summary["rate_ratio"] = rate_ratio
-        results.append(summary)
     _write_record(resolved, columns, rows, {}, {"grid": results})
     return EXIT_OK
 
@@ -220,12 +224,19 @@ def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
     _check_keys(config, {"state_a", "state_b", "n_max"}, _COMMON_OPTIONAL, "config")
     a, b = _resolve_pair(config, seed_pool, resolved)
     scan = convergence_scan(a, b, _count(config["n_max"], "n_max"))
+    results = {
+        "mode": scan.mode,
+        "reference": serialize._json_float(scan.reference),
+        "n": [int(n) for n in scan.n_values],
+        "delta_S": [float(x) for x in scan.delta_S],
+        "gap": [serialize._json_float(x) for x in scan.gaps],
+    }
     _write_record(
         resolved,
-        serialize.RESERVOIR_COLUMNS,
-        serialize.reservoir_rows(scan),
-        serialize.reservoir_metadata(scan),
-        serialize.reservoir_result_to_jsonable(scan),
+        ("n", "delta_S_n", "gap_n"),
+        zip(results["n"], results["delta_S"], results["gap"]),
+        {"reference": serialize.format_float(scan.reference), "mode": scan.mode},
+        results,
     )
     return EXIT_OK
 
@@ -244,6 +255,9 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     ridge = config.get("ridge")
     if ridge is not None and serialize._finite_number(ridge, "ridge") < 0:
         raise ConfigError(f"ridge must be null or a number >= 0, got {ridge!r}")
+    history_out = _path(config.get("history_out", resolved["out"] + ".history.csv"), "history_out")
+    if os.path.realpath(history_out) == os.path.realpath(resolved["out"]):
+        raise ConfigError(f"history_out {history_out!r} would overwrite the record")
     result = minimize_path(
         a,
         b,
@@ -253,10 +267,17 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         ridge=ridge,
     )
     fid = state_fidelity(a, b)
-    results = serialize.pathopt_result_to_jsonable(result)
-    results["candidate_arc"] = geodesic_length_fisher(fid)
-    results["candidate_chordal"] = geodesic_length_bures(fid)
-    del results["states"]
+    results = {
+        "kind": result.kind,
+        "final_length": result.final_length,
+        "final_energy": result.final_energy,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "ridge": result.ridge,
+        "candidate_arc": geodesic_length_fisher(fid),
+        "candidate_chordal": geodesic_length_bures(fid),
+    }
     columns = (
         "final_length",
         "candidate_arc",
@@ -265,26 +286,15 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         "iterations",
         "converged",
     )
-    rows = [
-        (
-            result.final_length,
-            results["candidate_arc"],
-            results["candidate_chordal"],
-            result.final_energy,
-            result.iterations,
-            result.converged,
-        )
-    ]
-    history_out = config.get("history_out", str(resolved["out"]) + ".history.csv")
     resolved["history_out"] = history_out
     serialize.write_csv(
         history_out,
-        serialize.HISTORY_COLUMNS,
-        serialize.pathopt_history_rows(result),
+        ("iter", "length", "energy", "step_cv"),
+        zip(range(result.lengths.size), result.lengths, result.energies, result.step_cvs),
         _record_meta(resolved),
     )
     metadata = {"history": history_out, "stop_reason": result.stop_reason}
-    _write_record(resolved, columns, rows, metadata, results)
+    _write_record(resolved, columns, [tuple(results[c] for c in columns)], metadata, results)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -308,13 +318,9 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
         "ratio_metric": [float(r) for r in probe.ratio_metric],
         "ratio_kubo_mori": [float(r) for r in probe.ratio_kubo_mori],
     }
-    _write_record(
-        resolved,
-        serialize.PROBE_COLUMNS,
-        serialize.probe_rows(probe),
-        {"metric": probe.metric_name},
-        results,
-    )
+    columns = ("eps", "ratio_metric", "ratio_kubo_mori")
+    rows = zip(*(results[c] for c in columns))
+    _write_record(resolved, columns, rows, {"metric": probe.metric_name}, results)
     return EXIT_OK
 
 
@@ -366,8 +372,8 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     out = args.out if args.out is not None else config.get("out")
     fmt = args.format if args.format is not None else config.get("format", "csv")
-    if out is None:
-        print("statlen: no output path (--out or config 'out')", file=sys.stderr)
+    if not isinstance(out, str):
+        print(f"statlen: out (--out or config 'out') must be a string, got {out!r}", file=sys.stderr)
         return EXIT_INVALID
     if fmt not in ("csv", "json"):
         print(f"statlen: unknown format {fmt!r}", file=sys.stderr)
@@ -375,7 +381,7 @@ def main(argv=None) -> int:
 
     resolved = dict(config)
     resolved["seed"] = seed
-    resolved["out"] = str(out)
+    resolved["out"] = out
     resolved["format"] = fmt
     resolved["experiment"] = args.command
 

@@ -30,11 +30,12 @@ from .states import (
     DensityMatrix,
     ProbabilityDistribution,
     TangentPerturbation,
-    add_ridge,
     mat_sqrt,
     spectral,
     validate_density,
     _freeze,
+    _pair_kind,
+    _same_dim,
     _sqrt_rows,
     _validate_density_rows,
     _validate_distribution_rows,
@@ -45,11 +46,6 @@ DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_PRESAMPLE = 2 ** 22        # cap on the dense table of an even schedule
 STEP_RULES = ("arc", "chord")
-
-
-def _same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
 
 
 def _require_kind(tangent: TangentPerturbation, kind: str) -> None:
@@ -92,13 +88,9 @@ def fidelity_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def state_fidelity(a, b) -> float:
     """Dispatch to the classical or quantum fidelity by state kind."""
-    if isinstance(a, ProbabilityDistribution) and isinstance(b, ProbabilityDistribution):
+    if _pair_kind(a, b) == "classical":
         return fidelity_classical(a, b)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return fidelity_quantum(a, b)
-    raise DimensionMismatch(
-        f"cannot compare {type(a).__name__} with {type(b).__name__}"
-    )
+    return fidelity_quantum(a, b)
 
 
 # ---------- local metric elements ----------
@@ -119,40 +111,35 @@ def fisher_element(p: ProbabilityDistribution, dp: TangentPerturbation, eps: flo
     return float(eps * eps * np.sum(d[live] ** 2 / w[live]))
 
 
-def _full_rank_spectral(rho: DensityMatrix, ridge: float):
-    base = add_ridge(rho, ridge) if ridge > 0.0 else rho
-    dec = spectral(base)
+def _full_rank_spectral(rho: DensityMatrix):
+    dec = spectral(rho)
     smallest = float(dec.eigenvalues[-1])
     if smallest <= RANK_TOL:
         raise RankDeficient(
             f"smallest eigenvalue {smallest:.3e} is at or below {RANK_TOL}; "
-            "pass a positive ridge to regularize"
+            "regularize explicitly with add_ridge(rho, delta)"
         )
-    return base, dec
+    return dec
 
 
-def bures_element(
-    rho: DensityMatrix, drho: TangentPerturbation, eps: float, ridge: float = 0.0
-) -> float:
+def bures_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
     """Squared Bures length of the step eps*drho at rho.
 
     Works in the eigenbasis of rho, where the superoperator
     2/(rho_L + rho_R) acts entrywise as 2/(lam_i + lam_j); the result is
     2 sum_ij |<i|eps drho|j>|^2 / (lam_i + lam_j) >= 0.  Rank-deficient
-    states raise instead of being regularized silently; an explicit
-    ``ridge`` mixes in delta*I/d first.
+    states raise instead of being regularized silently; ``add_ridge``
+    mixes in delta*I/d explicitly.
     """
     _require_kind(drho, "quantum")
     _same_dim(rho, drho)
-    _, dec = _full_rank_spectral(rho, ridge)
+    dec = _full_rank_spectral(rho)
     step = dec.eigenvectors.conj().T @ (eps * drho.delta) @ dec.eigenvectors
     denom = dec.eigenvalues[:, None] + dec.eigenvalues[None, :]
     return float(2.0 * np.sum(np.abs(step) ** 2 / denom))
 
 
-def hellinger_element(
-    rho: DensityMatrix, drho: TangentPerturbation, eps: float, ridge: float = 0.0
-) -> float:
+def hellinger_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
     """Square-root-differencing form of the metric element, as a diagnostic.
 
     Computes X = sqrt(rho + eps drho) - sqrt(rho) with matrix square roots
@@ -164,15 +151,13 @@ def hellinger_element(
     """
     _require_kind(drho, "quantum")
     _same_dim(rho, drho)
-    base, _ = _full_rank_spectral(rho, ridge)
-    perturbed = validate_density(base.matrix + eps * drho.delta)
-    diff = mat_sqrt(perturbed) - mat_sqrt(base)
+    _full_rank_spectral(rho)
+    perturbed = validate_density(rho.matrix + eps * drho.delta)
+    diff = mat_sqrt(perturbed) - mat_sqrt(rho)
     return float(4.0 * np.real(np.trace(diff @ diff)))
 
 
-def kubo_mori_element(
-    rho: DensityMatrix, drho: TangentPerturbation, eps: float, ridge: float = 0.0
-) -> float:
+def kubo_mori_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
     """Metric element from the second-order expansion of relative entropy.
 
     In the eigenbasis of rho the coefficient of |<i|drho|j>|^2 is
@@ -180,7 +165,7 @@ def kubo_mori_element(
     """
     _require_kind(drho, "quantum")
     _same_dim(rho, drho)
-    _, dec = _full_rank_spectral(rho, ridge)
+    dec = _full_rank_spectral(rho)
     lam = dec.eigenvalues
     step = dec.eigenvectors.conj().T @ (eps * drho.delta) @ dec.eigenvectors
     li = lam[:, None]
@@ -274,14 +259,6 @@ class StatePath:
 
 def _state_array(state) -> np.ndarray:
     return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
-
-
-def _pair_kind(a, b) -> str:
-    """The kind of two endpoint states, which must share their kind and dimension."""
-    if type(a) is not type(b):
-        raise DimensionMismatch("endpoints must be states of the same kind")
-    _same_dim(a, b)
-    return a.kind
 
 
 def geodesic_path(a, b) -> StatePath:

@@ -38,7 +38,6 @@ from .geometry import (
     StatePath,
     default_step_rule,
     linear_mixture_path,
-    _pair_kind,
     _state_array,
     _step_lengths_from_fidelities,
 )
@@ -48,6 +47,7 @@ from .states import (
     validate_density,
     validate_distribution,
     _freeze,
+    _pair_kind,
     _sqrt_rows,
 )
 

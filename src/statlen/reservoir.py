@@ -18,7 +18,7 @@ from its spectrum with the symmetry of the twirl reducing the work:
   blocks of size at most n + 1, one per irreducible representation
   det^m Sym^(n-2m) of GL(2), repeated C(n, m) - C(n, m-1) times;
 - density matrices of dimension 3 and up: T_n is built densely (a d^n
-  by d^n matrix, :func:`twirl_state`) and diagonalized.
+  by d^n matrix) and diagonalized.
 
 The caps and their messages are those of the dense construction for
 density matrices and of a d^n weight vector for probability vectors.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionCapExceeded, DimensionMismatch
+from .exceptions import DimensionCapExceeded
 from .states import (
     DensityMatrix,
     ProbabilityDistribution,
@@ -41,6 +41,7 @@ from .states import (
     von_neumann_entropy,
     _entropy_of_weights,
     _freeze,
+    _pair_kind,
 )
 from .transport import relative_entropy
 
@@ -68,13 +69,10 @@ def _check_cap(dim: int, n: int, extra: int, limit: int, what: str) -> None:
 
 def _check_step(a, b, n: int) -> None:
     """Check a state pair and reservoir size n against each other and the cap."""
-    if type(a) is not type(b):
-        raise DimensionMismatch("system and reservoir states must be of the same kind")
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    kind = _pair_kind(a, b)
     if n < 1:
         raise ValueError(f"reservoir size must be positive, got {n}")
-    if isinstance(a, ProbabilityDistribution):
+    if kind == "classical":
         _check_cap(a.dim, n, 0, CLASSICAL_DIM_CAP, "vector dimension")
     else:
         _check_cap(a.dim, n, 1, dimension_cap(), "composite dimension")
@@ -150,12 +148,6 @@ def _spin_block_spectrum(rho: np.ndarray, sigma: np.ndarray, n: int):
         values.append(np.linalg.eigvalsh(block) / n)
         counts.append(np.full(k + 1, math.comb(n, m) - (math.comb(n, m - 1) if m else 0)))
     return np.concatenate(values), np.concatenate(counts)
-
-
-def twirl_state(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> DensityMatrix:
-    """Twirled reservoir: (1/n) sum_k sigma^(x k) (x) rho (x) sigma^(x n-k-1)."""
-    _check_step(rho, sigma, n)
-    return DensityMatrix(_twirl(rho.matrix, sigma.matrix, n))
 
 
 def step_entropy_production(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:

@@ -13,15 +13,12 @@ import math
 import numpy as np
 
 from .exceptions import ValidationError
-from .pathopt import PathOptimizationResult
-from .reservoir import ReservoirScanResult
 from .states import (
     DensityMatrix,
     ProbabilityDistribution,
     validate_density,
     validate_distribution,
 )
-from .transport import ExpansionProbe, TransportReport
 
 
 def format_float(value: float) -> str:
@@ -124,75 +121,3 @@ def _finite_numbers(values, what: str) -> list:
 def load_state(path):
     with open(path, "r", encoding="utf-8") as fh:
         return state_from_jsonable(json.load(fh))
-
-
-# ---------- reports ----------
-
-def transport_summary(report: TransportReport) -> dict:
-    """Summary record attached to transport CSV output and JSON results."""
-    return {
-        "N": report.n_steps,
-        "ell": report.total_length,
-        "Delta_S": report.total_entropy,
-        "bound_path_length": report.bound_path_length,
-        "bound_fidelity": report.bound_fidelity,
-        "nu": _json_float(report.nu),
-    }
-
-
-RESERVOIR_COLUMNS = ("n", "delta_S_n", "gap_n")
-
-
-def reservoir_rows(result: ReservoirScanResult):
-    return [
-        (int(result.n_values[i]), float(result.delta_S[i]), float(result.gaps[i]))
-        for i in range(result.n_values.size)
-    ]
-
-
-def reservoir_metadata(result: ReservoirScanResult) -> dict:
-    reference = "inf" if math.isinf(result.reference) else format_float(result.reference)
-    return {"reference": reference, "mode": result.mode}
-
-
-HISTORY_COLUMNS = ("iter", "length", "energy", "step_cv")
-
-
-def pathopt_history_rows(result: PathOptimizationResult):
-    return [
-        (i, float(result.lengths[i]), float(result.energies[i]), float(result.step_cvs[i]))
-        for i in range(result.lengths.size)
-    ]
-
-
-PROBE_COLUMNS = ("eps", "ratio_metric", "ratio_kubo_mori")
-
-
-def probe_rows(probe: ExpansionProbe):
-    return [
-        (float(probe.eps[i]), float(probe.ratio_metric[i]), float(probe.ratio_kubo_mori[i]))
-        for i in range(probe.eps.size)
-    ]
-
-
-def reservoir_result_to_jsonable(result: ReservoirScanResult) -> dict:
-    return {
-        "mode": result.mode,
-        "reference": _json_float(result.reference),
-        "n": [int(n) for n in result.n_values],
-        "delta_S": [float(x) for x in result.delta_S],
-        "gap": [_json_float(x) for x in result.gaps],
-    }
-
-
-def pathopt_result_to_jsonable(result: PathOptimizationResult) -> dict:
-    return {
-        "kind": result.kind,
-        "final_length": result.final_length,
-        "final_energy": result.final_energy,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "stop_reason": result.stop_reason,
-        "ridge": result.ridge,
-        "states": [state_to_jsonable(s) for s in result.states],
-    }

@@ -21,6 +21,7 @@ import numpy as np
 
 from .exceptions import (
     BadRank,
+    DimensionMismatch,
     NegativeWeight,
     NotHermitian,
     NotNormalized,
@@ -88,6 +89,19 @@ class TangentPerturbation:
     @property
     def dim(self) -> int:
         return self.delta.shape[0]
+
+
+def _same_dim(a, b) -> None:
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+
+
+def _pair_kind(a, b) -> str:
+    """The kind of two states, which must share their kind and dimension."""
+    if type(a) is not type(b) or not isinstance(a, (ProbabilityDistribution, DensityMatrix)):
+        raise DimensionMismatch(f"cannot pair {type(a).__name__} with {type(b).__name__}")
+    _same_dim(a, b)
+    return a.kind
 
 
 def _validate_distribution_rows(raw) -> np.ndarray:
@@ -237,7 +251,11 @@ def spectral(rho) -> SpectralDecomposition:
 
 
 def _sqrt_rows(mats: np.ndarray, eig=None) -> np.ndarray:
-    """Hermitian PSD square roots of a (K, d, d) stack, eigenvalues clipped at zero.
+    """Hermitian PSD square roots of a (K, d, d) stack.
+
+    Eigenvalues at or below ``SUPPORT_FLOOR`` count as exact zeros, as in
+    :func:`mat_log_on_support` and the entropies, so the roundoff left on
+    a zero eigenvalue does not turn into an amplitude of its square root.
 
     ``eig`` is the ``np.linalg.eigh`` of ``mats`` when the caller already
     has it.  The eigenpairs are taken in :func:`spectral`'s descending
@@ -245,13 +263,14 @@ def _sqrt_rows(mats: np.ndarray, eig=None) -> np.ndarray:
     """
     lam, vec = np.linalg.eigh(mats) if eig is None else eig
     vec = np.ascontiguousarray(vec[..., ::-1])
-    root = np.sqrt(np.clip(lam[..., ::-1], 0.0, None))
+    lam = lam[..., ::-1]
+    root = np.sqrt(np.where(lam > SUPPORT_FLOOR, lam, 0.0))
     out = (vec * root[..., None, :]) @ vec.conj().swapaxes(-1, -2)
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
 def mat_sqrt(rho) -> np.ndarray:
-    """Hermitian PSD square root, with eigenvalues clipped at zero."""
+    """Hermitian PSD square root; eigenvalues at or below ``SUPPORT_FLOOR`` count as zero."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     return _sqrt_rows(mat[None])[0]
 

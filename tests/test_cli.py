@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from statlen import even_schedule, geodesic_path, run_transport, validate_distribution
 from statlen.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -10,6 +12,7 @@ from statlen.cli import (
     EXIT_OK,
     main,
 )
+from statlen.serialize import format_float
 
 CLASSICAL_A = {"kind": "classical", "weights": [0.5, 0.5]}
 CLASSICAL_B = {"kind": "classical", "weights": [0.9, 0.1]}
@@ -138,7 +141,14 @@ class TestTransportCommand:
         assert code == EXIT_OK
         grid = json.loads(out.read_text())["results"]["grid"]
         assert [row["N"] for row in grid] == [16, 32]
+        path = geodesic_path(
+            validate_distribution(CLASSICAL_A["weights"]),
+            validate_distribution(CLASSICAL_B["weights"]),
+        )
         for row in grid:
+            report = run_transport(even_schedule(path, row["N"]))
+            assert row["N"] == report.n_steps
+            assert row["Delta_S"] == report.total_entropy
             assert row["Delta_S"] > 0.0
             assert row["Delta_S"] >= row["bound_fidelity"] * 0.95
         # more steps produce less entropy
@@ -290,8 +300,10 @@ class TestGeodesicCommand:
         assert results["candidate_arc"] == pytest.approx(np.pi, abs=1e-12)
         assert results["candidate_chordal"] == pytest.approx(2.0, abs=1e-12)
         history = out.with_name(out.name + ".history.csv")
-        assert history.exists()
-        assert "iter,length,energy,step_cv" in history.read_text()
+        header, *rows = _csv_table(history)
+        assert header == ["iter", "length", "energy", "step_cv"]
+        assert len(rows) == results["iterations"] + 1
+        assert [row[0] for row in rows] == [str(i) for i in range(len(rows))]
 
     def test_equal_endpoints(self, tmp_path):
         config = {
@@ -375,6 +387,67 @@ class TestGeodesicCommand:
         assert code == EXIT_CAP
         assert not out.exists()
         assert f"largest feasible {feasible}" in capsys.readouterr().err
+
+
+def _csv_table(path) -> list:
+    """Header and data rows of a CSV record, metadata lines dropped."""
+    lines = path.read_text().splitlines()
+    return [line.split(",") for line in lines if not line.startswith("#")]
+
+
+# One config per subcommand, with an infinite transport nu (a constant path)
+# and an infinite reservoir reference (state_a outside the support of state_b).
+RECORD_CASES = {
+    "fidelity": ("fidelity", {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B}),
+    "transport": ("transport", {
+        "path": {"type": "mixture", "state_a": QUBIT_A, "state_b": QUBIT_B}, "N_grid": [4, 8],
+    }),
+    "transport-constant": ("transport", {
+        "path": {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_A}, "N": 4,
+    }),
+    "reservoir": ("reservoir", {"state_a": QUBIT_A, "state_b": QUBIT_B, "n_max": 4}),
+    "reservoir-unsupported": ("reservoir", {
+        "state_a": CLASSICAL_A, "state_b": {"kind": "classical", "weights": [1.0, 0.0]}, "n_max": 3,
+    }),
+    "geodesic": ("geodesic", {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8}),
+    "probe": ("probe", {"state": CLASSICAL_B, "perturbation": [1.0, -1.0], "eps_grid": [1e-2, 1e-3]}),
+}
+
+
+def _result_rows(command, results) -> list:
+    """The JSON results of a record as CSV rows, one mapping from column to value each."""
+    if command in ("fidelity", "geodesic"):
+        return [results]
+    if command == "transport":
+        return [
+            {**e, "N_Delta_S": e["N"] * e["Delta_S"], "half_ell_sq": 0.5 * e["ell"] ** 2}
+            for e in results["grid"]
+        ]
+    if command == "reservoir":
+        columns = {"n": "n", "delta_S_n": "delta_S", "gap_n": "gap"}
+    else:
+        columns = {c: c for c in ("eps", "ratio_metric", "ratio_kubo_mori")}
+    size = len(results[columns[next(iter(columns))]])
+    return [{c: results[k][i] for c, k in columns.items()} for i in range(size)]
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_csv_cells_are_the_json_results(tmp_path, case):
+    command, config = RECORD_CASES[case]
+    codes = []
+    for fmt in ("csv", "json"):
+        code, out = _run(tmp_path, command, {**config, "format": fmt}, name=fmt)
+        codes.append(code)
+    assert codes == [EXIT_OK, EXIT_OK]
+    header, *cells = _csv_table(tmp_path / "csv.out")
+    expected = _result_rows(command, json.loads((tmp_path / "json.out").read_text())["results"])
+    assert len(cells) == len(expected)
+    for row, values in zip(cells, expected):
+        for column, cell in zip(header, row):
+            value = values[column]
+            assert cell == (json.dumps(value) if isinstance(value, bool) else format_float(value))
+    if case.endswith(("constant", "unsupported")):
+        assert "inf" in (tmp_path / "csv.out").read_text()
 
 
 def _matrix(spec) -> np.ndarray:
@@ -475,6 +548,42 @@ class TestStrictFields:
         assert code == EXIT_INVALID
         assert not out.exists()
         assert "ridge must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, 1, None, ["h.csv"]])
+    def test_history_out_must_be_a_string(self, tmp_path, capsys, value):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "history_out": value}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "history_out must be a string" in capsys.readouterr().err
+        os.fstat(1)  # raises if descriptor 1 was opened as the file and closed
+
+    def test_history_out_must_not_be_the_record(self, tmp_path, capsys):
+        out = tmp_path / "run.out"
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "history_out": str(out)}
+        code, _ = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "would overwrite the record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1, True, None, ["a.json"]])
+    def test_state_file_must_be_a_string(self, tmp_path, capsys, value):
+        config = {"state_a": {"file": value}, "state_b": CLASSICAL_B}
+        code, out = _run(tmp_path, "fidelity", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "state_a.file must be a string" in capsys.readouterr().err
+        os.fstat(1)  # raises if descriptor 1 was opened as the file and closed
+
+    @pytest.mark.parametrize("value", [5, True, ["r.csv"]])
+    def test_config_out_must_be_a_string(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "c.json"
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "out": value}
+        config_path.write_text(json.dumps(config))
+        assert main(["fidelity", "--config", str(config_path)]) == EXIT_INVALID
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert "out (--out or config 'out') must be a string" in capsys.readouterr().err
 
     def test_negative_ridge(self, tmp_path, capsys):
         config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "ridge": -1e-6}

@@ -9,6 +9,7 @@ from statlen import (
     RankDeficient,
     StatePath,
     SupportViolation,
+    add_ridge,
     bures_element,
     default_step_rule,
     discrete_path_length,
@@ -24,6 +25,9 @@ from statlen import (
     linear_mixture_path,
     random_distribution,
     random_state,
+    relative_entropy,
+    state_fidelity,
+    step_entropy_production,
     tangent_classical,
     tangent_quantum,
     validate_density,
@@ -72,6 +76,16 @@ class TestFidelities:
     def test_quantum_identical(self):
         rho = random_state(4, 4, 0)
         assert fidelity_quantum(rho, rho) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_pure_against_full_rank_is_exact(self, dim):
+        # F(|psi><psi|, sigma) = sqrt(<psi|sigma|psi>); the roundoff on the
+        # pure state's zero eigenvalues must not become amplitudes
+        for seed in range(10):
+            psi, sigma = random_state(dim, 1, seed), random_state(dim, dim, seed + 100)
+            exact = np.sqrt(np.real(np.trace(psi.matrix @ sigma.matrix)))
+            assert abs(fidelity_quantum(psi, sigma) - exact) < 1e-13
+            assert abs(fidelity_quantum(sigma, psi) - exact) < 1e-13
 
     def test_quantum_orthogonal_pure(self):
         a = validate_density(np.diag([1.0, 0.0]))
@@ -150,10 +164,10 @@ class TestMetricElements:
     def test_bures_rank_deficient_raises(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         drho = tangent_quantum(np.array([[0, 1], [1, 0]], dtype=complex))
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient, match="add_ridge"):
             bures_element(rho, drho, 0.001)
-        # the ridge opts into a regularized value instead
-        assert bures_element(rho, drho, 0.001, ridge=1e-6) > 0.0
+        # an explicit ridge opts into a regularized value instead
+        assert bures_element(add_ridge(rho, 1e-6), drho, 0.001) > 0.0
 
     def test_chord_law(self):
         # 8 (1 - F(rho, rho + eps drho)) approaches the Bures element
@@ -309,10 +323,23 @@ class TestPaths:
         assert report.total_length == pytest.approx(expected, abs=1e-8)
 
     def test_geodesic_rejects_mixed_kinds(self):
-        with pytest.raises(DimensionMismatch):
-            geodesic_path(P_HALF, validate_density(np.diag(P_HALF.weights)))
-        with pytest.raises(DimensionMismatch):
-            geodesic_path(P_HALF, validate_distribution([0.2, 0.3, 0.5]))
+        # every caller of the one state-pair check: paths, fidelity,
+        # relative entropy and the reservoir step
+        rho_half = validate_density(np.diag(P_HALF.weights))
+        for call in (
+            geodesic_path,
+            state_fidelity,
+            relative_entropy,
+            lambda a, b: step_entropy_production(a, b, 2),
+        ):
+            with pytest.raises(DimensionMismatch, match="cannot pair"):
+                call(P_HALF, rho_half)
+            with pytest.raises(DimensionMismatch, match="cannot pair"):
+                call(rho_half, P_HALF)
+            with pytest.raises(DimensionMismatch, match="dimensions differ"):
+                call(P_HALF, validate_distribution([0.2, 0.3, 0.5]))
+            with pytest.raises(DimensionMismatch, match="dimensions differ"):
+                call(rho_half, validate_density(np.eye(3) / 3))
 
     def test_mixture_endpoints_and_midpoint(self):
         a = validate_density(np.diag([1.0, 0.0]))
@@ -617,7 +644,8 @@ def _reference_root(mat) -> np.ndarray:
     """Square root of one density matrix, eigenvalues in descending order."""
     lam, vec = np.linalg.eigh(mat)
     lam, vec = lam[::-1].copy(), vec[:, ::-1].copy()
-    out = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    # eigenvalues at or below the support floor 1e-14 count as exact zeros
+    out = (vec * np.sqrt(np.where(lam > 1e-14, lam, 0.0))) @ vec.conj().T
     return 0.5 * (out + out.conj().T)
 
 

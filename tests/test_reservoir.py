@@ -16,7 +16,6 @@ from statlen import (
     relative_entropy,
     shannon_entropy,
     step_entropy_production,
-    twirl_state,
     validate_density,
     validate_distribution,
 )
@@ -114,7 +113,7 @@ class TestSharedTwirlKernel:
     def test_dense_twirl_matches_kron_loop(self, dim, n, ranks, seed):
         rho = random_state(dim, min(ranks[0], dim), seed)
         sigma = random_state(dim, min(ranks[1], dim), seed + 1)
-        out = twirl_state(rho, sigma, n).matrix
+        out = reservoir._twirl(rho.matrix, sigma.matrix, n)
         assert out.dtype == np.complex128
         assert np.array_equal(out, _kron_loop_twirl(rho.matrix, sigma.matrix, n))
 
@@ -180,40 +179,44 @@ class TestNoDenseFallback:
             step_entropy_production(random_state(3, 3, 1), random_state(3, 3, 2), 2)
 
 
+def _twirl(rho, sigma, n):
+    return reservoir._twirl(rho.matrix, sigma.matrix, n)
+
+
 class TestTwirl:
     def test_single_slot_is_identity(self):
-        assert np.allclose(twirl_state(RHO, SIGMA, 1).matrix, RHO.matrix, atol=1e-15)
+        assert np.allclose(_twirl(RHO, SIGMA, 1), RHO.matrix, atol=1e-15)
 
     def test_equal_states_give_product(self):
-        out = twirl_state(SIGMA, SIGMA, 3)
+        out = _twirl(SIGMA, SIGMA, 3)
         expected = np.kron(np.kron(SIGMA.matrix, SIGMA.matrix), SIGMA.matrix)
-        assert np.allclose(out.matrix, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
 
     def test_two_slots_explicit_mixture(self):
-        out = twirl_state(RHO, SIGMA, 2)
+        out = _twirl(RHO, SIGMA, 2)
         expected = 0.5 * (
             np.kron(RHO.matrix, SIGMA.matrix) + np.kron(SIGMA.matrix, RHO.matrix)
         )
-        assert np.allclose(out.matrix, expected, atol=1e-15)
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_twirl_cap(self):
         with pytest.raises(DimensionCapExceeded) as err:
-            twirl_state(RHO, SIGMA, 12)  # 2^13 > 4096
+            step_entropy_production(RHO, SIGMA, 12)  # 2^13 > 4096
         assert err.value.max_feasible == 11
         assert "11" in str(err.value)
 
     def test_trace_and_hermiticity(self):
         rho = random_state(2, 2, 1)
         sigma = random_state(2, 2, 2)
-        out = twirl_state(rho, sigma, 3)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-14
+        out = _twirl(rho, sigma, 3)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(out - out.conj().T)) < 1e-14
 
     def test_cyclic_slot_relabeling_invariance(self):
         rho = random_state(2, 2, 3)
         sigma = random_state(2, 2, 4)
         n = 3
-        out = twirl_state(rho, sigma, n).matrix
+        out = _twirl(rho, sigma, n)
         shaped = out.reshape((2,) * (2 * n))
         rolled = shaped.transpose(1, 2, 0, 4, 5, 3).reshape(2**n, 2**n)
         assert np.max(np.abs(out - rolled)) < 1e-10

@@ -3,16 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from statlen import (
-    ValidationError,
-    even_schedule,
-    geodesic_path,
-    minimize_path,
-    random_distribution,
-    random_state,
-    run_transport,
-    validate_distribution,
-)
+from statlen import ValidationError, random_distribution, random_state
 from statlen import serialize
 
 
@@ -92,19 +83,3 @@ class TestCsvOutput:
         assert text.splitlines()[0] == "# tool=statlen"
         assert "0.333333333333" in text  # 12 significant digits
         assert "inf" in text
-
-    def test_schedule_and_transport_rows(self):
-        p = validate_distribution([0.5, 0.5])
-        q = validate_distribution([0.9, 0.1])
-        report = run_transport(even_schedule(geodesic_path(p, q), 8))
-        summary = serialize.transport_summary(report)
-        assert summary["N"] == 8
-        assert summary["Delta_S"] == pytest.approx(report.total_entropy, abs=1e-15)
-
-    def test_pathopt_history_rows(self):
-        p = random_distribution(3, 1)
-        q = random_distribution(3, 2)
-        result = minimize_path(p, q, 8, max_iter=20)
-        rows = serialize.pathopt_history_rows(result)
-        assert rows[0][0] == 0
-        assert len(rows) == result.lengths.size

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Numerical geodesic search against the two closed-form candidates.
 
-The optimizer minimizes the discrete chord energy between fixed
-endpoints.  For classical antipodal states the shortest path length is
-pi and the search recovers it.  For quantum states the run reports its
-result next to both candidates, 2 arccos F and 2 sqrt(1 - F^2); which of
-the two (if either) a density-matrix path can attain is left as an
-observation, not an assertion.
+The optimizer minimizes the discrete chord energy sum 8 (1 - F_i)
+between fixed endpoints, and reports the length of its path as the sum
+of the steps' Bures angles 2 arccos F_i, the same measure for both kinds.
+By the triangle inequality that sum is never below 2 arccos F of the
+path's own endpoints (the ridged ones, when a ridge is on).  For
+classical antipodal states the shortest path length is pi and the search
+recovers it.  For quantum states the run reports its result next to both
+candidates, 2 arccos F and 2 sqrt(1 - F^2): the full-rank pair reaches
+the first, and the chordal value is the straight-line distance between
+amplitudes, not a path length.
 """
 import numpy as np
 

@@ -49,7 +49,6 @@ from .geometry import (
     StatePath,
     TransportSchedule,
     bures_element,
-    default_step_rule,
     discrete_path_length,
     even_schedule,
     fidelity_classical,

@@ -30,9 +30,10 @@ from .geometry import (
     state_fidelity,
 )
 from .pathopt import minimize_path
-from .reservoir import convergence_scan
+from .reservoir import CLASSICAL_DIM_CAP, convergence_scan
 from .states import (
     ProbabilityDistribution,
+    dimension_cap,
     random_distribution,
     random_state,
     tangent_classical,
@@ -72,10 +73,25 @@ def _count(value, key: str) -> int:
     return value
 
 
+def _dim(value, key: str, cap: int) -> int:
+    """A random state's dimension: a count no larger than ``cap``, checked before drawing."""
+    dim = _count(value, key)
+    if dim > cap:
+        raise DimensionCapExceeded(
+            f"{key} {dim} exceeds cap {cap}; largest feasible dim is {cap}", max_feasible=cap
+        )
+    return dim
+
+
 def _path(value, key: str) -> str:
-    """A config file path: a JSON string, never a number that ``open`` reads as a descriptor."""
+    """A config file path: a JSON string, never a number that ``open`` reads as a descriptor.
+
+    A line break would split the record's one-line metadata, so none is allowed.
+    """
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
+    if "\n" in value or "\r" in value:
+        raise ConfigError(f"{key} must not contain a line break, got {value!r}")
     return value
 
 
@@ -89,11 +105,11 @@ def _resolve_state(spec, seed_pool, where: str):
     kind = spec.get("kind")
     if kind == "random-quantum":
         _check_keys(spec, {"kind", "dim", "rank"}, set(), where)
-        dim = _count(spec["dim"], f"{where}.dim")
+        dim = _dim(spec["dim"], f"{where}.dim", dimension_cap())
         return random_state(dim, _count(spec["rank"], f"{where}.rank"), seed_pool())
     if kind == "random-classical":
         _check_keys(spec, {"kind", "dim"}, set(), where)
-        return random_distribution(_count(spec["dim"], f"{where}.dim"), seed_pool())
+        return random_distribution(_dim(spec["dim"], f"{where}.dim", CLASSICAL_DIM_CAP), seed_pool())
     return serialize.state_from_jsonable(spec)
 
 
@@ -174,9 +190,7 @@ def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
 
 
 def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
-    _check_keys(
-        config, {"path"}, _COMMON_OPTIONAL | {"N", "N_grid", "step_rule"}, "config"
-    )
+    _check_keys(config, {"path"}, _COMMON_OPTIONAL | {"N", "N_grid"}, "config")
     if ("N" in config) == ("N_grid" in config):
         raise ConfigError("config needs exactly one of 'N' or 'N_grid'")
     if "N" in config:
@@ -187,7 +201,6 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     resolved["path"] = resolved_spec
-    rule = config.get("step_rule")
     columns = (
         "N",
         "Delta_S",
@@ -200,7 +213,7 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     rows = []
     results = []
     for n in sorted(grid):
-        report = run_transport(even_schedule(path, n, step_rule=rule))
+        report = run_transport(even_schedule(path, n))
         ds = report.total_entropy
         ell = report.total_length
         entry = {
@@ -372,8 +385,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     out = args.out if args.out is not None else config.get("out")
     fmt = args.format if args.format is not None else config.get("format", "csv")
-    if not isinstance(out, str):
-        print(f"statlen: out (--out or config 'out') must be a string, got {out!r}", file=sys.stderr)
+    try:
+        _path(out, "out (--out or config 'out')")
+    except ConfigError as exc:
+        print(f"statlen: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if fmt not in ("csv", "json"):
         print(f"statlen: unknown format {fmt!r}", file=sys.stderr)

@@ -5,11 +5,12 @@ Conventions
 The squared line element is ``sum_a dp_a^2 / p_a`` on the probability
 simplex and its superoperator generalization
 ``tr(drho [2/(rho_L + rho_R)] drho)`` on density matrices.  With this
-normalization the geodesic length between two states is ``2 arccos F``,
-for distributions and density matrices alike, and a small step of
-fidelity F has squared length ``8 (1 - F)`` to leading order.  The two discrete step rules below
-("arc" and "chord") are exact to that order and are cross-checked
-against each other in the tests.
+normalization the geodesic length between two states is the Bures angle
+``2 arccos F``, for distributions and density matrices alike, and a small
+step of fidelity F has squared length ``8 (1 - F)`` to leading order.
+Every discrete step of a sampled path is measured by that angle: it obeys
+the triangle inequality, so discrete lengths only grow under refinement,
+and it is exact at every N on :func:`geodesic_path`.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ RANK_TOL = 1e-10          # smallest eigenvalue for a state to count as full ran
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_PRESAMPLE = 2 ** 22        # cap on the dense table of an even schedule
-STEP_RULES = ("arc", "chord")
 
 
 def _require_kind(tangent: TangentPerturbation, kind: str) -> None:
@@ -323,22 +323,9 @@ def linear_mixture_path(a, b) -> StatePath:
 
 # ---------- discrete lengths and schedules ----------
 
-def default_step_rule(kind: str) -> str:
-    """Arc rule for classical paths, chord rule for quantum ones."""
-    return "arc" if kind == "classical" else "chord"
-
-
-def _step_rule(kind: str, step_rule) -> str:
-    """The given step rule, or the kind's default for None; anything else raises."""
-    rule = default_step_rule(kind) if step_rule is None else step_rule
-    if rule not in STEP_RULES:
-        raise ValueError(f"unknown step rule {rule!r}; choose from {STEP_RULES}")
-    return rule
-
-
-def _step_lengths_from_fidelities(fids: np.ndarray, rule: str) -> np.ndarray:
-    f = np.clip(fids, 0.0, 1.0)
-    return 2.0 * np.arccos(f) if rule == "arc" else np.sqrt(8.0 * (1.0 - f))
+def _step_lengths_from_fidelities(fids: np.ndarray) -> np.ndarray:
+    """Bures angle 2 arccos F of each step."""
+    return 2.0 * np.arccos(np.clip(fids, 0.0, 1.0))
 
 
 def _chain_fidelities(kind: str, rows: np.ndarray, spectra=None) -> np.ndarray:
@@ -359,7 +346,7 @@ def _chain_fidelities(kind: str, rows: np.ndarray, spectra=None) -> np.ndarray:
     return _root_fidelities(roots[:-1], roots[1:])
 
 
-def _sampled_step_lengths(path: StatePath, ts: np.ndarray, rule: str) -> np.ndarray:
+def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     """Step lengths between the path's states at consecutive ``ts``.
 
     The states are sampled, validated and compared in stacked blocks that
@@ -368,7 +355,7 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray, rule: str) -> np.ndar
     block = max(1, SAMPLE_BLOCK_BYTES // _state_array(path.start).nbytes)
     return np.concatenate([
         _step_lengths_from_fidelities(
-            _chain_fidelities(path.kind, *path._rows(ts[i:i + block + 1])), rule
+            _chain_fidelities(path.kind, *path._rows(ts[i:i + block + 1]))
         )
         for i in range(0, max(ts.size - 1, 1), block)
     ])
@@ -381,7 +368,6 @@ class PathLengthReport:
     total_length: float
     step_lengths: np.ndarray
     n_steps: int
-    step_rule: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,37 +379,31 @@ class TransportSchedule:
     ts: np.ndarray
     step_lengths: np.ndarray
     n_steps: int
-    step_rule: str
 
 
-def discrete_path_length(path: StatePath, n_steps: int, step_rule: str | None = None) -> PathLengthReport:
-    """Sample the path at t = i/N and sum the per-step lengths.
+def discrete_path_length(path: StatePath, n_steps: int) -> PathLengthReport:
+    """Sample the path at t = i/N and sum the Bures angles 2 arccos F of the steps.
 
-    Both rules converge to the continuum length as N grows; "arc"
-    (2 arccos F) is exact on classical geodesics, "chord"
-    (sqrt(8 (1 - F))) is the cheap quantum default.
+    The sum never decreases under refinement and tends to the continuum
+    length as N grows; on :func:`geodesic_path` it is 2 arccos F of the
+    endpoints at every N.
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    rule = _step_rule(path.kind, step_rule)
-    steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1), rule)
-    return PathLengthReport(float(steps.sum()), _freeze(steps), n_steps, rule)
+    steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))
+    return PathLengthReport(float(steps.sum()), _freeze(steps), n_steps)
 
 
-def even_schedule(
-    path: StatePath,
-    n_steps: int,
-    step_rule: str | None = None,
-    presample: int | None = None,
-) -> TransportSchedule:
+def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     """Reparametrize a path by arc length into N equal steps.
 
     A dense table of max(64 N, 4096) samples is built, its cumulative
-    length inverted by linear interpolation, and the path resampled at the
-    resulting parameters; the step lengths then agree to about 0.1%.
-    Paths shorter than 1e-12 fall back to the uniform (trivial) schedule.
-    A table larger than ``MAX_PRESAMPLE`` raises :class:`DimensionCapExceeded`
-    with the largest feasible N (or presample, when one is given).
+    length (in Bures angles, as in :func:`discrete_path_length`) inverted
+    by linear interpolation, and the path resampled at the resulting
+    parameters; the step lengths then agree to about 0.1%.  Paths shorter
+    than 1e-12 fall back to the uniform (trivial) schedule.  A table larger
+    than ``MAX_PRESAMPLE`` raises :class:`DimensionCapExceeded` with the
+    largest feasible N.
 
     The table is evaluated as stacked arrays (batched sampling, validation
     and fidelities, in blocks of bounded size) and gives bit for bit the
@@ -431,18 +411,15 @@ def even_schedule(
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    rule = _step_rule(path.kind, step_rule)
-    resolution = presample if presample is not None else max(64 * n_steps, 4096)
+    resolution = max(64 * n_steps, 4096)
     if resolution > MAX_PRESAMPLE:
-        what = "N" if presample is None else "presample"
-        feasible = MAX_PRESAMPLE // 64 if presample is None else MAX_PRESAMPLE
         raise DimensionCapExceeded(
             f"presample of {resolution} states exceeds cap {MAX_PRESAMPLE}; "
-            f"largest feasible {what} is {feasible}",
-            max_feasible=feasible,
+            f"largest feasible N is {MAX_PRESAMPLE // 64}",
+            max_feasible=MAX_PRESAMPLE // 64,
         )
     dense_ts = np.linspace(0.0, 1.0, resolution + 1)
-    dense_steps = _sampled_step_lengths(path, dense_ts, rule)
+    dense_steps = _sampled_step_lengths(path, dense_ts)
     cumulative = np.concatenate(([0.0], np.cumsum(dense_steps)))
     total = float(cumulative[-1])
     if total < DEGENERATE_LENGTH:
@@ -454,5 +431,5 @@ def even_schedule(
         ts[-1] = 1.0
     states = tuple(path.sample(float(t)) for t in ts)
     rows = np.stack([_state_array(s) for s in states])
-    steps = _step_lengths_from_fidelities(_chain_fidelities(path.kind, rows), rule)
-    return TransportSchedule(path.kind, states, _freeze(ts), _freeze(steps), n_steps, rule)
+    steps = _step_lengths_from_fidelities(_chain_fidelities(path.kind, rows))
+    return TransportSchedule(path.kind, states, _freeze(ts), _freeze(steps), n_steps)

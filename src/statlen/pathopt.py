@@ -36,7 +36,6 @@ from .exceptions import DimensionCapExceeded, RankCollapse
 from .geometry import (
     RANK_TOL,
     StatePath,
-    default_step_rule,
     linear_mixture_path,
     _state_array,
     _step_lengths_from_fidelities,
@@ -66,8 +65,9 @@ class PathOptimizationResult:
     """Optimized discrete path with its descent history.
 
     ``lengths``, ``energies`` and ``step_cvs`` hold one entry per accepted
-    iterate, starting from the seed; ``step_cvs`` is the coefficient of
-    variation of the step lengths (zero means perfectly even steps).
+    iterate, starting from the seed; a length sums the Bures angles
+    2 arccos F of the steps, and ``step_cvs`` is the coefficient of
+    variation of those angles (zero means perfectly even steps).
     ``stop_reason`` is "stall" (the energy stopped falling), "line_search"
     (no step length decreased it enough), "zero_grad" (the gradient
     vanished) or "max_iter"; only "max_iter" leaves ``converged`` False.
@@ -207,7 +207,6 @@ def minimize_path(
     kind, ridge = _search_kind(start, end, ridge)
     classical = kind == "classical"
     check_rank = not classical and ridge == 0.0
-    rule = default_step_rule(kind)
     if seed_path is None:
         seed_path = linear_mixture_path(start, end)
 
@@ -220,7 +219,7 @@ def minimize_path(
     step_cvs: list[float] = []
 
     def record(chain):
-        steps = _step_lengths_from_fidelities(chain.fids, rule)
+        steps = _step_lengths_from_fidelities(chain.fids)
         mean = float(steps.mean())
         lengths.append(float(steps.sum()))
         energies.append(chain.energy)

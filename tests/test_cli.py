@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from statlen import even_schedule, geodesic_path, run_transport, validate_distribution
+from statlen.reservoir import CLASSICAL_DIM_CAP
 from statlen.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -207,9 +208,8 @@ class TestTransportCommand:
         grid = record["results"]["grid"]
         assert grid[1]["Delta_S"] < grid[0]["Delta_S"]
         for row in grid:
-            # constant speed: N chords of fidelity cos(theta/N)
-            chord = row["N"] * np.sqrt(8.0 * (1.0 - np.cos(theta / row["N"])))
-            assert row["ell"] == pytest.approx(chord, rel=1e-6)
+            # each step is the Bures angle 2 arccos F, so ell is 2 theta at every N
+            assert row["ell"] == pytest.approx(2.0 * theta, abs=1e-9)
 
     def test_requires_exactly_one_grid(self, tmp_path):
         config = {
@@ -521,6 +521,24 @@ class TestStrictCounts:
         assert code == EXIT_INVALID
         assert "state_a.dim must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, cap",
+        [("random-quantum", 16), ("random-classical", CLASSICAL_DIM_CAP)],
+        ids=["quantum", "classical"],
+    )
+    def test_random_state_dim_is_capped(self, tmp_path, capsys, monkeypatch, kind, cap):
+        # the quantum cap is the composite-dimension cap; the classical one is fixed
+        monkeypatch.setenv("STATLEN_DIM_CAP", "16")
+        state = {"kind": kind, "dim": cap + 1}
+        if kind == "random-quantum":
+            state["rank"] = 1
+        code, out = _run(tmp_path, "fidelity", {"state_a": state, "state_b": state})
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert f"state_a.dim {cap + 1} exceeds cap {cap}; largest feasible dim is {cap}" in (
+            capsys.readouterr().err
+        )
+
     def test_integer_counts_still_run(self, tmp_path):
         config = {"path": GEODESIC_CLASSICAL, "N_grid": [1, 2]}
         code, _ = _run(tmp_path, "transport", config)
@@ -644,22 +662,38 @@ class TestStrictFields:
         assert not out.exists()
         assert "perturbation must be a finite number, got '1'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["", False, 0, "spline", ["arc"]])
+    @pytest.mark.parametrize("value", ["", False, 0, "spline", ["arc"], None, "arc"])
     def test_step_rule(self, tmp_path, capsys, value):
+        # every step is the Bures angle; the former rule key is an unknown key
         config = {"path": GEODESIC_CLASSICAL, "N": 8, "step_rule": value}
         code, out = _run(tmp_path, "transport", config)
         assert code == EXIT_INVALID
         assert not out.exists()
-        assert f"unknown step rule {value!r}" in capsys.readouterr().err
+        assert "config has unknown keys: ['step_rule']" in capsys.readouterr().err
 
-    def test_null_step_rule_is_the_default(self, tmp_path):
-        grids = []
-        for name, extra in (("null", {"step_rule": None}), ("absent", {}), ("arc", {"step_rule": "arc"})):
-            config = {"path": GEODESIC_CLASSICAL, "N": 8, "format": "json", **extra}
-            code, out = _run(tmp_path, "transport", config, name=name)
-            assert code == EXIT_OK
-            grids.append(json.loads(out.read_text())["results"]["grid"])
-        assert grids[0] == grids[1] == grids[2]
+    @pytest.mark.parametrize("value", ["h\nx.csv", "h\rx.csv", "h.csv\n"])
+    def test_history_out_must_not_break_lines(self, tmp_path, capsys, value):
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "history_out": value}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert "history_out must not contain a line break" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "--out"])
+    @pytest.mark.parametrize("value", ["r\nx.csv", "r\rx.csv"])
+    def test_out_must_not_break_lines(self, tmp_path, capsys, monkeypatch, where, value):
+        # a line break in out would also reach the default history path, <out>.history.csv
+        monkeypatch.chdir(tmp_path)
+        config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8}
+        args = ["--out", value] if where == "--out" else []
+        if where == "config":
+            config["out"] = value
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["geodesic", "--config", "c.json", *args]) == EXIT_INVALID
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert "out (--out or config 'out') must not contain a line break" in (
+            capsys.readouterr().err
+        )
 
     def test_valid_fields_still_run(self, tmp_path):
         config = {

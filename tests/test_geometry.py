@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,6 @@ from statlen import (
     SupportViolation,
     add_ridge,
     bures_element,
-    default_step_rule,
     discrete_path_length,
     even_schedule,
     fidelity_classical,
@@ -289,13 +290,13 @@ class TestPaths:
     def test_classical_geodesic_length_is_analytic(self):
         a = validate_distribution([1.0, 0.0])
         b = validate_distribution([0.0, 1.0])
-        report = discrete_path_length(geodesic_path(a, b), 10_000, "arc")
+        report = discrete_path_length(geodesic_path(a, b), 10_000)
         assert report.total_length == pytest.approx(np.pi, abs=1e-6)
 
     def test_classical_geodesic_length_d3(self):
         p, q = _random_pair(3, 17)
         expected = geodesic_length_fisher(fidelity_classical(p, q))
-        report = discrete_path_length(geodesic_path(p, q), 2048, "arc")
+        report = discrete_path_length(geodesic_path(p, q), 2048)
         assert report.total_length == pytest.approx(expected, abs=1e-9)
 
     def test_commuting_geodesic_matches_classical_in_rotated_basis(self):
@@ -306,7 +307,7 @@ class TestPaths:
         path = geodesic_path(rho, sigma)
         assert path.sample(0.0) is rho
         expected = geodesic_length_fisher(fidelity_classical(p, q))
-        report = discrete_path_length(path, 256, "arc")
+        report = discrete_path_length(path, 256)
         assert report.total_length == pytest.approx(expected, abs=1e-8)
         # the states are the classical path's states, rotated into the common basis
         ts = np.linspace(0.0, 1.0, 9)
@@ -319,7 +320,7 @@ class TestPaths:
         path = geodesic_path(rho, plus)
         assert path.kind == "quantum"
         expected = geodesic_length_fisher(fidelity_quantum(rho, plus))
-        report = discrete_path_length(path, 256, "arc")
+        report = discrete_path_length(path, 256)
         assert report.total_length == pytest.approx(expected, abs=1e-8)
 
     def test_geodesic_rejects_mixed_kinds(self):
@@ -351,8 +352,8 @@ class TestPaths:
     def test_mixture_is_longer_than_geodesic_d3(self):
         # strict once the simplex has more than one dimension
         p, q = _random_pair(3, 31)
-        geo = discrete_path_length(geodesic_path(p, q), 512, "arc")
-        mix = discrete_path_length(linear_mixture_path(p, q), 512, "arc")
+        geo = discrete_path_length(geodesic_path(p, q), 512)
+        mix = discrete_path_length(linear_mixture_path(p, q), 512)
         assert mix.total_length > geo.total_length + 1e-6
 
     def test_mixture_degenerate_d2_matches_geodesic(self):
@@ -360,7 +361,7 @@ class TestPaths:
         # mixture path cannot be longer; only its parametrization differs
         a = validate_distribution([1.0, 0.0])
         b = validate_distribution([0.0, 1.0])
-        mix = discrete_path_length(linear_mixture_path(a, b), 4096, "arc")
+        mix = discrete_path_length(linear_mixture_path(a, b), 4096)
         assert mix.total_length == pytest.approx(np.pi, abs=1e-9)
 
     def test_sample_outside_range_rejected(self):
@@ -474,7 +475,7 @@ class TestGeodesicPath:
     def test_orthogonal_pure_qubits_have_length_pi(self, pair):
         path = geodesic_path(_pure(pair[0]), _pure(pair[1]))
         for n in (1, 16, 64):
-            assert discrete_path_length(path, n, "arc").total_length == pytest.approx(
+            assert discrete_path_length(path, n).total_length == pytest.approx(
                 np.pi, abs=1e-10
             )
 
@@ -496,47 +497,42 @@ class TestDiscreteLength:
         p, q = _random_pair(4, 3)
         path = linear_mixture_path(p, q)
         for n in (4, 8, 16, 32):
-            coarse = discrete_path_length(path, n, "arc").total_length
-            fine = discrete_path_length(path, 2 * n, "arc").total_length
+            coarse = discrete_path_length(path, n).total_length
+            fine = discrete_path_length(path, 2 * n).total_length
             assert fine >= coarse - 1e-9
 
-    def test_arc_chord_gap_shrinks_quadratically(self):
-        path = geodesic_path(P_HALF, P_SKEW)
-        gaps = []
-        for n in (8, 16):
-            arc = discrete_path_length(path, n, "arc").total_length
-            chord = discrete_path_length(path, n, "chord").total_length
-            gaps.append(abs(arc - chord))
-        assert 3.0 <= gaps[0] / gaps[1] <= 5.0
-
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            discrete_path_length(geodesic_path(P_HALF, P_SKEW), 4, "spline")
-
-    @pytest.mark.parametrize("rule", ["", False, 0, "spline"])
-    def test_bad_rule_rejected_before_sampling(self, rule):
-        def never(ts):
-            raise AssertionError("sampled before the step rule was checked")
-
-        path = StatePath("classical", P_HALF, P_SKEW, never)
-        for run in (discrete_path_length, even_schedule):
-            with pytest.raises(ValueError, match="unknown step rule"):
-                run(path, 4, rule)
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        classical=st.booleans(),
+        seed=st.integers(0, 10**6),
+        dim=st.integers(2, 4),
+        ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        n_steps=st.integers(1, 64),
+    )
+    def test_geodesic_length_is_the_bures_angle(self, classical, seed, dim, ranks, n_steps):
+        # every step is 2 arccos F, so the sum is exact at every N, for both kinds
+        if classical:
+            a, b = _random_pair(dim, seed)
+        else:
+            a, b = (random_state(dim, 1 + (r - 1) % dim, seed + k) for k, r in enumerate(ranks))
+        path = geodesic_path(a, b)
+        expected = geodesic_length_fisher(state_fidelity(a, b))
+        assert discrete_path_length(path, n_steps).total_length == pytest.approx(expected, abs=1e-9)
+        assert even_schedule(path, n_steps).step_lengths.sum() == pytest.approx(expected, abs=1e-9)
 
 
 class TestEvenSchedule:
     def test_presample_cap(self):
-        path = geodesic_path(P_HALF, P_SKEW)
+        def never(ts):
+            raise AssertionError("sampled before the cap was checked")
+
+        path = StatePath("classical", P_HALF, P_SKEW, never)
         # 64 N presamples reach the cap exactly at N = 65536
         assert 64 * 65536 == MAX_PRESAMPLE
         with pytest.raises(DimensionCapExceeded) as err:
             even_schedule(path, 65537)
         assert err.value.max_feasible == 65536
         assert "largest feasible N is 65536" in str(err.value)
-        with pytest.raises(DimensionCapExceeded) as err:
-            even_schedule(path, 4, presample=MAX_PRESAMPLE + 1)
-        assert err.value.max_feasible == MAX_PRESAMPLE
-        assert f"largest feasible presample is {MAX_PRESAMPLE}" in str(err.value)
 
     def test_geodesic_already_even(self):
         schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 16)
@@ -550,7 +546,7 @@ class TestEvenSchedule:
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
         # oracle: each step carries 1/N of the arc-length table total
-        total = discrete_path_length(geo, 4096, "arc").total_length
+        total = discrete_path_length(geo, 4096).total_length
         assert np.allclose(steps, total / 16, rtol=2e-3)
 
     def test_single_step(self):
@@ -657,22 +653,27 @@ def _reference_fidelity(a, b) -> float:
     return float(np.clip(np.sum(np.linalg.svd(product, compute_uv=False)), 0.0, 1.0))
 
 
-def _reference_steps(states, rule) -> np.ndarray:
-    fids = np.clip(
-        np.array([_reference_fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)]),
-        0.0,
-        1.0,
-    )
-    return 2.0 * np.arccos(fids) if rule == "arc" else np.sqrt(8.0 * (1.0 - fids))
+def _reference_steps(states) -> np.ndarray:
+    fids = np.array([_reference_fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)])
+    return 2.0 * np.arccos(np.clip(fids, 0.0, 1.0))
 
 
-def _reference_even_schedule(kind, path, n_steps, presample=None):
-    """The even schedule built from one path sample and one fidelity at a time."""
-    rule = default_step_rule(path.kind)
-    resolution = presample if presample is not None else max(64 * n_steps, 4096)
+@functools.lru_cache(maxsize=None)
+def _reference_table(kind, seed, dim, resolution):
+    """Parameters and cumulative length of the dense table, one sample at a time.
+
+    Cached: N up to 64 share the table of 4096 steps.
+    """
+    path = _path_of_kind(kind, seed, dim)
     dense_ts = np.linspace(0.0, 1.0, resolution + 1)
-    dense_steps = _reference_steps(_reference_samples(kind, path, dense_ts), rule)
-    cumulative = np.concatenate(([0.0], np.cumsum(dense_steps)))
+    dense_steps = _reference_steps(_reference_samples(kind, path, dense_ts))
+    return dense_ts, np.concatenate(([0.0], np.cumsum(dense_steps)))
+
+
+def _reference_even_schedule(kind, seed, dim, n_steps):
+    """The even schedule built from one path sample and one fidelity at a time."""
+    path = _path_of_kind(kind, seed, dim)
+    dense_ts, cumulative = _reference_table(kind, seed, dim, max(64 * n_steps, 4096))
     total = float(cumulative[-1])
     if total < 1e-12:
         ts = np.linspace(0.0, 1.0, n_steps + 1)
@@ -680,7 +681,7 @@ def _reference_even_schedule(kind, path, n_steps, presample=None):
         ts = np.interp(total * np.arange(n_steps + 1) / n_steps, cumulative, dense_ts)
         ts[0] = 0.0
         ts[-1] = 1.0
-    return ts, _reference_steps(_reference_samples(kind, path, ts), rule)
+    return ts, _reference_steps(_reference_samples(kind, path, ts))
 
 
 class TestBatchedPaths:
@@ -732,26 +733,26 @@ class TestBatchedPaths:
         path = StatePath("classical", P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
         assert np.array_equal(path.sample(0.5).weights, validate_distribution(raw).weights)
 
-    @settings(deadline=None, derandomize=True, max_examples=40)
+    @settings(deadline=None, derandomize=True, max_examples=12)
     @given(
         kind=st.sampled_from(PATH_KINDS),
         seed=st.integers(0, 10**6),
         dim=st.integers(2, 4),
         n_steps=st.integers(1, 12),
-        presample=st.integers(1, 400),
     )
-    def test_even_schedule_matches_per_sample_reference(self, kind, seed, dim, n_steps, presample):
+    def test_even_schedule_matches_per_sample_reference(self, kind, seed, dim, n_steps):
         path = _path_of_kind(kind, seed, dim)
-        schedule = even_schedule(path, n_steps, presample=presample)
-        ts, steps = _reference_even_schedule(kind, path, n_steps, presample)
+        schedule = even_schedule(path, n_steps)
+        ts, steps = _reference_even_schedule(kind, seed, dim, n_steps)
         assert np.array_equal(schedule.ts, ts)
         assert np.array_equal(schedule.step_lengths, steps)
 
+    @pytest.mark.parametrize("n_steps", [1, 16])
     @pytest.mark.parametrize("kind", PATH_KINDS)
-    def test_even_schedule_default_presample_matches_reference(self, kind):
+    def test_even_schedule_default_presample_matches_reference(self, kind, n_steps):
         path = _path_of_kind(kind, 11, 4)
-        schedule = even_schedule(path, 16)
-        ts, steps = _reference_even_schedule(kind, path, 16)
+        schedule = even_schedule(path, n_steps)
+        ts, steps = _reference_even_schedule(kind, 11, 4, n_steps)
         assert np.array_equal(schedule.ts, ts)
         assert np.array_equal(schedule.step_lengths, steps)
         for state, expected in zip(schedule.states, _reference_samples(kind, path, ts)):
@@ -762,4 +763,4 @@ class TestBatchedPaths:
         path = _path_of_kind(kind, 13, 3)
         report = discrete_path_length(path, 40)
         states = _reference_samples(kind, path, np.linspace(0.0, 1.0, 41))
-        assert np.array_equal(report.step_lengths, _reference_steps(states, report.step_rule))
+        assert np.array_equal(report.step_lengths, _reference_steps(states))

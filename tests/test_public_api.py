@@ -1,10 +1,13 @@
-"""Every statlen name the demos and the README tour use is public.
+"""Every statlen name the demos and the README tour use is public, and every demo runs.
 
 A deletion from the package that would break a demo or the README's
 library tour fails here instead of silently.
 """
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,8 @@ import pytest
 import statlen
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = DEMOS + [ROOT / "README.md"]
 
 
 def _python_of(path: Path) -> str:
@@ -52,3 +56,14 @@ def test_names_used_are_in_all(path):
     assert used, f"{path.name} uses no statlen names"
     missing = sorted(used - set(statlen.__all__))
     assert not missing, f"{path.name} uses names outside statlen.__all__: {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -16,6 +16,7 @@ from statlen import (
     geodesic_path,
     linear_mixture_path,
     min_entropy_production,
+    random_distribution,
     random_state,
     relative_entropy,
     run_transport,
@@ -170,11 +171,18 @@ class TestRunTransport:
             assert even <= total * (1.0 + 1e-3)
 
     def test_diagonal_quantum_transport_matches_classical(self):
-        rho = validate_density(np.diag(P_HALF.weights))
-        sigma = validate_density(np.diag(P_SKEW.weights))
-        quantum = run_transport(even_schedule(geodesic_path(rho, sigma), 32))
-        classical = run_transport(even_schedule(geodesic_path(P_HALF, P_SKEW), 32))
-        assert quantum.total_entropy == pytest.approx(classical.total_entropy, abs=1e-9)
+        # both kinds measure steps by the Bures angle, so the schedules agree step by step
+        pairs = [(P_HALF, P_SKEW)] + [
+            (random_distribution(d, 10 * d), random_distribution(d, 10 * d + 1)) for d in (3, 4)
+        ]
+        for (p, q), n in zip(pairs, (32, 16, 64)):
+            rho, sigma = (validate_density(np.diag(s.weights)) for s in (p, q))
+            q_schedule = even_schedule(geodesic_path(rho, sigma), n)
+            c_schedule = even_schedule(geodesic_path(p, q), n)
+            assert np.allclose(q_schedule.ts, c_schedule.ts, rtol=0.0, atol=1e-6)
+            assert np.allclose(q_schedule.step_lengths, c_schedule.step_lengths, rtol=0.0, atol=1e-8)
+            quantum, classical = run_transport(q_schedule), run_transport(c_schedule)
+            assert quantum.total_entropy == pytest.approx(classical.total_entropy, abs=1e-9)
 
 
 class TestExpansionProbe:
@@ -249,7 +257,7 @@ class TestScheduleInvariants:
             ]
         )
         schedule = TransportSchedule(
-            "classical", states, np.array([0.0, 0.5, 1.0]), lengths, 2, "arc"
+            "classical", states, np.array([0.0, 0.5, 1.0]), lengths, 2
         )
         report = run_transport(schedule)
         assert report.total_entropy > 0.0

@@ -51,6 +51,7 @@ from .states import (
 )
 
 MAX_STEPS = 64
+MAX_ITER = 100_000     # the history keeps one row per iteration
 MIN_STEPS = 4
 MAX_DIM_CLASSICAL = 8
 MAX_DIM_QUANTUM = 4
@@ -194,8 +195,9 @@ def minimize_path(
     vanishes, or at ``max_iter`` (in which case ``converged`` is False and
     the best iterate is returned).  ``ridge=None`` enables a 1e-6 ridge
     automatically for rank-deficient quantum endpoints and is off otherwise.
-    ``n_steps`` above ``MAX_STEPS`` and dimensions above ``MAX_DIM_CLASSICAL``
-    or ``MAX_DIM_QUANTUM`` raise :class:`DimensionCapExceeded`.
+    ``n_steps`` above ``MAX_STEPS``, ``max_iter`` above ``MAX_ITER`` and
+    dimensions above ``MAX_DIM_CLASSICAL`` or ``MAX_DIM_QUANTUM`` raise
+    :class:`DimensionCapExceeded`.
     """
     if n_steps < MIN_STEPS:
         raise ValueError(f"n_steps must be at least {MIN_STEPS}, got {n_steps}")
@@ -203,6 +205,11 @@ def minimize_path(
         raise DimensionCapExceeded(
             f"n_steps {n_steps} exceeds cap {MAX_STEPS}; largest feasible N is {MAX_STEPS}",
             max_feasible=MAX_STEPS,
+        )
+    if max_iter > MAX_ITER:
+        raise DimensionCapExceeded(
+            f"max_iter {max_iter} exceeds cap {MAX_ITER}; largest feasible max_iter is {MAX_ITER}",
+            max_feasible=MAX_ITER,
         )
     kind, ridge = _search_kind(start, end, ridge)
     classical = kind == "classical"

@@ -14,16 +14,18 @@ from its spectrum with the symmetry of the twirl reducing the work:
 - probability vectors: the weight of a string depends only on its type
   (its count vector), so the entropy is a sum over the C(n+d-1, d-1)
   types with multinomial multiplicities (method of types);
-- qubits, commuting or not: Schur-Weyl duality splits T_n into spin
-  blocks of size at most n + 1, one per irreducible representation
-  det^m Sym^(n-2m) of GL(2), repeated C(n, m) - C(n, m-1) times;
-- density matrices of dimension 3 and up: T_n is built densely (a d^n
-  by d^n matrix) and diagonalized.
+- density matrices of every dimension, commuting or not: Schur-Weyl
+  duality splits T_n into one block per irreducible representation
+  V_lambda of GL(d), lambda a partition of n into at most d rows, repeated
+  f_lambda times (its number of standard tableaux).  Each block is built
+  in the Gelfand-Tsetlin basis over sigma's eigenbasis, so no d^n by d^n
+  matrix is ever formed.
 
-The caps and their messages are those of the dense construction for
-density matrices and of a d^n weight vector for probability vectors.
-A scan's ``mode`` names the kind of input: "classical-fast" for
-probability vectors, "dense" for density matrices, qubits included.
+The caps and their messages are those of a dense d^n by d^n twirl for
+density matrices and of a d^n weight vector for probability vectors.  A
+scan's ``mode`` names the kind of input: "classical-fast" for probability
+vectors, "dense" for density matrices of any dimension.  "dense" names
+the matrix input, not how the step is computed.
 """
 from __future__ import annotations
 
@@ -78,16 +80,10 @@ def _check_step(a, b, n: int) -> None:
         _check_cap(a.dim, n, 1, dimension_cap(), "composite dimension")
 
 
-def _twirl(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum_k b^(x k) (x) a (x) b^(x n-k-1) for weight vectors or matrices."""
-    powers = [np.ones((1,) * b.ndim, b.dtype)]
-    for _ in range(n - 1):
-        powers.append(np.kron(powers[-1], b))
-    acc = np.zeros((a.shape[0] ** n,) * a.ndim, b.dtype)
-    for k in range(n):
-        acc += np.kron(powers[k], np.kron(a, powers[n - k - 1]))
-    acc /= n
-    return _freeze(acc)
+def _runs(counts: np.ndarray):
+    """For groups of the given sizes, the group of each item and its place in it."""
+    group = np.repeat(np.arange(counts.size), counts)
+    return group, np.arange(group.size) - (np.cumsum(counts) - counts)[group]
 
 
 def _type_weights(p: np.ndarray, q: np.ndarray, n: int):
@@ -105,10 +101,8 @@ def _type_weights(p: np.ndarray, q: np.ndarray, n: int):
     count = np.ones(d, np.int64)      # strings of this type so far
     prod, deriv = q.copy(), p.copy()
     for length in range(2, n + 1):
-        reps = d - last
-        parent = np.repeat(np.arange(last.size), reps)
-        first = np.cumsum(reps) - reps
-        sym = last[parent] + np.arange(parent.size) - first[parent]
+        parent, step = _runs(d - last)
+        sym = last[parent] + step
         run = np.where(sym == last[parent], run[parent] + 1, 1)
         count = count[parent] * length // run
         deriv = deriv[parent] * q[sym] + prod[parent] * p[sym]
@@ -117,53 +111,184 @@ def _type_weights(p: np.ndarray, q: np.ndarray, n: int):
     return deriv / n, count
 
 
-def _spin_block_spectrum(rho: np.ndarray, sigma: np.ndarray, n: int):
-    """Eigenvalues of the qubit twirl, one spin block at a time, and their multiplicities.
+def _partitions(n: int, rows: int, largest: int | None = None):
+    """Partitions of n into at most ``rows`` parts, zero-padded, largest first."""
+    largest = n if largest is None else largest
+    if rows == 1:
+        if n <= largest:
+            yield (n,)
+        return
+    for first in range(min(n, largest), -(-n // rows) - 1, -1):
+        for rest in _partitions(n - first, rows - 1, first):
+            yield (first, *rest)
 
-    In sigma's eigenbasis, sigma = diag(s1, s2) and r = U* rho U.  The block
-    of det^m Sym^k, k = n - 2m, is (1/n) d/dt det(s + t r)^m Sym^k(s + t r)
-    at t = 0: tridiagonal in the symmetric states |a> with a copies of the
-    first basis vector, a = 0..k.  Its eigenvalues depend on the
-    off-diagonal only through |r_12|, so the block is taken real.
+
+def _standard_tableaux(shape) -> int:
+    """Number of standard Young tableaux of a shape of n boxes in r rows.
+
+    The hook length formula, in Frobenius' form
+    n! prod_{i<j} (l_i - l_j) / prod_i l_i! with l_i = lambda_i + r - i.
     """
-    s, u = np.linalg.eigh(sigma)
-    r = u.conj().T @ rho @ u
-    s1, s2 = s
-    r11, r22, r12 = r[0, 0].real, r[1, 1].real, abs(r[0, 1])
-    det = s1 * s2
-    ddet = s2 * r11 + s1 * r22
-    values, counts = [], []
-    for m in range(n // 2 + 1):
-        k = n - 2 * m
-        a = np.arange(k + 1)
-        b = k - a
-        sym = s1 ** a * s2 ** b
-        dsym = (
-            r11 * a * s1 ** np.maximum(a - 1, 0) * s2 ** b
-            + r22 * b * s1 ** a * s2 ** np.maximum(b - 1, 0)
-        )
-        diag = det ** m * dsym + m * det ** max(m - 1, 0) * ddet * sym
-        off = det ** m * r12 * s1 ** a[:-1] * s2 ** (b[:-1] - 1) * np.sqrt((a[:-1] + 1) * b[:-1])
-        block = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-        values.append(np.linalg.eigvalsh(block) / n)
-        counts.append(np.full(k + 1, math.comb(n, m) - (math.comb(n, m - 1) if m else 0)))
-    return np.concatenate(values), np.concatenate(counts)
+    ell = [part + len(shape) - i for i, part in enumerate(shape, 1)]
+    spread = math.prod(a - b for i, a in enumerate(ell) for b in ell[i + 1:])
+    return math.factorial(sum(shape)) * spread // math.prod(map(math.factorial, ell))
+
+
+def _row(d: int, k: int) -> int:
+    """First column of row k (1-based, k entries) in a pattern stored top row first."""
+    return (d * (d + 1) - k * (k + 1)) // 2
+
+
+def _gt_patterns(shapes):
+    """Every Gelfand-Tsetlin pattern under each top row, and the top row it is under.
+
+    Given row k+1, entry i of row k runs independently over
+    m_{k+1,i+1} .. m_{k+1,i}, so the rows are filled downward one entry at
+    a time, each pattern repeated once per value of the new entry.
+    """
+    d = len(shapes[0])
+    pats = np.zeros((len(shapes), d * (d + 1) // 2), np.int64)
+    pats[:, :d] = shapes
+    origin = np.arange(len(shapes))
+    for k in range(d - 1, 0, -1):
+        above, here = _row(d, k + 1), _row(d, k)
+        for i in range(k):
+            lo = pats[:, above + i + 1]
+            idx, step = _runs(pats[:, above + i] - lo + 1)
+            pats = pats[idx]
+            pats[:, here + i] = lo[idx] + step
+            origin = origin[idx]
+    return pats, origin
+
+
+def _raising(pats: np.ndarray, d: int):
+    """Nonzero entries of the raising generators E_{k,k+1} on the given patterns.
+
+    E_{k,k+1} takes pattern M to M + delta_{k,i} (entry i of row k raised
+    by one).  With l_{k,i} = m_{k,i} - i, rows and entries counted from 1,
+    the squared coefficient is
+    -prod_j (l_{k+1,j} - l_{k,i}) prod_j (l_{k-1,j} - l_{k,i} - 1)
+    / prod_{j != i} (l_{k,j} - l_{k,i}) (l_{k,j} - l_{k,i} - 1).
+    The factors are small integers; their products are taken in float64,
+    whose range the int64 products would exceed at d = 16.  A zero
+    denominator meets only a zero numerator.  Returns, sorted by k, the
+    generator index k - 1, the source and target pattern indices and the
+    coefficient.
+    """
+    gen, src, dst, coef = [], [], [], []
+    # l = m - i, entries i counted from 1 within each row
+    ell = (pats - np.concatenate([np.arange(1, k + 1) for k in range(d, 0, -1)])).astype(float)
+    for k in range(1, d):
+        here, above, below = _row(d, k), _row(d, k + 1), _row(d, k - 1)
+        x = ell[:, here:here + k, None]
+        outer = np.concatenate([ell[:, above:above + k + 1], ell[:, below:below + k - 1] - 1], axis=1)
+        num = -np.multiply.reduce(outer[:, None, :] - x, axis=2)
+        gap = ell[:, None, here:here + k] - x
+        gap *= gap - 1
+        gap[:, np.arange(k), np.arange(k)] = 1.0
+        rows, entry = np.nonzero(num > 0)
+        raised = pats[rows]
+        raised[np.arange(rows.size), here + entry] += 1
+        gen.append(np.full(rows.size, k - 1))
+        src.append(rows)
+        dst.append(raised)
+        coef.append(np.sqrt(num[rows, entry] / np.multiply.reduce(gap[rows, entry], axis=1)))
+    # each pattern as one byte string; big-endian bytes sort as the numbers do
+    keys = np.concatenate([pats, *dst]).astype(">i8").view(np.dtype((np.void, 8 * pats.shape[1])))
+    keys, targets = keys[:len(pats), 0], keys[len(pats):, 0]
+    order = np.argsort(keys)
+    found = order[np.searchsorted(keys, targets, sorter=order)]
+    return np.concatenate(gen), np.concatenate(src), found, np.concatenate(coef)
+
+
+def _join(left: np.ndarray, right: np.ndarray):
+    """Index pairs (a, b) with left[a] == right[b], every such pair once."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    lo = np.searchsorted(keys, left, "left")
+    a, step = _runs(np.searchsorted(keys, left, "right") - lo)
+    return a, order[lo[a] + step]
+
+
+def _next_height(level, simple, size: int):
+    """E_{i,i+h+1} = [E_{i,i+1}, E_{i+1,i+h+1}] for every i, from the E_{i,i+h} in ``level``.
+
+    Both are sparse lists (i, row, col, value) over pattern indices, and
+    the products are joins on the shared pattern.
+    """
+    i, row, col, val = level
+    g, t, v, c = simple
+    a, b = _join((g + 1) * size + v, i * size + row)          # E_{g,g+1} E_{g+1,.}
+    e, f = _join((g + 1) * size + t, i * size + col)          # E_{g+1,.} E_{g,g+1}
+    gen = np.concatenate([g[a], g[e]])
+    key = (gen * size + np.concatenate([t[a], row[f]])) * size + np.concatenate([col[b], v[e]])
+    key, inverse = np.unique(key, return_inverse=True)
+    total = np.bincount(inverse, np.concatenate([c[a] * val[b], -val[f] * c[e]]))
+    return key // (size * size), key // size % size, key % size, total
+
+
+def _block_spectrum(r: np.ndarray, s: np.ndarray, n: int):
+    """Eigenvalues of the twirl T_n, one GL(d) irreducible block at a time, with multiplicities.
+
+    The input is in sigma's eigenbasis: sigma = diag(s), and r is rho in
+    that basis.  For each shape lambda of n with at most d rows, the block
+    on V_lambda in the Gelfand-Tsetlin basis is
+    <M|T|M'> = (1/n) sum_ij r_ij s^(w(M) - e_i) <M|E_ij|M'>,
+    w(M) the weight of M; its eigenvalues occur f_lambda times, the number
+    of standard tableaux.  The exponent of s_i is never negative where
+    E_ij is nonzero, so nothing is divided by an eigenvalue of sigma, and
+    a zero one enters through 0**0 = 1.  E_ij for j > i + 1 is the
+    commutator [E_{i,i+1}, E_{i+1,j}], built one height j - i at a time
+    as sparse products.  E_ji is the transpose of E_ij, so the lower
+    triangle of a block is the conjugate transpose of the upper one.  The
+    blocks are zero-padded to one size and diagonalized as a stack; the
+    padding adds zero eigenvalues, which carry no entropy.
+    """
+    d = s.size
+    shapes = list(_partitions(n, d))
+    pats, origin = _gt_patterns(shapes)
+    gen, src, dst, coef = _raising(pats, d)
+    sums = np.add.reduceat(pats, [_row(d, k) for k in range(d, 0, -1)], axis=1)
+    weight = np.diff(sums[:, ::-1], axis=1, prepend=0)
+    lowered = np.where(np.eye(d, dtype=bool), np.maximum(weight - 1, 0)[:, None], weight[:, None])
+    scale = np.multiply.reduce(s ** lowered, axis=2)     # [M, i] = s^(w(M) - e_i)
+    simple = (gen, dst, src, coef)
+    level, rows, cols, entries = simple, [], [], []
+    for h in range(1, d):
+        if h > 1:
+            level = _next_height(level, simple, origin.size)
+        i, row, col, val = level
+        rows.append(row)
+        cols.append(col)
+        entries.append(r[i, i + h] * scale[row, i] * val)
+    # block origin[M], row and column local[M] of the stack
+    local = np.arange(origin.size) - np.searchsorted(origin, origin)
+    size = local.max() + 1
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    upper = np.concatenate(entries)
+    twirl = np.zeros((len(shapes), size, size), complex)
+    twirl[origin[row], local[row], local[col]] = upper
+    twirl[origin[row], local[col], local[row]] = upper.conj()
+    twirl[origin, local, local] = (weight * scale) @ np.diagonal(r).real
+    values = np.linalg.eigvalsh(twirl) / n
+    multiplicity = np.array([_standard_tableaux(shape) for shape in shapes], float)
+    return values.ravel(), np.repeat(multiplicity, size)
 
 
 def step_entropy_production(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
     """Entropy generated by the twirl: S(twirl) - S(rho) - (n-1) S(sigma).
 
     Equals S(twirl) - S(rho (x) sigma^(x n-1)) by additivity of the
-    entropy over tensor factors.  Qubits go through the spin blocks,
-    larger dimensions through the dense twirl.  A single slot holds rho
-    itself, which the dense twirl returns bit for bit, so n = 1 gives 0.
+    entropy over tensor factors.  The twirl's spectrum comes from its
+    GL(d) blocks.  A single slot holds rho itself, and a one-dimensional
+    state has no entropy, so either gives exactly 0.
     """
     _check_step(rho, sigma, n)
-    if rho.dim == 2 and n > 1:
-        twirled = _entropy_of_weights(*_spin_block_spectrum(rho.matrix, sigma.matrix, n))
-    else:
-        twirled = von_neumann_entropy(_twirl(rho.matrix, sigma.matrix, n))
-    return twirled - von_neumann_entropy(rho) - (n - 1) * von_neumann_entropy(sigma)
+    if n == 1 or rho.dim == 1:
+        return 0.0
+    s, u = np.linalg.eigh(sigma.matrix)
+    twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ rho.matrix @ u, s, n))
+    return twirled - von_neumann_entropy(rho) - (n - 1) * _entropy_of_weights(s)
 
 
 def classical_step_entropy_production(

@@ -388,6 +388,18 @@ class TestGeodesicCommand:
         assert not out.exists()
         assert f"largest feasible {feasible}" in capsys.readouterr().err
 
+    def test_max_iter_cap_exits_3(self, tmp_path, capsys):
+        state = {"kind": "classical", "weights": [0.5, 0.5]}
+        other = {"kind": "classical", "weights": [0.9, 0.1]}
+        config = {"state_a": state, "state_b": other, "N": 64, "max_iter": 10**12}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert not (tmp_path / "run.out.history.csv").exists()
+        assert "max_iter 1000000000000 exceeds cap 100000; largest feasible max_iter is 100000" in (
+            capsys.readouterr().err
+        )
+
 
 def _csv_table(path) -> list:
     """Header and data rows of a CSV record, metadata lines dropped."""

@@ -19,6 +19,7 @@ from statlen import (
 )
 from statlen import pathopt
 from statlen.geometry import StatePath
+from statlen.pathopt import MAX_ITER
 from statlen.states import add_ridge
 
 
@@ -87,6 +88,10 @@ class TestClassicalSearch:
         with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(p, q, 65)
         assert info.value.max_feasible == 64
+        with pytest.raises(DimensionCapExceeded) as info:
+            minimize_path(p, q, 8, max_iter=10**12)  # refused before any iteration
+        assert info.value.max_feasible == MAX_ITER == 100_000
+        assert "largest feasible max_iter is 100000" in str(info.value)
         with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(random_distribution(9, 1), random_distribution(9, 2), 8)
         assert info.value.max_feasible == 8

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
+from statlen.states import DEFAULT_DIM_CAP
 
 P = validate_distribution([0.5, 0.5])
 Q = validate_distribution([0.9, 0.1])
@@ -83,14 +84,31 @@ def _kron_loop_dense_step(rho, sigma, n):
     )
 
 
-def _qubit_pair(kind, seed):
-    if kind == "diagonal":
+def _pair(kind, dim, seed):
+    """A density-matrix pair of one kind; "diagonal" and "commuting" share an eigenbasis."""
+    if kind in ("diagonal", "commuting"):
+        basis = np.eye(dim)
+        if kind == "commuting":
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            basis, _ = np.linalg.qr(g)
         return tuple(
-            validate_density(np.diag(random_distribution(2, seed + i).weights))
+            validate_density((basis * random_distribution(dim, seed + i).weights) @ basis.conj().T)
             for i in (0, 1)
         )
-    rank_rho, rank_sigma = {"full": (2, 2), "pure-sigma": (2, 1), "pure-rho": (1, 2)}[kind]
-    return random_state(2, rank_rho, seed), random_state(2, rank_sigma, seed + 1)
+    rank_rho, rank_sigma = {"full": (dim, dim), "pure-sigma": (dim, 1), "pure-rho": (1, dim)}[kind]
+    return random_state(dim, rank_rho, seed), random_state(dim, rank_sigma, seed + 1)
+
+
+PAIR_KINDS = ["full", "pure-sigma", "pure-rho", "commuting"]
+
+
+def _cap_n(dim):
+    """Largest n the default composite-dimension cap allows a density-matrix step."""
+    n = 0
+    while dim ** (n + 2) <= DEFAULT_DIM_CAP:
+        n += 1
+    return n
 
 
 def _with_zero(p, index):
@@ -100,22 +118,7 @@ def _with_zero(p, index):
 
 
 class TestSharedTwirlKernel:
-    """The dense twirl kernel gives the reference kron loop bit for bit; the
-    classical step, a sum over types, agrees with it to rounding."""
-
-    @settings(deadline=None, derandomize=True, max_examples=30)
-    @given(
-        dim=st.integers(2, 3),
-        n=st.integers(1, 6),
-        ranks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-        seed=st.integers(0, 10**6),
-    )
-    def test_dense_twirl_matches_kron_loop(self, dim, n, ranks, seed):
-        rho = random_state(dim, min(ranks[0], dim), seed)
-        sigma = random_state(dim, min(ranks[1], dim), seed + 1)
-        out = reservoir._twirl(rho.matrix, sigma.matrix, n)
-        assert out.dtype == np.complex128
-        assert np.array_equal(out, _kron_loop_twirl(rho.matrix, sigma.matrix, n))
+    """The classical step, a sum over types, agrees with the kron loop to rounding."""
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(dim=st.integers(2, 3), n=st.integers(1, 6), seed=st.integers(0, 10**6))
@@ -137,7 +140,7 @@ class TestReducedStepsMatchKronOracle:
         seed=st.integers(0, 10**6),
     )
     def test_qubit_step(self, kind, n, seed):
-        rho, sigma = _qubit_pair(kind, seed)
+        rho, sigma = _pair(kind, 2, seed)
         assert step_entropy_production(rho, sigma, n) == pytest.approx(
             _kron_loop_dense_step(rho, sigma, n), abs=1e-12
         )
@@ -162,25 +165,109 @@ class TestReducedStepsMatchKronOracle:
         )
 
 
-class _DenseTwirlBuilt(Exception):
-    pass
+class TestBlocksMatchKronOracle:
+    """The GL(d) blocks of every dimension against the kron-loop twirl."""
+
+    @settings(deadline=None, derandomize=True, max_examples=20)
+    @given(
+        kind=st.sampled_from(PAIR_KINDS),
+        dim_n=st.sampled_from([(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 6)]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_qutrits_and_ququarts(self, kind, dim_n, seed):
+        rho, sigma = _pair(kind, dim_n[0], seed)
+        assert step_entropy_production(rho, sigma, dim_n[1]) == pytest.approx(
+            _kron_loop_dense_step(rho, sigma, dim_n[1]), abs=1e-12
+        )
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(
+        kind=st.sampled_from(PAIR_KINDS),
+        dim=st.integers(5, 8),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_wide_dimensions(self, kind, dim, n, seed):
+        rho, sigma = _pair(kind, dim, seed)
+        assert step_entropy_production(rho, sigma, n) == pytest.approx(
+            _kron_loop_dense_step(rho, sigma, n), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("dim, n", [(2, 5), (3, 4), (4, 3)])
+    def test_exact_zero_eigenvalues(self, dim, n):
+        # sigma and rho with exact zeros: s^0 = 1 carries the polynomial
+        q = np.zeros(dim)
+        q[: dim - 1] = random_distribution(dim - 1, dim).weights
+        p = np.zeros(dim)
+        p[1:] = random_distribution(dim - 1, n).weights
+        rho, sigma = validate_density(np.diag(p)), validate_density(np.diag(q))
+        mixed = random_state(dim, dim, 3)
+        for a, b in ((rho, sigma), (mixed, sigma), (rho, mixed)):
+            assert step_entropy_production(a, b, n) == pytest.approx(
+                _kron_loop_dense_step(a, b, n), abs=1e-12
+            )
+
+    def test_one_dimensional_states(self):
+        one = validate_density(np.eye(1))
+        assert step_entropy_production(one, one, 11) == 0.0
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_dimension_16(self, kind):
+        # the coefficient products of d = 16 overflow int64
+        rho, sigma = _pair(kind, 16, 5)
+        assert step_entropy_production(rho, sigma, 2) == pytest.approx(
+            _kron_loop_dense_step(rho, sigma, 2), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("kind, dim, n", [("pure-rho", 3, 6), ("pure-sigma", 4, 5)])
+    def test_at_the_cap(self, kind, dim, n):
+        assert n == _cap_n(dim)
+        rho, sigma = _pair(kind, dim, 11)
+        assert step_entropy_production(rho, sigma, n) == pytest.approx(
+            _kron_loop_dense_step(rho, sigma, n), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_commuting_qubits_at_the_cap(self, seed):
+        # the 2^11 kron oracle takes seconds; a shared eigenbasis has the
+        # kron-checked sum over types as its oracle instead
+        rho, sigma = _pair("commuting", 2, seed)
+        p, q = (random_distribution(2, seed + i) for i in (0, 1))
+        assert _cap_n(2) == 11
+        assert step_entropy_production(rho, sigma, 11) == pytest.approx(
+            classical_step_entropy_production(p, q, 11), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_blocks_fill_the_tensor_power(self, dim):
+        # sum over shapes of f_lambda dim V_lambda = d^n, in exact integers
+        for n in range(1, _cap_n(dim) + 1):
+            shapes = list(reservoir._partitions(n, dim))
+            _, origin = reservoir._gt_patterns(shapes)
+            sizes = np.bincount(origin, minlength=len(shapes))
+            total = sum(
+                reservoir._standard_tableaux(shape) * int(size)
+                for shape, size in zip(shapes, sizes)
+            )
+            assert total == dim**n, (dim, n)
 
 
 class TestNoDenseFallback:
-    def test_only_qutrits_and_up_build_the_dense_twirl(self, monkeypatch):
-        def refuse(*args):
-            raise _DenseTwirlBuilt
-
-        monkeypatch.setattr(reservoir, "_twirl", refuse)
-        assert math.isfinite(classical_step_entropy_production(P, Q, 20))
-        rho, sigma = random_state(2, 2, 1), random_state(2, 2, 2)
-        assert math.isfinite(step_entropy_production(rho, sigma, 11))
-        with pytest.raises(_DenseTwirlBuilt):
-            step_entropy_production(random_state(3, 3, 1), random_state(3, 3, 2), 2)
+    @pytest.mark.parametrize("dim, n", [(3, 6), (4, 5)])
+    def test_steps_never_allocate_the_dense_twirl(self, dim, n):
+        # one d^n x d^n complex matrix takes 8.5 MB at d = 3, n = 6
+        rho, sigma = random_state(dim, dim, 1), random_state(dim, dim, 2)
+        tracemalloc.start()
+        try:
+            step_entropy_production(rho, sigma, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _twirl(rho, sigma, n):
-    return reservoir._twirl(rho.matrix, sigma.matrix, n)
+    return _kron_loop_twirl(rho.matrix, sigma.matrix, n)
 
 
 class TestTwirl:
@@ -232,7 +319,10 @@ class TestTwirl:
 
 class TestStepEntropyProduction:
     def test_single_slot_produces_nothing(self):
-        assert step_entropy_production(RHO, SIGMA, 1) == pytest.approx(0.0, abs=1e-12)
+        assert step_entropy_production(RHO, SIGMA, 1) == 0.0
+        for dim in (2, 3, 4):
+            for kind in PAIR_KINDS:
+                assert step_entropy_production(*_pair(kind, dim, 3), 1) == 0.0
 
     def test_equal_states_produce_nothing(self):
         for n in (1, 2, 4):

@@ -29,7 +29,8 @@ a = validate_distribution([1.0, 0.0])
 b = validate_distribution([0.0, 1.0])
 result = minimize_path(a, b, 32)
 print(f"final length   = {result.final_length:.8f}   (pi = {np.pi:.8f})")
-print(f"final energy   = {result.final_energy:.8f}   (minimum pi^2/32 = {np.pi**2 / 32:.8f})")
+exact = 8 * 32 * (1 - np.cos(np.pi / 2 / 32))  # 32 equal Bures angles arccos(0)/32
+print(f"final energy   = {result.final_energy:.8f}   (minimum 256 (1 - cos(pi/64)) = {exact:.8f})")
 print(f"step spread cv = {result.step_cvs[-1]:.2e} after {result.iterations} iterations")
 
 print("\n=== full-rank random qubit pair, N = 16 ===")

@@ -122,11 +122,17 @@ def _resolve_pair(spec: dict, seed_pool, resolved: dict, where: str = "") -> tup
     return a, b
 
 
+SEED_POOL_SIZE = 64   # random-state draws one run may make
+
+
 def _seed_pool(seed: int):
-    seeds = iter(np.random.SeedSequence(seed).generate_state(64))
+    seeds = iter(np.random.SeedSequence(seed).generate_state(SEED_POOL_SIZE))
 
     def next_seed() -> int:
-        return int(next(seeds))
+        drawn = next(seeds, None)
+        if drawn is None:
+            raise ConfigError(f"a run may draw at most {SEED_POOL_SIZE} random states")
+        return int(drawn)
 
     return next_seed
 

@@ -19,14 +19,26 @@ polar factor U_i = W V* gives its exact gradient: B_i U_i with respect to
 B_{i+1} and B_{i+1} U_i* with respect to B_i, then the chain rule through
 the normalization.  Chords clipped at F = 1 contribute no gradient.
 
-The step is steepest descent with a backtracking (halving) Armijo line
-search.  Minimizing E at fixed endpoints equalizes the steps and shortens
-the path at the same time, so the converged configuration is an even-step
-approximation of the shortest path; the spread of the step lengths doubles
-as a convergence diagnostic.
+The step is L-BFGS (Nocedal 1980; Liu & Nocedal 1989): the two-loop
+recursion over the last ``MEMORY`` pairs of coordinate and gradient
+differences, with Re<X, Y> = Re tr(X* Y) as the inner product, then a
+backtracking (halving) Armijo line search from a step of 1.  Every
+direction is a combination of gradients, so classical iterates stay
+diagonal.  A pair enters the memory only with positive curvature s.y, and
+a direction that does not descend is replaced by -grad with the memory
+cleared.  The chain energy is ill-conditioned roughly as N^2, which the
+curvature pairs absorb and a steepest-descent step does not.
+
+Minimizing E at fixed endpoints equalizes the steps and shortens the path
+at the same time.  The Bures angle obeys the triangle inequality, so
+E >= 8 N (1 - cos(theta/N)) with theta = arccos F of the endpoints, with
+equality for N equal angles along a geodesic: the converged configuration
+is an even-step sampling of the shortest path, and the spread of the step
+lengths doubles as a convergence diagnostic.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,13 +62,14 @@ from .states import (
     _sqrt_rows,
 )
 
-MAX_STEPS = 64
+MAX_STEPS = 96
 MAX_ITER = 100_000     # the history keeps one row per iteration
 MIN_STEPS = 4
 MAX_DIM_CLASSICAL = 8
 MAX_DIM_QUANTUM = 4
 AUTO_RIDGE = 1e-6
 ARMIJO = 1e-4         # sufficient-decrease factor of the line search
+MEMORY = 10           # L-BFGS correction pairs kept
 ENERGY_TOL = 1e-10    # relative energy decrease that counts as a stall
 STALL_WINDOW = 10     # accepted iterations the stall test looks back over
 
@@ -151,6 +164,25 @@ def _gradient(coords: np.ndarray, chain: _Chain, ridge: float, classical: bool) 
     return grad * np.eye(dim) if classical else grad
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.real(np.vdot(a, b)))
+
+
+def _direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the L-BFGS two-loop recursion over (s, y, s.y) pairs, oldest first."""
+    q = grad.copy()
+    scales = []
+    for s, y, sy in reversed(pairs):
+        scales.append(_inner(s, q) / sy)
+        q -= scales[-1] * y
+    if pairs:
+        s, y, sy = pairs[-1]
+        q *= sy / _inner(y, y)
+    for (s, y, sy), scale in zip(pairs, reversed(scales)):
+        q += (scale - _inner(y, q) / sy) * s
+    return -q
+
+
 def _check_dim(dim: int, cap: int, kind: str) -> None:
     if dim > cap:
         raise DimensionCapExceeded(
@@ -234,21 +266,26 @@ def minimize_path(
 
     chain = _chain(coords, ends, ridge, check_rank)
     record(chain)
+    grad = _gradient(coords, chain, ridge, classical)
+    pairs = deque(maxlen=MEMORY)
     stop_reason = "max_iter"
     iterations = 0
-    alpha = 1.0
     for _ in range(max_iter):
-        grad = _gradient(coords, chain, ridge, classical)
-        grad_norm_sq = float(np.real(np.vdot(grad, grad)))
+        grad_norm_sq = _inner(grad, grad)
         if grad_norm_sq == 0.0:
             stop_reason = "zero_grad"
             break
+        direction = _direction(grad, pairs)
+        slope = _inner(grad, direction)
+        if not slope < 0.0:
+            pairs.clear()
+            direction, slope = -grad, -grad_norm_sq
 
-        alpha = min(alpha * 2.0, 16.0)
+        alpha = 1.0
         for _ in range(60):
-            trial = coords - alpha * grad
+            trial = coords + alpha * direction
             trial_chain = _chain(trial, ends, ridge, check_rank)
-            if trial_chain.energy <= chain.energy - ARMIJO * alpha * grad_norm_sq:
+            if trial_chain.energy <= chain.energy + ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
         else:
@@ -256,7 +293,12 @@ def minimize_path(
             stop_reason = "line_search"
             break
 
-        coords, chain = trial, trial_chain
+        trial_grad = _gradient(trial, trial_chain, ridge, classical)
+        step, change = trial - coords, trial_grad - grad
+        curvature = _inner(step, change)
+        if curvature > 0.0:
+            pairs.append((step, change, curvature))
+        coords, chain, grad = trial, trial_chain, trial_grad
         iterations += 1
         record(chain)
         if len(energies) > STALL_WINDOW:

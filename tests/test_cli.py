@@ -4,16 +4,26 @@ import os
 import numpy as np
 import pytest
 
-from statlen import even_schedule, geodesic_path, run_transport, validate_distribution
+from statlen import (
+    even_schedule,
+    geodesic_path,
+    random_distribution,
+    random_state,
+    run_transport,
+    validate_distribution,
+)
 from statlen.reservoir import CLASSICAL_DIM_CAP
 from statlen.cli import (
     EXIT_CAP,
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    SEED_POOL_SIZE,
+    ConfigError,
+    _seed_pool,
     main,
 )
-from statlen.serialize import format_float
+from statlen.serialize import format_float, state_to_jsonable
 
 CLASSICAL_A = {"kind": "classical", "weights": [0.5, 0.5]}
 CLASSICAL_B = {"kind": "classical", "weights": [0.9, 0.1]}
@@ -118,6 +128,13 @@ class TestDeterminism:
         assert out.read_bytes() == first
         _, out = _run(tmp_path, "fidelity", config, extra_args=("--seed", "8"))
         assert out.read_bytes() != first
+
+    def test_seed_pool_limit_is_a_config_error(self):
+        next_seed = _seed_pool(3)
+        drawn = [next_seed() for _ in range(SEED_POOL_SIZE)]
+        assert len(set(drawn)) == SEED_POOL_SIZE == 64
+        with pytest.raises(ConfigError, match="at most 64 random states"):
+            next_seed()
 
     def test_seed_from_config_when_flag_absent(self, tmp_path):
         config = {
@@ -368,9 +385,28 @@ class TestGeodesicCommand:
         assert results["stop_reason"] == "stall"
 
     @pytest.mark.parametrize(
+        "pair",
+        [
+            (random_distribution(4, 1), random_distribution(4, 2)),
+            (random_distribution(4, 3), random_distribution(4, 4)),
+            (random_state(2, 2, 1), random_state(2, 2, 2)),
+        ],
+        ids=["classical-seed1", "classical-seed3", "quantum-full-rank"],
+    )
+    def test_n64_search_converges(self, tmp_path, pair):
+        # ill-conditioned enough (about N^2) to exhaust max_iter without curvature pairs
+        a, b = (state_to_jsonable(state) for state in pair)
+        config = {"state_a": a, "state_b": b, "N": 64, "format": "json"}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_OK
+        results = json.loads(out.read_text())["results"]
+        assert results["converged"] is True
+        assert results["stop_reason"] == "stall"
+
+    @pytest.mark.parametrize(
         "state, n_steps, feasible",
         [
-            ({"kind": "classical", "weights": [0.5, 0.5]}, 65, "N is 64"),
+            ({"kind": "classical", "weights": [0.5, 0.5]}, 97, "N is 96"),
             ({"kind": "classical", "weights": [1.0 / 9] * 9}, 8, "dim is 8"),
             (
                 {"kind": "quantum",

@@ -22,6 +22,12 @@ from statlen.geometry import StatePath
 from statlen.pathopt import MAX_ITER
 from statlen.states import add_ridge
 
+# a state kind and the dimensions its search allows
+PROBLEMS = st.one_of(
+    st.tuples(st.just("classical"), st.integers(2, 8)),
+    st.tuples(st.just("quantum"), st.integers(2, 4)),
+)
+
 
 class TestClassicalSearch:
     def test_identical_endpoints_length_zero(self):
@@ -86,8 +92,8 @@ class TestClassicalSearch:
         with pytest.raises(ValueError):
             minimize_path(p, q, 3)  # too few steps
         with pytest.raises(DimensionCapExceeded) as info:
-            minimize_path(p, q, 65)
-        assert info.value.max_feasible == 64
+            minimize_path(p, q, 97)
+        assert info.value.max_feasible == 96
         with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(p, q, 8, max_iter=10**12)  # refused before any iteration
         assert info.value.max_feasible == MAX_ITER == 100_000
@@ -97,6 +103,33 @@ class TestClassicalSearch:
         assert info.value.max_feasible == 8
         with pytest.raises(DimensionMismatch):
             minimize_path(p, random_distribution(4, 2), 8)
+
+
+def _exact_discrete_minimum(fid, n_steps):
+    """min sum 8 (1 - F_i) over N-step paths: N equal Bures angles arccos(F)/N."""
+    return 8.0 * n_steps * (1.0 - np.cos(np.arccos(fid) / n_steps))
+
+
+class TestExactDiscreteMinimum:
+    """The Bures angle obeys the triangle inequality and a geodesic splits it
+    into equal parts, so the chord energy of every pair has a closed-form
+    minimum; the search must reach it, not just land near 2 arccos F."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(PROBLEMS, st.sampled_from([4, 8, 16, 32]), st.integers(0, 10**6))
+    def test_final_energy_is_the_exact_minimum(self, problem, n_steps, seed):
+        kind, dim = problem
+        if kind == "classical":
+            a, b = random_distribution(dim, seed), random_distribution(dim, seed + 1)
+            fid = fidelity_classical(a, b)
+        else:
+            a, b = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
+            fid = fidelity_quantum(a, b)
+        result = minimize_path(a, b, n_steps)
+        assert result.converged
+        assert result.ridge == 0.0
+        exact = _exact_discrete_minimum(fid, n_steps)
+        assert result.final_energy == pytest.approx(exact, rel=1e-8, abs=0.0)
 
 
 class TestQuantumSearch:
@@ -244,12 +277,6 @@ def _old_layout(kind, grad):
     if kind == "classical":
         return np.diagonal(grad, axis1=1, axis2=2)
     return np.stack([grad.real, grad.imag], axis=1)
-
-
-PROBLEMS = st.one_of(
-    st.tuples(st.just("classical"), st.integers(2, 8)),
-    st.tuples(st.just("quantum"), st.integers(2, 4)),
-)
 
 
 class TestAnalyticGradient:

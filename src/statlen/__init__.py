@@ -7,7 +7,10 @@ l^2/(2N) minimum), and exact finite-size simulations of the
 swap-and-twirl reservoir protocol, plus a numerical geodesic search.
 """
 
+import logging as _logging
+
 __version__ = "0.1.0"
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .exceptions import (
     BadRank,

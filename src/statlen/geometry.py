@@ -14,6 +14,7 @@ and it is exact at every N on :func:`geodesic_path`.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +46,11 @@ from .states import (
 RANK_TOL = 1e-10          # smallest eigenvalue for a state to count as full rank
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
-MAX_PRESAMPLE = 2 ** 22        # cap on the dense table of an even schedule
+MAX_STEPS = 65536              # cap on the steps of an even schedule
+SPREAD_TOL = 1e-8              # even-schedule target for (max - min)/mean of the steps
+ARCCOS_NOISE = 256 * np.finfo(float).eps  # least spread 2 arccos F resolves, times mean step^2
+MAX_PASSES = 64                # cap on the equidistribution passes of an even schedule
+_log = logging.getLogger(__name__)
 
 
 def _require_kind(tangent: TangentPerturbation, kind: str) -> None:
@@ -328,24 +333,6 @@ def _step_lengths_from_fidelities(fids: np.ndarray) -> np.ndarray:
     return 2.0 * np.arccos(np.clip(fids, 0.0, 1.0))
 
 
-def _chain_fidelities(kind: str, rows: np.ndarray, spectra=None) -> np.ndarray:
-    """Fidelities of consecutive rows of a stack of states.
-
-    ``spectra`` is the second item of ``StatePath._rows``: quantum rows
-    reuse the ``eigh`` their validation took and decompose only the rest.
-    """
-    if kind == "classical":
-        return _classical_fidelities(rows[:-1], rows[1:])
-    eig = None
-    if spectra is not None:
-        lam, vec, fresh = spectra
-        if not fresh.all():
-            lam[~fresh], vec[~fresh] = np.linalg.eigh(rows[~fresh])
-        eig = (lam, vec)
-    roots = _sqrt_rows(rows, eig)
-    return _root_fidelities(roots[:-1], roots[1:])
-
-
 def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     """Step lengths between the path's states at consecutive ``ts``.
 
@@ -353,12 +340,18 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     overlap by one parameter, which bounds the memory whatever len(ts) is.
     """
     block = max(1, SAMPLE_BLOCK_BYTES // _state_array(path.start).nbytes)
-    return np.concatenate([
-        _step_lengths_from_fidelities(
-            _chain_fidelities(path.kind, *path._rows(ts[i:i + block + 1]))
-        )
-        for i in range(0, max(ts.size - 1, 1), block)
-    ])
+    fids = []
+    for i in range(0, max(ts.size - 1, 1), block):
+        rows, spectra = path._rows(ts[i:i + block + 1])
+        if spectra is None:
+            fids.append(_classical_fidelities(rows[:-1], rows[1:]))
+            continue
+        lam, vec, fresh = spectra
+        if not fresh.all():
+            lam[~fresh], vec[~fresh] = np.linalg.eigh(rows[~fresh])
+        roots = _sqrt_rows(rows, (lam, vec))
+        fids.append(_root_fidelities(roots[:-1], roots[1:]))
+    return _step_lengths_from_fidelities(np.concatenate(fids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,39 +390,43 @@ def discrete_path_length(path: StatePath, n_steps: int) -> PathLengthReport:
 def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     """Reparametrize a path by arc length into N equal steps.
 
-    A dense table of max(64 N, 4096) samples is built, its cumulative
-    length (in Bures angles, as in :func:`discrete_path_length`) inverted
-    by linear interpolation, and the path resampled at the resulting
-    parameters; the step lengths then agree to about 0.1%.  Paths shorter
-    than 1e-12 fall back to the uniform (trivial) schedule.  A table larger
-    than ``MAX_PRESAMPLE`` raises :class:`DimensionCapExceeded` with the
-    largest feasible N.
-
-    The table is evaluated as stacked arrays (batched sampling, validation
-    and fidelities, in blocks of bounded size) and gives bit for bit the
-    values that sampling it one state at a time would give.
+    Equidistribution (de Boor, *A Practical Guide to Splines*, ch. XIV):
+    from t = i/N, each pass measures the step angles 2 arccos F and moves
+    the interior t to where linear interpolation of that pass's cumulative
+    length puts the targets k L/N; the pass of least spread (max - min)/mean
+    is kept.  The loop stops at a spread of SPREAD_TOL = 1e-8, or of
+    ARCCOS_NOISE / mean^2 where arccos resolves no less; when a pass does not
+    lower the spread; or after MAX_PASSES passes.  Constant-speed paths and
+    paths shorter than DEGENERATE_LENGTH keep t = i/N exactly.  N > MAX_STEPS
+    raises DimensionCapExceeded before any sampling.  One DEBUG record gives
+    the passes, the stop reason and the spread.
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    resolution = max(64 * n_steps, 4096)
-    if resolution > MAX_PRESAMPLE:
+    if n_steps > MAX_STEPS:
         raise DimensionCapExceeded(
-            f"presample of {resolution} states exceeds cap {MAX_PRESAMPLE}; "
-            f"largest feasible N is {MAX_PRESAMPLE // 64}",
-            max_feasible=MAX_PRESAMPLE // 64,
+            f"N {n_steps} exceeds cap {MAX_STEPS}; largest feasible N is {MAX_STEPS}",
+            max_feasible=MAX_STEPS,
         )
-    dense_ts = np.linspace(0.0, 1.0, resolution + 1)
-    dense_steps = _sampled_step_lengths(path, dense_ts)
-    cumulative = np.concatenate(([0.0], np.cumsum(dense_steps)))
-    total = float(cumulative[-1])
-    if total < DEGENERATE_LENGTH:
-        ts = np.linspace(0.0, 1.0, n_steps + 1)
-    else:
-        targets = total * np.arange(n_steps + 1) / n_steps
-        ts = np.interp(targets, cumulative, dense_ts)
-        ts[0] = 0.0
-        ts[-1] = 1.0
+    ts = np.linspace(0.0, 1.0, n_steps + 1)
+    best, reason = (np.inf,), "pass cap"
+    for passes in range(1, MAX_PASSES + 1):
+        steps = _sampled_step_lengths(path, ts)
+        total = float(steps.sum())
+        if total < DEGENERATE_LENGTH:
+            best, reason = (0.0, ts, steps), "degenerate"
+            break
+        spread = float(np.ptp(steps)) * n_steps / total
+        if spread >= best[0]:
+            reason = "stall"
+            break
+        best = (spread, ts, steps)
+        if spread <= max(SPREAD_TOL, ARCCOS_NOISE * (n_steps / total) ** 2):
+            reason = "tolerance"
+            break
+        ts = np.interp(total * np.arange(n_steps + 1) / n_steps, np.cumsum(np.r_[0.0, steps]), ts)
+        ts[0], ts[-1] = 0.0, 1.0
+    spread, ts, steps = best
+    _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n_steps, passes, reason, spread)
     states = tuple(path.sample(float(t)) for t in ts)
-    rows = np.stack([_state_array(s) for s in states])
-    steps = _step_lengths_from_fidelities(_chain_fidelities(path.kind, rows))
     return TransportSchedule(path.kind, states, _freeze(ts), _freeze(steps), n_steps)

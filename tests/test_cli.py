@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -205,6 +206,17 @@ class TestTransportCommand:
         assert code == EXIT_CAP
         assert not out.exists()
         assert "largest feasible N is 65536" in capsys.readouterr().err
+
+    def test_record_is_the_same_with_debug_logging(self, tmp_path, caplog):
+        config = {"path": {"type": "mixture", "state_a": QUBIT_B, "state_b": QUBIT_A}, "N_grid": [4, 16]}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_OK
+        quiet = out.read_bytes()
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_OK
+        assert [r.args[0] for r in caplog.records if r.name == "statlen.geometry"] == [4, 16]
+        assert out.read_bytes() == quiet
 
     def test_geodesic_on_noncommuting_qutrits(self, tmp_path):
         config = {

@@ -1,4 +1,4 @@
-import functools
+import logging
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import MAX_PRESAMPLE
+from statlen.geometry import ARCCOS_NOISE, DEGENERATE_LENGTH, MAX_PASSES, SPREAD_TOL
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -521,14 +521,16 @@ class TestDiscreteLength:
         assert even_schedule(path, n_steps).step_lengths.sum() == pytest.approx(expected, abs=1e-9)
 
 
+def _spread(steps) -> float:
+    return float(np.ptp(steps) / np.mean(steps))
+
+
 class TestEvenSchedule:
-    def test_presample_cap(self):
+    def test_n_cap(self):
         def never(ts):
             raise AssertionError("sampled before the cap was checked")
 
         path = StatePath("classical", P_HALF, P_SKEW, never)
-        # 64 N presamples reach the cap exactly at N = 65536
-        assert 64 * 65536 == MAX_PRESAMPLE
         with pytest.raises(DimensionCapExceeded) as err:
             even_schedule(path, 65537)
         assert err.value.max_feasible == 65536
@@ -537,15 +539,15 @@ class TestEvenSchedule:
     def test_geodesic_already_even(self):
         schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 16)
         steps = schedule.step_lengths
-        assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
+        assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
 
     def test_skewed_parametrization_is_evened_out(self):
         geo = geodesic_path(P_HALF, P_SKEW)
         skewed = StatePath("classical", P_HALF, P_SKEW, lambda ts: geo.sample_many(ts * ts * ts))
         schedule = even_schedule(skewed, 16)
         steps = schedule.step_lengths
-        assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
-        # oracle: each step carries 1/N of the arc-length table total
+        assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
+        # oracle: each step carries 1/N of the length on a fine uniform grid
         total = discrete_path_length(geo, 4096).total_length
         assert np.allclose(steps, total / 16, rtol=2e-3)
 
@@ -565,7 +567,56 @@ class TestEvenSchedule:
         sigma = random_state(2, 2, 62)
         schedule = even_schedule(linear_mixture_path(rho, sigma), 12)
         steps = schedule.step_lengths
-        assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-3
+        assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
+
+    @pytest.mark.parametrize("n_steps", [16, 64, 256, 1024])
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (random_state(2, 1, 3), random_state(2, 2, 4)),
+            (random_state(3, 1, 5), random_state(3, 3, 6)),
+            (validate_distribution([0.5, 0.5, 0.0, 0.0]), random_distribution(4, 9)),
+        ],
+        ids=["rank-1-qubit", "rank-1-qutrit", "zero-weights"],
+    )
+    def test_rank_deficient_mixture_is_even(self, start, end, n_steps):
+        # the speed diverges like 1/sqrt(t) at a rank-deficient endpoint
+        schedule = even_schedule(linear_mixture_path(start, end), n_steps)
+        assert _spread(schedule.step_lengths) <= 1e-7
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 64, 1024, 4096])
+    @pytest.mark.parametrize("kind", ["classical-geodesic", "commuting-geodesic", "quantum-geodesic"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_geodesic_keeps_uniform_parameters(self, seed, kind, n_steps):
+        # constant speed: the first pass is already even, to the arccos noise
+        schedule = even_schedule(_path_of_kind(kind, seed, 2 + seed), n_steps)
+        assert np.array_equal(schedule.ts, np.linspace(0.0, 1.0, n_steps + 1))
+
+    @pytest.mark.parametrize(
+        "path, n_steps, stop, one_pass",
+        [
+            (geodesic_path(P_HALF, P_SKEW), 16, "tolerance", True),
+            (linear_mixture_path(P_HALF, P_HALF), 8, "degenerate", True),
+            (linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4)), 64, "tolerance", False),
+        ],
+    )
+    def test_logs_passes_stop_and_spread(self, caplog, path, n_steps, stop, one_pass):
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            schedule = even_schedule(path, n_steps)
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("statlen.geometry", logging.DEBUG)
+        n, passes, reason, spread = record.args
+        assert (n, reason) == (n_steps, stop)
+        assert (passes == 1) == one_pass
+        if stop != "degenerate":
+            assert spread == _spread(schedule.step_lengths)
+
+    def test_pass_cap_stops_the_loop(self, caplog, monkeypatch):
+        monkeypatch.setattr("statlen.geometry.MAX_PASSES", 3)
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            schedule = even_schedule(linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4)), 64)
+        assert caplog.records[0].args[1:3] == (3, "pass cap")
+        assert caplog.records[0].args[3] == _spread(schedule.step_lengths) > 1e-7
 
 
 # ---------- batched sampling and schedules against the per-sample reference ----------
@@ -658,30 +709,25 @@ def _reference_steps(states) -> np.ndarray:
     return 2.0 * np.arccos(np.clip(fids, 0.0, 1.0))
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_table(kind, seed, dim, resolution):
-    """Parameters and cumulative length of the dense table, one sample at a time.
-
-    Cached: N up to 64 share the table of 4096 steps.
-    """
-    path = _path_of_kind(kind, seed, dim)
-    dense_ts = np.linspace(0.0, 1.0, resolution + 1)
-    dense_steps = _reference_steps(_reference_samples(kind, path, dense_ts))
-    return dense_ts, np.concatenate(([0.0], np.cumsum(dense_steps)))
-
-
 def _reference_even_schedule(kind, seed, dim, n_steps):
-    """The even schedule built from one path sample and one fidelity at a time."""
+    """The equidistribution loop of ``even_schedule``, one sample and one fidelity at a time."""
     path = _path_of_kind(kind, seed, dim)
-    dense_ts, cumulative = _reference_table(kind, seed, dim, max(64 * n_steps, 4096))
-    total = float(cumulative[-1])
-    if total < 1e-12:
-        ts = np.linspace(0.0, 1.0, n_steps + 1)
-    else:
-        ts = np.interp(total * np.arange(n_steps + 1) / n_steps, cumulative, dense_ts)
-        ts[0] = 0.0
-        ts[-1] = 1.0
-    return ts, _reference_steps(_reference_samples(kind, path, ts))
+    ts = np.linspace(0.0, 1.0, n_steps + 1)
+    best = (np.inf,)
+    for _ in range(MAX_PASSES):
+        steps = _reference_steps(_reference_samples(kind, path, ts))
+        total = float(steps.sum())
+        if total < DEGENERATE_LENGTH:
+            return ts, steps
+        spread = float(np.ptp(steps)) * n_steps / total
+        if spread >= best[0]:
+            break
+        best = (spread, ts, steps)
+        if spread <= max(SPREAD_TOL, ARCCOS_NOISE * (n_steps / total) ** 2):
+            break
+        ts = np.interp(total * np.arange(n_steps + 1) / n_steps, np.cumsum(np.r_[0.0, steps]), ts)
+        ts[0], ts[-1] = 0.0, 1.0
+    return best[1:]
 
 
 class TestBatchedPaths:
@@ -749,7 +795,7 @@ class TestBatchedPaths:
 
     @pytest.mark.parametrize("n_steps", [1, 16])
     @pytest.mark.parametrize("kind", PATH_KINDS)
-    def test_even_schedule_default_presample_matches_reference(self, kind, n_steps):
+    def test_schedule_states_match_reference(self, kind, n_steps):
         path = _path_of_kind(kind, 11, 4)
         schedule = even_schedule(path, n_steps)
         ts, steps = _reference_even_schedule(kind, 11, 4, n_steps)

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from statlen import (
     discrete_path_length,
+    even_schedule,
     geodesic_path,
+    linear_mixture_path,
     random_distribution,
     random_state,
     relative_entropy,
@@ -97,3 +99,24 @@ class TestDiagonalGeodesic:
         lengths = [discrete_path_length(path, n_steps) for path in (classical, quantum)]
         fids = [np.cos(report.step_lengths / 2.0) for report in lengths]
         assert np.max(np.abs(fids[0] - fids[1])) <= 1e-12
+
+
+class TestDiagonalSchedule:
+    """A mixture of probability vectors and the mixture of the diagonal
+    density matrices that carry them get the same even schedule."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(
+        dim=st.integers(2, 5),
+        ranks=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        seed=st.integers(0, 10**6),
+        n_steps=st.integers(1, 64),
+    )
+    def test_classical_schedule_is_the_diagonal_schedule(self, dim, ranks, seed, n_steps):
+        p, q = _pair("classical", dim, ranks, seed)
+        classical = even_schedule(linear_mixture_path(p, q), n_steps)
+        diagonal = even_schedule(
+            linear_mixture_path(validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))),
+            n_steps,
+        )
+        assert np.max(np.abs(classical.ts - diagonal.ts)) <= 1e-7

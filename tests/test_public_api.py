@@ -4,6 +4,7 @@ A deletion from the package that would break a demo or the README's
 library tour fails here instead of silently.
 """
 import ast
+import logging
 import os
 import re
 import subprocess
@@ -43,6 +44,12 @@ def _statlen_names(source: str) -> set:
         ):
             names.add(node.attr)
     return names
+
+
+def test_library_logger_has_a_null_handler():
+    handlers = logging.getLogger("statlen").handlers
+    assert any(isinstance(h, logging.NullHandler) for h in handlers)
+    assert "logging" not in statlen.__all__
 
 
 def test_every_demo_and_the_readme_are_checked():

@@ -2,9 +2,10 @@
 """Fidelities and the geodesic lengths they induce.
 
 Computes the classical and quantum fidelity for a documented pair and for
-random states, and shows the two closed-form geodesic lengths: the
-simplex length 2 arccos F and the density-matrix length 2 sqrt(1 - F^2),
-related by l_chordal = 2 sin(l_arc / 2).
+random states, and shows two closed-form values: the geodesic length
+2 arccos F, for probability vectors and density matrices alike, and the
+chordal distance 2 sqrt(1 - F^2) between the unit amplitudes, which is
+not a path length.  They are related by d_chordal = 2 sin(l_arc / 2).
 """
 import numpy as np
 
@@ -23,8 +24,8 @@ p = validate_distribution([0.5, 0.5])
 q = validate_distribution([0.9, 0.1])
 f = fidelity_classical(p, q)
 print(f"classical fidelity      F       = {f:.6f}")
-print(f"simplex geodesic        2acosF  = {geodesic_length_fisher(f):.6f}")
-print(f"chordal geodesic        2r(1-F2)= {geodesic_length_bures(f):.6f}")
+print(f"geodesic length         2acosF  = {geodesic_length_fisher(f):.6f}")
+print(f"chordal distance        2r(1-F2)= {geodesic_length_bures(f):.6f}")
 
 rho = validate_density(np.diag(p.weights))
 sigma = validate_density(np.diag(q.weights))
@@ -48,4 +49,4 @@ for f in (0.0, 0.25, 0.5, 0.75, 0.894427, 1.0):
     chordal = geodesic_length_bures(f)
     via_sine = 2.0 * np.sin(0.5 * geodesic_length_fisher(f))
     print(f"{f:>6.3f}  {chordal:>13.9f}  {via_sine:>15.9f}")
-print("\nthe chordal length is the shorter one whenever 0 < F < 1")
+print("\nthe chordal distance is the shorter one whenever 0 < F < 1")

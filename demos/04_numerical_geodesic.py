@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Numerical geodesic search against the two closed-form candidates.
 
-The optimizer minimizes the discrete chord energy sum 8 (1 - F_i)
-between fixed endpoints, and reports the length of its path as the sum
-of the steps' Bures angles 2 arccos F_i, the same measure for both kinds.
+The optimizer minimizes the discrete chord energy 4 sum c_i^2 between
+fixed endpoints, with c_i = sqrt(2 (1 - F_i)) the Uhlmann chord of a step,
+and reports the length of its path as the sum of the steps' Bures angles
+4 arcsin(c_i/2) = 2 arccos F_i, the same measure for both kinds.
 By the triangle inequality that sum is never below 2 arccos F of the
 path's own endpoints (the ridged ones, when a ridge is on).  For
 classical antipodal states the shortest path length is pi and the search

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import serialize
-from .exceptions import DimensionCapExceeded, StatlenError
+from .exceptions import DimensionCapExceeded, StatlenError, _refuse_above
 from .geometry import (
     even_schedule,
     geodesic_length_bures,
@@ -76,10 +76,7 @@ def _count(value, key: str) -> int:
 def _dim(value, key: str, cap: int) -> int:
     """A random state's dimension: a count no larger than ``cap``, checked before drawing."""
     dim = _count(value, key)
-    if dim > cap:
-        raise DimensionCapExceeded(
-            f"{key} {dim} exceeds cap {cap}; largest feasible dim is {cap}", max_feasible=cap
-        )
+    _refuse_above(cap, key, dim, "dim")
     return dim
 
 

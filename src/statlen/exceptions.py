@@ -45,6 +45,14 @@ class DimensionCapExceeded(StatlenError):
         self.max_feasible = max_feasible
 
 
+def _refuse_above(cap: int, name: str, value: int, unit: str) -> None:
+    """Raise DimensionCapExceeded above ``cap``, naming it as the largest feasible ``unit``."""
+    if value > cap:
+        raise DimensionCapExceeded(
+            f"{name} {value} exceeds cap {cap}; largest feasible {unit} is {cap}", max_feasible=cap
+        )
+
+
 class SupportViolation(StatlenError, ValueError):
     """A tangent direction leaves the support of its base state."""
 

@@ -10,7 +10,8 @@ normalization the geodesic length between two states is the Bures angle
 step of fidelity F has squared length ``8 (1 - F)`` to leading order.
 Every discrete step of a sampled path is measured by that angle: it obeys
 the triangle inequality, so discrete lengths only grow under refinement,
-and it is exact at every N on :func:`geodesic_path`.
+and it is exact at every N on :func:`geodesic_path`.  It is taken as
+``4 arcsin(c/2)`` of the chord ``c = sqrt(2 (1 - F))``, exact near F = 1.
 """
 from __future__ import annotations
 
@@ -21,10 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import (
-    DimensionCapExceeded,
     DimensionMismatch,
     RankDeficient,
     SupportViolation,
+    _refuse_above,
 )
 from .states import (
     SUPPORT_FLOOR,
@@ -48,7 +49,7 @@ DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_STEPS = 65536              # cap on the steps of an even schedule
 SPREAD_TOL = 1e-8              # even-schedule target for (max - min)/mean of the steps
-ARCCOS_NOISE = 256 * np.finfo(float).eps  # least spread 2 arccos F resolves, times mean step^2
+STEP_NOISE = 256 * np.finfo(float).eps  # least spread the sampled states resolve, times mean step^2
 MAX_PASSES = 64                # cap on the equidistribution passes of an even schedule
 _log = logging.getLogger(__name__)
 
@@ -60,21 +61,32 @@ def _require_kind(tangent: TangentPerturbation, kind: str) -> None:
 
 # ---------- fidelities ----------
 
-def _classical_fidelities(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise sum_a sqrt(p_a q_a) of two weight stacks, clamped to [0, 1]."""
-    return np.clip(np.sum(np.sqrt(p * q), axis=-1), 0.0, 1.0)
+def _classical_chords(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise chord ||sqrt(p) - sqrt(q)|| = sqrt(2 (1 - F)) of two weight stacks."""
+    return np.sqrt(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1))
 
 
-def _root_fidelities(root_a: np.ndarray, root_b: np.ndarray) -> np.ndarray:
-    """Row-wise ||sqrt(rho) sqrt(sigma)||_1 from two stacks of square roots."""
-    singular = np.linalg.svd(root_a @ root_b, compute_uv=False)
-    return np.clip(np.sum(singular, axis=-1), 0.0, 1.0)
+def _uhlmann(a: np.ndarray, b: np.ndarray):
+    """Row-wise ``(F, U, chord)`` of two stacks of factors, a a* = rho, b b* = sigma.
+
+    From the SVD a* b = W S V*: F = tr S clamped to 1 (Uhlmann 1976), the
+    polar factor U = W V*, and ||a U - b||_F = sqrt(2 (1 - F)) with no 1 - F.
+    """
+    w, singular, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
+    polar = w @ vh
+    chords = np.sqrt(np.sum(np.abs(a @ polar - b) ** 2, axis=(-2, -1)))
+    return np.minimum(1.0, np.sum(singular, axis=-1)), polar, chords
+
+
+def _angles(chords: np.ndarray) -> np.ndarray:
+    """Bures angle 4 arcsin(c/2) = 2 arccos F of each chord c."""
+    return 4.0 * np.arcsin(0.5 * chords)
 
 
 def fidelity_classical(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:
     """Classical fidelity sum_a sqrt(p_a q_a), clamped to [0, 1]."""
     _same_dim(p, q)
-    return float(_classical_fidelities(p.weights, q.weights))
+    return float(np.clip(np.sum(np.sqrt(p.weights * q.weights)), 0.0, 1.0))
 
 
 def fidelity_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -88,7 +100,7 @@ def fidelity_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     _same_dim(rho, sigma)
     roots = _sqrt_rows(np.stack((rho.matrix, sigma.matrix)))
-    return float(_root_fidelities(roots[0], roots[1]))
+    return float(_uhlmann(roots[0], roots[1])[0])
 
 
 def state_fidelity(a, b) -> float:
@@ -280,9 +292,10 @@ def geodesic_path(a, b) -> StatePath:
     2 arccos F.
 
     Probability vectors use A = sqrt(p) and B = sqrt(q).  Density matrices
-    use A = sqrt(rho) and B = sqrt(sigma) U, where U = V W* comes from the
-    SVD sqrt(rho) sqrt(sigma) = W S V*: then A* B = W S W* >= 0 and
-    F = tr S (Uhlmann 1976; Hubner, Phys. Lett. A 163, 239 (1992)).  On
+    use A = sqrt(rho) and B = sqrt(sigma) U*, with the polar factor U = W V*
+    of :func:`_uhlmann` from the SVD sqrt(rho) sqrt(sigma) = W S V*: then
+    A* B = W S W* >= 0 and F = tr S (Uhlmann 1976; Hubner, Phys. Lett. A
+    163, 239 (1992)).  theta is half the angle of the chord ||A - B||.  On
     full-rank diagonal matrices U = I, and this is the probability-vector
     path of the diagonals.  For rank-deficient endpoints the SVD completes W and V
     arbitrarily on the zero singular values; any completion is valid,
@@ -292,13 +305,13 @@ def geodesic_path(a, b) -> StatePath:
     kind = _pair_kind(a, b)
     start = _state_array(a)
     if kind == "classical":
-        theta = float(np.arccos(fidelity_classical(a, b)))
+        chord = _classical_chords(a.weights, b.weights)
         root_a, root_b = np.sqrt(a.weights), np.sqrt(b.weights)
     else:
         root_a, root_b = _sqrt_rows(np.stack((a.matrix, b.matrix)))
-        w, singular, vh = np.linalg.svd(root_a @ root_b)
-        theta = float(np.arccos(min(1.0, float(np.sum(singular)))))
-        root_b = root_b @ (vh.conj().T @ w.conj().T)
+        _, polar, chord = _uhlmann(root_a, root_b)
+        root_b = root_b @ polar.conj().T
+    theta = float(_angles(chord)) / 2.0
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
         return StatePath(kind, a, b, lambda ts: np.broadcast_to(start, ts.shape + start.shape))
@@ -328,11 +341,6 @@ def linear_mixture_path(a, b) -> StatePath:
 
 # ---------- discrete lengths and schedules ----------
 
-def _step_lengths_from_fidelities(fids: np.ndarray) -> np.ndarray:
-    """Bures angle 2 arccos F of each step."""
-    return 2.0 * np.arccos(np.clip(fids, 0.0, 1.0))
-
-
 def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     """Step lengths between the path's states at consecutive ``ts``.
 
@@ -340,18 +348,18 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     overlap by one parameter, which bounds the memory whatever len(ts) is.
     """
     block = max(1, SAMPLE_BLOCK_BYTES // _state_array(path.start).nbytes)
-    fids = []
+    chords = []
     for i in range(0, max(ts.size - 1, 1), block):
         rows, spectra = path._rows(ts[i:i + block + 1])
         if spectra is None:
-            fids.append(_classical_fidelities(rows[:-1], rows[1:]))
+            chords.append(_classical_chords(rows[:-1], rows[1:]))
             continue
         lam, vec, fresh = spectra
         if not fresh.all():
             lam[~fresh], vec[~fresh] = np.linalg.eigh(rows[~fresh])
         roots = _sqrt_rows(rows, (lam, vec))
-        fids.append(_root_fidelities(roots[:-1], roots[1:]))
-    return _step_lengths_from_fidelities(np.concatenate(fids))
+        chords.append(_uhlmann(roots[:-1], roots[1:])[2])
+    return _angles(np.concatenate(chords))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,15 +382,21 @@ class TransportSchedule:
     n_steps: int
 
 
+def _check_steps(n_steps: int) -> None:
+    """Refuse N < 1, and N > MAX_STEPS before anything is sampled."""
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    _refuse_above(MAX_STEPS, "N", n_steps, "N")
+
+
 def discrete_path_length(path: StatePath, n_steps: int) -> PathLengthReport:
     """Sample the path at t = i/N and sum the Bures angles 2 arccos F of the steps.
 
     The sum never decreases under refinement and tends to the continuum
     length as N grows; on :func:`geodesic_path` it is 2 arccos F of the
-    endpoints at every N.
+    endpoints at every N.  N > MAX_STEPS raises DimensionCapExceeded.
     """
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
+    _check_steps(n_steps)
     steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))
     return PathLengthReport(float(steps.sum()), _freeze(steps), n_steps)
 
@@ -395,19 +409,13 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     the interior t to where linear interpolation of that pass's cumulative
     length puts the targets k L/N; the pass of least spread (max - min)/mean
     is kept.  The loop stops at a spread of SPREAD_TOL = 1e-8, or of
-    ARCCOS_NOISE / mean^2 where arccos resolves no less; when a pass does not
-    lower the spread; or after MAX_PASSES passes.  Constant-speed paths and
-    paths shorter than DEGENERATE_LENGTH keep t = i/N exactly.  N > MAX_STEPS
-    raises DimensionCapExceeded before any sampling.  One DEBUG record gives
-    the passes, the stop reason and the spread.
+    STEP_NOISE / mean^2 where the sampled states resolve no less; when a
+    pass does not lower the spread; or after MAX_PASSES passes.  Paths of
+    constant speed or shorter than DEGENERATE_LENGTH keep t = i/N exactly.
+    N > MAX_STEPS raises DimensionCapExceeded before any sampling.  One
+    DEBUG record gives the passes, the stop reason and the spread.
     """
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    if n_steps > MAX_STEPS:
-        raise DimensionCapExceeded(
-            f"N {n_steps} exceeds cap {MAX_STEPS}; largest feasible N is {MAX_STEPS}",
-            max_feasible=MAX_STEPS,
-        )
+    _check_steps(n_steps)
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     best, reason = (np.inf,), "pass cap"
     for passes in range(1, MAX_PASSES + 1):
@@ -421,7 +429,7 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
             reason = "stall"
             break
         best = (spread, ts, steps)
-        if spread <= max(SPREAD_TOL, ARCCOS_NOISE * (n_steps / total) ** 2):
+        if spread <= max(SPREAD_TOL, STEP_NOISE * (n_steps / total) ** 2):
             reason = "tolerance"
             break
         ts = np.interp(total * np.arange(n_steps + 1) / n_steps, np.cumsum(np.r_[0.0, steps]), ts)

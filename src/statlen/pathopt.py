@@ -6,7 +6,7 @@ probability vector is the real diagonal case, A = diag(x) with
 p = x^2/|x|^2, so both kinds share one code path and differ only in which
 entries of A are free.  It descends the chord energy
 
-    E = sum_i dl_i^2,    dl_i^2 = 8 (1 - min(1, F(rho_i, rho_{i+1}))).
+    E = 4 sum_i c_i^2,    c_i = ||B_i U_i - B_{i+1}||_F = sqrt(2 (1 - F_i)),
 
 Every state enters through a factor B with B B* = rho: sqrt(rho) at the
 endpoints, A/||A||_F inside.  With a ridge r every state is
@@ -14,10 +14,11 @@ endpoints, A/||A||_F inside.  With a ridge r every state is
 [A, sqrt(r t/d) I]/sqrt(t (1 + r)) with t = ||A||_F^2, and the endpoint
 roots are zero-padded to that width.  By Uhlmann's theorem
 F(B B*, C C*) = ||B* C||_1, so one stacked SVD of the N matrices
-M_i = B_i* B_{i+1} = W S V* gives every fidelity as the sum of S, and the
-polar factor U_i = W V* gives its exact gradient: B_i U_i with respect to
-B_{i+1} and B_{i+1} U_i* with respect to B_i, then the chain rule through
-the normalization.  Chords clipped at F = 1 contribute no gradient.
+M_i = B_i* B_{i+1} = W S V* (``geometry._uhlmann``) gives the polar factors
+U_i = W V* and the chords c_i: E is 8 sum_i (1 - F_i) without the
+cancellation in 1 - F.  U_i gives its exact gradient: B_i U_i with respect
+to B_{i+1} and B_{i+1} U_i* with respect to B_i, then the chain rule
+through the normalization.
 
 The step is L-BFGS (Nocedal 1980; Liu & Nocedal 1989): the two-loop
 recursion over the last ``MEMORY`` pairs of coordinate and gradient
@@ -38,19 +39,21 @@ lengths doubles as a convergence diagnostic.
 """
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionCapExceeded, RankCollapse
+from .exceptions import RankCollapse, _refuse_above
 from .geometry import (
     RANK_TOL,
     StatePath,
     linear_mixture_path,
+    _angles,
     _state_array,
-    _step_lengths_from_fidelities,
+    _uhlmann,
 )
 from .states import (
     add_ridge,
@@ -72,6 +75,7 @@ ARMIJO = 1e-4         # sufficient-decrease factor of the line search
 MEMORY = 10           # L-BFGS correction pairs kept
 ENERGY_TOL = 1e-10    # relative energy decrease that counts as a stall
 STALL_WINDOW = 10     # accepted iterations the stall test looks back over
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +109,7 @@ class _Chain(NamedTuple):
 
     factors: np.ndarray   # (N + 1, d, w): B_i with B_i B_i* = rho_i
     norms: np.ndarray     # (N - 1,): ||A_i||_F of the interior coordinates
-    fids: np.ndarray      # (N,): min(1, ||B_i* B_{i+1}||_1)
+    chords: np.ndarray    # (N,): ||B_i U_i - B_{i+1}||_F
     polar: np.ndarray     # (N, w, w): polar factor W V* of B_i* B_{i+1}
     energy: float
 
@@ -144,15 +148,13 @@ def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool)
             [unit / np.sqrt(1.0 + ridge), np.broadcast_to(pad, unit.shape)], axis=2
         )
     factors = np.concatenate([ends[:1], unit, ends[1:]])
-    w, s, vh = np.linalg.svd(factors[:-1].conj().swapaxes(1, 2) @ factors[1:])
-    fids = np.minimum(1.0, s.sum(axis=1))
-    return _Chain(factors, norms, fids, w @ vh, float(np.sum(8.0 * (1.0 - fids))))
+    _, polar, chords = _uhlmann(factors[:-1], factors[1:])
+    return _Chain(factors, norms, chords, polar, float(4.0 * np.sum(chords ** 2)))
 
 
 def _gradient(coords: np.ndarray, chain: _Chain, ridge: float, classical: bool) -> np.ndarray:
     """dE/dA for every interior coordinate, restricted to the free entries."""
-    polar = np.where((chain.fids < 1.0)[:, None, None], chain.polar, 0.0)
-    factors = chain.factors
+    polar, factors = chain.polar, chain.factors
     grad = -8.0 * (
         factors[:-2] @ polar[:-1] + factors[2:] @ polar[1:].conj().swapaxes(1, 2)
     )
@@ -183,20 +185,12 @@ def _direction(grad: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def _check_dim(dim: int, cap: int, kind: str) -> None:
-    if dim > cap:
-        raise DimensionCapExceeded(
-            f"{kind} search dim {dim} exceeds cap {cap}; largest feasible dim is {cap}",
-            max_feasible=cap,
-        )
-
-
 def _search_kind(start, end, ridge):
     """The kind of a search and its ridge, after the dimension and rank checks."""
     if _pair_kind(start, end) == "classical":
-        _check_dim(start.dim, MAX_DIM_CLASSICAL, "classical")
+        _refuse_above(MAX_DIM_CLASSICAL, "classical search dim", start.dim, "dim")
         return "classical", 0.0 if ridge is None else ridge
-    _check_dim(start.dim, MAX_DIM_QUANTUM, "quantum")
+    _refuse_above(MAX_DIM_QUANTUM, "quantum search dim", start.dim, "dim")
     smallest = min(
         float(spectral(start).eigenvalues[-1]), float(spectral(end).eigenvalues[-1])
     )
@@ -233,16 +227,8 @@ def minimize_path(
     """
     if n_steps < MIN_STEPS:
         raise ValueError(f"n_steps must be at least {MIN_STEPS}, got {n_steps}")
-    if n_steps > MAX_STEPS:
-        raise DimensionCapExceeded(
-            f"n_steps {n_steps} exceeds cap {MAX_STEPS}; largest feasible N is {MAX_STEPS}",
-            max_feasible=MAX_STEPS,
-        )
-    if max_iter > MAX_ITER:
-        raise DimensionCapExceeded(
-            f"max_iter {max_iter} exceeds cap {MAX_ITER}; largest feasible max_iter is {MAX_ITER}",
-            max_feasible=MAX_ITER,
-        )
+    _refuse_above(MAX_STEPS, "n_steps", n_steps, "N")
+    _refuse_above(MAX_ITER, "max_iter", max_iter, "max_iter")
     kind, ridge = _search_kind(start, end, ridge)
     classical = kind == "classical"
     check_rank = not classical and ridge == 0.0
@@ -258,13 +244,14 @@ def minimize_path(
     step_cvs: list[float] = []
 
     def record(chain):
-        steps = _step_lengths_from_fidelities(chain.fids)
+        steps = _angles(chain.chords)
         mean = float(steps.mean())
         lengths.append(float(steps.sum()))
         energies.append(chain.energy)
         step_cvs.append(float(steps.std() / mean) if mean > 0.0 else 0.0)
 
     chain = _chain(coords, ends, ridge, check_rank)
+    evaluations = 1
     record(chain)
     grad = _gradient(coords, chain, ridge, classical)
     pairs = deque(maxlen=MEMORY)
@@ -285,6 +272,7 @@ def minimize_path(
         for _ in range(60):
             trial = coords + alpha * direction
             trial_chain = _chain(trial, ends, ridge, check_rank)
+            evaluations += 1
             if trial_chain.energy <= chain.energy + ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
@@ -307,12 +295,11 @@ def minimize_path(
                 stop_reason = "stall"
                 break
 
+    _log.debug("minimize_path N=%d: %d iterations, %d chain evaluations, stop: %s",
+               n_steps, iterations, evaluations, stop_reason)
     interior = chain.factors[1:-1]
     rhos = interior @ interior.conj().swapaxes(1, 2)
-    if classical:
-        states = [validate_distribution(np.diagonal(rho)) for rho in rhos]
-    else:
-        states = [validate_density(rho) for rho in rhos]
+    states = [validate_distribution(np.diagonal(r)) if classical else validate_density(r) for r in rhos]
     return PathOptimizationResult(
         kind=kind,
         states=(endpoints[0], *states, endpoints[1]),

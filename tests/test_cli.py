@@ -361,6 +361,18 @@ class TestGeodesicCommand:
         assert json.loads(out.read_text())["results"]["converged"] is False
 
 
+    def test_record_and_history_are_the_same_with_debug_logging(self, tmp_path, caplog):
+        config = {"state_a": QUBIT_A, "state_b": QUBIT_B, "N": 8}
+        code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_OK
+        history = out.with_name(out.name + ".history.csv")
+        quiet = out.read_bytes(), history.read_bytes()
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            code, out = _run(tmp_path, "geodesic", config)
+        assert code == EXIT_OK
+        assert [r.args[0] for r in caplog.records if r.name == "statlen.pathopt"] == [8]
+        assert (out.read_bytes(), history.read_bytes()) == quiet
+
     def test_stop_reason_in_json_and_csv(self, tmp_path):
         antipodal = {
             "state_a": {"kind": "classical", "weights": [1.0, 0.0]},

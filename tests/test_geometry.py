@@ -34,12 +34,14 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import ARCCOS_NOISE, DEGENERATE_LENGTH, MAX_PASSES, SPREAD_TOL
+from statlen.geometry import DEGENERATE_LENGTH, MAX_PASSES, MAX_STEPS, SPREAD_TOL, STEP_NOISE
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
 # sqrt(0.45) + sqrt(0.05), evaluated independently
 F_DOC = 0.8944271909999159
+RHO_FLAT = validate_density(np.diag([0.2] * 5))
+RHO_FULL = random_state(3, 3, 4)
 
 
 def _random_pair(dim, seed):
@@ -480,11 +482,39 @@ class TestGeodesicPath:
             )
 
 
+def _never(ts):
+    raise AssertionError("sampled before the cap was checked")
+
+
 class TestDiscreteLength:
     def test_constant_path_zero(self):
-        path = linear_mixture_path(P_HALF, P_HALF)
-        for n in (1, 7, 32):
-            assert discrete_path_length(path, n).total_length == pytest.approx(0.0, abs=1e-7)
+        # Each step is measured by its chord, which keeps its digits at F = 1:
+        # equal diagonal endpoints read 0, a full-rank state with itself a few
+        # eps per step (2 arccos F read about 3e-8 per step there).
+        for state, per_step in ((P_HALF, 0), (RHO_FLAT, 0), (RHO_FULL, 1)):
+            for build in (linear_mixture_path, geodesic_path):
+                for n in (1, 7, 32):
+                    length = discrete_path_length(build(state, state), n).total_length
+                    assert 0.0 <= length <= 1e-14 * n ** per_step
+
+    def test_n_cap(self):
+        path = StatePath("classical", P_HALF, P_SKEW, _never)
+        with pytest.raises(DimensionCapExceeded) as err:
+            discrete_path_length(path, MAX_STEPS + 1)
+        assert err.value.max_feasible == MAX_STEPS
+        assert f"largest feasible N is {MAX_STEPS}" in str(err.value)
+
+    @pytest.mark.parametrize("n_steps", [16, 256, 4096])
+    def test_geodesic_length_is_twice_theta_to_roundoff(self, n_steps):
+        pairs = [
+            _random_pair(3, 5),
+            (random_state(3, 3, 5), random_state(3, 3, 6)),
+            (random_state(3, 1, 7), random_state(3, 2, 8)),
+        ]
+        for a, b in pairs:
+            expected = geodesic_length_fisher(state_fidelity(a, b))
+            length = discrete_path_length(geodesic_path(a, b), n_steps).total_length
+            assert abs(length - expected) <= 1e-13
 
     def test_report_consistency(self):
         path = geodesic_path(P_HALF, P_SKEW)
@@ -527,10 +557,7 @@ def _spread(steps) -> float:
 
 class TestEvenSchedule:
     def test_n_cap(self):
-        def never(ts):
-            raise AssertionError("sampled before the cap was checked")
-
-        path = StatePath("classical", P_HALF, P_SKEW, never)
+        path = StatePath("classical", P_HALF, P_SKEW, _never)
         with pytest.raises(DimensionCapExceeded) as err:
             even_schedule(path, 65537)
         assert err.value.max_feasible == 65536
@@ -560,7 +587,7 @@ class TestEvenSchedule:
     def test_degenerate_path_gives_trivial_schedule(self):
         schedule = even_schedule(linear_mixture_path(P_HALF, P_HALF), 8)
         assert np.allclose(schedule.ts, np.linspace(0, 1, 9))
-        assert schedule.step_lengths.sum() == pytest.approx(0.0, abs=1e-7)
+        assert schedule.step_lengths.sum() == pytest.approx(0.0, abs=1e-14)
 
     def test_quantum_schedule_even(self):
         rho = random_state(2, 2, 61)
@@ -588,7 +615,7 @@ class TestEvenSchedule:
     @pytest.mark.parametrize("kind", ["classical-geodesic", "commuting-geodesic", "quantum-geodesic"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_geodesic_keeps_uniform_parameters(self, seed, kind, n_steps):
-        # constant speed: the first pass is already even, to the arccos noise
+        # constant speed: the first pass is already even, to the roundoff of the samples
         schedule = even_schedule(_path_of_kind(kind, seed, 2 + seed), n_steps)
         assert np.array_equal(schedule.ts, np.linspace(0.0, 1.0, n_steps + 1))
 
@@ -598,6 +625,10 @@ class TestEvenSchedule:
             (geodesic_path(P_HALF, P_SKEW), 16, "tolerance", True),
             (linear_mixture_path(P_HALF, P_HALF), 8, "degenerate", True),
             (linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4)), 64, "tolerance", False),
+            (geodesic_path(RHO_FLAT, RHO_FLAT), 16, "degenerate", True),
+            (linear_mixture_path(RHO_FLAT, RHO_FLAT), 16, "degenerate", True),
+            (geodesic_path(RHO_FULL, RHO_FULL), 16, "degenerate", True),
+            (linear_mixture_path(RHO_FULL, RHO_FULL), 16, "degenerate", True),
         ],
     )
     def test_logs_passes_stop_and_spread(self, caplog, path, n_steps, stop, one_pass):
@@ -663,12 +694,12 @@ def _reference_point(kind, a, b):
     if kind in UHLMANN_KINDS:
         # Uhlmann amplitudes sqrt(a) and sqrt(b) V W*, from sqrt(a) sqrt(b) = W S V*
         root_a, root_b = _reference_root(a.matrix), _reference_root(b.matrix)
-        w, singular, vh = np.linalg.svd(root_a @ root_b)
-        theta = float(np.arccos(min(1.0, float(np.sum(singular)))))
-        root_b = root_b @ (vh.conj().T @ w.conj().T)
+        _, polar, chord = _reference_uhlmann(root_a, root_b)
+        root_b = root_b @ polar.conj().T
     else:
-        theta = float(np.arccos(np.clip(fidelity_classical(a, b), 0.0, 1.0)))
         root_a, root_b = np.sqrt(a.weights), np.sqrt(b.weights)
+        chord = _reference_chord(a, b)
+    theta = 2.0 * float(np.arcsin(0.5 * chord))
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
         return lambda t: a
@@ -696,17 +727,30 @@ def _reference_root(mat) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def _reference_uhlmann(root_a, root_b):
+    """Fidelity, polar factor and chord ||root_a U - root_b||_F of one pair of roots."""
+    w, singular, vh = np.linalg.svd(root_a.conj().T @ root_b)
+    polar = w @ vh
+    return min(1.0, float(np.sum(singular))), polar, float(np.sqrt(np.sum(np.abs(root_a @ polar - root_b) ** 2)))
+
+
 def _reference_fidelity(a, b) -> float:
     """Fidelity of one pair, computed state by state as the reference."""
     if isinstance(a, ProbabilityDistribution):
         return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
-    product = _reference_root(a.matrix) @ _reference_root(b.matrix)
-    return float(np.clip(np.sum(np.linalg.svd(product, compute_uv=False)), 0.0, 1.0))
+    return _reference_uhlmann(_reference_root(a.matrix), _reference_root(b.matrix))[0]
+
+
+def _reference_chord(a, b) -> float:
+    """Chord sqrt(2 (1 - F)) of one pair, computed state by state as the reference."""
+    if isinstance(a, ProbabilityDistribution):
+        return float(np.sqrt(np.sum((np.sqrt(a.weights) - np.sqrt(b.weights)) ** 2)))
+    return _reference_uhlmann(_reference_root(a.matrix), _reference_root(b.matrix))[2]
 
 
 def _reference_steps(states) -> np.ndarray:
-    fids = np.array([_reference_fidelity(states[i], states[i + 1]) for i in range(len(states) - 1)])
-    return 2.0 * np.arccos(np.clip(fids, 0.0, 1.0))
+    chords = np.array([_reference_chord(states[i], states[i + 1]) for i in range(len(states) - 1)])
+    return 4.0 * np.arcsin(0.5 * chords)
 
 
 def _reference_even_schedule(kind, seed, dim, n_steps):
@@ -723,7 +767,7 @@ def _reference_even_schedule(kind, seed, dim, n_steps):
         if spread >= best[0]:
             break
         best = (spread, ts, steps)
-        if spread <= max(SPREAD_TOL, ARCCOS_NOISE * (n_steps / total) ** 2):
+        if spread <= max(SPREAD_TOL, STEP_NOISE * (n_steps / total) ** 2):
             break
         ts = np.interp(total * np.arange(n_steps + 1) / n_steps, np.cumsum(np.r_[0.0, steps]), ts)
         ts[0], ts[-1] = 0.0, 1.0

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,26 @@ class TestQuantumSearch:
         assert np.isfinite(result.final_length)
         assert 1.5 <= result.final_length <= np.pi + 0.05
 
+    def test_logs_iterations_evaluations_and_stop(self, caplog, monkeypatch):
+        calls = []
+        chain = pathopt._chain
+        monkeypatch.setattr(pathopt, "_chain", lambda *args: calls.append(1) or chain(*args))
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            result = minimize_path(random_state(2, 2, 11), random_state(2, 2, 12), 8)
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("statlen.pathopt", logging.DEBUG)
+        assert record.args == (8, result.iterations, len(calls), result.stop_reason)
+
+    def test_near_floor_pair_takes_few_chain_evaluations(self, caplog):
+        # near the noise floor the line search used to halve its step many
+        # times per iteration (188 chain evaluations for 25 iterations here);
+        # the chord energy keeps its digits there
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            result = minimize_path(random_state(2, 2, 1), random_state(2, 2, 2), 8)
+        _, iterations, evaluations, reason = caplog.records[0].args
+        assert (iterations, reason) == (result.iterations, "stall")
+        assert evaluations <= 40
+
     def test_explicit_zero_ridge_rejects_rank_deficiency(self):
         zero = validate_density(np.diag([1.0, 0.0]))
         one = validate_density(np.diag([0.0, 1.0]))
@@ -292,7 +314,8 @@ class TestAnalyticGradient:
         ends = pathopt._end_factors(endpoints, ridge, classical)
         chain = pathopt._chain(_new_layout(kind, old), ends, ridge, False)
         expected = chords(old)
-        assert np.max(np.abs(8.0 * (1.0 - chain.fids) - expected)) <= 1e-12
+        # 4 c^2 = 8 (1 - F): the chord energy against the old one, term by term
+        assert np.max(np.abs(4.0 * chain.chords ** 2 - expected)) <= 1e-12
         assert chain.energy == pytest.approx(float(expected.sum()), abs=1e-12)
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -14,6 +14,10 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
+from statlen.geometry import _angles, _classical_chords, _uhlmann
+from statlen.states import _sqrt_rows
+
+EPS = np.finfo(float).eps
 
 
 def _state(kind, dim, rank, seed):
@@ -49,6 +53,33 @@ class TestFidelity:
         assert abs(forward - backward) <= 1e-12
         assert 0.0 <= forward <= 1.0
         assert 0.0 <= backward <= 1.0
+
+
+class TestChord:
+    """The chord of a step against the fidelity it replaces."""
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(
+        kind=st.sampled_from(["classical", "quantum"]),
+        dim=st.integers(1, 5),
+        ranks=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        seed=st.integers(0, 10**6),
+        same=st.booleans(),
+    )
+    def test_chord_is_sqrt_two_one_minus_f(self, kind, dim, ranks, seed, same):
+        a, b = _pair(kind, dim, ranks, seed)
+        b = a if same else b
+        if kind == "quantum":
+            roots = _sqrt_rows(np.stack((a.matrix, b.matrix)))
+            fid, _, chord = _uhlmann(roots[0], roots[1])
+        else:
+            fid, chord = state_fidelity(a, b), _classical_chords(a.weights, b.weights)
+        # F is a sum of up to five rounded singular values (or products),
+        # so 2 (1 - F) carries a few tens of eps of its own
+        assert abs(chord ** 2 - 2.0 * (1.0 - fid)) <= 64 * EPS
+        if fid <= 0.99:
+            # arccos has slope at most 1/sqrt(1 - 0.99^2) < 7.1 there
+            assert abs(_angles(chord) - 2.0 * np.arccos(fid)) <= 2.0 * 7.1 * 64 * EPS
 
 
 class TestRelativeEntropy:
@@ -93,12 +124,8 @@ class TestDiagonalGeodesic:
         ts = np.array(ts)
         diagonals = np.diagonal(quantum.sample_many(ts), axis1=1, axis2=2)
         assert np.max(np.abs(classical.sample_many(ts) - diagonals)) <= 1e-12
-        # compared through the step fidelities cos(l_i / 2): near F = 1 the
-        # angle 2 arccos F turns a last-bit difference in F into ~3e-8, as on
-        # equal endpoints, whose quantum fidelity reads 1 - 2.2e-16
-        lengths = [discrete_path_length(path, n_steps) for path in (classical, quantum)]
-        fids = [np.cos(report.step_lengths / 2.0) for report in lengths]
-        assert np.max(np.abs(fids[0] - fids[1])) <= 1e-12
+        steps = [discrete_path_length(path, n_steps).step_lengths for path in (classical, quantum)]
+        assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12
 
 
 class TestDiagonalSchedule:

@@ -25,6 +25,7 @@ from .exceptions import (
     DimensionMismatch,
     RankDeficient,
     SupportViolation,
+    ValidationError,
     _refuse_above,
 )
 from .states import (
@@ -44,7 +45,7 @@ from .states import (
     _validate_distribution_rows,
 )
 
-RANK_TOL = 1e-10          # smallest eigenvalue for a state to count as full rank
+RANK_TOL = 1e-10          # a smallest eigenvalue at or below this is rank-deficient
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_STEPS = 65536              # cap on the steps of an even schedule
@@ -217,27 +218,32 @@ def geodesic_length_bures(fidelity: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StatePath:
-    """Parametrized curve t in [0, 1] -> state with pinned endpoints.
+    """Parametrized curve t in [0, 1] -> state between pinned endpoints.
 
-    ``sampler`` maps a vector of K parameters, all strictly inside (0, 1),
-    to the states there as one raw array: (K, d) weights on classical
-    paths, (K, d, d) matrices on quantum ones.  The path validates those
-    rows; t = 0 and t = 1 are never sampled but give ``start`` and ``end``.
+    ``start`` and ``end`` share a kind and dimension, and ``kind`` is theirs.
+    ``sampler`` maps K parameters strictly inside (0, 1) to the raw states
+    there as one array of shape ``(K,) + start.shape``, which the path
+    checks and validates; t = 0 and t = 1 give ``start`` and ``end``.
     """
 
-    kind: str
     start: object
     end: object
     sampler: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self):
+        _pair_kind(self.start, self.end)
+
+    @property
+    def kind(self) -> str:
+        return self.start.kind
+
     def sample(self, t: float):
         """State at parameter t; t = 0 and t = 1 return the stored endpoints."""
-        row = self.sample_many([t])[0]
         if t == 0.0:
             return self.start
         if t == 1.0:
             return self.end
-        return ProbabilityDistribution(row) if self.kind == "classical" else DensityMatrix(row)
+        return type(self.start)(self.sample_many([t])[0])
 
     def sample_many(self, ts) -> np.ndarray:
         """Read-only stack of the validated states at the parameters ``ts``."""
@@ -246,10 +252,10 @@ class StatePath:
     def _rows(self, ts):
         """Validated rows at ``ts``, with the endpoints' rows copied in, not sampled.
 
-        Returns ``(rows, spectra)``.  ``spectra`` is None on classical
-        paths and otherwise ``(eigenvalues, eigenvectors, fresh)`` as
-        ``_validate_density_rows`` gives them; endpoint rows are not
-        ``fresh``.
+        Returns ``(rows, spectra)``: ``spectra`` is None on classical paths
+        and otherwise the ``np.linalg.eigh`` ``(eigenvalues, eigenvectors)``
+        of every row, as ``_validate_density_rows`` gives them.  Validation
+        leaves the bits of a validated endpoint as they are.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.ndim != 1:
@@ -257,21 +263,20 @@ class StatePath:
         outside = ~((ts >= 0.0) & (ts <= 1.0))
         if outside.any():
             raise ValueError(f"path parameter must lie in [0, 1], got {ts[outside][0]}")
-        start, end = _state_array(self.start), _state_array(self.end)
-        rows = np.empty((ts.size,) + start.shape, dtype=start.dtype)
-        rows[ts == 0.0] = start
-        rows[ts == 1.0] = end
+        start = _state_array(self.start)
         inner = (ts > 0.0) & (ts < 1.0)
+        shape = (int(inner.sum()),) + start.shape
+        sampled = np.asarray(self.sampler(ts[inner])) if inner.any() else np.empty(shape, start.dtype)
+        if sampled.shape != shape:
+            raise ValidationError(f"sampler returned shape {sampled.shape}, expected {shape}")
+        raw = np.empty((ts.size,) + start.shape, dtype=np.result_type(start, sampled))
+        raw[inner] = sampled
+        raw[ts == 0.0] = start
+        raw[ts == 1.0] = _state_array(self.end)
         if self.kind == "classical":
-            if inner.any():
-                rows[inner] = _validate_distribution_rows(self.sampler(ts[inner]))
-            return _freeze(rows), None
-        spectra = (np.zeros(rows.shape[:2]), np.zeros_like(rows), np.zeros(ts.size, dtype=bool))
-        if inner.any():
-            validated = _validate_density_rows(self.sampler(ts[inner]))
-            for whole, part in zip((rows,) + spectra, validated):
-                whole[inner] = part
-        return _freeze(rows), spectra
+            return _freeze(_validate_distribution_rows(raw)), None
+        mats, lam, vec = _validate_density_rows(raw)
+        return _freeze(mats), (lam, vec)
 
 
 def _state_array(state) -> np.ndarray:
@@ -314,7 +319,7 @@ def geodesic_path(a, b) -> StatePath:
     theta = float(_angles(chord)) / 2.0
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
-        return StatePath(kind, a, b, lambda ts: np.broadcast_to(start, ts.shape + start.shape))
+        return StatePath(a, b, lambda ts: np.broadcast_to(start, ts.shape + start.shape))
     column = (-1,) + (1,) * start.ndim
 
     def _points(ts: np.ndarray) -> np.ndarray:
@@ -324,19 +329,17 @@ def geodesic_path(a, b) -> StatePath:
         ) / sin_theta
         return amp * amp if kind == "classical" else amp @ amp.conj().swapaxes(-1, -2)
 
-    return StatePath(kind, a, b, _points)
+    return StatePath(a, b, _points)
 
 
 def linear_mixture_path(a, b) -> StatePath:
     """Straight-line mixture (1 - t) a + t b; a non-geodesic reference path."""
-    kind = _pair_kind(a, b)
-    start, end = _state_array(a), _state_array(b)
-
     def _points(ts: np.ndarray) -> np.ndarray:
+        start, end = _state_array(a), _state_array(b)
         t = ts.reshape((-1,) + (1,) * start.ndim)
         return (1.0 - t) * start + t * end
 
-    return StatePath(kind, a, b, _points)
+    return StatePath(a, b, _points)
 
 
 # ---------- discrete lengths and schedules ----------
@@ -354,10 +357,7 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
         if spectra is None:
             chords.append(_classical_chords(rows[:-1], rows[1:]))
             continue
-        lam, vec, fresh = spectra
-        if not fresh.all():
-            lam[~fresh], vec[~fresh] = np.linalg.eigh(rows[~fresh])
-        roots = _sqrt_rows(rows, (lam, vec))
+        roots = _sqrt_rows(rows, spectra)
         chords.append(_uhlmann(roots[:-1], roots[1:])[2])
     return _angles(np.concatenate(chords))
 

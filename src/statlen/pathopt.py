@@ -137,9 +137,9 @@ def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool)
     unit = coords / norms[:, None, None]
     if check_rank:
         smallest = float(np.min(np.linalg.svd(unit, compute_uv=False)[:, -1])) ** 2
-        if smallest < RANK_TOL:
+        if smallest <= RANK_TOL:
             raise RankCollapse(
-                f"iterate eigenvalue {smallest:.3e} below {RANK_TOL} with the ridge disabled"
+                f"iterate eigenvalue {smallest:.3e} at or below {RANK_TOL} with the ridge disabled"
             )
     if ridge > 0.0:
         dim = coords.shape[-1]
@@ -195,10 +195,10 @@ def _search_kind(start, end, ridge):
         float(spectral(start).eigenvalues[-1]), float(spectral(end).eigenvalues[-1])
     )
     if ridge is None:
-        ridge = AUTO_RIDGE if smallest < RANK_TOL else 0.0
-    if ridge == 0.0 and smallest < RANK_TOL:
+        ridge = AUTO_RIDGE if smallest <= RANK_TOL else 0.0
+    if ridge == 0.0 and smallest <= RANK_TOL:
         raise RankCollapse(
-            f"endpoint eigenvalue {smallest:.3e} below {RANK_TOL}; "
+            f"endpoint eigenvalue {smallest:.3e} at or below {RANK_TOL}; "
             "enable a ridge to search from rank-deficient endpoints"
         )
     return "quantum", ridge

@@ -104,13 +104,21 @@ def _pair_kind(a, b) -> str:
     return a.kind
 
 
+def _real_copy(raw, what: str) -> np.ndarray:
+    """A float64 copy of ``raw``; complex entries are refused, not cast."""
+    arr = np.asarray(raw)
+    if np.iscomplexobj(arr):
+        raise ValidationError(f"{what} must be real, got {arr.dtype} entries")
+    return np.array(arr, dtype=np.float64, copy=True)
+
+
 def _validate_distribution_rows(raw) -> np.ndarray:
     """Validate every row of a (K, d) weight array; see :func:`validate_distribution`.
 
     Each row gets the checks and repairs of a single distribution, so a
     row comes out bit for bit as it would alone.  Returns a new array.
     """
-    weights = np.array(raw, dtype=np.float64, copy=True)
+    weights = _real_copy(raw, "distribution")
     if weights.ndim != 2 or weights.shape[1] < 1:
         raise ValidationError(
             f"distributions must be a (K, d) array with d >= 1, got shape {weights.shape}"
@@ -145,7 +153,7 @@ def validate_distribution(raw) -> ProbabilityDistribution:
     renormalized only when it deviates by more than roundoff, so validated
     output passes through unchanged.
     """
-    weights = np.asarray(raw, dtype=np.float64)
+    weights = np.asarray(raw)
     if weights.ndim != 1 or weights.size < 1:
         raise ValidationError(
             f"distribution must be a nonempty vector, got shape {weights.shape}"
@@ -156,10 +164,10 @@ def validate_distribution(raw) -> ProbabilityDistribution:
 def _validate_density_rows(raw):
     """Validate every matrix of a (K, d, d) stack; see :func:`validate_density`.
 
-    Returns ``(matrices, eigenvalues, eigenvectors, fresh)``: the validated
-    stack, the ``eigh`` of each matrix taken for the positivity check, and
-    the mask of matrices left as they were decomposed (not repaired
-    afterwards), whose ``eigh`` is therefore that of the returned matrix.
+    Returns ``(matrices, eigenvalues, eigenvectors)``: the validated stack
+    and the ``np.linalg.eigh`` of every returned matrix.  That is the
+    decomposition the positivity check takes; a repaired matrix is
+    decomposed again after its repair.
     """
     mat = np.array(raw, dtype=np.complex128, copy=True)
     if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] < 1:
@@ -194,7 +202,8 @@ def _validate_density_rows(raw):
         basis = vec[repair]
         fixed = (basis * kept[:, None, :]) @ basis.conj().swapaxes(1, 2)
         mat[repair] = 0.5 * (fixed + fixed.conj().swapaxes(1, 2))
-    return mat, lam, vec, ~repair
+        lam[repair], vec[repair] = np.linalg.eigh(mat[repair])
+    return mat, lam, vec
 
 
 def validate_density(raw) -> DensityMatrix:
@@ -212,7 +221,7 @@ def validate_density(raw) -> DensityMatrix:
 
 def tangent_classical(raw) -> TangentPerturbation:
     """Zero-sum real direction on the simplex."""
-    delta = np.array(raw, dtype=np.float64, copy=True)
+    delta = _real_copy(raw, "tangent vector")
     if delta.ndim != 1 or delta.size < 1:
         raise ValidationError(f"tangent vector must be 1-d, got shape {delta.shape}")
     total = float(delta.sum())

@@ -11,6 +11,7 @@ from statlen import (
     RankDeficient,
     StatePath,
     SupportViolation,
+    ValidationError,
     add_ridge,
     bures_element,
     discrete_path_length,
@@ -498,7 +499,7 @@ class TestDiscreteLength:
                     assert 0.0 <= length <= 1e-14 * n ** per_step
 
     def test_n_cap(self):
-        path = StatePath("classical", P_HALF, P_SKEW, _never)
+        path = StatePath(P_HALF, P_SKEW, _never)
         with pytest.raises(DimensionCapExceeded) as err:
             discrete_path_length(path, MAX_STEPS + 1)
         assert err.value.max_feasible == MAX_STEPS
@@ -557,7 +558,7 @@ def _spread(steps) -> float:
 
 class TestEvenSchedule:
     def test_n_cap(self):
-        path = StatePath("classical", P_HALF, P_SKEW, _never)
+        path = StatePath(P_HALF, P_SKEW, _never)
         with pytest.raises(DimensionCapExceeded) as err:
             even_schedule(path, 65537)
         assert err.value.max_feasible == 65536
@@ -570,7 +571,7 @@ class TestEvenSchedule:
 
     def test_skewed_parametrization_is_evened_out(self):
         geo = geodesic_path(P_HALF, P_SKEW)
-        skewed = StatePath("classical", P_HALF, P_SKEW, lambda ts: geo.sample_many(ts * ts * ts))
+        skewed = StatePath(P_HALF, P_SKEW, lambda ts: geo.sample_many(ts * ts * ts))
         schedule = even_schedule(skewed, 16)
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
@@ -817,10 +818,47 @@ class TestBatchedPaths:
         with pytest.raises(ValueError):
             geodesic_path(P_HALF, P_SKEW).sample_many(bad)
 
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_kind_and_sample_types_come_from_the_endpoints(self, kind):
+        path = _path_of_kind(kind, 5, 3)
+        assert path.kind == ("classical" if kind.startswith("classical") else "quantum")
+        assert type(path.sample(0.5)) is type(path.start)
+        with pytest.raises(AttributeError):
+            path.kind = "classical"
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (P_HALF, validate_density(np.eye(2) / 2)),
+            (validate_density(np.eye(2) / 2), P_HALF),
+            (P_HALF, validate_distribution([0.2, 0.3, 0.5])),
+            (RHO_FULL, validate_density(np.eye(2) / 2)),
+        ],
+    )
+    def test_endpoints_of_another_kind_or_dimension_rejected(self, start, end):
+        with pytest.raises(DimensionMismatch):
+            StatePath(start, end, _never)
+
+    @pytest.mark.parametrize(
+        "start, rows",
+        [
+            (P_HALF, lambda k: np.tile(P_HALF.weights, (k + 1, 1))),
+            (P_HALF, lambda k: P_HALF.weights[None]),
+            (P_HALF, lambda k: np.tile([0.2, 0.3, 0.5], (k, 1))),
+            (RHO_FLAT, lambda k: np.tile(RHO_FLAT.matrix.diagonal().real, (k, 1))),
+            (P_HALF, lambda k: np.tile(P_HALF.weights.astype(complex), (k, 1))),
+        ],
+        ids=["extra-row", "one-row-for-many", "other-dim", "vector-rows-on-quantum", "complex-weights"],
+    )
+    def test_sampler_output_of_the_wrong_shape_or_type_rejected(self, start, rows):
+        path = StatePath(start, start, lambda ts: rows(ts.size))
+        with pytest.raises(ValidationError):
+            path.sample_many([0.25, 0.5, 0.75])
+
     def test_sampler_output_is_validated(self):
         # a user sampler whose rows carry roundoff gets them repaired
         raw = np.array([0.5 + 1e-12, 0.5])
-        path = StatePath("classical", P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
+        path = StatePath(P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
         assert np.array_equal(path.sample(0.5).weights, validate_distribution(raw).weights)
 
     @settings(deadline=None, derandomize=True, max_examples=12)

@@ -8,20 +8,27 @@ from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
     RankCollapse,
+    RankDeficient,
+    bures_element,
+    expansion_probe,
     fidelity_classical,
     fidelity_quantum,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
+    hellinger_element,
+    kubo_mori_element,
     minimize_path,
     random_distribution,
     random_state,
+    spectral,
+    tangent_quantum,
     validate_density,
     validate_distribution,
 )
 from statlen import pathopt
-from statlen.geometry import StatePath
-from statlen.pathopt import MAX_ITER
+from statlen.geometry import RANK_TOL, StatePath
+from statlen.pathopt import AUTO_RIDGE, MAX_ITER
 from statlen.states import add_ridge
 
 # a state kind and the dimensions its search allows
@@ -191,6 +198,20 @@ class TestQuantumSearch:
         with pytest.raises(RankCollapse):
             minimize_path(zero, one, 8, ridge=0.0)
 
+    def test_smallest_eigenvalue_at_rank_tol_counts_as_rank_deficient(self):
+        # one full-rank rule for the search, the metric elements and the probe
+        boundary = validate_density(np.diag([1.0 - RANK_TOL, RANK_TOL]))
+        assert spectral(boundary).eigenvalues[-1] == RANK_TOL
+        drho = tangent_quantum(np.diag([1.0, -1.0]))
+        for element in (bures_element, hellinger_element, kubo_mori_element):
+            with pytest.raises(RankDeficient):
+                element(boundary, drho, 1e-3)
+        with pytest.raises(RankDeficient):
+            expansion_probe(boundary, drho, [1e-3])
+        assert minimize_path(boundary, random_state(2, 2, 3), 4, max_iter=1).ridge == AUTO_RIDGE
+        with pytest.raises(RankCollapse):
+            minimize_path(boundary, random_state(2, 2, 3), 4, ridge=0.0)
+
     def test_dimension_limit(self):
         big = random_state(5, 5, 1)
         with pytest.raises(DimensionCapExceeded) as info:
@@ -210,7 +231,7 @@ class TestQuantumSearch:
         rho = random_state(2, 2, 11)
         sigma = random_state(2, 2, 12)
         pure = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        seed = StatePath("quantum", rho, sigma, lambda ts: np.broadcast_to(pure, (ts.size, 2, 2)))
+        seed = StatePath(rho, sigma, lambda ts: np.broadcast_to(pure, (ts.size, 2, 2)))
         with pytest.raises(RankCollapse):
             minimize_path(rho, sigma, 8, seed, ridge=0.0)
 

@@ -3,6 +3,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
+    add_ridge,
     discrete_path_length,
     even_schedule,
     geodesic_path,
@@ -15,7 +16,7 @@ from statlen import (
     validate_distribution,
 )
 from statlen.geometry import _angles, _classical_chords, _uhlmann
-from statlen.states import _sqrt_rows
+from statlen.states import _sqrt_rows, _validate_density_rows, _validate_distribution_rows
 
 EPS = np.finfo(float).eps
 
@@ -80,6 +81,41 @@ class TestChord:
         if fid <= 0.99:
             # arccos has slope at most 1/sqrt(1 - 0.99^2) < 7.1 there
             assert abs(_angles(chord) - 2.0 * np.arccos(fid)) <= 2.0 * 7.1 * 64 * EPS
+
+
+class TestValidatedRows:
+    """The row validators: a no-op on their own output, and the spectra they
+    hand on are the ``eigh`` of the matrices they return."""
+
+    @settings(deadline=None, derandomize=True, max_examples=120)
+    @given(
+        kind=st.sampled_from(["classical", "quantum"]),
+        dim=st.integers(1, 5),
+        ranks=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 10**6),
+        source=st.sampled_from(["state", "repaired", "ridged"]),
+    )
+    def test_revalidation_is_a_no_op_and_spectra_are_eigh(self, kind, dim, ranks, seed, source):
+        states = [_state(kind, dim, min(r, dim), seed + k) for k, r in enumerate(ranks)]
+        if source == "ridged":
+            states = [add_ridge(s, 1e-6) for s in states]
+        raw = np.stack([s.weights if kind == "classical" else s.matrix for s in states])
+        if source == "repaired":
+            # zero weights and eigenvalues go below zero and the sum or trace
+            # leaves one, both by more than validation lets pass unrepaired
+            raw = raw - 1e-13 * (1.0 if kind == "classical" else np.eye(dim))
+        if kind == "classical":
+            once = _validate_distribution_rows(raw)
+            assert np.array_equal(_validate_distribution_rows(once), once)
+            return
+        once, lam, vec = _validate_density_rows(raw)
+        twice, lam_again, vec_again = _validate_density_rows(once)
+        assert np.array_equal(twice, once)
+        for k, mat in enumerate(once):
+            eig = np.linalg.eigh(mat)
+            for values, vectors in ((lam, vec), (lam_again, vec_again)):
+                assert np.array_equal(values[k], eig[0])
+                assert np.array_equal(vectors[k], eig[1])
 
 
 class TestRelativeEntropy:

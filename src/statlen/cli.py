@@ -11,6 +11,7 @@ Exit status: 0 success, 2 invalid input, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -349,7 +350,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="statlen",
         description="Run fidelity, transport, reservoir, geodesic, and probe experiments.",

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import RankCollapse, _refuse_above
+from .exceptions import DimensionMismatch, RankCollapse, _refuse_above
 from .geometry import (
     RANK_TOL,
     StatePath,
@@ -114,11 +114,11 @@ class _Chain(NamedTuple):
     energy: float
 
 
-def _roots(rows: np.ndarray, classical: bool) -> np.ndarray:
-    """Square roots of a stack of states as (K, d, d) matrices."""
+def _roots(rows: np.ndarray, classical: bool, eig=None) -> np.ndarray:
+    """Square roots of a stack of states as (K, d, d) matrices; ``eig`` as in ``_sqrt_rows``."""
     if classical:
         return np.sqrt(rows)[:, None, :] * np.eye(rows.shape[1])
-    return _sqrt_rows(rows)
+    return _sqrt_rows(rows, eig)
 
 
 def _end_factors(endpoints, ridge: float, classical: bool) -> np.ndarray:
@@ -215,11 +215,12 @@ def minimize_path(
 ) -> PathOptimizationResult:
     """Minimize the discrete chord energy of an N-step path between two states.
 
-    ``seed_path`` defaults to the straight mixture; iteration stops when the
-    relative energy decrease over ``STALL_WINDOW`` accepted iterations falls
-    below ``ENERGY_TOL``, when the line search stalls, when the gradient
-    vanishes, or at ``max_iter`` (in which case ``converged`` is False and
-    the best iterate is returned).  ``ridge=None`` enables a 1e-6 ridge
+    ``seed_path`` defaults to the straight mixture, and one of another kind
+    or dimension than the endpoints raises :class:`DimensionMismatch`.
+    Iteration stops when the relative energy decrease over ``STALL_WINDOW``
+    accepted iterations falls below ``ENERGY_TOL``, when the line search
+    stalls, when the gradient vanishes, or at ``max_iter`` (in which case
+    ``converged`` is False and the best iterate is returned).  ``ridge=None`` enables a 1e-6 ridge
     automatically for rank-deficient quantum endpoints and is off otherwise.
     ``n_steps`` above ``MAX_STEPS``, ``max_iter`` above ``MAX_ITER`` and
     dimensions above ``MAX_DIM_CLASSICAL`` or ``MAX_DIM_QUANTUM`` raise
@@ -234,10 +235,14 @@ def minimize_path(
     check_rank = not classical and ridge == 0.0
     if seed_path is None:
         seed_path = linear_mixture_path(start, end)
+    elif (seed_path.kind, seed_path.start.dim) != (kind, start.dim):
+        raise DimensionMismatch(f"seed path of {seed_path.kind} dim {seed_path.start.dim} "
+                                f"between {kind} endpoints of dim {start.dim}")
 
     endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
     ends = _end_factors(endpoints, ridge, classical)
-    coords = _roots(seed_path.sample_many(np.arange(1, n_steps) / n_steps), classical)
+    rows, spectra = seed_path._rows(np.arange(1, n_steps) / n_steps)
+    coords = _roots(rows, classical, spectra)
 
     lengths: list[float] = []
     energies: list[float] = []

@@ -251,11 +251,11 @@ def tangent_quantum(raw) -> TangentPerturbation:
 
 
 def spectral(rho) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+    """Eigendecomposition of a Hermitian matrix or (K, d, d) stack, eigenvalues descending."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     lam, vec = np.linalg.eigh(mat)
     return SpectralDecomposition(
-        _freeze(lam[::-1].copy()), _freeze(vec[:, ::-1].copy())
+        _freeze(lam[..., ::-1].copy()), _freeze(vec[..., ::-1].copy())
     )
 
 
@@ -284,6 +284,27 @@ def mat_sqrt(rho) -> np.ndarray:
     return _sqrt_rows(mat[None])[0]
 
 
+def _log_on_support_rows(lam: np.ndarray, vec: np.ndarray):
+    """:func:`mat_log_on_support` of every matrix of a stack, from its :func:`spectral`.
+
+    Eigenvalues above ``SUPPORT_FLOOR`` lead each row, so the rows of one
+    rank r take one product over their first r eigenpairs; zero weights on
+    the rest would move the last bit of some entries.
+    """
+    ranks = np.count_nonzero(lam > SUPPORT_FLOOR, axis=-1)
+    log_mat, projector = np.zeros_like(vec), np.zeros_like(vec)
+    for r in set(ranks.tolist()):
+        rows = ranks == r
+        vecs = vec[rows, :, :r]
+        adjoint = vecs.conj().swapaxes(-1, -2)
+        log_mat[rows] = (vecs * np.log(lam[rows, None, :r])) @ adjoint
+        projector[rows] = vecs @ adjoint
+    return (
+        0.5 * (log_mat + log_mat.conj().swapaxes(-1, -2)),
+        0.5 * (projector + projector.conj().swapaxes(-1, -2)),
+    )
+
+
 def mat_log_on_support(rho):
     """Matrix logarithm restricted to eigenvalues above ``SUPPORT_FLOOR``.
 
@@ -291,14 +312,8 @@ def mat_log_on_support(rho):
     measure how much of another state lives outside the support.
     """
     dec = spectral(rho)
-    keep = dec.eigenvalues > SUPPORT_FLOOR
-    vecs = dec.eigenvectors[:, keep]
-    log_mat = (vecs * np.log(dec.eigenvalues[keep])) @ vecs.conj().T
-    projector = vecs @ vecs.conj().T
-    return (
-        0.5 * (log_mat + log_mat.conj().T),
-        0.5 * (projector + projector.conj().T),
-    )
+    log_mat, projector = _log_on_support_rows(dec.eigenvalues[None], dec.eigenvectors[None])
+    return log_mat[0], projector[0]
 
 
 def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:

@@ -22,17 +22,18 @@ from .geometry import (
     fisher_element,
     kubo_mori_element,
     state_fidelity,
+    _state_array,
 )
 from .states import (
     SUPPORT_FLOOR,
     DensityMatrix,
     ProbabilityDistribution,
     TangentPerturbation,
-    mat_log_on_support,
     spectral,
     validate_density,
     validate_distribution,
     _freeze,
+    _log_on_support_rows,
     _pair_kind,
 )
 
@@ -46,20 +47,30 @@ def relative_entropy(a, b) -> float:
     tr(rho ln rho - rho ln sigma) with the logarithm taken on the support
     of sigma.
     """
-    if _pair_kind(a, b) == "classical":
-        p, q = a.weights, b.weights
-        dead = q <= SUPPORT_FLOOR
-        if float(p[dead].sum()) > LEAK_TOL:
-            return math.inf
-        live = (p > SUPPORT_FLOOR) & ~dead
-        return float(np.sum(p[live] * (np.log(p[live]) - np.log(q[live]))))
-    log_b, support = mat_log_on_support(b)
-    leak = float(np.real(np.trace(a.matrix)) - np.real(np.trace(a.matrix @ support)))
-    if leak > LEAK_TOL:
-        return math.inf
-    lam = spectral(a).eigenvalues
-    lam = lam[lam > SUPPORT_FLOOR]
-    return float(np.sum(lam * np.log(lam)) - np.real(np.trace(a.matrix @ log_b)))
+    _pair_kind(a, b)
+    return float(_step_entropies(np.stack((_state_array(a), _state_array(b))))[0])
+
+
+def _step_entropies(rows: np.ndarray) -> np.ndarray:
+    """S(rows[i] || rows[i+1]) of a validated (K, d) or (K, d, d) stack; +inf past ``LEAK_TOL``.
+
+    A quantum stack is decomposed once, by one :func:`spectral` call.
+    """
+    a, b = rows[:-1], rows[1:]
+    if rows.ndim == 2:
+        dead = b <= SUPPORT_FLOOR
+        leak = np.where(dead, a, 0.0).sum(axis=1)
+        live = (a > SUPPORT_FLOOR) & ~dead
+        # other entries take ln 1 - ln 1 = 0, so log never sees a zero
+        out = np.sum(a * (np.log(np.where(live, a, 1.0)) - np.log(np.where(live, b, 1.0))), axis=1)
+    else:
+        dec = spectral(rows)
+        log_mat, support = _log_on_support_rows(dec.eigenvalues, dec.eigenvectors)
+        leak = np.real(np.trace(a - a @ support[1:], axis1=1, axis2=2))
+        kept = np.where(dec.eigenvalues > SUPPORT_FLOOR, dec.eigenvalues, 1.0)
+        cross = np.real(np.trace(a @ log_mat[1:], axis1=1, axis2=2))
+        out = np.sum(kept * np.log(kept), axis=1)[:-1] - cross
+    return np.where(leak > LEAK_TOL, np.inf, out)
 
 
 def min_entropy_production(length: float, n_steps: int) -> float:
@@ -120,12 +131,11 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
     Raises :class:`InfiniteYield` (with the step index) if any consecutive
     pair violates support.
     """
-    yields = np.empty(schedule.n_steps)
-    for i in range(schedule.n_steps):
-        value = relative_entropy(schedule.states[i], schedule.states[i + 1])
-        if math.isinf(value):
-            raise InfiniteYield(f"support violation at step {i}", step=i)
-        yields[i] = value
+    yields = _step_entropies(np.stack([_state_array(s) for s in schedule.states]))
+    broken = np.flatnonzero(np.isinf(yields))
+    if broken.size:
+        step = int(broken[0])
+        raise InfiniteYield(f"support violation at step {step}", step=step)
     total_length = float(schedule.step_lengths.sum())
     nu = math.inf if total_length == 0.0 else schedule.n_steps / total_length
     fid = state_fidelity(schedule.states[0], schedule.states[-1])

@@ -21,6 +21,7 @@ from statlen.cli import (
     EXIT_OK,
     SEED_POOL_SIZE,
     ConfigError,
+    _build_parser,
     _seed_pool,
     main,
 )
@@ -129,6 +130,32 @@ class TestDeterminism:
         assert out.read_bytes() == first
         _, out = _run(tmp_path, "fidelity", config, extra_args=("--seed", "8"))
         assert out.read_bytes() != first
+
+    def test_one_parser_serves_successive_calls(self, tmp_path):
+        # the parser is built once per process; no flag of one call may reach the next
+        assert _build_parser() is _build_parser()
+        transport = {
+            "path": {"type": "geodesic", "state_a": CLASSICAL_A, "state_b": CLASSICAL_B},
+            "N": 8,
+        }
+        code, out = _run(
+            tmp_path, "transport", transport, "first", ("--format", "json", "--seed", "3")
+        )
+        assert code == EXIT_OK
+        record = json.loads(out.read_text())
+        assert (record["config"]["experiment"], record["seed"]) == ("transport", 3)
+        assert [row["N"] for row in record["results"]["grid"]] == [8]
+        fidelity = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "format": "json"}
+        code, out = _run(tmp_path, "fidelity", fidelity, "second", ("--format", "csv"))
+        assert code == EXIT_OK
+        text = out.read_text()
+        assert "# seed=0" in text
+        assert "fidelity,length_fisher,length_bures" in text
+        code, out = _run(tmp_path, "fidelity", fidelity, "third")
+        assert code == EXIT_OK
+        record = json.loads(out.read_text())
+        assert record["seed"] == 0
+        assert (record["config"]["experiment"], record["config"]["format"]) == ("fidelity", "json")
 
     def test_seed_pool_limit_is_a_config_error(self):
         next_seed = _seed_pool(3)

@@ -18,6 +18,7 @@ from statlen import (
     geodesic_path,
     hellinger_element,
     kubo_mori_element,
+    linear_mixture_path,
     minimize_path,
     random_distribution,
     random_state,
@@ -112,6 +113,17 @@ class TestClassicalSearch:
         assert info.value.max_feasible == 8
         with pytest.raises(DimensionMismatch):
             minimize_path(p, random_distribution(4, 2), 8)
+
+    def test_seed_path_of_another_kind_is_refused(self):
+        # a classical seed between qubit states
+        seed = linear_mixture_path(random_distribution(2, 1), random_distribution(2, 2))
+        with pytest.raises(DimensionMismatch, match="seed path"):
+            minimize_path(random_state(2, 2, 1), random_state(2, 2, 2), 4, seed)
+
+    def test_seed_path_of_another_dimension_is_refused(self):
+        seed = linear_mixture_path(random_state(2, 2, 1), random_state(2, 2, 2))
+        with pytest.raises(DimensionMismatch, match="seed path"):
+            minimize_path(random_state(3, 3, 1), random_state(3, 3, 2), 4, seed)
 
 
 def _exact_discrete_minimum(fid, n_steps):

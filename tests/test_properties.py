@@ -1,8 +1,11 @@
 """Invariants of the fidelity, the relative entropy and the geodesic over random states."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
+    InfiniteYield,
+    TransportSchedule,
     add_ridge,
     discrete_path_length,
     even_schedule,
@@ -11,12 +14,20 @@ from statlen import (
     random_distribution,
     random_state,
     relative_entropy,
+    run_transport,
+    spectral,
     state_fidelity,
     validate_density,
     validate_distribution,
 )
 from statlen.geometry import _angles, _classical_chords, _uhlmann
-from statlen.states import _sqrt_rows, _validate_density_rows, _validate_distribution_rows
+from statlen.states import (
+    SUPPORT_FLOOR,
+    _sqrt_rows,
+    _validate_density_rows,
+    _validate_distribution_rows,
+)
+from statlen.transport import LEAK_TOL
 
 EPS = np.finfo(float).eps
 
@@ -183,3 +194,104 @@ class TestDiagonalSchedule:
             n_steps,
         )
         assert np.max(np.abs(classical.ts - diagonal.ts)) <= 1e-7
+
+
+class TestStackedSpectral:
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        dim=st.integers(1, 6),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 10**6),
+        degenerate=st.booleans(),
+    )
+    def test_stack_is_decomposed_matrix_by_matrix(self, dim, count, seed, degenerate):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        mats = g + g.conj().swapaxes(1, 2)
+        if degenerate:
+            # repeated eigenvalues in a random basis
+            q = np.linalg.qr(g)[0]
+            lam = np.repeat(rng.standard_normal((count, 1)), dim, axis=1)
+            lam[:, :dim // 2] = 0.0
+            mats = (q * lam[:, None, :]) @ q.conj().swapaxes(1, 2)
+        stacked = spectral(mats)
+        for k, mat in enumerate(mats):
+            alone = spectral(mat)
+            assert np.array_equal(stacked.eigenvalues[k], alone.eigenvalues)
+            assert np.array_equal(stacked.eigenvectors[k], alone.eigenvectors)
+
+
+def _oracle_yield(a: np.ndarray, b: np.ndarray) -> float:
+    """S(a||b) of one pair, written out with its own per-pair numpy calls."""
+    if a.ndim == 1:
+        if a[b <= SUPPORT_FLOOR].sum() > LEAK_TOL:
+            return np.inf
+        live = (a > SUPPORT_FLOOR) & (b > SUPPORT_FLOOR)
+        return float(np.sum(a[live] * np.log(a[live] / b[live])))
+    lam_b, vec_b = np.linalg.eigh(b)
+    vec_b = vec_b[:, lam_b > SUPPORT_FLOOR]
+    lam_b = lam_b[lam_b > SUPPORT_FLOOR]
+    inside = vec_b.conj().T @ a @ vec_b
+    if 1.0 - np.real(np.trace(inside)) > LEAK_TOL:
+        return np.inf
+    lam_a = np.linalg.eigvalsh(a)
+    lam_a = lam_a[lam_a > SUPPORT_FLOOR]
+    return float(np.sum(lam_a * np.log(lam_a)) - np.sum(np.log(lam_b) * np.real(np.diagonal(inside))))
+
+
+# step yields of ~ theta^2/(2 N^2) are differences of traces of size up to
+# |ln SUPPORT_FLOOR| ~ 32; each side rounds to a few tens of eps of that
+YIELD_TOL = 1e-12
+
+
+class TestScheduleYields:
+    """run_transport's step yields against a per-pair loop, and the step an
+    infinite yield is reported at."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        kind=st.sampled_from(["classical", "quantum-full", "quantum-deficient"]),
+        dim=st.integers(2, 4),
+        ranks=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 10**6),
+        geodesic=st.booleans(),
+        n_steps=st.integers(1, 24),
+    )
+    def test_yields_match_a_per_pair_loop(self, kind, dim, ranks, seed, geodesic, n_steps):
+        if kind == "quantum-full":
+            ranks = (dim, dim)
+        a, b = _pair(kind.split("-")[0], dim, ranks, seed)
+        path = (geodesic_path if geodesic else linear_mixture_path)(a, b)
+        schedule = even_schedule(path, n_steps)
+        rows = [s.weights if kind == "classical" else s.matrix for s in schedule.states]
+        expected = np.array([_oracle_yield(rows[i], rows[i + 1]) for i in range(n_steps)])
+        broken = np.flatnonzero(np.isinf(expected))
+        if broken.size:
+            with pytest.raises(InfiniteYield) as err:
+                run_transport(schedule)
+            assert err.value.step == broken[0]
+            return
+        report = run_transport(schedule)
+        assert np.max(np.abs(report.step_yields - expected)) <= YIELD_TOL
+        for i in range(n_steps):
+            assert report.step_yields[i] == relative_entropy(schedule.states[i], schedule.states[i + 1])
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(
+        kind=st.sampled_from(["classical", "quantum"]),
+        dim=st.integers(2, 4),
+        data=st.data(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_leak_at_any_step_is_reported_there(self, kind, dim, data, seed):
+        n_steps = data.draw(st.integers(2, 12), label="n_steps")
+        step = data.draw(st.integers(0, n_steps - 1), label="step")
+        states = [_state(kind, dim, dim, seed + k) for k in range(n_steps + 1)]
+        # state step + 1 loses a direction that state step carries
+        states[step + 1] = _state(kind, dim, dim - 1, seed + n_steps + 1)
+        states[step] = _state(kind, dim, dim, seed)
+        ts = np.linspace(0.0, 1.0, n_steps + 1)
+        schedule = TransportSchedule(kind, tuple(states), ts, np.zeros(n_steps), n_steps)
+        with pytest.raises(InfiniteYield) as err:
+            run_transport(schedule)
+        assert err.value.step == step

@@ -35,7 +35,6 @@ from .states import (
     TangentPerturbation,
     add_ridge,
     dimension_cap,
-    mat_log_on_support,
     mat_sqrt,
     random_distribution,
     random_state,

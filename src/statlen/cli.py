@@ -23,6 +23,7 @@ from . import __version__
 from . import serialize
 from .exceptions import DimensionCapExceeded, StatlenError, _refuse_above
 from .geometry import (
+    MAX_STEPS,
     even_schedule,
     geodesic_length_bures,
     geodesic_length_fisher,
@@ -203,6 +204,8 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         grid = [_count(n, "N_grid") for n in config["N_grid"]]
     else:
         raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
+    for n in grid:
+        _refuse_above(MAX_STEPS, "N", n, "N")
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     resolved["path"] = resolved_spec
     columns = (

@@ -8,9 +8,9 @@ downstream can assume well-formed states.  Re-validating an already
 validated state returns it unchanged.  Both are the one-row case of a
 validator that checks a whole stack of states row by row.
 
-All matrix functions here (square root, supported logarithm, entropies)
-are built on one Hermitian eigendecomposition, taken with eigenvalues in
-descending order, and entropies are in nats throughout.
+All matrix functions here (square root, entropies) are built on one
+Hermitian eigendecomposition, taken with eigenvalues in descending
+order, and entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -263,8 +263,8 @@ def _sqrt_rows(mats: np.ndarray, eig=None) -> np.ndarray:
     """Hermitian PSD square roots of a (K, d, d) stack.
 
     Eigenvalues at or below ``SUPPORT_FLOOR`` count as exact zeros, as in
-    :func:`mat_log_on_support` and the entropies, so the roundoff left on
-    a zero eigenvalue does not turn into an amplitude of its square root.
+    the entropies and the relative entropy, so the roundoff left on a zero
+    eigenvalue does not turn into an amplitude of its square root.
 
     ``eig`` is the ``np.linalg.eigh`` of ``mats`` when the caller already
     has it.  The eigenpairs are taken in :func:`spectral`'s descending
@@ -282,38 +282,6 @@ def mat_sqrt(rho) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues at or below ``SUPPORT_FLOOR`` count as zero."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     return _sqrt_rows(mat[None])[0]
-
-
-def _log_on_support_rows(lam: np.ndarray, vec: np.ndarray):
-    """:func:`mat_log_on_support` of every matrix of a stack, from its :func:`spectral`.
-
-    Eigenvalues above ``SUPPORT_FLOOR`` lead each row, so the rows of one
-    rank r take one product over their first r eigenpairs; zero weights on
-    the rest would move the last bit of some entries.
-    """
-    ranks = np.count_nonzero(lam > SUPPORT_FLOOR, axis=-1)
-    log_mat, projector = np.zeros_like(vec), np.zeros_like(vec)
-    for r in set(ranks.tolist()):
-        rows = ranks == r
-        vecs = vec[rows, :, :r]
-        adjoint = vecs.conj().swapaxes(-1, -2)
-        log_mat[rows] = (vecs * np.log(lam[rows, None, :r])) @ adjoint
-        projector[rows] = vecs @ adjoint
-    return (
-        0.5 * (log_mat + log_mat.conj().swapaxes(-1, -2)),
-        0.5 * (projector + projector.conj().swapaxes(-1, -2)),
-    )
-
-
-def mat_log_on_support(rho):
-    """Matrix logarithm restricted to eigenvalues above ``SUPPORT_FLOOR``.
-
-    Returns ``(log_matrix, support_projector)``; the projector lets callers
-    measure how much of another state lives outside the support.
-    """
-    dec = spectral(rho)
-    log_mat, projector = _log_on_support_rows(dec.eigenvalues[None], dec.eigenvectors[None])
-    return log_mat[0], projector[0]
 
 
 def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:

@@ -33,7 +33,6 @@ from .states import (
     validate_density,
     validate_distribution,
     _freeze,
-    _log_on_support_rows,
     _pair_kind,
 )
 
@@ -43,9 +42,9 @@ LEAK_TOL = 1e-12   # tolerated weight outside the support of the second state
 def relative_entropy(a, b) -> float:
     """S(a||b) in nats; +inf when a has weight outside the support of b.
 
-    Classical inputs use the Kullback-Leibler sum, quantum inputs
-    tr(rho ln rho - rho ln sigma) with the logarithm taken on the support
-    of sigma.
+    The two-row case of the step-yield kernel: Klein's form of
+    tr(rho ln rho - rho ln sigma), which for classical inputs is the
+    Kullback-Leibler sum.
     """
     _pair_kind(a, b)
     return float(_step_entropies(np.stack((_state_array(a), _state_array(b))))[0])
@@ -54,23 +53,32 @@ def relative_entropy(a, b) -> float:
 def _step_entropies(rows: np.ndarray) -> np.ndarray:
     """S(rows[i] || rows[i+1]) of a validated (K, d) or (K, d, d) stack; +inf past ``LEAK_TOL``.
 
-    A quantum stack is decomposed once, by one :func:`spectral` call.
+    Klein's form sum_ij P_ij a_i (r - 1 - ln r), r = b_j / a_i, over the
+    spectra of a and b with overlaps P_ij = |<i|j>|^2 (P = I for classical
+    rows; a quantum stack takes one :func:`spectral` call).  Every term is
+    nonnegative, so the ~ theta^2/(2 N^2) yield of a short step is not a
+    difference of O(1) traces.  r - 1 is exact for 1/2 <= r <= 2, where
+    log1p(r - 1) would return the same ln r; below, ln r keeps the low
+    bits of r that r - 1 drops.  The form equals S + tr b - tr a, so each
+    spectrum is divided by its sum rather than corrected afterwards, which
+    would bring back an O(1) cancellation.  Weights at or below
+    ``SUPPORT_FLOOR`` are zeros: a_i = 0 gives b_j, and b_j = 0 gives
+    nothing but puts P_ij a_i into the leak.
     """
-    a, b = rows[:-1], rows[1:]
     if rows.ndim == 2:
-        dead = b <= SUPPORT_FLOOR
-        leak = np.where(dead, a, 0.0).sum(axis=1)
-        live = (a > SUPPORT_FLOOR) & ~dead
-        # other entries take ln 1 - ln 1 = 0, so log never sees a zero
-        out = np.sum(a * (np.log(np.where(live, a, 1.0)) - np.log(np.where(live, b, 1.0))), axis=1)
+        lam, overlap = rows, 1.0
     else:
         dec = spectral(rows)
-        log_mat, support = _log_on_support_rows(dec.eigenvalues, dec.eigenvectors)
-        leak = np.real(np.trace(a - a @ support[1:], axis1=1, axis2=2))
-        kept = np.where(dec.eigenvalues > SUPPORT_FLOOR, dec.eigenvalues, 1.0)
-        cross = np.real(np.trace(a @ log_mat[1:], axis1=1, axis2=2))
-        out = np.sum(kept * np.log(kept), axis=1)[:-1] - cross
-    return np.where(leak > LEAK_TOL, np.inf, out)
+        vec = dec.eigenvectors
+        lam, overlap = dec.eigenvalues, np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
+    lam = lam / lam.sum(axis=1, keepdims=True)
+    a, b = (lam[:-1], lam[1:]) if rows.ndim == 2 else (lam[:-1, :, None], lam[1:, None, :])
+    live_a, live_b = a > SUPPORT_FLOOR, b > SUPPORT_FLOOR
+    r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
+    terms = overlap * np.where(live_a, a * (r - 1.0 - np.log(r)), np.where(live_b, b, 0.0))
+    axes = tuple(range(1, rows.ndim))
+    leak = np.sum(overlap * np.where(live_b, 0.0, a), axis=axes)
+    return np.where(leak > LEAK_TOL, np.inf, terms.sum(axis=axes))
 
 
 def min_entropy_production(length: float, n_steps: int) -> float:

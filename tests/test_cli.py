@@ -234,6 +234,17 @@ class TestTransportCommand:
         assert not out.exists()
         assert "largest feasible N is 65536" in capsys.readouterr().err
 
+    def test_grid_over_the_cap_is_refused_before_any_schedule(self, tmp_path, capsys, monkeypatch):
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("even_schedule called for a grid over the cap")
+
+        monkeypatch.setattr("statlen.cli.even_schedule", no_schedule)
+        config = {"path": GEODESIC_CLASSICAL, "N_grid": [16, 65537]}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert "largest feasible N is 65536" in capsys.readouterr().err
+
     def test_record_is_the_same_with_debug_logging(self, tmp_path, caplog):
         config = {"path": {"type": "mixture", "state_a": QUBIT_B, "state_b": QUBIT_A}, "N_grid": [4, 16]}
         code, out = _run(tmp_path, "transport", config)

@@ -135,13 +135,51 @@ class TestRelativeEntropy:
     def test_nonnegative(self, kind, dim, ranks, seed):
         a, b = _pair(kind, dim, ranks, seed)
         value = relative_entropy(a, b)
-        assert value >= -1e-12  # NaN fails too
+        assert value >= 0.0  # every term of Klein's form is; NaN fails too
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(**PAIRS)
     def test_zero_on_itself(self, kind, dim, ranks, seed):
         a, _ = _pair(kind, dim, ranks, seed)
         assert abs(relative_entropy(a, a)) <= 1e-12
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(
+        kind=st.sampled_from(["classical", "quantum"]),
+        levels=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=2, max_size=5).filter(any),
+        seed=st.integers(0, 10**6),
+    )
+    def test_maximally_mixed_endpoint(self, kind, levels, seed):
+        """S(rho||I/d) = ln d - S(rho) and S(I/d||sigma) = -ln d - mean ln sigma_j,
+        on spectra whose levels repeat, rotated by a random unitary."""
+        weights = np.array(levels) / sum(levels)
+        dim = weights.size
+        if kind == "classical":
+            state, mixed = validate_distribution(weights), validate_distribution(np.full(dim, 1.0 / dim))
+        else:
+            rng = np.random.default_rng(seed)
+            u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            state = validate_density((u * weights) @ u.conj().T)
+            mixed = validate_density(np.eye(dim) / dim)
+        kept = weights[weights > 0.0]
+        assert abs(relative_entropy(state, mixed) - (np.log(dim) + np.sum(kept * np.log(kept)))) <= 1e-14
+        if kept.size < dim:
+            assert relative_entropy(mixed, state) == np.inf
+        else:
+            expected = -np.log(dim) - np.mean(np.log(weights))
+            assert abs(relative_entropy(mixed, state) - expected) <= 1e-14 * max(1.0, expected)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(**{**PAIRS, "kind": st.just("classical")})
+    def test_classical_equals_diagonal_quantum(self, kind, dim, ranks, seed):
+        """Equal to roundoff: the diagonals are summed in descending order."""
+        p, q = _pair(kind, dim, ranks, seed)
+        classical = relative_entropy(p, q)
+        quantum = relative_entropy(validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights)))
+        if np.isinf(classical):
+            assert quantum == np.inf
+        else:
+            assert abs(quantum - classical) <= 1e-14 * max(1.0, classical)
 
 
 # full-support weight vectors, normalized in the test
@@ -239,8 +277,8 @@ def _oracle_yield(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(lam_a * np.log(lam_a)) - np.sum(np.log(lam_b) * np.real(np.diagonal(inside))))
 
 
-# step yields of ~ theta^2/(2 N^2) are differences of traces of size up to
-# |ln SUPPORT_FLOOR| ~ 32; each side rounds to a few tens of eps of that
+# the oracle's step yields of ~ theta^2/(2 N^2) are differences of traces of
+# size up to |ln SUPPORT_FLOOR| ~ 32; each side rounds to a few tens of eps of that
 YIELD_TOL = 1e-12
 
 

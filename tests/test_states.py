@@ -11,7 +11,6 @@ from statlen import (
     NotUnitTrace,
     ValidationError,
     add_ridge,
-    mat_log_on_support,
     mat_sqrt,
     random_distribution,
     random_state,
@@ -148,22 +147,6 @@ class TestSpectralCalculus:
             rho = random_state(dim, dim, seed)
             root = mat_sqrt(rho)
             assert np.max(np.abs(root @ root - rho.matrix)) < 1e-10
-
-    def test_log_full_support(self):
-        log_mat, proj = mat_log_on_support(validate_density(np.eye(2) / 2))
-        assert np.allclose(log_mat, np.log(0.5) * np.eye(2), atol=1e-12)
-        assert np.allclose(proj, np.eye(2), atol=1e-12)
-
-    def test_log_restricted_support(self):
-        log_mat, proj = mat_log_on_support(validate_density(np.diag([1.0, 0.0])))
-        assert np.allclose(log_mat, np.zeros((2, 2)), atol=1e-12)
-        assert np.allclose(proj, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_log_diagonal_values(self):
-        log_mat, _ = mat_log_on_support(validate_density(np.diag([0.9, 0.1])))
-        assert np.allclose(
-            np.diag(log_mat).real, [-0.10536051565782628, -2.3025850929940455]
-        )
 
 
 class TestEntropies:

@@ -223,7 +223,7 @@ class StatePath:
     ``start`` and ``end`` share a kind and dimension, and ``kind`` is theirs.
     ``sampler`` maps K parameters strictly inside (0, 1) to the raw states
     there as one array of shape ``(K,) + start.shape``, which the path
-    checks and validates; t = 0 and t = 1 give ``start`` and ``end``.
+    checks and validates; t = 0 and t = 1 give the endpoints' own bits.
     """
 
     start: object
@@ -237,16 +237,8 @@ class StatePath:
     def kind(self) -> str:
         return self.start.kind
 
-    def sample(self, t: float):
-        """State at parameter t; t = 0 and t = 1 return the stored endpoints."""
-        if t == 0.0:
-            return self.start
-        if t == 1.0:
-            return self.end
-        return type(self.start)(self.sample_many([t])[0])
-
-    def sample_many(self, ts) -> np.ndarray:
-        """Read-only stack of the validated states at the parameters ``ts``."""
+    def sample(self, ts) -> np.ndarray:
+        """Read-only (K, d) or (K, d, d) stack of the validated states at the K ``ts``."""
         return self._rows(ts)[0]
 
     def _rows(self, ts):
@@ -373,13 +365,20 @@ class PathLengthReport:
 
 @dataclass(frozen=True, eq=False)
 class TransportSchedule:
-    """Ordered intermediate states with their sampling parameters and step lengths."""
+    """N steps: the N + 1 validated states as one (N + 1, d[, d]) stack, their ts, the step lengths."""
 
     kind: str
-    states: tuple
+    rows: np.ndarray
     ts: np.ndarray
     step_lengths: np.ndarray
     n_steps: int
+
+    def __post_init__(self):
+        n, sizes = self.n_steps, (len(self.rows), len(self.ts), len(self.step_lengths))
+        if sizes != (n + 1, n + 1, n):
+            raise ValueError(f"{n} steps need {n + 1} rows and ts and {n} step lengths, got {sizes}")
+        if self.rows.ndim != {"classical": 2, "quantum": 3}.get(self.kind):
+            raise DimensionMismatch(f"{self.kind!r} schedule rows cannot have shape {self.rows.shape}")
 
 
 def _check_steps(n_steps: int) -> None:
@@ -413,7 +412,8 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     pass does not lower the spread; or after MAX_PASSES passes.  Paths of
     constant speed or shorter than DEGENERATE_LENGTH keep t = i/N exactly.
     N > MAX_STEPS raises DimensionCapExceeded before any sampling.  One
-    DEBUG record gives the passes, the stop reason and the spread.
+    DEBUG record gives the passes, the stop reason and the spread, and one
+    ``path.sample`` of the kept t gives the rows.
     """
     _check_steps(n_steps)
     ts = np.linspace(0.0, 1.0, n_steps + 1)
@@ -436,5 +436,4 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
         ts[0], ts[-1] = 0.0, 1.0
     spread, ts, steps = best
     _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n_steps, passes, reason, spread)
-    states = tuple(path.sample(float(t)) for t in ts)
-    return TransportSchedule(path.kind, states, _freeze(ts), _freeze(steps), n_steps)
+    return TransportSchedule(path.kind, path.sample(ts), _freeze(ts), _freeze(steps), n_steps)

@@ -134,19 +134,20 @@ class TransportReport:
 
 
 def run_transport(schedule: TransportSchedule) -> TransportReport:
-    """Sum per-step relative entropies along a schedule and attach bounds.
+    """Sum the step yields of ``schedule.rows``, from one stacked call, and attach bounds.
 
     Raises :class:`InfiniteYield` (with the step index) if any consecutive
     pair violates support.
     """
-    yields = _step_entropies(np.stack([_state_array(s) for s in schedule.states]))
+    yields = _step_entropies(schedule.rows)
     broken = np.flatnonzero(np.isinf(yields))
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
     total_length = float(schedule.step_lengths.sum())
     nu = math.inf if total_length == 0.0 else schedule.n_steps / total_length
-    fid = state_fidelity(schedule.states[0], schedule.states[-1])
+    state = ProbabilityDistribution if schedule.kind == "classical" else DensityMatrix
+    fid = state_fidelity(state(schedule.rows[0]), state(schedule.rows[-1]))
     return TransportReport(
         kind=schedule.kind,
         n_steps=schedule.n_steps,

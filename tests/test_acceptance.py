@@ -8,6 +8,7 @@ import json
 import numpy as np
 
 from statlen import (
+    ProbabilityDistribution,
     bures_element,
     classical_step_entropy_production,
     convergence_scan,
@@ -141,7 +142,7 @@ def test_criterion_06_even_spacing_optimality():
     for _ in range(100):
         interior = np.sort(rng.uniform(0.0, 1.0, 31))
         ts = np.concatenate(([0.0], interior, [1.0]))
-        states = [path.sample(float(t)) for t in ts]
+        states = [ProbabilityDistribution(row) for row in path.sample(ts)]
         total = sum(relative_entropy(states[i], states[i + 1]) for i in range(32))
         margin = (even - total) / even
         worst_margin = max(worst_margin, margin)

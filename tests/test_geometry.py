@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
+    DensityMatrix,
     DimensionCapExceeded,
     DimensionMismatch,
     ProbabilityDistribution,
@@ -281,14 +282,14 @@ class TestGeodesicLengths:
 class TestPaths:
     def test_classical_geodesic_endpoints(self):
         path = geodesic_path(P_HALF, P_SKEW)
-        assert path.sample(0.0) is P_HALF
-        assert path.sample(1.0) is P_SKEW
-        mid = path.sample(0.5)
-        assert abs(mid.weights.sum() - 1.0) < 1e-12
+        start, mid, end = path.sample([0.0, 0.5, 1.0])
+        assert np.array_equal(start, P_HALF.weights)
+        assert np.array_equal(end, P_SKEW.weights)
+        assert abs(mid.sum() - 1.0) < 1e-12
 
     def test_classical_geodesic_constant_for_equal_endpoints(self):
         path = geodesic_path(P_HALF, P_HALF)
-        assert np.allclose(path.sample(0.37).weights, P_HALF.weights)
+        assert np.allclose(path.sample([0.37])[0], P_HALF.weights)
 
     def test_classical_geodesic_length_is_analytic(self):
         a = validate_distribution([1.0, 0.0])
@@ -308,14 +309,14 @@ class TestPaths:
         rho = validate_density((basis * p.weights) @ basis.conj().T)
         sigma = validate_density((basis * q.weights) @ basis.conj().T)
         path = geodesic_path(rho, sigma)
-        assert path.sample(0.0) is rho
+        assert np.array_equal(path.sample([0.0])[0], rho.matrix)
         expected = geodesic_length_fisher(fidelity_classical(p, q))
         report = discrete_path_length(path, 256)
         assert report.total_length == pytest.approx(expected, abs=1e-8)
         # the states are the classical path's states, rotated into the common basis
         ts = np.linspace(0.0, 1.0, 9)
-        lifted = (basis * geodesic_path(p, q).sample_many(ts)[:, None, :]) @ basis.conj().T
-        assert np.allclose(path.sample_many(ts), lifted, rtol=0.0, atol=1e-12)
+        lifted = (basis * geodesic_path(p, q).sample(ts)[:, None, :]) @ basis.conj().T
+        assert np.allclose(path.sample(ts), lifted, rtol=0.0, atol=1e-12)
 
     def test_geodesic_joins_noncommuting_states(self):
         rho = validate_density(np.diag([0.8, 0.2]))
@@ -349,8 +350,9 @@ class TestPaths:
         a = validate_density(np.diag([1.0, 0.0]))
         b = validate_density(np.diag([0.0, 1.0]))
         path = linear_mixture_path(a, b)
-        assert path.sample(0.0) is a
-        assert np.allclose(path.sample(0.5).matrix, np.eye(2) / 2)
+        start, mid = path.sample([0.0, 0.5])
+        assert np.array_equal(start, a.matrix)
+        assert np.allclose(mid, np.eye(2) / 2)
 
     def test_mixture_is_longer_than_geodesic_d3(self):
         # strict once the simplex has more than one dimension
@@ -370,7 +372,7 @@ class TestPaths:
     def test_sample_outside_range_rejected(self):
         path = linear_mixture_path(P_HALF, P_SKEW)
         with pytest.raises(ValueError):
-            path.sample(1.5)
+            path.sample([1.5])
 
 
 def _pure(vector):
@@ -394,7 +396,7 @@ class TestGeodesicPath:
         rho, sigma = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
         theta = np.arccos(fidelity_quantum(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = fidelity_quantum(path.sample(s), path.sample(t))
+        f = fidelity_quantum(*map(DensityMatrix, path.sample([s, t])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
 
     @settings(deadline=None, derandomize=True, max_examples=60)
@@ -412,7 +414,7 @@ class TestGeodesicPath:
 
         rho, sigma = random_state(dim, 1, seed), random_state(dim, 1, seed + 1)
         theta = np.arccos(abs(np.vdot(vector(rho.matrix), vector(sigma.matrix))))
-        rows = geodesic_path(rho, sigma).sample_many([s, t])
+        rows = geodesic_path(rho, sigma).sample([s, t])
         assert np.allclose(np.linalg.eigvalsh(rows)[:, -1], 1.0, rtol=0.0, atol=1e-12)
         f = abs(np.vdot(vector(rows[0]), vector(rows[1])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
@@ -434,7 +436,7 @@ class TestGeodesicPath:
         sigma = random_state(dim, min(ranks[1], dim), seed + 1)
         theta = np.arccos(fidelity_quantum(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = fidelity_quantum(path.sample(s), path.sample(t))
+        f = fidelity_quantum(*map(DensityMatrix, path.sample([s, t])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-7
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -442,10 +444,10 @@ class TestGeodesicPath:
     def test_diagonal_pair_samples_the_probability_pair(self, seed, dim):
         p, q = _random_pair(dim, seed)
         ts = np.linspace(0.0, 1.0, 11)
-        classical = geodesic_path(p, q).sample_many(ts)
+        classical = geodesic_path(p, q).sample(ts)
         quantum = geodesic_path(
             validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
-        ).sample_many(ts)
+        ).sample(ts)
         diagonal = classical[:, None, :] * np.eye(dim)
         assert np.allclose(quantum, diagonal, rtol=0.0, atol=1e-12)
 
@@ -456,10 +458,10 @@ class TestGeodesicPath:
         p = validate_distribution([0.6, 0.4, 0.0])
         q = validate_distribution([0.0, 0.3, 0.7])
         ts = np.linspace(0.0, 1.0, 11)
-        classical = geodesic_path(p, q).sample_many(ts)
+        classical = geodesic_path(p, q).sample(ts)
         quantum = geodesic_path(
             validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
-        ).sample_many(ts)
+        ).sample(ts)
         assert np.allclose(quantum, classical[:, None, :] * np.eye(3), rtol=0.0, atol=1e-12)
 
     def test_unit_fidelity_gives_the_constant_path(self):
@@ -467,11 +469,11 @@ class TestGeodesicPath:
         # F computes to exactly 1 here, so sin(theta) == 0
         for state in (P_SKEW, validate_density(np.diag([1.0, 0.0]))):
             raw = _raw(state)
-            samples = geodesic_path(state, state).sample_many(ts)
+            samples = geodesic_path(state, state).sample(ts)
             assert np.array_equal(samples, np.broadcast_to(raw, (7,) + raw.shape))
         # here F is 1 to roundoff, and the path stays on the state to roundoff
         for state in (_pure([1.0, 1j]), random_state(3, 3, 4)):
-            samples = geodesic_path(state, state).sample_many(ts)
+            samples = geodesic_path(state, state).sample(ts)
             assert np.allclose(samples, state.matrix, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("pair", [([1.0, 0.0], [0.0, 1.0]), ([1.0, 1j], [1.0, -1j])])
@@ -571,7 +573,7 @@ class TestEvenSchedule:
 
     def test_skewed_parametrization_is_evened_out(self):
         geo = geodesic_path(P_HALF, P_SKEW)
-        skewed = StatePath(P_HALF, P_SKEW, lambda ts: geo.sample_many(ts * ts * ts))
+        skewed = StatePath(P_HALF, P_SKEW, lambda ts: geo.sample(ts * ts * ts))
         schedule = even_schedule(skewed, 16)
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
@@ -582,8 +584,7 @@ class TestEvenSchedule:
     def test_single_step(self):
         schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 1)
         assert schedule.n_steps == 1
-        assert schedule.states[0] is P_HALF
-        assert schedule.states[-1] is P_SKEW
+        assert np.array_equal(schedule.rows, np.stack((P_HALF.weights, P_SKEW.weights)))
 
     def test_degenerate_path_gives_trivial_schedule(self):
         schedule = even_schedule(linear_mixture_path(P_HALF, P_HALF), 8)
@@ -649,6 +650,28 @@ class TestEvenSchedule:
             schedule = even_schedule(linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4)), 64)
         assert caplog.records[0].args[1:3] == (3, "pass cap")
         assert caplog.records[0].args[3] == _spread(schedule.step_lengths) > 1e-7
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(P_HALF, P_SKEW), (random_state(2, 1, 3), random_state(2, 2, 4))],
+        ids=["classical", "quantum"],
+    )
+    def test_sampler_runs_once_per_pass_and_once_for_the_rows(self, caplog, start, end):
+        # N + 1 states fit one block, so each pass samples them in one call,
+        # and the kept parameters are sampled once more for the rows
+        mixture = linear_mixture_path(start, end)
+        calls = []
+
+        def counting(ts):
+            calls.append(ts.size)
+            return mixture.sampler(ts)
+
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            schedule = even_schedule(StatePath(start, end, counting), 64)
+        passes = caplog.records[0].args[1]
+        assert passes > 1
+        assert calls == [63] * (passes + 1)
+        assert np.array_equal(schedule.rows, mixture.sample(schedule.ts))
 
 
 # ---------- batched sampling and schedules against the per-sample reference ----------
@@ -786,10 +809,10 @@ class TestBatchedPaths:
     def test_sample_many_rows_equal_single_samples(self, kind, seed, dim, ts):
         path = _path_of_kind(kind, seed, dim)
         ts = np.array(ts + [0.0, 1.0])
-        rows = path.sample_many(ts)
+        rows = path.sample(ts)
         assert rows.shape[0] == ts.size
         for k, (t, expected) in enumerate(zip(ts, _reference_samples(kind, path, ts))):
-            assert np.array_equal(rows[k], _raw(path.sample(float(t))))
+            assert np.array_equal(rows[k], path.sample([t])[0])
             assert np.array_equal(rows[k], _raw(expected))
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -804,25 +827,24 @@ class TestBatchedPaths:
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_sample_many_pins_endpoints(self, kind):
         path = _path_of_kind(kind, 5, 3)
-        rows = path.sample_many([1.0, 0.0, 0.5, 0.0])
+        rows = path.sample([1.0, 0.0, 0.5, 0.0])
         assert np.array_equal(rows[0], _raw(path.end))
         assert np.array_equal(rows[1], _raw(path.start))
         assert np.array_equal(rows[3], _raw(path.start))
-        assert path.sample(0.0) is path.start
-        assert path.sample(1.0) is path.end
         with pytest.raises(ValueError):
             rows[2][0] = 0.0
 
     @pytest.mark.parametrize("bad", [[0.5, 1.5], [-0.1], [np.nan], [[0.5]]])
     def test_sample_many_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
-            geodesic_path(P_HALF, P_SKEW).sample_many(bad)
+            geodesic_path(P_HALF, P_SKEW).sample(bad)
 
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_kind_and_sample_types_come_from_the_endpoints(self, kind):
         path = _path_of_kind(kind, 5, 3)
         assert path.kind == ("classical" if kind.startswith("classical") else "quantum")
-        assert type(path.sample(0.5)) is type(path.start)
+        row = path.sample([0.5])
+        assert (row.shape, row.dtype) == ((1,) + _raw(path.start).shape, _raw(path.start).dtype)
         with pytest.raises(AttributeError):
             path.kind = "classical"
 
@@ -853,13 +875,13 @@ class TestBatchedPaths:
     def test_sampler_output_of_the_wrong_shape_or_type_rejected(self, start, rows):
         path = StatePath(start, start, lambda ts: rows(ts.size))
         with pytest.raises(ValidationError):
-            path.sample_many([0.25, 0.5, 0.75])
+            path.sample([0.25, 0.5, 0.75])
 
     def test_sampler_output_is_validated(self):
         # a user sampler whose rows carry roundoff gets them repaired
         raw = np.array([0.5 + 1e-12, 0.5])
         path = StatePath(P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
-        assert np.array_equal(path.sample(0.5).weights, validate_distribution(raw).weights)
+        assert np.array_equal(path.sample([0.5])[0], validate_distribution(raw).weights)
 
     @settings(deadline=None, derandomize=True, max_examples=12)
     @given(
@@ -883,8 +905,9 @@ class TestBatchedPaths:
         ts, steps = _reference_even_schedule(kind, 11, 4, n_steps)
         assert np.array_equal(schedule.ts, ts)
         assert np.array_equal(schedule.step_lengths, steps)
-        for state, expected in zip(schedule.states, _reference_samples(kind, path, ts)):
-            assert np.array_equal(_raw(state), _raw(expected))
+        assert schedule.rows.shape[0] == n_steps + 1
+        for row, expected in zip(schedule.rows, _reference_samples(kind, path, ts)):
+            assert np.array_equal(row, _raw(expected))
 
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_discrete_length_matches_reference(self, kind):

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["transport-study", "reservoir-scan"])
+@pytest.mark.parametrize("workload", ["transport-study", "reservoir-scan", "geodesic-search"])
 def test_traced_pass_is_correct(workload):
     done = subprocess.run(
         [

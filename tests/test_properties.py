@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
+    DensityMatrix,
     InfiniteYield,
+    ProbabilityDistribution,
     TransportSchedule,
     add_ridge,
     discrete_path_length,
@@ -207,8 +209,8 @@ class TestDiagonalGeodesic:
             validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
         )
         ts = np.array(ts)
-        diagonals = np.diagonal(quantum.sample_many(ts), axis1=1, axis2=2)
-        assert np.max(np.abs(classical.sample_many(ts) - diagonals)) <= 1e-12
+        diagonals = np.diagonal(quantum.sample(ts), axis1=1, axis2=2)
+        assert np.max(np.abs(classical.sample(ts) - diagonals)) <= 1e-12
         steps = [discrete_path_length(path, n_steps).step_lengths for path in (classical, quantum)]
         assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12
 
@@ -301,7 +303,7 @@ class TestScheduleYields:
         a, b = _pair(kind.split("-")[0], dim, ranks, seed)
         path = (geodesic_path if geodesic else linear_mixture_path)(a, b)
         schedule = even_schedule(path, n_steps)
-        rows = [s.weights if kind == "classical" else s.matrix for s in schedule.states]
+        rows = schedule.rows
         expected = np.array([_oracle_yield(rows[i], rows[i + 1]) for i in range(n_steps)])
         broken = np.flatnonzero(np.isinf(expected))
         if broken.size:
@@ -311,8 +313,9 @@ class TestScheduleYields:
             return
         report = run_transport(schedule)
         assert np.max(np.abs(report.step_yields - expected)) <= YIELD_TOL
+        state = ProbabilityDistribution if kind == "classical" else DensityMatrix
         for i in range(n_steps):
-            assert report.step_yields[i] == relative_entropy(schedule.states[i], schedule.states[i + 1])
+            assert report.step_yields[i] == relative_entropy(state(rows[i]), state(rows[i + 1]))
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(
@@ -329,7 +332,8 @@ class TestScheduleYields:
         states[step + 1] = _state(kind, dim, dim - 1, seed + n_steps + 1)
         states[step] = _state(kind, dim, dim, seed)
         ts = np.linspace(0.0, 1.0, n_steps + 1)
-        schedule = TransportSchedule(kind, tuple(states), ts, np.zeros(n_steps), n_steps)
+        rows = np.stack([s.weights if kind == "classical" else s.matrix for s in states])
+        schedule = TransportSchedule(kind, rows, ts, np.zeros(n_steps), n_steps)
         with pytest.raises(InfiniteYield) as err:
             run_transport(schedule)
         assert err.value.step == step

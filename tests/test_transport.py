@@ -6,6 +6,7 @@ import pytest
 from statlen import (
     DimensionMismatch,
     InfiniteYield,
+    ProbabilityDistribution,
     RankDeficient,
     even_schedule,
     expansion_probe,
@@ -174,7 +175,7 @@ class TestRunTransport:
         for _ in range(20):
             interior = np.sort(rng.uniform(0.0, 1.0, 31))
             ts = np.concatenate(([0.0], interior, [1.0]))
-            states = tuple(path.sample(float(t)) for t in ts)
+            states = [ProbabilityDistribution(row) for row in path.sample(ts)]
             total = sum(
                 relative_entropy(states[i], states[i + 1]) for i in range(32)
             )
@@ -282,8 +283,8 @@ class TestScheduleInvariants:
     def test_schedule_endpoints_pinned(self):
         path = geodesic_path(P_HALF, P_SKEW)
         schedule = even_schedule(path, 16)
-        assert schedule.states[0] is P_HALF
-        assert schedule.states[-1] is P_SKEW
+        assert np.array_equal(schedule.rows[0], P_HALF.weights)
+        assert np.array_equal(schedule.rows[-1], P_SKEW.weights)
 
     def test_handmade_schedule_runs(self):
         states = tuple(
@@ -296,8 +297,33 @@ class TestScheduleInvariants:
             ]
         )
         schedule = TransportSchedule(
-            "classical", states, np.array([0.0, 0.5, 1.0]), lengths, 2
+            "classical", np.stack([s.weights for s in states]), np.array([0.0, 0.5, 1.0]), lengths, 2
         )
         report = run_transport(schedule)
         assert report.total_entropy > 0.0
+        assert report.endpoint_fidelity == fidelity_classical(states[0], states[-1])
         assert report.total_length == pytest.approx(lengths.sum(), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_rows, n_ts, n_lengths, n_steps",
+        [(3, 3, 2, 5), (3, 6, 2, 2), (3, 3, 5, 2)],
+        ids=["n-steps", "ts", "step-lengths"],
+    )
+    def test_sizes_that_disagree_rejected(self, n_rows, n_ts, n_lengths, n_steps):
+        rows = np.tile(P_HALF.weights, (n_rows, 1))
+        with pytest.raises(ValueError, match=f"{n_steps} steps need"):
+            TransportSchedule("classical", rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths), n_steps)
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            ("quantum", np.tile(P_HALF.weights, (3, 1))),
+            ("classical", np.tile(np.eye(2) / 2, (3, 1, 1))),
+            ("classical", np.ones((3, 2, 2, 1))),
+            ("mixed", np.tile(P_HALF.weights, (3, 1))),
+        ],
+        ids=["vectors-as-quantum", "matrices-as-classical", "rank-3-rows", "unknown-kind"],
+    )
+    def test_kind_that_disagrees_with_the_rows_rejected(self, kind, rows):
+        with pytest.raises(DimensionMismatch):
+            TransportSchedule(kind, rows, np.linspace(0.0, 1.0, 3), np.zeros(2), 2)

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Fidelities and the geodesic lengths they induce.
 
-Computes the classical and quantum fidelity for a documented pair and for
-random states, and shows two closed-form values: the geodesic length
+Computes the fidelity of a documented pair of probability vectors, of the
+matching diagonal density matrices and of random states, with the one
+``state_fidelity`` that takes its kind from the states.  Shows two
+closed-form values: the geodesic length
 2 arccos F, for probability vectors and density matrices alike, and the
 chordal distance 2 sqrt(1 - F^2) between the unit amplitudes, which is
 not a path length.  They are related by d_chordal = 2 sin(l_arc / 2).
@@ -10,11 +12,10 @@ not a path length.  They are related by d_chordal = 2 sin(l_arc / 2).
 import numpy as np
 
 from statlen import (
-    fidelity_classical,
-    fidelity_quantum,
     geodesic_length_bures,
     geodesic_length_fisher,
     random_state,
+    state_fidelity,
     validate_density,
     validate_distribution,
 )
@@ -22,22 +23,22 @@ from statlen import (
 print("=== documented pair: p = (1/2, 1/2), q = (9/10, 1/10) ===")
 p = validate_distribution([0.5, 0.5])
 q = validate_distribution([0.9, 0.1])
-f = fidelity_classical(p, q)
+f = state_fidelity(p, q)
 print(f"classical fidelity      F       = {f:.6f}")
 print(f"geodesic length         2acosF  = {geodesic_length_fisher(f):.6f}")
 print(f"chordal distance        2r(1-F2)= {geodesic_length_bures(f):.6f}")
 
 rho = validate_density(np.diag(p.weights))
 sigma = validate_density(np.diag(q.weights))
-print(f"quantum F on diagonals          = {fidelity_quantum(rho, sigma):.6f}  (coincides)")
+print(f"quantum F on diagonals          = {state_fidelity(rho, sigma):.6f}  (coincides)")
 
 print("\n=== random qubit pairs: fidelity is symmetric and bounded ===")
 print(f"{'seed':>4}  {'F(rho,sigma)':>13}  {'F(sigma,rho)':>13}  {'l_arc':>8}  {'l_chord':>8}")
 for seed in range(5):
     a = random_state(2, 2, seed)
     b = random_state(2, 2, seed + 100)
-    fab = fidelity_quantum(a, b)
-    fba = fidelity_quantum(b, a)
+    fab = state_fidelity(a, b)
+    fba = state_fidelity(b, a)
     print(
         f"{seed:>4}  {fab:>13.9f}  {fba:>13.9f}"
         f"  {geodesic_length_fisher(fab):>8.5f}  {geodesic_length_bures(fab):>8.5f}"

@@ -9,18 +9,18 @@ is run for comparison: same endpoints, more entropy.
 """
 from statlen import (
     even_schedule,
-    fidelity_classical,
     geodesic_length_fisher,
     geodesic_path,
     linear_mixture_path,
     run_transport,
+    state_fidelity,
     validate_distribution,
 )
 
 p = validate_distribution([0.5, 0.5])
 q = validate_distribution([0.9, 0.1])
 path = geodesic_path(p, q)
-ell = geodesic_length_fisher(fidelity_classical(p, q))
+ell = geodesic_length_fisher(state_fidelity(p, q))
 print(f"geodesic length l = {ell:.6f},  l^2/2 = {0.5 * ell * ell:.6f}")
 print()
 print(f"{'N':>4}  {'Delta_S':>12}  {'N*Delta_S':>12}  {'bound l^2/2N':>13}  {'dS*2nu/l':>9}")

@@ -16,11 +16,11 @@ amplitudes, not a path length.
 import numpy as np
 
 from statlen import (
-    fidelity_quantum,
     geodesic_length_bures,
     geodesic_length_fisher,
     minimize_path,
     random_state,
+    state_fidelity,
     validate_density,
     validate_distribution,
 )
@@ -38,7 +38,7 @@ print("\n=== full-rank random qubit pair, N = 16 ===")
 rho = random_state(2, 2, 11)
 sigma = random_state(2, 2, 12)
 result = minimize_path(rho, sigma, 16, max_iter=3000)
-f = fidelity_quantum(rho, sigma)
+f = state_fidelity(rho, sigma)
 print(f"optimized length          = {result.final_length:.6f}")
 print(f"candidate 2 arccos F      = {geodesic_length_fisher(f):.6f}")
 print(f"candidate 2 sqrt(1 - F^2) = {geodesic_length_bures(f):.6f}")
@@ -48,7 +48,7 @@ print("\n=== orthogonal pure qubit states, N = 16, automatic 1e-6 ridge ===")
 zero = validate_density(np.diag([1.0, 0.0]))
 one = validate_density(np.diag([0.0, 1.0]))
 result = minimize_path(zero, one, 16, max_iter=3000)
-f = fidelity_quantum(zero, one)
+f = state_fidelity(zero, one)
 print(f"optimized length          = {result.final_length:.6f}  (ridge {result.ridge:g})")
 print(f"candidate 2 arccos F      = {geodesic_length_fisher(f):.6f}")
 print(f"candidate 2 sqrt(1 - F^2) = {geodesic_length_bures(f):.6f}")

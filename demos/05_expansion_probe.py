@@ -3,8 +3,9 @@
 
 For a small step eps * d the relative entropy behaves as half a squared
 length.  The probe tabulates S / (element/2) for two elements: the
-Fisher or Bures form, and the Kubo-Mori form that is the exact second
-derivative of relative entropy.  Classically (and for commuting steps)
+Fisher-Bures form of ``metric_element`` (Fisher's sum on probability
+vectors, the Bures form on density matrices), and the Kubo-Mori form that
+is the exact second derivative of relative entropy.  Classically (and for commuting steps)
 the columns coincide and go to one; for non-commuting steps only the
 Kubo-Mori column does, and the Bures column settles elsewhere.  The
 tables are evidence, not an adjudication of which form is "the" metric.
@@ -14,7 +15,7 @@ import numpy as np
 from statlen import (
     expansion_probe,
     hellinger_element,
-    bures_element,
+    metric_element,
     tangent_classical,
     tangent_quantum,
     validate_density,
@@ -40,7 +41,7 @@ for eps, rb, rk in zip(probe.eps, probe.ratio_metric, probe.ratio_kubo_mori):
 print("\n=== the two square-length forms for the same non-commuting step ===")
 print(f"{'eps':>8}  {'bures':>12}  {'sqrt-chord':>12}  {'ratio':>8}")
 for eps in (1e-2, 1e-3, 1e-4):
-    b = bures_element(rho, drho, eps)
+    b = metric_element(rho, drho, eps)
     h = hellinger_element(rho, drho, eps)
     print(f"{eps:>8.0e}  {b:>12.6e}  {h:>12.6e}  {h / b:>8.5f}")
 print("\nthe square-root-chord form exceeds the Bures form off the commuting case;")

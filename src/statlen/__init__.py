@@ -1,7 +1,7 @@
 """statlen: statistical lengths, fidelities, and minimal-dissipation transport.
 
-A small numpy library for computing classical and quantum fidelities,
-the local Fisher and Bures metric elements, geodesic lengths, the
+A small numpy library for computing fidelities, the local Fisher-Bures
+metric element of probability vectors and density matrices, geodesic lengths, the
 entropy production of sequential equilibration transport (with its
 l^2/(2N) minimum), and exact finite-size simulations of the
 swap-and-twirl reservoir protocol, plus a numerical geodesic search.
@@ -50,18 +50,15 @@ from .geometry import (
     PathLengthReport,
     StatePath,
     TransportSchedule,
-    bures_element,
     discrete_path_length,
     even_schedule,
-    fidelity_classical,
-    fidelity_quantum,
-    fisher_element,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
     hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
+    metric_element,
     state_fidelity,
 )
 from .transport import (
@@ -75,7 +72,6 @@ from .transport import (
 )
 from .reservoir import (
     ReservoirScanResult,
-    classical_step_entropy_production,
     convergence_scan,
     step_entropy_production,
 )

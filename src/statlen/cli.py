@@ -34,7 +34,6 @@ from .geometry import (
 from .pathopt import minimize_path
 from .reservoir import CLASSICAL_DIM_CAP, convergence_scan
 from .states import (
-    ProbabilityDistribution,
     dimension_cap,
     random_distribution,
     random_state,
@@ -322,14 +321,11 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
     _check_keys(config, {"state", "perturbation", "eps_grid"}, _COMMON_OPTIONAL, "config")
     state = _resolve_state(config["state"], seed_pool, "state")
     resolved["state"] = serialize.state_to_jsonable(state)
-    if isinstance(state, ProbabilityDistribution):
-        tangent = tangent_classical(
-            serialize._finite_numbers(config["perturbation"], "perturbation")
-        )
+    raw = config["perturbation"]
+    if state.kind == "classical":
+        tangent = tangent_classical(serialize._finite_numbers(raw, "perturbation"))
     else:
-        tangent = tangent_quantum(
-            serialize.matrix_from_jsonable(config["perturbation"], "perturbation")
-        )
+        tangent = tangent_quantum(serialize.matrix_from_jsonable(raw, "perturbation"))
     eps_grid = serialize._finite_numbers(config["eps_grid"], "eps_grid")
     probe = expansion_probe(state, tangent, eps_grid)
     results = {

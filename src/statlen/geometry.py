@@ -55,9 +55,12 @@ MAX_PASSES = 64                # cap on the equidistribution passes of an even s
 _log = logging.getLogger(__name__)
 
 
-def _require_kind(tangent: TangentPerturbation, kind: str) -> None:
-    if tangent.kind != kind:
-        raise DimensionMismatch(f"expected a {kind} tangent, got {tangent.kind}")
+def _tangent_kind(state, tangent: TangentPerturbation) -> str:
+    """The kind of a state, which the tangent must share with its dimension."""
+    if not isinstance(state, (ProbabilityDistribution, DensityMatrix)) or tangent.kind != state.kind:
+        raise DimensionMismatch(f"cannot pair a {tangent.kind} tangent with {type(state).__name__}")
+    _same_dim(state, tangent)
+    return state.kind
 
 
 # ---------- fidelities ----------
@@ -84,49 +87,29 @@ def _angles(chords: np.ndarray) -> np.ndarray:
     return 4.0 * np.arcsin(0.5 * chords)
 
 
-def fidelity_classical(p: ProbabilityDistribution, q: ProbabilityDistribution) -> float:
-    """Classical fidelity sum_a sqrt(p_a q_a), clamped to [0, 1]."""
-    _same_dim(p, q)
-    return float(np.clip(np.sum(np.sqrt(p.weights * q.weights)), 0.0, 1.0))
-
-
-def fidelity_quantum(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Quantum fidelity tr sqrt(sqrt(sigma) rho sqrt(sigma)), clamped to [0, 1].
-
-    Evaluated through the singular values of sqrt(rho) sqrt(sigma), whose
-    Gram matrix is exactly sqrt(sigma) rho sqrt(sigma); this avoids
-    squaring the conditioning of near-zero modes, which would otherwise
-    break the symmetry of the result at the 1e-9 level for rank-deficient
-    states.
-    """
-    _same_dim(rho, sigma)
-    roots = _sqrt_rows(np.stack((rho.matrix, sigma.matrix)))
-    return float(_uhlmann(roots[0], roots[1])[0])
-
-
 def state_fidelity(a, b) -> float:
-    """Dispatch to the classical or quantum fidelity by state kind."""
+    """Fidelity of two states of one kind and dimension, clamped to [0, 1].
+
+    Bhattacharyya's sum_a sqrt(p_a q_a) on probability vectors; Uhlmann's
+    tr sqrt(sqrt(sigma) rho sqrt(sigma)), the same sum when the two
+    commute, on density matrices.  The latter is the trace norm of
+    sqrt(rho) sqrt(sigma): squaring the conditioning of near-zero modes
+    would break its symmetry at the 1e-9 level for rank-deficient states.
+    """
     if _pair_kind(a, b) == "classical":
-        return fidelity_classical(a, b)
-    return fidelity_quantum(a, b)
+        return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
+    roots = _sqrt_rows(np.stack((a.matrix, b.matrix)))
+    return float(_uhlmann(roots[0], roots[1])[0])
 
 
 # ---------- local metric elements ----------
 
-def fisher_element(p: ProbabilityDistribution, dp: TangentPerturbation, eps: float) -> float:
-    """Squared Fisher length of the step eps*dp at p: eps^2 sum dp_a^2 / p_a.
-
-    The tangent must vanish outside the support of p.
-    """
-    _require_kind(dp, "classical")
-    _same_dim(p, dp)
-    w = p.weights
-    d = dp.delta
-    dead = w <= SUPPORT_FLOOR
-    if np.any(dead) and float(np.max(np.abs(d[dead]))) > VALIDATION_TOL:
+def _fisher_sum(p: ProbabilityDistribution, dp: TangentPerturbation, eps: float) -> float:
+    """eps^2 sum dp_a^2 / p_a over the support of p, outside which dp must vanish."""
+    dead = p.weights <= SUPPORT_FLOOR
+    if np.any(dead) and float(np.max(np.abs(dp.delta[dead]))) > VALIDATION_TOL:
         raise SupportViolation("tangent is nonzero where the distribution vanishes")
-    live = ~dead
-    return float(eps * eps * np.sum(d[live] ** 2 / w[live]))
+    return float(eps * eps * np.sum(dp.delta[~dead] ** 2 / p.weights[~dead]))
 
 
 def _full_rank_spectral(rho: DensityMatrix):
@@ -140,19 +123,21 @@ def _full_rank_spectral(rho: DensityMatrix):
     return dec
 
 
-def bures_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
-    """Squared Bures length of the step eps*drho at rho.
+def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
+    """Squared Fisher-Bures length of the step eps*tangent at a state.
 
-    Works in the eigenbasis of rho, where the superoperator
-    2/(rho_L + rho_R) acts entrywise as 2/(lam_i + lam_j); the result is
+    On a probability vector p it is Fisher's eps^2 sum dp_a^2 / p_a, and
+    the tangent must vanish outside the support of p.  On a density matrix
+    rho it is the Bures form, worked in the eigenbasis of rho, where the
+    superoperator 2/(rho_L + rho_R) acts entrywise as 2/(lam_i + lam_j):
     2 sum_ij |<i|eps drho|j>|^2 / (lam_i + lam_j) >= 0.  Rank-deficient
-    states raise instead of being regularized silently; ``add_ridge``
-    mixes in delta*I/d explicitly.
+    density matrices raise instead of being regularized silently;
+    ``add_ridge`` mixes in delta*I/d explicitly.
     """
-    _require_kind(drho, "quantum")
-    _same_dim(rho, drho)
-    dec = _full_rank_spectral(rho)
-    step = dec.eigenvectors.conj().T @ (eps * drho.delta) @ dec.eigenvectors
+    if _tangent_kind(state, tangent) == "classical":
+        return _fisher_sum(state, tangent, eps)
+    dec = _full_rank_spectral(state)
+    step = dec.eigenvectors.conj().T @ (eps * tangent.delta) @ dec.eigenvectors
     denom = dec.eigenvalues[:, None] + dec.eigenvalues[None, :]
     return float(2.0 * np.sum(np.abs(step) ** 2 / denom))
 
@@ -164,30 +149,31 @@ def hellinger_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float)
     and returns 4 tr(X^2).  The prefactor is fixed by the commuting case,
     where the element must reduce to the Fisher element of the eigenvalues
     (2 tr(X^2) would come out a factor two short).  For non-commuting steps
-    this exceeds :func:`bures_element` by up to a factor two; the ratio is
-    something to report, not an identity to assert.
+    this exceeds :func:`metric_element` by up to a factor two; the ratio is
+    something to report, not an identity to assert.  Density matrices only.
     """
-    _require_kind(drho, "quantum")
-    _same_dim(rho, drho)
+    if _tangent_kind(rho, drho) != "quantum":
+        raise DimensionMismatch("the Hellinger element takes a density matrix")
     _full_rank_spectral(rho)
     perturbed = validate_density(rho.matrix + eps * drho.delta)
     diff = mat_sqrt(perturbed) - mat_sqrt(rho)
     return float(4.0 * np.real(np.trace(diff @ diff)))
 
 
-def kubo_mori_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
+def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
     """Metric element from the second-order expansion of relative entropy.
 
     In the eigenbasis of rho the coefficient of |<i|drho|j>|^2 is
     (ln lam_i - ln lam_j)/(lam_i - lam_j), read as 1/lam on the diagonal.
+    On a probability vector only the diagonal remains, so this is the
+    Fisher sum of :func:`metric_element`, bit for bit.
     """
-    _require_kind(drho, "quantum")
-    _same_dim(rho, drho)
-    dec = _full_rank_spectral(rho)
+    if _tangent_kind(state, tangent) == "classical":
+        return _fisher_sum(state, tangent, eps)
+    dec = _full_rank_spectral(state)
     lam = dec.eigenvalues
-    step = dec.eigenvectors.conj().T @ (eps * drho.delta) @ dec.eigenvectors
-    li = lam[:, None]
-    lj = lam[None, :]
+    step = dec.eigenvectors.conj().T @ (eps * tangent.delta) @ dec.eigenvectors
+    li, lj = lam[:, None], lam[None, :]
     diff = li - lj
     near = np.abs(diff) <= 1e-8 * (li + lj)
     safe = np.where(near, 1.0, diff)

@@ -65,7 +65,7 @@ from .states import (
     _sqrt_rows,
 )
 
-MAX_STEPS = 96
+MAX_SEARCH_STEPS = 96
 MAX_ITER = 100_000     # the history keeps one row per iteration
 MIN_STEPS = 4
 MAX_DIM_CLASSICAL = 8
@@ -222,13 +222,13 @@ def minimize_path(
     stalls, when the gradient vanishes, or at ``max_iter`` (in which case
     ``converged`` is False and the best iterate is returned).  ``ridge=None`` enables a 1e-6 ridge
     automatically for rank-deficient quantum endpoints and is off otherwise.
-    ``n_steps`` above ``MAX_STEPS``, ``max_iter`` above ``MAX_ITER`` and
+    ``n_steps`` above ``MAX_SEARCH_STEPS``, ``max_iter`` above ``MAX_ITER`` and
     dimensions above ``MAX_DIM_CLASSICAL`` or ``MAX_DIM_QUANTUM`` raise
     :class:`DimensionCapExceeded`.
     """
     if n_steps < MIN_STEPS:
         raise ValueError(f"n_steps must be at least {MIN_STEPS}, got {n_steps}")
-    _refuse_above(MAX_STEPS, "n_steps", n_steps, "N")
+    _refuse_above(MAX_SEARCH_STEPS, "n_steps", n_steps, "N")
     _refuse_above(MAX_ITER, "max_iter", max_iter, "max_iter")
     kind, ridge = _search_kind(start, end, ridge)
     classical = kind == "classical"

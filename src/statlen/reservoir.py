@@ -36,8 +36,6 @@ import numpy as np
 
 from .exceptions import DimensionCapExceeded
 from .states import (
-    DensityMatrix,
-    ProbabilityDistribution,
     dimension_cap,
     shannon_entropy,
     von_neumann_entropy,
@@ -275,34 +273,23 @@ def _block_spectrum(r: np.ndarray, s: np.ndarray, n: int):
     return values.ravel(), np.repeat(multiplicity, size)
 
 
-def step_entropy_production(rho: DensityMatrix, sigma: DensityMatrix, n: int) -> float:
-    """Entropy generated by the twirl: S(twirl) - S(rho) - (n-1) S(sigma).
+def step_entropy_production(a, b, n: int) -> float:
+    """Entropy the twirl generates: S(twirl) - S(a) - (n-1) S(b) = S(twirl) - S(a (x) b^(x n-1)).
 
-    Equals S(twirl) - S(rho (x) sigma^(x n-1)) by additivity of the
-    entropy over tensor factors.  The twirl's spectrum comes from its
-    GL(d) blocks.  A single slot holds rho itself, and a one-dimensional
-    state has no entropy, so either gives exactly 0.
+    On probability vectors the twirl is diagonal with a weight per string
+    type, so its entropy is a sum over types.  On density matrices its
+    spectrum comes from its GL(d) blocks; a single slot holds a itself,
+    and a one-dimensional state has no entropy, so either gives exactly 0.
     """
-    _check_step(rho, sigma, n)
-    if n == 1 or rho.dim == 1:
+    _check_step(a, b, n)
+    if a.kind == "classical":
+        mixed = _entropy_of_weights(*_type_weights(a.weights, b.weights, n))
+        return mixed - shannon_entropy(a) - (n - 1) * shannon_entropy(b)
+    if n == 1 or a.dim == 1:
         return 0.0
-    s, u = np.linalg.eigh(sigma.matrix)
-    twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ rho.matrix @ u, s, n))
-    return twirled - von_neumann_entropy(rho) - (n - 1) * _entropy_of_weights(s)
-
-
-def classical_step_entropy_production(
-    p: ProbabilityDistribution, q: ProbabilityDistribution, n: int
-) -> float:
-    """Same quantity on probability vectors, reaching much larger n.
-
-    The twirled reservoir of diagonal states is diagonal, and its weight at
-    a string depends only on the string's type, so its entropy is a sum
-    over types.
-    """
-    _check_step(p, q, n)
-    mixed = _entropy_of_weights(*_type_weights(p.weights, q.weights, n))
-    return mixed - shannon_entropy(p) - (n - 1) * shannon_entropy(q)
+    s, u = np.linalg.eigh(b.matrix)
+    twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ a.matrix @ u, s, n))
+    return twirled - von_neumann_entropy(a) - (n - 1) * _entropy_of_weights(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,19 +312,11 @@ def convergence_scan(rho, sigma, n_max: int) -> ReservoirScanResult:
     recorded as data; no convergence rate is fitted or asserted.
     """
     _check_step(rho, sigma, n_max)
-    if isinstance(rho, ProbabilityDistribution):
-        mode = "classical-fast"
-        step = classical_step_entropy_production
-    else:
-        mode = "dense"
-        step = step_entropy_production
+    mode = "classical-fast" if rho.kind == "classical" else "dense"
     n_values = np.arange(1, n_max + 1)
-    values = np.array([step(rho, sigma, int(n)) for n in n_values])
+    values = np.array([step_entropy_production(rho, sigma, int(n)) for n in n_values])
     reference = relative_entropy(rho, sigma)
-    if math.isinf(reference):
-        gaps = np.full(values.shape, math.inf)
-    else:
-        gaps = np.abs(values - reference)
+    gaps = np.abs(values - reference)   # all inf when the reference is
     return ReservoirScanResult(
         _freeze(n_values), _freeze(values), reference, mode, _freeze(gaps)
     )

@@ -14,18 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InfiniteYield, RankDeficient
+from .exceptions import InfiniteYield, RankDeficient, ValidationError
 from .geometry import (
     RANK_TOL,
     TransportSchedule,
-    bures_element,
-    fisher_element,
     kubo_mori_element,
+    metric_element,
     state_fidelity,
     _state_array,
+    _tangent_kind,
 )
 from .states import (
+    INPUT_SUM_TOL,
     SUPPORT_FLOOR,
+    VALIDATION_TOL,
     DensityMatrix,
     ProbabilityDistribution,
     TangentPerturbation,
@@ -64,14 +66,27 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     would bring back an O(1) cancellation.  Weights at or below
     ``SUPPORT_FLOOR`` are zeros: a_i = 0 gives b_j, and b_j = 0 gives
     nothing but puts P_ij a_i into the leak.
+
+    Rows that are not states raise :class:`ValidationError`, tested on the
+    spectra the yields take: non-finite or non-Hermitian rows, weights below
+    -VALIDATION_TOL, and sums off one by more than INPUT_SUM_TOL.
     """
     if rows.ndim == 2:
         lam, overlap = rows, 1.0
     else:
+        # both tests are written so that nan, where any non-finite entry leads, fails them
+        hermitian = np.all(np.abs(rows - rows.conj().swapaxes(1, 2)) <= VALIDATION_TOL, axis=(1, 2))
+        if not hermitian.all():
+            raise ValidationError(f"row {int(np.argmin(hermitian))} is not a finite Hermitian matrix")
         dec = spectral(rows)
         vec = dec.eigenvectors
         lam, overlap = dec.eigenvalues, np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
-    lam = lam / lam.sum(axis=1, keepdims=True)
+    total = lam.sum(axis=1, keepdims=True)
+    is_state = (lam.min(axis=1) >= -VALIDATION_TOL) & (np.abs(total[:, 0] - 1.0) <= INPUT_SUM_TOL)
+    if not is_state.all():
+        i = int(np.argmin(is_state))
+        raise ValidationError(f"row {i} is not a state: weights {lam[i]} sum to {float(total[i, 0])!r}")
+    lam = lam / total
     a, b = (lam[:-1], lam[1:]) if rows.ndim == 2 else (lam[:-1, :, None], lam[1:, None, :])
     live_a, live_b = a > SUPPORT_FLOOR, b > SUPPORT_FLOOR
     r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
@@ -136,8 +151,9 @@ class TransportReport:
 def run_transport(schedule: TransportSchedule) -> TransportReport:
     """Sum the step yields of ``schedule.rows``, from one stacked call, and attach bounds.
 
-    Raises :class:`InfiniteYield` (with the step index) if any consecutive
-    pair violates support.
+    Raises :class:`ValidationError` if a row is not a state, and
+    :class:`InfiniteYield` (with the step index) if any consecutive pair
+    violates support.
     """
     yields = _step_entropies(schedule.rows)
     broken = np.flatnonzero(np.isinf(yields))
@@ -166,11 +182,12 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
 class ExpansionProbe:
     """Ratio table for the quadratic expansion of relative entropy.
 
-    ``ratio_metric`` divides S(rho || rho + eps drho) by half the Fisher
-    (classical) or Bures (quantum) element; ``ratio_kubo_mori`` divides by
-    half the Kubo-Mori element, which is the exact second-order form.  The
-    table asserts nothing; in particular the Bures column need not approach
-    one for non-commuting steps.
+    ``ratio_metric`` divides S(rho || rho + eps drho) by half the
+    Fisher-Bures element; ``ratio_kubo_mori`` divides by half the Kubo-Mori
+    element, which is the exact second-order form and equals the Fisher
+    element on probability vectors.  The table asserts nothing; in
+    particular the Bures column need not approach one for non-commuting
+    steps.
     """
 
     eps: np.ndarray
@@ -187,26 +204,21 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
         raise ValueError("eps_list must be a nonempty vector")
     if np.any(eps <= 0.0) or (eps.size > 1 and np.any(np.diff(eps) >= 0.0)):
         raise ValueError("eps_list must be positive and strictly descending")
-    if isinstance(state, ProbabilityDistribution):
-        if float(state.weights.min()) <= RANK_TOL:
-            raise RankDeficient("expansion probe needs a full-support distribution")
+    if _tangent_kind(state, perturbation) == "classical":
         metric_name, base, validate = "fisher", state.weights, validate_distribution
-        # classical Kubo-Mori coincides with the Fisher element
-        metric = kubo_mori = fisher_element
-    elif isinstance(state, DensityMatrix):
-        if float(spectral(state).eigenvalues[-1]) <= RANK_TOL:
-            raise RankDeficient("expansion probe needs a full-rank state")
-        metric_name, base, validate = "bures", state.matrix, validate_density
-        metric, kubo_mori = bures_element, kubo_mori_element
+        lowest = float(base.min())
     else:
-        raise DimensionMismatch(f"cannot probe object of type {type(state).__name__}")
+        metric_name, base, validate = "bures", state.matrix, validate_density
+        lowest = float(spectral(state).eigenvalues[-1])
+    if lowest <= RANK_TOL:
+        raise RankDeficient(f"expansion probe needs a full-rank state, got a least weight {lowest:.3e}")
     entropies = np.empty(eps.size)
     ratio_metric = np.empty(eps.size)
     ratio_km = np.empty(eps.size)
     for k, e in enumerate(eps):
         entropies[k] = relative_entropy(state, validate(base + e * perturbation.delta))
-        ratio_metric[k] = entropies[k] / (0.5 * metric(state, perturbation, e))
-        ratio_km[k] = entropies[k] / (0.5 * kubo_mori(state, perturbation, e))
+        ratio_metric[k] = entropies[k] / (0.5 * metric_element(state, perturbation, e))
+        ratio_km[k] = entropies[k] / (0.5 * kubo_mori_element(state, perturbation, e))
     return ExpansionProbe(
         _freeze(eps.copy()),
         _freeze(entropies),

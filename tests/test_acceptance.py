@@ -9,21 +9,18 @@ import numpy as np
 
 from statlen import (
     ProbabilityDistribution,
-    bures_element,
-    classical_step_entropy_production,
     convergence_scan,
     even_schedule,
     expansion_probe,
-    fidelity_classical,
-    fidelity_quantum,
-    fisher_element,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
+    metric_element,
     minimize_path,
     random_distribution,
     relative_entropy,
     run_transport,
+    state_fidelity,
     step_entropy_production,
     tangent_classical,
     tangent_quantum,
@@ -54,8 +51,8 @@ def test_criterion_01_commuting_fidelity_reduction():
         dim = int(rng.integers(2, 9))
         p = random_distribution(dim, 7000 + trial)
         q = random_distribution(dim, 8000 + trial)
-        f_classical = fidelity_classical(p, q)
-        f_quantum = fidelity_quantum(
+        f_classical = state_fidelity(p, q)
+        f_quantum = state_fidelity(
             validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
         )
         worst = max(worst, abs(f_quantum - f_classical))
@@ -73,8 +70,8 @@ def test_criterion_02_commuting_metric_reduction():
         delta -= delta.mean()
         rho = validate_density((basis * lam.weights) @ basis.conj().T)
         drho = tangent_quantum((basis * delta) @ basis.conj().T)
-        bures = bures_element(rho, drho, 1e-3)
-        fisher = fisher_element(lam, tangent_classical(delta), 1e-3)
+        bures = metric_element(rho, drho, 1e-3)
+        fisher = metric_element(lam, tangent_classical(delta), 1e-3)
         worst = max(worst, abs(bures - fisher) / fisher)
     _report(2, worst <= 1e-8, f"Bures vs Fisher on commuting pairs, worst rel = {worst:.3e}")
 
@@ -122,7 +119,7 @@ def test_criterion_05_reservoir_limit():
     worst = 0.0
     for n in range(1, 11):
         dense = step_entropy_production(rho, sigma, n)
-        fast = classical_step_entropy_production(P_DOC, Q_DOC, n)
+        fast = step_entropy_production(P_DOC, Q_DOC, n)
         worst = max(worst, abs(dense - fast))
     _report(
         5,
@@ -158,7 +155,7 @@ def test_criterion_06_even_spacing_optimality():
 
 def test_criterion_07_minimum_dissipation_scaling():
     path = geodesic_path(P_DOC, Q_DOC)
-    ell = geodesic_length_fisher(fidelity_classical(P_DOC, Q_DOC))
+    ell = geodesic_length_fisher(state_fidelity(P_DOC, Q_DOC))
     half_sq = 0.5 * ell * ell
     devs = {}
     for n in (256, 512):

@@ -14,18 +14,15 @@ from statlen import (
     SupportViolation,
     ValidationError,
     add_ridge,
-    bures_element,
     discrete_path_length,
     even_schedule,
-    fidelity_classical,
-    fidelity_quantum,
-    fisher_element,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
     hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
+    metric_element,
     random_distribution,
     random_state,
     relative_entropy,
@@ -59,28 +56,28 @@ def _haar_basis(dim, seed):
 
 class TestFidelities:
     def test_classical_identical(self):
-        assert fidelity_classical(P_HALF, P_HALF) == 1.0
+        assert state_fidelity(P_HALF, P_HALF) == 1.0
 
     def test_classical_disjoint(self):
         a = validate_distribution([1.0, 0.0])
         b = validate_distribution([0.0, 1.0])
-        assert fidelity_classical(a, b) == 0.0
+        assert state_fidelity(a, b) == 0.0
 
     def test_classical_documented_pair(self):
-        assert fidelity_classical(P_HALF, P_SKEW) == pytest.approx(F_DOC, abs=1e-14)
+        assert state_fidelity(P_HALF, P_SKEW) == pytest.approx(F_DOC, abs=1e-14)
 
     def test_classical_symmetric_exactly(self):
         for seed in range(5):
             p, q = _random_pair(6, seed)
-            assert fidelity_classical(p, q) == fidelity_classical(q, p)
+            assert state_fidelity(p, q) == state_fidelity(q, p)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            fidelity_classical(P_HALF, validate_distribution([1.0, 0.0, 0.0]))
+            state_fidelity(P_HALF, validate_distribution([1.0, 0.0, 0.0]))
 
     def test_quantum_identical(self):
         rho = random_state(4, 4, 0)
-        assert fidelity_quantum(rho, rho) == pytest.approx(1.0, abs=1e-10)
+        assert state_fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_pure_against_full_rank_is_exact(self, dim):
@@ -89,32 +86,32 @@ class TestFidelities:
         for seed in range(10):
             psi, sigma = random_state(dim, 1, seed), random_state(dim, dim, seed + 100)
             exact = np.sqrt(np.real(np.trace(psi.matrix @ sigma.matrix)))
-            assert abs(fidelity_quantum(psi, sigma) - exact) < 1e-13
-            assert abs(fidelity_quantum(sigma, psi) - exact) < 1e-13
+            assert abs(state_fidelity(psi, sigma) - exact) < 1e-13
+            assert abs(state_fidelity(sigma, psi) - exact) < 1e-13
 
     def test_quantum_orthogonal_pure(self):
         a = validate_density(np.diag([1.0, 0.0]))
         b = validate_density(np.diag([0.0, 1.0]))
-        assert fidelity_quantum(a, b) == pytest.approx(0.0, abs=1e-10)
+        assert state_fidelity(a, b) == pytest.approx(0.0, abs=1e-10)
 
     def test_quantum_matches_classical_on_diagonals(self):
         rho = validate_density(np.diag(P_HALF.weights))
         sigma = validate_density(np.diag(P_SKEW.weights))
-        assert fidelity_quantum(rho, sigma) == pytest.approx(F_DOC, abs=1e-10)
+        assert state_fidelity(rho, sigma) == pytest.approx(F_DOC, abs=1e-10)
 
     def test_quantum_symmetric(self):
         for seed in range(5):
             rho = random_state(8, 8, seed)
             sigma = random_state(8, 4, seed + 100)
-            assert fidelity_quantum(rho, sigma) == pytest.approx(
-                fidelity_quantum(sigma, rho), abs=1e-10
+            assert state_fidelity(rho, sigma) == pytest.approx(
+                state_fidelity(sigma, rho), abs=1e-10
             )
 
     def test_range_and_separation(self):
         for seed in range(8):
             rho = random_state(4, 4, seed)
             sigma = random_state(4, 4, seed + 50)
-            f = fidelity_quantum(rho, sigma)
+            f = state_fidelity(rho, sigma)
             assert 0.0 <= f <= 1.0
             if np.max(np.abs(rho.matrix - sigma.matrix)) > 1e-4:
                 assert f < 1.0 - 1e-9
@@ -122,57 +119,57 @@ class TestFidelities:
     def test_unit_fidelity_means_equal(self):
         rho = random_state(3, 3, 7)
         bumped = validate_density(rho.matrix + np.diag([1e-10, -1e-10, 0.0]))
-        assert fidelity_quantum(rho, bumped) > 1.0 - 1e-8
+        assert state_fidelity(rho, bumped) > 1.0 - 1e-8
         assert np.max(np.abs(rho.matrix - bumped.matrix)) < 1e-8
 
 
 class TestMetricElements:
     def test_fisher_zero_direction(self):
         dp = tangent_classical([0.0, 0.0])
-        assert fisher_element(P_HALF, dp, 0.01) == 0.0
+        assert metric_element(P_HALF, dp, 0.01) == 0.0
 
     def test_fisher_symmetric_point(self):
         dp = tangent_classical([1.0, -1.0])
-        assert fisher_element(P_HALF, dp, 0.01) == pytest.approx(4e-4, rel=1e-12)
+        assert metric_element(P_HALF, dp, 0.01) == pytest.approx(4e-4, rel=1e-12)
 
     def test_fisher_skewed_point(self):
         dp = tangent_classical([1.0, -1.0])
-        assert fisher_element(P_SKEW, dp, 0.01) == pytest.approx(
+        assert metric_element(P_SKEW, dp, 0.01) == pytest.approx(
             1.1111111111111112e-3, rel=1e-12
         )
 
     def test_fisher_support_violation(self):
         p = validate_distribution([1.0, 0.0])
         with pytest.raises(SupportViolation):
-            fisher_element(p, tangent_classical([1.0, -1.0]), 0.01)
+            metric_element(p, tangent_classical([1.0, -1.0]), 0.01)
 
     def test_bures_zero_direction(self):
         rho = validate_density(np.eye(2) / 2)
         zero = tangent_quantum(np.zeros((2, 2)))
-        assert bures_element(rho, zero, 0.01) == 0.0
+        assert metric_element(rho, zero, 0.01) == 0.0
 
     def test_bures_maximally_mixed_pauli(self):
         # at I/2 the anticommutator superoperator is the identity
         rho = validate_density(np.eye(2) / 2)
         sx_half = tangent_quantum(np.array([[0, 0.5], [0.5, 0]], dtype=complex))
         for eps in (0.1, 0.01):
-            assert bures_element(rho, sx_half, eps) == pytest.approx(eps * eps, rel=1e-12)
+            assert metric_element(rho, sx_half, eps) == pytest.approx(eps * eps, rel=1e-12)
 
     def test_bures_commuting_equals_fisher(self):
         rho = validate_density(np.diag([0.9, 0.1]))
         drho = tangent_quantum(np.diag([1.0, -1.0]))
         dp = tangent_classical([1.0, -1.0])
-        assert bures_element(rho, drho, 0.01) == pytest.approx(
-            fisher_element(P_SKEW, dp, 0.01), rel=1e-12
+        assert metric_element(rho, drho, 0.01) == pytest.approx(
+            metric_element(P_SKEW, dp, 0.01), rel=1e-12
         )
 
     def test_bures_rank_deficient_raises(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         drho = tangent_quantum(np.array([[0, 1], [1, 0]], dtype=complex))
         with pytest.raises(RankDeficient, match="add_ridge"):
-            bures_element(rho, drho, 0.001)
+            metric_element(rho, drho, 0.001)
         # an explicit ridge opts into a regularized value instead
-        assert bures_element(add_ridge(rho, 1e-6), drho, 0.001) > 0.0
+        assert metric_element(add_ridge(rho, 1e-6), drho, 0.001) > 0.0
 
     def test_chord_law(self):
         # 8 (1 - F(rho, rho + eps drho)) approaches the Bures element
@@ -189,8 +186,8 @@ class TestMetricElements:
             devs = []
             for eps in (1e-3, 1e-4):
                 pert = validate_density(rho.matrix + eps * drho.delta)
-                chord = 8.0 * (1.0 - fidelity_quantum(rho, pert))
-                devs.append(abs(chord / bures_element(rho, drho, eps) - 1.0))
+                chord = 8.0 * (1.0 - state_fidelity(rho, pert))
+                devs.append(abs(chord / metric_element(rho, drho, eps) - 1.0))
             assert devs[1] <= devs[0] / 5.0
 
     def test_hellinger_zero_direction(self):
@@ -213,7 +210,7 @@ class TestMetricElements:
         drho = tangent_quantum(np.diag([1.0, -1.0]).astype(complex))
         diffs = []
         for eps in (1e-2, 1e-3):
-            diffs.append(abs(hellinger_element(rho, drho, eps) - bures_element(rho, drho, eps)))
+            diffs.append(abs(hellinger_element(rho, drho, eps) - metric_element(rho, drho, eps)))
         # absolute mismatch is third order in eps
         assert diffs[0] < 1e-4
         assert diffs[1] < diffs[0] / 100.0
@@ -223,7 +220,7 @@ class TestMetricElements:
         drho = tangent_quantum(
             np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]], dtype=complex)
         )
-        ratio = hellinger_element(rho, drho, 1e-4) / bures_element(rho, drho, 1e-4)
+        ratio = hellinger_element(rho, drho, 1e-4) / metric_element(rho, drho, 1e-4)
         assert 1.0 - 1e-9 <= ratio <= 2.0
 
     def test_kubo_mori_zero_direction(self):
@@ -235,7 +232,7 @@ class TestMetricElements:
         drho = tangent_quantum(np.diag([1.0, -1.0]).astype(complex))
         dp = tangent_classical([1.0, -1.0])
         assert kubo_mori_element(rho, drho, 0.01) == pytest.approx(
-            fisher_element(P_SKEW, dp, 0.01), rel=1e-10
+            metric_element(P_SKEW, dp, 0.01), rel=1e-10
         )
 
     def test_kubo_mori_matches_relative_entropy_expansion(self):
@@ -256,6 +253,24 @@ class TestMetricElements:
         for element in (hellinger_element, kubo_mori_element):
             with pytest.raises(RankDeficient):
                 element(rho, drho, 0.001)
+
+    @pytest.mark.parametrize("element", [metric_element, hellinger_element, kubo_mori_element])
+    def test_tangent_of_another_kind_or_dimension_rejected(self, element):
+        """Refused as a mismatch before any arithmetic, not with numpy's LinAlgError."""
+        rho = validate_density(np.eye(2) / 2)
+        for state, tangent in (
+            (P_HALF, tangent_quantum(np.diag([1.0, -1.0]))),
+            (rho, tangent_classical([1.0, -1.0])),
+            (P_HALF, tangent_classical([1.0, 0.0, -1.0])),
+            (rho, tangent_quantum(np.diag([1.0, 0.0, -1.0]))),
+            (P_HALF.weights, tangent_classical([1.0, -1.0])),
+        ):
+            with pytest.raises(DimensionMismatch):
+                element(state, tangent, 0.01)
+
+    def test_hellinger_refuses_a_probability_vector(self):
+        with pytest.raises(DimensionMismatch, match="density matrix"):
+            hellinger_element(P_HALF, tangent_classical([1.0, -1.0]), 0.01)
 
 
 class TestGeodesicLengths:
@@ -299,7 +314,7 @@ class TestPaths:
 
     def test_classical_geodesic_length_d3(self):
         p, q = _random_pair(3, 17)
-        expected = geodesic_length_fisher(fidelity_classical(p, q))
+        expected = geodesic_length_fisher(state_fidelity(p, q))
         report = discrete_path_length(geodesic_path(p, q), 2048)
         assert report.total_length == pytest.approx(expected, abs=1e-9)
 
@@ -310,7 +325,7 @@ class TestPaths:
         sigma = validate_density((basis * q.weights) @ basis.conj().T)
         path = geodesic_path(rho, sigma)
         assert np.array_equal(path.sample([0.0])[0], rho.matrix)
-        expected = geodesic_length_fisher(fidelity_classical(p, q))
+        expected = geodesic_length_fisher(state_fidelity(p, q))
         report = discrete_path_length(path, 256)
         assert report.total_length == pytest.approx(expected, abs=1e-8)
         # the states are the classical path's states, rotated into the common basis
@@ -323,7 +338,7 @@ class TestPaths:
         plus = validate_density(np.full((2, 2), 0.5))
         path = geodesic_path(rho, plus)
         assert path.kind == "quantum"
-        expected = geodesic_length_fisher(fidelity_quantum(rho, plus))
+        expected = geodesic_length_fisher(state_fidelity(rho, plus))
         report = discrete_path_length(path, 256)
         assert report.total_length == pytest.approx(expected, abs=1e-8)
 
@@ -394,9 +409,9 @@ class TestGeodesicPath:
     )
     def test_fidelity_along_path_is_cos_full_rank(self, seed, dim, s, t):
         rho, sigma = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
-        theta = np.arccos(fidelity_quantum(rho, sigma))
+        theta = np.arccos(state_fidelity(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = fidelity_quantum(*map(DensityMatrix, path.sample([s, t])))
+        f = state_fidelity(*map(DensityMatrix, path.sample([s, t])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
 
     @settings(deadline=None, derandomize=True, max_examples=60)
@@ -434,9 +449,9 @@ class TestGeodesicPath:
         # value for random_state(2, 1, 0) and random_state(2, 2, 1) already.
         rho = random_state(dim, min(ranks[0], dim - 1), seed)
         sigma = random_state(dim, min(ranks[1], dim), seed + 1)
-        theta = np.arccos(fidelity_quantum(rho, sigma))
+        theta = np.arccos(state_fidelity(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = fidelity_quantum(*map(DensityMatrix, path.sample([s, t])))
+        f = state_fidelity(*map(DensityMatrix, path.sample([s, t])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-7
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -820,9 +835,9 @@ class TestBatchedPaths:
     def test_pair_fidelities_match_reference(self, seed, dim):
         rho = random_state(dim, 1 + seed % dim, seed)
         sigma = random_state(dim, dim, seed + 1)
-        assert fidelity_quantum(rho, sigma) == _reference_fidelity(rho, sigma)
+        assert state_fidelity(rho, sigma) == _reference_fidelity(rho, sigma)
         p, q = _random_pair(dim, seed)
-        assert fidelity_classical(p, q) == _reference_fidelity(p, q)
+        assert state_fidelity(p, q) == _reference_fidelity(p, q)
 
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_sample_many_pins_endpoints(self, kind):

@@ -9,20 +9,19 @@ from statlen import (
     DimensionMismatch,
     RankCollapse,
     RankDeficient,
-    bures_element,
     expansion_probe,
-    fidelity_classical,
-    fidelity_quantum,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
     hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
+    metric_element,
     minimize_path,
     random_distribution,
     random_state,
     spectral,
+    state_fidelity,
     tangent_quantum,
     validate_density,
     validate_distribution,
@@ -50,7 +49,7 @@ class TestClassicalSearch:
         p = random_distribution(3, 1)
         q = random_distribution(3, 2)
         result = minimize_path(p, q, 16)
-        geo = geodesic_length_fisher(fidelity_classical(p, q))
+        geo = geodesic_length_fisher(state_fidelity(p, q))
         assert result.converged
         assert result.final_length <= geo * 1.01
         assert result.final_length >= geo * 0.98
@@ -61,7 +60,7 @@ class TestClassicalSearch:
             p = random_distribution(dim, seed)
             q = random_distribution(dim, seed + 20)
             result = minimize_path(p, q, 16)
-            geo = geodesic_length_fisher(fidelity_classical(p, q))
+            geo = geodesic_length_fisher(state_fidelity(p, q))
             assert result.final_length <= geo * 1.01
 
     def test_energy_monotone_and_endpoints_pinned(self):
@@ -85,7 +84,7 @@ class TestClassicalSearch:
         p = random_distribution(3, 5)
         q = random_distribution(3, 6)
         seeded = minimize_path(p, q, 16, seed_path=geodesic_path(p, q))
-        geo = geodesic_length_fisher(fidelity_classical(p, q))
+        geo = geodesic_length_fisher(state_fidelity(p, q))
         assert seeded.final_length == pytest.approx(geo, rel=1e-3)
 
     def test_not_converged_flag(self):
@@ -142,10 +141,10 @@ class TestExactDiscreteMinimum:
         kind, dim = problem
         if kind == "classical":
             a, b = random_distribution(dim, seed), random_distribution(dim, seed + 1)
-            fid = fidelity_classical(a, b)
+            fid = state_fidelity(a, b)
         else:
             a, b = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
-            fid = fidelity_quantum(a, b)
+            fid = state_fidelity(a, b)
         result = minimize_path(a, b, n_steps)
         assert result.converged
         assert result.ridge == 0.0
@@ -165,11 +164,11 @@ class TestQuantumSearch:
         assert result.step_cvs[-1] <= 0.02
         # the numerical search cannot beat the chordal candidate...
         assert result.final_length >= geodesic_length_bures(
-            fidelity_quantum(rho, sigma)
+            state_fidelity(rho, sigma)
         ) - 1e-6
         # ...and should not lose to the commuting-arc candidate by much
         assert result.final_length <= geodesic_length_fisher(
-            fidelity_quantum(rho, sigma)
+            state_fidelity(rho, sigma)
         ) * 1.01
 
     def test_orthogonal_pure_endpoints_with_auto_ridge(self):
@@ -215,7 +214,7 @@ class TestQuantumSearch:
         boundary = validate_density(np.diag([1.0 - RANK_TOL, RANK_TOL]))
         assert spectral(boundary).eigenvalues[-1] == RANK_TOL
         drho = tangent_quantum(np.diag([1.0, -1.0]))
-        for element in (bures_element, hellinger_element, kubo_mori_element):
+        for element in (metric_element, hellinger_element, kubo_mori_element):
             with pytest.raises(RankDeficient):
                 element(boundary, drho, 1e-3)
         with pytest.raises(RankDeficient):
@@ -383,7 +382,7 @@ class TestAnalyticGradient:
         assert classical.stop_reason == quantum.stop_reason == "stall"
         # the classical length takes the arc rule; recompute the quantum path's
         arcs = [
-            geodesic_length_fisher(fidelity_quantum(a, b))
+            geodesic_length_fisher(state_fidelity(a, b))
             for a, b in zip(quantum.states[:-1], quantum.states[1:])
         ]
         assert sum(arcs) == pytest.approx(classical.final_length, abs=1e-9)

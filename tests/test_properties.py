@@ -12,13 +12,18 @@ from statlen import (
     discrete_path_length,
     even_schedule,
     geodesic_path,
+    kubo_mori_element,
     linear_mixture_path,
+    metric_element,
     random_distribution,
     random_state,
     relative_entropy,
     run_transport,
     spectral,
     state_fidelity,
+    step_entropy_production,
+    tangent_classical,
+    tangent_quantum,
     validate_density,
     validate_distribution,
 )
@@ -190,6 +195,45 @@ WEIGHTS = st.integers(2, 6).flatmap(
         *(st.lists(st.floats(1e-3, 1.0), min_size=dim, max_size=dim) for _ in range(2))
     )
 )
+
+
+def _diagonal(p):
+    return validate_density(np.diag(p.weights))
+
+
+class TestClassicalEqualsDiagonalQuantum:
+    """Each operation on a probability vector agrees with the same operation
+    on its diagonal density matrix, so the one entry point keeps one value
+    whichever kind it is given.  The relative entropy is checked in
+    TestRelativeEntropy."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(**{**PAIRS, "kind": st.just("classical")})
+    def test_fidelity(self, kind, dim, ranks, seed):
+        """Within 1e-15, about 4 eps: both sum sqrt(p_a q_a), the quantum one as singular values."""
+        p, q = _pair(kind, dim, ranks, seed)
+        assert abs(state_fidelity(p, q) - state_fidelity(_diagonal(p), _diagonal(q))) <= 1e-15
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(weights=WEIGHTS, eps=st.sampled_from([1e-1, 1e-3, 1e-6]))
+    @pytest.mark.parametrize("element", [metric_element, kubo_mori_element])
+    def test_metric_elements(self, element, weights, eps):
+        """Within 1e-14 relative: the Bures and Kubo-Mori forms of a diagonal
+        step keep only their diagonal terms, eps^2 dp_a^2 / p_a."""
+        p, q = (validate_distribution(np.array(w) / sum(w)) for w in weights)
+        delta = q.weights - p.weights
+        classical = element(p, tangent_classical(delta), eps)
+        quantum = element(_diagonal(p), tangent_quantum(np.diag(delta)), eps)
+        assert abs(quantum - classical) <= 1e-14 * classical
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(**{**PAIRS, "kind": st.just("classical")}, n=st.integers(1, 4))
+    def test_step_entropy_production(self, kind, dim, ranks, seed, n):
+        """Within 1e-13: the method of types and the GL(d) blocks each give
+        a difference of entropies of size up to (n + 1) ln d < 7."""
+        p, q = _pair(kind, dim, ranks, seed)
+        classical = step_entropy_production(p, q, n)
+        assert abs(step_entropy_production(_diagonal(p), _diagonal(q), n) - classical) <= 1e-13
 
 
 class TestDiagonalGeodesic:

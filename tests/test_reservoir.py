@@ -9,7 +9,6 @@ from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
     ProbabilityDistribution,
-    classical_step_entropy_production,
     convergence_scan,
     random_distribution,
     random_state,
@@ -125,7 +124,7 @@ class TestSharedTwirlKernel:
     def test_classical_step_matches_kron_loop(self, dim, n, seed):
         p = random_distribution(dim, seed)
         q = random_distribution(dim, seed + 1)
-        assert classical_step_entropy_production(p, q, n) == pytest.approx(
+        assert step_entropy_production(p, q, n) == pytest.approx(
             _kron_loop_classical_step(p, q, n), abs=1e-12
         )
 
@@ -160,7 +159,7 @@ class TestReducedStepsMatchKronOracle:
             p = _with_zero(p, index)
         if zero in ("q", "both"):
             q = _with_zero(q, index + 1)
-        assert classical_step_entropy_production(p, q, n) == pytest.approx(
+        assert step_entropy_production(p, q, n) == pytest.approx(
             _kron_loop_classical_step(p, q, n), abs=1e-12
         )
 
@@ -235,7 +234,7 @@ class TestBlocksMatchKronOracle:
         p, q = (random_distribution(2, seed + i) for i in (0, 1))
         assert _cap_n(2) == 11
         assert step_entropy_production(rho, sigma, 11) == pytest.approx(
-            classical_step_entropy_production(p, q, 11), abs=1e-12
+            step_entropy_production(p, q, 11), abs=1e-12
         )
 
     @pytest.mark.parametrize("dim", range(2, 17))
@@ -332,7 +331,7 @@ class TestStepEntropyProduction:
 
     def test_two_slots_against_oracle(self):
         dense = step_entropy_production(RHO, SIGMA, 2)
-        fast = classical_step_entropy_production(P, Q, 2)
+        fast = step_entropy_production(P, Q, 2)
         oracle = _mixture_entropy_oracle(P.weights, Q.weights, 2) - (
             shannon_entropy(P) + shannon_entropy(Q)
         )
@@ -340,25 +339,25 @@ class TestStepEntropyProduction:
         assert fast == pytest.approx(oracle, abs=1e-12)
 
     def test_classical_trivials(self):
-        assert classical_step_entropy_production(P, Q, 1) == pytest.approx(0.0, abs=1e-12)
-        assert classical_step_entropy_production(Q, Q, 5) == pytest.approx(0.0, abs=1e-12)
+        assert step_entropy_production(P, Q, 1) == pytest.approx(0.0, abs=1e-12)
+        assert step_entropy_production(Q, Q, 5) == pytest.approx(0.0, abs=1e-12)
 
     def test_modes_agree_on_diagonal_inputs(self):
         for n in range(1, 7):
             dense = step_entropy_production(RHO, SIGMA, n)
-            fast = classical_step_entropy_production(P, Q, n)
+            fast = step_entropy_production(P, Q, n)
             assert dense == pytest.approx(fast, abs=1e-9)
 
     def test_classical_cap(self):
         with pytest.raises(DimensionCapExceeded) as err:
-            classical_step_entropy_production(P, Q, 21)  # 2^21 > 2^20
+            step_entropy_production(P, Q, 21)  # 2^21 > 2^20
         assert err.value.max_feasible == 20
 
     def test_kind_mismatch(self):
         with pytest.raises(DimensionMismatch):
             step_entropy_production(RHO, SIGMA.matrix, 2)
         with pytest.raises(DimensionMismatch):
-            classical_step_entropy_production(P, RHO, 2)
+            step_entropy_production(P, RHO, 2)
 
 
 class TestConvergenceScan:

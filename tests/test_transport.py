@@ -8,9 +8,9 @@ from statlen import (
     InfiniteYield,
     ProbabilityDistribution,
     RankDeficient,
+    ValidationError,
     even_schedule,
     expansion_probe,
-    fidelity_classical,
     geodesic_bound,
     geodesic_length_bures,
     geodesic_length_fisher,
@@ -21,6 +21,7 @@ from statlen import (
     random_state,
     relative_entropy,
     run_transport,
+    state_fidelity,
     tangent_classical,
     tangent_quantum,
     validate_density,
@@ -144,7 +145,7 @@ class TestRunTransport:
 
     def test_scaling_toward_minimum(self):
         path = geodesic_path(P_HALF, P_SKEW)
-        ell = geodesic_length_fisher(fidelity_classical(P_HALF, P_SKEW))
+        ell = geodesic_length_fisher(state_fidelity(P_HALF, P_SKEW))
         half_sq = ell * ell / 2.0
         devs = {}
         for n in (64, 128):
@@ -292,8 +293,8 @@ class TestScheduleInvariants:
         )
         lengths = np.array(
             [
-                geodesic_length_fisher(fidelity_classical(states[0], states[1])),
-                geodesic_length_fisher(fidelity_classical(states[1], states[2])),
+                geodesic_length_fisher(state_fidelity(states[0], states[1])),
+                geodesic_length_fisher(state_fidelity(states[1], states[2])),
             ]
         )
         schedule = TransportSchedule(
@@ -301,7 +302,7 @@ class TestScheduleInvariants:
         )
         report = run_transport(schedule)
         assert report.total_entropy > 0.0
-        assert report.endpoint_fidelity == fidelity_classical(states[0], states[-1])
+        assert report.endpoint_fidelity == state_fidelity(states[0], states[-1])
         assert report.total_length == pytest.approx(lengths.sum(), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -327,3 +328,28 @@ class TestScheduleInvariants:
     def test_kind_that_disagrees_with_the_rows_rejected(self, kind, rows):
         with pytest.raises(DimensionMismatch):
             TransportSchedule(kind, rows, np.linspace(0.0, 1.0, 3), np.zeros(2), 2)
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            ("classical", [[1.5, -0.5], [0.5, 0.5], [2.0, 2.0]]),
+            ("classical", [[0.5, 0.5], [2.0, 2.0], [0.5, 0.5]]),
+            ("classical", [[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]]),
+            ("classical", [[0.5, 0.5], [np.inf, 0.5], [0.5, 0.5]]),
+            ("quantum", [np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]], np.eye(2) / 2]),
+            ("quantum", [np.eye(2) / 2, [[0.5, 0.6], [0.6, 0.5]], np.eye(2) / 2]),
+            ("quantum", [np.eye(2) / 2, np.eye(2), np.eye(2) / 2]),
+            ("quantum", [np.eye(2) / 2, [[np.nan, 0.0], [0.0, 0.5]], np.eye(2) / 2]),
+        ],
+        ids=[
+            "negative-weight", "sum-off-one", "nan-weight", "inf-weight",
+            "not-hermitian", "negative-eigenvalue", "trace-off-one", "nan-entry",
+        ],
+    )
+    def test_rows_that_are_not_states_rejected(self, kind, rows):
+        """Before any yield is reported: the first case once gave total_entropy 1.148
+        with a nan fidelity."""
+        rows = np.array(rows, dtype=float if kind == "classical" else complex)
+        schedule = TransportSchedule(kind, rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3), 2)
+        with pytest.raises(ValidationError, match="row [01] is not a"):
+            run_transport(schedule)

@@ -17,11 +17,9 @@ from .exceptions import (
     DimensionCapExceeded,
     DimensionMismatch,
     InfiniteYield,
-    NegativeWeight,
     NotHermitian,
     NotNormalized,
     NotPositive,
-    NotUnitTrace,
     RankCollapse,
     RankDeficient,
     StatlenError,
@@ -35,16 +33,15 @@ from .states import (
     TangentPerturbation,
     add_ridge,
     dimension_cap,
+    entropy,
     mat_sqrt,
     random_distribution,
     random_state,
-    shannon_entropy,
     spectral,
     tangent_classical,
     tangent_quantum,
     validate_density,
     validate_distribution,
-    von_neumann_entropy,
 )
 from .geometry import (
     PathLengthReport,

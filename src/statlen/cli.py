@@ -23,15 +23,15 @@ from . import __version__
 from . import serialize
 from .exceptions import DimensionCapExceeded, StatlenError, _refuse_above
 from .geometry import (
-    MAX_STEPS,
     even_schedule,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
     linear_mixture_path,
     state_fidelity,
+    _check_steps,
 )
-from .pathopt import minimize_path
+from .pathopt import DEFAULT_MAX_ITER, minimize_path
 from .reservoir import CLASSICAL_DIM_CAP, convergence_scan
 from .states import (
     dimension_cap,
@@ -203,9 +203,9 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         grid = [_count(n, "N_grid") for n in config["N_grid"]]
     else:
         raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
-    for n in grid:
-        _refuse_above(MAX_STEPS, "N", n, "N")
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
+    for n in grid:
+        _check_steps(n, path.start)
     resolved["path"] = resolved_spec
     columns = (
         "N",
@@ -282,7 +282,7 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         b,
         _count(config["N"], "N"),
         seed_path,
-        max_iter=_count(config.get("max_iter", 5000), "max_iter"),
+        max_iter=_count(config.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
         ridge=ridge,
     )
     fid = state_fidelity(a, b)

@@ -9,12 +9,8 @@ class ValidationError(StatlenError, ValueError):
     """A state failed its construction invariants."""
 
 
-class NegativeWeight(ValidationError):
-    """A probability weight is more negative than the validation tolerance."""
-
-
 class NotNormalized(ValidationError):
-    """Weights do not sum to one within the input tolerance."""
+    """A weight sum or a matrix trace is off one beyond the input tolerance."""
 
 
 class NotHermitian(ValidationError):
@@ -22,11 +18,7 @@ class NotHermitian(ValidationError):
 
 
 class NotPositive(ValidationError):
-    """A matrix has an eigenvalue below the negative validation tolerance."""
-
-
-class NotUnitTrace(ValidationError):
-    """A matrix trace deviates from one beyond the input tolerance."""
+    """A weight or an eigenvalue lies below the negative validation tolerance."""
 
 
 class BadRank(ValidationError):

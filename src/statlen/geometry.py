@@ -12,6 +12,11 @@ Every discrete step of a sampled path is measured by that angle: it obeys
 the triangle inequality, so discrete lengths only grow under refinement,
 and it is exact at every N on :func:`geodesic_path`.  It is taken as
 ``4 arcsin(c/2)`` of the chord ``c = sqrt(2 (1 - F))``, exact near F = 1.
+
+On probability vectors, the commuting case, the amplitude is sqrt(p) and
+Uhlmann's fidelity is Bhattacharyya's, so one amplitude and one chord
+kernel serve both kinds.  Kernels, tangents and schedules read the kind
+from the shape of their arrays.
 """
 from __future__ import annotations
 
@@ -39,7 +44,6 @@ from .states import (
     validate_density,
     _freeze,
     _pair_kind,
-    _same_dim,
     _sqrt_rows,
     _validate_density_rows,
     _validate_distribution_rows,
@@ -49,6 +53,7 @@ RANK_TOL = 1e-10          # a smallest eigenvalue at or below this is rank-defic
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_STEPS = 65536              # cap on the steps of an even schedule
+MAX_SCHEDULE_ENTRIES = 2 ** 24  # cap on the entries of a schedule's rows stack
 SPREAD_TOL = 1e-8              # even-schedule target for (max - min)/mean of the steps
 STEP_NOISE = 256 * np.finfo(float).eps  # least spread the sampled states resolve, times mean step^2
 MAX_PASSES = 64                # cap on the equidistribution passes of an even schedule
@@ -56,26 +61,25 @@ _log = logging.getLogger(__name__)
 
 
 def _tangent_kind(state, tangent: TangentPerturbation) -> str:
-    """The kind of a state, which the tangent must share with its dimension."""
-    if not isinstance(state, (ProbabilityDistribution, DensityMatrix)) or tangent.kind != state.kind:
-        raise DimensionMismatch(f"cannot pair a {tangent.kind} tangent with {type(state).__name__}")
-    _same_dim(state, tangent)
+    """The kind of a state, whose array shape the tangent must have."""
+    shape, known = tangent.delta.shape, isinstance(state, (ProbabilityDistribution, DensityMatrix))
+    if not known or shape != _state_array(state).shape:
+        raise DimensionMismatch(f"cannot pair a tangent of shape {shape} with {type(state).__name__}")
     return state.kind
 
 
 # ---------- fidelities ----------
 
-def _classical_chords(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise chord ||sqrt(p) - sqrt(q)|| = sqrt(2 (1 - F)) of two weight stacks."""
-    return np.sqrt(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2, axis=-1))
-
-
 def _uhlmann(a: np.ndarray, b: np.ndarray):
-    """Row-wise ``(F, U, chord)`` of two stacks of factors, a a* = rho, b b* = sigma.
+    """Row-wise ``(F, U, chord)`` of two stacks of amplitudes.
 
-    From the SVD a* b = W S V*: F = tr S clamped to 1 (Uhlmann 1976), the
-    polar factor U = W V*, and ||a U - b||_F = sqrt(2 (1 - F)) with no 1 - F.
+    Of (K, d, d) factors, a a* = rho and b b* = sigma, by the SVD a* b = W S V*:
+    F = tr S clamped to 1 (Uhlmann 1976), the polar factor U = W V*, and
+    ||a U - b||_F = sqrt(2 (1 - F)) with no 1 - F.  Of (K, d) amplitudes
+    sqrt(p), the commuting case: F = sum a b, U = None and the chord ||a - b||.
     """
+    if a.ndim == 2:
+        return np.minimum(1.0, np.sum(a * b, axis=-1)), None, np.sqrt(np.sum((a - b) ** 2, axis=-1))
     w, singular, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
     polar = w @ vh
     chords = np.sqrt(np.sum(np.abs(a @ polar - b) ** 2, axis=(-2, -1)))
@@ -99,7 +103,7 @@ def state_fidelity(a, b) -> float:
     if _pair_kind(a, b) == "classical":
         return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
     roots = _sqrt_rows(np.stack((a.matrix, b.matrix)))
-    return float(_uhlmann(roots[0], roots[1])[0])
+    return float(_uhlmann(roots[:1], roots[1:])[0][0])
 
 
 # ---------- local metric elements ----------
@@ -112,7 +116,8 @@ def _fisher_sum(p: ProbabilityDistribution, dp: TangentPerturbation, eps: float)
     return float(eps * eps * np.sum(dp.delta[~dead] ** 2 / p.weights[~dead]))
 
 
-def _full_rank_spectral(rho: DensityMatrix):
+def _full_rank_step(rho: DensityMatrix, drho: TangentPerturbation, eps: float):
+    """The eigenvalues of rho and eps*drho in its eigenbasis; rank-deficient rho raises."""
     dec = spectral(rho)
     smallest = float(dec.eigenvalues[-1])
     if smallest <= RANK_TOL:
@@ -120,7 +125,7 @@ def _full_rank_spectral(rho: DensityMatrix):
             f"smallest eigenvalue {smallest:.3e} is at or below {RANK_TOL}; "
             "regularize explicitly with add_ridge(rho, delta)"
         )
-    return dec
+    return dec.eigenvalues, dec.eigenvectors.conj().T @ (eps * drho.delta) @ dec.eigenvectors
 
 
 def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
@@ -136,10 +141,8 @@ def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
     """
     if _tangent_kind(state, tangent) == "classical":
         return _fisher_sum(state, tangent, eps)
-    dec = _full_rank_spectral(state)
-    step = dec.eigenvectors.conj().T @ (eps * tangent.delta) @ dec.eigenvectors
-    denom = dec.eigenvalues[:, None] + dec.eigenvalues[None, :]
-    return float(2.0 * np.sum(np.abs(step) ** 2 / denom))
+    lam, step = _full_rank_step(state, tangent, eps)
+    return float(2.0 * np.sum(np.abs(step) ** 2 / (lam[:, None] + lam[None, :])))
 
 
 def hellinger_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
@@ -154,7 +157,7 @@ def hellinger_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float)
     """
     if _tangent_kind(rho, drho) != "quantum":
         raise DimensionMismatch("the Hellinger element takes a density matrix")
-    _full_rank_spectral(rho)
+    _full_rank_step(rho, drho, eps)
     perturbed = validate_density(rho.matrix + eps * drho.delta)
     diff = mat_sqrt(perturbed) - mat_sqrt(rho)
     return float(4.0 * np.real(np.trace(diff @ diff)))
@@ -170,9 +173,7 @@ def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
     """
     if _tangent_kind(state, tangent) == "classical":
         return _fisher_sum(state, tangent, eps)
-    dec = _full_rank_spectral(state)
-    lam = dec.eigenvalues
-    step = dec.eigenvectors.conj().T @ (eps * tangent.delta) @ dec.eigenvectors
+    lam, step = _full_rank_step(state, tangent, eps)
     li, lj = lam[:, None], lam[None, :]
     diff = li - lj
     near = np.abs(diff) <= 1e-8 * (li + lj)
@@ -285,16 +286,12 @@ def geodesic_path(a, b) -> StatePath:
     because A* B = W S W* >= 0 whatever columns the SVD adds.  Coinciding
     endpoints (sin theta == 0) give the constant path.
     """
-    kind = _pair_kind(a, b)
+    _pair_kind(a, b)
     start = _state_array(a)
-    if kind == "classical":
-        chord = _classical_chords(a.weights, b.weights)
-        root_a, root_b = np.sqrt(a.weights), np.sqrt(b.weights)
-    else:
-        root_a, root_b = _sqrt_rows(np.stack((a.matrix, b.matrix)))
-        _, polar, chord = _uhlmann(root_a, root_b)
-        root_b = root_b @ polar.conj().T
-    theta = float(_angles(chord)) / 2.0
+    roots = _sqrt_rows(np.stack((start, _state_array(b))))
+    _, polar, chord = _uhlmann(roots[:1], roots[1:])
+    root_a, root_b = roots[0], roots[1] if polar is None else roots[1] @ polar[0].conj().T
+    theta = float(_angles(chord[0])) / 2.0
     sin_theta = float(np.sin(theta))
     if sin_theta == 0.0:
         return StatePath(a, b, lambda ts: np.broadcast_to(start, ts.shape + start.shape))
@@ -305,7 +302,7 @@ def geodesic_path(a, b) -> StatePath:
             np.sin((1.0 - ts) * theta).reshape(column) * root_a
             + np.sin(ts * theta).reshape(column) * root_b
         ) / sin_theta
-        return amp * amp if kind == "classical" else amp @ amp.conj().swapaxes(-1, -2)
+        return amp * amp if amp.ndim == 2 else amp @ amp.conj().swapaxes(-1, -2)
 
     return StatePath(a, b, _points)
 
@@ -332,9 +329,6 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     chords = []
     for i in range(0, max(ts.size - 1, 1), block):
         rows, spectra = path._rows(ts[i:i + block + 1])
-        if spectra is None:
-            chords.append(_classical_chords(rows[:-1], rows[1:]))
-            continue
         roots = _sqrt_rows(rows, spectra)
         chords.append(_uhlmann(roots[:-1], roots[1:])[2])
     return _angles(np.concatenate(chords))
@@ -353,25 +347,34 @@ class PathLengthReport:
 class TransportSchedule:
     """N steps: the N + 1 validated states as one (N + 1, d[, d]) stack, their ts, the step lengths."""
 
-    kind: str
     rows: np.ndarray
     ts: np.ndarray
     step_lengths: np.ndarray
-    n_steps: int
 
     def __post_init__(self):
-        n, sizes = self.n_steps, (len(self.rows), len(self.ts), len(self.step_lengths))
-        if sizes != (n + 1, n + 1, n):
-            raise ValueError(f"{n} steps need {n + 1} rows and ts and {n} step lengths, got {sizes}")
-        if self.rows.ndim != {"classical": 2, "quantum": 3}.get(self.kind):
-            raise DimensionMismatch(f"{self.kind!r} schedule rows cannot have shape {self.rows.shape}")
+        if self.rows.ndim not in (2, 3):
+            raise DimensionMismatch(f"schedule rows cannot have shape {self.rows.shape}")
+        n, sizes = self.n_steps, (len(self.ts), len(self.step_lengths))
+        if sizes != (n + 1, n):
+            raise ValueError(f"{n} steps need {n + 1} ts and {n} step lengths, got {sizes}")
+
+    @property
+    def kind(self) -> str:
+        return "classical" if self.rows.ndim == 2 else "quantum"
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.rows) - 1
 
 
-def _check_steps(n_steps: int) -> None:
-    """Refuse N < 1, and N > MAX_STEPS before anything is sampled."""
+def _check_steps(n_steps: int, state=None) -> None:
+    """Refuse N < 1, N > MAX_STEPS, and N + 1 rows like ``state`` above MAX_SCHEDULE_ENTRIES entries."""
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     _refuse_above(MAX_STEPS, "N", n_steps, "N")
+    if state is not None:
+        size = _state_array(state).size
+        _refuse_above(MAX_SCHEDULE_ENTRIES // size - 1, f"N (of states of {size} entries)", n_steps, "N")
 
 
 def discrete_path_length(path: StatePath, n_steps: int) -> PathLengthReport:
@@ -397,11 +400,12 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     STEP_NOISE / mean^2 where the sampled states resolve no less; when a
     pass does not lower the spread; or after MAX_PASSES passes.  Paths of
     constant speed or shorter than DEGENERATE_LENGTH keep t = i/N exactly.
-    N > MAX_STEPS raises DimensionCapExceeded before any sampling.  One
+    N > MAX_STEPS, or N + 1 rows of more than MAX_SCHEDULE_ENTRIES entries
+    in all, raises DimensionCapExceeded before any sampling.  One
     DEBUG record gives the passes, the stop reason and the spread, and one
     ``path.sample`` of the kept t gives the rows.
     """
-    _check_steps(n_steps)
+    _check_steps(n_steps, path.start)
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     best, reason = (np.inf,), "pass cap"
     for passes in range(1, MAX_PASSES + 1):
@@ -422,4 +426,4 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
         ts[0], ts[-1] = 0.0, 1.0
     spread, ts, steps = best
     _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n_steps, passes, reason, spread)
-    return TransportSchedule(path.kind, path.sample(ts), _freeze(ts), _freeze(steps), n_steps)
+    return TransportSchedule(path.sample(ts), _freeze(ts), _freeze(steps))

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, RankCollapse, _refuse_above
+from .exceptions import DimensionMismatch, RankCollapse, RankDeficient, _refuse_above
 from .geometry import (
     RANK_TOL,
     StatePath,
@@ -67,6 +67,7 @@ from .states import (
 
 MAX_SEARCH_STEPS = 96
 MAX_ITER = 100_000     # the history keeps one row per iteration
+DEFAULT_MAX_ITER = 5000
 MIN_STEPS = 4
 MAX_DIM_CLASSICAL = 8
 MAX_DIM_QUANTUM = 4
@@ -114,16 +115,15 @@ class _Chain(NamedTuple):
     energy: float
 
 
-def _roots(rows: np.ndarray, classical: bool, eig=None) -> np.ndarray:
-    """Square roots of a stack of states as (K, d, d) matrices; ``eig`` as in ``_sqrt_rows``."""
-    if classical:
-        return np.sqrt(rows)[:, None, :] * np.eye(rows.shape[1])
-    return _sqrt_rows(rows, eig)
+def _roots(rows: np.ndarray, eig=None) -> np.ndarray:
+    """(K, d, d) square roots of a stack of states, diagonal for weights; ``eig`` as in ``_sqrt_rows``."""
+    roots = _sqrt_rows(rows, eig)
+    return roots if roots.ndim == 3 else roots[:, None, :] * np.eye(rows.shape[1])
 
 
-def _end_factors(endpoints, ridge: float, classical: bool) -> np.ndarray:
+def _end_factors(endpoints, ridge: float) -> np.ndarray:
     """sqrt(rho) of both endpoints, zero-padded to the width of an interior factor."""
-    ends = _roots(np.stack([_state_array(s) for s in endpoints]), classical)
+    ends = _roots(np.stack([_state_array(s) for s in endpoints]))
     if ridge > 0.0:
         ends = np.concatenate([ends, np.zeros_like(ends)], axis=2)
     return ends
@@ -197,7 +197,7 @@ def _search_kind(start, end, ridge):
     if ridge is None:
         ridge = AUTO_RIDGE if smallest <= RANK_TOL else 0.0
     if ridge == 0.0 and smallest <= RANK_TOL:
-        raise RankCollapse(
+        raise RankDeficient(
             f"endpoint eigenvalue {smallest:.3e} at or below {RANK_TOL}; "
             "enable a ridge to search from rank-deficient endpoints"
         )
@@ -210,7 +210,7 @@ def minimize_path(
     n_steps: int,
     seed_path: StatePath | None = None,
     *,
-    max_iter: int = 5000,
+    max_iter: int = DEFAULT_MAX_ITER,
     ridge: float | None = None,
 ) -> PathOptimizationResult:
     """Minimize the discrete chord energy of an N-step path between two states.
@@ -221,7 +221,8 @@ def minimize_path(
     accepted iterations falls below ``ENERGY_TOL``, when the line search
     stalls, when the gradient vanishes, or at ``max_iter`` (in which case
     ``converged`` is False and the best iterate is returned).  ``ridge=None`` enables a 1e-6 ridge
-    automatically for rank-deficient quantum endpoints and is off otherwise.
+    automatically for rank-deficient quantum endpoints and is off otherwise;
+    ``ridge=0.0`` with such endpoints raises :class:`RankDeficient`.
     ``n_steps`` above ``MAX_SEARCH_STEPS``, ``max_iter`` above ``MAX_ITER`` and
     dimensions above ``MAX_DIM_CLASSICAL`` or ``MAX_DIM_QUANTUM`` raise
     :class:`DimensionCapExceeded`.
@@ -240,9 +241,9 @@ def minimize_path(
                                 f"between {kind} endpoints of dim {start.dim}")
 
     endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
-    ends = _end_factors(endpoints, ridge, classical)
+    ends = _end_factors(endpoints, ridge)
     rows, spectra = seed_path._rows(np.arange(1, n_steps) / n_steps)
-    coords = _roots(rows, classical, spectra)
+    coords = _roots(rows, spectra)
 
     lengths: list[float] = []
     energies: list[float] = []

@@ -25,7 +25,9 @@ The caps and their messages are those of a dense d^n by d^n twirl for
 density matrices and of a d^n weight vector for probability vectors.  A
 scan's ``mode`` names the kind of input: "classical-fast" for probability
 vectors, "dense" for density matrices of any dimension.  "dense" names
-the matrix input, not how the step is computed.
+the matrix input, not how the step is computed.  S is
+:func:`statlen.states.entropy` throughout: Shannon's on probability
+vectors, von Neumann's on density matrices.
 """
 from __future__ import annotations
 
@@ -37,8 +39,7 @@ import numpy as np
 from .exceptions import DimensionCapExceeded
 from .states import (
     dimension_cap,
-    shannon_entropy,
-    von_neumann_entropy,
+    entropy,
     _entropy_of_weights,
     _freeze,
     _pair_kind,
@@ -284,12 +285,12 @@ def step_entropy_production(a, b, n: int) -> float:
     _check_step(a, b, n)
     if a.kind == "classical":
         mixed = _entropy_of_weights(*_type_weights(a.weights, b.weights, n))
-        return mixed - shannon_entropy(a) - (n - 1) * shannon_entropy(b)
+        return mixed - entropy(a) - (n - 1) * entropy(b)
     if n == 1 or a.dim == 1:
         return 0.0
     s, u = np.linalg.eigh(b.matrix)
     twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ a.matrix @ u, s, n))
-    return twirled - von_neumann_entropy(a) - (n - 1) * _entropy_of_weights(s)
+    return twirled - entropy(a) - (n - 1) * _entropy_of_weights(s)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,9 +8,12 @@ downstream can assume well-formed states.  Re-validating an already
 validated state returns it unchanged.  Both are the one-row case of a
 validator that checks a whole stack of states row by row.
 
-All matrix functions here (square root, entropies) are built on one
-Hermitian eigendecomposition, taken with eigenvalues in descending
-order, and entropies are in nats throughout.
+A probability vector is the commuting case of a density matrix: its
+weights are the eigenvalues, and sqrt(p) is the diagonal of sqrt(rho).
+So :func:`entropy` and the amplitudes of a stack take either kind, read
+from the type or from the stack's rank.  The matrix functions are built
+on one Hermitian eigendecomposition, taken with eigenvalues in
+descending order, and entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -22,11 +25,9 @@ import numpy as np
 from .exceptions import (
     BadRank,
     DimensionMismatch,
-    NegativeWeight,
     NotHermitian,
     NotNormalized,
     NotPositive,
-    NotUnitTrace,
     ValidationError,
 )
 
@@ -81,26 +82,17 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class TangentPerturbation:
-    """Direction on state space: zero-sum vector or traceless Hermitian matrix."""
+    """Direction on state space: zero-sum vector or traceless Hermitian matrix, by its shape."""
 
-    kind: str
     delta: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.delta.shape[0]
-
-
-def _same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
 
 
 def _pair_kind(a, b) -> str:
     """The kind of two states, which must share their kind and dimension."""
     if type(a) is not type(b) or not isinstance(a, (ProbabilityDistribution, DensityMatrix)):
         raise DimensionMismatch(f"cannot pair {type(a).__name__} with {type(b).__name__}")
-    _same_dim(a, b)
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     return a.kind
 
 
@@ -128,7 +120,7 @@ def _validate_distribution_rows(raw) -> np.ndarray:
     wmin = weights.min(axis=1)
     bad = wmin < -VALIDATION_TOL
     if bad.any():
-        raise NegativeWeight(f"weight {wmin[bad][0]:.3e} below -{VALIDATION_TOL}")
+        raise NotPositive(f"weight {wmin[bad][0]:.3e} below -{VALIDATION_TOL}")
     total = weights.sum(axis=1)
     bad = np.abs(total - 1.0) > INPUT_SUM_TOL
     if bad.any():
@@ -149,7 +141,7 @@ def validate_distribution(raw) -> ProbabilityDistribution:
     """Check, clip, and renormalize a raw weight vector.
 
     Entries in [-1e-12, 0) are clipped to zero; more negative entries raise
-    :class:`NegativeWeight`.  The sum must be within 1e-9 of one, and is
+    :class:`NotPositive`.  The sum must be within 1e-9 of one, and is
     renormalized only when it deviates by more than roundoff, so validated
     output passes through unchanged.
     """
@@ -192,7 +184,7 @@ def _validate_density_rows(raw):
     trace = np.real(np.trace(mat, axis1=1, axis2=2))
     bad = np.abs(trace - 1.0) > INPUT_SUM_TOL
     if bad.any():
-        raise NotUnitTrace(
+        raise NotNormalized(
             f"trace {float(trace[bad][0])!r}, expected 1 within {INPUT_SUM_TOL}"
         )
     repair = (lam_min < -_PSD_SKIP) | (np.abs(trace - 1.0) > _RENORM_SKIP)
@@ -229,7 +221,7 @@ def tangent_classical(raw) -> TangentPerturbation:
         raise ValidationError(f"tangent vector sums to {total!r}, expected 0")
     if total != 0.0:
         delta = delta - total / delta.size
-    return TangentPerturbation("classical", _freeze(delta))
+    return TangentPerturbation(_freeze(delta))
 
 
 def tangent_quantum(raw) -> TangentPerturbation:
@@ -247,7 +239,7 @@ def tangent_quantum(raw) -> TangentPerturbation:
         raise ValidationError(f"tangent trace {trace!r}, expected 0")
     if trace != 0.0:
         delta = delta - (trace / delta.shape[0]) * np.eye(delta.shape[0])
-    return TangentPerturbation("quantum", _freeze(delta))
+    return TangentPerturbation(_freeze(delta))
 
 
 def spectral(rho) -> SpectralDecomposition:
@@ -259,18 +251,19 @@ def spectral(rho) -> SpectralDecomposition:
     )
 
 
-def _sqrt_rows(mats: np.ndarray, eig=None) -> np.ndarray:
-    """Hermitian PSD square roots of a (K, d, d) stack.
+def _sqrt_rows(rows: np.ndarray, eig=None) -> np.ndarray:
+    """Amplitudes of a stack of states: sqrt(p) of (K, d) weights, sqrt(rho) of (K, d, d) matrices.
 
-    Eigenvalues at or below ``SUPPORT_FLOOR`` count as exact zeros, as in
-    the entropies and the relative entropy, so the roundoff left on a zero
-    eigenvalue does not turn into an amplitude of its square root.
-
-    ``eig`` is the ``np.linalg.eigh`` of ``mats`` when the caller already
+    A weight is exact, and its root is taken as it is.  An eigenvalue at or
+    below ``SUPPORT_FLOOR`` counts as an exact zero, as in the entropies and
+    the relative entropy, so its roundoff does not turn into an amplitude.
+    ``eig`` is the ``np.linalg.eigh`` of a matrix stack when the caller
     has it.  The eigenpairs are taken in :func:`spectral`'s descending
     order, which fixes the summation order of the reconstruction.
     """
-    lam, vec = np.linalg.eigh(mats) if eig is None else eig
+    if rows.ndim == 2:
+        return np.sqrt(rows)
+    lam, vec = np.linalg.eigh(rows) if eig is None else eig
     vec = np.ascontiguousarray(vec[..., ::-1])
     lam = lam[..., ::-1]
     root = np.sqrt(np.where(lam > SUPPORT_FLOOR, lam, 0.0))
@@ -298,14 +291,11 @@ def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
     return max(0.0, float(-np.sum(terms)))
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -sum_i lam_i ln lam_i in nats; lies in [0, ln d]."""
-    return _entropy_of_weights(spectral(rho).eigenvalues)
-
-
-def shannon_entropy(p: ProbabilityDistribution) -> float:
-    """H(p) = -sum_a p_a ln p_a in nats."""
-    return _entropy_of_weights(p.weights)
+def entropy(state) -> float:
+    """Entropy in nats: Shannon's of a probability vector, von Neumann's of a density or raw matrix."""
+    if isinstance(state, ProbabilityDistribution):
+        return _entropy_of_weights(state.weights)
+    return _entropy_of_weights(spectral(state).eigenvalues)
 
 
 def dimension_cap() -> int:

@@ -245,6 +245,19 @@ class TestTransportCommand:
         assert not out.exists()
         assert "largest feasible N is 65536" in capsys.readouterr().err
 
+    def test_rows_stack_cap_exits_3_before_any_schedule(self, tmp_path, capsys, monkeypatch):
+        # N 65536 passes MAX_STEPS, but its rows at d = 64 would hold 4.3 GB
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("even_schedule called for a grid over the cap")
+
+        monkeypatch.setattr("statlen.cli.even_schedule", no_schedule)
+        spec = {"kind": "random-quantum", "dim": 64, "rank": 64}
+        config = {"path": {"type": "geodesic", "state_a": spec, "state_b": spec}, "N_grid": [16, 65536]}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert "largest feasible N is 4095" in capsys.readouterr().err
+
     def test_record_is_the_same_with_debug_logging(self, tmp_path, caplog):
         config = {"path": {"type": "mixture", "state_a": QUBIT_B, "state_b": QUBIT_A}, "N_grid": [4, 16]}
         code, out = _run(tmp_path, "transport", config)

@@ -12,6 +12,7 @@ from statlen import (
     RankDeficient,
     StatePath,
     SupportViolation,
+    TangentPerturbation,
     ValidationError,
     add_ridge,
     discrete_path_length,
@@ -33,7 +34,14 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import DEGENERATE_LENGTH, MAX_PASSES, MAX_STEPS, SPREAD_TOL, STEP_NOISE
+from statlen.geometry import (
+    DEGENERATE_LENGTH,
+    MAX_PASSES,
+    MAX_SCHEDULE_ENTRIES,
+    MAX_STEPS,
+    SPREAD_TOL,
+    STEP_NOISE,
+)
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -264,6 +272,9 @@ class TestMetricElements:
             (P_HALF, tangent_classical([1.0, 0.0, -1.0])),
             (rho, tangent_quantum(np.diag([1.0, 0.0, -1.0]))),
             (P_HALF.weights, tangent_classical([1.0, -1.0])),
+            # a tangent whose shape is another kind's, built by hand
+            (P_HALF, TangentPerturbation(np.array([[1.0, -1.0], [0.5, -0.5]]))),
+            (rho, TangentPerturbation(np.array([1.0, -1.0]))),
         ):
             with pytest.raises(DimensionMismatch):
                 element(state, tangent, 0.01)
@@ -580,6 +591,14 @@ class TestEvenSchedule:
             even_schedule(path, 65537)
         assert err.value.max_feasible == 65536
         assert "largest feasible N is 65536" in str(err.value)
+
+    def test_rows_stack_cap(self):
+        # (N + 1) d^2 entries: d = 64 allows N up to 2**24 // 4096 - 1, refused unsampled
+        rho, sigma = random_state(64, 1, 1), random_state(64, 1, 2)
+        with pytest.raises(DimensionCapExceeded) as err:
+            even_schedule(StatePath(rho, sigma, _never), 4096)
+        assert err.value.max_feasible == MAX_SCHEDULE_ENTRIES // 4096 - 1 == 4095
+        assert "largest feasible N is 4095" in str(err.value)
 
     def test_geodesic_already_even(self):
         schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 16)

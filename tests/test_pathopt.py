@@ -206,7 +206,7 @@ class TestQuantumSearch:
     def test_explicit_zero_ridge_rejects_rank_deficiency(self):
         zero = validate_density(np.diag([1.0, 0.0]))
         one = validate_density(np.diag([0.0, 1.0]))
-        with pytest.raises(RankCollapse):
+        with pytest.raises(RankDeficient):
             minimize_path(zero, one, 8, ridge=0.0)
 
     def test_smallest_eigenvalue_at_rank_tol_counts_as_rank_deficient(self):
@@ -220,7 +220,7 @@ class TestQuantumSearch:
         with pytest.raises(RankDeficient):
             expansion_probe(boundary, drho, [1e-3])
         assert minimize_path(boundary, random_state(2, 2, 3), 4, max_iter=1).ridge == AUTO_RIDGE
-        with pytest.raises(RankCollapse):
+        with pytest.raises(RankDeficient):
             minimize_path(boundary, random_state(2, 2, 3), 4, ridge=0.0)
 
     def test_dimension_limit(self):
@@ -248,7 +248,7 @@ class TestQuantumSearch:
 
     def test_rank_check_covers_every_evaluated_iterate(self):
         # line-search trials go through the same evaluation as accepted iterates
-        ends = pathopt._end_factors((random_state(2, 2, 1), random_state(2, 2, 2)), 0.0, False)
+        ends = pathopt._end_factors((random_state(2, 2, 1), random_state(2, 2, 2)), 0.0)
         coords = np.stack([np.eye(2), np.diag([1.0, 1e-6]), np.eye(2)]).astype(complex)
         with pytest.raises(RankCollapse):
             pathopt._chain(coords, ends, 0.0, check_rank=True)
@@ -342,8 +342,7 @@ class TestAnalyticGradient:
     def test_chords_match_eigvalsh_chords(self, problem, n_steps, ridge, seed):
         kind, dim = problem
         endpoints, old, chords = _problem(kind, dim, n_steps, ridge, seed)
-        classical = kind == "classical"
-        ends = pathopt._end_factors(endpoints, ridge, classical)
+        ends = pathopt._end_factors(endpoints, ridge)
         chain = pathopt._chain(_new_layout(kind, old), ends, ridge, False)
         expected = chords(old)
         # 4 c^2 = 8 (1 - F): the chord energy against the old one, term by term
@@ -356,7 +355,7 @@ class TestAnalyticGradient:
         kind, dim = problem
         endpoints, old, chords = _problem(kind, dim, n_steps, ridge, seed)
         classical = kind == "classical"
-        ends = pathopt._end_factors(endpoints, ridge, classical)
+        ends = pathopt._end_factors(endpoints, ridge)
         coords = _new_layout(kind, old)
         chain = pathopt._chain(coords, ends, ridge, False)
         grad = _old_layout(kind, pathopt._gradient(coords, chain, ridge, classical))

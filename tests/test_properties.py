@@ -27,7 +27,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import _angles, _classical_chords, _uhlmann
+from statlen.geometry import _angles, _state_array, _uhlmann
 from statlen.states import (
     SUPPORT_FLOOR,
     _sqrt_rows,
@@ -88,11 +88,11 @@ class TestChord:
     def test_chord_is_sqrt_two_one_minus_f(self, kind, dim, ranks, seed, same):
         a, b = _pair(kind, dim, ranks, seed)
         b = a if same else b
-        if kind == "quantum":
-            roots = _sqrt_rows(np.stack((a.matrix, b.matrix)))
-            fid, _, chord = _uhlmann(roots[0], roots[1])
-        else:
-            fid, chord = state_fidelity(a, b), _classical_chords(a.weights, b.weights)
+        roots = _sqrt_rows(np.stack((_state_array(a), _state_array(b))))
+        kernel_fid, _, chords = _uhlmann(roots[:1], roots[1:])
+        fid, chord = state_fidelity(a, b), chords[0]
+        # on weights the kernel's sum sqrt(p) sqrt(q) is state_fidelity's sum sqrt(p q), rounded apart
+        assert abs(kernel_fid[0] - fid) <= 16 * EPS
         # F is a sum of up to five rounded singular values (or products),
         # so 2 (1 - F) carries a few tens of eps of its own
         assert abs(chord ** 2 - 2.0 * (1.0 - fid)) <= 64 * EPS
@@ -377,7 +377,7 @@ class TestScheduleYields:
         states[step] = _state(kind, dim, dim, seed)
         ts = np.linspace(0.0, 1.0, n_steps + 1)
         rows = np.stack([s.weights if kind == "classical" else s.matrix for s in states])
-        schedule = TransportSchedule(kind, rows, ts, np.zeros(n_steps), n_steps)
+        schedule = TransportSchedule(rows, ts, np.zeros(n_steps))
         with pytest.raises(InfiniteYield) as err:
             run_transport(schedule)
         assert err.value.step == step

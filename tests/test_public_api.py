@@ -1,4 +1,4 @@
-"""Every statlen name the demos and the README tour use is public, and every demo runs.
+"""Every statlen name the demos and the README tour use is public, and every demo and the tour run.
 
 A deletion from the package that would break a demo or the README's
 library tour fails here instead of silently.
@@ -65,13 +65,23 @@ def test_names_used_are_in_all(path):
     assert not missing, f"{path.name} uses names outside statlen.__all__: {missing}"
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path):
+def _run_python(*args) -> subprocess.CompletedProcess:
+    """Run python on ``args`` from the repository root, with src/ first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(path)],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    done = _run_python(str(path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_tour_runs():
+    done = _run_python("-c", _python_of(ROOT / "README.md"))
+    assert done.returncode == 0, done.stderr

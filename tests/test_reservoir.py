@@ -10,10 +10,10 @@ from statlen import (
     DimensionMismatch,
     ProbabilityDistribution,
     convergence_scan,
+    entropy,
     random_distribution,
     random_state,
     relative_entropy,
-    shannon_entropy,
     step_entropy_production,
     validate_density,
     validate_distribution,
@@ -61,9 +61,9 @@ def _kron_loop_classical_step(p, q, n):
         acc += np.kron(powers[k], np.kron(p.weights, powers[n - k - 1]))
     acc /= n
     return (
-        shannon_entropy(ProbabilityDistribution(acc))
-        - shannon_entropy(p)
-        - (n - 1) * shannon_entropy(q)
+        entropy(ProbabilityDistribution(acc))
+        - entropy(p)
+        - (n - 1) * entropy(q)
     )
 
 
@@ -333,7 +333,7 @@ class TestStepEntropyProduction:
         dense = step_entropy_production(RHO, SIGMA, 2)
         fast = step_entropy_production(P, Q, 2)
         oracle = _mixture_entropy_oracle(P.weights, Q.weights, 2) - (
-            shannon_entropy(P) + shannon_entropy(Q)
+            entropy(P) + entropy(Q)
         )
         assert dense == pytest.approx(oracle, abs=1e-10)
         assert fast == pytest.approx(oracle, abs=1e-12)

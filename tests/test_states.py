@@ -4,23 +4,20 @@ from hypothesis import given, settings, strategies as st
 
 from statlen import (
     BadRank,
-    NegativeWeight,
     NotHermitian,
     NotNormalized,
     NotPositive,
-    NotUnitTrace,
     ValidationError,
     add_ridge,
+    entropy,
     mat_sqrt,
     random_distribution,
     random_state,
-    shannon_entropy,
     spectral,
     tangent_classical,
     tangent_quantum,
     validate_density,
     validate_distribution,
-    von_neumann_entropy,
 )
 from statlen.states import (
     INPUT_SUM_TOL,
@@ -46,7 +43,7 @@ class TestValidateDistribution:
             validate_distribution([0.3, 0.3])
 
     def test_genuinely_negative_rejected(self):
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(NotPositive):
             validate_distribution([1.001, -0.001])
 
     def test_empty_rejected(self):
@@ -90,7 +87,7 @@ class TestValidateDensity:
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_wrong_trace_rejected(self):
-        with pytest.raises(NotUnitTrace):
+        with pytest.raises(NotNormalized):
             validate_density(np.diag([0.7, 0.7]))
 
     def test_non_hermitian_rejected(self):
@@ -151,49 +148,49 @@ class TestSpectralCalculus:
 
 class TestEntropies:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(random_state(4, 1, 3)) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(random_state(4, 1, 3)) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_ln_d(self):
         for d in (2, 3, 7):
             rho = validate_density(np.eye(d) / d)
-            assert von_neumann_entropy(rho) == pytest.approx(np.log(d), abs=1e-12)
+            assert entropy(rho) == pytest.approx(np.log(d), abs=1e-12)
 
     def test_binary_entropy_value(self):
         # -0.9 ln 0.9 - 0.1 ln 0.1
         expected = 0.3250829733914482
-        assert von_neumann_entropy(validate_density(np.diag([0.9, 0.1]))) == pytest.approx(
+        assert entropy(validate_density(np.diag([0.9, 0.1]))) == pytest.approx(
             expected, abs=1e-12
         )
-        assert shannon_entropy(validate_distribution([0.9, 0.1])) == pytest.approx(
+        assert entropy(validate_distribution([0.9, 0.1])) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_shannon_trivials(self):
-        assert shannon_entropy(validate_distribution([1.0, 0.0])) == 0.0
+        assert entropy(validate_distribution([1.0, 0.0])) == 0.0
         p = validate_distribution(np.ones(5) / 5)
-        assert shannon_entropy(p) == pytest.approx(np.log(5), abs=1e-12)
+        assert entropy(p) == pytest.approx(np.log(5), abs=1e-12)
 
     def test_von_neumann_equals_shannon_of_spectrum(self):
         for seed in range(5):
             rho = random_state(6, 6, seed)
             lam = spectral(rho).eigenvalues
-            assert von_neumann_entropy(rho) == pytest.approx(
-                shannon_entropy(validate_distribution(lam)), abs=1e-12
+            assert entropy(rho) == pytest.approx(
+                entropy(validate_distribution(lam)), abs=1e-12
             )
 
     def test_additivity_over_tensor_factors(self):
         rho = random_state(3, 3, 41)
         sigma = random_state(4, 2, 42)
-        combined = von_neumann_entropy(np.kron(rho.matrix, sigma.matrix))
+        combined = entropy(np.kron(rho.matrix, sigma.matrix))
         assert combined == pytest.approx(
-            von_neumann_entropy(rho) + von_neumann_entropy(sigma), abs=1e-9
+            entropy(rho) + entropy(sigma), abs=1e-9
         )
 
 
 class TestRandomStates:
     def test_rank_one_is_pure(self):
         rho = random_state(2, 1, 99)
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+        assert entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_full_rank_has_positive_spectrum(self):
         rho = random_state(3, 3, 99)
@@ -251,7 +248,7 @@ def _reference_distribution(raw) -> np.ndarray:
     weights = np.array(raw, dtype=np.float64, copy=True)
     wmin = float(weights.min())
     if wmin < -VALIDATION_TOL:
-        raise NegativeWeight(wmin)
+        raise NotPositive(wmin)
     total = float(weights.sum())
     if abs(total - 1.0) > INPUT_SUM_TOL:
         raise NotNormalized(total)
@@ -277,7 +274,7 @@ def _reference_density(raw) -> np.ndarray:
         raise NotPositive(lam_min)
     trace = float(np.real(np.trace(mat)))
     if abs(trace - 1.0) > INPUT_SUM_TOL:
-        raise NotUnitTrace(trace)
+        raise NotNormalized(trace)
     if lam_min < -_PSD_SKIP or abs(trace - 1.0) > _RENORM_SKIP:
         lam = np.clip(lam, 0.0, None)
         lam = lam / lam.sum()
@@ -367,7 +364,7 @@ class TestBatchedValidation:
     @pytest.mark.parametrize(
         "bad, error",
         [
-            ([1.001, -0.001], NegativeWeight),
+            ([1.001, -0.001], NotPositive),
             ([0.6, 0.6], NotNormalized),
         ],
     )
@@ -383,7 +380,7 @@ class TestBatchedValidation:
         [
             ([[0.5, 1e-6], [0.0, 0.5]], NotHermitian),
             ([[1.001, 0.0], [0.0, -0.001]], NotPositive),
-            ([[0.55, 0.0], [0.0, 0.55]], NotUnitTrace),
+            ([[0.55, 0.0], [0.0, 0.55]], NotNormalized),
         ],
     )
     def test_density_errors_match_single(self, bad, error):

@@ -297,9 +297,7 @@ class TestScheduleInvariants:
                 geodesic_length_fisher(state_fidelity(states[1], states[2])),
             ]
         )
-        schedule = TransportSchedule(
-            "classical", np.stack([s.weights for s in states]), np.array([0.0, 0.5, 1.0]), lengths, 2
-        )
+        schedule = TransportSchedule(np.stack([s.weights for s in states]), np.array([0.0, 0.5, 1.0]), lengths)
         report = run_transport(schedule)
         assert report.total_entropy > 0.0
         assert report.endpoint_fidelity == state_fidelity(states[0], states[-1])
@@ -307,27 +305,24 @@ class TestScheduleInvariants:
 
     @pytest.mark.parametrize(
         "n_rows, n_ts, n_lengths, n_steps",
-        [(3, 3, 2, 5), (3, 6, 2, 2), (3, 3, 5, 2)],
+        [(6, 3, 2, 5), (3, 6, 2, 2), (3, 3, 5, 2)],
         ids=["n-steps", "ts", "step-lengths"],
     )
     def test_sizes_that_disagree_rejected(self, n_rows, n_ts, n_lengths, n_steps):
+        """N is read from the rows; the "n-steps" rows make 5 steps of 2-step ts and lengths."""
         rows = np.tile(P_HALF.weights, (n_rows, 1))
         with pytest.raises(ValueError, match=f"{n_steps} steps need"):
-            TransportSchedule("classical", rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths), n_steps)
+            TransportSchedule(rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths))
 
-    @pytest.mark.parametrize(
-        "kind, rows",
-        [
-            ("quantum", np.tile(P_HALF.weights, (3, 1))),
-            ("classical", np.tile(np.eye(2) / 2, (3, 1, 1))),
-            ("classical", np.ones((3, 2, 2, 1))),
-            ("mixed", np.tile(P_HALF.weights, (3, 1))),
-        ],
-        ids=["vectors-as-quantum", "matrices-as-classical", "rank-3-rows", "unknown-kind"],
-    )
-    def test_kind_that_disagrees_with_the_rows_rejected(self, kind, rows):
+    @pytest.mark.parametrize("rows", [np.ones((3, 2, 2, 1))], ids=["rank-3-rows"])
+    def test_kind_that_disagrees_with_the_rows_rejected(self, rows):
         with pytest.raises(DimensionMismatch):
-            TransportSchedule(kind, rows, np.linspace(0.0, 1.0, 3), np.zeros(2), 2)
+            TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
+
+    @pytest.mark.parametrize("rows", [np.tile(P_HALF.weights, (3, 1)), np.tile(np.eye(2) / 2, (3, 1, 1))])
+    def test_kind_and_steps_are_read_from_the_rows(self, rows):
+        schedule = TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
+        assert (schedule.kind, schedule.n_steps) == ("classical" if rows.ndim == 2 else "quantum", 2)
 
     @pytest.mark.parametrize(
         "kind, rows",
@@ -350,6 +345,6 @@ class TestScheduleInvariants:
         """Before any yield is reported: the first case once gave total_entropy 1.148
         with a nan fidelity."""
         rows = np.array(rows, dtype=float if kind == "classical" else complex)
-        schedule = TransportSchedule(kind, rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3), 2)
+        schedule = TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3))
         with pytest.raises(ValidationError, match="row [01] is not a"):
             run_transport(schedule)

@@ -45,8 +45,8 @@ from .states import (
     _freeze,
     _pair_kind,
     _sqrt_rows,
-    _validate_density_rows,
-    _validate_distribution_rows,
+    _state_array,
+    _validate_rows,
 )
 
 RANK_TOL = 1e-10          # a smallest eigenvalue at or below this is rank-deficient
@@ -231,10 +231,10 @@ class StatePath:
     def _rows(self, ts):
         """Validated rows at ``ts``, with the endpoints' rows copied in, not sampled.
 
-        Returns ``(rows, spectra)``: ``spectra`` is None on classical paths
-        and otherwise the ``np.linalg.eigh`` ``(eigenvalues, eigenvectors)``
-        of every row, as ``_validate_density_rows`` gives them.  Validation
-        leaves the bits of a validated endpoint as they are.
+        Returns ``(rows, spectra)`` as ``states._validate_rows`` gives them:
+        ``spectra`` is None on classical paths and otherwise the
+        ``np.linalg.eigh`` ``(eigenvalues, eigenvectors)`` of every row.
+        Validation leaves the bits of a validated endpoint as they are.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.ndim != 1:
@@ -252,14 +252,7 @@ class StatePath:
         raw[inner] = sampled
         raw[ts == 0.0] = start
         raw[ts == 1.0] = _state_array(self.end)
-        if self.kind == "classical":
-            return _freeze(_validate_distribution_rows(raw)), None
-        mats, lam, vec = _validate_density_rows(raw)
-        return _freeze(mats), (lam, vec)
-
-
-def _state_array(state) -> np.ndarray:
-    return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
+        return _validate_rows(raw)
 
 
 def geodesic_path(a, b) -> StatePath:
@@ -336,11 +329,17 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PathLengthReport:
-    """Total and per-step discrete length of a sampled path."""
+    """Per-step discrete lengths of a sampled path; their total and count are read from them."""
 
-    total_length: float
     step_lengths: np.ndarray
-    n_steps: int
+
+    @property
+    def total_length(self) -> float:
+        return float(self.step_lengths.sum())
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.step_lengths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,6 +353,8 @@ class TransportSchedule:
     def __post_init__(self):
         if self.rows.ndim not in (2, 3):
             raise DimensionMismatch(f"schedule rows cannot have shape {self.rows.shape}")
+        if len(self.rows) < 2:
+            raise ValueError(f"need at least one step, got {len(self.rows)} rows")
         n, sizes = self.n_steps, (len(self.ts), len(self.step_lengths))
         if sizes != (n + 1, n):
             raise ValueError(f"{n} steps need {n + 1} ts and {n} step lengths, got {sizes}")
@@ -386,7 +387,7 @@ def discrete_path_length(path: StatePath, n_steps: int) -> PathLengthReport:
     """
     _check_steps(n_steps)
     steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))
-    return PathLengthReport(float(steps.sum()), _freeze(steps), n_steps)
+    return PathLengthReport(_freeze(steps))
 
 
 def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:

@@ -52,17 +52,17 @@ from .geometry import (
     StatePath,
     linear_mixture_path,
     _angles,
-    _state_array,
     _uhlmann,
 )
 from .states import (
     add_ridge,
     spectral,
-    validate_density,
-    validate_distribution,
     _freeze,
     _pair_kind,
     _sqrt_rows,
+    _state_array,
+    _state_of,
+    _validate_rows,
 )
 
 MAX_SEARCH_STEPS = 96
@@ -305,10 +305,10 @@ def minimize_path(
                n_steps, iterations, evaluations, stop_reason)
     interior = chain.factors[1:-1]
     rhos = interior @ interior.conj().swapaxes(1, 2)
-    states = [validate_distribution(np.diagonal(r)) if classical else validate_density(r) for r in rhos]
+    rows = _validate_rows(np.diagonal(rhos, axis1=1, axis2=2) if classical else rhos)[0]
     return PathOptimizationResult(
         kind=kind,
-        states=(endpoints[0], *states, endpoints[1]),
+        states=(endpoints[0], *map(_state_of, rows), endpoints[1]),
         final_length=lengths[-1],
         final_energy=chain.energy,
         iterations=iterations,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionCapExceeded
+from .exceptions import _refuse_above
 from .states import (
     dimension_cap,
     entropy,
@@ -49,34 +49,23 @@ from .transport import relative_entropy
 CLASSICAL_DIM_CAP = 2 ** 20
 
 
-def _check_cap(dim: int, n: int, extra: int, limit: int, what: str) -> None:
-    """Raise unless dim**(n + extra) <= limit, naming the largest feasible n.
-
-    The power is never formed for n itself, so a huge n is refused at once.
-    A one-dimensional pair is held to the bound of a two-dimensional one,
-    because 1**n never reaches the cap but a scan still does work per n.
-    """
-    base = max(dim, 2)
-    feasible = 0
-    while base ** (feasible + 1 + extra) <= limit:
-        feasible += 1
-    if n > feasible:
-        raise DimensionCapExceeded(
-            f"{what} {base}**{n + extra} exceeds cap {limit}; "
-            f"largest feasible n is {feasible}",
-            max_feasible=feasible,
-        )
-
-
 def _check_step(a, b, n: int) -> None:
-    """Check a state pair and reservoir size n against each other and the cap."""
-    kind = _pair_kind(a, b)
+    """Check a state pair and reservoir size n against each other and the cap.
+
+    The cap is on d**n for probability vectors and on the composite d**(n + 1)
+    for density matrices; a refusal names the largest feasible n, and the
+    power is never formed for n itself.  A one-dimensional pair is held to
+    the bound of a two-dimensional one: 1**n never reaches the cap, but a
+    scan still does work per n.
+    """
+    classical = _pair_kind(a, b) == "classical"
     if n < 1:
         raise ValueError(f"reservoir size must be positive, got {n}")
-    if kind == "classical":
-        _check_cap(a.dim, n, 0, CLASSICAL_DIM_CAP, "vector dimension")
-    else:
-        _check_cap(a.dim, n, 1, dimension_cap(), "composite dimension")
+    extra, limit = (0, CLASSICAL_DIM_CAP) if classical else (1, dimension_cap())
+    base, feasible = max(a.dim, 2), 0
+    while base ** (feasible + 1 + extra) <= limit:
+        feasible += 1
+    _refuse_above(feasible, f"n (for the dimension {base}**{n + extra} over cap {limit})", n, "n")
 
 
 def _runs(counts: np.ndarray):

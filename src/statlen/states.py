@@ -5,15 +5,17 @@ matrices.  Construction goes through :func:`validate_distribution` and
 :func:`validate_density`, which reject genuinely bad inputs and clean up
 roundoff-level violations (clip, then renormalize), so everything
 downstream can assume well-formed states.  Re-validating an already
-validated state returns it unchanged.  Both are the one-row case of a
-validator that checks a whole stack of states row by row.
+validated state returns it unchanged.
 
 A probability vector is the commuting case of a density matrix: its
 weights are the eigenvalues, and sqrt(p) is the diagonal of sqrt(rho).
-So :func:`entropy` and the amplitudes of a stack take either kind, read
-from the type or from the stack's rank.  The matrix functions are built
-on one Hermitian eigendecomposition, taken with eigenvalues in
-descending order, and entropies are in nats throughout.
+So one validator checks a stack of either kind, read from its rank, by
+one Hermiticity test of matrices and one state test of each row's least
+weight or eigenvalue and its sum or trace; NaN fails both.  The public
+validators are its one-row cases.  :func:`entropy` and the amplitudes of
+a stack also take either kind.  The matrix functions are built on one
+Hermitian eigendecomposition, taken with eigenvalues in descending
+order, and entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -96,6 +98,10 @@ def _pair_kind(a, b) -> str:
     return a.kind
 
 
+def _state_array(state) -> np.ndarray:
+    return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
+
+
 def _real_copy(raw, what: str) -> np.ndarray:
     """A float64 copy of ``raw``; complex entries are refused, not cast."""
     arr = np.asarray(raw)
@@ -104,37 +110,78 @@ def _real_copy(raw, what: str) -> np.ndarray:
     return np.array(arr, dtype=np.float64, copy=True)
 
 
-def _validate_distribution_rows(raw) -> np.ndarray:
-    """Validate every row of a (K, d) weight array; see :func:`validate_distribution`.
+def _refuse(ok: np.ndarray, error, what) -> None:
+    """Raise ``error`` naming the first row that is not ``ok``; ``what(i)`` says what row i is not."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise error(f"row {i} is not a {what(i)}")
 
-    Each row gets the checks and repairs of a single distribution, so a
-    row comes out bit for bit as it would alone.  Returns a new array.
+
+def _hermitian_test(mats: np.ndarray):
+    """``(adjoint, deviation)`` of a (K, d, d) stack; a row off by over VALIDATION_TOL is refused."""
+    adjoint = mats.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf: any non-finite entry gives a failing NaN or inf
+        deviation = np.abs(mats - adjoint).max(axis=(-2, -1))
+    _refuse(deviation <= VALIDATION_TOL, NotHermitian,
+            lambda i: f"Hermitian matrix: deviation {deviation[i]:.3e} exceeds {VALIDATION_TOL}")
+    return adjoint, deviation
+
+
+def _state_test(least: np.ndarray, total: np.ndarray) -> None:
+    """Refuse a row whose least weight or eigenvalue, or whose sum or trace, is not a state's."""
+    _refuse(least >= -VALIDATION_TOL, NotPositive,
+            lambda i: f"state: least weight or eigenvalue {least[i]:.3e} below -{VALIDATION_TOL}")
+    _refuse(np.abs(total - 1.0) <= INPUT_SUM_TOL, NotNormalized,
+            lambda i: f"state: sum or trace {float(total[i])!r}, expected 1 within {INPUT_SUM_TOL}")
+
+
+def _validate_rows(raw):
+    """Validate every row of a (K, d) weight or (K, d, d) matrix stack, the kind read from the rank.
+
+    Each row gets the checks and the repair it would get alone, bit for bit.
+    Returns ``(rows, eig)``: a new read-only array, and None for weights or
+    else the ``np.linalg.eigh`` of every returned matrix: the one the state
+    test took, or for a repaired matrix one taken after its repair.
     """
-    weights = _real_copy(raw, "distribution")
-    if weights.ndim != 2 or weights.shape[1] < 1:
-        raise ValidationError(
-            f"distributions must be a (K, d) array with d >= 1, got shape {weights.shape}"
-        )
-    if not np.all(np.isfinite(weights)):
-        raise ValidationError("distribution contains non-finite entries")
-    wmin = weights.min(axis=1)
-    bad = wmin < -VALIDATION_TOL
-    if bad.any():
-        raise NotPositive(f"weight {wmin[bad][0]:.3e} below -{VALIDATION_TOL}")
-    total = weights.sum(axis=1)
-    bad = np.abs(total - 1.0) > INPUT_SUM_TOL
-    if bad.any():
-        raise NotNormalized(
-            f"weights sum to {float(total[bad][0])!r}, expected 1 within {INPUT_SUM_TOL}"
-        )
-    clip = wmin < 0.0
-    if clip.any():
-        weights[clip] = np.clip(weights[clip], 0.0, None)
-        total[clip] = weights[clip].sum(axis=1)
-    renorm = np.abs(total - 1.0) > _RENORM_SKIP
-    if renorm.any():
-        weights[renorm] = weights[renorm] / total[renorm, None]
-    return weights
+    arr = np.asarray(raw)
+    rows = _real_copy(arr, "distribution") if arr.ndim == 2 else np.array(arr, np.complex128)
+    if rows.ndim not in (2, 3) or rows.shape[1] < 1 or rows.shape[-1] != rows.shape[1]:
+        raise ValidationError(f"states must be a (K, d) or (K, d, d) stack, got shape {rows.shape}")
+    _refuse(np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))), ValidationError,
+            lambda i: "state: non-finite entries")
+    if rows.ndim == 2:
+        least, total = rows.min(axis=1), rows.sum(axis=1)
+    else:
+        adjoint, deviation = _hermitian_test(rows)
+        sym = deviation > 0.0
+        if sym.any():
+            rows[sym] = 0.5 * (rows[sym] + adjoint[sym])
+        lam, vec = np.linalg.eigh(rows)
+        least, total = lam[:, 0], np.real(np.trace(rows, axis1=1, axis2=2))
+    _state_test(least, total)
+    if rows.ndim == 2:
+        clip = least < 0.0
+        if clip.any():
+            rows[clip] = np.clip(rows[clip], 0.0, None)
+            total[clip] = rows[clip].sum(axis=1)
+        renorm = np.abs(total - 1.0) > _RENORM_SKIP
+        if renorm.any():
+            rows[renorm] = rows[renorm] / total[renorm, None]
+        return _freeze(rows), None
+    repair = (least < -_PSD_SKIP) | (np.abs(total - 1.0) > _RENORM_SKIP)
+    if repair.any():
+        kept = np.clip(lam[repair], 0.0, None)
+        kept = kept / kept.sum(axis=1, keepdims=True)
+        basis = vec[repair]
+        fixed = (basis * kept[:, None, :]) @ basis.conj().swapaxes(1, 2)
+        rows[repair] = 0.5 * (fixed + fixed.conj().swapaxes(1, 2))
+        lam[repair], vec[repair] = np.linalg.eigh(rows[repair])
+    return _freeze(rows), (lam, vec)
+
+
+def _state_of(row: np.ndarray):
+    """The state a validated, read-only row is: a probability vector, or a density matrix."""
+    return ProbabilityDistribution(row) if row.ndim == 1 else DensityMatrix(row)
 
 
 def validate_distribution(raw) -> ProbabilityDistribution:
@@ -146,56 +193,9 @@ def validate_distribution(raw) -> ProbabilityDistribution:
     output passes through unchanged.
     """
     weights = np.asarray(raw)
-    if weights.ndim != 1 or weights.size < 1:
-        raise ValidationError(
-            f"distribution must be a nonempty vector, got shape {weights.shape}"
-        )
-    return ProbabilityDistribution(_freeze(_validate_distribution_rows(weights[None])[0]))
-
-
-def _validate_density_rows(raw):
-    """Validate every matrix of a (K, d, d) stack; see :func:`validate_density`.
-
-    Returns ``(matrices, eigenvalues, eigenvectors)``: the validated stack
-    and the ``np.linalg.eigh`` of every returned matrix.  That is the
-    decomposition the positivity check takes; a repaired matrix is
-    decomposed again after its repair.
-    """
-    mat = np.array(raw, dtype=np.complex128, copy=True)
-    if mat.ndim != 3 or mat.shape[1] != mat.shape[2] or mat.shape[1] < 1:
-        raise ValidationError(f"density matrices must be a (K, d, d) stack, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("density matrix contains non-finite entries")
-    adjoint = mat.conj().swapaxes(1, 2)
-    herm_dev = np.abs(mat - adjoint).max(axis=(1, 2))
-    bad = herm_dev > VALIDATION_TOL
-    if bad.any():
-        raise NotHermitian(
-            f"Hermiticity deviation {herm_dev[bad][0]:.3e} exceeds {VALIDATION_TOL}"
-        )
-    sym = herm_dev > 0.0
-    if sym.any():
-        mat[sym] = 0.5 * (mat[sym] + adjoint[sym])
-    lam, vec = np.linalg.eigh(mat)
-    lam_min = lam[:, 0]
-    bad = lam_min < -VALIDATION_TOL
-    if bad.any():
-        raise NotPositive(f"eigenvalue {lam_min[bad][0]:.3e} below -{VALIDATION_TOL}")
-    trace = np.real(np.trace(mat, axis1=1, axis2=2))
-    bad = np.abs(trace - 1.0) > INPUT_SUM_TOL
-    if bad.any():
-        raise NotNormalized(
-            f"trace {float(trace[bad][0])!r}, expected 1 within {INPUT_SUM_TOL}"
-        )
-    repair = (lam_min < -_PSD_SKIP) | (np.abs(trace - 1.0) > _RENORM_SKIP)
-    if repair.any():
-        kept = np.clip(lam[repair], 0.0, None)
-        kept = kept / kept.sum(axis=1, keepdims=True)
-        basis = vec[repair]
-        fixed = (basis * kept[:, None, :]) @ basis.conj().swapaxes(1, 2)
-        mat[repair] = 0.5 * (fixed + fixed.conj().swapaxes(1, 2))
-        lam[repair], vec[repair] = np.linalg.eigh(mat[repair])
-    return mat, lam, vec
+    if weights.ndim != 1:
+        raise ValidationError(f"distribution must be a vector, got shape {weights.shape}")
+    return ProbabilityDistribution(_validate_rows(weights[None])[0][0])
 
 
 def validate_density(raw) -> DensityMatrix:
@@ -208,7 +208,7 @@ def validate_density(raw) -> DensityMatrix:
     mat = np.asarray(raw, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-    return DensityMatrix(_freeze(_validate_density_rows(mat[None])[0][0]))
+    return DensityMatrix(_validate_rows(mat[None])[0][0])
 
 
 def tangent_classical(raw) -> TangentPerturbation:
@@ -216,6 +216,8 @@ def tangent_classical(raw) -> TangentPerturbation:
     delta = _real_copy(raw, "tangent vector")
     if delta.ndim != 1 or delta.size < 1:
         raise ValidationError(f"tangent vector must be 1-d, got shape {delta.shape}")
+    if not np.all(np.isfinite(delta)):
+        raise ValidationError("tangent vector contains non-finite entries")
     total = float(delta.sum())
     if abs(total) > VALIDATION_TOL:
         raise ValidationError(f"tangent vector sums to {total!r}, expected 0")
@@ -227,13 +229,11 @@ def tangent_classical(raw) -> TangentPerturbation:
 def tangent_quantum(raw) -> TangentPerturbation:
     """Traceless Hermitian direction on density matrices."""
     delta = np.array(raw, dtype=np.complex128, copy=True)
-    if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
+    if delta.ndim != 2 or delta.shape[0] != delta.shape[1] or delta.size < 1:
         raise ValidationError(f"tangent matrix must be square, got shape {delta.shape}")
-    herm_dev = float(np.max(np.abs(delta - delta.conj().T)))
-    if herm_dev > VALIDATION_TOL:
-        raise ValidationError(f"tangent Hermiticity deviation {herm_dev:.3e}")
-    if herm_dev > 0.0:
-        delta = 0.5 * (delta + delta.conj().T)
+    adjoint, deviation = _hermitian_test(delta[None])
+    if deviation[0] > 0.0:
+        delta = 0.5 * (delta + adjoint[0])
     trace = float(np.real(np.trace(delta)))
     if abs(trace) > VALIDATION_TOL:
         raise ValidationError(f"tangent trace {trace!r}, expected 0")
@@ -343,9 +343,9 @@ def add_ridge(state, delta: float):
         raise ValidationError(f"ridge must be nonnegative, got {delta}")
     if delta == 0.0:
         return state
-    if isinstance(state, DensityMatrix):
-        mat = (state.matrix + (delta / state.dim) * np.eye(state.dim)) / (1.0 + delta)
-        return validate_density(mat)
-    if isinstance(state, ProbabilityDistribution):
-        return validate_distribution((state.weights + delta / state.dim) / (1.0 + delta))
-    raise ValidationError(f"cannot ridge object of type {type(state).__name__}")
+    if not isinstance(state, (ProbabilityDistribution, DensityMatrix)):
+        raise ValidationError(f"cannot ridge object of type {type(state).__name__}")
+    arr = _state_array(state)
+    identity = np.eye(state.dim) if arr.ndim == 2 else 1.0
+    ridged = (arr + (delta / state.dim) * identity) / (1.0 + delta)
+    return _state_of(_validate_rows(ridged[None])[0][0])

@@ -14,28 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InfiniteYield, RankDeficient, ValidationError
+from .exceptions import InfiniteYield, RankDeficient
 from .geometry import (
     RANK_TOL,
     TransportSchedule,
     kubo_mori_element,
     metric_element,
     state_fidelity,
-    _state_array,
     _tangent_kind,
 )
 from .states import (
-    INPUT_SUM_TOL,
     SUPPORT_FLOOR,
-    VALIDATION_TOL,
-    DensityMatrix,
-    ProbabilityDistribution,
     TangentPerturbation,
     spectral,
-    validate_density,
-    validate_distribution,
     _freeze,
+    _hermitian_test,
     _pair_kind,
+    _state_array,
+    _state_of,
+    _state_test,
+    _validate_rows,
 )
 
 LEAK_TOL = 1e-12   # tolerated weight outside the support of the second state
@@ -67,25 +65,19 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     ``SUPPORT_FLOOR`` are zeros: a_i = 0 gives b_j, and b_j = 0 gives
     nothing but puts P_ij a_i into the leak.
 
-    Rows that are not states raise :class:`ValidationError`, tested on the
-    spectra the yields take: non-finite or non-Hermitian rows, weights below
-    -VALIDATION_TOL, and sums off one by more than INPUT_SUM_TOL.
+    A row that is not a state raises as validation does, naming the row:
+    the tests of ``states`` run on the spectra the yields take, so no stack
+    is decomposed twice, and NaN fails them.
     """
     if rows.ndim == 2:
         lam, overlap = rows, 1.0
     else:
-        # both tests are written so that nan, where any non-finite entry leads, fails them
-        hermitian = np.all(np.abs(rows - rows.conj().swapaxes(1, 2)) <= VALIDATION_TOL, axis=(1, 2))
-        if not hermitian.all():
-            raise ValidationError(f"row {int(np.argmin(hermitian))} is not a finite Hermitian matrix")
+        _hermitian_test(rows)
         dec = spectral(rows)
         vec = dec.eigenvectors
         lam, overlap = dec.eigenvalues, np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
     total = lam.sum(axis=1, keepdims=True)
-    is_state = (lam.min(axis=1) >= -VALIDATION_TOL) & (np.abs(total[:, 0] - 1.0) <= INPUT_SUM_TOL)
-    if not is_state.all():
-        i = int(np.argmin(is_state))
-        raise ValidationError(f"row {i} is not a state: weights {lam[i]} sum to {float(total[i, 0])!r}")
+    _state_test(lam.min(axis=1), total[:, 0])
     lam = lam / total
     a, b = (lam[:-1], lam[1:]) if rows.ndim == 2 else (lam[:-1, :, None], lam[1:, None, :])
     live_a, live_b = a > SUPPORT_FLOOR, b > SUPPORT_FLOOR
@@ -151,9 +143,10 @@ class TransportReport:
 def run_transport(schedule: TransportSchedule) -> TransportReport:
     """Sum the step yields of ``schedule.rows``, from one stacked call, and attach bounds.
 
-    Raises :class:`ValidationError` if a row is not a state, and
-    :class:`InfiniteYield` (with the step index) if any consecutive pair
-    violates support.
+    A row that is not a state raises as validation does (:class:`NotHermitian`,
+    :class:`NotPositive` or :class:`NotNormalized`, naming the row), and a
+    consecutive pair that violates support raises :class:`InfiniteYield`
+    with the step index.  The fidelity is that of the validated end rows.
     """
     yields = _step_entropies(schedule.rows)
     broken = np.flatnonzero(np.isinf(yields))
@@ -162,8 +155,8 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
         raise InfiniteYield(f"support violation at step {step}", step=step)
     total_length = float(schedule.step_lengths.sum())
     nu = math.inf if total_length == 0.0 else schedule.n_steps / total_length
-    state = ProbabilityDistribution if schedule.kind == "classical" else DensityMatrix
-    fid = state_fidelity(state(schedule.rows[0]), state(schedule.rows[-1]))
+    ends = _validate_rows(schedule.rows[[0, -1]])[0]
+    fid = state_fidelity(_state_of(ends[0]), _state_of(ends[1]))
     return TransportReport(
         kind=schedule.kind,
         n_steps=schedule.n_steps,
@@ -204,19 +197,19 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
         raise ValueError("eps_list must be a nonempty vector")
     if np.any(eps <= 0.0) or (eps.size > 1 and np.any(np.diff(eps) >= 0.0)):
         raise ValueError("eps_list must be positive and strictly descending")
+    base = _state_array(state)
     if _tangent_kind(state, perturbation) == "classical":
-        metric_name, base, validate = "fisher", state.weights, validate_distribution
-        lowest = float(base.min())
+        metric_name, lowest = "fisher", float(base.min())
     else:
-        metric_name, base, validate = "bures", state.matrix, validate_density
-        lowest = float(spectral(state).eigenvalues[-1])
+        metric_name, lowest = "bures", float(spectral(state).eigenvalues[-1])
     if lowest <= RANK_TOL:
         raise RankDeficient(f"expansion probe needs a full-rank state, got a least weight {lowest:.3e}")
+    perturbed = _validate_rows(base + eps.reshape((-1,) + (1,) * base.ndim) * perturbation.delta)[0]
     entropies = np.empty(eps.size)
     ratio_metric = np.empty(eps.size)
     ratio_km = np.empty(eps.size)
     for k, e in enumerate(eps):
-        entropies[k] = relative_entropy(state, validate(base + e * perturbation.delta))
+        entropies[k] = relative_entropy(state, _state_of(perturbed[k]))
         ratio_metric[k] = entropies[k] / (0.5 * metric_element(state, perturbation, e))
         ratio_km[k] = entropies[k] / (0.5 * kubo_mori_element(state, perturbation, e))
     return ExpansionProbe(

@@ -8,6 +8,7 @@ from statlen import (
     DensityMatrix,
     DimensionCapExceeded,
     DimensionMismatch,
+    PathLengthReport,
     ProbabilityDistribution,
     RankDeficient,
     StatePath,
@@ -551,6 +552,13 @@ class TestDiscreteLength:
         assert report.n_steps == 16
         assert np.all(report.step_lengths >= 0)
         assert report.total_length == pytest.approx(report.step_lengths.sum(), abs=1e-12)
+
+    def test_report_reads_total_and_count_from_its_steps(self):
+        """A report once took both as fields and accepted any that disagreed."""
+        report = PathLengthReport(np.zeros(3))
+        assert (report.n_steps, report.total_length) == (3, 0.0)
+        with pytest.raises(TypeError):
+            PathLengthReport(1.0, np.zeros(3), 7)
 
     def test_monotone_refinement_arc(self):
         p, q = _random_pair(4, 3)

@@ -31,8 +31,7 @@ from statlen.geometry import _angles, _state_array, _uhlmann
 from statlen.states import (
     SUPPORT_FLOOR,
     _sqrt_rows,
-    _validate_density_rows,
-    _validate_distribution_rows,
+    _validate_rows,
 )
 from statlen.transport import LEAK_TOL
 
@@ -102,8 +101,8 @@ class TestChord:
 
 
 class TestValidatedRows:
-    """The row validators: a no-op on their own output, and the spectra they
-    hand on are the ``eigh`` of the matrices they return."""
+    """The row validator: a no-op on its own output, and the spectra it
+    hands on are the ``eigh`` of the matrices it returns."""
 
     @settings(deadline=None, derandomize=True, max_examples=120)
     @given(
@@ -122,13 +121,13 @@ class TestValidatedRows:
             # zero weights and eigenvalues go below zero and the sum or trace
             # leaves one, both by more than validation lets pass unrepaired
             raw = raw - 1e-13 * (1.0 if kind == "classical" else np.eye(dim))
-        if kind == "classical":
-            once = _validate_distribution_rows(raw)
-            assert np.array_equal(_validate_distribution_rows(once), once)
-            return
-        once, lam, vec = _validate_density_rows(raw)
-        twice, lam_again, vec_again = _validate_density_rows(once)
+        once, eig = _validate_rows(raw)
+        twice, eig_again = _validate_rows(once)
         assert np.array_equal(twice, once)
+        if kind == "classical":
+            assert eig is None and eig_again is None
+            return
+        (lam, vec), (lam_again, vec_again) = eig, eig_again
         for k, mat in enumerate(once):
             eig = np.linalg.eigh(mat)
             for values, vectors in ((lam, vec), (lam_again, vec_again)):

@@ -70,7 +70,8 @@ def _run_python(*args) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-W", "error::PendingDeprecationWarning", "-W", "error::FutureWarning", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
 

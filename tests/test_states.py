@@ -7,12 +7,14 @@ from statlen import (
     NotHermitian,
     NotNormalized,
     NotPositive,
+    TransportSchedule,
     ValidationError,
     add_ridge,
     entropy,
     mat_sqrt,
     random_distribution,
     random_state,
+    run_transport,
     spectral,
     tangent_classical,
     tangent_quantum,
@@ -24,8 +26,7 @@ from statlen.states import (
     VALIDATION_TOL,
     _PSD_SKIP,
     _RENORM_SKIP,
-    _validate_density_rows,
-    _validate_distribution_rows,
+    _validate_rows,
 )
 
 
@@ -56,7 +57,7 @@ class TestValidateDistribution:
             with pytest.raises(ValidationError, match="must be real"):
                 validate_distribution(raw)
         with pytest.raises(ValidationError, match="must be real"):
-            _validate_distribution_rows(np.array([[0.5, 0.5], [0.5 + 1j, 0.5]]))
+            _validate_rows(np.array([[0.5, 0.5], [0.5 + 1j, 0.5]]))
 
     def test_small_sum_deviation_renormalized(self):
         p = validate_distribution([0.5 + 1e-10, 0.5])
@@ -221,6 +222,18 @@ class TestTangentsAndRidge:
         with pytest.raises(ValidationError, match="must be real"):
             tangent_classical([1 + 2j, -1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_tangents_with_non_finite_entries_rejected(self, bad):
+        """A NaN once gave an all-NaN tangent, whose metric element read nan; a quantum
+        inf failed only where RuntimeWarning is an error."""
+        with pytest.raises(ValidationError):
+            tangent_classical([bad, 0.0])
+        for entry in ((0, 0), (0, 1)):
+            delta = np.zeros((2, 2), dtype=complex)
+            delta[entry] = bad
+            with pytest.raises(ValidationError):
+                tangent_quantum(delta)
+
     def test_tangent_quantum_traceless_hermitian(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         t = tangent_quantum(sx)
@@ -288,19 +301,21 @@ CLASSICAL_DEFECTS = ("clean", "negative_entry", "sum_off")
 QUANTUM_DEFECTS = ("clean", "negative_eigenvalue", "trace_off", "hermiticity")
 
 
-def _raw_distribution(rng, dim, defect):
+def _raw_distribution(rng, dim, defect, scale=1.0):
+    """A weight row with the defect, of ``scale`` times the roundoff size validation repairs."""
     w = rng.random(dim) ** 2 + 1e-3
     w = w / w.sum()
     if defect == "negative_entry" and dim > 1:
         i = int(rng.integers(dim))
-        w[(i + 1) % dim] += w[i] + 1e-13
-        w[i] = -1e-13
+        w[(i + 1) % dim] += w[i] + 1e-13 * scale
+        w[i] = -1e-13 * scale
     elif defect == "sum_off":
-        w = w * (1.0 + 1e-12)
+        w = w * (1.0 + 1e-12 * scale)
     return w
 
 
-def _raw_density(rng, dim, defect):
+def _raw_density(rng, dim, defect, scale=1.0):
+    """A matrix row with the defect, of ``scale`` times the roundoff size validation repairs."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(g)
     lam = rng.random(dim) + 1e-3
@@ -308,13 +323,13 @@ def _raw_density(rng, dim, defect):
         lam[-1] = 0.0
     lam = lam / lam.sum()
     if defect == "negative_eigenvalue" and dim > 1:
-        lam[-1] = -1e-13
+        lam[-1] = -1e-13 * scale
     mat = (q * lam) @ q.conj().T
     mat = 0.5 * (mat + mat.conj().T)
     if defect == "trace_off":
-        mat = mat * (1.0 + 1e-12)
+        mat = mat * (1.0 + 1e-12 * scale)
     elif defect == "hermiticity" and dim > 1:
-        mat[0, 1] += 1e-13
+        mat[0, 1] += 1e-13 * scale
     return mat
 
 
@@ -328,7 +343,8 @@ class TestBatchedValidation:
     def test_distribution_rows_match_reference(self, seed, dim, defects):
         rng = np.random.default_rng(seed)
         raw = np.stack([_raw_distribution(rng, dim, d) for d in defects])
-        rows = _validate_distribution_rows(raw)
+        rows, eig = _validate_rows(raw)
+        assert eig is None
         for k in range(len(defects)):
             expected = _reference_distribution(raw[k])
             assert np.array_equal(rows[k], expected)
@@ -343,22 +359,50 @@ class TestBatchedValidation:
     def test_density_rows_match_reference(self, seed, dim, defects):
         rng = np.random.default_rng(seed)
         raw = np.stack([_raw_density(rng, dim, d) for d in defects])
-        mats = _validate_density_rows(raw)[0]
+        mats = _validate_rows(raw)[0]
         for k in range(len(defects)):
             expected = _reference_density(raw[k])
             assert np.array_equal(mats[k], expected)
             assert np.array_equal(validate_density(raw[k]).matrix, expected)
 
+    @pytest.mark.parametrize(
+        "raw_row, kinds",
+        [(_raw_distribution, CLASSICAL_DEFECTS), (_raw_density, QUANTUM_DEFECTS)],
+        ids=["classical", "quantum"],
+    )
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), data=st.data())
+    def test_transport_refuses_a_row_as_validation_does(self, raw_row, kinds, seed, dim, data):
+        """A row validation refuses makes run_transport raise the same exception class."""
+        defects = data.draw(st.lists(
+            st.tuples(st.sampled_from(kinds), st.sampled_from([1.0, 1e2, 1e4, 1e6])),
+            min_size=1, max_size=4,
+        ))
+        rng = np.random.default_rng(seed)
+        clean = _validate_rows(raw_row(rng, dim, "clean")[None])[0][0]
+        for defect, scale in defects:
+            row = raw_row(rng, dim, defect, scale)
+            try:
+                _validate_rows(row[None])
+            except ValidationError as exc:
+                expected = type(exc)
+            else:
+                continue
+            schedule = TransportSchedule(np.stack([clean, row]), np.array([0.0, 1.0]), np.zeros(1))
+            with pytest.raises(expected, match="row 1 is not a") as info:
+                run_transport(schedule)
+            assert type(info.value) is expected
+
     def test_defects_are_repaired_not_passed(self):
         rng = np.random.default_rng(3)
         raw = np.stack([_raw_density(rng, 3, d) for d in QUANTUM_DEFECTS])
-        mats = _validate_density_rows(raw)[0]
+        mats = _validate_rows(raw)[0]
         assert np.array_equal(mats[0], raw[0])
         assert not np.array_equal(mats[3], raw[3])
         assert np.array_equal(mats[3], mats[3].conj().T)
-        clipped = _validate_distribution_rows(
+        clipped = _validate_rows(
             np.stack([_raw_distribution(rng, 4, d) for d in CLASSICAL_DEFECTS])
-        )
+        )[0]
         assert clipped[1].min() == 0.0
 
     @pytest.mark.parametrize(
@@ -372,8 +416,8 @@ class TestBatchedValidation:
         with pytest.raises(error):
             validate_distribution(bad)
         stack = np.array([[0.5, 0.5], bad, [0.2, 0.8]])
-        with pytest.raises(error):
-            _validate_distribution_rows(stack)
+        with pytest.raises(error, match="row 1 is not a"):
+            _validate_rows(stack)
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -387,19 +431,19 @@ class TestBatchedValidation:
         with pytest.raises(error):
             validate_density(bad)
         stack = np.array([np.eye(2) / 2, bad, np.diag([0.3, 0.7])], dtype=complex)
-        with pytest.raises(error):
-            _validate_density_rows(stack)
+        with pytest.raises(error, match="row 1 is not a"):
+            _validate_rows(stack)
 
     def test_batched_shapes_checked(self):
+        """The rank is the kind: (K, d) weights or (K, d, d) matrices, nothing else."""
+        for bad in (np.ones(3) / 3, np.ones((2, 2, 3)) / 2, np.ones((1, 1, 2, 2)) / 2, np.ones((2, 0))):
+            with pytest.raises(ValidationError, match="stack"):
+                _validate_rows(bad)
         with pytest.raises(ValidationError):
-            _validate_distribution_rows(np.ones(3) / 3)
-        with pytest.raises(ValidationError):
-            _validate_density_rows(np.eye(2) / 2)
-        with pytest.raises(ValidationError):
-            _validate_distribution_rows([[0.5, np.nan]])
+            _validate_rows([[0.5, np.nan]])
 
     def test_input_is_not_modified(self):
-        raw = np.array([[0.5, 0.5, -1e-13]])
-        before = raw.copy()
-        _validate_distribution_rows(raw)
-        assert np.array_equal(raw, before)
+        for raw in (np.array([[0.5, 0.5, -1e-13]]), np.array([np.diag([0.5, 0.5 + 1e-12])])):
+            before = raw.copy()
+            _validate_rows(raw)
+            assert np.array_equal(raw, before)

@@ -314,6 +314,16 @@ class TestScheduleInvariants:
         with pytest.raises(ValueError, match=f"{n_steps} steps need"):
             TransportSchedule(rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths))
 
+    @pytest.mark.parametrize(
+        "rows, n_ts, n_lengths",
+        [(np.array([[0.5, 0.5]]), 1, 0), (np.zeros((0, 2)), 0, 0)],
+        ids=["one-row", "no-rows"],
+    )
+    def test_fewer_than_two_rows_rejected(self, rows, n_ts, n_lengths):
+        """A one-row schedule once constructed, and run_transport took its yields first."""
+        with pytest.raises(ValueError, match="need at least one step"):
+            TransportSchedule(rows, np.zeros(n_ts), np.zeros(n_lengths))
+
     @pytest.mark.parametrize("rows", [np.ones((3, 2, 2, 1))], ids=["rank-3-rows"])
     def test_kind_that_disagrees_with_the_rows_rejected(self, rows):
         with pytest.raises(DimensionMismatch):

@@ -28,8 +28,8 @@ print(f"classical fidelity      F       = {f:.6f}")
 print(f"geodesic length         2acosF  = {geodesic_length_fisher(f):.6f}")
 print(f"chordal distance        2r(1-F2)= {geodesic_length_bures(f):.6f}")
 
-rho = validate_density(np.diag(p.weights))
-sigma = validate_density(np.diag(q.weights))
+rho = validate_density(np.diag(p.array))
+sigma = validate_density(np.diag(q.array))
 print(f"quantum F on diagonals          = {state_fidelity(rho, sigma):.6f}  (coincides)")
 
 print("\n=== random qubit pairs: fidelity is symmetric and bounded ===")

@@ -26,8 +26,8 @@ for n, ds, gap in zip(scan.n_values, scan.delta_S, scan.gaps):
     print(f"{n:>3}  {ds:>10.6f}  {gap:>10.6f}")
 
 print("\n=== dense mode: the same pair as diagonal density matrices, n up to 8 ===")
-rho = validate_density(np.diag(p.weights))
-sigma = validate_density(np.diag(q.weights))
+rho = validate_density(np.diag(p.array))
+sigma = validate_density(np.diag(q.array))
 dense = convergence_scan(rho, sigma, 8)
 agree = np.max(np.abs(dense.delta_S - scan.delta_S[:8]))
 print(f"max |dense - classical-fast| over n <= 8: {agree:.2e}")

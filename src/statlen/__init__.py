@@ -27,9 +27,8 @@ from .exceptions import (
     ValidationError,
 )
 from .states import (
-    DensityMatrix,
-    ProbabilityDistribution,
     SpectralDecomposition,
+    State,
     TangentPerturbation,
     add_ridge,
     dimension_cap,

@@ -36,16 +36,15 @@ from .exceptions import (
 from .states import (
     SUPPORT_FLOOR,
     VALIDATION_TOL,
-    DensityMatrix,
-    ProbabilityDistribution,
+    State,
     TangentPerturbation,
     mat_sqrt,
     spectral,
     validate_density,
+    _described,
     _freeze,
     _pair_kind,
     _sqrt_rows,
-    _state_array,
     _validate_rows,
 )
 
@@ -62,9 +61,9 @@ _log = logging.getLogger(__name__)
 
 def _tangent_kind(state, tangent: TangentPerturbation) -> str:
     """The kind of a state, whose array shape the tangent must have."""
-    shape, known = tangent.delta.shape, isinstance(state, (ProbabilityDistribution, DensityMatrix))
-    if not known or shape != _state_array(state).shape:
-        raise DimensionMismatch(f"cannot pair a tangent of shape {shape} with {type(state).__name__}")
+    shape = tangent.delta.shape
+    if not isinstance(state, State) or shape != state.array.shape:
+        raise DimensionMismatch(f"cannot pair a tangent of shape {shape} with {_described(state)}")
     return state.kind
 
 
@@ -101,22 +100,22 @@ def state_fidelity(a, b) -> float:
     would break its symmetry at the 1e-9 level for rank-deficient states.
     """
     if _pair_kind(a, b) == "classical":
-        return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
-    roots = _sqrt_rows(np.stack((a.matrix, b.matrix)))
+        return float(np.clip(np.sum(np.sqrt(a.array * b.array)), 0.0, 1.0))
+    roots = _sqrt_rows(np.stack((a.array, b.array)))
     return float(_uhlmann(roots[:1], roots[1:])[0][0])
 
 
 # ---------- local metric elements ----------
 
-def _fisher_sum(p: ProbabilityDistribution, dp: TangentPerturbation, eps: float) -> float:
+def _fisher_sum(p: State, dp: TangentPerturbation, eps: float) -> float:
     """eps^2 sum dp_a^2 / p_a over the support of p, outside which dp must vanish."""
-    dead = p.weights <= SUPPORT_FLOOR
+    dead = p.array <= SUPPORT_FLOOR
     if np.any(dead) and float(np.max(np.abs(dp.delta[dead]))) > VALIDATION_TOL:
         raise SupportViolation("tangent is nonzero where the distribution vanishes")
-    return float(eps * eps * np.sum(dp.delta[~dead] ** 2 / p.weights[~dead]))
+    return float(eps * eps * np.sum(dp.delta[~dead] ** 2 / p.array[~dead]))
 
 
-def _full_rank_step(rho: DensityMatrix, drho: TangentPerturbation, eps: float):
+def _full_rank_step(rho: State, drho: TangentPerturbation, eps: float):
     """The eigenvalues of rho and eps*drho in its eigenbasis; rank-deficient rho raises."""
     dec = spectral(rho)
     smallest = float(dec.eigenvalues[-1])
@@ -145,7 +144,7 @@ def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
     return float(2.0 * np.sum(np.abs(step) ** 2 / (lam[:, None] + lam[None, :])))
 
 
-def hellinger_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float) -> float:
+def hellinger_element(rho: State, drho: TangentPerturbation, eps: float) -> float:
     """Square-root-differencing form of the metric element, as a diagnostic.
 
     Computes X = sqrt(rho + eps drho) - sqrt(rho) with matrix square roots
@@ -158,7 +157,7 @@ def hellinger_element(rho: DensityMatrix, drho: TangentPerturbation, eps: float)
     if _tangent_kind(rho, drho) != "quantum":
         raise DimensionMismatch("the Hellinger element takes a density matrix")
     _full_rank_step(rho, drho, eps)
-    perturbed = validate_density(rho.matrix + eps * drho.delta)
+    perturbed = validate_density(rho.array + eps * drho.delta)
     diff = mat_sqrt(perturbed) - mat_sqrt(rho)
     return float(4.0 * np.real(np.trace(diff @ diff)))
 
@@ -213,8 +212,8 @@ class StatePath:
     checks and validates; t = 0 and t = 1 give the endpoints' own bits.
     """
 
-    start: object
-    end: object
+    start: State
+    end: State
     sampler: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -242,7 +241,7 @@ class StatePath:
         outside = ~((ts >= 0.0) & (ts <= 1.0))
         if outside.any():
             raise ValueError(f"path parameter must lie in [0, 1], got {ts[outside][0]}")
-        start = _state_array(self.start)
+        start = self.start.array
         inner = (ts > 0.0) & (ts < 1.0)
         shape = (int(inner.sum()),) + start.shape
         sampled = np.asarray(self.sampler(ts[inner])) if inner.any() else np.empty(shape, start.dtype)
@@ -251,7 +250,7 @@ class StatePath:
         raw = np.empty((ts.size,) + start.shape, dtype=np.result_type(start, sampled))
         raw[inner] = sampled
         raw[ts == 0.0] = start
-        raw[ts == 1.0] = _state_array(self.end)
+        raw[ts == 1.0] = self.end.array
         return _validate_rows(raw)
 
 
@@ -280,8 +279,8 @@ def geodesic_path(a, b) -> StatePath:
     endpoints (sin theta == 0) give the constant path.
     """
     _pair_kind(a, b)
-    start = _state_array(a)
-    roots = _sqrt_rows(np.stack((start, _state_array(b))))
+    start = a.array
+    roots = _sqrt_rows(np.stack((start, b.array)))
     _, polar, chord = _uhlmann(roots[:1], roots[1:])
     root_a, root_b = roots[0], roots[1] if polar is None else roots[1] @ polar[0].conj().T
     theta = float(_angles(chord[0])) / 2.0
@@ -303,7 +302,7 @@ def geodesic_path(a, b) -> StatePath:
 def linear_mixture_path(a, b) -> StatePath:
     """Straight-line mixture (1 - t) a + t b; a non-geodesic reference path."""
     def _points(ts: np.ndarray) -> np.ndarray:
-        start, end = _state_array(a), _state_array(b)
+        start, end = a.array, b.array
         t = ts.reshape((-1,) + (1,) * start.ndim)
         return (1.0 - t) * start + t * end
 
@@ -318,7 +317,7 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
     The states are sampled, validated and compared in stacked blocks that
     overlap by one parameter, which bounds the memory whatever len(ts) is.
     """
-    block = max(1, SAMPLE_BLOCK_BYTES // _state_array(path.start).nbytes)
+    block = max(1, SAMPLE_BLOCK_BYTES // path.start.array.nbytes)
     chords = []
     for i in range(0, max(ts.size - 1, 1), block):
         rows, spectra = path._rows(ts[i:i + block + 1])
@@ -368,13 +367,13 @@ class TransportSchedule:
         return len(self.rows) - 1
 
 
-def _check_steps(n_steps: int, state=None) -> None:
+def _check_steps(n_steps: int, state: State | None = None) -> None:
     """Refuse N < 1, N > MAX_STEPS, and N + 1 rows like ``state`` above MAX_SCHEDULE_ENTRIES entries."""
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     _refuse_above(MAX_STEPS, "N", n_steps, "N")
     if state is not None:
-        size = _state_array(state).size
+        size = state.array.size
         _refuse_above(MAX_SCHEDULE_ENTRIES // size - 1, f"N (of states of {size} entries)", n_steps, "N")
 
 

@@ -55,13 +55,12 @@ from .geometry import (
     _uhlmann,
 )
 from .states import (
+    State,
     add_ridge,
     spectral,
     _freeze,
     _pair_kind,
     _sqrt_rows,
-    _state_array,
-    _state_of,
     _validate_rows,
 )
 
@@ -123,7 +122,7 @@ def _roots(rows: np.ndarray, eig=None) -> np.ndarray:
 
 def _end_factors(endpoints, ridge: float) -> np.ndarray:
     """sqrt(rho) of both endpoints, zero-padded to the width of an interior factor."""
-    ends = _roots(np.stack([_state_array(s) for s in endpoints]))
+    ends = _roots(np.stack([s.array for s in endpoints]))
     if ridge > 0.0:
         ends = np.concatenate([ends, np.zeros_like(ends)], axis=2)
     return ends
@@ -308,7 +307,7 @@ def minimize_path(
     rows = _validate_rows(np.diagonal(rhos, axis1=1, axis2=2) if classical else rhos)[0]
     return PathOptimizationResult(
         kind=kind,
-        states=(endpoints[0], *map(_state_of, rows), endpoints[1]),
+        states=(endpoints[0], *map(State, rows), endpoints[1]),
         final_length=lengths[-1],
         final_energy=chain.energy,
         iterations=iterations,

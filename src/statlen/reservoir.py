@@ -273,12 +273,12 @@ def step_entropy_production(a, b, n: int) -> float:
     """
     _check_step(a, b, n)
     if a.kind == "classical":
-        mixed = _entropy_of_weights(*_type_weights(a.weights, b.weights, n))
+        mixed = _entropy_of_weights(*_type_weights(a.array, b.array, n))
         return mixed - entropy(a) - (n - 1) * entropy(b)
     if n == 1 or a.dim == 1:
         return 0.0
-    s, u = np.linalg.eigh(b.matrix)
-    twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ a.matrix @ u, s, n))
+    s, u = np.linalg.eigh(b.array)
+    twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ a.array @ u, s, n))
     return twirled - entropy(a) - (n - 1) * _entropy_of_weights(s)
 
 

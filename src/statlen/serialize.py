@@ -13,12 +13,7 @@ import math
 import numpy as np
 
 from .exceptions import ValidationError
-from .states import (
-    DensityMatrix,
-    ProbabilityDistribution,
-    validate_density,
-    validate_distribution,
-)
+from .states import State, validate_density, validate_distribution
 
 
 def format_float(value: float) -> str:
@@ -53,19 +48,17 @@ def write_csv(path, columns, rows, metadata=None) -> None:
 
 # ---------- states ----------
 
-def state_to_jsonable(state) -> dict:
+def state_to_jsonable(state: State) -> dict:
     """JSON-compatible form of a state, tagged by kind."""
-    if isinstance(state, ProbabilityDistribution):
-        return {"kind": "classical", "weights": [float(w) for w in state.weights]}
-    if isinstance(state, DensityMatrix):
-        matrix = [
-            [[float(z.real), float(z.imag)] for z in row] for row in state.matrix
-        ]
-        return {"kind": "quantum", "matrix": matrix}
-    raise ValidationError(f"cannot serialize object of type {type(state).__name__}")
+    if not isinstance(state, State):
+        raise ValidationError(f"cannot serialize object of type {type(state).__name__}")
+    if state.kind == "classical":
+        return {"kind": "classical", "weights": [float(w) for w in state.array]}
+    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in state.array]
+    return {"kind": "quantum", "matrix": matrix}
 
 
-def state_from_jsonable(obj):
+def state_from_jsonable(obj) -> State:
     """Validated state from its JSON-compatible form; unknown keys rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("state must be a mapping with a 'kind' field")
@@ -118,6 +111,6 @@ def _finite_numbers(values, what: str) -> list:
     return [_finite_number(v, what) for v in values]
 
 
-def load_state(path):
+def load_state(path) -> State:
     with open(path, "r", encoding="utf-8") as fh:
         return state_from_jsonable(json.load(fh))

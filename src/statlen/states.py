@@ -1,7 +1,8 @@
-"""Validated state types and their spectral calculus.
+"""The validated state type and its spectral calculus.
 
-Classical states are probability vectors, quantum states are density
-matrices.  Construction goes through :func:`validate_distribution` and
+A :class:`State` holds one array and reads its kind and dimension from
+it: a (d,) probability vector is classical, a (d, d) density matrix is
+quantum.  Construction goes through :func:`validate_distribution` and
 :func:`validate_density`, which reject genuinely bad inputs and clean up
 roundoff-level violations (clip, then renormalize), so everything
 downstream can assume well-formed states.  Re-validating an already
@@ -10,12 +11,12 @@ validated state returns it unchanged.
 A probability vector is the commuting case of a density matrix: its
 weights are the eigenvalues, and sqrt(p) is the diagonal of sqrt(rho).
 So one validator checks a stack of either kind, read from its rank, by
-one Hermiticity test of matrices and one state test of each row's least
-weight or eigenvalue and its sum or trace; NaN fails both.  The public
-validators are its one-row cases.  :func:`entropy` and the amplitudes of
-a stack also take either kind.  The matrix functions are built on one
-Hermitian eigendecomposition, taken with eigenvalues in descending
-order, and entropies are in nats throughout.
+one finiteness test, one Hermiticity test of matrices and one state test
+of each row's least weight or eigenvalue and its sum or trace.  The
+public validators are its one-row cases.  :func:`entropy` and the
+amplitudes of a stack also take either kind.  The matrix functions are
+built on one Hermitian eigendecomposition, taken with eigenvalues in
+descending order, and entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -51,27 +52,33 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbabilityDistribution:
-    """Finite probability vector: nonnegative weights summing to one."""
+class State:
+    """A probability vector of shape (d,) or a density matrix of shape (d, d).
 
-    weights: np.ndarray
-    kind = "classical"
+    The kind and the dimension are read from the array; its values are the
+    validators' to check, its shape is checked here.
+    """
+
+    array: np.ndarray
+
+    def __post_init__(self):
+        arr = self.array
+        if not isinstance(arr, np.ndarray):
+            raise ValidationError(f"a state is a (d,) or (d, d) array, got a {type(arr).__name__}")
+        if arr.ndim not in (1, 2) or arr.shape[0] < 1 or arr.shape[-1] != arr.shape[0]:
+            raise ValidationError(f"a state is a (d,) or (d, d) array, got shape {arr.shape}")
+
+    def __array__(self, dtype=None, copy=None):
+        """The array, so that numpy functions take a state as they take a raw array."""
+        return np.array(self.array, dtype=dtype, copy=copy)
+
+    @property
+    def kind(self) -> str:
+        return "classical" if self.array.ndim == 1 else "quantum"
 
     @property
     def dim(self) -> int:
-        return self.weights.size
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace complex matrix."""
-
-    matrix: np.ndarray
-    kind = "quantum"
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.array.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,17 +96,18 @@ class TangentPerturbation:
     delta: np.ndarray
 
 
+def _described(x) -> str:
+    """A state's kind and dimension, or another object's type, for error messages."""
+    return f"a {x.kind} state of dim {x.dim}" if isinstance(x, State) else f"a {type(x).__name__}"
+
+
 def _pair_kind(a, b) -> str:
     """The kind of two states, which must share their kind and dimension."""
-    if type(a) is not type(b) or not isinstance(a, (ProbabilityDistribution, DensityMatrix)):
-        raise DimensionMismatch(f"cannot pair {type(a).__name__} with {type(b).__name__}")
+    if not (isinstance(a, State) and isinstance(b, State)) or a.kind != b.kind:
+        raise DimensionMismatch(f"cannot pair {_described(a)} with {_described(b)}")
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     return a.kind
-
-
-def _state_array(state) -> np.ndarray:
-    return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
 
 
 def _real_copy(raw, what: str) -> np.ndarray:
@@ -135,6 +143,12 @@ def _state_test(least: np.ndarray, total: np.ndarray) -> None:
             lambda i: f"state: sum or trace {float(total[i])!r}, expected 1 within {INPUT_SUM_TOL}")
 
 
+def _finite_test(rows: np.ndarray) -> None:
+    """Refuse a row of a (K, d) or (K, d, d) stack that has a non-finite entry."""
+    _refuse(np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))), ValidationError,
+            lambda i: "state: non-finite entries")
+
+
 def _validate_rows(raw):
     """Validate every row of a (K, d) weight or (K, d, d) matrix stack, the kind read from the rank.
 
@@ -147,8 +161,7 @@ def _validate_rows(raw):
     rows = _real_copy(arr, "distribution") if arr.ndim == 2 else np.array(arr, np.complex128)
     if rows.ndim not in (2, 3) or rows.shape[1] < 1 or rows.shape[-1] != rows.shape[1]:
         raise ValidationError(f"states must be a (K, d) or (K, d, d) stack, got shape {rows.shape}")
-    _refuse(np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))), ValidationError,
-            lambda i: "state: non-finite entries")
+    _finite_test(rows)
     if rows.ndim == 2:
         least, total = rows.min(axis=1), rows.sum(axis=1)
     else:
@@ -179,12 +192,7 @@ def _validate_rows(raw):
     return _freeze(rows), (lam, vec)
 
 
-def _state_of(row: np.ndarray):
-    """The state a validated, read-only row is: a probability vector, or a density matrix."""
-    return ProbabilityDistribution(row) if row.ndim == 1 else DensityMatrix(row)
-
-
-def validate_distribution(raw) -> ProbabilityDistribution:
+def validate_distribution(raw) -> State:
     """Check, clip, and renormalize a raw weight vector.
 
     Entries in [-1e-12, 0) are clipped to zero; more negative entries raise
@@ -195,10 +203,10 @@ def validate_distribution(raw) -> ProbabilityDistribution:
     weights = np.asarray(raw)
     if weights.ndim != 1:
         raise ValidationError(f"distribution must be a vector, got shape {weights.shape}")
-    return ProbabilityDistribution(_validate_rows(weights[None])[0][0])
+    return State(_validate_rows(weights[None])[0][0])
 
 
-def validate_density(raw) -> DensityMatrix:
+def validate_density(raw) -> State:
     """Check, symmetrize, eigenvalue-clip, and trace-normalize a raw matrix.
 
     Hermiticity and positivity violations beyond 1e-12 and trace deviations
@@ -208,7 +216,7 @@ def validate_density(raw) -> DensityMatrix:
     mat = np.asarray(raw, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-    return DensityMatrix(_validate_rows(mat[None])[0][0])
+    return State(_validate_rows(mat[None])[0][0])
 
 
 def tangent_classical(raw) -> TangentPerturbation:
@@ -244,8 +252,7 @@ def tangent_quantum(raw) -> TangentPerturbation:
 
 def spectral(rho) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix or (K, d, d) stack, eigenvalues descending."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    lam, vec = np.linalg.eigh(mat)
+    lam, vec = np.linalg.eigh(np.asarray(rho))
     return SpectralDecomposition(
         _freeze(lam[..., ::-1].copy()), _freeze(vec[..., ::-1].copy())
     )
@@ -273,8 +280,7 @@ def _sqrt_rows(rows: np.ndarray, eig=None) -> np.ndarray:
 
 def mat_sqrt(rho) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues at or below ``SUPPORT_FLOOR`` count as zero."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return _sqrt_rows(mat[None])[0]
+    return _sqrt_rows(np.asarray(rho)[None])[0]
 
 
 def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
@@ -293,9 +299,8 @@ def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
 
 def entropy(state) -> float:
     """Entropy in nats: Shannon's of a probability vector, von Neumann's of a density or raw matrix."""
-    if isinstance(state, ProbabilityDistribution):
-        return _entropy_of_weights(state.weights)
-    return _entropy_of_weights(spectral(state).eigenvalues)
+    arr = np.asarray(state)
+    return _entropy_of_weights(arr if arr.ndim == 1 else spectral(arr).eigenvalues)
 
 
 def dimension_cap() -> int:
@@ -312,7 +317,7 @@ def dimension_cap() -> int:
     return cap
 
 
-def random_state(dim: int, rank: int, seed: int) -> DensityMatrix:
+def random_state(dim: int, rank: int, seed: int) -> State:
     """Seeded random density matrix G G* / tr(G G*) of the requested rank.
 
     G is a ``dim x rank`` matrix of complex normal deviates from
@@ -327,7 +332,7 @@ def random_state(dim: int, rank: int, seed: int) -> DensityMatrix:
     return validate_density(mat)
 
 
-def random_distribution(dim: int, seed: int) -> ProbabilityDistribution:
+def random_distribution(dim: int, seed: int) -> State:
     """Seeded random full-support distribution |g|^2 / sum |g|^2."""
     if dim < 1:
         raise ValidationError(f"dim must be positive, got {dim}")
@@ -337,15 +342,14 @@ def random_distribution(dim: int, seed: int) -> ProbabilityDistribution:
     return validate_distribution(w / w.sum())
 
 
-def add_ridge(state, delta: float):
+def add_ridge(state: State, delta: float) -> State:
     """Mix a state with the maximally mixed one: (state + delta*I/d)/(1 + delta)."""
     if delta < 0.0:
         raise ValidationError(f"ridge must be nonnegative, got {delta}")
     if delta == 0.0:
         return state
-    if not isinstance(state, (ProbabilityDistribution, DensityMatrix)):
+    if not isinstance(state, State):
         raise ValidationError(f"cannot ridge object of type {type(state).__name__}")
-    arr = _state_array(state)
-    identity = np.eye(state.dim) if arr.ndim == 2 else 1.0
-    ridged = (arr + (delta / state.dim) * identity) / (1.0 + delta)
-    return _state_of(_validate_rows(ridged[None])[0][0])
+    identity = np.eye(state.dim) if state.kind == "quantum" else 1.0
+    ridged = (state.array + (delta / state.dim) * identity) / (1.0 + delta)
+    return State(_validate_rows(ridged[None])[0][0])

@@ -25,13 +25,13 @@ from .geometry import (
 )
 from .states import (
     SUPPORT_FLOOR,
+    State,
     TangentPerturbation,
     spectral,
+    _finite_test,
     _freeze,
     _hermitian_test,
     _pair_kind,
-    _state_array,
-    _state_of,
     _state_test,
     _validate_rows,
 )
@@ -47,7 +47,7 @@ def relative_entropy(a, b) -> float:
     Kullback-Leibler sum.
     """
     _pair_kind(a, b)
-    return float(_step_entropies(np.stack((_state_array(a), _state_array(b))))[0])
+    return float(_step_entropies(np.stack((a.array, b.array)))[0])
 
 
 def _step_entropies(rows: np.ndarray) -> np.ndarray:
@@ -67,8 +67,9 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
 
     A row that is not a state raises as validation does, naming the row:
     the tests of ``states`` run on the spectra the yields take, so no stack
-    is decomposed twice, and NaN fails them.
+    is decomposed twice; a non-finite entry is refused before them.
     """
+    _finite_test(rows)
     if rows.ndim == 2:
         lam, overlap = rows, 1.0
     else:
@@ -143,10 +144,11 @@ class TransportReport:
 def run_transport(schedule: TransportSchedule) -> TransportReport:
     """Sum the step yields of ``schedule.rows``, from one stacked call, and attach bounds.
 
-    A row that is not a state raises as validation does (:class:`NotHermitian`,
-    :class:`NotPositive` or :class:`NotNormalized`, naming the row), and a
-    consecutive pair that violates support raises :class:`InfiniteYield`
-    with the step index.  The fidelity is that of the validated end rows.
+    A row that is not a state raises as validation does (:class:`ValidationError`
+    for a non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
+    :class:`NotNormalized`, naming the row), and a consecutive pair that
+    violates support raises :class:`InfiniteYield` with the step index.  The
+    fidelity is that of the validated end rows.
     """
     yields = _step_entropies(schedule.rows)
     broken = np.flatnonzero(np.isinf(yields))
@@ -156,7 +158,7 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
     total_length = float(schedule.step_lengths.sum())
     nu = math.inf if total_length == 0.0 else schedule.n_steps / total_length
     ends = _validate_rows(schedule.rows[[0, -1]])[0]
-    fid = state_fidelity(_state_of(ends[0]), _state_of(ends[1]))
+    fid = state_fidelity(State(ends[0]), State(ends[1]))
     return TransportReport(
         kind=schedule.kind,
         n_steps=schedule.n_steps,
@@ -197,19 +199,19 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
         raise ValueError("eps_list must be a nonempty vector")
     if np.any(eps <= 0.0) or (eps.size > 1 and np.any(np.diff(eps) >= 0.0)):
         raise ValueError("eps_list must be positive and strictly descending")
-    base = _state_array(state)
     if _tangent_kind(state, perturbation) == "classical":
-        metric_name, lowest = "fisher", float(base.min())
+        metric_name, lowest = "fisher", float(state.array.min())
     else:
         metric_name, lowest = "bures", float(spectral(state).eigenvalues[-1])
     if lowest <= RANK_TOL:
         raise RankDeficient(f"expansion probe needs a full-rank state, got a least weight {lowest:.3e}")
+    base = state.array
     perturbed = _validate_rows(base + eps.reshape((-1,) + (1,) * base.ndim) * perturbation.delta)[0]
     entropies = np.empty(eps.size)
     ratio_metric = np.empty(eps.size)
     ratio_km = np.empty(eps.size)
     for k, e in enumerate(eps):
-        entropies[k] = relative_entropy(state, _state_of(perturbed[k]))
+        entropies[k] = relative_entropy(state, State(perturbed[k]))
         ratio_metric[k] = entropies[k] / (0.5 * metric_element(state, perturbation, e))
         ratio_km[k] = entropies[k] / (0.5 * kubo_mori_element(state, perturbation, e))
     return ExpansionProbe(

@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 from statlen import (
-    ProbabilityDistribution,
+    State,
     convergence_scan,
     even_schedule,
     expansion_probe,
@@ -53,7 +53,7 @@ def test_criterion_01_commuting_fidelity_reduction():
         q = random_distribution(dim, 8000 + trial)
         f_classical = state_fidelity(p, q)
         f_quantum = state_fidelity(
-            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
+            validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
         )
         worst = max(worst, abs(f_quantum - f_classical))
     _report(1, worst <= 1e-10, f"diagonal fidelity agreement, worst |dF| = {worst:.3e}")
@@ -68,7 +68,7 @@ def test_criterion_02_commuting_metric_reduction():
         lam = random_distribution(dim, 9000 + trial)
         delta = rng.standard_normal(dim)
         delta -= delta.mean()
-        rho = validate_density((basis * lam.weights) @ basis.conj().T)
+        rho = validate_density((basis * lam.array) @ basis.conj().T)
         drho = tangent_quantum((basis * delta) @ basis.conj().T)
         bures = metric_element(rho, drho, 1e-3)
         fisher = metric_element(lam, tangent_classical(delta), 1e-3)
@@ -92,7 +92,7 @@ def test_criterion_04_quadratic_expansion_classical():
     for trial in range(20):
         dim = int(rng.integers(2, 6))
         raw = random_distribution(dim, 5000 + trial)
-        p = validate_distribution(0.5 * raw.weights + 0.5 / dim)
+        p = validate_distribution(0.5 * raw.array + 0.5 / dim)
         direction = rng.standard_normal(dim)
         direction -= direction.mean()
         dp = tangent_classical(direction / np.max(np.abs(direction)))
@@ -114,8 +114,8 @@ def test_criterion_05_reservoir_limit():
     monotone = bool(np.all(np.diff(scan.gaps) < 0.0))
     g2, g12 = float(scan.gaps[1]), float(scan.gaps[11])
     trend_ok = monotone and g12 < 0.5 * g2
-    rho = validate_density(np.diag(P_DOC.weights))
-    sigma = validate_density(np.diag(Q_DOC.weights))
+    rho = validate_density(np.diag(P_DOC.array))
+    sigma = validate_density(np.diag(Q_DOC.array))
     worst = 0.0
     for n in range(1, 11):
         dense = step_entropy_production(rho, sigma, n)
@@ -139,7 +139,7 @@ def test_criterion_06_even_spacing_optimality():
     for _ in range(100):
         interior = np.sort(rng.uniform(0.0, 1.0, 31))
         ts = np.concatenate(([0.0], interior, [1.0]))
-        states = [ProbabilityDistribution(row) for row in path.sample(ts)]
+        states = [State(row) for row in path.sample(ts)]
         total = sum(relative_entropy(states[i], states[i + 1]) for i in range(32))
         margin = (even - total) / even
         worst_margin = max(worst_margin, margin)

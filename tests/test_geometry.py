@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
-    DensityMatrix,
     DimensionCapExceeded,
     DimensionMismatch,
     PathLengthReport,
-    ProbabilityDistribution,
     RankDeficient,
+    State,
     StatePath,
     SupportViolation,
     TangentPerturbation,
@@ -94,7 +93,7 @@ class TestFidelities:
         # pure state's zero eigenvalues must not become amplitudes
         for seed in range(10):
             psi, sigma = random_state(dim, 1, seed), random_state(dim, dim, seed + 100)
-            exact = np.sqrt(np.real(np.trace(psi.matrix @ sigma.matrix)))
+            exact = np.sqrt(np.real(np.trace(psi.array @ sigma.array)))
             assert abs(state_fidelity(psi, sigma) - exact) < 1e-13
             assert abs(state_fidelity(sigma, psi) - exact) < 1e-13
 
@@ -104,8 +103,8 @@ class TestFidelities:
         assert state_fidelity(a, b) == pytest.approx(0.0, abs=1e-10)
 
     def test_quantum_matches_classical_on_diagonals(self):
-        rho = validate_density(np.diag(P_HALF.weights))
-        sigma = validate_density(np.diag(P_SKEW.weights))
+        rho = validate_density(np.diag(P_HALF.array))
+        sigma = validate_density(np.diag(P_SKEW.array))
         assert state_fidelity(rho, sigma) == pytest.approx(F_DOC, abs=1e-10)
 
     def test_quantum_symmetric(self):
@@ -122,14 +121,14 @@ class TestFidelities:
             sigma = random_state(4, 4, seed + 50)
             f = state_fidelity(rho, sigma)
             assert 0.0 <= f <= 1.0
-            if np.max(np.abs(rho.matrix - sigma.matrix)) > 1e-4:
+            if np.max(np.abs(rho.array - sigma.array)) > 1e-4:
                 assert f < 1.0 - 1e-9
 
     def test_unit_fidelity_means_equal(self):
         rho = random_state(3, 3, 7)
-        bumped = validate_density(rho.matrix + np.diag([1e-10, -1e-10, 0.0]))
+        bumped = validate_density(rho.array + np.diag([1e-10, -1e-10, 0.0]))
         assert state_fidelity(rho, bumped) > 1.0 - 1e-8
-        assert np.max(np.abs(rho.matrix - bumped.matrix)) < 1e-8
+        assert np.max(np.abs(rho.array - bumped.array)) < 1e-8
 
 
 class TestMetricElements:
@@ -185,7 +184,7 @@ class TestMetricElements:
         for seed in (3, 4, 5):
             dim = 2 + seed % 3
             rho = validate_density(
-                0.5 * random_state(dim, dim, seed).matrix + 0.5 * np.eye(dim) / dim
+                0.5 * random_state(dim, dim, seed).array + 0.5 * np.eye(dim) / dim
             )
             rng = np.random.default_rng(seed + 10)
             raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -194,7 +193,7 @@ class TestMetricElements:
             drho = tangent_quantum(raw / np.linalg.norm(raw, 2))
             devs = []
             for eps in (1e-3, 1e-4):
-                pert = validate_density(rho.matrix + eps * drho.delta)
+                pert = validate_density(rho.array + eps * drho.delta)
                 chord = 8.0 * (1.0 - state_fidelity(rho, pert))
                 devs.append(abs(chord / metric_element(rho, drho, eps) - 1.0))
             assert devs[1] <= devs[0] / 5.0
@@ -252,7 +251,7 @@ class TestMetricElements:
             np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]], dtype=complex)
         )
         eps = 1e-4
-        pert = validate_density(rho.matrix + eps * drho.delta)
+        pert = validate_density(rho.array + eps * drho.delta)
         ratio = 2.0 * relative_entropy(rho, pert) / kubo_mori_element(rho, drho, eps)
         assert abs(ratio - 1.0) < 1e-3
 
@@ -272,7 +271,7 @@ class TestMetricElements:
             (rho, tangent_classical([1.0, -1.0])),
             (P_HALF, tangent_classical([1.0, 0.0, -1.0])),
             (rho, tangent_quantum(np.diag([1.0, 0.0, -1.0]))),
-            (P_HALF.weights, tangent_classical([1.0, -1.0])),
+            (P_HALF.array, tangent_classical([1.0, -1.0])),
             # a tangent whose shape is another kind's, built by hand
             (P_HALF, TangentPerturbation(np.array([[1.0, -1.0], [0.5, -0.5]]))),
             (rho, TangentPerturbation(np.array([1.0, -1.0]))),
@@ -310,13 +309,13 @@ class TestPaths:
     def test_classical_geodesic_endpoints(self):
         path = geodesic_path(P_HALF, P_SKEW)
         start, mid, end = path.sample([0.0, 0.5, 1.0])
-        assert np.array_equal(start, P_HALF.weights)
-        assert np.array_equal(end, P_SKEW.weights)
+        assert np.array_equal(start, P_HALF.array)
+        assert np.array_equal(end, P_SKEW.array)
         assert abs(mid.sum() - 1.0) < 1e-12
 
     def test_classical_geodesic_constant_for_equal_endpoints(self):
         path = geodesic_path(P_HALF, P_HALF)
-        assert np.allclose(path.sample([0.37])[0], P_HALF.weights)
+        assert np.allclose(path.sample([0.37])[0], P_HALF.array)
 
     def test_classical_geodesic_length_is_analytic(self):
         a = validate_distribution([1.0, 0.0])
@@ -333,10 +332,10 @@ class TestPaths:
     def test_commuting_geodesic_matches_classical_in_rotated_basis(self):
         basis = _haar_basis(3, 5)
         p, q = _random_pair(3, 23)
-        rho = validate_density((basis * p.weights) @ basis.conj().T)
-        sigma = validate_density((basis * q.weights) @ basis.conj().T)
+        rho = validate_density((basis * p.array) @ basis.conj().T)
+        sigma = validate_density((basis * q.array) @ basis.conj().T)
         path = geodesic_path(rho, sigma)
-        assert np.array_equal(path.sample([0.0])[0], rho.matrix)
+        assert np.array_equal(path.sample([0.0])[0], rho.array)
         expected = geodesic_length_fisher(state_fidelity(p, q))
         report = discrete_path_length(path, 256)
         assert report.total_length == pytest.approx(expected, abs=1e-8)
@@ -357,7 +356,7 @@ class TestPaths:
     def test_geodesic_rejects_mixed_kinds(self):
         # every caller of the one state-pair check: paths, fidelity,
         # relative entropy and the reservoir step
-        rho_half = validate_density(np.diag(P_HALF.weights))
+        rho_half = validate_density(np.diag(P_HALF.array))
         for call in (
             geodesic_path,
             state_fidelity,
@@ -368,6 +367,8 @@ class TestPaths:
                 call(P_HALF, rho_half)
             with pytest.raises(DimensionMismatch, match="cannot pair"):
                 call(rho_half, P_HALF)
+            with pytest.raises(DimensionMismatch, match="cannot pair"):
+                call(P_HALF, P_HALF.array)
             with pytest.raises(DimensionMismatch, match="dimensions differ"):
                 call(P_HALF, validate_distribution([0.2, 0.3, 0.5]))
             with pytest.raises(DimensionMismatch, match="dimensions differ"):
@@ -378,7 +379,7 @@ class TestPaths:
         b = validate_density(np.diag([0.0, 1.0]))
         path = linear_mixture_path(a, b)
         start, mid = path.sample([0.0, 0.5])
-        assert np.array_equal(start, a.matrix)
+        assert np.array_equal(start, a.array)
         assert np.allclose(mid, np.eye(2) / 2)
 
     def test_mixture_is_longer_than_geodesic_d3(self):
@@ -423,7 +424,7 @@ class TestGeodesicPath:
         rho, sigma = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
         theta = np.arccos(state_fidelity(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = state_fidelity(*map(DensityMatrix, path.sample([s, t])))
+        f = state_fidelity(*map(State, path.sample([s, t])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
 
     @settings(deadline=None, derandomize=True, max_examples=60)
@@ -440,7 +441,7 @@ class TestGeodesicPath:
             return np.linalg.eigh(mat)[1][:, -1]
 
         rho, sigma = random_state(dim, 1, seed), random_state(dim, 1, seed + 1)
-        theta = np.arccos(abs(np.vdot(vector(rho.matrix), vector(sigma.matrix))))
+        theta = np.arccos(abs(np.vdot(vector(rho.array), vector(sigma.array))))
         rows = geodesic_path(rho, sigma).sample([s, t])
         assert np.allclose(np.linalg.eigvalsh(rows)[:, -1], 1.0, rtol=0.0, atol=1e-12)
         f = abs(np.vdot(vector(rows[0]), vector(rows[1])))
@@ -463,7 +464,7 @@ class TestGeodesicPath:
         sigma = random_state(dim, min(ranks[1], dim), seed + 1)
         theta = np.arccos(state_fidelity(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = state_fidelity(*map(DensityMatrix, path.sample([s, t])))
+        f = state_fidelity(*map(State, path.sample([s, t])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-7
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -473,7 +474,7 @@ class TestGeodesicPath:
         ts = np.linspace(0.0, 1.0, 11)
         classical = geodesic_path(p, q).sample(ts)
         quantum = geodesic_path(
-            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
+            validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
         ).sample(ts)
         diagonal = classical[:, None, :] * np.eye(dim)
         assert np.allclose(quantum, diagonal, rtol=0.0, atol=1e-12)
@@ -487,7 +488,7 @@ class TestGeodesicPath:
         ts = np.linspace(0.0, 1.0, 11)
         classical = geodesic_path(p, q).sample(ts)
         quantum = geodesic_path(
-            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
+            validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
         ).sample(ts)
         assert np.allclose(quantum, classical[:, None, :] * np.eye(3), rtol=0.0, atol=1e-12)
 
@@ -495,13 +496,13 @@ class TestGeodesicPath:
         ts = np.linspace(0.0, 1.0, 7)
         # F computes to exactly 1 here, so sin(theta) == 0
         for state in (P_SKEW, validate_density(np.diag([1.0, 0.0]))):
-            raw = _raw(state)
+            raw = state.array
             samples = geodesic_path(state, state).sample(ts)
             assert np.array_equal(samples, np.broadcast_to(raw, (7,) + raw.shape))
         # here F is 1 to roundoff, and the path stays on the state to roundoff
         for state in (_pure([1.0, 1j]), random_state(3, 3, 4)):
             samples = geodesic_path(state, state).sample(ts)
-            assert np.allclose(samples, state.matrix, rtol=0.0, atol=1e-12)
+            assert np.allclose(samples, state.array, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("pair", [([1.0, 0.0], [0.0, 1.0]), ([1.0, 1j], [1.0, -1j])])
     def test_orthogonal_pure_qubits_have_length_pi(self, pair):
@@ -626,7 +627,7 @@ class TestEvenSchedule:
     def test_single_step(self):
         schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 1)
         assert schedule.n_steps == 1
-        assert np.array_equal(schedule.rows, np.stack((P_HALF.weights, P_SKEW.weights)))
+        assert np.array_equal(schedule.rows, np.stack((P_HALF.array, P_SKEW.array)))
 
     def test_degenerate_path_gives_trivial_schedule(self):
         schedule = even_schedule(linear_mixture_path(P_HALF, P_HALF), 8)
@@ -729,10 +730,6 @@ PATH_KINDS = (
 UHLMANN_KINDS = ("commuting-geodesic", "quantum-geodesic")
 
 
-def _raw(state) -> np.ndarray:
-    return state.weights if isinstance(state, ProbabilityDistribution) else state.matrix
-
-
 def _path_of_kind(kind, seed, dim):
     p, q = _random_pair(dim, seed)
     if kind == "classical-geodesic":
@@ -742,8 +739,8 @@ def _path_of_kind(kind, seed, dim):
     if kind == "commuting-geodesic":
         # commuting endpoints: the two distributions in one rotated eigenbasis
         basis = _haar_basis(dim, seed)
-        rho = validate_density((basis * p.weights) @ basis.conj().T)
-        sigma = validate_density((basis * q.weights) @ basis.conj().T)
+        rho = validate_density((basis * p.array) @ basis.conj().T)
+        sigma = validate_density((basis * q.array) @ basis.conj().T)
         return geodesic_path(rho, sigma)
     rank = 1 + seed % dim
     build = geodesic_path if kind == "quantum-geodesic" else linear_mixture_path
@@ -754,16 +751,16 @@ def _reference_point(kind, a, b):
     """The state at one parameter t, computed from the endpoints as a scalar
     formula per path kind: the reference for the batched samplers."""
     if kind == "classical-mixture":
-        return lambda t: validate_distribution((1.0 - t) * a.weights + t * b.weights)
+        return lambda t: validate_distribution((1.0 - t) * a.array + t * b.array)
     if kind == "quantum-mixture":
-        return lambda t: validate_density((1.0 - t) * a.matrix + t * b.matrix)
+        return lambda t: validate_density((1.0 - t) * a.array + t * b.array)
     if kind in UHLMANN_KINDS:
         # Uhlmann amplitudes sqrt(a) and sqrt(b) V W*, from sqrt(a) sqrt(b) = W S V*
-        root_a, root_b = _reference_root(a.matrix), _reference_root(b.matrix)
+        root_a, root_b = _reference_root(a.array), _reference_root(b.array)
         _, polar, chord = _reference_uhlmann(root_a, root_b)
         root_b = root_b @ polar.conj().T
     else:
-        root_a, root_b = np.sqrt(a.weights), np.sqrt(b.weights)
+        root_a, root_b = np.sqrt(a.array), np.sqrt(b.array)
         chord = _reference_chord(a, b)
     theta = 2.0 * float(np.arcsin(0.5 * chord))
     sin_theta = float(np.sin(theta))
@@ -802,16 +799,16 @@ def _reference_uhlmann(root_a, root_b):
 
 def _reference_fidelity(a, b) -> float:
     """Fidelity of one pair, computed state by state as the reference."""
-    if isinstance(a, ProbabilityDistribution):
-        return float(np.clip(np.sum(np.sqrt(a.weights * b.weights)), 0.0, 1.0))
-    return _reference_uhlmann(_reference_root(a.matrix), _reference_root(b.matrix))[0]
+    if a.kind == "classical":
+        return float(np.clip(np.sum(np.sqrt(a.array * b.array)), 0.0, 1.0))
+    return _reference_uhlmann(_reference_root(a.array), _reference_root(b.array))[0]
 
 
 def _reference_chord(a, b) -> float:
     """Chord sqrt(2 (1 - F)) of one pair, computed state by state as the reference."""
-    if isinstance(a, ProbabilityDistribution):
-        return float(np.sqrt(np.sum((np.sqrt(a.weights) - np.sqrt(b.weights)) ** 2)))
-    return _reference_uhlmann(_reference_root(a.matrix), _reference_root(b.matrix))[2]
+    if a.kind == "classical":
+        return float(np.sqrt(np.sum((np.sqrt(a.array) - np.sqrt(b.array)) ** 2)))
+    return _reference_uhlmann(_reference_root(a.array), _reference_root(b.array))[2]
 
 
 def _reference_steps(states) -> np.ndarray:
@@ -855,7 +852,7 @@ class TestBatchedPaths:
         assert rows.shape[0] == ts.size
         for k, (t, expected) in enumerate(zip(ts, _reference_samples(kind, path, ts))):
             assert np.array_equal(rows[k], path.sample([t])[0])
-            assert np.array_equal(rows[k], _raw(expected))
+            assert np.array_equal(rows[k], expected.array)
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(seed=st.integers(0, 10**6), dim=st.integers(1, 6))
@@ -870,9 +867,9 @@ class TestBatchedPaths:
     def test_sample_many_pins_endpoints(self, kind):
         path = _path_of_kind(kind, 5, 3)
         rows = path.sample([1.0, 0.0, 0.5, 0.0])
-        assert np.array_equal(rows[0], _raw(path.end))
-        assert np.array_equal(rows[1], _raw(path.start))
-        assert np.array_equal(rows[3], _raw(path.start))
+        assert np.array_equal(rows[0], path.end.array)
+        assert np.array_equal(rows[1], path.start.array)
+        assert np.array_equal(rows[3], path.start.array)
         with pytest.raises(ValueError):
             rows[2][0] = 0.0
 
@@ -886,7 +883,7 @@ class TestBatchedPaths:
         path = _path_of_kind(kind, 5, 3)
         assert path.kind == ("classical" if kind.startswith("classical") else "quantum")
         row = path.sample([0.5])
-        assert (row.shape, row.dtype) == ((1,) + _raw(path.start).shape, _raw(path.start).dtype)
+        assert (row.shape, row.dtype) == ((1,) + path.start.array.shape, path.start.array.dtype)
         with pytest.raises(AttributeError):
             path.kind = "classical"
 
@@ -906,11 +903,11 @@ class TestBatchedPaths:
     @pytest.mark.parametrize(
         "start, rows",
         [
-            (P_HALF, lambda k: np.tile(P_HALF.weights, (k + 1, 1))),
-            (P_HALF, lambda k: P_HALF.weights[None]),
+            (P_HALF, lambda k: np.tile(P_HALF.array, (k + 1, 1))),
+            (P_HALF, lambda k: P_HALF.array[None]),
             (P_HALF, lambda k: np.tile([0.2, 0.3, 0.5], (k, 1))),
-            (RHO_FLAT, lambda k: np.tile(RHO_FLAT.matrix.diagonal().real, (k, 1))),
-            (P_HALF, lambda k: np.tile(P_HALF.weights.astype(complex), (k, 1))),
+            (RHO_FLAT, lambda k: np.tile(RHO_FLAT.array.diagonal().real, (k, 1))),
+            (P_HALF, lambda k: np.tile(P_HALF.array.astype(complex), (k, 1))),
         ],
         ids=["extra-row", "one-row-for-many", "other-dim", "vector-rows-on-quantum", "complex-weights"],
     )
@@ -923,7 +920,7 @@ class TestBatchedPaths:
         # a user sampler whose rows carry roundoff gets them repaired
         raw = np.array([0.5 + 1e-12, 0.5])
         path = StatePath(P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
-        assert np.array_equal(path.sample([0.5])[0], validate_distribution(raw).weights)
+        assert np.array_equal(path.sample([0.5])[0], validate_distribution(raw).array)
 
     @settings(deadline=None, derandomize=True, max_examples=12)
     @given(
@@ -949,7 +946,7 @@ class TestBatchedPaths:
         assert np.array_equal(schedule.step_lengths, steps)
         assert schedule.rows.shape[0] == n_steps + 1
         for row, expected in zip(schedule.rows, _reference_samples(kind, path, ts)):
-            assert np.array_equal(row, _raw(expected))
+            assert np.array_equal(row, expected.array)
 
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_discrete_length_matches_reference(self, kind):

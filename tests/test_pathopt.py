@@ -289,7 +289,7 @@ def _old_node_quantum(coords, ridge):
 
 
 def _old_end_quantum(state):
-    lam, vec = np.linalg.eigh(state.matrix)
+    lam, vec = np.linalg.eigh(state.array)
     return _assemble(np.clip(lam, 0.0, None), vec)
 
 
@@ -305,7 +305,7 @@ def _problem(kind, dim, n_steps, ridge, seed):
     if kind == "classical":
         a, b = random_distribution(dim, seed), random_distribution(dim, seed + 1)
         old = rng.uniform(0.2, 1.0, (n_steps - 1, dim))
-        ends = [add_ridge(s, ridge).weights for s in (a, b)]
+        ends = [add_ridge(s, ridge).array for s in (a, b)]
         node, chord = _old_node_classical, _old_chord_classical
     else:
         a, b = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
@@ -376,7 +376,7 @@ class TestAnalyticGradient:
         p, q = random_distribution(3, seed), random_distribution(3, seed + 1)
         classical = minimize_path(p, q, 8)
         quantum = minimize_path(
-            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights)), 8
+            validate_density(np.diag(p.array)), validate_density(np.diag(q.array)), 8
         )
         assert classical.stop_reason == quantum.stop_reason == "stall"
         # the classical length takes the arc rule; recompute the quantum path's

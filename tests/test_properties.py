@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from statlen import (
-    DensityMatrix,
     InfiniteYield,
-    ProbabilityDistribution,
+    State,
     TransportSchedule,
     add_ridge,
     discrete_path_length,
@@ -27,7 +26,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import _angles, _state_array, _uhlmann
+from statlen.geometry import _angles, _uhlmann
 from statlen.states import (
     SUPPORT_FLOOR,
     _sqrt_rows,
@@ -42,7 +41,7 @@ def _state(kind, dim, rank, seed):
     """A random state of the given kind; ``rank`` is the size of its support."""
     if kind == "quantum":
         return random_state(dim, rank, seed)
-    weights = random_distribution(dim, seed).weights.copy()
+    weights = random_distribution(dim, seed).array.copy()
     weights[np.random.default_rng(seed).permutation(dim)[rank:]] = 0.0
     return validate_distribution(weights / weights.sum())
 
@@ -87,7 +86,7 @@ class TestChord:
     def test_chord_is_sqrt_two_one_minus_f(self, kind, dim, ranks, seed, same):
         a, b = _pair(kind, dim, ranks, seed)
         b = a if same else b
-        roots = _sqrt_rows(np.stack((_state_array(a), _state_array(b))))
+        roots = _sqrt_rows(np.stack((a.array, b.array)))
         kernel_fid, _, chords = _uhlmann(roots[:1], roots[1:])
         fid, chord = state_fidelity(a, b), chords[0]
         # on weights the kernel's sum sqrt(p) sqrt(q) is state_fidelity's sum sqrt(p q), rounded apart
@@ -116,7 +115,7 @@ class TestValidatedRows:
         states = [_state(kind, dim, min(r, dim), seed + k) for k, r in enumerate(ranks)]
         if source == "ridged":
             states = [add_ridge(s, 1e-6) for s in states]
-        raw = np.stack([s.weights if kind == "classical" else s.matrix for s in states])
+        raw = np.stack([s.array if kind == "classical" else s.array for s in states])
         if source == "repaired":
             # zero weights and eigenvalues go below zero and the sum or trace
             # leaves one, both by more than validation lets pass unrepaired
@@ -181,7 +180,7 @@ class TestRelativeEntropy:
         """Equal to roundoff: the diagonals are summed in descending order."""
         p, q = _pair(kind, dim, ranks, seed)
         classical = relative_entropy(p, q)
-        quantum = relative_entropy(validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights)))
+        quantum = relative_entropy(validate_density(np.diag(p.array)), validate_density(np.diag(q.array)))
         if np.isinf(classical):
             assert quantum == np.inf
         else:
@@ -197,7 +196,7 @@ WEIGHTS = st.integers(2, 6).flatmap(
 
 
 def _diagonal(p):
-    return validate_density(np.diag(p.weights))
+    return validate_density(np.diag(p.array))
 
 
 class TestClassicalEqualsDiagonalQuantum:
@@ -220,7 +219,7 @@ class TestClassicalEqualsDiagonalQuantum:
         """Within 1e-14 relative: the Bures and Kubo-Mori forms of a diagonal
         step keep only their diagonal terms, eps^2 dp_a^2 / p_a."""
         p, q = (validate_distribution(np.array(w) / sum(w)) for w in weights)
-        delta = q.weights - p.weights
+        delta = q.array - p.array
         classical = element(p, tangent_classical(delta), eps)
         quantum = element(_diagonal(p), tangent_quantum(np.diag(delta)), eps)
         assert abs(quantum - classical) <= 1e-14 * classical
@@ -249,7 +248,7 @@ class TestDiagonalGeodesic:
         p, q = (validate_distribution(np.array(w) / sum(w)) for w in weights)
         classical = geodesic_path(p, q)
         quantum = geodesic_path(
-            validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))
+            validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
         )
         ts = np.array(ts)
         diagonals = np.diagonal(quantum.sample(ts), axis1=1, axis2=2)
@@ -273,7 +272,7 @@ class TestDiagonalSchedule:
         p, q = _pair("classical", dim, ranks, seed)
         classical = even_schedule(linear_mixture_path(p, q), n_steps)
         diagonal = even_schedule(
-            linear_mixture_path(validate_density(np.diag(p.weights)), validate_density(np.diag(q.weights))),
+            linear_mixture_path(validate_density(np.diag(p.array)), validate_density(np.diag(q.array))),
             n_steps,
         )
         assert np.max(np.abs(classical.ts - diagonal.ts)) <= 1e-7
@@ -356,9 +355,8 @@ class TestScheduleYields:
             return
         report = run_transport(schedule)
         assert np.max(np.abs(report.step_yields - expected)) <= YIELD_TOL
-        state = ProbabilityDistribution if kind == "classical" else DensityMatrix
         for i in range(n_steps):
-            assert report.step_yields[i] == relative_entropy(state(rows[i]), state(rows[i + 1]))
+            assert report.step_yields[i] == relative_entropy(State(rows[i]), State(rows[i + 1]))
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(
@@ -375,7 +373,7 @@ class TestScheduleYields:
         states[step + 1] = _state(kind, dim, dim - 1, seed + n_steps + 1)
         states[step] = _state(kind, dim, dim, seed)
         ts = np.linspace(0.0, 1.0, n_steps + 1)
-        rows = np.stack([s.weights if kind == "classical" else s.matrix for s in states])
+        rows = np.stack([s.array if kind == "classical" else s.array for s in states])
         schedule = TransportSchedule(rows, ts, np.zeros(n_steps))
         with pytest.raises(InfiniteYield) as err:
             run_transport(schedule)

@@ -8,7 +8,7 @@ import statlen.reservoir as reservoir
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
-    ProbabilityDistribution,
+    State,
     convergence_scan,
     entropy,
     random_distribution,
@@ -22,8 +22,8 @@ from statlen.states import DEFAULT_DIM_CAP
 
 P = validate_distribution([0.5, 0.5])
 Q = validate_distribution([0.9, 0.1])
-RHO = validate_density(np.diag(P.weights))
-SIGMA = validate_density(np.diag(Q.weights))
+RHO = validate_density(np.diag(P.array))
+SIGMA = validate_density(np.diag(Q.array))
 
 
 def _mixture_entropy_oracle(p, q, n):
@@ -55,13 +55,13 @@ def _kron_loop_classical_step(p, q, n):
     """Reference classical step: a kron loop over the weight powers of q, then entropies."""
     powers = [np.array([1.0])]
     for _ in range(n - 1):
-        powers.append(np.kron(powers[-1], q.weights))
+        powers.append(np.kron(powers[-1], q.array))
     acc = np.zeros(p.dim ** n)
     for k in range(n):
-        acc += np.kron(powers[k], np.kron(p.weights, powers[n - k - 1]))
+        acc += np.kron(powers[k], np.kron(p.array, powers[n - k - 1]))
     acc /= n
     return (
-        entropy(ProbabilityDistribution(acc))
+        entropy(State(acc))
         - entropy(p)
         - (n - 1) * entropy(q)
     )
@@ -77,9 +77,9 @@ def _eigvalsh_entropy(mat):
 def _kron_loop_dense_step(rho, sigma, n):
     """Reference dense step: the kron loop twirl and eigvalsh entropies."""
     return (
-        _eigvalsh_entropy(_kron_loop_twirl(rho.matrix, sigma.matrix, n))
-        - _eigvalsh_entropy(rho.matrix)
-        - (n - 1) * _eigvalsh_entropy(sigma.matrix)
+        _eigvalsh_entropy(_kron_loop_twirl(rho.array, sigma.array, n))
+        - _eigvalsh_entropy(rho.array)
+        - (n - 1) * _eigvalsh_entropy(sigma.array)
     )
 
 
@@ -92,7 +92,7 @@ def _pair(kind, dim, seed):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             basis, _ = np.linalg.qr(g)
         return tuple(
-            validate_density((basis * random_distribution(dim, seed + i).weights) @ basis.conj().T)
+            validate_density((basis * random_distribution(dim, seed + i).array) @ basis.conj().T)
             for i in (0, 1)
         )
     rank_rho, rank_sigma = {"full": (dim, dim), "pure-sigma": (dim, 1), "pure-rho": (1, dim)}[kind]
@@ -111,7 +111,7 @@ def _cap_n(dim):
 
 
 def _with_zero(p, index):
-    w = p.weights.copy()
+    w = p.array.copy()
     w[index % w.size] = 0.0
     return validate_distribution(w / w.sum())
 
@@ -196,9 +196,9 @@ class TestBlocksMatchKronOracle:
     def test_exact_zero_eigenvalues(self, dim, n):
         # sigma and rho with exact zeros: s^0 = 1 carries the polynomial
         q = np.zeros(dim)
-        q[: dim - 1] = random_distribution(dim - 1, dim).weights
+        q[: dim - 1] = random_distribution(dim - 1, dim).array
         p = np.zeros(dim)
-        p[1:] = random_distribution(dim - 1, n).weights
+        p[1:] = random_distribution(dim - 1, n).array
         rho, sigma = validate_density(np.diag(p)), validate_density(np.diag(q))
         mixed = random_state(dim, dim, 3)
         for a, b in ((rho, sigma), (mixed, sigma), (rho, mixed)):
@@ -266,22 +266,22 @@ class TestNoDenseFallback:
 
 
 def _twirl(rho, sigma, n):
-    return _kron_loop_twirl(rho.matrix, sigma.matrix, n)
+    return _kron_loop_twirl(rho.array, sigma.array, n)
 
 
 class TestTwirl:
     def test_single_slot_is_identity(self):
-        assert np.allclose(_twirl(RHO, SIGMA, 1), RHO.matrix, atol=1e-15)
+        assert np.allclose(_twirl(RHO, SIGMA, 1), RHO.array, atol=1e-15)
 
     def test_equal_states_give_product(self):
         out = _twirl(SIGMA, SIGMA, 3)
-        expected = np.kron(np.kron(SIGMA.matrix, SIGMA.matrix), SIGMA.matrix)
+        expected = np.kron(np.kron(SIGMA.array, SIGMA.array), SIGMA.array)
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_two_slots_explicit_mixture(self):
         out = _twirl(RHO, SIGMA, 2)
         expected = 0.5 * (
-            np.kron(RHO.matrix, SIGMA.matrix) + np.kron(SIGMA.matrix, RHO.matrix)
+            np.kron(RHO.array, SIGMA.array) + np.kron(SIGMA.array, RHO.array)
         )
         assert np.allclose(out, expected, atol=1e-15)
 
@@ -332,7 +332,7 @@ class TestStepEntropyProduction:
     def test_two_slots_against_oracle(self):
         dense = step_entropy_production(RHO, SIGMA, 2)
         fast = step_entropy_production(P, Q, 2)
-        oracle = _mixture_entropy_oracle(P.weights, Q.weights, 2) - (
+        oracle = _mixture_entropy_oracle(P.array, Q.array, 2) - (
             entropy(P) + entropy(Q)
         )
         assert dense == pytest.approx(oracle, abs=1e-10)
@@ -355,7 +355,7 @@ class TestStepEntropyProduction:
 
     def test_kind_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            step_entropy_production(RHO, SIGMA.matrix, 2)
+            step_entropy_production(RHO, SIGMA.array, 2)
         with pytest.raises(DimensionMismatch):
             step_entropy_production(P, RHO, 2)
 

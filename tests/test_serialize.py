@@ -13,14 +13,14 @@ class TestStateRoundtrip:
         target = tmp_path / "p.json"
         target.write_text(json.dumps(serialize.state_to_jsonable(p)))
         loaded = serialize.load_state(target)
-        assert np.allclose(loaded.weights, p.weights, atol=1e-15)
+        assert np.allclose(loaded.array, p.array, atol=1e-15)
 
     def test_quantum_roundtrip(self, tmp_path):
         rho = random_state(3, 2, 4)
         target = tmp_path / "rho.json"
         target.write_text(json.dumps(serialize.state_to_jsonable(rho)))
         loaded = serialize.load_state(target)
-        assert np.allclose(loaded.matrix, rho.matrix, atol=1e-15)
+        assert np.allclose(loaded.array, rho.array, atol=1e-15)
 
     def test_jsonable_shapes(self):
         rho = random_state(2, 2, 1)
@@ -28,6 +28,8 @@ class TestStateRoundtrip:
         assert obj["kind"] == "quantum"
         assert len(obj["matrix"]) == 2
         assert len(obj["matrix"][0][0]) == 2  # [re, im] pairs
+        with pytest.raises(ValidationError, match="cannot serialize"):
+            serialize.state_to_jsonable(rho.array)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):
@@ -60,11 +62,11 @@ class TestStateRoundtrip:
 
     def test_integer_entries_accepted(self):
         p = serialize.state_from_jsonable({"kind": "classical", "weights": [1, 0]})
-        assert p.weights.tolist() == [1.0, 0.0]
+        assert p.array.tolist() == [1.0, 0.0]
         rho = serialize.state_from_jsonable(
             {"kind": "quantum", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
         )
-        assert rho.matrix[0, 0] == 1.0
+        assert rho.array[0, 0] == 1.0
 
 
 class TestCsvOutput:

@@ -7,6 +7,7 @@ from statlen import (
     NotHermitian,
     NotNormalized,
     NotPositive,
+    State,
     TransportSchedule,
     ValidationError,
     add_ridge,
@@ -30,14 +31,33 @@ from statlen.states import (
 )
 
 
+class TestState:
+    @pytest.mark.parametrize("array, kind", [(np.zeros(3), "classical"), (np.zeros((3, 3)), "quantum")])
+    def test_kind_and_dim_are_read_from_the_shape(self, array, kind):
+        """Only the shape: the values are the validators' to check."""
+        state = State(array)
+        assert (state.kind, state.dim) == (kind, 3)
+        assert np.asarray(state) is array
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.zeros((2, 3)), np.zeros(0), np.zeros((0, 0)), np.zeros((2, 2, 2)), np.float64(1.0), [0.5, 0.5]],
+        ids=["rectangular", "empty-vector", "empty-matrix", "rank-3", "scalar", "list"],
+    )
+    def test_shape_without_a_kind_rejected(self, array):
+        """A (2, 3) array once made a state of dim 2."""
+        with pytest.raises(ValidationError, match=r"a state is a \(d,\) or \(d, d\) array"):
+            State(array)
+
+
 class TestValidateDistribution:
     def test_already_normalized_passes_unchanged(self):
         p = validate_distribution([0.5, 0.5])
-        assert np.array_equal(p.weights, np.array([0.5, 0.5]))
+        assert np.array_equal(p.array, np.array([0.5, 0.5]))
 
     def test_roundoff_negative_clipped_to_zero(self):
         p = validate_distribution([0.5, 0.5, -1e-13])
-        assert np.array_equal(p.weights, np.array([0.5, 0.5, 0.0]))
+        assert np.array_equal(p.array, np.array([0.5, 0.5, 0.0]))
 
     def test_not_normalized_rejected(self):
         with pytest.raises(NotNormalized):
@@ -61,7 +81,7 @@ class TestValidateDistribution:
 
     def test_small_sum_deviation_renormalized(self):
         p = validate_distribution([0.5 + 1e-10, 0.5])
-        assert abs(p.weights.sum() - 1.0) < 1e-12
+        assert abs(p.array.sum() - 1.0) < 1e-12
 
     def test_revalidation_is_bit_identical(self):
         rng = np.random.default_rng(11)
@@ -69,23 +89,23 @@ class TestValidateDistribution:
             raw = rng.dirichlet(np.ones(6))
             raw[rng.integers(6)] -= 5e-13  # force a clip on some draws
             once = validate_distribution(raw)
-            twice = validate_distribution(once.weights)
-            assert np.array_equal(once.weights, twice.weights)
+            twice = validate_distribution(once.array)
+            assert np.array_equal(once.array, twice.array)
 
     def test_output_is_read_only(self):
         p = validate_distribution([1.0])
         with pytest.raises(ValueError):
-            p.weights[0] = 0.5
+            p.array[0] = 0.5
 
 
 class TestValidateDensity:
     def test_maximally_mixed_passes_unchanged(self):
         rho = validate_density(np.eye(2) / 2)
-        assert np.array_equal(rho.matrix, np.eye(2, dtype=complex) / 2)
+        assert np.array_equal(rho.array, np.eye(2, dtype=complex) / 2)
 
     def test_roundoff_negative_eigenvalue_clipped(self):
         rho = validate_density(np.diag([1.0, -1e-13]))
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        assert np.allclose(rho.array, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(NotNormalized):
@@ -106,14 +126,14 @@ class TestValidateDensity:
     def test_revalidation_is_bit_identical(self):
         for seed, dim, rank in [(0, 2, 2), (1, 4, 4), (2, 4, 2), (3, 9, 9), (4, 16, 5)]:
             rho = random_state(dim, rank, seed)
-            again = validate_density(rho.matrix)
-            assert np.array_equal(rho.matrix, again.matrix)
+            again = validate_density(rho.array)
+            assert np.array_equal(rho.array, again.array)
 
     def test_revalidation_after_forced_clip(self):
         dirty = np.diag([0.6, 0.4 + 1e-13, -1e-13])
         once = validate_density(dirty)
-        twice = validate_density(once.matrix)
-        assert np.array_equal(once.matrix, twice.matrix)
+        twice = validate_density(once.array)
+        assert np.array_equal(once.array, twice.array)
 
 
 class TestSpectralCalculus:
@@ -123,7 +143,7 @@ class TestSpectralCalculus:
             dec = spectral(rho)
             assert np.all(np.diff(dec.eigenvalues) <= 0)
             rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-            assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-10
+            assert np.max(np.abs(rebuilt - rho.array)) < 1e-10
             gram = dec.eigenvectors.conj().T @ dec.eigenvectors
             assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
 
@@ -144,7 +164,7 @@ class TestSpectralCalculus:
         for seed, dim in [(5, 2), (6, 5), (7, 16)]:
             rho = random_state(dim, dim, seed)
             root = mat_sqrt(rho)
-            assert np.max(np.abs(root @ root - rho.matrix)) < 1e-10
+            assert np.max(np.abs(root @ root - rho.array)) < 1e-10
 
 
 class TestEntropies:
@@ -182,7 +202,7 @@ class TestEntropies:
     def test_additivity_over_tensor_factors(self):
         rho = random_state(3, 3, 41)
         sigma = random_state(4, 2, 42)
-        combined = entropy(np.kron(rho.matrix, sigma.matrix))
+        combined = entropy(np.kron(rho.array, sigma.array))
         assert combined == pytest.approx(
             entropy(rho) + entropy(sigma), abs=1e-9
         )
@@ -198,8 +218,8 @@ class TestRandomStates:
         assert spectral(rho).eigenvalues[-1] > 0
 
     def test_deterministic_per_seed(self):
-        assert np.array_equal(random_state(4, 2, 5).matrix, random_state(4, 2, 5).matrix)
-        assert not np.array_equal(random_state(4, 2, 5).matrix, random_state(4, 2, 6).matrix)
+        assert np.array_equal(random_state(4, 2, 5).array, random_state(4, 2, 5).array)
+        assert not np.array_equal(random_state(4, 2, 5).array, random_state(4, 2, 6).array)
 
     def test_bad_rank(self):
         with pytest.raises(BadRank):
@@ -209,8 +229,8 @@ class TestRandomStates:
 
     def test_random_distribution_deterministic(self):
         p = random_distribution(5, 1)
-        assert np.array_equal(p.weights, random_distribution(5, 1).weights)
-        assert p.weights.min() > 0
+        assert np.array_equal(p.array, random_distribution(5, 1).array)
+        assert p.array.min() > 0
 
 
 class TestTangentsAndRidge:
@@ -246,7 +266,7 @@ class TestTangentsAndRidge:
     def test_ridge_keeps_trace_and_lifts_rank(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         lifted = add_ridge(rho, 1e-6)
-        assert np.trace(lifted.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(lifted.array).real == pytest.approx(1.0, abs=1e-12)
         assert spectral(lifted).eigenvalues[-1] > 1e-7
 
     def test_ridge_zero_is_identity(self):
@@ -348,7 +368,7 @@ class TestBatchedValidation:
         for k in range(len(defects)):
             expected = _reference_distribution(raw[k])
             assert np.array_equal(rows[k], expected)
-            assert np.array_equal(validate_distribution(raw[k]).weights, expected)
+            assert np.array_equal(validate_distribution(raw[k]).array, expected)
 
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(
@@ -363,7 +383,7 @@ class TestBatchedValidation:
         for k in range(len(defects)):
             expected = _reference_density(raw[k])
             assert np.array_equal(mats[k], expected)
-            assert np.array_equal(validate_density(raw[k]).matrix, expected)
+            assert np.array_equal(validate_density(raw[k]).array, expected)
 
     @pytest.mark.parametrize(
         "raw_row, kinds",

@@ -6,8 +6,8 @@ import pytest
 from statlen import (
     DimensionMismatch,
     InfiniteYield,
-    ProbabilityDistribution,
     RankDeficient,
+    State,
     ValidationError,
     even_schedule,
     expansion_probe,
@@ -52,8 +52,8 @@ class TestRelativeEntropy:
         assert relative_entropy(P_HALF, P_SKEW) == pytest.approx(KL_DOC, abs=1e-12)
 
     def test_quantum_matches_classical_on_diagonals(self):
-        rho = validate_density(np.diag(P_HALF.weights))
-        sigma = validate_density(np.diag(P_SKEW.weights))
+        rho = validate_density(np.diag(P_HALF.array))
+        sigma = validate_density(np.diag(P_SKEW.array))
         assert relative_entropy(rho, sigma) == pytest.approx(KL_DOC, abs=1e-10)
 
     def test_nonnegative_and_separating(self):
@@ -62,7 +62,7 @@ class TestRelativeEntropy:
             sigma = random_state(3, 3, seed + 60)
             value = relative_entropy(rho, sigma)
             assert value >= 0.0
-            if np.max(np.abs(rho.matrix - sigma.matrix)) > 1e-4:
+            if np.max(np.abs(rho.array - sigma.array)) > 1e-4:
                 assert value > 1e-9
 
     @pytest.mark.parametrize("t", [1e-13, 1e-10, 1e-6])
@@ -176,7 +176,7 @@ class TestRunTransport:
         for _ in range(20):
             interior = np.sort(rng.uniform(0.0, 1.0, 31))
             ts = np.concatenate(([0.0], interior, [1.0]))
-            states = [ProbabilityDistribution(row) for row in path.sample(ts)]
+            states = [State(row) for row in path.sample(ts)]
             total = sum(
                 relative_entropy(states[i], states[i + 1]) for i in range(32)
             )
@@ -188,7 +188,7 @@ class TestRunTransport:
             (random_distribution(d, 10 * d), random_distribution(d, 10 * d + 1)) for d in (3, 4)
         ]
         for (p, q), n in zip(pairs, (32, 16, 64)):
-            rho, sigma = (validate_density(np.diag(s.weights)) for s in (p, q))
+            rho, sigma = (validate_density(np.diag(s.array)) for s in (p, q))
             q_schedule = even_schedule(geodesic_path(rho, sigma), n)
             c_schedule = even_schedule(geodesic_path(p, q), n)
             assert np.allclose(q_schedule.ts, c_schedule.ts, rtol=0.0, atol=1e-6)
@@ -214,7 +214,7 @@ class TestExpansionProbe:
     def test_commuting_quantum_matches_classical(self):
         p = validate_distribution([0.5, 0.3, 0.2])
         dp = tangent_classical([1.0, -0.4, -0.6])
-        rho = validate_density(np.diag(p.weights))
+        rho = validate_density(np.diag(p.array))
         drho = tangent_quantum(np.diag(dp.delta).astype(complex))
         eps = [1e-2, 1e-3]
         classical = expansion_probe(p, dp, eps)
@@ -271,12 +271,12 @@ class TestShortStepAccuracy:
     @pytest.mark.parametrize("seed", range(20))
     def test_classical_probe_against_log1p_oracle(self, seed):
         p = random_distribution(4, seed)
-        dp = tangent_classical(random_distribution(4, seed + 100).weights - p.weights)
+        dp = tangent_classical(random_distribution(4, seed + 100).array - p.array)
         eps = np.array([1e-2, 1e-3, 1e-4])
         probe = expansion_probe(p, dp, eps)
         for e, value in zip(eps, probe.relative_entropies):
-            x = e * dp.delta / p.weights
-            expected = float(np.sum(p.weights * (x - np.log1p(x))))
+            x = e * dp.delta / p.array
+            expected = float(np.sum(p.array * (x - np.log1p(x))))
             assert value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
@@ -284,8 +284,8 @@ class TestScheduleInvariants:
     def test_schedule_endpoints_pinned(self):
         path = geodesic_path(P_HALF, P_SKEW)
         schedule = even_schedule(path, 16)
-        assert np.array_equal(schedule.rows[0], P_HALF.weights)
-        assert np.array_equal(schedule.rows[-1], P_SKEW.weights)
+        assert np.array_equal(schedule.rows[0], P_HALF.array)
+        assert np.array_equal(schedule.rows[-1], P_SKEW.array)
 
     def test_handmade_schedule_runs(self):
         states = tuple(
@@ -297,7 +297,7 @@ class TestScheduleInvariants:
                 geodesic_length_fisher(state_fidelity(states[1], states[2])),
             ]
         )
-        schedule = TransportSchedule(np.stack([s.weights for s in states]), np.array([0.0, 0.5, 1.0]), lengths)
+        schedule = TransportSchedule(np.stack([s.array for s in states]), np.array([0.0, 0.5, 1.0]), lengths)
         report = run_transport(schedule)
         assert report.total_entropy > 0.0
         assert report.endpoint_fidelity == state_fidelity(states[0], states[-1])
@@ -310,7 +310,7 @@ class TestScheduleInvariants:
     )
     def test_sizes_that_disagree_rejected(self, n_rows, n_ts, n_lengths, n_steps):
         """N is read from the rows; the "n-steps" rows make 5 steps of 2-step ts and lengths."""
-        rows = np.tile(P_HALF.weights, (n_rows, 1))
+        rows = np.tile(P_HALF.array, (n_rows, 1))
         with pytest.raises(ValueError, match=f"{n_steps} steps need"):
             TransportSchedule(rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths))
 
@@ -329,7 +329,7 @@ class TestScheduleInvariants:
         with pytest.raises(DimensionMismatch):
             TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
 
-    @pytest.mark.parametrize("rows", [np.tile(P_HALF.weights, (3, 1)), np.tile(np.eye(2) / 2, (3, 1, 1))])
+    @pytest.mark.parametrize("rows", [np.tile(P_HALF.array, (3, 1)), np.tile(np.eye(2) / 2, (3, 1, 1))])
     def test_kind_and_steps_are_read_from_the_rows(self, rows):
         schedule = TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
         assert (schedule.kind, schedule.n_steps) == ("classical" if rows.ndim == 2 else "quantum", 2)
@@ -358,3 +358,21 @@ class TestScheduleInvariants:
         schedule = TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3))
         with pytest.raises(ValidationError, match="row [01] is not a"):
             run_transport(schedule)
+
+    @pytest.mark.parametrize(
+        "row",
+        [np.array([np.inf, -np.inf]), np.diag([np.inf, -np.inf]).astype(complex), np.array([np.nan, 0.5])],
+        ids=["inf-weights", "inf-diagonal", "nan-weight"],
+    )
+    def test_non_finite_rows_raise_as_validation_does(self, row):
+        """These once raised a RuntimeWarning, NotHermitian and NotPositive, where
+        validation refuses all three as non-finite."""
+        validate = validate_distribution if row.ndim == 1 else validate_density
+        with pytest.raises(ValidationError) as expected:
+            validate(row)
+        clean = np.full(2, 0.5) if row.ndim == 1 else np.eye(2, dtype=complex) / 2
+        schedule = TransportSchedule(np.stack([clean, row, clean]), np.linspace(0.0, 1.0, 3), np.zeros(2))
+        with pytest.raises(ValidationError) as raised:
+            run_transport(schedule)
+        assert type(raised.value) is type(expected.value) is ValidationError
+        assert str(raised.value) == str(expected.value).replace("row 0", "row 1")

@@ -31,9 +31,7 @@ from .states import (
     State,
     TangentPerturbation,
     add_ridge,
-    dimension_cap,
     entropy,
-    mat_sqrt,
     random_distribution,
     random_state,
     spectral,

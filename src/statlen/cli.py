@@ -32,9 +32,8 @@ from .geometry import (
     _check_steps,
 )
 from .pathopt import DEFAULT_MAX_ITER, minimize_path
-from .reservoir import CLASSICAL_DIM_CAP, convergence_scan
+from .reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP, convergence_scan
 from .states import (
-    dimension_cap,
     random_distribution,
     random_state,
     tangent_classical,
@@ -103,7 +102,7 @@ def _resolve_state(spec, seed_pool, where: str):
     kind = spec.get("kind")
     if kind == "random-quantum":
         _check_keys(spec, {"kind", "dim", "rank"}, set(), where)
-        dim = _dim(spec["dim"], f"{where}.dim", dimension_cap())
+        dim = _dim(spec["dim"], f"{where}.dim", QUANTUM_DIM_CAP)
         return random_state(dim, _count(spec["rank"], f"{where}.rank"), seed_pool())
     if kind == "random-classical":
         _check_keys(spec, {"kind", "dim"}, set(), where)

@@ -30,7 +30,7 @@ class DimensionMismatch(StatlenError, ValueError):
 
 
 class DimensionCapExceeded(StatlenError):
-    """A composite space would exceed the configured dimension cap."""
+    """An input would exceed one of the fixed caps on dimensions and work sizes."""
 
     def __init__(self, message, max_feasible=None):
         super().__init__(message)

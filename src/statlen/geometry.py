@@ -38,7 +38,6 @@ from .states import (
     VALIDATION_TOL,
     State,
     TangentPerturbation,
-    mat_sqrt,
     spectral,
     validate_density,
     _described,
@@ -158,7 +157,8 @@ def hellinger_element(rho: State, drho: TangentPerturbation, eps: float) -> floa
         raise DimensionMismatch("the Hellinger element takes a density matrix")
     _full_rank_step(rho, drho, eps)
     perturbed = validate_density(rho.array + eps * drho.delta)
-    diff = mat_sqrt(perturbed) - mat_sqrt(rho)
+    roots = _sqrt_rows(np.stack((perturbed.array, rho.array)))
+    diff = roots[0] - roots[1]
     return float(4.0 * np.real(np.trace(diff @ diff)))
 
 

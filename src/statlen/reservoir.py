@@ -37,31 +37,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import _refuse_above
-from .states import (
-    dimension_cap,
-    entropy,
-    _entropy_of_weights,
-    _freeze,
-    _pair_kind,
-)
+from .states import entropy, _entropy_of_weights, _freeze, _pair_kind
 from .transport import relative_entropy
 
-CLASSICAL_DIM_CAP = 2 ** 20
+CLASSICAL_DIM_CAP = 2 ** 20   # cap on the d**n weights of a probability-vector step
+QUANTUM_DIM_CAP = 4096        # cap on the composite d**(n + 1) of a density-matrix step
 
 
 def _check_step(a, b, n: int) -> None:
-    """Check a state pair and reservoir size n against each other and the cap.
+    """Check a state pair and reservoir size n against each other and the caps.
 
-    The cap is on d**n for probability vectors and on the composite d**(n + 1)
-    for density matrices; a refusal names the largest feasible n, and the
-    power is never formed for n itself.  A one-dimensional pair is held to
-    the bound of a two-dimensional one: 1**n never reaches the cap, but a
-    scan still does work per n.
+    ``CLASSICAL_DIM_CAP`` bounds d**n for probability vectors and
+    ``QUANTUM_DIM_CAP`` the composite d**(n + 1) for density matrices.  Both
+    are constants: no option or environment variable moves them.  A refusal
+    names the largest feasible n, and the power is never formed for n
+    itself.  A one-dimensional pair is held to the bound of a
+    two-dimensional one: 1**n never reaches the cap, but a scan still does
+    work per n.
     """
     classical = _pair_kind(a, b) == "classical"
     if n < 1:
         raise ValueError(f"reservoir size must be positive, got {n}")
-    extra, limit = (0, CLASSICAL_DIM_CAP) if classical else (1, dimension_cap())
+    extra, limit = (0, CLASSICAL_DIM_CAP) if classical else (1, QUANTUM_DIM_CAP)
     base, feasible = max(a.dim, 2), 0
     while base ** (feasible + 1 + extra) <= limit:
         feasible += 1

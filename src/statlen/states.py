@@ -20,7 +20,6 @@ descending order, and entropies are in nats throughout.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ from .exceptions import (
 VALIDATION_TOL = 1e-12    # type-invariant tolerance
 INPUT_SUM_TOL = 1e-9      # accepted sum/trace deviation of raw input
 SUPPORT_FLOOR = 1e-14     # eigenvalues at or below this count as exact zeros
-DEFAULT_DIM_CAP = 4096    # cap on composite-space dimensions
-DIM_CAP_ENV = "STATLEN_DIM_CAP"
 
 # Cleanup is skipped below these thresholds, which sit above the noise of
 # the cleanup itself; this is what makes validation idempotent bit for bit.
@@ -143,10 +140,10 @@ def _state_test(least: np.ndarray, total: np.ndarray) -> None:
             lambda i: f"state: sum or trace {float(total[i])!r}, expected 1 within {INPUT_SUM_TOL}")
 
 
-def _finite_test(rows: np.ndarray) -> None:
-    """Refuse a row of a (K, d) or (K, d, d) stack that has a non-finite entry."""
+def _finite_test(rows: np.ndarray, noun: str) -> None:
+    """Refuse a row of a (K, d) or (K, d, d) stack that has a non-finite entry; ``noun`` names a row."""
     _refuse(np.isfinite(rows).all(axis=tuple(range(1, rows.ndim))), ValidationError,
-            lambda i: "state: non-finite entries")
+            lambda i: f"{noun}: non-finite entries")
 
 
 def _validate_rows(raw):
@@ -161,7 +158,7 @@ def _validate_rows(raw):
     rows = _real_copy(arr, "distribution") if arr.ndim == 2 else np.array(arr, np.complex128)
     if rows.ndim not in (2, 3) or rows.shape[1] < 1 or rows.shape[-1] != rows.shape[1]:
         raise ValidationError(f"states must be a (K, d) or (K, d, d) stack, got shape {rows.shape}")
-    _finite_test(rows)
+    _finite_test(rows, "state")
     if rows.ndim == 2:
         least, total = rows.min(axis=1), rows.sum(axis=1)
     else:
@@ -224,8 +221,7 @@ def tangent_classical(raw) -> TangentPerturbation:
     delta = _real_copy(raw, "tangent vector")
     if delta.ndim != 1 or delta.size < 1:
         raise ValidationError(f"tangent vector must be 1-d, got shape {delta.shape}")
-    if not np.all(np.isfinite(delta)):
-        raise ValidationError("tangent vector contains non-finite entries")
+    _finite_test(delta[None], "tangent")
     total = float(delta.sum())
     if abs(total) > VALIDATION_TOL:
         raise ValidationError(f"tangent vector sums to {total!r}, expected 0")
@@ -239,6 +235,7 @@ def tangent_quantum(raw) -> TangentPerturbation:
     delta = np.array(raw, dtype=np.complex128, copy=True)
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1] or delta.size < 1:
         raise ValidationError(f"tangent matrix must be square, got shape {delta.shape}")
+    _finite_test(delta[None], "tangent")
     adjoint, deviation = _hermitian_test(delta[None])
     if deviation[0] > 0.0:
         delta = 0.5 * (delta + adjoint[0])
@@ -278,11 +275,6 @@ def _sqrt_rows(rows: np.ndarray, eig=None) -> np.ndarray:
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
-def mat_sqrt(rho) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues at or below ``SUPPORT_FLOOR`` count as zero."""
-    return _sqrt_rows(np.asarray(rho)[None])[0]
-
-
 def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
     """-sum w ln w over the weights above ``SUPPORT_FLOOR``.
 
@@ -301,20 +293,6 @@ def entropy(state) -> float:
     """Entropy in nats: Shannon's of a probability vector, von Neumann's of a density or raw matrix."""
     arr = np.asarray(state)
     return _entropy_of_weights(arr if arr.ndim == 1 else spectral(arr).eigenvalues)
-
-
-def dimension_cap() -> int:
-    """Composite-space dimension cap, overridable via STATLEN_DIM_CAP."""
-    raw = os.environ.get(DIM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{DIM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError(f"{DIM_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def random_state(dim: int, rank: int, seed: int) -> State:

@@ -69,7 +69,7 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     the tests of ``states`` run on the spectra the yields take, so no stack
     is decomposed twice; a non-finite entry is refused before them.
     """
-    _finite_test(rows)
+    _finite_test(rows, "state")
     if rows.ndim == 2:
         lam, overlap = rows, 1.0
     else:
@@ -197,8 +197,8 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
     eps = np.asarray(eps_list, dtype=np.float64)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("eps_list must be a nonempty vector")
-    if np.any(eps <= 0.0) or (eps.size > 1 and np.any(np.diff(eps) >= 0.0)):
-        raise ValueError("eps_list must be positive and strictly descending")
+    if not (np.all(np.isfinite(eps)) and np.all(eps > 0.0) and np.all(np.diff(eps) < 0.0)):
+        raise ValueError("eps_list must be finite, positive and strictly descending")
     if _tangent_kind(state, perturbation) == "classical":
         metric_name, lowest = "fisher", float(state.array.min())
     else:

@@ -13,7 +13,7 @@ from statlen import (
     run_transport,
     validate_distribution,
 )
-from statlen.reservoir import CLASSICAL_DIM_CAP
+from statlen.reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP
 from statlen.cli import (
     EXIT_CAP,
     EXIT_INVALID,
@@ -353,16 +353,18 @@ class TestReservoirCommand:
         assert not out.exists()
         assert f"largest feasible n is {feasible}" in capsys.readouterr().err
 
-    def test_env_var_overrides_dense_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("STATLEN_DIM_CAP", "16")
-        config = {
-            "state_a": {"kind": "quantum", "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
-            "state_b": {"kind": "quantum", "matrix": [[[0.9, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]},
-            "n_max": 8,
-        }
-        code, _ = _run(tmp_path, "reservoir", config)
-        assert code == EXIT_CAP
-        assert "3" in capsys.readouterr().err  # 2^(3+1) = 16 is the cap
+    def test_dense_cap_ignores_the_environment(self, tmp_path, capsys, monkeypatch):
+        # the cap is a constant: the variable that once moved it has no effect
+        config = {"state_a": QUBIT_A, "state_b": QUBIT_B, "n_max": 12}
+        for value in (None, "16", str(2**41)):
+            if value is None:
+                monkeypatch.delenv("STATLEN_DIM_CAP", raising=False)
+            else:
+                monkeypatch.setenv("STATLEN_DIM_CAP", value)
+            code, out = _run(tmp_path, "reservoir", config)
+            assert code == EXIT_CAP
+            assert not out.exists()
+            assert "largest feasible n is 11" in capsys.readouterr().err
 
 
 class TestGeodesicCommand:
@@ -646,12 +648,11 @@ class TestStrictCounts:
 
     @pytest.mark.parametrize(
         "kind, cap",
-        [("random-quantum", 16), ("random-classical", CLASSICAL_DIM_CAP)],
+        [("random-quantum", QUANTUM_DIM_CAP), ("random-classical", CLASSICAL_DIM_CAP)],
         ids=["quantum", "classical"],
     )
-    def test_random_state_dim_is_capped(self, tmp_path, capsys, monkeypatch, kind, cap):
-        # the quantum cap is the composite-dimension cap; the classical one is fixed
-        monkeypatch.setenv("STATLEN_DIM_CAP", "16")
+    def test_random_state_dim_is_capped(self, tmp_path, capsys, kind, cap):
+        # the quantum cap is the composite-dimension cap of a density-matrix step
         state = {"kind": kind, "dim": cap + 1}
         if kind == "random-quantum":
             state["rank"] = 1

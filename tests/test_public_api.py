@@ -65,6 +65,20 @@ def test_names_used_are_in_all(path):
     assert not missing, f"{path.name} uses names outside statlen.__all__: {missing}"
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "statlen").glob("*.py")), ids=lambda p: p.name)
+def test_package_reads_no_environment(path):
+    """Every setting of the package is a constant or an argument; no caps move with the environment."""
+    reads = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and {a.name for a in node.names} & {"environ", "getenv"})
+    ]
+    assert not reads, f"{path.name} reads the environment on lines {reads}"
+
+
 def _run_python(*args) -> subprocess.CompletedProcess:
     """Run python on ``args`` from the repository root, with src/ first on the path."""
     env = dict(os.environ)

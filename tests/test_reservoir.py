@@ -18,7 +18,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.states import DEFAULT_DIM_CAP
+from statlen.reservoir import QUANTUM_DIM_CAP
 
 P = validate_distribution([0.5, 0.5])
 Q = validate_distribution([0.9, 0.1])
@@ -103,9 +103,9 @@ PAIR_KINDS = ["full", "pure-sigma", "pure-rho", "commuting"]
 
 
 def _cap_n(dim):
-    """Largest n the default composite-dimension cap allows a density-matrix step."""
+    """Largest n the composite-dimension cap allows a density-matrix step."""
     n = 0
-    while dim ** (n + 2) <= DEFAULT_DIM_CAP:
+    while dim ** (n + 2) <= QUANTUM_DIM_CAP:
         n += 1
     return n
 

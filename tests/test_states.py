@@ -12,7 +12,6 @@ from statlen import (
     ValidationError,
     add_ridge,
     entropy,
-    mat_sqrt,
     random_distribution,
     random_state,
     run_transport,
@@ -27,6 +26,7 @@ from statlen.states import (
     VALIDATION_TOL,
     _PSD_SKIP,
     _RENORM_SKIP,
+    _sqrt_rows,
     _validate_rows,
 )
 
@@ -148,22 +148,22 @@ class TestSpectralCalculus:
             assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
 
     def test_sqrt_of_projector_is_projector(self):
-        root = mat_sqrt(validate_density(np.diag([1.0, 0.0])))
+        root = _sqrt_rows(validate_density(np.diag([1.0, 0.0])).array[None])[0]
         assert np.allclose(root, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_sqrt_of_maximally_mixed(self):
-        root = mat_sqrt(validate_density(np.eye(2) / 2))
+        root = _sqrt_rows(validate_density(np.eye(2) / 2).array[None])[0]
         assert np.allclose(root, np.eye(2) / np.sqrt(2), atol=1e-14)
 
     def test_sqrt_diagonal_values(self):
         # elementwise square root of the spectrum
-        root = mat_sqrt(validate_density(np.diag([0.9, 0.1])))
+        root = _sqrt_rows(validate_density(np.diag([0.9, 0.1])).array[None])[0]
         assert np.allclose(np.diag(root).real, [0.9486832980505138, 0.31622776601683794])
 
     def test_sqrt_squares_back(self):
         for seed, dim in [(5, 2), (6, 5), (7, 16)]:
             rho = random_state(dim, dim, seed)
-            root = mat_sqrt(rho)
+            root = _sqrt_rows(rho.array[None])[0]
             assert np.max(np.abs(root @ root - rho.array)) < 1e-10
 
 
@@ -253,6 +253,20 @@ class TestTangentsAndRidge:
             delta[entry] = bad
             with pytest.raises(ValidationError):
                 tangent_quantum(delta)
+
+    @pytest.mark.parametrize(
+        "parse, raw",
+        [(tangent_classical, [np.inf, -np.inf]),
+         (tangent_quantum, [[np.inf, 0.0], [0.0, -np.inf]]),
+         (tangent_quantum, [[np.nan, 0.0], [0.0, 0.0]])],
+        ids=["classical-inf", "quantum-inf", "quantum-nan"],
+    )
+    def test_tangent_parsers_refuse_non_finite_first(self, parse, raw):
+        """Both parsers run the finiteness test before any other; a non-finite
+        matrix once surfaced as a NaN Hermiticity deviation."""
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            parse(raw)
+        assert type(info.value) is ValidationError
 
     def test_tangent_quantum_traceless_hermitian(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)

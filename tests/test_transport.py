@@ -235,11 +235,12 @@ class TestExpansionProbe:
         assert np.all(probe.ratio_metric > 0.0)
 
     def test_eps_grid_validation(self):
+        """A non-finite grid is the probe's own error, not a state's."""
         dp = tangent_classical([1.0, -1.0])
-        with pytest.raises(ValueError):
-            expansion_probe(P_HALF, dp, [1e-4, 1e-3])  # ascending
-        with pytest.raises(ValueError):
-            expansion_probe(P_HALF, dp, [0.0])
+        for eps_list in ([1e-4, 1e-3], [0.0], [np.nan], [np.inf, 1e-2]):  # ascending, zero, nan, inf
+            with pytest.raises(ValueError, match="eps_list") as info:
+                expansion_probe(P_HALF, dp, eps_list)
+            assert not isinstance(info.value, ValidationError)
 
     def test_rank_deficient_state_rejected(self):
         p = validate_distribution([1.0, 0.0])

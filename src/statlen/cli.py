@@ -1,9 +1,10 @@
 """Deterministic command-line experiment runner.
 
-Each subcommand reads a JSON config, runs one experiment, and writes a
-CSV or JSON record.  Every output embeds the tool version, a SHA-256
-hash of the fully resolved config, and the seed, and contains no
-timestamps, so a repeated run produces byte-identical files.
+Each subcommand reads a JSON config that describes one experiment, runs
+it, and writes a CSV or JSON record.  The run settings ``--seed``,
+``--out`` and ``--format`` are flags only.  Every output embeds the tool
+version, a SHA-256 hash of the fully resolved config, and the seed, and
+contains no timestamps, so a repeated run produces byte-identical files.
 
 Exit status: 0 success, 2 invalid input, 3 resource cap exceeded,
 4 optimizer did not converge.
@@ -14,7 +15,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -51,7 +51,7 @@ class ConfigError(ValueError):
     """Malformed or incomplete experiment configuration."""
 
 
-def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
+def _check_keys(obj: dict, required: set, where: str, optional: set = frozenset()) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a mapping")
     keys = set(obj)
@@ -61,9 +61,6 @@ def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
     unknown = keys - required - optional
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
-
-
-_COMMON_OPTIONAL = {"seed", "out", "format"}
 
 
 def _count(value, key: str) -> int:
@@ -81,7 +78,7 @@ def _dim(value, key: str, cap: int) -> int:
 
 
 def _path(value, key: str) -> str:
-    """A config file path: a JSON string, never a number that ``open`` reads as a descriptor.
+    """``--out`` or a state's ``file``: a string, never a number that ``open`` reads as a descriptor.
 
     A line break would split the record's one-line metadata, so none is allowed.
     """
@@ -97,15 +94,15 @@ def _resolve_state(spec, seed_pool, where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be a mapping")
     if "file" in spec:
-        _check_keys(spec, {"file"}, set(), where)
+        _check_keys(spec, {"file"}, where)
         return serialize.load_state(_path(spec["file"], f"{where}.file"))
     kind = spec.get("kind")
     if kind == "random-quantum":
-        _check_keys(spec, {"kind", "dim", "rank"}, set(), where)
+        _check_keys(spec, {"kind", "dim", "rank"}, where)
         dim = _dim(spec["dim"], f"{where}.dim", QUANTUM_DIM_CAP)
         return random_state(dim, _count(spec["rank"], f"{where}.rank"), seed_pool())
     if kind == "random-classical":
-        _check_keys(spec, {"kind", "dim"}, set(), where)
+        _check_keys(spec, {"kind", "dim"}, where)
         return random_distribution(_dim(spec["dim"], f"{where}.dim", CLASSICAL_DIM_CAP), seed_pool())
     return serialize.state_from_jsonable(spec)
 
@@ -166,7 +163,7 @@ def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict) 
 # ---------- experiments ----------
 
 def _path_from_config(spec: dict, seed_pool) -> tuple:
-    _check_keys(spec, {"type", "state_a", "state_b"}, set(), "path")
+    _check_keys(spec, {"type", "state_a", "state_b"}, "path")
     ptype = spec["type"]
     resolved_spec = {"type": ptype}
     a, b = _resolve_pair(spec, seed_pool, resolved_spec, "path.")
@@ -180,7 +177,7 @@ def _path_from_config(spec: dict, seed_pool) -> tuple:
 
 
 def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
-    _check_keys(config, {"state_a", "state_b"}, _COMMON_OPTIONAL, "config")
+    _check_keys(config, {"state_a", "state_b"}, "config")
     a, b = _resolve_pair(config, seed_pool, resolved)
     fid = state_fidelity(a, b)
     results = {
@@ -193,15 +190,10 @@ def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
 
 
 def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
-    _check_keys(config, {"path"}, _COMMON_OPTIONAL | {"N", "N_grid"}, "config")
-    if ("N" in config) == ("N_grid" in config):
-        raise ConfigError("config needs exactly one of 'N' or 'N_grid'")
-    if "N" in config:
-        grid = [_count(config["N"], "N")]
-    elif isinstance(config["N_grid"], list) and config["N_grid"]:
-        grid = [_count(n, "N_grid") for n in config["N_grid"]]
-    else:
+    _check_keys(config, {"path", "N_grid"}, "config")
+    if not (isinstance(config["N_grid"], list) and config["N_grid"]):
         raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
+    grid = [_count(n, "N_grid") for n in config["N_grid"]]
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     for n in grid:
         _check_steps(n, path.start)
@@ -239,7 +231,7 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
 
 
 def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
-    _check_keys(config, {"state_a", "state_b", "n_max"}, _COMMON_OPTIONAL, "config")
+    _check_keys(config, {"state_a", "state_b", "n_max"}, "config")
     a, b = _resolve_pair(config, seed_pool, resolved)
     scan = convergence_scan(a, b, _count(config["n_max"], "n_max"))
     results = {
@@ -260,8 +252,7 @@ def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
 
 
 def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
-    optional = _COMMON_OPTIONAL | {"seed_path", "ridge", "max_iter", "history_out"}
-    _check_keys(config, {"state_a", "state_b", "N"}, optional, "config")
+    _check_keys(config, {"state_a", "state_b", "N"}, "config", {"seed_path", "ridge", "max_iter"})
     a, b = _resolve_pair(config, seed_pool, resolved)
     seed_kind = config.get("seed_path", "mixture")
     if seed_kind == "mixture":
@@ -273,9 +264,6 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     ridge = config.get("ridge")
     if ridge is not None and serialize._finite_number(ridge, "ridge") < 0:
         raise ConfigError(f"ridge must be null or a number >= 0, got {ridge!r}")
-    history_out = _path(config.get("history_out", resolved["out"] + ".history.csv"), "history_out")
-    if os.path.realpath(history_out) == os.path.realpath(resolved["out"]):
-        raise ConfigError(f"history_out {history_out!r} would overwrite the record")
     result = minimize_path(
         a,
         b,
@@ -304,7 +292,7 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         "iterations",
         "converged",
     )
-    resolved["history_out"] = history_out
+    history_out = resolved["history_out"] = resolved["out"] + ".history.csv"
     serialize.write_csv(
         history_out,
         ("iter", "length", "energy", "step_cv"),
@@ -317,7 +305,7 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
 
 
 def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
-    _check_keys(config, {"state", "perturbation", "eps_grid"}, _COMMON_OPTIONAL, "config")
+    _check_keys(config, {"state", "perturbation", "eps_grid"}, "config")
     state = _resolve_state(config["state"], seed_pool, "state")
     resolved["state"] = serialize.state_to_jsonable(state)
     raw = config["perturbation"]
@@ -365,9 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="seed (default 0)")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
+        p.add_argument("--out", help="output file path")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -383,29 +371,20 @@ def main(argv=None) -> int:
         print("statlen: config must be a JSON object", file=sys.stderr)
         return EXIT_INVALID
 
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        print(f"statlen: seed must be an integer >= 0, got {seed!r}", file=sys.stderr)
+    if args.seed < 0:
+        print(f"statlen: seed must be an integer >= 0, got {args.seed!r}", file=sys.stderr)
         return EXIT_INVALID
-    out = args.out if args.out is not None else config.get("out")
-    fmt = args.format if args.format is not None else config.get("format", "csv")
     try:
-        _path(out, "out (--out or config 'out')")
+        _path(args.out, "--out")
     except ConfigError as exc:
         print(f"statlen: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if fmt not in ("csv", "json"):
-        print(f"statlen: unknown format {fmt!r}", file=sys.stderr)
-        return EXIT_INVALID
 
-    resolved = dict(config)
-    resolved["seed"] = seed
-    resolved["out"] = out
-    resolved["format"] = fmt
-    resolved["experiment"] = args.command
+    resolved = {**config, "seed": args.seed, "out": args.out, "format": args.format,
+                "experiment": args.command}
 
     try:
-        return _HANDLERS[args.command](config, resolved, _seed_pool(seed))
+        return _HANDLERS[args.command](config, resolved, _seed_pool(args.seed))
     except DimensionCapExceeded as exc:
         print(f"statlen: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -167,8 +167,11 @@ def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
 
     In the eigenbasis of rho the coefficient of |<i|drho|j>|^2 is
     (ln lam_i - ln lam_j)/(lam_i - lam_j), read as 1/lam on the diagonal.
-    On a probability vector only the diagonal remains, so this is the
-    Fisher sum of :func:`metric_element`, bit for bit.
+    Where 1/2 <= lam_i/lam_j <= 2, lam_i - lam_j is exact and the log
+    ratio is log1p((lam_i - lam_j)/lam_j); further apart, where log1p
+    would lose digits near -1, the logarithms are subtracted.  On a
+    probability vector only the diagonal remains, so this is the Fisher
+    sum of :func:`metric_element`, bit for bit.
     """
     if _tangent_kind(state, tangent) == "classical":
         return _fisher_sum(state, tangent, eps)
@@ -176,8 +179,9 @@ def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
     li, lj = lam[:, None], lam[None, :]
     diff = li - lj
     near = np.abs(diff) <= 1e-8 * (li + lj)
-    safe = np.where(near, 1.0, diff)
-    coeff = np.where(near, 2.0 / (li + lj), (np.log(li) - np.log(lj)) / safe)
+    close = (li <= 2.0 * lj) & (lj <= 2.0 * li)
+    log_ratio = np.where(close, np.log1p(diff / lj), np.log(li) - np.log(lj))
+    coeff = np.where(near, 2.0 / (li + lj), log_ratio / np.where(near, 1.0, diff))
     return float(np.sum(np.abs(step) ** 2 * coeff))
 
 

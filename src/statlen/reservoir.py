@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import _refuse_above
-from .states import entropy, _entropy_of_weights, _freeze, _pair_kind
+from .states import SUPPORT_FLOOR, entropy, _entropy_of_weights, _freeze, _pair_kind
 from .transport import relative_entropy
 
 CLASSICAL_DIM_CAP = 2 ** 20   # cap on the d**n weights of a probability-vector step
@@ -256,6 +256,8 @@ def _block_spectrum(r: np.ndarray, s: np.ndarray, n: int):
     twirl[origin[row], local[col], local[row]] = upper.conj()
     twirl[origin, local, local] = (weight * scale) @ np.diagonal(r).real
     values = np.linalg.eigvalsh(twirl) / n
+    # each block's eigenvalues are accurate to about size * eps of its largest one: below, zero
+    values = np.where(values > size * np.finfo(float).eps * values[:, -1:], values, 0.0)
     multiplicity = np.array([_standard_tableaux(shape) for shape in shapes], float)
     return values.ravel(), np.repeat(multiplicity, size)
 
@@ -264,9 +266,11 @@ def step_entropy_production(a, b, n: int) -> float:
     """Entropy the twirl generates: S(twirl) - S(a) - (n-1) S(b) = S(twirl) - S(a (x) b^(x n-1)).
 
     On probability vectors the twirl is diagonal with a weight per string
-    type, so its entropy is a sum over types.  On density matrices its
-    spectrum comes from its GL(d) blocks; a single slot holds a itself,
-    and a one-dimensional state has no entropy, so either gives exactly 0.
+    type, so its entropy is a sum over types; the type weights are exact,
+    so every positive one counts.  On density matrices its spectrum comes
+    from its GL(d) blocks, each eigenvalue under the rounding level of its
+    block counting as zero; a single slot holds a itself, and a
+    one-dimensional state has no entropy, so either gives exactly 0.
     """
     _check_step(a, b, n)
     if a.kind == "classical":
@@ -276,7 +280,7 @@ def step_entropy_production(a, b, n: int) -> float:
         return 0.0
     s, u = np.linalg.eigh(b.array)
     twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ a.array @ u, s, n))
-    return twirled - entropy(a) - (n - 1) * _entropy_of_weights(s)
+    return twirled - entropy(a) - (n - 1) * _entropy_of_weights(s, floor=SUPPORT_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)

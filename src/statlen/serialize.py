@@ -58,22 +58,25 @@ def state_to_jsonable(state: State) -> dict:
     return {"kind": "quantum", "matrix": matrix}
 
 
+_STATE_FIELDS = {"classical": "weights", "quantum": "matrix"}   # the field holding each kind's array
+
+
 def state_from_jsonable(obj) -> State:
     """Validated state from its JSON-compatible form; unknown keys rejected."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("state must be a mapping with a 'kind' field")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
+        raise ValidationError(f"unknown state kind {kind!r}")
+    field = _STATE_FIELDS[kind]
+    extra = set(obj) - {"kind", field}
+    if extra:
+        raise ValidationError(f"unknown state keys: {sorted(extra)}")
+    if field not in obj:
+        raise ValidationError(f"{kind} state is missing its {field!r} field")
     if kind == "classical":
-        extra = set(obj) - {"kind", "weights"}
-        if extra:
-            raise ValidationError(f"unknown state keys: {sorted(extra)}")
-        return validate_distribution(_finite_numbers(obj["weights"], "weights"))
-    if kind == "quantum":
-        extra = set(obj) - {"kind", "matrix"}
-        if extra:
-            raise ValidationError(f"unknown state keys: {sorted(extra)}")
-        return validate_density(matrix_from_jsonable(obj["matrix"], "quantum state"))
-    raise ValidationError(f"unknown state kind {kind!r}")
+        return validate_distribution(_finite_numbers(obj[field], field))
+    return validate_density(matrix_from_jsonable(obj[field], "quantum state"))
 
 
 def matrix_from_jsonable(rows, what: str) -> np.ndarray:

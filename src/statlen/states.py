@@ -275,13 +275,16 @@ def _sqrt_rows(rows: np.ndarray, eig=None) -> np.ndarray:
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
-def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
-    """-sum w ln w over the weights above ``SUPPORT_FLOOR``.
+def _entropy_of_weights(weights: np.ndarray, multiplicity=None, floor: float = 0.0) -> float:
+    """-sum w ln w over the weights above ``floor``.
 
-    ``multiplicity`` gives how often each weight occurs in the spectrum,
-    once each when omitted.
+    Exact weights, such as a probability vector or the type weights of a
+    reservoir step, keep every positive one: however small, each is real
+    mass.  Computed eigenvalues pass ``SUPPORT_FLOOR``, at or below which
+    their roundoff counts as an exact zero.  ``multiplicity`` gives how
+    often each weight occurs in the spectrum, once each when omitted.
     """
-    keep = weights > SUPPORT_FLOOR
+    keep = weights > floor
     kept = weights[keep]
     terms = kept * np.log(kept)
     if multiplicity is not None:
@@ -292,7 +295,9 @@ def _entropy_of_weights(weights: np.ndarray, multiplicity=None) -> float:
 def entropy(state) -> float:
     """Entropy in nats: Shannon's of a probability vector, von Neumann's of a density or raw matrix."""
     arr = np.asarray(state)
-    return _entropy_of_weights(arr if arr.ndim == 1 else spectral(arr).eigenvalues)
+    if arr.ndim == 1:
+        return _entropy_of_weights(arr)
+    return _entropy_of_weights(spectral(arr).eigenvalues, floor=SUPPORT_FLOOR)
 
 
 def random_state(dim: int, rank: int, seed: int) -> State:

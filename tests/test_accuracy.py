@@ -1,0 +1,98 @@
+"""Accuracy ledger: kernels that can cancel, against 50-digit references.
+
+Each entry names its input family, the worst relative error measured on
+it, and the bound it asserts.  A bound comes from the rounding analysis
+of the kernel, in units of the unit roundoff U = 2**-53, never from the
+output of the code it checks.
+
+| kernel | input family | worst measured | bound |
+| --- | --- | --- | --- |
+| reservoir step, probability vectors | skewed q, p = q exp(0.01 v) renormalized; d = 4, n = 10 and d = 2, n = 20 | 2.8e-12 | 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS, about 1.3e-8 |
+| Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
+
+The reservoir step sums exact type weights and subtracts entropies of
+size n ln d to get a result of size h**2, so its rounding is of order U
+times the sum of the magnitudes it cancels, relative to the result.
+Dropping a type weight under a floor would cost its whole mass, which no
+rounding bound covers.  The Kubo-Mori coefficient of a close pair takes
+an exact difference and one log1p, a few roundings in all.
+"""
+import itertools
+
+import mpmath
+import numpy as np
+import pytest
+
+from statlen import (
+    kubo_mori_element,
+    step_entropy_production,
+    tangent_quantum,
+    validate_density,
+    validate_distribution,
+)
+
+U = 2.0 ** -53
+mpmath.mp.dps = 50
+
+
+def _types(n: int, d: int):
+    """Every count vector of n symbols from d, by stars and bars."""
+    for cut in itertools.combinations(range(n + d - 1), d - 1):
+        bounds = (-1, *cut, n + d - 1)
+        yield [bounds[i + 1] - bounds[i] - 1 for i in range(d)]
+
+
+def _entropy(weights) -> mpmath.mpf:
+    return -mpmath.fsum(w * mpmath.log(w) for w in weights if w > 0)
+
+
+def _reference_step(p, q, n: int):
+    """50-digit dS_n = S(T_n) - S(p) - (n-1) S(q), with the sum of the magnitudes it cancels.
+
+    Each type c has multinomial multiplicity and twirled string weight
+    (1/n) sum_i c_i p_i q^(c - e_i).
+    """
+    p = [mpmath.mpf(float(x)) for x in p]
+    q = [mpmath.mpf(float(x)) for x in q]
+    d = len(p)
+    twirled = mpmath.mpf(0)
+    for c in _types(n, d):
+        weight = mpmath.fsum(
+            c[i] * p[i] * mpmath.fprod(q[j] ** (c[j] - (i == j)) for j in range(d))
+            for i in range(d) if c[i]
+        ) / n
+        if weight > 0:
+            count = mpmath.factorial(n) / mpmath.fprod(mpmath.factorial(k) for k in c)
+            twirled -= count * weight * mpmath.log(weight)
+    rest = _entropy(p) + (n - 1) * _entropy(q)
+    return twirled - rest, twirled + rest
+
+
+@pytest.mark.parametrize(
+    "q, v, n",
+    [((0.97, 0.01, 0.01, 0.01), (1.0, -1.0, 0.5, -0.5), 10), ((0.99, 0.01), (1.0, -1.0), 20)],
+    ids=["d4-n10", "d2-n20"],
+)
+def test_reservoir_step_keeps_every_type_weight(q, v, n):
+    q = np.array(q)
+    p = q * np.exp(0.01 * np.array(v))
+    a, b = validate_distribution(p / p.sum()), validate_distribution(q)
+    exact, cancelled = _reference_step(a.array, b.array, n)
+    bound = float(100 * U * cancelled / exact)
+    error = abs((step_entropy_production(a, b, n) - exact) / exact)
+    assert bound < 2e-8
+    assert error <= bound
+
+
+@pytest.mark.parametrize("gap", [5e-8, 1e-7, 1e-6, 1e-3, 0.5, 0.99])
+@pytest.mark.parametrize("low", [0.3, 1e-3])
+def test_kubo_mori_coefficient_of_close_eigenvalues(low, gap):
+    # diag(lam_1, lam_2, rest) with a unit off-diagonal tangent between the first two:
+    # the element is 2 (ln lam_1 - ln lam_2)/(lam_1 - lam_2)
+    high = low * (1.0 + gap)
+    rho = validate_density(np.diag([high, low, 1.0 - high - low]))
+    tangent = tangent_quantum([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    l1, l2 = (mpmath.mpf(float(x)) for x in np.diag(rho.array).real[:2])
+    exact = 2 * (mpmath.log(l1) - mpmath.log(l2)) / (l1 - l2)
+    error = abs((kubo_mori_element(rho, tangent, 1.0) - exact) / exact)
+    assert error <= 10 * U

@@ -41,6 +41,11 @@ class TestStateRoundtrip:
         with pytest.raises(ValidationError):
             serialize.state_from_jsonable({"kind": "mystery"})
 
+    @pytest.mark.parametrize("kind, field", [("classical", "weights"), ("quantum", "matrix")])
+    def test_missing_array_field_is_named(self, kind, field):
+        with pytest.raises(ValidationError, match=f"{kind} state is missing its '{field}' field"):
+            serialize.state_from_jsonable({"kind": kind})
+
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValidationError):
             serialize.state_from_jsonable({"kind": "quantum", "matrix": [[1.0, 0.0]]})

@@ -34,7 +34,6 @@ from .exceptions import (
     _refuse_above,
 )
 from .states import (
-    SUPPORT_FLOOR,
     VALIDATION_TOL,
     State,
     TangentPerturbation,
@@ -69,19 +68,22 @@ def _tangent_kind(state, tangent: TangentPerturbation) -> str:
 # ---------- fidelities ----------
 
 def _uhlmann(a: np.ndarray, b: np.ndarray):
-    """Row-wise ``(F, U, chord)`` of two stacks of amplitudes.
+    """Row-wise ``(F, U, chord, S)`` of two stacks of amplitudes.
 
-    Of (K, d, d) factors, a a* = rho and b b* = sigma, by the SVD a* b = W S V*:
+    Of (K, d, w) factors, a a* = rho and b b* = sigma, by the SVD a* b = W S V*:
     F = tr S clamped to 1 (Uhlmann 1976), the polar factor U = W V*, and
-    ||a U - b||_F = sqrt(2 (1 - F)) with no 1 - F.  Of (K, d) amplitudes
-    sqrt(p), the commuting case: F = sum a b, U = None and the chord ||a - b||.
+    ||a U - b||_F = sqrt(2 (1 - F)) with no 1 - F; S holds the singular
+    values in descending order.  Of (K, d) amplitudes sqrt(p), the commuting
+    case, no SVD is taken: F = sum a b, the chord is ||a - b||, and U and S
+    are None.
     """
     if a.ndim == 2:
-        return np.minimum(1.0, np.sum(a * b, axis=-1)), None, np.sqrt(np.sum((a - b) ** 2, axis=-1))
+        fid = np.minimum(1.0, np.sum(a * b, axis=-1))
+        return fid, None, np.sqrt(np.sum((a - b) ** 2, axis=-1)), None
     w, singular, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
     polar = w @ vh
     chords = np.sqrt(np.sum(np.abs(a @ polar - b) ** 2, axis=(-2, -1)))
-    return np.minimum(1.0, np.sum(singular, axis=-1)), polar, chords
+    return np.minimum(1.0, np.sum(singular, axis=-1)), polar, chords, singular
 
 
 def _angles(chords: np.ndarray) -> np.ndarray:
@@ -107,8 +109,8 @@ def state_fidelity(a, b) -> float:
 # ---------- local metric elements ----------
 
 def _fisher_sum(p: State, dp: TangentPerturbation, eps: float) -> float:
-    """eps^2 sum dp_a^2 / p_a over the support of p, outside which dp must vanish."""
-    dead = p.array <= SUPPORT_FLOOR
+    """eps^2 sum dp_a^2 / p_a over the exact support p_a > 0, outside which dp must vanish."""
+    dead = p.array == 0.0
     if np.any(dead) and float(np.max(np.abs(dp.delta[dead]))) > VALIDATION_TOL:
         raise SupportViolation("tangent is nonzero where the distribution vanishes")
     return float(eps * eps * np.sum(dp.delta[~dead] ** 2 / p.array[~dead]))
@@ -285,7 +287,7 @@ def geodesic_path(a, b) -> StatePath:
     _pair_kind(a, b)
     start = a.array
     roots = _sqrt_rows(np.stack((start, b.array)))
-    _, polar, chord = _uhlmann(roots[:1], roots[1:])
+    _, polar, chord, _ = _uhlmann(roots[:1], roots[1:])
     root_a, root_b = roots[0], roots[1] if polar is None else roots[1] @ polar[0].conj().T
     theta = float(_angles(chord[0])) / 2.0
     sin_theta = float(np.sin(theta))

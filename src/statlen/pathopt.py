@@ -1,34 +1,37 @@
 """Numerical geodesic search by discrete path-energy minimization.
 
 The optimizer pins the endpoints and carries each of the N - 1 interior
-states as an unconstrained d x d matrix A with rho = A A*/||A||_F^2.  A
-probability vector is the real diagonal case, A = diag(x) with
-p = x^2/|x|^2, so both kinds share one code path and differ only in which
-entries of A are free.  It descends the chord energy
+states as an unconstrained coordinate: a real d-vector x for a probability
+vector, a complex d x d matrix A for a density matrix.  Every state enters
+through an amplitude: sqrt(p) or sqrt(rho) at the endpoints, and inside
+a = |x|/||x|| (p = a^2) or B = A/||A||_F (rho = B B*).  It descends the
+chord energy
 
     E = 4 sum_i c_i^2,    c_i = ||B_i U_i - B_{i+1}||_F = sqrt(2 (1 - F_i)),
 
-Every state enters through a factor B with B B* = rho: sqrt(rho) at the
-endpoints, A/||A||_F inside.  With a ridge r every state is
-(rho + r I/d)/(1 + r); an interior factor is then the wider
-[A, sqrt(r t/d) I]/sqrt(t (1 + r)) with t = ||A||_F^2, and the endpoint
-roots are zero-padded to that width.  By Uhlmann's theorem
-F(B B*, C C*) = ||B* C||_1, so one stacked SVD of the N matrices
-M_i = B_i* B_{i+1} = W S V* (``geometry._uhlmann``) gives the polar factors
-U_i = W V* and the chords c_i: E is 8 sum_i (1 - F_i) without the
-cancellation in 1 - F.  U_i gives its exact gradient: B_i U_i with respect
-to B_{i+1} and B_{i+1} U_i* with respect to B_i, then the chain rule
-through the normalization.
+By Uhlmann's theorem F(B B*, C C*) = ||B* C||_1, so one stacked SVD of the
+N matrices M_i = B_i* B_{i+1} = W S V* (``geometry._uhlmann``) gives the
+polar factors U_i = W V* and the chords c_i: E is 8 sum_i (1 - F_i)
+without the cancellation in 1 - F.  U_i gives its exact gradient: B_i U_i
+with respect to B_{i+1} and B_{i+1} U_i* with respect to B_i, then the
+chain rule through the normalization.  Probability vectors commute, so
+there the chord is ||a_i - a_{i+1}|| with no SVD, and at unit ||a_i|| the
+gradient with respect to a_i is -8 (a_{i-1} + a_{i+1}), carried to x
+through d|x|/dx = sign(x).  An iterate may cross zero; |x| keeps its state valid.
+
+With a ridge r every state is (rho + r I/d)/(1 + r).  A vector amplitude
+is then sqrt((x^2/t + r/d)/(1 + r)) with t = ||x||^2.  An interior matrix
+factor is the wider [A, sqrt(r t/d) I]/sqrt(t (1 + r)) with t = ||A||_F^2,
+and the endpoint roots are zero-padded to that width.
 
 The step is L-BFGS (Nocedal 1980; Liu & Nocedal 1989): the two-loop
 recursion over the last ``MEMORY`` pairs of coordinate and gradient
 differences, with Re<X, Y> = Re tr(X* Y) as the inner product, then a
-backtracking (halving) Armijo line search from a step of 1.  Every
-direction is a combination of gradients, so classical iterates stay
-diagonal.  A pair enters the memory only with positive curvature s.y, and
-a direction that does not descend is replaced by -grad with the memory
-cleared.  The chain energy is ill-conditioned roughly as N^2, which the
-curvature pairs absorb and a steepest-descent step does not.
+backtracking (halving) Armijo line search from a step of 1.  A pair
+enters the memory only with positive curvature s.y, and a direction that
+does not descend is replaced by -grad with the memory cleared.  The chain
+energy is ill-conditioned roughly as N^2, which the curvature pairs absorb
+and a steepest-descent step does not.
 
 Minimizing E at fixed endpoints equalizes the steps and shortens the path
 at the same time.  The Bures angle obeys the triangle inequality, so
@@ -107,62 +110,73 @@ class PathOptimizationResult:
 class _Chain(NamedTuple):
     """A path evaluated chord by chord."""
 
-    factors: np.ndarray   # (N + 1, d, w): B_i with B_i B_i* = rho_i
-    norms: np.ndarray     # (N - 1,): ||A_i||_F of the interior coordinates
-    chords: np.ndarray    # (N,): ||B_i U_i - B_{i+1}||_F
-    polar: np.ndarray     # (N, w, w): polar factor W V* of B_i* B_{i+1}
+    factors: np.ndarray   # (N + 1, d) amplitudes, or (N + 1, d, w) B_i with B_i B_i* = rho_i
+    norms: np.ndarray     # (N - 1, 1[, 1]): the norms of the interior coordinates
+    chords: np.ndarray    # (N,): ||a_i - a_{i+1}||, or ||B_i U_i - B_{i+1}||_F
+    polar: np.ndarray     # (N, w, w): polar factor W V* of B_i* B_{i+1}; None for vectors
     energy: float
 
 
-def _roots(rows: np.ndarray, eig=None) -> np.ndarray:
-    """(K, d, d) square roots of a stack of states, diagonal for weights; ``eig`` as in ``_sqrt_rows``."""
-    roots = _sqrt_rows(rows, eig)
-    return roots if roots.ndim == 3 else roots[:, None, :] * np.eye(rows.shape[1])
-
-
 def _end_factors(endpoints, ridge: float) -> np.ndarray:
-    """sqrt(rho) of both endpoints, zero-padded to the width of an interior factor."""
-    ends = _roots(np.stack([s.array for s in endpoints]))
-    if ridge > 0.0:
+    """sqrt(p) or sqrt(rho) of both endpoints; a root is zero-padded to an interior factor's width."""
+    ends = _sqrt_rows(np.stack([s.array for s in endpoints]))
+    if ends.ndim == 3 and ridge > 0.0:
         ends = np.concatenate([ends, np.zeros_like(ends)], axis=2)
     return ends
 
 
 def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool) -> _Chain:
-    """Factors of the interior coordinates between the endpoint factors, and every chord."""
-    norms = np.sqrt(np.sum(np.abs(coords) ** 2, axis=(1, 2)))
+    """Factors of the interior coordinates between the endpoint factors, and every chord.
+
+    ``check_rank`` refuses a quantum interior state with an eigenvalue at
+    or below ``RANK_TOL``.  Every factor has spectral norm at most 1, so
+    s_min(B_i* B_{i+1}) <= s_min(B_i): when the chord SVD of every interior
+    B_i reads s_min^2 above 4 RANK_TOL (a margin for rounding), each least
+    eigenvalue s_min(B_i)^2 clears RANK_TOL, and only otherwise are the
+    interior factors decomposed on their own.
+    """
+    dim = coords.shape[1]
+    norms = np.sqrt(np.sum(np.abs(coords) ** 2, axis=tuple(range(1, coords.ndim)), keepdims=True))
     if not np.all(norms > 0.0):
-        raise RankCollapse("iterate collapsed to the zero matrix")
-    unit = coords / norms[:, None, None]
-    if check_rank:
+        raise RankCollapse("iterate collapsed to zero")
+    unit = coords / norms
+    if coords.ndim == 2:
+        inner = np.abs(unit) if ridge == 0.0 else np.sqrt((unit ** 2 + ridge / dim) / (1.0 + ridge))
+    elif ridge > 0.0:
+        pad = np.sqrt(ridge / (dim * (1.0 + ridge))) * np.eye(dim)
+        inner = np.concatenate(
+            [unit / np.sqrt(1.0 + ridge), np.broadcast_to(pad, unit.shape)], axis=2
+        )
+    else:
+        inner = unit
+    factors = np.concatenate([ends[:1], inner, ends[1:]])
+    _, polar, chords, singular = _uhlmann(factors[:-1], factors[1:])
+    if check_rank and not np.all(singular[1:, -1] ** 2 > 4.0 * RANK_TOL):
         smallest = float(np.min(np.linalg.svd(unit, compute_uv=False)[:, -1])) ** 2
         if smallest <= RANK_TOL:
             raise RankCollapse(
                 f"iterate eigenvalue {smallest:.3e} at or below {RANK_TOL} with the ridge disabled"
             )
-    if ridge > 0.0:
-        dim = coords.shape[-1]
-        pad = np.sqrt(ridge / (dim * (1.0 + ridge))) * np.eye(dim)
-        unit = np.concatenate(
-            [unit / np.sqrt(1.0 + ridge), np.broadcast_to(pad, unit.shape)], axis=2
-        )
-    factors = np.concatenate([ends[:1], unit, ends[1:]])
-    _, polar, chords = _uhlmann(factors[:-1], factors[1:])
     return _Chain(factors, norms, chords, polar, float(4.0 * np.sum(chords ** 2)))
 
 
-def _gradient(coords: np.ndarray, chain: _Chain, ridge: float, classical: bool) -> np.ndarray:
-    """dE/dA for every interior coordinate, restricted to the free entries."""
-    polar, factors = chain.polar, chain.factors
-    grad = -8.0 * (
-        factors[:-2] @ polar[:-1] + factors[2:] @ polar[1:].conj().swapaxes(1, 2)
-    )
-    dim = coords.shape[-1]
-    grad = grad[:, :, :dim] / np.sqrt(1.0 + ridge)
-    unit = coords / chain.norms[:, None, None]
-    radial = np.sum(np.real(unit.conj() * grad), axis=(1, 2))
-    grad = (grad - radial[:, None, None] * unit) / chain.norms[:, None, None]
-    return grad * np.eye(dim) if classical else grad
+def _gradient(coords: np.ndarray, chain: _Chain, ridge: float) -> np.ndarray:
+    """dE/dx for every interior coordinate x, a vector or a matrix as ``coords`` holds."""
+    factors = chain.factors
+    unit = coords / chain.norms
+    if coords.ndim == 2:
+        # d amp/d unit is unit/((1 + r) amp): sign(unit) without a ridge, zero where amp is
+        amp = factors[1:-1]
+        slope = np.divide(unit, (1.0 + ridge) * amp, out=np.zeros_like(unit), where=amp > 0.0)
+        grad = -8.0 * (factors[:-2] + factors[2:]) * slope
+    else:
+        polar = chain.polar
+        grad = -8.0 * (
+            factors[:-2] @ polar[:-1] + factors[2:] @ polar[1:].conj().swapaxes(1, 2)
+        )
+        grad = grad[:, :, :coords.shape[1]] / np.sqrt(1.0 + ridge)
+    radial = np.sum(np.real(unit.conj() * grad), axis=tuple(range(1, coords.ndim)), keepdims=True)
+    return (grad - radial * unit) / chain.norms
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -231,8 +245,7 @@ def minimize_path(
     _refuse_above(MAX_SEARCH_STEPS, "n_steps", n_steps, "N")
     _refuse_above(MAX_ITER, "max_iter", max_iter, "max_iter")
     kind, ridge = _search_kind(start, end, ridge)
-    classical = kind == "classical"
-    check_rank = not classical and ridge == 0.0
+    check_rank = kind == "quantum" and ridge == 0.0
     if seed_path is None:
         seed_path = linear_mixture_path(start, end)
     elif (seed_path.kind, seed_path.start.dim) != (kind, start.dim):
@@ -242,7 +255,7 @@ def minimize_path(
     endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
     ends = _end_factors(endpoints, ridge)
     rows, spectra = seed_path._rows(np.arange(1, n_steps) / n_steps)
-    coords = _roots(rows, spectra)
+    coords = _sqrt_rows(rows, spectra)
 
     lengths: list[float] = []
     energies: list[float] = []
@@ -258,7 +271,7 @@ def minimize_path(
     chain = _chain(coords, ends, ridge, check_rank)
     evaluations = 1
     record(chain)
-    grad = _gradient(coords, chain, ridge, classical)
+    grad = _gradient(coords, chain, ridge)
     pairs = deque(maxlen=MEMORY)
     stop_reason = "max_iter"
     iterations = 0
@@ -286,7 +299,7 @@ def minimize_path(
             stop_reason = "line_search"
             break
 
-        trial_grad = _gradient(trial, trial_chain, ridge, classical)
+        trial_grad = _gradient(trial, trial_chain, ridge)
         step, change = trial - coords, trial_grad - grad
         curvature = _inner(step, change)
         if curvature > 0.0:
@@ -302,9 +315,8 @@ def minimize_path(
 
     _log.debug("minimize_path N=%d: %d iterations, %d chain evaluations, stop: %s",
                n_steps, iterations, evaluations, stop_reason)
-    interior = chain.factors[1:-1]
-    rhos = interior @ interior.conj().swapaxes(1, 2)
-    rows = _validate_rows(np.diagonal(rhos, axis1=1, axis2=2) if classical else rhos)[0]
+    inner = chain.factors[1:-1]
+    rows = _validate_rows(inner * inner if inner.ndim == 2 else inner @ inner.conj().swapaxes(1, 2))[0]
     return PathOptimizationResult(
         kind=kind,
         states=(endpoints[0], *map(State, rows), endpoints[1]),

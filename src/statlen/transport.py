@@ -61,9 +61,12 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     log1p(r - 1) would return the same ln r; below, ln r keeps the low
     bits of r that r - 1 drops.  The form equals S + tr b - tr a, so each
     spectrum is divided by its sum rather than corrected afterwards, which
-    would bring back an O(1) cancellation.  Weights at or below
-    ``SUPPORT_FLOOR`` are zeros: a_i = 0 gives b_j, and b_j = 0 gives
-    nothing but puts P_ij a_i into the leak.
+    would bring back an O(1) cancellation.  A zero weight gives no ratio:
+    a_i = 0 gives b_j, and b_j = 0 gives nothing but puts P_ij a_i into
+    the leak.  Computed eigenvalues at or below ``SUPPORT_FLOOR`` count as
+    zeros; exact classical weights are zeros only when they are 0, and an
+    a_i below the least normal double, where b_j / a_i could overflow,
+    takes its a_i -> 0 limit b_j, off by less than 2e-305.
 
     A row that is not a state raises as validation does, naming the row:
     the tests of ``states`` run on the spectra the yields take, so no stack
@@ -81,7 +84,8 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     _state_test(lam.min(axis=1), total[:, 0])
     lam = lam / total
     a, b = (lam[:-1], lam[1:]) if rows.ndim == 2 else (lam[:-1, :, None], lam[1:, None, :])
-    live_a, live_b = a > SUPPORT_FLOOR, b > SUPPORT_FLOOR
+    floor = 0.0 if rows.ndim == 2 else SUPPORT_FLOOR
+    live_a, live_b = a > max(floor, np.finfo(float).tiny), b > floor
     r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
     terms = overlap * np.where(live_a, a * (r - 1.0 - np.log(r)), np.where(live_b, b, 0.0))
     axes = tuple(range(1, rows.ndim))

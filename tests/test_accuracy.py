@@ -9,13 +9,18 @@ output of the code it checks.
 | --- | --- | --- | --- |
 | reservoir step, probability vectors | skewed q, p = q exp(0.01 v) renormalized; d = 4, n = 10 and d = 2, n = 20 | 2.8e-12 | 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS, about 1.3e-8 |
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
+| relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
 
 The reservoir step sums exact type weights and subtracts entropies of
 size n ln d to get a result of size h**2, so its rounding is of order U
 times the sum of the magnitudes it cancels, relative to the result.
 Dropping a type weight under a floor would cost its whole mass, which no
 rounding bound covers.  The Kubo-Mori coefficient of a close pair takes
-an exact difference and one log1p, a few roundings in all.
+an exact difference and one log1p, a few roundings in all.  The relative
+entropy of two weights sums two Klein terms a (r - 1 - ln r) of size at
+most |ln 1e-15| ~ 35, each a few roundings, to a result of 16.6; a weight
+of 1e-15 is exact mass, and counting it as a zero would make it infinite.
+A subnormal weight a takes its a -> 0 limit, since b/a could overflow.
 """
 import itertools
 
@@ -25,6 +30,7 @@ import pytest
 
 from statlen import (
     kubo_mori_element,
+    relative_entropy,
     step_entropy_production,
     tangent_quantum,
     validate_density,
@@ -96,3 +102,16 @@ def test_kubo_mori_coefficient_of_close_eigenvalues(low, gap):
     exact = 2 * (mpmath.log(l1) - mpmath.log(l2)) / (l1 - l2)
     error = abs((kubo_mori_element(rho, tangent, 1.0) - exact) / exact)
     assert error <= 10 * U
+
+
+@pytest.mark.parametrize(
+    "a, b, value",
+    [([0.5, 0.5], [1.0 - 1e-15, 1e-15], 16.576), ([0.5, 0.5, 1e-320], [0.2, 0.3, 0.5], 0.714)],
+    ids=["tiny-in-b", "subnormal-in-a"],
+)
+def test_relative_entropy_keeps_an_exact_tiny_weight(a, b, value):
+    a, b = validate_distribution(a), validate_distribution(b)
+    p, q = ([mpmath.mpf(float(x)) for x in s.array] for s in (a, b))
+    exact = mpmath.fsum(x * mpmath.log(x / y) for x, y in zip(p, q))
+    assert abs(exact - value) < 1e-3
+    assert abs((relative_entropy(a, b) - exact) / exact) <= 10 * U

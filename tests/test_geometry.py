@@ -1,5 +1,6 @@
 import logging
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from statlen import (
     add_ridge,
     discrete_path_length,
     even_schedule,
+    expansion_probe,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
@@ -148,8 +150,21 @@ class TestMetricElements:
 
     def test_fisher_support_violation(self):
         p = validate_distribution([1.0, 0.0])
-        with pytest.raises(SupportViolation):
-            metric_element(p, tangent_classical([1.0, -1.0]), 0.01)
+        for element in (metric_element, kubo_mori_element):
+            with pytest.raises(SupportViolation):
+                element(p, tangent_classical([1.0, -1.0]), 0.01)
+
+    def test_fisher_counts_an_exact_tiny_weight_as_support(self):
+        # only a weight of 0 is outside the support; 1e-15 is exact mass
+        p = validate_distribution([1.0 - 1e-15, 1e-15])
+        dp = tangent_classical([1.0, -1.0])
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(1e-17) ** 2 * mpmath.fsum(1 / mpmath.mpf(float(w)) for w in p.array)
+        for element in (metric_element, kubo_mori_element):
+            assert abs((element(p, dp, 1e-17) - exact) / exact) <= 1e-15
+        # the probe keeps its full-rank rule, and says so instead of a support violation
+        with pytest.raises(RankDeficient, match="least weight"):
+            expansion_probe(p, dp, [1e-17])
 
     def test_bures_zero_direction(self):
         rho = validate_density(np.eye(2) / 2)

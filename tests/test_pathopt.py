@@ -113,6 +113,35 @@ class TestClassicalSearch:
         with pytest.raises(DimensionMismatch):
             minimize_path(p, random_distribution(4, 2), 8)
 
+    @pytest.mark.parametrize("ridge", [None, 0.3])
+    def test_search_takes_no_svd(self, monkeypatch, ridge):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a classical search took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        p, q = random_distribution(4, 7), random_distribution(4, 8)
+        result = minimize_path(p, q, 16, ridge=ridge)
+        assert result.converged
+        # the ridged search reaches the exact minimum between the ridged endpoints
+        fid = state_fidelity(*result.states[::len(result.states) - 1])
+        assert result.final_energy == pytest.approx(_exact_discrete_minimum(fid, 16), rel=1e-8)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_sign_flips_leave_energy_and_chords(self, ridge):
+        rng = np.random.default_rng(3)
+        endpoints = (random_distribution(4, 1), random_distribution(4, 2))
+        ends = pathopt._end_factors([add_ridge(s, ridge) for s in endpoints], ridge)
+        coords = rng.uniform(0.2, 1.0, (7, 4))
+        signs = rng.choice([-1.0, 1.0], coords.shape)
+        chain = pathopt._chain(coords, ends, ridge, False)
+        flipped = pathopt._chain(signs * coords, ends, ridge, False)
+        assert np.array_equal(flipped.chords, chain.chords)
+        assert flipped.energy == chain.energy
+        assert np.array_equal(
+            pathopt._gradient(signs * coords, flipped, ridge),
+            signs * pathopt._gradient(coords, chain, ridge),
+        )
+
     def test_seed_path_of_another_kind_is_refused(self):
         # a classical seed between qubit states
         seed = linear_mixture_path(random_distribution(2, 1), random_distribution(2, 2))
@@ -246,6 +275,29 @@ class TestQuantumSearch:
         with pytest.raises(RankCollapse):
             minimize_path(rho, sigma, 8, seed, ridge=0.0)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_full_rank_search_takes_one_svd_per_evaluation(self, caplog, monkeypatch, dim):
+        # the rank check reads the chords' singular values instead of its own SVD
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            result = minimize_path(random_state(dim, dim, 11), random_state(dim, dim, 12), 8, ridge=0.0)
+        _, iterations, evaluations, _ = caplog.records[0].args
+        assert result.converged and iterations == result.iterations
+        assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_rank_check_covers_the_first_and_last_interior_node(self, node):
+        ends = pathopt._end_factors((random_state(2, 2, 1), random_state(2, 2, 2)), 0.0)
+        coords = np.stack([np.eye(2)] * 3).astype(complex)
+        coords[node] = np.diag([1.0, 1e-6])
+        with pytest.raises(RankCollapse, match="iterate eigenvalue 1.000e-12 at or below"):
+            pathopt._chain(coords, ends, 0.0, check_rank=True)
+        # inside the margin of the chord test the exact check decides, and passes
+        coords[node] = np.diag([1.0, np.sqrt(2.0 * RANK_TOL)])
+        pathopt._chain(coords, ends, 0.0, check_rank=True)
+
     def test_rank_check_covers_every_evaluated_iterate(self):
         # line-search trials go through the same evaluation as accepted iterates
         ends = pathopt._end_factors((random_state(2, 2, 1), random_state(2, 2, 2)), 0.0)
@@ -323,13 +375,13 @@ def _problem(kind, dim, n_steps, ridge, seed):
 
 def _new_layout(kind, old):
     if kind == "classical":
-        return old[:, :, None] * np.eye(old.shape[1])
+        return old.copy()
     return old[:, 0] + 1j * old[:, 1]
 
 
 def _old_layout(kind, grad):
     if kind == "classical":
-        return np.diagonal(grad, axis1=1, axis2=2)
+        return grad
     return np.stack([grad.real, grad.imag], axis=1)
 
 
@@ -354,11 +406,10 @@ class TestAnalyticGradient:
     def test_gradient_matches_central_differences(self, problem, n_steps, ridge, seed):
         kind, dim = problem
         endpoints, old, chords = _problem(kind, dim, n_steps, ridge, seed)
-        classical = kind == "classical"
         ends = pathopt._end_factors(endpoints, ridge)
         coords = _new_layout(kind, old)
         chain = pathopt._chain(coords, ends, ridge, False)
-        grad = _old_layout(kind, pathopt._gradient(coords, chain, ridge, classical))
+        grad = _old_layout(kind, pathopt._gradient(coords, chain, ridge))
         oracle = np.zeros_like(old)
         flat, out = old.reshape(-1), oracle.reshape(-1)
         for c in range(flat.size):

@@ -87,7 +87,7 @@ class TestChord:
         a, b = _pair(kind, dim, ranks, seed)
         b = a if same else b
         roots = _sqrt_rows(np.stack((a.array, b.array)))
-        kernel_fid, _, chords = _uhlmann(roots[:1], roots[1:])
+        kernel_fid, _, chords, _ = _uhlmann(roots[:1], roots[1:])
         fid, chord = state_fidelity(a, b), chords[0]
         # on weights the kernel's sum sqrt(p) sqrt(q) is state_fidelity's sum sqrt(p q), rounded apart
         assert abs(kernel_fid[0] - fid) <= 16 * EPS
@@ -306,9 +306,10 @@ class TestStackedSpectral:
 def _oracle_yield(a: np.ndarray, b: np.ndarray) -> float:
     """S(a||b) of one pair, written out with its own per-pair numpy calls."""
     if a.ndim == 1:
-        if a[b <= SUPPORT_FLOOR].sum() > LEAK_TOL:
+        # exact weights: only a weight of 0 is outside the support
+        if a[b == 0.0].sum() > LEAK_TOL:
             return np.inf
-        live = (a > SUPPORT_FLOOR) & (b > SUPPORT_FLOOR)
+        live = (a > 0.0) & (b > 0.0)
         return float(np.sum(a[live] * np.log(a[live] / b[live])))
     lam_b, vec_b = np.linalg.eigh(b)
     vec_b = vec_b[:, lam_b > SUPPORT_FLOOR]

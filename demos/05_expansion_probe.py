@@ -14,8 +14,6 @@ import numpy as np
 
 from statlen import (
     expansion_probe,
-    hellinger_element,
-    metric_element,
     tangent_classical,
     tangent_quantum,
     validate_density,
@@ -38,11 +36,3 @@ print(f"{'eps':>8}  {'S/(bures/2)':>13}  {'S/(kubo-mori/2)':>16}")
 for eps, rb, rk in zip(probe.eps, probe.ratio_metric, probe.ratio_kubo_mori):
     print(f"{eps:>8.0e}  {rb:>13.9f}  {rk:>16.9f}")
 
-print("\n=== the two square-length forms for the same non-commuting step ===")
-print(f"{'eps':>8}  {'bures':>12}  {'sqrt-chord':>12}  {'ratio':>8}")
-for eps in (1e-2, 1e-3, 1e-4):
-    b = metric_element(rho, drho, eps)
-    h = hellinger_element(rho, drho, eps)
-    print(f"{eps:>8.0e}  {b:>12.6e}  {h:>12.6e}  {h / b:>8.5f}")
-print("\nthe square-root-chord form exceeds the Bures form off the commuting case;")
-print("their ratio is logged as a diagnostic and never asserted to be one")

@@ -41,15 +41,12 @@ from .states import (
     validate_distribution,
 )
 from .geometry import (
-    PathLengthReport,
     StatePath,
     TransportSchedule,
-    discrete_path_length,
     even_schedule,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
-    hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
     metric_element,
@@ -60,7 +57,6 @@ from .transport import (
     TransportReport,
     expansion_probe,
     geodesic_bound,
-    min_entropy_production,
     relative_entropy,
     run_transport,
 )
@@ -71,4 +67,18 @@ from .reservoir import (
 )
 from .pathopt import PathOptimizationResult, minimize_path
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BadRank", "DimensionCapExceeded", "DimensionMismatch", "InfiniteYield", "NotHermitian",
+    "NotNormalized", "NotPositive", "RankCollapse", "RankDeficient", "StatlenError",
+    "SupportViolation", "ValidationError",
+    "SpectralDecomposition", "State", "TangentPerturbation", "add_ridge", "entropy",
+    "random_distribution", "random_state", "spectral", "tangent_classical", "tangent_quantum",
+    "validate_density", "validate_distribution",
+    "StatePath", "TransportSchedule", "even_schedule", "geodesic_length_bures",
+    "geodesic_length_fisher", "geodesic_path", "kubo_mori_element", "linear_mixture_path",
+    "metric_element", "state_fidelity",
+    "ExpansionProbe", "TransportReport", "expansion_probe", "geodesic_bound",
+    "relative_entropy", "run_transport",
+    "ReservoirScanResult", "convergence_scan", "step_entropy_production",
+    "PathOptimizationResult", "minimize_path",
+]

@@ -38,7 +38,6 @@ from .states import (
     State,
     TangentPerturbation,
     spectral,
-    validate_density,
     _described,
     _freeze,
     _pair_kind,
@@ -109,11 +108,15 @@ def state_fidelity(a, b) -> float:
 # ---------- local metric elements ----------
 
 def _fisher_sum(p: State, dp: TangentPerturbation, eps: float) -> float:
-    """eps^2 sum dp_a^2 / p_a over the exact support p_a > 0, outside which dp must vanish."""
+    """sum (eps dp_a)^2 / p_a over the exact support p_a > 0, outside which dp must vanish.
+
+    Scaling dp by eps first keeps a subnormal p_a from overflowing a
+    quotient whose product with eps^2 is finite.
+    """
     dead = p.array == 0.0
     if np.any(dead) and float(np.max(np.abs(dp.delta[dead]))) > VALIDATION_TOL:
         raise SupportViolation("tangent is nonzero where the distribution vanishes")
-    return float(eps * eps * np.sum(dp.delta[~dead] ** 2 / p.array[~dead]))
+    return float(np.sum((eps * dp.delta[~dead]) ** 2 / p.array[~dead]))
 
 
 def _full_rank_step(rho: State, drho: TangentPerturbation, eps: float):
@@ -143,25 +146,6 @@ def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
         return _fisher_sum(state, tangent, eps)
     lam, step = _full_rank_step(state, tangent, eps)
     return float(2.0 * np.sum(np.abs(step) ** 2 / (lam[:, None] + lam[None, :])))
-
-
-def hellinger_element(rho: State, drho: TangentPerturbation, eps: float) -> float:
-    """Square-root-differencing form of the metric element, as a diagnostic.
-
-    Computes X = sqrt(rho + eps drho) - sqrt(rho) with matrix square roots
-    and returns 4 tr(X^2).  The prefactor is fixed by the commuting case,
-    where the element must reduce to the Fisher element of the eigenvalues
-    (2 tr(X^2) would come out a factor two short).  For non-commuting steps
-    this exceeds :func:`metric_element` by up to a factor two; the ratio is
-    something to report, not an identity to assert.  Density matrices only.
-    """
-    if _tangent_kind(rho, drho) != "quantum":
-        raise DimensionMismatch("the Hellinger element takes a density matrix")
-    _full_rank_step(rho, drho, eps)
-    perturbed = validate_density(rho.array + eps * drho.delta)
-    roots = _sqrt_rows(np.stack((perturbed.array, rho.array)))
-    diff = roots[0] - roots[1]
-    return float(4.0 * np.real(np.trace(diff @ diff)))
 
 
 def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
@@ -333,21 +317,6 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PathLengthReport:
-    """Per-step discrete lengths of a sampled path; their total and count are read from them."""
-
-    step_lengths: np.ndarray
-
-    @property
-    def total_length(self) -> float:
-        return float(self.step_lengths.sum())
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.step_lengths)
-
-
-@dataclass(frozen=True, eq=False)
 class TransportSchedule:
     """N steps: the N + 1 validated states as one (N + 1, d[, d]) stack, their ts, the step lengths."""
 
@@ -373,26 +342,13 @@ class TransportSchedule:
         return len(self.rows) - 1
 
 
-def _check_steps(n_steps: int, state: State | None = None) -> None:
+def _check_steps(n_steps: int, state: State) -> None:
     """Refuse N < 1, N > MAX_STEPS, and N + 1 rows like ``state`` above MAX_SCHEDULE_ENTRIES entries."""
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     _refuse_above(MAX_STEPS, "N", n_steps, "N")
-    if state is not None:
-        size = state.array.size
-        _refuse_above(MAX_SCHEDULE_ENTRIES // size - 1, f"N (of states of {size} entries)", n_steps, "N")
-
-
-def discrete_path_length(path: StatePath, n_steps: int) -> PathLengthReport:
-    """Sample the path at t = i/N and sum the Bures angles 2 arccos F of the steps.
-
-    The sum never decreases under refinement and tends to the continuum
-    length as N grows; on :func:`geodesic_path` it is 2 arccos F of the
-    endpoints at every N.  N > MAX_STEPS raises DimensionCapExceeded.
-    """
-    _check_steps(n_steps)
-    steps = _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))
-    return PathLengthReport(_freeze(steps))
+    size = state.array.size
+    _refuse_above(MAX_SCHEDULE_ENTRIES // size - 1, f"N (of states of {size} entries)", n_steps, "N")
 
 
 def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:

@@ -92,19 +92,36 @@ class PathOptimizationResult:
     ``stop_reason`` is "stall" (the energy stopped falling), "line_search"
     (no step length decreased it enough), "zero_grad" (the gradient
     vanished) or "max_iter"; only "max_iter" leaves ``converged`` False.
+    The kind, the final length and energy, and the iteration count are
+    read from the states and the history.
     """
 
-    kind: str
     states: tuple
-    final_length: float
-    final_energy: float
-    iterations: int
-    converged: bool
     stop_reason: str
     lengths: np.ndarray
     energies: np.ndarray
     step_cvs: np.ndarray
     ridge: float
+
+    @property
+    def kind(self) -> str:
+        return self.states[0].kind
+
+    @property
+    def final_length(self) -> float:
+        return float(self.lengths[-1])
+
+    @property
+    def final_energy(self) -> float:
+        return float(self.energies[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.lengths) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iter"
 
 
 class _Chain(NamedTuple):
@@ -274,7 +291,6 @@ def minimize_path(
     grad = _gradient(coords, chain, ridge)
     pairs = deque(maxlen=MEMORY)
     stop_reason = "max_iter"
-    iterations = 0
     for _ in range(max_iter):
         grad_norm_sq = _inner(grad, grad)
         if grad_norm_sq == 0.0:
@@ -305,7 +321,6 @@ def minimize_path(
         if curvature > 0.0:
             pairs.append((step, change, curvature))
         coords, chain, grad = trial, trial_chain, trial_grad
-        iterations += 1
         record(chain)
         if len(energies) > STALL_WINDOW:
             drop = energies[-1 - STALL_WINDOW] - chain.energy
@@ -314,16 +329,11 @@ def minimize_path(
                 break
 
     _log.debug("minimize_path N=%d: %d iterations, %d chain evaluations, stop: %s",
-               n_steps, iterations, evaluations, stop_reason)
+               n_steps, len(lengths) - 1, evaluations, stop_reason)
     inner = chain.factors[1:-1]
     rows = _validate_rows(inner * inner if inner.ndim == 2 else inner @ inner.conj().swapaxes(1, 2))[0]
     return PathOptimizationResult(
-        kind=kind,
         states=(endpoints[0], *map(State, rows), endpoints[1]),
-        final_length=lengths[-1],
-        final_energy=chain.energy,
-        iterations=iterations,
-        converged=stop_reason != "max_iter",
         stop_reason=stop_reason,
         lengths=_freeze(np.asarray(lengths)),
         energies=_freeze(np.asarray(energies)),

@@ -285,13 +285,20 @@ def step_entropy_production(a, b, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ReservoirScanResult:
-    """Entropy production per reservoir size, with the relative-entropy limit."""
+    """Entropy production for n = 1, 2, ... and its relative-entropy limit; n and the gaps follow."""
 
-    n_values: np.ndarray
     delta_S: np.ndarray
     reference: float
     mode: str
-    gaps: np.ndarray
+
+    @property
+    def n_values(self) -> np.ndarray:
+        return _freeze(np.arange(1, len(self.delta_S) + 1))
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """|delta_S_n - S(rho||sigma)|, all inf when the reference is."""
+        return _freeze(np.abs(self.delta_S - self.reference))
 
 
 def convergence_scan(rho, sigma, n_max: int) -> ReservoirScanResult:
@@ -304,10 +311,5 @@ def convergence_scan(rho, sigma, n_max: int) -> ReservoirScanResult:
     """
     _check_step(rho, sigma, n_max)
     mode = "classical-fast" if rho.kind == "classical" else "dense"
-    n_values = np.arange(1, n_max + 1)
-    values = np.array([step_entropy_production(rho, sigma, int(n)) for n in n_values])
-    reference = relative_entropy(rho, sigma)
-    gaps = np.abs(values - reference)   # all inf when the reference is
-    return ReservoirScanResult(
-        _freeze(n_values), _freeze(values), reference, mode, _freeze(gaps)
-    )
+    values = np.array([step_entropy_production(rho, sigma, n) for n in range(1, n_max + 1)])
+    return ReservoirScanResult(_freeze(values), relative_entropy(rho, sigma), mode)

@@ -93,13 +93,6 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     return np.where(leak > LEAK_TOL, np.inf, terms.sum(axis=axes))
 
 
-def min_entropy_production(length: float, n_steps: int) -> float:
-    """Minimum total entropy production along a path of the given length: l^2/(2N)."""
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    return length * length / (2.0 * n_steps)
-
-
 def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
     """The l^2/(2N) that N-step transport between states of fidelity F is compared with.
 
@@ -126,27 +119,48 @@ def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
 class TransportReport:
     """Entropy accounting for one executed transport schedule.
 
-    ``nu`` is the number of steps per unit path length; ``bound_path_length``
-    is l^2/(2N) for the measured length, ``bound_fidelity`` the
-    endpoint-fidelity value of :func:`geodesic_bound`, which the entropy of
-    a classical geodesic schedule approaches as N grows (and may undercut
-    at small N).
+    The fields are what was measured; the totals and bounds are read from
+    them.  ``nu`` is the number of steps per unit path length;
+    ``bound_path_length`` is l^2/(2N) for the measured length,
+    ``bound_fidelity`` the endpoint-fidelity value of :func:`geodesic_bound`,
+    which the entropy of a classical geodesic schedule approaches as N grows
+    (and may undercut at small N).
     """
 
     kind: str
-    n_steps: int
-    total_entropy: float
-    total_length: float
     step_lengths: np.ndarray
     step_yields: np.ndarray
-    nu: float
-    bound_path_length: float
-    bound_fidelity: float
     endpoint_fidelity: float
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.step_lengths)
+
+    @property
+    def total_entropy(self) -> float:
+        return float(self.step_yields.sum())
+
+    @property
+    def total_length(self) -> float:
+        return float(self.step_lengths.sum())
+
+    @property
+    def nu(self) -> float:
+        total_length = self.total_length
+        return math.inf if total_length == 0.0 else self.n_steps / total_length
+
+    @property
+    def bound_path_length(self) -> float:
+        total_length = self.total_length
+        return total_length * total_length / (2.0 * self.n_steps)
+
+    @property
+    def bound_fidelity(self) -> float:
+        return geodesic_bound(self.endpoint_fidelity, self.n_steps, self.kind)
 
 
 def run_transport(schedule: TransportSchedule) -> TransportReport:
-    """Sum the step yields of ``schedule.rows``, from one stacked call, and attach bounds.
+    """Measure the step yields of ``schedule.rows``, from one stacked call, and the end fidelity.
 
     A row that is not a state raises as validation does (:class:`ValidationError`
     for a non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
@@ -159,22 +173,9 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
-    total_length = float(schedule.step_lengths.sum())
-    nu = math.inf if total_length == 0.0 else schedule.n_steps / total_length
     ends = _validate_rows(schedule.rows[[0, -1]])[0]
     fid = state_fidelity(State(ends[0]), State(ends[1]))
-    return TransportReport(
-        kind=schedule.kind,
-        n_steps=schedule.n_steps,
-        total_entropy=float(yields.sum()),
-        total_length=total_length,
-        step_lengths=schedule.step_lengths,
-        step_yields=_freeze(yields),
-        nu=nu,
-        bound_path_length=min_entropy_production(total_length, schedule.n_steps),
-        bound_fidelity=geodesic_bound(fid, schedule.n_steps, schedule.kind),
-        endpoint_fidelity=fid,
-    )
+    return TransportReport(schedule.kind, schedule.step_lengths, _freeze(yields), fid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ output of the code it checks.
 | reservoir step, probability vectors | skewed q, p = q exp(0.01 v) renormalized; d = 4, n = 10 and d = 2, n = 20 | 2.8e-12 | 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS, about 1.3e-8 |
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
+| Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
 
 The reservoir step sums exact type weights and subtracts entropies of
 size n ln d to get a result of size h**2, so its rounding is of order U
@@ -21,6 +22,10 @@ entropy of two weights sums two Klein terms a (r - 1 - ln r) of size at
 most |ln 1e-15| ~ 35, each a few roundings, to a result of 16.6; a weight
 of 1e-15 is exact mass, and counting it as a zero would make it infinite.
 A subnormal weight a takes its a -> 0 limit, since b/a could overflow.
+The Fisher element scales dp by eps before it divides by p, so no
+quotient overflows on the way to a finite sum of about 1e286: each term
+takes a product, a square and a quotient, three roundings and four U at
+most, and the sum of three nonnegative terms two more: six U in all.
 """
 import itertools
 
@@ -30,8 +35,10 @@ import pytest
 
 from statlen import (
     kubo_mori_element,
+    metric_element,
     relative_entropy,
     step_entropy_production,
+    tangent_classical,
     tangent_quantum,
     validate_density,
     validate_distribution,
@@ -115,3 +122,17 @@ def test_relative_entropy_keeps_an_exact_tiny_weight(a, b, value):
     exact = mpmath.fsum(x * mpmath.log(x / y) for x, y in zip(p, q))
     assert abs(exact - value) < 1e-3
     assert abs((relative_entropy(a, b) - exact) / exact) <= 10 * U
+
+
+@pytest.mark.parametrize(
+    "weights, tangent",
+    [([0.5, 0.5, 1e-320], [0.0, 1.0, -1.0]), ([1.0 - 1e-15, 1e-15], [1.0, -1.0])],
+    ids=["subnormal-weight", "tiny-weight"],
+)
+@pytest.mark.parametrize("element", [metric_element, kubo_mori_element])
+def test_fisher_element_of_a_tiny_weight_stays_finite(element, weights, tangent):
+    p, dp, eps = validate_distribution(weights), tangent_classical(tangent), 1e-17
+    e = mpmath.mpf(eps)
+    exact = mpmath.fsum((e * mpmath.mpf(float(d))) ** 2 / mpmath.mpf(float(w))
+                        for d, w in zip(dp.delta, p.array))
+    assert abs((element(p, dp, eps) - exact) / exact) <= 10 * U

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
-    PathLengthReport,
     RankDeficient,
     State,
     StatePath,
@@ -16,13 +15,11 @@ from statlen import (
     TangentPerturbation,
     ValidationError,
     add_ridge,
-    discrete_path_length,
     even_schedule,
     expansion_probe,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
-    hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
     metric_element,
@@ -43,6 +40,7 @@ from statlen.geometry import (
     MAX_STEPS,
     SPREAD_TOL,
     STEP_NOISE,
+    _sampled_step_lengths,
 )
 
 P_HALF = validate_distribution([0.5, 0.5])
@@ -55,6 +53,11 @@ RHO_FULL = random_state(3, 3, 4)
 
 def _random_pair(dim, seed):
     return random_distribution(dim, seed), random_distribution(dim, seed + 1000)
+
+
+def _steps(path, n_steps):
+    """The Bures angles of the N steps between the path's states at t = i/N."""
+    return _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))
 
 
 def _haar_basis(dim, seed):
@@ -213,39 +216,6 @@ class TestMetricElements:
                 devs.append(abs(chord / metric_element(rho, drho, eps) - 1.0))
             assert devs[1] <= devs[0] / 5.0
 
-    def test_hellinger_zero_direction(self):
-        rho = validate_density(np.diag([0.6, 0.4]))
-        zero = tangent_quantum(np.zeros((2, 2)))
-        assert hellinger_element(rho, zero, 0.01) == pytest.approx(0.0, abs=1e-14)
-
-    def test_hellinger_commuting_matches_scalar_oracle(self):
-        # diagonal case reduces to 4 sum (sqrt(p + eps d) - sqrt(p))^2
-        p = np.array([0.9, 0.1])
-        d = np.array([1.0, -1.0])
-        rho = validate_density(np.diag(p))
-        drho = tangent_quantum(np.diag(d).astype(complex))
-        for eps in (1e-2, 1e-3):
-            oracle = 4.0 * np.sum((np.sqrt(p + eps * d) - np.sqrt(p)) ** 2)
-            assert hellinger_element(rho, drho, eps) == pytest.approx(oracle, rel=1e-10)
-
-    def test_hellinger_commuting_approaches_bures(self):
-        rho = validate_density(np.diag([0.9, 0.1]))
-        drho = tangent_quantum(np.diag([1.0, -1.0]).astype(complex))
-        diffs = []
-        for eps in (1e-2, 1e-3):
-            diffs.append(abs(hellinger_element(rho, drho, eps) - metric_element(rho, drho, eps)))
-        # absolute mismatch is third order in eps
-        assert diffs[0] < 1e-4
-        assert diffs[1] < diffs[0] / 100.0
-
-    def test_hellinger_noncommuting_ratio_logged_not_unity(self):
-        rho = validate_density(np.diag([0.7, 0.3]))
-        drho = tangent_quantum(
-            np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]], dtype=complex)
-        )
-        ratio = hellinger_element(rho, drho, 1e-4) / metric_element(rho, drho, 1e-4)
-        assert 1.0 - 1e-9 <= ratio <= 2.0
-
     def test_kubo_mori_zero_direction(self):
         rho = validate_density(np.diag([0.6, 0.4]))
         assert kubo_mori_element(rho, tangent_quantum(np.zeros((2, 2))), 0.01) == 0.0
@@ -273,11 +243,11 @@ class TestMetricElements:
     def test_rank_deficient_guards_all_elements(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         drho = tangent_quantum(np.diag([1.0, -1.0]).astype(complex))
-        for element in (hellinger_element, kubo_mori_element):
+        for element in (metric_element, kubo_mori_element):
             with pytest.raises(RankDeficient):
                 element(rho, drho, 0.001)
 
-    @pytest.mark.parametrize("element", [metric_element, hellinger_element, kubo_mori_element])
+    @pytest.mark.parametrize("element", [metric_element, kubo_mori_element])
     def test_tangent_of_another_kind_or_dimension_rejected(self, element):
         """Refused as a mismatch before any arithmetic, not with numpy's LinAlgError."""
         rho = validate_density(np.eye(2) / 2)
@@ -293,10 +263,6 @@ class TestMetricElements:
         ):
             with pytest.raises(DimensionMismatch):
                 element(state, tangent, 0.01)
-
-    def test_hellinger_refuses_a_probability_vector(self):
-        with pytest.raises(DimensionMismatch, match="density matrix"):
-            hellinger_element(P_HALF, tangent_classical([1.0, -1.0]), 0.01)
 
 
 class TestGeodesicLengths:
@@ -335,14 +301,14 @@ class TestPaths:
     def test_classical_geodesic_length_is_analytic(self):
         a = validate_distribution([1.0, 0.0])
         b = validate_distribution([0.0, 1.0])
-        report = discrete_path_length(geodesic_path(a, b), 10_000)
-        assert report.total_length == pytest.approx(np.pi, abs=1e-6)
+        length = _steps(geodesic_path(a, b), 10_000).sum()
+        assert length == pytest.approx(np.pi, abs=1e-6)
 
     def test_classical_geodesic_length_d3(self):
         p, q = _random_pair(3, 17)
         expected = geodesic_length_fisher(state_fidelity(p, q))
-        report = discrete_path_length(geodesic_path(p, q), 2048)
-        assert report.total_length == pytest.approx(expected, abs=1e-9)
+        length = _steps(geodesic_path(p, q), 2048).sum()
+        assert length == pytest.approx(expected, abs=1e-9)
 
     def test_commuting_geodesic_matches_classical_in_rotated_basis(self):
         basis = _haar_basis(3, 5)
@@ -352,8 +318,8 @@ class TestPaths:
         path = geodesic_path(rho, sigma)
         assert np.array_equal(path.sample([0.0])[0], rho.array)
         expected = geodesic_length_fisher(state_fidelity(p, q))
-        report = discrete_path_length(path, 256)
-        assert report.total_length == pytest.approx(expected, abs=1e-8)
+        length = _steps(path, 256).sum()
+        assert length == pytest.approx(expected, abs=1e-8)
         # the states are the classical path's states, rotated into the common basis
         ts = np.linspace(0.0, 1.0, 9)
         lifted = (basis * geodesic_path(p, q).sample(ts)[:, None, :]) @ basis.conj().T
@@ -365,8 +331,8 @@ class TestPaths:
         path = geodesic_path(rho, plus)
         assert path.kind == "quantum"
         expected = geodesic_length_fisher(state_fidelity(rho, plus))
-        report = discrete_path_length(path, 256)
-        assert report.total_length == pytest.approx(expected, abs=1e-8)
+        length = _steps(path, 256).sum()
+        assert length == pytest.approx(expected, abs=1e-8)
 
     def test_geodesic_rejects_mixed_kinds(self):
         # every caller of the one state-pair check: paths, fidelity,
@@ -400,17 +366,17 @@ class TestPaths:
     def test_mixture_is_longer_than_geodesic_d3(self):
         # strict once the simplex has more than one dimension
         p, q = _random_pair(3, 31)
-        geo = discrete_path_length(geodesic_path(p, q), 512)
-        mix = discrete_path_length(linear_mixture_path(p, q), 512)
-        assert mix.total_length > geo.total_length + 1e-6
+        geo = _steps(geodesic_path(p, q), 512).sum()
+        mix = _steps(linear_mixture_path(p, q), 512).sum()
+        assert mix > geo + 1e-6
 
     def test_mixture_degenerate_d2_matches_geodesic(self):
         # the 1-simplex has a single image between its endpoints, so the
         # mixture path cannot be longer; only its parametrization differs
         a = validate_distribution([1.0, 0.0])
         b = validate_distribution([0.0, 1.0])
-        mix = discrete_path_length(linear_mixture_path(a, b), 4096)
-        assert mix.total_length == pytest.approx(np.pi, abs=1e-9)
+        mix = _steps(linear_mixture_path(a, b), 4096).sum()
+        assert mix == pytest.approx(np.pi, abs=1e-9)
 
     def test_sample_outside_range_rejected(self):
         path = linear_mixture_path(P_HALF, P_SKEW)
@@ -523,9 +489,7 @@ class TestGeodesicPath:
     def test_orthogonal_pure_qubits_have_length_pi(self, pair):
         path = geodesic_path(_pure(pair[0]), _pure(pair[1]))
         for n in (1, 16, 64):
-            assert discrete_path_length(path, n).total_length == pytest.approx(
-                np.pi, abs=1e-10
-            )
+            assert _steps(path, n).sum() == pytest.approx(np.pi, abs=1e-10)
 
 
 def _never(ts):
@@ -540,15 +504,8 @@ class TestDiscreteLength:
         for state, per_step in ((P_HALF, 0), (RHO_FLAT, 0), (RHO_FULL, 1)):
             for build in (linear_mixture_path, geodesic_path):
                 for n in (1, 7, 32):
-                    length = discrete_path_length(build(state, state), n).total_length
+                    length = _steps(build(state, state), n).sum()
                     assert 0.0 <= length <= 1e-14 * n ** per_step
-
-    def test_n_cap(self):
-        path = StatePath(P_HALF, P_SKEW, _never)
-        with pytest.raises(DimensionCapExceeded) as err:
-            discrete_path_length(path, MAX_STEPS + 1)
-        assert err.value.max_feasible == MAX_STEPS
-        assert f"largest feasible N is {MAX_STEPS}" in str(err.value)
 
     @pytest.mark.parametrize("n_steps", [16, 256, 4096])
     def test_geodesic_length_is_twice_theta_to_roundoff(self, n_steps):
@@ -559,29 +516,20 @@ class TestDiscreteLength:
         ]
         for a, b in pairs:
             expected = geodesic_length_fisher(state_fidelity(a, b))
-            length = discrete_path_length(geodesic_path(a, b), n_steps).total_length
+            length = _steps(geodesic_path(a, b), n_steps).sum()
             assert abs(length - expected) <= 1e-13
 
     def test_report_consistency(self):
-        path = geodesic_path(P_HALF, P_SKEW)
-        report = discrete_path_length(path, 16)
-        assert report.n_steps == 16
-        assert np.all(report.step_lengths >= 0)
-        assert report.total_length == pytest.approx(report.step_lengths.sum(), abs=1e-12)
-
-    def test_report_reads_total_and_count_from_its_steps(self):
-        """A report once took both as fields and accepted any that disagreed."""
-        report = PathLengthReport(np.zeros(3))
-        assert (report.n_steps, report.total_length) == (3, 0.0)
-        with pytest.raises(TypeError):
-            PathLengthReport(1.0, np.zeros(3), 7)
+        steps = _steps(geodesic_path(P_HALF, P_SKEW), 16)
+        assert steps.shape == (16,)
+        assert np.all(steps >= 0)
 
     def test_monotone_refinement_arc(self):
         p, q = _random_pair(4, 3)
         path = linear_mixture_path(p, q)
         for n in (4, 8, 16, 32):
-            coarse = discrete_path_length(path, n).total_length
-            fine = discrete_path_length(path, 2 * n).total_length
+            coarse = _steps(path, n).sum()
+            fine = _steps(path, 2 * n).sum()
             assert fine >= coarse - 1e-9
 
     @settings(deadline=None, derandomize=True, max_examples=60)
@@ -600,7 +548,7 @@ class TestDiscreteLength:
             a, b = (random_state(dim, 1 + (r - 1) % dim, seed + k) for k, r in enumerate(ranks))
         path = geodesic_path(a, b)
         expected = geodesic_length_fisher(state_fidelity(a, b))
-        assert discrete_path_length(path, n_steps).total_length == pytest.approx(expected, abs=1e-9)
+        assert _steps(path, n_steps).sum() == pytest.approx(expected, abs=1e-9)
         assert even_schedule(path, n_steps).step_lengths.sum() == pytest.approx(expected, abs=1e-9)
 
 
@@ -612,9 +560,9 @@ class TestEvenSchedule:
     def test_n_cap(self):
         path = StatePath(P_HALF, P_SKEW, _never)
         with pytest.raises(DimensionCapExceeded) as err:
-            even_schedule(path, 65537)
-        assert err.value.max_feasible == 65536
-        assert "largest feasible N is 65536" in str(err.value)
+            even_schedule(path, MAX_STEPS + 1)
+        assert err.value.max_feasible == MAX_STEPS == 65536
+        assert f"largest feasible N is {MAX_STEPS}" in str(err.value)
 
     def test_rows_stack_cap(self):
         # (N + 1) d^2 entries: d = 64 allows N up to 2**24 // 4096 - 1, refused unsampled
@@ -636,7 +584,7 @@ class TestEvenSchedule:
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
         # oracle: each step carries 1/N of the length on a fine uniform grid
-        total = discrete_path_length(geo, 4096).total_length
+        total = _steps(geo, 4096).sum()
         assert np.allclose(steps, total / 16, rtol=2e-3)
 
     def test_single_step(self):
@@ -966,6 +914,5 @@ class TestBatchedPaths:
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_discrete_length_matches_reference(self, kind):
         path = _path_of_kind(kind, 13, 3)
-        report = discrete_path_length(path, 40)
         states = _reference_samples(kind, path, np.linspace(0.0, 1.0, 41))
-        assert np.array_equal(report.step_lengths, _reference_steps(states))
+        assert np.array_equal(_steps(path, 40), _reference_steps(states))

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
+    PathOptimizationResult,
     RankCollapse,
     RankDeficient,
     expansion_probe,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
-    hellinger_element,
     kubo_mori_element,
     linear_mixture_path,
     metric_element,
@@ -28,7 +28,7 @@ from statlen import (
 )
 from statlen import pathopt
 from statlen.geometry import RANK_TOL, StatePath
-from statlen.pathopt import AUTO_RIDGE, MAX_ITER
+from statlen.pathopt import AUTO_RIDGE, DEFAULT_MAX_ITER, MAX_ITER
 from statlen.states import add_ridge
 
 # a state kind and the dimensions its search allows
@@ -243,7 +243,7 @@ class TestQuantumSearch:
         boundary = validate_density(np.diag([1.0 - RANK_TOL, RANK_TOL]))
         assert spectral(boundary).eigenvalues[-1] == RANK_TOL
         drho = tangent_quantum(np.diag([1.0, -1.0]))
-        for element in (metric_element, hellinger_element, kubo_mori_element):
+        for element in (metric_element, kubo_mori_element):
             with pytest.raises(RankDeficient):
                 element(boundary, drho, 1e-3)
         with pytest.raises(RankDeficient):
@@ -257,6 +257,29 @@ class TestQuantumSearch:
         with pytest.raises(DimensionCapExceeded) as info:
             minimize_path(big, random_state(5, 5, 2), 8)
         assert info.value.max_feasible == 4
+
+    @pytest.mark.parametrize("max_iter", [2, DEFAULT_MAX_ITER])
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_result_reads_its_summary_from_states_and_history(self, kind, max_iter):
+        if kind == "classical":
+            a, b = random_distribution(3, 41), random_distribution(3, 42)
+        else:
+            a, b = random_state(2, 2, 41), random_state(2, 2, 42)
+        result = minimize_path(a, b, 6, max_iter=max_iter)
+        assert result.kind == result.states[0].kind == kind
+        assert result.final_length == result.lengths[-1]
+        assert result.final_energy == result.energies[-1]
+        assert result.iterations == len(result.lengths) - 1
+        assert result.converged == (result.stop_reason != "max_iter")
+        assert result.converged == (max_iter == DEFAULT_MAX_ITER)
+
+    @pytest.mark.parametrize("field", ["kind", "final_length", "final_energy", "iterations", "converged"])
+    def test_result_takes_no_derived_field(self, field):
+        """A result once took each of these as a field and accepted any that disagreed."""
+        p = validate_distribution([0.4, 0.6])
+        history = np.zeros(1)
+        with pytest.raises(TypeError):
+            PathOptimizationResult((p, p), "stall", history, history, history, 0.0, **{field: 0})
 
     def test_history_columns_align(self):
         rho = random_state(2, 2, 21)

@@ -8,7 +8,6 @@ from statlen import (
     State,
     TransportSchedule,
     add_ridge,
-    discrete_path_length,
     even_schedule,
     geodesic_path,
     kubo_mori_element,
@@ -26,7 +25,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import _angles, _uhlmann
+from statlen.geometry import _angles, _sampled_step_lengths, _uhlmann
 from statlen.states import (
     SUPPORT_FLOOR,
     _sqrt_rows,
@@ -253,7 +252,8 @@ class TestDiagonalGeodesic:
         ts = np.array(ts)
         diagonals = np.diagonal(quantum.sample(ts), axis1=1, axis2=2)
         assert np.max(np.abs(classical.sample(ts) - diagonals)) <= 1e-12
-        steps = [discrete_path_length(path, n_steps).step_lengths for path in (classical, quantum)]
+        grid = np.linspace(0, 1, n_steps + 1)
+        steps = [_sampled_step_lengths(path, grid) for path in (classical, quantum)]
         assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12
 
 

@@ -1,4 +1,4 @@
-"""Every statlen name the demos and the README tour use is public, and every demo and the tour run.
+"""The public surface of statlen is pinned; the demos and the README tour use only it, and run.
 
 A deletion from the package that would break a demo or the README's
 library tour fails here instead of silently.
@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -44,6 +45,52 @@ def _statlen_names(source: str) -> set:
         ):
             names.add(node.attr)
     return names
+
+
+PUBLIC = {
+    # exceptions
+    "BadRank", "DimensionCapExceeded", "DimensionMismatch", "InfiniteYield", "NotHermitian",
+    "NotNormalized", "NotPositive", "RankCollapse", "RankDeficient", "StatlenError",
+    "SupportViolation", "ValidationError",
+    # states
+    "SpectralDecomposition", "State", "TangentPerturbation", "add_ridge", "entropy",
+    "random_distribution", "random_state", "spectral", "tangent_classical", "tangent_quantum",
+    "validate_density", "validate_distribution",
+    # geometry
+    "StatePath", "TransportSchedule", "even_schedule", "geodesic_length_bures",
+    "geodesic_length_fisher", "geodesic_path", "kubo_mori_element", "linear_mixture_path",
+    "metric_element", "state_fidelity",
+    # transport
+    "ExpansionProbe", "TransportReport", "expansion_probe", "geodesic_bound",
+    "relative_entropy", "run_transport",
+    # reservoir
+    "ReservoirScanResult", "convergence_scan", "step_entropy_production",
+    # pathopt
+    "PathOptimizationResult", "minimize_path",
+}
+
+
+def test_all_is_exactly_the_public_surface():
+    assert isinstance(statlen.__all__, list)
+    assert len(statlen.__all__) == len(set(statlen.__all__)) == len(PUBLIC) == 45
+    assert set(statlen.__all__) == PUBLIC
+    assert not [name for name in statlen.__all__ if isinstance(getattr(statlen, name), ModuleType)]
+
+
+@pytest.mark.parametrize(
+    "name", ["discrete_path_length", "PathLengthReport", "min_entropy_production", "hellinger_element"]
+)
+def test_removed_names_have_no_alias(name):
+    for module in (statlen, statlen.geometry, statlen.transport):
+        assert not hasattr(module, name)
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from statlen import *", namespace)
+    bound = {name for name in namespace if name != "__builtins__"}
+    assert bound == PUBLIC
+    assert not [name for name in bound if isinstance(namespace[name], ModuleType)]
 
 
 def test_library_logger_has_a_null_handler():

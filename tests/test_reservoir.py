@@ -8,6 +8,7 @@ import statlen.reservoir as reservoir
 from statlen import (
     DimensionCapExceeded,
     DimensionMismatch,
+    ReservoirScanResult,
     State,
     convergence_scan,
     entropy,
@@ -385,3 +386,17 @@ class TestConvergenceScan:
     def test_lengths_match(self):
         scan = convergence_scan(P, Q, 5)
         assert scan.n_values.size == scan.delta_S.size == scan.gaps.size == 5
+
+    @pytest.mark.parametrize("pair", [(P, Q), (RHO, SIGMA)], ids=["classical", "dense"])
+    def test_scan_reads_n_and_gaps_from_its_values(self, pair):
+        scan = convergence_scan(*pair, 5)
+        assert np.array_equal(scan.n_values, np.arange(1, 6))
+        assert np.array_equal(scan.gaps, np.abs(scan.delta_S - scan.reference))
+        for n, value in zip(scan.n_values, scan.delta_S):
+            assert value == step_entropy_production(*pair, int(n))
+
+    @pytest.mark.parametrize("field", ["n_values", "gaps"])
+    def test_scan_takes_no_derived_field(self, field):
+        """A scan once took both as fields and accepted any that disagreed."""
+        with pytest.raises(TypeError):
+            ReservoirScanResult(np.zeros(2), 0.0, "classical-fast", **{field: np.zeros(2)})

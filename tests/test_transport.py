@@ -8,6 +8,7 @@ from statlen import (
     InfiniteYield,
     RankDeficient,
     State,
+    TransportReport,
     ValidationError,
     even_schedule,
     expansion_probe,
@@ -16,7 +17,6 @@ from statlen import (
     geodesic_length_fisher,
     geodesic_path,
     linear_mixture_path,
-    min_entropy_production,
     random_distribution,
     random_state,
     relative_entropy,
@@ -87,16 +87,24 @@ class TestRelativeEntropy:
             relative_entropy(P_HALF, random_state(2, 2, 0))
 
 
+def _report_of_steps(step_lengths) -> TransportReport:
+    """A classical report of the given step lengths, with zero yields and unit fidelity."""
+    steps = np.asarray(step_lengths, dtype=float)
+    return TransportReport("classical", steps, np.zeros(steps.size), 1.0)
+
+
 class TestClosedForms:
     def test_min_entropy_production_trivials(self):
-        assert min_entropy_production(0.0, 10) == 0.0
-        assert min_entropy_production(np.pi, 100) == pytest.approx(
+        # bound_path_length is l^2/(2N) of the measured length
+        assert _report_of_steps(np.zeros(10)).bound_path_length == 0.0
+        assert _report_of_steps(np.full(100, np.pi / 100)).bound_path_length == pytest.approx(
             0.049348022005446790, rel=1e-12
         )
 
     def test_min_entropy_production_halves_with_n(self):
-        value = min_entropy_production(0.7, 64)
-        assert min_entropy_production(0.7, 128) == value / 2.0
+        # one step carries the whole length 0.7, so both totals read 0.7 exactly
+        value = _report_of_steps(np.r_[0.7, np.zeros(63)]).bound_path_length
+        assert _report_of_steps(np.r_[0.7, np.zeros(127)]).bound_path_length == value / 2.0
 
     def test_geodesic_bound_trivials(self):
         assert geodesic_bound(1.0, 4, "quantum") == 0.0
@@ -110,12 +118,13 @@ class TestClosedForms:
     def test_geodesic_bound_is_min_production_at_geodesic_length(self):
         for f in np.linspace(0.0, 1.0, 11):
             for n in (1, 8, 64):
-                assert geodesic_bound(f, n, "classical") == pytest.approx(
-                    min_entropy_production(geodesic_length_fisher(f), n), abs=1e-12
-                )
-                assert geodesic_bound(f, n, "quantum") == pytest.approx(
-                    min_entropy_production(geodesic_length_bures(f), n), abs=1e-12
-                )
+                for kind, length in (
+                    ("classical", geodesic_length_fisher(f)),
+                    ("quantum", geodesic_length_bures(f)),
+                ):
+                    assert geodesic_bound(f, n, kind) == pytest.approx(
+                        length * length / (2 * n), abs=1e-12
+                    )
 
 
 class TestRunTransport:
@@ -142,6 +151,33 @@ class TestRunTransport:
         # neither bound exceeds the measured production (5% asymptotic slack)
         assert report.total_entropy >= report.bound_fidelity * (1.0 - 0.05)
         assert report.total_entropy >= report.bound_path_length * (1.0 - 0.05)
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_report_reads_totals_and_bounds_from_its_fields(self, kind):
+        if kind == "classical":
+            a, b = P_HALF, P_SKEW
+        else:
+            a, b = random_state(3, 3, 5), random_state(3, 3, 6)
+        schedule = even_schedule(linear_mixture_path(a, b), 24)
+        report = run_transport(schedule)
+        n, ell = report.n_steps, report.total_length
+        assert report.kind == schedule.kind == kind
+        assert report.step_lengths is schedule.step_lengths
+        assert n == len(report.step_lengths) == len(report.step_yields) == schedule.n_steps == 24
+        assert report.total_entropy == float(report.step_yields.sum())
+        assert ell == float(report.step_lengths.sum())
+        assert report.nu == n / ell
+        assert report.bound_path_length == ell * ell / (2 * n)
+        assert report.endpoint_fidelity == state_fidelity(a, b)
+        assert report.bound_fidelity == geodesic_bound(report.endpoint_fidelity, n, kind)
+
+    @pytest.mark.parametrize(
+        "field", ["n_steps", "total_entropy", "total_length", "nu", "bound_path_length", "bound_fidelity"]
+    )
+    def test_report_takes_no_derived_field(self, field):
+        """A report once took each of these as a field and accepted any that disagreed."""
+        with pytest.raises(TypeError):
+            TransportReport("classical", np.ones(2), np.zeros(2), 1.0, **{field: 0.0})
 
     def test_scaling_toward_minimum(self):
         path = geodesic_path(P_HALF, P_SKEW)

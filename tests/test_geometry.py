@@ -507,6 +507,17 @@ class TestDiscreteLength:
                     length = _steps(build(state, state), n).sum()
                     assert 0.0 <= length <= 1e-14 * n ** per_step
 
+    def test_n_cap(self):
+        # the discrete length is read at N = MAX_STEPS and refused one step above, unsampled
+        expected = geodesic_length_fisher(state_fidelity(P_HALF, P_SKEW))
+        steps = even_schedule(geodesic_path(P_HALF, P_SKEW), MAX_STEPS).step_lengths
+        assert steps.shape == (MAX_STEPS,)
+        assert steps.sum() == pytest.approx(expected, abs=1e-9)
+        with pytest.raises(DimensionCapExceeded) as err:
+            even_schedule(StatePath(P_HALF, P_SKEW, _never), MAX_STEPS + 1)
+        assert err.value.max_feasible == MAX_STEPS
+        assert f"largest feasible N is {MAX_STEPS}" in str(err.value)
+
     @pytest.mark.parametrize("n_steps", [16, 256, 4096])
     def test_geodesic_length_is_twice_theta_to_roundoff(self, n_steps):
         pairs = [

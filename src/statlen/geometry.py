@@ -213,17 +213,13 @@ class StatePath:
     def kind(self) -> str:
         return self.start.kind
 
-    def sample(self, ts) -> np.ndarray:
-        """Read-only (K, d) or (K, d, d) stack of the validated states at the K ``ts``."""
-        return self._rows(ts)[0]
+    def sample(self, ts):
+        """The validated states at the K ``ts`` as ``(rows, spectra)``, from ``states._validate_rows``.
 
-    def _rows(self, ts):
-        """Validated rows at ``ts``, with the endpoints' rows copied in, not sampled.
-
-        Returns ``(rows, spectra)`` as ``states._validate_rows`` gives them:
-        ``spectra`` is None on classical paths and otherwise the
+        ``rows`` is the read-only (K, d) or (K, d, d) stack, with the
+        endpoints' rows copied in, not sampled; validation leaves their bits
+        as they are.  ``spectra`` is None on classical paths and otherwise the
         ``np.linalg.eigh`` ``(eigenvalues, eigenvectors)`` of every row.
-        Validation leaves the bits of a validated endpoint as they are.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.ndim != 1:
@@ -301,19 +297,21 @@ def linear_mixture_path(a, b) -> StatePath:
 
 # ---------- discrete lengths and schedules ----------
 
-def _sampled_step_lengths(path: StatePath, ts: np.ndarray) -> np.ndarray:
-    """Step lengths between the path's states at consecutive ``ts``.
+def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
+    """The path's validated states at ``ts`` and the step lengths between consecutive ones.
 
     The states are sampled, validated and compared in stacked blocks that
     overlap by one parameter, which bounds the memory whatever len(ts) is.
+    Joined without the overlap, the rows are bit for bit ``path.sample(ts)[0]``.
     """
     block = max(1, SAMPLE_BLOCK_BYTES // path.start.array.nbytes)
-    chords = []
+    rows, chords = [], []
     for i in range(0, max(ts.size - 1, 1), block):
-        rows, spectra = path._rows(ts[i:i + block + 1])
-        roots = _sqrt_rows(rows, spectra)
+        sampled, spectra = path.sample(ts[i:i + block + 1])
+        roots = _sqrt_rows(sampled, spectra)
         chords.append(_uhlmann(roots[:-1], roots[1:])[2])
-    return _angles(np.concatenate(chords))
+        rows.append(sampled[1:] if i else sampled)
+    return _freeze(np.concatenate(rows)), _angles(np.concatenate(chords))
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,28 +362,28 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     constant speed or shorter than DEGENERATE_LENGTH keep t = i/N exactly.
     N > MAX_STEPS, or N + 1 rows of more than MAX_SCHEDULE_ENTRIES entries
     in all, raises DimensionCapExceeded before any sampling.  One
-    DEBUG record gives the passes, the stop reason and the spread, and one
-    ``path.sample`` of the kept t gives the rows.
+    DEBUG record gives the passes, the stop reason and the spread, and the
+    rows are the states the kept pass sampled and validated.
     """
     _check_steps(n_steps, path.start)
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     best, reason = (np.inf,), "pass cap"
     for passes in range(1, MAX_PASSES + 1):
-        steps = _sampled_step_lengths(path, ts)
+        rows, steps = _sampled_step_lengths(path, ts)
         total = float(steps.sum())
         if total < DEGENERATE_LENGTH:
-            best, reason = (0.0, ts, steps), "degenerate"
+            best, reason = (0.0, ts, rows, steps), "degenerate"
             break
         spread = float(np.ptp(steps)) * n_steps / total
         if spread >= best[0]:
             reason = "stall"
             break
-        best = (spread, ts, steps)
+        best = (spread, ts, rows, steps)
         if spread <= max(SPREAD_TOL, STEP_NOISE * (n_steps / total) ** 2):
             reason = "tolerance"
             break
         ts = np.interp(total * np.arange(n_steps + 1) / n_steps, np.cumsum(np.r_[0.0, steps]), ts)
         ts[0], ts[-1] = 0.0, 1.0
-    spread, ts, steps = best
+    spread, ts, rows, steps = best
     _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n_steps, passes, reason, spread)
-    return TransportSchedule(path.sample(ts), _freeze(ts), _freeze(steps))
+    return TransportSchedule(rows, _freeze(ts), _freeze(steps))

@@ -103,6 +103,11 @@ class PathOptimizationResult:
     step_cvs: np.ndarray
     ridge: float
 
+    def __post_init__(self):
+        sizes = (len(self.lengths), len(self.energies), len(self.step_cvs))
+        if len(set(sizes)) > 1:
+            raise ValueError(f"lengths, energies and step_cvs need one size, got sizes {sizes}")
+
     @property
     def kind(self) -> str:
         return self.states[0].kind
@@ -271,7 +276,7 @@ def minimize_path(
 
     endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
     ends = _end_factors(endpoints, ridge)
-    rows, spectra = seed_path._rows(np.arange(1, n_steps) / n_steps)
+    rows, spectra = seed_path.sample(np.arange(1, n_steps) / n_steps)
     coords = _sqrt_rows(rows, spectra)
 
     lengths: list[float] = []

@@ -132,6 +132,11 @@ class TransportReport:
     step_yields: np.ndarray
     endpoint_fidelity: float
 
+    def __post_init__(self):
+        n, m = len(self.step_lengths), len(self.step_yields)
+        if n != m:
+            raise ValueError(f"need one yield per step length, got {n} lengths and {m} yields")
+
     @property
     def n_steps(self) -> int:
         return len(self.step_lengths)
@@ -166,15 +171,15 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
     for a non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
     :class:`NotNormalized`, naming the row), and a consecutive pair that
     violates support raises :class:`InfiniteYield` with the step index.  The
-    fidelity is that of the validated end rows.
+    fidelity is that of the end rows as given, which the yields have just
+    state-tested; ``even_schedule`` gives them validated.
     """
     yields = _step_entropies(schedule.rows)
     broken = np.flatnonzero(np.isinf(yields))
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
-    ends = _validate_rows(schedule.rows[[0, -1]])[0]
-    fid = state_fidelity(State(ends[0]), State(ends[1]))
+    fid = state_fidelity(State(schedule.rows[0]), State(schedule.rows[-1]))
     return TransportReport(schedule.kind, schedule.step_lengths, _freeze(yields), fid)
 
 

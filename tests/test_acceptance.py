@@ -139,7 +139,7 @@ def test_criterion_06_even_spacing_optimality():
     for _ in range(100):
         interior = np.sort(rng.uniform(0.0, 1.0, 31))
         ts = np.concatenate(([0.0], interior, [1.0]))
-        states = [State(row) for row in path.sample(ts)]
+        states = [State(row) for row in path.sample(ts)[0]]
         total = sum(relative_entropy(states[i], states[i + 1]) for i in range(32))
         margin = (even - total) / even
         worst_margin = max(worst_margin, margin)

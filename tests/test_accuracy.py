@@ -11,6 +11,7 @@ output of the code it checks.
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
 | Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
+| even-schedule step, probability vectors | geodesics p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2), h = 1e-3 to 1e-7, N = 1, 8, 64 | 7.4e-9 | 2 U / c + (d + 4) U for a chord c, at most 7.1e-8 |
 
 The reservoir step sums exact type weights and subtracts entropies of
 size n ln d to get a result of size h**2, so its rounding is of order U
@@ -26,6 +27,15 @@ The Fisher element scales dp by eps before it divides by p, so no
 quotient overflows on the way to a finite sum of about 1e286: each term
 takes a product, a square and a quotient, three roundings and four U at
 most, and the sum of three nonnegative terms two more: six U in all.
+A step of an even schedule is 4 arcsin(c/2) of the chord
+c = ||sqrt(a) - sqrt(b)|| of two consecutive rows.  Each root is within
+U of its own size, and the difference of two roots within a factor of
+two is exact (Sterbenz), so the differences are off by at most
+U (sqrt(a_i) + sqrt(b_i)), a vector of 2-norm at most 2 U: 2 U / c
+relative to the chord, the cancellation.  The squares and their sum
+take d U, half of which reaches c through the root, the root and arcsin
+two U more, a difference outside Sterbenz's range one U; arcsin passes
+a small argument's relative error on unchanged, and 1/2 and 4 are exact.
 """
 import itertools
 
@@ -34,6 +44,8 @@ import numpy as np
 import pytest
 
 from statlen import (
+    even_schedule,
+    geodesic_path,
     kubo_mori_element,
     metric_element,
     relative_entropy,
@@ -136,3 +148,16 @@ def test_fisher_element_of_a_tiny_weight_stays_finite(element, weights, tangent)
     exact = mpmath.fsum((e * mpmath.mpf(float(d))) ** 2 / mpmath.mpf(float(w))
                         for d, w in zip(dp.delta, p.array))
     assert abs((element(p, dp, eps) - exact) / exact) <= 10 * U
+
+
+@pytest.mark.parametrize("n_steps", [1, 8, 64])
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_even_schedule_steps_of_a_short_geodesic(h, n_steps):
+    p, v = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, -1.0, 0.5, -0.5])
+    schedule = even_schedule(geodesic_path(validate_distribution(p), validate_distribution(p + h * v)), n_steps)
+    for a, b, step in zip(schedule.rows[:-1], schedule.rows[1:], schedule.step_lengths):
+        chord = mpmath.sqrt(mpmath.fsum(
+            (mpmath.sqrt(mpmath.mpf(float(x))) - mpmath.sqrt(mpmath.mpf(float(y)))) ** 2 for x, y in zip(a, b)
+        ))
+        exact = 4 * mpmath.asin(chord / 2)
+        assert abs((step - exact) / exact) <= 2 * U / float(chord) + (p.size + 4) * U

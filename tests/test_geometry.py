@@ -57,7 +57,7 @@ def _random_pair(dim, seed):
 
 def _steps(path, n_steps):
     """The Bures angles of the N steps between the path's states at t = i/N."""
-    return _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))
+    return _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))[1]
 
 
 def _haar_basis(dim, seed):
@@ -289,14 +289,14 @@ class TestGeodesicLengths:
 class TestPaths:
     def test_classical_geodesic_endpoints(self):
         path = geodesic_path(P_HALF, P_SKEW)
-        start, mid, end = path.sample([0.0, 0.5, 1.0])
+        start, mid, end = path.sample([0.0, 0.5, 1.0])[0]
         assert np.array_equal(start, P_HALF.array)
         assert np.array_equal(end, P_SKEW.array)
         assert abs(mid.sum() - 1.0) < 1e-12
 
     def test_classical_geodesic_constant_for_equal_endpoints(self):
         path = geodesic_path(P_HALF, P_HALF)
-        assert np.allclose(path.sample([0.37])[0], P_HALF.array)
+        assert np.allclose(path.sample([0.37])[0][0], P_HALF.array)
 
     def test_classical_geodesic_length_is_analytic(self):
         a = validate_distribution([1.0, 0.0])
@@ -316,14 +316,14 @@ class TestPaths:
         rho = validate_density((basis * p.array) @ basis.conj().T)
         sigma = validate_density((basis * q.array) @ basis.conj().T)
         path = geodesic_path(rho, sigma)
-        assert np.array_equal(path.sample([0.0])[0], rho.array)
+        assert np.array_equal(path.sample([0.0])[0][0], rho.array)
         expected = geodesic_length_fisher(state_fidelity(p, q))
         length = _steps(path, 256).sum()
         assert length == pytest.approx(expected, abs=1e-8)
         # the states are the classical path's states, rotated into the common basis
         ts = np.linspace(0.0, 1.0, 9)
-        lifted = (basis * geodesic_path(p, q).sample(ts)[:, None, :]) @ basis.conj().T
-        assert np.allclose(path.sample(ts), lifted, rtol=0.0, atol=1e-12)
+        lifted = (basis * geodesic_path(p, q).sample(ts)[0][:, None, :]) @ basis.conj().T
+        assert np.allclose(path.sample(ts)[0], lifted, rtol=0.0, atol=1e-12)
 
     def test_geodesic_joins_noncommuting_states(self):
         rho = validate_density(np.diag([0.8, 0.2]))
@@ -359,7 +359,7 @@ class TestPaths:
         a = validate_density(np.diag([1.0, 0.0]))
         b = validate_density(np.diag([0.0, 1.0]))
         path = linear_mixture_path(a, b)
-        start, mid = path.sample([0.0, 0.5])
+        start, mid = path.sample([0.0, 0.5])[0]
         assert np.array_equal(start, a.array)
         assert np.allclose(mid, np.eye(2) / 2)
 
@@ -405,7 +405,7 @@ class TestGeodesicPath:
         rho, sigma = random_state(dim, dim, seed), random_state(dim, dim, seed + 1)
         theta = np.arccos(state_fidelity(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = state_fidelity(*map(State, path.sample([s, t])))
+        f = state_fidelity(*map(State, path.sample([s, t])[0]))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
 
     @settings(deadline=None, derandomize=True, max_examples=60)
@@ -423,7 +423,7 @@ class TestGeodesicPath:
 
         rho, sigma = random_state(dim, 1, seed), random_state(dim, 1, seed + 1)
         theta = np.arccos(abs(np.vdot(vector(rho.array), vector(sigma.array))))
-        rows = geodesic_path(rho, sigma).sample([s, t])
+        rows = geodesic_path(rho, sigma).sample([s, t])[0]
         assert np.allclose(np.linalg.eigvalsh(rows)[:, -1], 1.0, rtol=0.0, atol=1e-12)
         f = abs(np.vdot(vector(rows[0]), vector(rows[1])))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-10
@@ -445,7 +445,7 @@ class TestGeodesicPath:
         sigma = random_state(dim, min(ranks[1], dim), seed + 1)
         theta = np.arccos(state_fidelity(rho, sigma))
         path = geodesic_path(rho, sigma)
-        f = state_fidelity(*map(State, path.sample([s, t])))
+        f = state_fidelity(*map(State, path.sample([s, t])[0]))
         assert abs(f - np.cos(abs(t - s) * theta)) <= 1e-7
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -453,10 +453,10 @@ class TestGeodesicPath:
     def test_diagonal_pair_samples_the_probability_pair(self, seed, dim):
         p, q = _random_pair(dim, seed)
         ts = np.linspace(0.0, 1.0, 11)
-        classical = geodesic_path(p, q).sample(ts)
+        classical = geodesic_path(p, q).sample(ts)[0]
         quantum = geodesic_path(
             validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
-        ).sample(ts)
+        ).sample(ts)[0]
         diagonal = classical[:, None, :] * np.eye(dim)
         assert np.allclose(quantum, diagonal, rtol=0.0, atol=1e-12)
 
@@ -467,10 +467,10 @@ class TestGeodesicPath:
         p = validate_distribution([0.6, 0.4, 0.0])
         q = validate_distribution([0.0, 0.3, 0.7])
         ts = np.linspace(0.0, 1.0, 11)
-        classical = geodesic_path(p, q).sample(ts)
+        classical = geodesic_path(p, q).sample(ts)[0]
         quantum = geodesic_path(
             validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
-        ).sample(ts)
+        ).sample(ts)[0]
         assert np.allclose(quantum, classical[:, None, :] * np.eye(3), rtol=0.0, atol=1e-12)
 
     def test_unit_fidelity_gives_the_constant_path(self):
@@ -478,11 +478,11 @@ class TestGeodesicPath:
         # F computes to exactly 1 here, so sin(theta) == 0
         for state in (P_SKEW, validate_density(np.diag([1.0, 0.0]))):
             raw = state.array
-            samples = geodesic_path(state, state).sample(ts)
+            samples = geodesic_path(state, state).sample(ts)[0]
             assert np.array_equal(samples, np.broadcast_to(raw, (7,) + raw.shape))
         # here F is 1 to roundoff, and the path stays on the state to roundoff
         for state in (_pure([1.0, 1j]), random_state(3, 3, 4)):
-            samples = geodesic_path(state, state).sample(ts)
+            samples = geodesic_path(state, state).sample(ts)[0]
             assert np.allclose(samples, state.array, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("pair", [([1.0, 0.0], [0.0, 1.0]), ([1.0, 1j], [1.0, -1j])])
@@ -590,7 +590,7 @@ class TestEvenSchedule:
 
     def test_skewed_parametrization_is_evened_out(self):
         geo = geodesic_path(P_HALF, P_SKEW)
-        skewed = StatePath(P_HALF, P_SKEW, lambda ts: geo.sample(ts * ts * ts))
+        skewed = StatePath(P_HALF, P_SKEW, lambda ts: geo.sample(ts * ts * ts)[0])
         schedule = even_schedule(skewed, 16)
         steps = schedule.step_lengths
         assert np.max(np.abs(steps / steps.mean() - 1.0)) < 1e-7
@@ -673,9 +673,9 @@ class TestEvenSchedule:
         [(P_HALF, P_SKEW), (random_state(2, 1, 3), random_state(2, 2, 4))],
         ids=["classical", "quantum"],
     )
-    def test_sampler_runs_once_per_pass_and_once_for_the_rows(self, caplog, start, end):
+    def test_sampler_runs_once_per_pass(self, caplog, start, end):
         # N + 1 states fit one block, so each pass samples them in one call,
-        # and the kept parameters are sampled once more for the rows
+        # and the rows are those the kept pass sampled
         mixture = linear_mixture_path(start, end)
         calls = []
 
@@ -687,8 +687,27 @@ class TestEvenSchedule:
             schedule = even_schedule(StatePath(start, end, counting), 64)
         passes = caplog.records[0].args[1]
         assert passes > 1
-        assert calls == [63] * (passes + 1)
-        assert np.array_equal(schedule.rows, mixture.sample(schedule.ts))
+        assert calls == [63] * passes
+        assert np.array_equal(schedule.rows, mixture.sample(schedule.ts)[0])
+
+    @pytest.mark.parametrize("n_steps", [8, 16, 64])
+    def test_stall_keeps_the_rows_of_the_best_pass(self, caplog, n_steps):
+        # a piecewise-constant sampler has zero steps inside each piece, so
+        # the spread stops falling and the kept pass is not the last one
+        geo = geodesic_path(P_HALF, P_SKEW)
+        calls = []
+
+        def piecewise(ts):
+            calls.append(ts.size)
+            return geo.sample(np.floor(ts * 5) / 5)[0]
+
+        path = StatePath(P_HALF, P_SKEW, piecewise)
+        with caplog.at_level(logging.DEBUG, logger="statlen"):
+            schedule = even_schedule(path, n_steps)
+        passes, reason = caplog.records[0].args[1:3]
+        assert reason == "stall"
+        assert calls == [n_steps - 1] * passes
+        assert np.array_equal(schedule.rows, path.sample(schedule.ts)[0])
 
 
 # ---------- batched sampling and schedules against the per-sample reference ----------
@@ -822,10 +841,10 @@ class TestBatchedPaths:
     def test_sample_many_rows_equal_single_samples(self, kind, seed, dim, ts):
         path = _path_of_kind(kind, seed, dim)
         ts = np.array(ts + [0.0, 1.0])
-        rows = path.sample(ts)
+        rows = path.sample(ts)[0]
         assert rows.shape[0] == ts.size
         for k, (t, expected) in enumerate(zip(ts, _reference_samples(kind, path, ts))):
-            assert np.array_equal(rows[k], path.sample([t])[0])
+            assert np.array_equal(rows[k], path.sample([t])[0][0])
             assert np.array_equal(rows[k], expected.array)
 
     @settings(deadline=None, derandomize=True, max_examples=40)
@@ -840,7 +859,7 @@ class TestBatchedPaths:
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_sample_many_pins_endpoints(self, kind):
         path = _path_of_kind(kind, 5, 3)
-        rows = path.sample([1.0, 0.0, 0.5, 0.0])
+        rows = path.sample([1.0, 0.0, 0.5, 0.0])[0]
         assert np.array_equal(rows[0], path.end.array)
         assert np.array_equal(rows[1], path.start.array)
         assert np.array_equal(rows[3], path.start.array)
@@ -856,7 +875,7 @@ class TestBatchedPaths:
     def test_kind_and_sample_types_come_from_the_endpoints(self, kind):
         path = _path_of_kind(kind, 5, 3)
         assert path.kind == ("classical" if kind.startswith("classical") else "quantum")
-        row = path.sample([0.5])
+        row = path.sample([0.5])[0]
         assert (row.shape, row.dtype) == ((1,) + path.start.array.shape, path.start.array.dtype)
         with pytest.raises(AttributeError):
             path.kind = "classical"
@@ -894,7 +913,7 @@ class TestBatchedPaths:
         # a user sampler whose rows carry roundoff gets them repaired
         raw = np.array([0.5 + 1e-12, 0.5])
         path = StatePath(P_HALF, P_SKEW, lambda ts: np.tile(raw, (ts.size, 1)))
-        assert np.array_equal(path.sample([0.5])[0], validate_distribution(raw).array)
+        assert np.array_equal(path.sample([0.5])[0][0], validate_distribution(raw).array)
 
     @settings(deadline=None, derandomize=True, max_examples=12)
     @given(

@@ -281,6 +281,11 @@ class TestQuantumSearch:
         with pytest.raises(TypeError):
             PathOptimizationResult((p, p), "stall", history, history, history, 0.0, **{field: 0})
 
+    def test_result_refuses_history_columns_of_different_sizes(self):
+        p = validate_distribution([0.4, 0.6])
+        with pytest.raises(ValueError, match=r"sizes \(3, 1, 2\)"):
+            PathOptimizationResult((p, p), "stall", np.ones(3), np.ones(1), np.ones(2), 0.0)
+
     def test_history_columns_align(self):
         rho = random_state(2, 2, 21)
         sigma = random_state(2, 2, 22)

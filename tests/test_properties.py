@@ -250,10 +250,10 @@ class TestDiagonalGeodesic:
             validate_density(np.diag(p.array)), validate_density(np.diag(q.array))
         )
         ts = np.array(ts)
-        diagonals = np.diagonal(quantum.sample(ts), axis1=1, axis2=2)
-        assert np.max(np.abs(classical.sample(ts) - diagonals)) <= 1e-12
+        diagonals = np.diagonal(quantum.sample(ts)[0], axis1=1, axis2=2)
+        assert np.max(np.abs(classical.sample(ts)[0] - diagonals)) <= 1e-12
         grid = np.linspace(0, 1, n_steps + 1)
-        steps = [_sampled_step_lengths(path, grid) for path in (classical, quantum)]
+        steps = [_sampled_step_lengths(path, grid)[1] for path in (classical, quantum)]
         assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12
 
 

@@ -179,6 +179,10 @@ class TestRunTransport:
         with pytest.raises(TypeError):
             TransportReport("classical", np.ones(2), np.zeros(2), 1.0, **{field: 0.0})
 
+    def test_report_refuses_lengths_and_yields_of_different_sizes(self):
+        with pytest.raises(ValueError, match="2 lengths and 3 yields"):
+            TransportReport("classical", np.ones(2), np.zeros(3), 1.0)
+
     def test_scaling_toward_minimum(self):
         path = geodesic_path(P_HALF, P_SKEW)
         ell = geodesic_length_fisher(state_fidelity(P_HALF, P_SKEW))
@@ -212,7 +216,7 @@ class TestRunTransport:
         for _ in range(20):
             interior = np.sort(rng.uniform(0.0, 1.0, 31))
             ts = np.concatenate(([0.0], interior, [1.0]))
-            states = [State(row) for row in path.sample(ts)]
+            states = [State(row) for row in path.sample(ts)[0]]
             total = sum(
                 relative_entropy(states[i], states[i + 1]) for i in range(32)
             )

@@ -302,16 +302,17 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
 
     The states are sampled, validated and compared in stacked blocks that
     overlap by one parameter, which bounds the memory whatever len(ts) is.
-    Joined without the overlap, the rows are bit for bit ``path.sample(ts)[0]``.
+    Written block by block into one stack, the rows are bit for bit ``path.sample(ts)[0]``.
     """
-    block = max(1, SAMPLE_BLOCK_BYTES // path.start.array.nbytes)
-    rows, chords = [], []
+    start = path.start.array
+    block = max(1, SAMPLE_BLOCK_BYTES // start.nbytes)
+    rows, chords = np.empty((ts.size,) + start.shape, float if start.ndim == 1 else complex), []
     for i in range(0, max(ts.size - 1, 1), block):
         sampled, spectra = path.sample(ts[i:i + block + 1])
         roots = _sqrt_rows(sampled, spectra)
         chords.append(_uhlmann(roots[:-1], roots[1:])[2])
-        rows.append(sampled[1:] if i else sampled)
-    return _freeze(np.concatenate(rows)), _angles(np.concatenate(chords))
+        rows[i:i + len(sampled)] = sampled
+    return _freeze(rows), _angles(np.concatenate(chords))
 
 
 @dataclass(frozen=True, eq=False)

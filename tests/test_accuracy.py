@@ -8,6 +8,7 @@ output of the code it checks.
 | kernel | input family | worst measured | bound |
 | --- | --- | --- | --- |
 | reservoir step, probability vectors | skewed q, p = q exp(0.01 v) renormalized; d = 4, n = 10 and d = 2, n = 20 | 2.8e-12 | 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS, about 1.3e-8 |
+| reservoir step and scan, probability vectors | q = (0.4, 0.3, 0.2, 0.1), p = q + h (1, -1, 1/2, -1/2), h = 1e-3, 1e-4, 1e-5; d = 4, n = 10 | 6.2e-10, 6.4e-8, 2.9e-6 | the same difference-form bound, 6.6e-8, 6.6e-6, 6.6e-4 |
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
 | Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
@@ -17,7 +18,12 @@ The reservoir step sums exact type weights and subtracts entropies of
 size n ln d to get a result of size h**2, so its rounding is of order U
 times the sum of the magnitudes it cancels, relative to the result.
 Dropping a type weight under a floor would cost its whole mass, which no
-rounding bound covers.  The Kubo-Mori coefficient of a close pair takes
+rounding bound covers.  On the close pairs p = q + h v the result shrinks
+like h**2 while the entropies it cancels do not, so the difference-form
+bound grows like 1/h**2, and the errors with it: a bound of a few hundred
+U fails on these pairs.  That cancellation is still open; the Holevo form
+dS_n = S(a||b) - S(T_n||b^(x n)), whose terms are both of size h**2,
+would remove it.  The Kubo-Mori coefficient of a close pair takes
 an exact difference and one log1p, a few roundings in all.  The relative
 entropy of two weights sums two Klein terms a (r - 1 - ln r) of size at
 most |ln 1e-15| ~ 35, each a few roundings, to a result of 16.6; a weight
@@ -44,6 +50,7 @@ import numpy as np
 import pytest
 
 from statlen import (
+    convergence_scan,
     even_schedule,
     geodesic_path,
     kubo_mori_element,
@@ -107,6 +114,18 @@ def test_reservoir_step_keeps_every_type_weight(q, v, n):
     error = abs((step_entropy_production(a, b, n) - exact) / exact)
     assert bound < 2e-8
     assert error <= bound
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5])
+def test_reservoir_step_and_scan_of_a_close_pair(h):
+    # asserts the difference-form bound 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS,
+    # which these pairs need: the cancellation of O(n ln d) entropies is not mended
+    q = np.array([0.4, 0.3, 0.2, 0.1])
+    a, b = validate_distribution(q + h * np.array([1.0, -1.0, 0.5, -0.5])), validate_distribution(q)
+    exact, cancelled = _reference_step(a.array, b.array, 10)
+    bound = float(100 * U * cancelled / exact)
+    for value in (step_entropy_production(a, b, 10), convergence_scan(a, b, 10).delta_S[-1]):
+        assert abs((value - exact) / exact) <= bound
 
 
 @pytest.mark.parametrize("gap", [5e-8, 1e-7, 1e-6, 1e-3, 0.5, 0.99])

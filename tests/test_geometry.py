@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -707,6 +708,23 @@ class TestEvenSchedule:
         passes, reason = caplog.records[0].args[1:3]
         assert reason == "stall"
         assert calls == [n_steps - 1] * passes
+        assert np.array_equal(schedule.rows, path.sample(schedule.ts)[0])
+
+    def test_blocks_fill_one_stack(self):
+        # d = 8: a block is 256 rows, so N = 1024 takes 4 blocks and N = 8192 takes 32;
+        # beyond the rows stack a pass holds one block's work, whatever the number of blocks
+        path = geodesic_path(random_state(8, 8, 1), random_state(8, 8, 2))
+        excess = {}
+        for n_steps in (1024, 8192):
+            tracemalloc.start()
+            try:
+                schedule = even_schedule(path, n_steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess[n_steps] = peak - schedule.rows.nbytes
+        assert excess[8192] < 1.25 * excess[1024]
+        assert not schedule.rows.flags.writeable
         assert np.array_equal(schedule.rows, path.sample(schedule.ts)[0])
 
 

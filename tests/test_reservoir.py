@@ -19,7 +19,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.reservoir import QUANTUM_DIM_CAP
+from statlen.reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP
 
 P = validate_distribution([0.5, 0.5])
 Q = validate_distribution([0.9, 0.1])
@@ -394,6 +394,40 @@ class TestConvergenceScan:
         assert np.array_equal(scan.gaps, np.abs(scan.delta_S - scan.reference))
         for n, value in zip(scan.n_values, scan.delta_S):
             assert value == step_entropy_production(*pair, int(n))
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        dim=st.integers(2, 6),
+        data=st.data(),
+        zero=st.sampled_from([None, "p", "q"]),
+        index=st.integers(0, 5),
+        seed=st.integers(0, 10**6),
+    )
+    def test_classical_scan_is_every_step_bit_for_bit(self, dim, data, zero, index, seed):
+        cap = max(n for n in range(1, 21) if dim ** n <= CLASSICAL_DIM_CAP)
+        n_max = data.draw(st.integers(1, min(12, cap)), label="n_max")
+        p = random_distribution(dim, seed)
+        q = random_distribution(dim, seed + 1)
+        if zero == "p":
+            p = _with_zero(p, index)
+        if zero == "q":
+            q = _with_zero(q, index)
+        scan = convergence_scan(p, q, n_max)
+        for n in range(1, n_max + 1):
+            assert scan.delta_S[n - 1] == step_entropy_production(p, q, n)
+
+    @pytest.mark.parametrize("dim, n_max", [(2, 1), (2, 20), (4, 10), (6, 7)])
+    def test_classical_scan_extends_the_types_once_per_length(self, monkeypatch, dim, n_max):
+        # per-n steps would rerun the recursion from length 1: n_max (n_max - 1) / 2 extensions
+        runs, calls = reservoir._runs, []
+
+        def counting(counts):
+            calls.append(counts.size)
+            return runs(counts)
+
+        monkeypatch.setattr(reservoir, "_runs", counting)
+        convergence_scan(random_distribution(dim, 1), random_distribution(dim, 2), n_max)
+        assert len(calls) == n_max - 1
 
     @pytest.mark.parametrize("field", ["n_values", "gaps"])
     def test_scan_takes_no_derived_field(self, field):

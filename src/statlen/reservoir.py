@@ -19,7 +19,8 @@ from its spectrum with the symmetry of the twirl reducing the work:
   V_lambda of GL(d), lambda a partition of n into at most d rows, repeated
   f_lambda times (its number of standard tableaux).  Each block is built
   in the Gelfand-Tsetlin basis over sigma's eigenbasis, so no d^n by d^n
-  matrix is ever formed.
+  matrix is ever formed.  What depends only on (d, n) is built once per
+  process; a step fills the blocks from the states and diagonalizes them.
 
 The caps and their messages are those of a dense d^n by d^n twirl for
 density matrices and of a d^n weight vector for probability vectors.  A
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -216,6 +218,33 @@ def _next_height(level, simple, size: int):
     return key // (size * size), key // size % size, key % size, total
 
 
+@cache
+def _gl_structure(d: int, n: int):
+    """What the twirl's GL(d) blocks take from (d, n) alone, built once per process, read-only.
+
+    Per Gelfand-Tsetlin pattern M: its block origin[M], place local[M], weight
+    w(M) and exponents w(M) - e_i (0 at least); the upper-triangle entries
+    (i, j, row, col, val) of every E_ij, the commutator [E_{i,i+1}, E_{i+1,j}]
+    for j > i + 1, built a height at a time as sparse products; the padded
+    block size and multiplicities.  ``QUANTUM_DIM_CAP`` bounds the keys.
+    """
+    shapes = list(_partitions(n, d))
+    pats, origin = _gt_patterns(shapes)
+    gen, src, dst, coef = _raising(pats, d)
+    sums = np.add.reduceat(pats, [_row(d, k) for k in range(d, 0, -1)], axis=1)
+    weight = np.diff(sums[:, ::-1], axis=1, prepend=0)
+    lowered = np.where(np.eye(d, dtype=bool), np.maximum(weight - 1, 0)[:, None], weight[:, None])
+    levels = [(gen, dst, src, coef)]
+    while len(levels) < d - 1:
+        levels.append(_next_height(levels[-1], levels[0], origin.size))
+    i, row, col, val = (np.concatenate(part) for part in zip(*levels))
+    j = i + np.repeat(np.arange(1, d), [level[0].size for level in levels])
+    local = np.arange(origin.size) - np.searchsorted(origin, origin)
+    size = int(local.max()) + 1
+    multiplicity = np.repeat(np.array([_standard_tableaux(shape) for shape in shapes], float), size)
+    return (*map(_freeze, (origin, weight, lowered, i, j, row, col, val, local, multiplicity)), size)
+
+
 def _block_spectrum(r: np.ndarray, s: np.ndarray, n: int):
     """Eigenvalues of the twirl T_n, one GL(d) irreducible block at a time, with multiplicities.
 
@@ -224,46 +253,26 @@ def _block_spectrum(r: np.ndarray, s: np.ndarray, n: int):
     on V_lambda in the Gelfand-Tsetlin basis is
     <M|T|M'> = (1/n) sum_ij r_ij s^(w(M) - e_i) <M|E_ij|M'>,
     w(M) the weight of M; its eigenvalues occur f_lambda times, the number
-    of standard tableaux.  The exponent of s_i is never negative where
-    E_ij is nonzero, so nothing is divided by an eigenvalue of sigma, and
-    a zero one enters through 0**0 = 1.  E_ij for j > i + 1 is the
-    commutator [E_{i,i+1}, E_{i+1,j}], built one height j - i at a time
-    as sparse products.  E_ji is the transpose of E_ij, so the lower
+    of standard tableaux.  Everything but r and s comes from
+    :func:`_gl_structure`, so a step only fills and diagonalizes its
+    blocks.  The exponent of s_i is never negative where E_ij is nonzero,
+    so nothing is divided by an eigenvalue of sigma, and a zero one enters
+    through 0**0 = 1.  E_ji is the transpose of E_ij, so the lower
     triangle of a block is the conjugate transpose of the upper one.  The
     blocks are zero-padded to one size and diagonalized as a stack; the
     padding adds zero eigenvalues, which carry no entropy.
     """
-    d = s.size
-    shapes = list(_partitions(n, d))
-    pats, origin = _gt_patterns(shapes)
-    gen, src, dst, coef = _raising(pats, d)
-    sums = np.add.reduceat(pats, [_row(d, k) for k in range(d, 0, -1)], axis=1)
-    weight = np.diff(sums[:, ::-1], axis=1, prepend=0)
-    lowered = np.where(np.eye(d, dtype=bool), np.maximum(weight - 1, 0)[:, None], weight[:, None])
+    origin, weight, lowered, i, j, row, col, val, local, multiplicity, size = _gl_structure(s.size, n)
     scale = np.multiply.reduce(s ** lowered, axis=2)     # [M, i] = s^(w(M) - e_i)
-    simple = (gen, dst, src, coef)
-    level, rows, cols, entries = simple, [], [], []
-    for h in range(1, d):
-        if h > 1:
-            level = _next_height(level, simple, origin.size)
-        i, row, col, val = level
-        rows.append(row)
-        cols.append(col)
-        entries.append(r[i, i + h] * scale[row, i] * val)
-    # block origin[M], row and column local[M] of the stack
-    local = np.arange(origin.size) - np.searchsorted(origin, origin)
-    size = local.max() + 1
-    row, col = np.concatenate(rows), np.concatenate(cols)
-    upper = np.concatenate(entries)
-    twirl = np.zeros((len(shapes), size, size), complex)
+    upper = r[i, j] * scale[row, i] * val
+    twirl = np.zeros((multiplicity.size // size, size, size), complex)
     twirl[origin[row], local[row], local[col]] = upper
     twirl[origin[row], local[col], local[row]] = upper.conj()
     twirl[origin, local, local] = (weight * scale) @ np.diagonal(r).real
     values = np.linalg.eigvalsh(twirl) / n
     # each block's eigenvalues are accurate to about size * eps of its largest one: below, zero
     values = np.where(values > size * np.finfo(float).eps * values[:, -1:], values, 0.0)
-    multiplicity = np.array([_standard_tableaux(shape) for shape in shapes], float)
-    return values.ravel(), np.repeat(multiplicity, size)
+    return values.ravel(), multiplicity
 
 
 def step_entropy_production(a, b, n: int) -> float:
@@ -310,9 +319,10 @@ def convergence_scan(rho, sigma, n_max: int) -> ReservoirScanResult:
 
     Probability-vector inputs run in "classical-fast" mode, every delta_S_n
     read from one type recursion and bit for bit its step; density matrices
-    run in "dense" mode, one step per n.  n_max is checked against the
-    step's cap before any work.  The gap sequence |delta_S_n - S(rho||sigma)|
-    is recorded as data; no convergence rate is fitted or asserted.
+    run in "dense" mode, one step per n on shared (d, n) block structures.
+    n_max is checked against the step's cap before any work.  The gap
+    sequence |delta_S_n - S(rho||sigma)| is recorded as data; no
+    convergence rate is fitted or asserted.
     """
     _check_step(rho, sigma, n_max)
     mode = "classical-fast" if rho.kind == "classical" else "dense"

@@ -171,15 +171,15 @@ def run_transport(schedule: TransportSchedule) -> TransportReport:
     for a non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
     :class:`NotNormalized`, naming the row), and a consecutive pair that
     violates support raises :class:`InfiniteYield` with the step index.  The
-    fidelity is that of the end rows as given, which the yields have just
-    state-tested; ``even_schedule`` gives them validated.
+    fidelity is that of the end rows after validation, which leaves the
+    clean rows of ``even_schedule`` bit for bit as they are.
     """
     yields = _step_entropies(schedule.rows)
     broken = np.flatnonzero(np.isinf(yields))
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
-    fid = state_fidelity(State(schedule.rows[0]), State(schedule.rows[-1]))
+    fid = state_fidelity(*map(State, _validate_rows(schedule.rows[[0, -1]])[0]))
     return TransportReport(schedule.kind, schedule.step_lengths, _freeze(yields), fid)
 
 

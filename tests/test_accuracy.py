@@ -9,6 +9,7 @@ output of the code it checks.
 | --- | --- | --- | --- |
 | reservoir step, probability vectors | skewed q, p = q exp(0.01 v) renormalized; d = 4, n = 10 and d = 2, n = 20 | 2.8e-12 | 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS, about 1.3e-8 |
 | reservoir step and scan, probability vectors | q = (0.4, 0.3, 0.2, 0.1), p = q + h (1, -1, 1/2, -1/2), h = 1e-3, 1e-4, 1e-5; d = 4, n = 10 | 6.2e-10, 6.4e-8, 2.9e-6 | the same difference-form bound, 6.6e-8, 6.6e-6, 6.6e-4 |
+| reservoir step, classical and quantum, and dense scan | q = (0.7, 0.3), p = q + h (1, -1), h = 1e-3, 1e-4, 1e-5, as vectors and as diagonal density matrices; d = 2, n = 11 | 4.8e-11, 4.1e-8, 2.5e-6 | the same difference-form bound, 6.9e-8, 6.9e-6, 6.9e-4 |
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
 | Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
@@ -23,8 +24,12 @@ like h**2 while the entropies it cancels do not, so the difference-form
 bound grows like 1/h**2, and the errors with it: a bound of a few hundred
 U fails on these pairs.  That cancellation is still open; the Holevo form
 dS_n = S(a||b) - S(T_n||b^(x n)), whose terms are both of size h**2,
-would remove it.  The Kubo-Mori coefficient of a close pair takes
-an exact difference and one log1p, a few roundings in all.  The relative
+would remove it.  The quantum step of a diagonal pair takes the same
+entropies from the eigenvalues of its GL(2) blocks, each within about
+(block size) U of the block's largest eigenvalue, at most 12 U at n = 11,
+which the difference-form bound covers.  The Kubo-Mori coefficient of a
+close pair takes an exact difference and one log1p, a few roundings in
+all.  The relative
 entropy of two weights sums two Klein terms a (r - 1 - ln r) of size at
 most |ln 1e-15| ~ 35, each a few roundings, to a result of 16.6; a weight
 of 1e-15 is exact mass, and counting it as a zero would make it infinite.
@@ -125,6 +130,24 @@ def test_reservoir_step_and_scan_of_a_close_pair(h):
     exact, cancelled = _reference_step(a.array, b.array, 10)
     bound = float(100 * U * cancelled / exact)
     for value in (step_entropy_production(a, b, 10), convergence_scan(a, b, 10).delta_S[-1]):
+        assert abs((value - exact) / exact) <= bound
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5])
+def test_reservoir_steps_of_a_close_diagonal_qubit_pair(h):
+    # the classical step, the GL(2) blocks of the same pair as diagonal density
+    # matrices, and the dense scan's last value, under the difference-form bound
+    q = np.array([0.7, 0.3])
+    a, b = validate_distribution(q + h * np.array([1.0, -1.0])), validate_distribution(q)
+    rho, sigma = validate_density(np.diag(a.array)), validate_density(np.diag(b.array))
+    exact, cancelled = _reference_step(a.array, b.array, 11)
+    bound = float(100 * U * cancelled / exact)
+    values = (
+        step_entropy_production(a, b, 11),
+        step_entropy_production(rho, sigma, 11),
+        convergence_scan(rho, sigma, 11).delta_S[-1],
+    )
+    for value in values:
         assert abs((value - exact) / exact) <= bound
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -266,6 +267,73 @@ class TestNoDenseFallback:
         assert peak < 2 * 2**20
 
 
+def _feasible_keys():
+    """Every (d, n >= 2) a density-matrix step can build a structure for under the cap."""
+    return [(d, n) for d in range(2, 17) for n in range(2, _cap_n(d) + 1)]
+
+
+def _weyl_dimension(shape) -> int:
+    """dim V_lambda = prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i), in exact integers."""
+    pairs = [(i, j) for j in range(len(shape)) for i in range(j)]
+    return math.prod(shape[i] - shape[j] + j - i for i, j in pairs) // math.prod(j - i for i, j in pairs)
+
+
+class TestStructureCache:
+    """The (d, n) structure of the GL(d) blocks is built once, kept read-only, and bounded."""
+
+    def test_every_feasible_key_fits_its_budget(self):
+        # Per key the cache keeps 8-byte entries: origin and local (one per pattern),
+        # the weight (d) and the lowered exponents (d^2) of each pattern, five entries
+        # (i, j, row, col, value) per upper-triangle element, and the padded multiplicities.
+        # A pair of patterns in one block differs in weight by e_i - e_j for at most one
+        # i < j, so the upper triangles hold at most sum_lambda C(dim V_lambda, 2) elements.
+        # With 2 KiB per key for the array headers and the cache entry, the 36 keys
+        # come to a budget of about 7.7 MB; building them all kept 3.9 MB.
+        keys = _feasible_keys()
+        budget = 0
+        for d, n in keys:
+            dims = [_weyl_dimension(shape) for shape in reservoir._partitions(n, d)]
+            entries = sum(dims) * (2 + d + d * d) + 5 * sum(k * (k - 1) // 2 for k in dims)
+            budget += 8 * (entries + len(dims) * max(dims)) + 2048
+        reservoir._gl_structure.cache_clear()
+        tracemalloc.start()
+        try:
+            for d, n in keys:
+                reservoir._gl_structure(d, n)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == reservoir._gl_structure.cache_info().currsize == 36
+        assert 7.6e6 < budget < 7.8e6
+        assert retained < budget
+
+    @pytest.mark.parametrize("dim, n", [(2, 11), (3, 6), (4, 5), (16, 2)])
+    def test_cached_arrays_are_read_only(self, dim, n):
+        structure = reservoir._gl_structure(dim, n)
+        arrays = [part for part in structure if isinstance(part, np.ndarray)]
+        assert len(arrays) == len(structure) - 1
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_patterns_are_built_once_per_key(self, monkeypatch):
+        # the per-step build once made one call per step with n >= 2: fourteen here, not seven
+        patterns, built = reservoir._gt_patterns, []
+
+        def counting(shapes):
+            built.append((len(shapes[0]), sum(shapes[0])))
+            return patterns(shapes)
+
+        monkeypatch.setattr(reservoir, "_gt_patterns", counting)
+        reservoir._gl_structure.cache_clear()
+        qubits, qutrits = _pair("full", 2, 1), _pair("pure-sigma", 3, 2)
+        for pair, n_max in ((qubits, 5), (qutrits, 4)):
+            first = convergence_scan(*pair, n_max).delta_S
+            assert convergence_scan(*pair, n_max).delta_S.tobytes() == first.tobytes()
+        assert sorted(built) == [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]
+
+
 def _twirl(rho, sigma, n):
     return _kron_loop_twirl(rho.array, sigma.array, n)
 
@@ -415,6 +483,33 @@ class TestConvergenceScan:
         scan = convergence_scan(p, q, n_max)
         for n in range(1, n_max + 1):
             assert scan.delta_S[n - 1] == step_entropy_production(p, q, n)
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(
+        kind=st.sampled_from(PAIR_KINDS),
+        dim=st.integers(2, 4),
+        data=st.data(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_dense_scan_is_every_step_bit_for_bit(self, kind, dim, data, seed):
+        # the same bits from a cold structure cache, a warm one, and steps taken in a
+        # shuffled order of n with a step of another dimension built before each
+        n_max = data.draw(st.integers(1, _cap_n(dim)), label="n_max")
+        order = data.draw(st.permutations(range(1, n_max + 1)), label="order")
+        rho, sigma = _pair(kind, dim, seed)
+        other = _pair("full", dim + 1, seed + 2)
+        reservoir._gl_structure.cache_clear()
+        cold = convergence_scan(rho, sigma, n_max).delta_S
+        warm = convergence_scan(rho, sigma, n_max).delta_S
+        assert cold.tobytes() == warm.tobytes()
+        reservoir._gl_structure.cache_clear()
+        steps = {}
+        for n in order:
+            step_entropy_production(*other, min(n, _cap_n(other[0].dim)))
+            steps[n] = step_entropy_production(rho, sigma, n)
+        for n in range(1, n_max + 1):
+            assert cold[n - 1] == steps[n]
+            assert np.float64(steps[n]).tobytes() == cold[n - 1].tobytes()
 
     @pytest.mark.parametrize("dim, n_max", [(2, 1), (2, 20), (4, 10), (6, 7)])
     def test_classical_scan_extends_the_types_once_per_length(self, monkeypatch, dim, n_max):

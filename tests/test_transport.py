@@ -345,6 +345,21 @@ class TestScheduleInvariants:
         assert report.total_length == pytest.approx(lengths.sum(), abs=1e-12)
 
     @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[1 + 1e-13, -1e-13], [0.5, 0.5]]),
+            np.array([np.diag([1 + 1e-13, -1e-13]), np.eye(2) / 2], dtype=complex),
+        ],
+        ids=["classical", "quantum"],
+    )
+    def test_end_rows_in_the_tolerated_band_are_validated(self, rows):
+        """The classical end row once reached the fidelity unrepaired: a RuntimeWarning and a nan."""
+        validate = validate_distribution if rows.ndim == 2 else validate_density
+        report = run_transport(TransportSchedule(rows, np.array([0.0, 1.0]), np.array([0.3])))
+        assert math.isfinite(report.endpoint_fidelity)
+        assert report.endpoint_fidelity == state_fidelity(validate(rows[0]), validate(rows[1]))
+
+    @pytest.mark.parametrize(
         "n_rows, n_ts, n_lengths, n_steps",
         [(6, 3, 2, 5), (3, 6, 2, 2), (3, 3, 5, 2)],
         ids=["n-steps", "ts", "step-lengths"],

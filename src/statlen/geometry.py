@@ -214,12 +214,12 @@ class StatePath:
         return self.start.kind
 
     def sample(self, ts):
-        """The validated states at the K ``ts`` as ``(rows, spectra)``, from ``states._validate_rows``.
+        """The validated states at the K ``ts`` as ``(rows, dec)``, from ``states._validate_rows``.
 
         ``rows`` is the read-only (K, d) or (K, d, d) stack, with the
         endpoints' rows copied in, not sampled; validation leaves their bits
-        as they are.  ``spectra`` is None on classical paths and otherwise the
-        ``np.linalg.eigh`` ``(eigenvalues, eigenvectors)`` of every row.
+        as they are.  ``dec`` is None on classical paths and otherwise the
+        :func:`spectral` decomposition of every row, eigenvalues descending.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.ndim != 1:
@@ -308,8 +308,8 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
     block = max(1, SAMPLE_BLOCK_BYTES // start.nbytes)
     rows, chords = np.empty((ts.size,) + start.shape, float if start.ndim == 1 else complex), []
     for i in range(0, max(ts.size - 1, 1), block):
-        sampled, spectra = path.sample(ts[i:i + block + 1])
-        roots = _sqrt_rows(sampled, spectra)
+        sampled, dec = path.sample(ts[i:i + block + 1])
+        roots = _sqrt_rows(sampled, dec)
         chords.append(_uhlmann(roots[:-1], roots[1:])[2])
         rows[i:i + len(sampled)] = sampled
     return _freeze(rows), _angles(np.concatenate(chords))

@@ -276,8 +276,7 @@ def minimize_path(
 
     endpoints = (add_ridge(start, ridge), add_ridge(end, ridge))
     ends = _end_factors(endpoints, ridge)
-    rows, spectra = seed_path.sample(np.arange(1, n_steps) / n_steps)
-    coords = _sqrt_rows(rows, spectra)
+    coords = _sqrt_rows(*seed_path.sample(np.arange(1, n_steps) / n_steps))
 
     lengths: list[float] = []
     energies: list[float] = []

@@ -15,8 +15,9 @@ one finiteness test, one Hermiticity test of matrices and one state test
 of each row's least weight or eigenvalue and its sum or trace.  The
 public validators are its one-row cases.  :func:`entropy` and the
 amplitudes of a stack also take either kind.  The matrix functions are
-built on one Hermitian eigendecomposition, taken with eigenvalues in
-descending order, and entropies are in nats throughout.
+built on one Hermitian eigendecomposition, :func:`spectral`, with
+eigenvalues in descending order: validation takes it and hands it on,
+and no other form leaves this module.  Entropies are in nats throughout.
 """
 from __future__ import annotations
 
@@ -37,10 +38,10 @@ VALIDATION_TOL = 1e-12    # type-invariant tolerance
 INPUT_SUM_TOL = 1e-9      # accepted sum/trace deviation of raw input
 SUPPORT_FLOOR = 1e-14     # eigenvalues at or below this count as exact zeros
 
-# Cleanup is skipped below these thresholds, which sit above the noise of
-# the cleanup itself; this is what makes validation idempotent bit for bit.
+# Cleanup is skipped for a sum or trace within this of one, and for a least
+# eigenvalue down to -SUPPORT_FLOOR: both sit above the noise of the cleanup
+# itself, which is what makes validation idempotent bit for bit.
 _RENORM_SKIP = 1e-13
-_PSD_SKIP = 1e-14
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -150,9 +151,10 @@ def _validate_rows(raw):
     """Validate every row of a (K, d) weight or (K, d, d) matrix stack, the kind read from the rank.
 
     Each row gets the checks and the repair it would get alone, bit for bit.
-    Returns ``(rows, eig)``: a new read-only array, and None for weights or
-    else the ``np.linalg.eigh`` of every returned matrix: the one the state
-    test took, or for a repaired matrix one taken after its repair.
+    Returns ``(rows, dec)``: a new read-only array, and None for weights or
+    else the :func:`spectral` decomposition of every returned matrix: the one
+    the state test took, or for a repaired matrix one taken after its repair,
+    which is rebuilt from the eigenpairs in ``eigh``'s ascending order.
     """
     arr = np.asarray(raw)
     rows = _real_copy(arr, "distribution") if arr.ndim == 2 else np.array(arr, np.complex128)
@@ -166,8 +168,8 @@ def _validate_rows(raw):
         sym = deviation > 0.0
         if sym.any():
             rows[sym] = 0.5 * (rows[sym] + adjoint[sym])
-        lam, vec = np.linalg.eigh(rows)
-        least, total = lam[:, 0], np.real(np.trace(rows, axis1=1, axis2=2))
+        dec = spectral(rows)
+        least, total = dec.eigenvalues[:, -1], np.real(np.trace(rows, axis1=1, axis2=2))
     _state_test(least, total)
     if rows.ndim == 2:
         clip = least < 0.0
@@ -178,15 +180,18 @@ def _validate_rows(raw):
         if renorm.any():
             rows[renorm] = rows[renorm] / total[renorm, None]
         return _freeze(rows), None
-    repair = (least < -_PSD_SKIP) | (np.abs(total - 1.0) > _RENORM_SKIP)
-    if repair.any():
-        kept = np.clip(lam[repair], 0.0, None)
-        kept = kept / kept.sum(axis=1, keepdims=True)
-        basis = vec[repair]
-        fixed = (basis * kept[:, None, :]) @ basis.conj().swapaxes(1, 2)
-        rows[repair] = 0.5 * (fixed + fixed.conj().swapaxes(1, 2))
-        lam[repair], vec[repair] = np.linalg.eigh(rows[repair])
-    return _freeze(rows), (lam, vec)
+    repair = (least < -SUPPORT_FLOOR) | (np.abs(total - 1.0) > _RENORM_SKIP)
+    if not repair.any():
+        return _freeze(rows), dec
+    kept = np.clip(dec.eigenvalues[repair, ::-1], 0.0, None)
+    kept = kept / kept.sum(axis=1, keepdims=True)
+    basis = dec.eigenvectors[repair, :, ::-1].copy()
+    fixed = (basis * kept[:, None, :]) @ basis.conj().swapaxes(1, 2)
+    rows[repair] = 0.5 * (fixed + fixed.conj().swapaxes(1, 2))
+    lam, vec = dec.eigenvalues.copy(), dec.eigenvectors.copy()
+    redone = spectral(rows[repair])
+    lam[repair], vec[repair] = redone.eigenvalues, redone.eigenvectors
+    return _freeze(rows), SpectralDecomposition(_freeze(lam), _freeze(vec))
 
 
 def validate_distribution(raw) -> State:
@@ -255,21 +260,20 @@ def spectral(rho) -> SpectralDecomposition:
     )
 
 
-def _sqrt_rows(rows: np.ndarray, eig=None) -> np.ndarray:
+def _sqrt_rows(rows: np.ndarray, dec=None) -> np.ndarray:
     """Amplitudes of a stack of states: sqrt(p) of (K, d) weights, sqrt(rho) of (K, d, d) matrices.
 
     A weight is exact, and its root is taken as it is.  An eigenvalue at or
     below ``SUPPORT_FLOOR`` counts as an exact zero, as in the entropies and
     the relative entropy, so its roundoff does not turn into an amplitude.
-    ``eig`` is the ``np.linalg.eigh`` of a matrix stack when the caller
-    has it.  The eigenpairs are taken in :func:`spectral`'s descending
-    order, which fixes the summation order of the reconstruction.
+    ``dec`` is the :func:`spectral` decomposition of a matrix stack when the
+    caller has it, as validation hands it on; its descending order fixes the
+    summation order of the reconstruction.
     """
     if rows.ndim == 2:
         return np.sqrt(rows)
-    lam, vec = np.linalg.eigh(rows) if eig is None else eig
-    vec = np.ascontiguousarray(vec[..., ::-1])
-    lam = lam[..., ::-1]
+    dec = spectral(rows) if dec is None else dec
+    lam, vec = dec.eigenvalues, dec.eigenvectors
     root = np.sqrt(np.where(lam > SUPPORT_FLOOR, lam, 0.0))
     out = (vec * root[..., None, :]) @ vec.conj().swapaxes(-1, -2)
     return 0.5 * (out + out.conj().swapaxes(-1, -2))

@@ -28,11 +28,8 @@ from .states import (
     State,
     TangentPerturbation,
     spectral,
-    _finite_test,
     _freeze,
-    _hermitian_test,
     _pair_kind,
-    _state_test,
     _validate_rows,
 )
 
@@ -44,18 +41,20 @@ def relative_entropy(a, b) -> float:
 
     The two-row case of the step-yield kernel: Klein's form of
     tr(rho ln rho - rho ln sigma), which for classical inputs is the
-    Kullback-Leibler sum.
+    Kullback-Leibler sum.  The two states are validated, and decomposed,
+    once as a stack.
     """
     _pair_kind(a, b)
-    return float(_step_entropies(np.stack((a.array, b.array)))[0])
+    return float(_step_entropies(*_validate_rows(np.stack((a.array, b.array))))[0])
 
 
-def _step_entropies(rows: np.ndarray) -> np.ndarray:
-    """S(rows[i] || rows[i+1]) of a validated (K, d) or (K, d, d) stack; +inf past ``LEAK_TOL``.
+def _step_entropies(rows: np.ndarray, dec) -> np.ndarray:
+    """S(rows[i] || rows[i+1]) of a stack and its decomposition from ``states._validate_rows``.
 
-    Klein's form sum_ij P_ij a_i (r - 1 - ln r), r = b_j / a_i, over the
-    spectra of a and b with overlaps P_ij = |<i|j>|^2 (P = I for classical
-    rows; a quantum stack takes one :func:`spectral` call).  Every term is
+    +inf past ``LEAK_TOL``.  Klein's form sum_ij P_ij a_i (r - 1 - ln r),
+    r = b_j / a_i, over the spectra of a and b with overlaps
+    P_ij = |<i|j>|^2: the weights themselves and P = I for classical rows
+    (``dec`` None), the eigenpairs of ``dec`` for matrices.  Every term is
     nonnegative, so the ~ theta^2/(2 N^2) yield of a short step is not a
     difference of O(1) traces.  r - 1 is exact for 1/2 <= r <= 2, where
     log1p(r - 1) would return the same ln r; below, ln r keeps the low
@@ -67,24 +66,14 @@ def _step_entropies(rows: np.ndarray) -> np.ndarray:
     zeros; exact classical weights are zeros only when they are 0, and an
     a_i below the least normal double, where b_j / a_i could overflow,
     takes its a_i -> 0 limit b_j, off by less than 2e-305.
-
-    A row that is not a state raises as validation does, naming the row:
-    the tests of ``states`` run on the spectra the yields take, so no stack
-    is decomposed twice; a non-finite entry is refused before them.
     """
-    _finite_test(rows, "state")
-    if rows.ndim == 2:
-        lam, overlap = rows, 1.0
+    if dec is None:
+        lam = rows / rows.sum(axis=1, keepdims=True)
+        a, b, overlap, floor = lam[:-1], lam[1:], 1.0, 0.0
     else:
-        _hermitian_test(rows)
-        dec = spectral(rows)
-        vec = dec.eigenvectors
-        lam, overlap = dec.eigenvalues, np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
-    total = lam.sum(axis=1, keepdims=True)
-    _state_test(lam.min(axis=1), total[:, 0])
-    lam = lam / total
-    a, b = (lam[:-1], lam[1:]) if rows.ndim == 2 else (lam[:-1, :, None], lam[1:, None, :])
-    floor = 0.0 if rows.ndim == 2 else SUPPORT_FLOOR
+        vec, lam = dec.eigenvectors, dec.eigenvalues / dec.eigenvalues.sum(axis=1, keepdims=True)
+        overlap = np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
+        a, b, floor = lam[:-1, :, None], lam[1:, None, :], SUPPORT_FLOOR
     live_a, live_b = a > max(floor, np.finfo(float).tiny), b > floor
     r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
     terms = overlap * np.where(live_a, a * (r - 1.0 - np.log(r)), np.where(live_b, b, 0.0))
@@ -165,21 +154,23 @@ class TransportReport:
 
 
 def run_transport(schedule: TransportSchedule) -> TransportReport:
-    """Measure the step yields of ``schedule.rows``, from one stacked call, and the end fidelity.
+    """Measure the step yields of ``schedule.rows`` and the end fidelity, from one validation.
 
-    A row that is not a state raises as validation does (:class:`ValidationError`
-    for a non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
+    The rows are validated, and decomposed, once as a stack; validation
+    leaves the clean rows of ``even_schedule`` bit for bit as they are.  A
+    row that is not a state raises there (:class:`ValidationError` for a
+    non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
     :class:`NotNormalized`, naming the row), and a consecutive pair that
     violates support raises :class:`InfiniteYield` with the step index.  The
-    fidelity is that of the end rows after validation, which leaves the
-    clean rows of ``even_schedule`` bit for bit as they are.
+    yields and the fidelity are those of the validated rows.
     """
-    yields = _step_entropies(schedule.rows)
+    rows, dec = _validate_rows(schedule.rows)
+    yields = _step_entropies(rows, dec)
     broken = np.flatnonzero(np.isinf(yields))
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
-    fid = state_fidelity(*map(State, _validate_rows(schedule.rows[[0, -1]])[0]))
+    fid = state_fidelity(State(rows[0]), State(rows[-1]))
     return TransportReport(schedule.kind, schedule.step_lengths, _freeze(yields), fid)
 
 

@@ -12,6 +12,7 @@ output of the code it checks.
 | reservoir step, classical and quantum, and dense scan | q = (0.7, 0.3), p = q + h (1, -1), h = 1e-3, 1e-4, 1e-5, as vectors and as diagonal density matrices; d = 2, n = 11 | 4.8e-11, 4.1e-8, 2.5e-6 | the same difference-form bound, 6.9e-8, 6.9e-6, 6.9e-4 |
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
+| relative entropy of a short step, probability vectors and diagonal density matrices | p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2) and p = (0.7, 0.3), v = (1, -1); h = 1e-3 to 1e-6 | 3.6e-11 | 6 U sum a abs(ln r) / S + (terms + d + 1) U, at most 5.6e-10 |
 | Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
 | even-schedule step, probability vectors | geodesics p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2), h = 1e-3 to 1e-7, N = 1, 8, 64 | 7.4e-9 | 2 U / c + (d + 4) U for a chord c, at most 7.1e-8 |
 
@@ -34,6 +35,22 @@ entropy of two weights sums two Klein terms a (r - 1 - ln r) of size at
 most |ln 1e-15| ~ 35, each a few roundings, to a result of 16.6; a weight
 of 1e-15 is exact mass, and counting it as a zero would make it infinite.
 A subnormal weight a takes its a -> 0 limit, since b/a could overflow.
+On a short step p -> p + h v the yield S ~ h**2 is a sum of Klein terms
+a (r - 1 - ln r) with r = b/a near one.  Each weight is divided by its
+row's sum and b by a, three roundings that move r by 3 U r; the sums'
+own rounding is a factor common to a row, which moves S only at second
+order, since sum a (r - 1) = 0.  A term moves by a |r - 1| per unit of
+relative change in r, and |r - 1| <= 1.01 |ln r| here, where
+|r - 1| <= 1/100; the log takes at most 2 U |ln r|.  r - 1 is exact for
+1/2 <= r <= 2, so there is no cancellation to add: under
+6 U sum a |ln r| in all, about 6 U h sum |v| against S ~ h**2, the eps/h
+loss of this form.  Relative to S, the rounding of a's row sum, a
+common factor, takes (d - 1) U, the division by it, the difference and
+the product by a one U each, and the sum of the nonnegative terms
+(terms - 1) U: (terms + d + 1) U.  A diagonal density matrix takes the
+same terms: eigh splits it into 1 x 1 blocks, so its eigenvalues are the
+diagonal and its overlaps 0 or 1, both exactly (asserted), and d**2
+terms are summed.
 The Fisher element scales dp by eps before it divides by p, so no
 quotient overflows on the way to a finite sum of about 1e286: each term
 takes a product, a square and a quotient, three roundings and four U at
@@ -61,6 +78,7 @@ from statlen import (
     kubo_mori_element,
     metric_element,
     relative_entropy,
+    spectral,
     step_entropy_production,
     tangent_classical,
     tangent_quantum,
@@ -176,6 +194,27 @@ def test_relative_entropy_keeps_an_exact_tiny_weight(a, b, value):
     exact = mpmath.fsum(x * mpmath.log(x / y) for x, y in zip(p, q))
     assert abs(exact - value) < 1e-3
     assert abs((relative_entropy(a, b) - exact) / exact) <= 10 * U
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize(
+    "p, v", [((0.1, 0.2, 0.3, 0.4), (1.0, -1.0, 0.5, -0.5)), ((0.7, 0.3), (1.0, -1.0))], ids=["d4", "d2"]
+)
+def test_relative_entropy_of_a_short_step(p, v, h):
+    p, v = np.array(p), np.array(v)
+    a, b = validate_distribution(p), validate_distribution(p + h * v)
+    x, y = ([mpmath.mpf(float(w)) for w in s.array] for s in (a, b))
+    x, y = ([w / mpmath.fsum(row) for w in row] for row in (x, y))
+    exact = mpmath.fsum(s * mpmath.log(s / t) for s, t in zip(x, y))
+    spread = mpmath.fsum(s * abs(mpmath.log(t / s)) for s, t in zip(x, y))
+    rho, sigma = validate_density(np.diag(a.array)), validate_density(np.diag(b.array))
+    for state in (rho, sigma):
+        dec = spectral(state)
+        assert np.array_equal(dec.eigenvalues, np.sort(np.diag(state.array).real)[::-1])
+        assert set(np.abs(dec.eigenvectors).ravel()) <= {0.0, 1.0}
+    for value, terms in ((relative_entropy(a, b), p.size), (relative_entropy(rho, sigma), p.size ** 2)):
+        bound = float((6 * U * spread + (terms + p.size + 1) * U * exact) / exact)
+        assert abs((value - exact) / exact) <= bound
 
 
 @pytest.mark.parametrize(

@@ -99,8 +99,8 @@ class TestChord:
 
 
 class TestValidatedRows:
-    """The row validator: a no-op on its own output, and the spectra it
-    hands on are the ``eigh`` of the matrices it returns."""
+    """The row validator: a no-op on its own output, and the decomposition it
+    hands on is the :func:`spectral` of the matrices it returns."""
 
     @settings(deadline=None, derandomize=True, max_examples=120)
     @given(
@@ -119,18 +119,17 @@ class TestValidatedRows:
             # zero weights and eigenvalues go below zero and the sum or trace
             # leaves one, both by more than validation lets pass unrepaired
             raw = raw - 1e-13 * (1.0 if kind == "classical" else np.eye(dim))
-        once, eig = _validate_rows(raw)
-        twice, eig_again = _validate_rows(once)
+        once, dec = _validate_rows(raw)
+        twice, dec_again = _validate_rows(once)
         assert np.array_equal(twice, once)
         if kind == "classical":
-            assert eig is None and eig_again is None
+            assert dec is None and dec_again is None
             return
-        (lam, vec), (lam_again, vec_again) = eig, eig_again
         for k, mat in enumerate(once):
-            eig = np.linalg.eigh(mat)
-            for values, vectors in ((lam, vec), (lam_again, vec_again)):
-                assert np.array_equal(values[k], eig[0])
-                assert np.array_equal(vectors[k], eig[1])
+            alone = spectral(mat)
+            for handed in (dec, dec_again):
+                assert np.array_equal(handed.eigenvalues[k], alone.eigenvalues)
+                assert np.array_equal(handed.eigenvectors[k], alone.eigenvectors)
 
 
 class TestRelativeEntropy:

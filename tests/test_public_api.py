@@ -19,6 +19,7 @@ import statlen
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = DEMOS + [ROOT / "README.md"]
+PACKAGE = sorted((ROOT / "src" / "statlen").glob("*.py"))
 
 
 def _python_of(path: Path) -> str:
@@ -112,7 +113,7 @@ def test_names_used_are_in_all(path):
     assert not missing, f"{path.name} uses names outside statlen.__all__: {missing}"
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "statlen").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_reads_no_environment(path):
     """Every setting of the package is a constant or an argument; no caps move with the environment."""
     reads = [
@@ -124,6 +125,44 @@ def test_package_reads_no_environment(path):
             and {a.name for a in node.names} & {"environ", "getenv"})
     ]
     assert not reads, f"{path.name} reads the environment on lines {reads}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_keeps_no_unused_import(path):
+    """An imported name is read in the module or re-exported through ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    unused = sorted((line, name) for name, line in imported.items() if name not in used | exported)
+    assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def test_eigh_is_taken_in_two_places():
+    """``states.spectral`` is the one eigendecomposition of states: validation takes
+    it and hands it to the amplitudes and the yields, so no other form of it leaves
+    ``states``.  The reservoir step diagonalizes sigma on its own, because eigh's
+    ascending order fixes the Gelfand-Tsetlin basis its blocks are built in; a
+    descending sigma moves the last bits of reservoir records."""
+    places = set()
+    for path in PACKAGE:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "eigh"
+                        or isinstance(node, ast.Name) and node.id == "eigh"
+                        or isinstance(node, ast.alias) and node.name == "eigh"):
+                    places.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert places == {"states.spectral", "reservoir.step_entropy_production"}
 
 
 def _run_python(*args) -> subprocess.CompletedProcess:

@@ -23,8 +23,8 @@ from statlen import (
 )
 from statlen.states import (
     INPUT_SUM_TOL,
+    SUPPORT_FLOOR,
     VALIDATION_TOL,
-    _PSD_SKIP,
     _RENORM_SKIP,
     _sqrt_rows,
     _validate_rows,
@@ -322,7 +322,7 @@ def _reference_density(raw) -> np.ndarray:
     trace = float(np.real(np.trace(mat)))
     if abs(trace - 1.0) > INPUT_SUM_TOL:
         raise NotNormalized(trace)
-    if lam_min < -_PSD_SKIP or abs(trace - 1.0) > _RENORM_SKIP:
+    if lam_min < -SUPPORT_FLOOR or abs(trace - 1.0) > _RENORM_SKIP:
         lam = np.clip(lam, 0.0, None)
         lam = lam / lam.sum()
         mat = (vec * lam) @ vec.conj().T

@@ -222,6 +222,25 @@ class TestRunTransport:
             )
             assert even <= total * (1.0 + 1e-3)
 
+    def test_each_row_is_decomposed_once(self, monkeypatch):
+        """The 17 rows of 16 steps, validated once for the yields, then the 2 end rows
+        for the fidelity: 19 rows through eigh, where validating the end rows again
+        made 21."""
+        eigh, rows_seen = np.linalg.eigh, []
+
+        def counted(mats, *args, **kwargs):
+            rows_seen.append(1 if np.ndim(mats) == 2 else len(mats))
+            return eigh(mats, *args, **kwargs)
+
+        rho, sigma = random_state(3, 3, 5), random_state(3, 3, 6)
+        schedule = even_schedule(geodesic_path(rho, sigma), 16)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_transport(schedule)
+        assert sum(rows_seen) == 19
+        rows_seen.clear()
+        relative_entropy(rho, sigma)
+        assert sum(rows_seen) == 2
+
     def test_diagonal_quantum_transport_matches_classical(self):
         # both kinds measure steps by the Bures angle, so the schedules agree step by step
         pairs = [(P_HALF, P_SKEW)] + [
@@ -356,8 +375,11 @@ class TestScheduleInvariants:
         """The classical end row once reached the fidelity unrepaired: a RuntimeWarning and a nan."""
         validate = validate_distribution if rows.ndim == 2 else validate_density
         report = run_transport(TransportSchedule(rows, np.array([0.0, 1.0]), np.array([0.3])))
+        a, b = validate(rows[0]), validate(rows[1])
         assert math.isfinite(report.endpoint_fidelity)
-        assert report.endpoint_fidelity == state_fidelity(validate(rows[0]), validate(rows[1]))
+        assert report.endpoint_fidelity == state_fidelity(a, b)
+        # the yields are taken from the same validated rows
+        assert report.step_yields[0] == relative_entropy(a, b)
 
     @pytest.mark.parametrize(
         "n_rows, n_ts, n_lengths, n_steps",

@@ -77,12 +77,12 @@ def _uhlmann(a: np.ndarray, b: np.ndarray):
     are None.
     """
     if a.ndim == 2:
-        fid = np.minimum(1.0, np.sum(a * b, axis=-1))
-        return fid, None, np.sqrt(np.sum((a - b) ** 2, axis=-1)), None
+        fid = np.minimum(1.0, (a * b).sum(axis=-1))
+        return fid, None, np.sqrt(((a - b) ** 2).sum(axis=-1)), None
     w, singular, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
     polar = w @ vh
-    chords = np.sqrt(np.sum(np.abs(a @ polar - b) ** 2, axis=(-2, -1)))
-    return np.minimum(1.0, np.sum(singular, axis=-1)), polar, chords, singular
+    chords = np.sqrt((np.abs(a @ polar - b) ** 2).sum(axis=(-2, -1)))
+    return np.minimum(1.0, singular.sum(axis=-1)), polar, chords, singular
 
 
 def _angles(chords: np.ndarray) -> np.ndarray:

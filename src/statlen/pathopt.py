@@ -87,8 +87,9 @@ class PathOptimizationResult:
 
     ``lengths``, ``energies`` and ``step_cvs`` hold one entry per accepted
     iterate, starting from the seed; a length sums the Bures angles
-    2 arccos F of the steps, and ``step_cvs`` is the coefficient of
-    variation of those angles (zero means perfectly even steps).
+    2 arccos F of the steps, and ``step_cvs`` is the population standard
+    deviation (ddof 0) of those angles over their mean, or 0 when the mean
+    is 0 (a cv of zero means perfectly even steps).
     ``stop_reason`` is "stall" (the energy stopped falling), "line_search"
     (no step length decreased it enough), "zero_grad" (the gradient
     vanished) or "max_iter"; only "max_iter" leaves ``converged`` False.
@@ -158,8 +159,8 @@ def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool)
     interior factors decomposed on their own.
     """
     dim = coords.shape[1]
-    norms = np.sqrt(np.sum(np.abs(coords) ** 2, axis=tuple(range(1, coords.ndim)), keepdims=True))
-    if not np.all(norms > 0.0):
+    norms = np.sqrt((np.abs(coords) ** 2).sum(axis=tuple(range(1, coords.ndim)), keepdims=True))
+    if not (norms > 0.0).all():
         raise RankCollapse("iterate collapsed to zero")
     unit = coords / norms
     if coords.ndim == 2:
@@ -173,13 +174,13 @@ def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool)
         inner = unit
     factors = np.concatenate([ends[:1], inner, ends[1:]])
     _, polar, chords, singular = _uhlmann(factors[:-1], factors[1:])
-    if check_rank and not np.all(singular[1:, -1] ** 2 > 4.0 * RANK_TOL):
+    if check_rank and not (singular[1:, -1] ** 2 > 4.0 * RANK_TOL).all():
         smallest = float(np.min(np.linalg.svd(unit, compute_uv=False)[:, -1])) ** 2
         if smallest <= RANK_TOL:
             raise RankCollapse(
                 f"iterate eigenvalue {smallest:.3e} at or below {RANK_TOL} with the ridge disabled"
             )
-    return _Chain(factors, norms, chords, polar, float(4.0 * np.sum(chords ** 2)))
+    return _Chain(factors, norms, chords, polar, float(4.0 * (chords ** 2).sum()))
 
 
 def _gradient(coords: np.ndarray, chain: _Chain, ridge: float) -> np.ndarray:
@@ -197,12 +198,20 @@ def _gradient(coords: np.ndarray, chain: _Chain, ridge: float) -> np.ndarray:
             factors[:-2] @ polar[:-1] + factors[2:] @ polar[1:].conj().swapaxes(1, 2)
         )
         grad = grad[:, :, :coords.shape[1]] / np.sqrt(1.0 + ridge)
-    radial = np.sum(np.real(unit.conj() * grad), axis=tuple(range(1, coords.ndim)), keepdims=True)
+    radial = (unit.conj() * grad).real.sum(axis=tuple(range(1, coords.ndim)), keepdims=True)
     return (grad - radial * unit) / chain.norms
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
+    return float(np.vdot(a, b).real)
+
+
+def _length_and_cv(steps: np.ndarray) -> tuple:
+    """``steps.sum()`` and ``steps.std() / steps.mean()`` (0 at mean 0), by the same reductions."""
+    total = steps.sum()
+    mean = total / steps.size
+    spread = np.sqrt(((steps - mean) ** 2).sum() / steps.size)
+    return float(total), float(spread / mean) if mean > 0.0 else 0.0
 
 
 def _direction(grad: np.ndarray, pairs) -> np.ndarray:
@@ -278,16 +287,10 @@ def minimize_path(
     ends = _end_factors(endpoints, ridge)
     coords = _sqrt_rows(*seed_path.sample(np.arange(1, n_steps) / n_steps))
 
-    lengths: list[float] = []
-    energies: list[float] = []
-    step_cvs: list[float] = []
+    history = []   # (length, step cv, energy) of each accepted iterate
 
     def record(chain):
-        steps = _angles(chain.chords)
-        mean = float(steps.mean())
-        lengths.append(float(steps.sum()))
-        energies.append(chain.energy)
-        step_cvs.append(float(steps.std() / mean) if mean > 0.0 else 0.0)
+        history.append((*_length_and_cv(_angles(chain.chords)), chain.energy))
 
     chain = _chain(coords, ends, ridge, check_rank)
     evaluations = 1
@@ -326,21 +329,20 @@ def minimize_path(
             pairs.append((step, change, curvature))
         coords, chain, grad = trial, trial_chain, trial_grad
         record(chain)
-        if len(energies) > STALL_WINDOW:
-            drop = energies[-1 - STALL_WINDOW] - chain.energy
+        if len(history) > STALL_WINDOW:
+            drop = history[-1 - STALL_WINDOW][2] - chain.energy
             if drop < ENERGY_TOL * max(chain.energy, 1e-300):
                 stop_reason = "stall"
                 break
 
     _log.debug("minimize_path N=%d: %d iterations, %d chain evaluations, stop: %s",
-               n_steps, len(lengths) - 1, evaluations, stop_reason)
+               n_steps, len(history) - 1, evaluations, stop_reason)
     inner = chain.factors[1:-1]
     rows = _validate_rows(inner * inner if inner.ndim == 2 else inner @ inner.conj().swapaxes(1, 2))[0]
+    lengths, step_cvs, energies = (_freeze(np.array(column)) for column in zip(*history))
     return PathOptimizationResult(
         states=(endpoints[0], *map(State, rows), endpoints[1]),
         stop_reason=stop_reason,
-        lengths=_freeze(np.asarray(lengths)),
-        energies=_freeze(np.asarray(energies)),
-        step_cvs=_freeze(np.asarray(step_cvs)),
-        ridge=ridge,
+        lengths=lengths, energies=energies, step_cvs=step_cvs,
+        ridge=float(ridge),
     )

@@ -284,6 +284,9 @@ def step_entropy_production(a, b, n: int) -> float:
     from its GL(d) blocks, each eigenvalue under the rounding level of its
     block counting as zero; a single slot holds a itself, and a
     one-dimensional state has no entropy, so either gives exactly 0.
+    A twirled slot's marginal is (1/n) a + (1 - 1/n) b.  On vectors a = b (1 + h x), E_b[x] = 0:
+    Delta S_n = (1 - 1/n) h^2 E[x^2]/2 - (1 - 1/n^2) h^3 E[x^3]/6 + O(h^4), whose n -> infinity
+    limit is S(a||b) = h^2 E[x^2]/2 - h^3 E[x^3]/6 + O(h^4).
     """
     _check_step(a, b, n)
     if a.kind == "classical":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -495,6 +496,45 @@ class TestGeodesicCommand:
         assert "max_iter 1000000000000 exceeds cap 100000; largest feasible max_iter is 100000" in (
             capsys.readouterr().err
         )
+
+    def test_integer_ridge_is_reported_as_a_float(self, tmp_path):
+        records = []
+        for name, ridge in (("int", 0), ("float", 0.0)):
+            config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8, "ridge": ridge}
+            code, out = _run(tmp_path, "geodesic", config, name=name, extra_args=("--format", "json"))
+            assert code == EXIT_OK
+            records.append(json.loads(out.read_text())["results"])
+        assert records[0] == records[1]
+        assert json.dumps(records[0], sort_keys=True) == json.dumps(records[1], sort_keys=True)
+        assert '"ridge": 0.0' in json.dumps(records[0])
+
+    # SHA-256 of the CSV record and of its history, taken with numpy 2.4.6 before the
+    # search loop's reductions were unwrapped: every change to the optimizer must keep
+    # its floating-point operations, and so these bytes.  Another numpy or BLAS build
+    # may round differently; retake them there from a commit known to be good.
+    PINNED_SEARCHES = {
+        "classical-d3-N16": (
+            {"state_a": {"kind": "classical", "weights": [0.6, 0.3, 0.1]},
+             "state_b": {"kind": "classical", "weights": [0.1, 0.2, 0.7]}, "N": 16},
+            "f2da87363868eb3cb70a14165a1208ae7ff7a0d34afd67888ca611ebd674e098",
+            "7f3ea4eff78e371111f19d9adefeba25324e90ce655df261180a2da374c8c902",
+        ),
+        "qubit-N8": (
+            {"state_a": QUBIT_A, "state_b": QUBIT_B, "N": 8},
+            "ab7b0d2ec585a3fbf75a3ae9df1dbfac064dc7913a5e003afcf366d60238cabe",
+            "aeae47ca4796a9f20f1b65ed3c0d36a79cd115cdde69cd8a453c0cba97a94f7f",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PINNED_SEARCHES)
+    def test_search_record_and_history_bytes_are_pinned(self, tmp_path, monkeypatch, case):
+        config, record_sha, history_sha = self.PINNED_SEARCHES[case]
+        monkeypatch.chdir(tmp_path)   # relative paths keep the config hash free of tmp_path
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["geodesic", "--config", "run.json", "--out", "run.csv"]) == EXIT_OK
+        digests = [hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                   for name in ("run.csv", "run.csv.history.csv")]
+        assert digests == [record_sha, history_sha]
 
 
 def _csv_table(path) -> list:

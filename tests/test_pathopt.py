@@ -154,6 +154,23 @@ class TestClassicalSearch:
             minimize_path(random_state(3, 3, 1), random_state(3, 3, 2), 4, seed)
 
 
+class TestHistoryRow:
+    """The history's length and cv of an iterate are the ndarray methods' values, bit for bit."""
+
+    def test_length_and_cv_are_sum_and_std_over_mean(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(5000):
+            scale = 10.0 ** rng.uniform(-8.0, 0.0)
+            steps = scale * rng.random(int(rng.integers(4, 97)))
+            length, cv = pathopt._length_and_cv(steps)
+            assert np.float64(length).tobytes() == steps.sum().tobytes()
+            assert np.float64(cv).tobytes() == (steps.std() / steps.mean()).tobytes()
+
+    @pytest.mark.parametrize("size", [4, 17, 96])
+    def test_zero_chords_have_a_cv_of_exactly_zero(self, size):
+        assert pathopt._length_and_cv(np.zeros(size)) == (0.0, 0.0)
+
+
 def _exact_discrete_minimum(fid, n_steps):
     """min sum 8 (1 - F_i) over N-step paths: N equal Bures angles arccos(F)/N."""
     return 8.0 * n_steps * (1.0 - np.cos(np.arccos(fid) / n_steps))

@@ -165,6 +165,21 @@ def test_eigh_is_taken_in_two_places():
     assert places == {"states.spectral", "reservoir.step_entropy_production"}
 
 
+def test_search_loop_takes_no_reduction_wrappers():
+    """The optimizer runs its reductions through the ndarray methods (``.sum()``,
+    ``.all()``, ``.real``): the ``np.sum``/``np.all``/``np.real`` wrappers apply the
+    same ufunc reductions but cost more per call than its few-dozen-entry arithmetic."""
+    path = next(p for p in PACKAGE if p.name == "pathopt.py")
+    calls = sorted(
+        (node.lineno, node.func.attr)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("sum", "all", "real")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+    )
+    assert not calls, f"pathopt.py calls numpy reduction wrappers: {calls}"
+
+
 def _run_python(*args) -> subprocess.CompletedProcess:
     """Run python on ``args`` from the repository root, with src/ first on the path."""
     env = dict(os.environ)

@@ -429,6 +429,35 @@ class TestStepEntropyProduction:
             step_entropy_production(P, RHO, 2)
 
 
+class TestFiniteReservoirLaw:
+    """rho = sigma (1 + h x) with E[x] = 0.  Delta S_n = S(rho||sigma) - chi_n with
+    chi_n = D(T_n||sigma^n) and T_n = sigma^n (1 + (h/n) sum_k x_k); expanding
+    (1 + u) ln(1 + u) = u + u^2/2 - u^3/6 + u^4/12 - ... with the moments m_j of x,
+    and E[(sum_k x_k)^4] = n m_4 + 3 n (n - 1) m_2^2, gives
+    Delta S_n = (1 - 1/n) h^2 m_2/2 - (1 - 1/n^2) h^3 m_3/6 + h^4 q_4 + O(h^5),
+    q_4 = (m_4 (1 - 1/n^3) - 3 (n - 1) m_2^2 / n^3) / 12."""
+
+    SIGMA = np.array([0.4, 0.3, 0.2, 0.1])
+    DIRECTION = np.array([1.0, -1.0, 0.5, -0.5])   # h x sigma: sums to 0, so E[x] = 0
+
+    def test_a_twirled_slot_has_the_mixed_marginal(self):
+        p, q, n = P.array, self.SIGMA[:2] / 0.7, 3
+        twirl = np.diag(_kron_loop_twirl(np.diag(p), np.diag(q), n)).real.reshape((2,) * n)
+        assert twirl.sum(axis=(1, 2)) == pytest.approx(p / n + (1 - 1 / n) * q, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    @pytest.mark.parametrize("h", [1e-2, 3e-3])
+    def test_step_follows_the_cubic_law(self, n, h):
+        m2, m3, m4 = (float(np.sum(self.DIRECTION ** j / self.SIGMA ** (j - 1))) for j in (2, 3, 4))
+        cubic = (1 - 1 / n) * h**2 * m2 / 2 - (1 - 1 / n**2) * h**3 * m3 / 6
+        quartic = h**4 * (m4 * (1 - 1 / n**3) - 3 * (n - 1) * m2**2 / n**3) / 12
+        rho = validate_distribution(self.SIGMA + h * self.DIRECTION)
+        delta_s = step_entropy_production(rho, validate_distribution(self.SIGMA), n)
+        # what the cubic law leaves out is the quartic term, up to an O(h^5) part of
+        # order h^5 abs(m_5)/20 (m_5 = -377), a few percent of it at h = 1e-2
+        assert delta_s - cubic == pytest.approx(quartic, rel=0.5)
+
+
 class TestConvergenceScan:
     def test_equal_states_all_zero(self):
         scan = convergence_scan(Q, Q, 6)

@@ -67,22 +67,20 @@ def _tangent_kind(state, tangent: TangentPerturbation) -> str:
 # ---------- fidelities ----------
 
 def _uhlmann(a: np.ndarray, b: np.ndarray):
-    """Row-wise ``(F, U, chord, S)`` of two stacks of amplitudes.
+    """Row-wise ``(U, chord, S)`` of two stacks of amplitudes.
 
     Of (K, d, w) factors, a a* = rho and b b* = sigma, by the SVD a* b = W S V*:
-    F = tr S clamped to 1 (Uhlmann 1976), the polar factor U = W V*, and
-    ||a U - b||_F = sqrt(2 (1 - F)) with no 1 - F; S holds the singular
-    values in descending order.  Of (K, d) amplitudes sqrt(p), the commuting
-    case, no SVD is taken: F = sum a b, the chord is ||a - b||, and U and S
-    are None.
+    the polar factor U = W V*, the chord ||a U - b||_F = sqrt(2 (1 - F)) with
+    no 1 - F, and the singular values S in descending order, whose sum is
+    Uhlmann's F (Uhlmann 1976); only :func:`state_fidelity` reads it.  Of
+    (K, d) amplitudes sqrt(p), the commuting case, no SVD is taken: the
+    chord is ||a - b||, and U and S are None.
     """
     if a.ndim == 2:
-        fid = np.minimum(1.0, (a * b).sum(axis=-1))
-        return fid, None, np.sqrt(((a - b) ** 2).sum(axis=-1)), None
+        return None, np.sqrt(((a - b) ** 2).sum(axis=-1)), None
     w, singular, vh = np.linalg.svd(a.conj().swapaxes(-1, -2) @ b)
     polar = w @ vh
-    chords = np.sqrt((np.abs(a @ polar - b) ** 2).sum(axis=(-2, -1)))
-    return np.minimum(1.0, singular.sum(axis=-1)), polar, chords, singular
+    return polar, np.sqrt((np.abs(a @ polar - b) ** 2).sum(axis=(-2, -1))), singular
 
 
 def _angles(chords: np.ndarray) -> np.ndarray:
@@ -95,14 +93,15 @@ def state_fidelity(a, b) -> float:
 
     Bhattacharyya's sum_a sqrt(p_a q_a) on probability vectors; Uhlmann's
     tr sqrt(sqrt(sigma) rho sqrt(sigma)), the same sum when the two
-    commute, on density matrices.  The latter is the trace norm of
-    sqrt(rho) sqrt(sigma): squaring the conditioning of near-zero modes
-    would break its symmetry at the 1e-9 level for rank-deficient states.
+    commute, on density matrices.  The latter is read as the trace norm
+    tr S of sqrt(rho) sqrt(sigma) from the chord kernel's SVD: squaring the
+    conditioning of near-zero modes would break its symmetry at the 1e-9
+    level for rank-deficient states.
     """
     if _pair_kind(a, b) == "classical":
         return float(np.clip(np.sum(np.sqrt(a.array * b.array)), 0.0, 1.0))
     roots = _sqrt_rows(np.stack((a.array, b.array)))
-    return float(_uhlmann(roots[:1], roots[1:])[0][0])
+    return min(1.0, float(_uhlmann(roots[:1], roots[1:])[2][0].sum()))
 
 
 # ---------- local metric elements ----------
@@ -267,7 +266,7 @@ def geodesic_path(a, b) -> StatePath:
     _pair_kind(a, b)
     start = a.array
     roots = _sqrt_rows(np.stack((start, b.array)))
-    _, polar, chord, _ = _uhlmann(roots[:1], roots[1:])
+    polar, chord, _ = _uhlmann(roots[:1], roots[1:])
     root_a, root_b = roots[0], roots[1] if polar is None else roots[1] @ polar[0].conj().T
     theta = float(_angles(chord[0])) / 2.0
     sin_theta = float(np.sin(theta))
@@ -310,7 +309,7 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
     for i in range(0, max(ts.size - 1, 1), block):
         sampled, dec = path.sample(ts[i:i + block + 1])
         roots = _sqrt_rows(sampled, dec)
-        chords.append(_uhlmann(roots[:-1], roots[1:])[2])
+        chords.append(_uhlmann(roots[:-1], roots[1:])[1])
         rows[i:i + len(sampled)] = sampled
     return _freeze(rows), _angles(np.concatenate(chords))
 

@@ -173,7 +173,7 @@ def _chain(coords: np.ndarray, ends: np.ndarray, ridge: float, check_rank: bool)
     else:
         inner = unit
     factors = np.concatenate([ends[:1], inner, ends[1:]])
-    _, polar, chords, singular = _uhlmann(factors[:-1], factors[1:])
+    polar, chords, singular = _uhlmann(factors[:-1], factors[1:])
     if check_rank and not (singular[1:, -1] ** 2 > 4.0 * RANK_TOL).all():
         smallest = float(np.min(np.linalg.svd(unit, compute_uv=False)[:, -1])) ** 2
         if smallest <= RANK_TOL:
@@ -235,9 +235,7 @@ def _search_kind(start, end, ridge):
         _refuse_above(MAX_DIM_CLASSICAL, "classical search dim", start.dim, "dim")
         return "classical", 0.0 if ridge is None else ridge
     _refuse_above(MAX_DIM_QUANTUM, "quantum search dim", start.dim, "dim")
-    smallest = min(
-        float(spectral(start).eigenvalues[-1]), float(spectral(end).eigenvalues[-1])
-    )
+    smallest = float(spectral(np.stack((start.array, end.array))).eigenvalues[:, -1].min())
     if ridge is None:
         ridge = AUTO_RIDGE if smallest <= RANK_TOL else 0.0
     if ridge == 0.0 and smallest <= RANK_TOL:

@@ -21,6 +21,8 @@ from its spectrum with the symmetry of the twirl reducing the work:
   in the Gelfand-Tsetlin basis over sigma's eigenbasis, so no d^n by d^n
   matrix is ever formed.  What depends only on (d, n) is built once per
   process; a step fills the blocks from the states and diagonalizes them.
+  sigma's eigenbasis, read in ascending order, and rho's spectrum come
+  from one :func:`statlen.states.spectral` of the pair.
 
 The caps and their messages are those of a dense d^n by d^n twirl for
 density matrices and of a d^n weight vector for probability vectors.  A
@@ -40,7 +42,7 @@ from functools import cache
 import numpy as np
 
 from .exceptions import _refuse_above
-from .states import SUPPORT_FLOOR, entropy, _entropy_of_weights, _freeze, _pair_kind
+from .states import SUPPORT_FLOOR, entropy, spectral, _entropy_of_weights, _freeze, _pair_kind
 from .transport import relative_entropy
 
 CLASSICAL_DIM_CAP = 2 ** 20   # cap on the d**n weights of a probability-vector step
@@ -283,7 +285,8 @@ def step_entropy_production(a, b, n: int) -> float:
     so every positive one counts.  On density matrices its spectrum comes
     from its GL(d) blocks, each eigenvalue under the rounding level of its
     block counting as zero; a single slot holds a itself, and a
-    one-dimensional state has no entropy, so either gives exactly 0.
+    one-dimensional state has no entropy, so either gives exactly 0.  One
+    :func:`spectral` of (a, b) gives S(a) and b's eigenbasis, read ascending.
     A twirled slot's marginal is (1/n) a + (1 - 1/n) b.  On vectors a = b (1 + h x), E_b[x] = 0:
     Delta S_n = (1 - 1/n) h^2 E[x^2]/2 - (1 - 1/n^2) h^3 E[x^3]/6 + O(h^4), whose n -> infinity
     limit is S(a||b) = h^2 E[x^2]/2 - h^3 E[x^3]/6 + O(h^4).
@@ -294,9 +297,11 @@ def step_entropy_production(a, b, n: int) -> float:
         return mixed - entropy(a) - (n - 1) * entropy(b)
     if n == 1 or a.dim == 1:
         return 0.0
-    s, u = np.linalg.eigh(b.array)
+    dec = spectral(np.stack((a.array, b.array)))
+    s, u = dec.eigenvalues[1, ::-1], dec.eigenvectors[1, :, ::-1]
     twirled = _entropy_of_weights(*_block_spectrum(u.conj().T @ a.array @ u, s, n))
-    return twirled - entropy(a) - (n - 1) * _entropy_of_weights(s, floor=SUPPORT_FLOOR)
+    own = _entropy_of_weights(dec.eigenvalues[0], floor=SUPPORT_FLOOR)
+    return twirled - own - (n - 1) * _entropy_of_weights(s, floor=SUPPORT_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InfiniteYield, RankDeficient
+from .exceptions import InfiniteYield, RankDeficient, _refuse_above
 from .geometry import (
+    MAX_SCHEDULE_ENTRIES,
     RANK_TOL,
     TransportSchedule,
     kubo_mori_element,
@@ -194,7 +195,11 @@ class ExpansionProbe:
 
 
 def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> ExpansionProbe:
-    """Tabulate S(rho||rho + eps drho) / (dl^2/2) over a descending eps grid."""
+    """Tabulate S(rho||rho + eps drho) / (dl^2/2) over a descending eps grid.
+
+    The perturbed states form one stack, held to a schedule's MAX_SCHEDULE_ENTRIES
+    entries: a longer grid raises DimensionCapExceeded before the stack is formed.
+    """
     eps = np.asarray(eps_list, dtype=np.float64)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("eps_list must be a nonempty vector")
@@ -204,21 +209,18 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
         metric_name, lowest = "fisher", float(state.array.min())
     else:
         metric_name, lowest = "bures", float(spectral(state).eigenvalues[-1])
+    _refuse_above(MAX_SCHEDULE_ENTRIES // state.array.size, "eps_grid length", eps.size, "eps_grid length")
     if lowest <= RANK_TOL:
         raise RankDeficient(f"expansion probe needs a full-rank state, got a least weight {lowest:.3e}")
     base = state.array
     perturbed = _validate_rows(base + eps.reshape((-1,) + (1,) * base.ndim) * perturbation.delta)[0]
-    entropies = np.empty(eps.size)
-    ratio_metric = np.empty(eps.size)
-    ratio_km = np.empty(eps.size)
-    for k, e in enumerate(eps):
-        entropies[k] = relative_entropy(state, State(perturbed[k]))
-        ratio_metric[k] = entropies[k] / (0.5 * metric_element(state, perturbation, e))
-        ratio_km[k] = entropies[k] / (0.5 * kubo_mori_element(state, perturbation, e))
+    entropies = np.array([relative_entropy(state, State(row)) for row in perturbed])
+    metric = np.array([metric_element(state, perturbation, e) for e in eps])
+    kubo_mori = np.array([kubo_mori_element(state, perturbation, e) for e in eps])
     return ExpansionProbe(
         _freeze(eps.copy()),
         _freeze(entropies),
         metric_name,
-        _freeze(ratio_metric),
-        _freeze(ratio_km),
+        _freeze(entropies / (0.5 * metric)),
+        _freeze(entropies / (0.5 * kubo_mori)),
     )

@@ -10,6 +10,8 @@ output of the code it checks.
 | reservoir step, probability vectors | skewed q, p = q exp(0.01 v) renormalized; d = 4, n = 10 and d = 2, n = 20 | 2.8e-12 | 100 U (S(T_n) + S(a) + (n-1) S(b)) / dS, about 1.3e-8 |
 | reservoir step and scan, probability vectors | q = (0.4, 0.3, 0.2, 0.1), p = q + h (1, -1, 1/2, -1/2), h = 1e-3, 1e-4, 1e-5; d = 4, n = 10 | 6.2e-10, 6.4e-8, 2.9e-6 | the same difference-form bound, 6.6e-8, 6.6e-6, 6.6e-4 |
 | reservoir step, classical and quantum, and dense scan | q = (0.7, 0.3), p = q + h (1, -1), h = 1e-3, 1e-4, 1e-5, as vectors and as diagonal density matrices; d = 2, n = 11 | 4.8e-11, 4.1e-8, 2.5e-6 | the same difference-form bound, 6.9e-8, 6.9e-6, 6.9e-4 |
+| reservoir step, non-commuting density matrices | qubit random_state(2, 2, 3) -> random_state(2, 2, 4), n = 2..5; qutrit random_state(3, 3, 5) -> random_state(3, 3, 6), n = 2, 3; against a dense twirl | 5.3e-16, 7.9e-16 | the difference-form bound plus d**n eta(2 s U) / dS, s the largest block size: 2.2e-13 to 4.7e-12 |
+| finite-reservoir law, probability vectors (the law, not a kernel) | q = (0.4, 0.3, 0.2, 0.1) and p = q + h (1, -1, 1/2, -1/2) in 50 digits, h = 1e-3, 1e-4; n = 2, 5, 10 | what the cubic and quartic terms leave: 2.2e-3, 2.2e-4 of the quartic term | half the quartic term |
 | Kubo-Mori element | eigenvalue pairs near 0.3 and 1e-3, relative gaps 5e-8 to 0.99 | 1.1e-16 | 10 U |
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
 | relative entropy of a short step, probability vectors and diagonal density matrices | p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2) and p = (0.7, 0.3), v = (1, -1); h = 1e-3 to 1e-6 | 3.6e-11 | 6 U sum a abs(ln r) / S + (terms + d + 1) U, at most 5.6e-10 |
@@ -28,7 +30,21 @@ dS_n = S(a||b) - S(T_n||b^(x n)), whose terms are both of size h**2,
 would remove it.  The quantum step of a diagonal pair takes the same
 entropies from the eigenvalues of its GL(2) blocks, each within about
 (block size) U of the block's largest eigenvalue, at most 12 U at n = 11,
-which the difference-form bound covers.  The Kubo-Mori coefficient of a
+which the difference-form bound covers.  Off the diagonal the blocks
+are full, and the reference is the dense 2**n or 3**n twirl, built by a
+kron loop and diagonalized by mpmath.eigh.  Each of the d**n eigenvalues
+of T_n, with multiplicity, comes from a block of at most s rows, to
+within the block's rounding level s eps = 2 s U times its largest
+eigenvalue, at most 1; below that level it counts as zero.  With
+eta(x) = -x ln x, |eta(x) - eta(y)| <= eta(|x - y|) whenever
+|x - y| <= 1/2, so the level moves S(T_n) by at most d**n eta(2 s U),
+which is added to the difference-form bound; the entries, S(a), S(b)
+and the subtraction are the difference form's.  The finite-reservoir
+law dS_n = (1 - 1/n) h**2 m2/2 - (1 - 1/n**2) h**3 m3/6 + h**4 q4 + O(h**5),
+m_j = E[x**j] on p = q (1 + h x), is checked against the 50-digit type
+sum at h where a double-precision step resolves no quartic term: the
+remainder is of order h**5 |m5|/20, m5 = -377, well inside half of
+h**4 q4.  The Kubo-Mori coefficient of a
 close pair takes an exact difference and one log1p, a few roundings in
 all.  The relative
 entropy of two weights sums two Klein terms a (r - 1 - ln r) of size at
@@ -77,6 +93,7 @@ from statlen import (
     geodesic_path,
     kubo_mori_element,
     metric_element,
+    random_state,
     relative_entropy,
     spectral,
     step_entropy_production,
@@ -85,6 +102,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
+from statlen.reservoir import _gl_structure
 
 U = 2.0 ** -53
 mpmath.mp.dps = 50
@@ -105,10 +123,9 @@ def _reference_step(p, q, n: int):
     """50-digit dS_n = S(T_n) - S(p) - (n-1) S(q), with the sum of the magnitudes it cancels.
 
     Each type c has multinomial multiplicity and twirled string weight
-    (1/n) sum_i c_i p_i q^(c - e_i).
+    (1/n) sum_i c_i p_i q^(c - e_i).  Weights are doubles, taken exactly, or mpf.
     """
-    p = [mpmath.mpf(float(x)) for x in p]
-    q = [mpmath.mpf(float(x)) for x in q]
+    p, q = ([mpmath.mpf(x) for x in weights] for weights in (p, q))
     d = len(p)
     twirled = mpmath.mpf(0)
     for c in _types(n, d):
@@ -167,6 +184,70 @@ def test_reservoir_steps_of_a_close_diagonal_qubit_pair(h):
     )
     for value in values:
         assert abs((value - exact) / exact) <= bound
+
+
+def _mp_matrix(mat) -> mpmath.matrix:
+    return mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in mat])
+
+
+def _mp_kron(a: mpmath.matrix, b: mpmath.matrix) -> mpmath.matrix:
+    out = mpmath.matrix(a.rows * b.rows, a.cols * b.cols)
+    for i, j, k, l in itertools.product(range(a.rows), range(a.cols), range(b.rows), range(b.cols)):
+        out[i * b.rows + k, j * b.cols + l] = a[i, j] * b[k, l]
+    return out
+
+
+def _mp_entropy(mat: mpmath.matrix) -> mpmath.mpf:
+    return _entropy(mpmath.eigh(mat, eigvals_only=True))
+
+
+def _reference_dense_step(rho, sigma, n: int):
+    """50-digit dS_n of density matrices from the dense twirl (1/n) sum_k sigma..rho_k..sigma,
+    with the sum of the magnitudes it cancels."""
+    r, s = _mp_matrix(rho), _mp_matrix(sigma)
+    twirl = mpmath.matrix(len(rho) ** n)
+    for k in range(n):
+        term = r if k == 0 else s
+        for slot in range(1, n):
+            term = _mp_kron(term, r if slot == k else s)
+        twirl += term
+    mixed, own, other = _mp_entropy(twirl / n), _mp_entropy(r), _mp_entropy(s)
+    return mixed - own - (n - 1) * other, mixed + own + (n - 1) * other
+
+
+@pytest.mark.parametrize(
+    "d, seeds, n",
+    [(2, (3, 4), n) for n in (2, 3, 4, 5)] + [(3, (5, 6), n) for n in (2, 3)],
+    ids=[f"qubit-n{n}" for n in (2, 3, 4, 5)] + [f"qutrit-n{n}" for n in (2, 3)],
+)
+def test_reservoir_step_of_a_noncommuting_pair(d, seeds, n):
+    # the difference-form bound plus d**n eta(2 s U), what the rounding level of blocks
+    # of at most s rows can move S(T_n) by (derived in the module docstring)
+    rho, sigma = (random_state(d, d, seed) for seed in seeds)
+    exact, cancelled = _reference_dense_step(rho.array, sigma.array, n)
+    level = 2 * _gl_structure(d, n)[-1] * U
+    bound = float((100 * U * cancelled + d ** n * -level * mpmath.log(level)) / exact)
+    assert bound < 1e-11
+    assert abs((step_entropy_production(rho, sigma, n) - exact) / exact) <= bound
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+@pytest.mark.parametrize("h", ["1e-3", "1e-4"])
+def test_finite_reservoir_law_against_the_type_sum(h, n):
+    # the law of step_entropy_production's docstring, on sigma (1 + h x) with E[x] = 0:
+    # at these h the double-precision step cannot resolve the quartic term, so the
+    # 50-digit type sum stands in for it; what the cubic law leaves out is the quartic
+    # term h^4 (m4 (1 - 1/n^3) - 3 (n - 1) m2^2 / n^3) / 12, up to an O(h^5) part of
+    # order h^5 abs(m5)/20, under 2.2e-3 of it at h = 1e-3
+    sigma = [mpmath.mpf(x) for x in ("0.4", "0.3", "0.2", "0.1")]
+    direction = [mpmath.mpf(x) for x in (1, -1, 0.5, -0.5)]
+    h = mpmath.mpf(h)
+    rho = [s + h * v for s, v in zip(sigma, direction)]
+    m2, m3, m4 = (mpmath.fsum(v ** j / s ** (j - 1) for s, v in zip(sigma, direction)) for j in (2, 3, 4))
+    cubic = (1 - mpmath.mpf(1) / n) * h**2 * m2 / 2 - (1 - mpmath.mpf(1) / n**2) * h**3 * m3 / 6
+    quartic = h**4 * (m4 * (1 - mpmath.mpf(1) / n**3) - 3 * (n - 1) * m2**2 / n**3) / 12
+    exact, _ = _reference_step(rho, sigma, n)
+    assert abs(exact - cubic - quartic) <= abs(quartic) / 2
 
 
 @pytest.mark.parametrize("gap", [5e-8, 1e-7, 1e-6, 1e-3, 0.5, 0.99])

@@ -537,6 +537,67 @@ class TestGeodesicCommand:
         assert digests == [record_sha, history_sha]
 
 
+def _random_quantum(dim: int) -> dict:
+    return {"kind": "random-quantum", "dim": dim, "rank": dim}
+
+
+# SHA-256 of the CSV and the JSON record of each run whose numbers come through the
+# chord kernel, the reservoir step's decomposition or the probe table, taken with
+# numpy 2.4.6 before those kernels stopped forming what their callers do not read:
+# the CSV pins the record as written, the JSON its full float digits.  Another numpy
+# or BLAS build may round differently; retake them there from a commit known to be good.
+PINNED_RECORDS = {
+    "reservoir-qubit-n10": (
+        "reservoir", {"state_a": _random_quantum(2), "state_b": _random_quantum(2), "n_max": 10},
+        "11f2eebd300ecd685c9c190bc61ccb6d50879e2619295d7cd42a4707d8df0319",
+        "96bd1e8d13efcada4c309f9435eb3b6ef051afe2fe4a456f100e45dc0ae23c3e",
+    ),
+    "reservoir-qutrit-n6": (
+        "reservoir", {"state_a": _random_quantum(3), "state_b": _random_quantum(3), "n_max": 6},
+        "100980239cbaf43e04606405fb4decabf54ef58faa7a507f79ba657618b466ca",
+        "8ab6d9fa4dedafb4b82e94d19418a90ed9bb64b935f8f0957d39587b151384c5",
+    ),
+    "transport-geodesic": (
+        "transport", {"path": {"type": "geodesic", "state_a": _random_quantum(3),
+                               "state_b": _random_quantum(3)}, "N_grid": [16, 64]},
+        "b2439ab858920b7da314f3566eaa91d5c846116828b77565ee1e05cf61a79c2b",
+        "6dc0f08b8d62aed26b9ab9cf1d1f680aa825be46fe362cbba91c7d14773c49c2",
+    ),
+    "transport-mixture": (
+        "transport", {"path": {"type": "mixture", "state_a": _random_quantum(3),
+                               "state_b": _random_quantum(3)}, "N_grid": [16, 64]},
+        "aa55131a6202cdfa92dedac7623c72a51deb6d210f12da9138862f273b2e44e6",
+        "0cb50bd38c7b15b796b147409c987dbddcba55a57510b6ec19fb0a26ff1fb48e",
+    ),
+    "fidelity": (
+        "fidelity", {"state_a": _random_quantum(3), "state_b": _random_quantum(3)},
+        "8ad382b256711fdcd3b4ba716e50c5f7d313fb6f38356d90be0be2ec29c9ca8e",
+        "87de5e4a6c7ddd8907278b98705c02335cad9fea6a391a2548a7f540f30088cb",
+    ),
+    "probe": (
+        "probe", {"state": _random_quantum(3),
+                  "perturbation": [[[0.1, 0.0], [0.2, 0.15], [-0.05, 0.05]],
+                                   [[0.2, -0.15], [-0.3, 0.0], [0.1, -0.1]],
+                                   [[-0.05, -0.05], [0.1, 0.1], [0.2, 0.0]]],
+                  "eps_grid": [1e-2, 1e-3, 1e-4]},
+        "890268445f9835b58b4bd9d90aa1c9db3d450f419b9ab8e06de5f37d1b1c8b2a",
+        "de0e17d77a7d777c646e36551fdc5c14293167298f22e495c33fd0a21def38dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_RECORDS)
+def test_quantum_record_bytes_are_pinned(tmp_path, monkeypatch, case):
+    command, config, csv_sha, json_sha = PINNED_RECORDS[case]
+    monkeypatch.chdir(tmp_path)   # relative paths keep the config hash free of tmp_path
+    Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+    digests = []
+    for out, extra in (("run.csv", ()), ("record.json", ("--format", "json"))):
+        assert main([command, "--config", "run.json", "--out", out, *extra]) == EXIT_OK
+        digests.append(hashlib.sha256(Path(out).read_bytes()).hexdigest())
+    assert digests == [csv_sha, json_sha]
+
+
 def _csv_table(path) -> list:
     """Header and data rows of a CSV record, metadata lines dropped."""
     lines = path.read_text().splitlines()
@@ -867,3 +928,14 @@ class TestProbeCommand:
         results = json.loads(out.read_text())["results"]
         assert results["metric"] == "bures"
         assert abs(results["ratio_kubo_mori"][-1] - 1.0) < 1e-3
+
+    def test_grid_past_the_entries_budget_exits_3_without_a_record(self, tmp_path, capsys):
+        config = {
+            "state": {"kind": "random-quantum", "dim": 64, "rank": 64},
+            "perturbation": [[[0.0, 0.0]] * 64] * 64,
+            "eps_grid": [float(e) for e in np.geomspace(1e-1, 1e-12, 4097)],
+        }
+        code, out = _run(tmp_path, "probe", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert "4097 exceeds cap 4096; largest feasible eps_grid length is 4096" in capsys.readouterr().err

@@ -86,10 +86,12 @@ class TestChord:
         a, b = _pair(kind, dim, ranks, seed)
         b = a if same else b
         roots = _sqrt_rows(np.stack((a.array, b.array)))
-        kernel_fid, _, chords, _ = _uhlmann(roots[:1], roots[1:])
+        _, chords, singular = _uhlmann(roots[:1], roots[1:])
+        kernel_fid = (roots[0] * roots[1]).sum() if singular is None else singular.sum()
         fid, chord = state_fidelity(a, b), chords[0]
-        # on weights the kernel's sum sqrt(p) sqrt(q) is state_fidelity's sum sqrt(p q), rounded apart
-        assert abs(kernel_fid[0] - fid) <= 16 * EPS
+        # on weights the sum sqrt(p) sqrt(q) is state_fidelity's sum sqrt(p q), rounded apart;
+        # on matrices state_fidelity is tr S clamped to 1
+        assert abs(kernel_fid - fid) <= 16 * EPS
         # F is a sum of up to five rounded singular values (or products),
         # so 2 (1 - F) carries a few tens of eps of its own
         assert abs(chord ** 2 - 2.0 * (1.0 - fid)) <= 64 * EPS

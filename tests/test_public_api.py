@@ -148,21 +148,32 @@ def test_package_keeps_no_unused_import(path):
     assert not unused, f"{path.name} imports names it never reads: {unused}"
 
 
-def test_eigh_is_taken_in_two_places():
-    """``states.spectral`` is the one eigendecomposition of states: validation takes
-    it and hands it to the amplitudes and the yields, so no other form of it leaves
-    ``states``.  The reservoir step diagonalizes sigma on its own, because eigh's
-    ascending order fixes the Gelfand-Tsetlin basis its blocks are built in; a
-    descending sigma moves the last bits of reservoir records."""
+def _places_calling(name: str) -> set:
+    """``module.function`` of every top-level definition in the package that names ``name``."""
     places = set()
     for path in PACKAGE:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr == "eigh"
-                        or isinstance(node, ast.Name) and node.id == "eigh"
-                        or isinstance(node, ast.alias) and node.name == "eigh"):
+                if (isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.alias) and node.name == name):
                     places.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
-    assert places == {"states.spectral", "reservoir.step_entropy_production"}
+    return places
+
+
+def test_eigh_is_taken_in_one_place():
+    """``states.spectral`` is the one eigendecomposition of states: validation takes
+    it and hands it to the amplitudes and the yields, and the reservoir step reads
+    sigma's eigenbasis from it in eigh's ascending order, which fixes the
+    Gelfand-Tsetlin basis of its blocks."""
+    assert _places_calling("eigh") == {"states.spectral"}
+
+
+def test_svd_is_taken_in_two_places():
+    """The chord kernel ``geometry._uhlmann`` takes the SVD of every step; the
+    optimizer's rank check takes the singular values of its iterate on its own,
+    only when the chord SVD cannot clear it."""
+    assert _places_calling("svd") == {"geometry._uhlmann", "pathopt._chain"}
 
 
 def test_search_loop_takes_no_reduction_wrappers():

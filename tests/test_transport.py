@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from statlen import (
+    DimensionCapExceeded,
     DimensionMismatch,
     InfiniteYield,
     RankDeficient,
@@ -27,6 +29,7 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
+from statlen import transport
 from statlen.geometry import TransportSchedule
 
 P_HALF = validate_distribution([0.5, 0.5])
@@ -309,6 +312,42 @@ class TestExpansionProbe:
         drho = tangent_quantum(np.array([[0, 1], [1, 0]], dtype=complex))
         with pytest.raises(RankDeficient):
             expansion_probe(rho, drho, [1e-3])
+
+
+    def test_grid_past_the_entries_budget_is_refused_before_the_stack(self, monkeypatch):
+        """The perturbed stack holds len(eps) states: at d = 64 (4096 entries each) the
+        schedule budget of 2**24 entries allows 4096 eps, and one more is refused
+        before any of its 268 MB is allocated."""
+        rho = random_state(64, 64, 3)
+        drho = tangent_quantum(np.zeros((64, 64), complex))
+        eps = np.geomspace(1e-1, 1e-12, 4097)
+
+        def formed(raw):
+            raise AssertionError(f"the probe formed a stack of shape {np.shape(raw)}")
+
+        monkeypatch.setattr(transport, "_validate_rows", formed)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapExceeded, match="largest feasible eps_grid length is 4096") as info:
+                expansion_probe(rho, drho, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.max_feasible == 4096
+        assert peak < 1 << 20
+
+    def test_grid_budget_is_the_schedule_entries_over_the_state_size(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_SCHEDULE_ENTRIES", 64)
+        drho = tangent_quantum(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]))
+        rho = validate_density(np.diag([0.7, 0.3]))
+        eps = np.geomspace(1e-2, 1e-5, 17)
+        assert expansion_probe(rho, drho, eps[:16]).eps.size == 16
+        refusal = "eps_grid length 17 exceeds cap 16; largest feasible eps_grid length is 16"
+        with pytest.raises(DimensionCapExceeded, match=refusal):
+            expansion_probe(rho, drho, eps)
+        p, dp = validate_distribution([0.5, 0.3, 0.2]), tangent_classical([1.0, -0.4, -0.6])
+        assert expansion_probe(p, dp, eps[:16]).eps.size == 16   # 64 // 3 = 21 allows 17
+        assert expansion_probe(p, dp, eps).eps.size == 17
 
 
 class TestShortStepAccuracy:

@@ -7,7 +7,9 @@ version, a SHA-256 hash of the fully resolved config, and the seed, and
 contains no timestamps, so a repeated run produces byte-identical files.
 
 Exit status: 0 success, 2 invalid input, 3 resource cap exceeded,
-4 optimizer did not converge.
+4 optimizer did not converge.  ``main`` refuses input in one place and
+reports it as one stderr line: ``statlen: <ErrorType>: <message>`` for
+status 2, ``statlen: <message>`` for status 3.
 """
 from __future__ import annotations
 
@@ -327,30 +329,21 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "fidelity": cmd_fidelity,
-    "transport": cmd_transport,
-    "reservoir": cmd_reservoir,
-    "geodesic": cmd_geodesic,
-    "probe": cmd_probe,
+_COMMANDS = {   # subcommand: (handler, help)
+    "fidelity": (cmd_fidelity, "fidelity and geodesic lengths of a state pair"),
+    "transport": (cmd_transport, "even-schedule transport entropy over an N grid"),
+    "reservoir": (cmd_reservoir, "finite-reservoir entropy production scan"),
+    "geodesic": (cmd_geodesic, "numerical geodesic search between two states"),
+    "probe": (cmd_probe, "quadratic expansion probe of relative entropy"),
 }
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it is."""
-    parser = argparse.ArgumentParser(
-        prog="statlen",
-        description="Run fidelity, transport, reservoir, geodesic, and probe experiments.",
-    )
+    parser = argparse.ArgumentParser(prog="statlen", description="Run one experiment from a JSON config.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fidelity", "fidelity and geodesic lengths of a state pair"),
-        ("transport", "even-schedule transport entropy over an N grid"),
-        ("reservoir", "finite-reservoir entropy production scan"),
-        ("geodesic", "numerical geodesic search between two states"),
-        ("probe", "quadratic expansion probe of relative entropy"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
@@ -362,33 +355,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"statlen: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if not isinstance(config, dict):
-        print("statlen: config must be a JSON object", file=sys.stderr)
-        return EXIT_INVALID
-
-    if args.seed < 0:
-        print(f"statlen: seed must be an integer >= 0, got {args.seed!r}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        _path(args.out, "--out")
-    except ConfigError as exc:
-        print(f"statlen: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    resolved = {**config, "seed": args.seed, "out": args.out, "format": args.format,
-                "experiment": args.command}
-
-    try:
-        return _HANDLERS[args.command](config, resolved, _seed_pool(args.seed))
+        config = serialize._read_json(args.config, "config")
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
+        if args.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {args.seed!r}")
+        resolved = {**config, "seed": args.seed, "out": _path(args.out, "--out"),
+                    "format": args.format, "experiment": args.command}
+        return _COMMANDS[args.command][0](config, resolved, _seed_pool(args.seed))
     except DimensionCapExceeded as exc:
         print(f"statlen: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ConfigError, StatlenError, ValueError, OSError, KeyError, TypeError) as exc:
+    except (StatlenError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"statlen: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

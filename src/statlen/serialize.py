@@ -114,6 +114,18 @@ def _finite_numbers(values, what: str) -> list:
     return [_finite_number(v, what) for v in values]
 
 
-def load_state(path) -> State:
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``; the package's one JSON reader.
+
+    A file that is not UTF-8, not JSON or nested past the parser's recursion
+    limit raises ValidationError naming ``what``; one that cannot be opened, OSError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_jsonable(json.load(fh))
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{what} is not a readable JSON file: {exc}") from exc
+
+
+def load_state(path) -> State:
+    return state_from_jsonable(_read_json(path, "state file"))

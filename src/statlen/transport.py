@@ -28,7 +28,6 @@ from .states import (
     SUPPORT_FLOOR,
     State,
     TangentPerturbation,
-    spectral,
     _freeze,
     _pair_kind,
     _validate_rows,
@@ -198,29 +197,28 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
     """Tabulate S(rho||rho + eps drho) / (dl^2/2) over a descending eps grid.
 
     The perturbed states form one stack, held to a schedule's MAX_SCHEDULE_ENTRIES
-    entries: a longer grid raises DimensionCapExceeded before the stack is formed.
+    entries: a longer grid raises DimensionCapExceeded, and a rank-deficient state
+    RankDeficient (a density matrix's from its metric element), before any stack.
     """
     eps = np.asarray(eps_list, dtype=np.float64)
     if eps.ndim != 1 or eps.size == 0:
         raise ValueError("eps_list must be a nonempty vector")
     if not (np.all(np.isfinite(eps)) and np.all(eps > 0.0) and np.all(np.diff(eps) < 0.0)):
         raise ValueError("eps_list must be finite, positive and strictly descending")
-    if _tangent_kind(state, perturbation) == "classical":
-        metric_name, lowest = "fisher", float(state.array.min())
-    else:
-        metric_name, lowest = "bures", float(spectral(state).eigenvalues[-1])
+    classical = _tangent_kind(state, perturbation) == "classical"
     _refuse_above(MAX_SCHEDULE_ENTRIES // state.array.size, "eps_grid length", eps.size, "eps_grid length")
-    if lowest <= RANK_TOL:
-        raise RankDeficient(f"expansion probe needs a full-rank state, got a least weight {lowest:.3e}")
+    if classical and state.array.min() <= RANK_TOL:
+        raise RankDeficient(
+            f"expansion probe needs a full-rank state, got a least weight {state.array.min():.3e}")
+    metric = np.array([metric_element(state, perturbation, e) for e in eps])
+    kubo_mori = np.array([kubo_mori_element(state, perturbation, e) for e in eps])
     base = state.array
     perturbed = _validate_rows(base + eps.reshape((-1,) + (1,) * base.ndim) * perturbation.delta)[0]
     entropies = np.array([relative_entropy(state, State(row)) for row in perturbed])
-    metric = np.array([metric_element(state, perturbation, e) for e in eps])
-    kubo_mori = np.array([kubo_mori_element(state, perturbation, e) for e in eps])
     return ExpansionProbe(
         _freeze(eps.copy()),
         _freeze(entropies),
-        metric_name,
+        "fisher" if classical else "bures",
         _freeze(entropies / (0.5 * metric)),
         _freeze(entropies / (0.5 * kubo_mori)),
     )

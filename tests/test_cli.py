@@ -790,7 +790,7 @@ class TestStrictFields:
         code, out = _run(tmp_path, "fidelity", config, extra_args=("--seed", str(value)))
         assert code == EXIT_INVALID
         assert not out.exists()
-        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "statlen: ConfigError: seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize("value", BAD_NUMBERS)
     def test_ridge_type(self, tmp_path, capsys, value):
@@ -885,7 +885,7 @@ class TestStrictFields:
         (tmp_path / "c.json").write_text(json.dumps(config))
         assert main(["geodesic", "--config", "c.json", "--out", value]) == EXIT_INVALID
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
-        assert "--out must not contain a line break" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("statlen: ConfigError: --out must not contain a line break")
 
     def test_valid_fields_still_run(self, tmp_path):
         config = {
@@ -899,6 +899,55 @@ class TestStrictFields:
         record = json.loads(out.read_text())
         assert record["seed"] == 5
         assert record["results"]["ridge"] == 0
+
+
+def _json(obj) -> bytes:
+    return json.dumps(obj).encode("utf-8")
+
+
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000   # past the JSON parser's recursion limit
+STATE_FILE_PAIR = _json({"state_a": {"file": "state.json"}, "state_b": CLASSICAL_B})
+
+# case: (command, config file bytes or None for no file, state.json bytes or None,
+# the one stderr line after "statlen: ")
+REFUSED_FILES = {
+    "config-missing": ("fidelity", None, None, "FileNotFoundError: [Errno 2]"),
+    "config-not-utf8": ("fidelity", b"\xff\xfe{}", None,
+                        "ValidationError: config is not a readable JSON file: 'utf-8' codec"),
+    "config-not-json": ("fidelity", b'{"state_a": ', None,
+                        "ValidationError: config is not a readable JSON file: Expecting value"),
+    "config-nested-too-deep": ("fidelity", DEEP_JSON, None,
+                               "ValidationError: config is not a readable JSON file: maximum recursion"),
+    "config-array": ("fidelity", b"[]", None, "ConfigError: config must be a JSON object"),
+    "state-file-not-utf8": ("fidelity", STATE_FILE_PAIR, b"\xff",
+                            "ValidationError: state file is not a readable JSON file: 'utf-8' codec"),
+    "state-file-nested-too-deep": ("fidelity", STATE_FILE_PAIR, DEEP_JSON,
+                                   "ValidationError: state file is not a readable JSON file: maximum recursion"),
+    "state-not-a-mapping": ("fidelity", _json({"state_a": [0.5, 0.5], "state_b": CLASSICAL_B}), None,
+                            "ConfigError: state_a must be a mapping"),
+    "path-not-a-mapping": ("transport", _json({"path": ["geodesic"], "N_grid": [8]}), None,
+                           "ConfigError: path must be a mapping"),
+    "unknown-path-type": ("transport", _json({"path": {**GEODESIC_CLASSICAL, "type": "spline"}, "N_grid": [8]}),
+                          None, "ConfigError: unknown path type 'spline'"),
+    "unknown-seed-path": ("geodesic", _json({"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 8,
+                                             "seed_path": "spline"}),
+                          None, "ConfigError: unknown seed_path 'spline'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_FILES))
+def test_refused_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    """Every refusal leaves main through its one except: no traceback, no record."""
+    command, config, state, line = REFUSED_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    inputs = {name: data for name, data in (("c.json", config), ("state.json", state)) if data is not None}
+    for name, data in inputs.items():
+        Path(name).write_bytes(data)
+    assert main([command, "--config", "c.json", "--out", "r.csv"]) == EXIT_INVALID
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+    err = capsys.readouterr().err
+    assert err.startswith(f"statlen: {line}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestProbeCommand:

@@ -518,6 +518,8 @@ class TestDiscreteLength:
             even_schedule(StatePath(P_HALF, P_SKEW, _never), MAX_STEPS + 1)
         assert err.value.max_feasible == MAX_STEPS
         assert f"largest feasible N is {MAX_STEPS}" in str(err.value)
+        with pytest.raises(ValueError, match="need at least one step, got 0"):
+            even_schedule(StatePath(P_HALF, P_SKEW, _never), 0)
 
     @pytest.mark.parametrize("n_steps", [16, 256, 4096])
     def test_geodesic_length_is_twice_theta_to_roundoff(self, n_steps):

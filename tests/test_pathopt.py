@@ -239,6 +239,23 @@ class TestQuantumSearch:
         assert (record.name, record.levelno) == ("statlen.pathopt", logging.DEBUG)
         assert record.args == (8, result.iterations, len(calls), result.stop_reason)
 
+    def test_non_descent_direction_restarts_from_steepest_descent(self, monkeypatch):
+        # an ascent direction from the two-loop recursion is replaced by -grad,
+        # and the curvature pairs behind it are dropped
+        seen = []
+
+        def ascent(grad, pairs):
+            seen.append(len(pairs))
+            return grad.copy()
+
+        monkeypatch.setattr(pathopt, "_direction", ascent)
+        result = minimize_path(random_state(2, 2, 11), random_state(2, 2, 12), 8, max_iter=40)
+        assert result.iterations >= 2 and len(seen) >= result.iterations
+        # each call sees at most the one pair of the step before it: the reset cleared the rest
+        assert 1 in seen and max(seen) == 1
+        assert np.all(np.diff(result.energies) <= 0.0)
+        assert result.energies[-1] < result.energies[0]
+
     def test_near_floor_pair_takes_few_chain_evaluations(self, caplog):
         # near the noise floor the line search used to halve its step many
         # times per iteration (188 chain evaluations for 25 iterations here);
@@ -350,6 +367,11 @@ class TestQuantumSearch:
         with pytest.raises(RankCollapse):
             pathopt._chain(coords, ends, 0.0, check_rank=True)
         pathopt._chain(coords, ends, 0.0, check_rank=False)
+        # an all-zero interior coordinate has no state to normalize, with or without the check
+        coords[1] = 0.0
+        for check_rank in (True, False):
+            with pytest.raises(RankCollapse, match="iterate collapsed to zero"):
+                pathopt._chain(coords, ends, 0.0, check_rank)
 
 
 # ---------- the central-difference lanes of the earlier optimizer, as oracles ----------

@@ -176,6 +176,18 @@ def test_svd_is_taken_in_two_places():
     assert _places_calling("svd") == {"geometry._uhlmann", "pathopt._chain"}
 
 
+def test_refusals_are_reported_in_one_place():
+    """``cli.main`` alone writes to stderr: every refusal of a run leaves it through
+    one ``except`` per exit status, as one ``statlen: `` line."""
+    assert _places_calling("stderr") == {"cli.main"}
+
+
+def test_json_is_decoded_in_one_place():
+    """Configs and state files are read through ``serialize._read_json``, which turns
+    a file that does not decode into a ValidationError."""
+    assert _places_calling("load") == {"serialize._read_json"}
+
+
 def test_search_loop_takes_no_reduction_wrappers():
     """The optimizer runs its reductions through the ndarray methods (``.sum()``,
     ``.all()``, ``.real``): the ``np.sum``/``np.all``/``np.real`` wrappers apply the

@@ -421,6 +421,8 @@ class TestStepEntropyProduction:
         with pytest.raises(DimensionCapExceeded) as err:
             step_entropy_production(P, Q, 21)  # 2^21 > 2^20
         assert err.value.max_feasible == 20
+        with pytest.raises(ValueError, match="reservoir size must be positive, got 0"):
+            step_entropy_production(P, Q, 0)
 
     def test_kind_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -456,6 +458,21 @@ class TestFiniteReservoirLaw:
         # what the cubic law leaves out is the quartic term, up to an O(h^5) part of
         # order h^5 abs(m_5)/20 (m_5 = -377), a few percent of it at h = 1e-2
         assert delta_s - cubic == pytest.approx(quartic, rel=0.5)
+
+    @pytest.mark.parametrize("dim, n", [(2, 2), (2, 4), (2, 8), (2, 11), (3, 2), (3, 3)])
+    def test_quantum_step_follows_the_second_order_law(self, dim, n):
+        """Between slots the Kubo-Mori product of two perturbations is tr X tr Y = 0,
+        so the second-order law holds on a non-commuting pair: the excess
+        e(h) = Delta S_n / ((1 - 1/n) S(rho||sigma)) - 1 is c h + O(h^2).  A decade
+        in h then scales e by 1/10 up to a relative O(h) part; an O(h^2) excess
+        would scale it by 1/100 and a failed law by about 1."""
+        sigma, other = random_state(dim, dim, 4), random_state(dim, dim, 3)
+
+        def excess(h):
+            rho = validate_density(sigma.array + h * (other.array - sigma.array))
+            return step_entropy_production(rho, sigma, n) / ((1 - 1 / n) * relative_entropy(rho, sigma)) - 1
+
+        assert 1 / 20 <= excess(1e-4) / excess(1e-3) <= 1 / 5
 
 
 class TestConvergenceScan:

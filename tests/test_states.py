@@ -50,6 +50,24 @@ class TestState:
             State(array)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: validate_distribution(np.eye(2) / 2), r"distribution must be a vector, got shape \(2, 2\)"),
+        (lambda: tangent_classical(np.zeros((2, 2))), r"tangent vector must be 1-d, got shape \(2, 2\)"),
+        (lambda: tangent_quantum(np.zeros(2)), r"tangent matrix must be square, got shape \(2,\)"),
+        (lambda: random_distribution(0, 1), "dim must be positive, got 0"),
+        (lambda: add_ridge(validate_distribution([0.5, 0.5]), -1e-6), "ridge must be nonnegative"),
+        (lambda: add_ridge(np.eye(2) / 2, 1e-6), "cannot ridge object of type ndarray"),
+    ],
+    ids=["distribution-of-a-matrix", "classical-tangent-of-a-matrix", "quantum-tangent-of-a-vector",
+         "random-distribution-of-dim-0", "negative-ridge", "ridge-of-a-raw-array"],
+)
+def test_input_of_the_wrong_form_is_refused(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 class TestValidateDistribution:
     def test_already_normalized_passes_unchanged(self):
         p = validate_distribution([0.5, 0.5])

@@ -118,6 +118,15 @@ class TestClosedForms:
             np.pi * np.pi / 4.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "n_steps, kind, message",
+        [(0, "classical", "need at least one step, got 0"), (4, "mixed", "unknown kind 'mixed'")],
+        ids=["no-steps", "unknown-kind"],
+    )
+    def test_geodesic_bound_refusals(self, n_steps, kind, message):
+        with pytest.raises(ValueError, match=message):
+            geodesic_bound(0.5, n_steps, kind)
+
     def test_geodesic_bound_is_min_production_at_geodesic_length(self):
         for f in np.linspace(0.0, 1.0, 11):
             for n in (1, 8, 64):
@@ -299,7 +308,8 @@ class TestExpansionProbe:
     def test_eps_grid_validation(self):
         """A non-finite grid is the probe's own error, not a state's."""
         dp = tangent_classical([1.0, -1.0])
-        for eps_list in ([1e-4, 1e-3], [0.0], [np.nan], [np.inf, 1e-2]):  # ascending, zero, nan, inf
+        # ascending, zero, nan, inf, empty, 2-d
+        for eps_list in ([1e-4, 1e-3], [0.0], [np.nan], [np.inf, 1e-2], [], [[1e-2], [1e-3]]):
             with pytest.raises(ValueError, match="eps_list") as info:
                 expansion_probe(P_HALF, dp, eps_list)
             assert not isinstance(info.value, ValidationError)
@@ -310,7 +320,8 @@ class TestExpansionProbe:
             expansion_probe(p, tangent_classical([0.5, -0.5]), [1e-3])
         rho = validate_density(np.diag([1.0, 0.0]))
         drho = tangent_quantum(np.array([[0, 1], [1, 0]], dtype=complex))
-        with pytest.raises(RankDeficient):
+        # a density matrix is refused by its metric element, the probe's first use of it
+        with pytest.raises(RankDeficient, match="add_ridge"):
             expansion_probe(rho, drho, [1e-3])
 
 

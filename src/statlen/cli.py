@@ -32,6 +32,7 @@ from .geometry import (
     linear_mixture_path,
     state_fidelity,
     _check_steps,
+    _schedule_groups,
 )
 from .pathopt import DEFAULT_MAX_ITER, minimize_path
 from .reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP, convergence_scan
@@ -122,9 +123,13 @@ SEED_POOL_SIZE = 64   # random-state draws one run may make
 
 
 def _seed_pool(seed: int):
-    seeds = iter(np.random.SeedSequence(seed).generate_state(SEED_POOL_SIZE))
+    """The run's random-state seeds, drawn from ``SeedSequence(seed)`` on the first draw."""
+    seeds = None
 
     def next_seed() -> int:
+        nonlocal seeds
+        if seeds is None:
+            seeds = iter(np.random.SeedSequence(seed).generate_state(SEED_POOL_SIZE))
         drawn = next(seeds, None)
         if drawn is None:
             raise ConfigError(f"a run may draw at most {SEED_POOL_SIZE} random states")
@@ -133,25 +138,27 @@ def _seed_pool(seed: int):
     return next_seed
 
 
-def _config_hash(resolved: dict) -> str:
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _canonical(resolved: dict) -> str:
+    """The resolved config as the canonical JSON that is hashed and written to CSV records."""
+    return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
 
-def _record_meta(resolved: dict) -> dict:
+def _record_meta(resolved: dict, canonical: str) -> dict:
     """Metadata every output file carries: tool, version, config hash and seed."""
     return {
         "tool": "statlen",
         "version": __version__,
-        "config_hash": _config_hash(resolved),
+        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": resolved["seed"],
     }
 
 
-def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict) -> None:
-    record = _record_meta(resolved)
+def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict, canonical=None) -> None:
+    """Write the record; ``canonical`` is ``_canonical(resolved)`` when the caller has it."""
+    canonical = _canonical(resolved) if canonical is None else canonical
+    record = _record_meta(resolved, canonical)
     if resolved["format"] == "csv":
-        record["config"] = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+        record["config"] = canonical
         record.update(metadata)
         serialize.write_csv(resolved["out"], columns, rows, record)
     else:
@@ -195,7 +202,7 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     _check_keys(config, {"path", "N_grid"}, "config")
     if not (isinstance(config["N_grid"], list) and config["N_grid"]):
         raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
-    grid = [_count(n, "N_grid") for n in config["N_grid"]]
+    grid = sorted(_count(n, "N_grid") for n in config["N_grid"])
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     for n in grid:
         _check_steps(n, path.start)
@@ -211,8 +218,9 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     )
     rows = []
     results = []
-    for n in sorted(grid):
-        report = run_transport(even_schedule(path, n))
+    schedules = [s for group in _schedule_groups(grid, path.start) for s in even_schedule(path, group)]
+    for n, schedule in zip(grid, schedules):
+        report = run_transport(schedule)
         ds = report.total_entropy
         ell = report.total_length
         entry = {
@@ -295,14 +303,15 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         "converged",
     )
     history_out = resolved["history_out"] = resolved["out"] + ".history.csv"
+    canonical = _canonical(resolved)
     serialize.write_csv(
         history_out,
         ("iter", "length", "energy", "step_cv"),
         zip(range(result.lengths.size), result.lengths, result.energies, result.step_cvs),
-        _record_meta(resolved),
+        _record_meta(resolved, canonical),
     )
     metadata = {"history": history_out, "stop_reason": result.stop_reason}
-    _write_record(resolved, columns, [tuple(results[c] for c in columns)], metadata, results)
+    _write_record(resolved, columns, [tuple(results[c] for c in columns)], metadata, results, canonical)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 

@@ -21,7 +21,7 @@ from the shape of their arrays.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,6 +35,7 @@ from .exceptions import (
 )
 from .states import (
     VALIDATION_TOL,
+    SpectralDecomposition,
     State,
     TangentPerturbation,
     spectral,
@@ -297,30 +298,42 @@ def linear_mixture_path(a, b) -> StatePath:
 # ---------- discrete lengths and schedules ----------
 
 def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
-    """The path's validated states at ``ts`` and the step lengths between consecutive ones.
+    """The path's validated states at ``ts``, the step lengths between consecutive ones, their spectra.
 
     The states are sampled, validated and compared in stacked blocks that
     overlap by one parameter, which bounds the memory whatever len(ts) is.
-    Written block by block into one stack, the rows are bit for bit ``path.sample(ts)[0]``.
+    Written block by block into writable stacks, the rows and their spectra
+    (None on classical paths) are bit for bit ``path.sample(ts)``.
     """
     start = path.start.array
     block = max(1, SAMPLE_BLOCK_BYTES // start.nbytes)
-    rows, chords = np.empty((ts.size,) + start.shape, float if start.ndim == 1 else complex), []
+    shape, quantum = (ts.size,) + start.shape, start.ndim == 2
+    rows, chords = np.empty(shape, complex if quantum else float), []
+    spectra = SpectralDecomposition(np.empty(shape[:2]), np.empty(shape, complex)) if quantum else None
     for i in range(0, max(ts.size - 1, 1), block):
         sampled, dec = path.sample(ts[i:i + block + 1])
         roots = _sqrt_rows(sampled, dec)
         chords.append(_uhlmann(roots[:-1], roots[1:])[1])
         rows[i:i + len(sampled)] = sampled
-    return _freeze(rows), _angles(np.concatenate(chords))
+        if quantum:
+            spectra.eigenvalues[i:i + len(sampled)] = dec.eigenvalues
+            spectra.eigenvectors[i:i + len(sampled)] = dec.eigenvectors
+    return rows, _angles(np.concatenate(chords)), spectra
 
 
 @dataclass(frozen=True, eq=False)
 class TransportSchedule:
-    """N steps: the N + 1 validated states as one (N + 1, d[, d]) stack, their ts, the step lengths."""
+    """N steps: the N + 1 validated states as one (N + 1, d[, d]) stack, their ts, the step lengths.
+
+    A schedule from :func:`even_schedule` also carries ``(rows, spectra)``
+    as its kept pass validated them, which :func:`run_transport` reuses; one
+    made by hand carries None, and its rows are validated there.
+    """
 
     rows: np.ndarray
     ts: np.ndarray
     step_lengths: np.ndarray
+    _validated: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.rows.ndim not in (2, 3):
@@ -349,8 +362,27 @@ def _check_steps(n_steps: int, state: State) -> None:
     _refuse_above(MAX_SCHEDULE_ENTRIES // size - 1, f"N (of states of {size} entries)", n_steps, "N")
 
 
-def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
-    """Reparametrize a path by arc length into N equal steps.
+def _stacked(grid) -> list:
+    """The slice of each N's N + 1 rows in one stack of the grid's rows, in order."""
+    ends = np.cumsum([n + 1 for n in grid])
+    return [slice(int(end) - n - 1, int(end)) for n, end in zip(grid, ends)]
+
+
+def _schedule_groups(grid, state: State) -> list:
+    """The grid cut into runs of consecutive N whose N + 1 rows like ``state`` together fit
+    MAX_SCHEDULE_ENTRIES entries: the largest grids one :func:`even_schedule` call takes."""
+    groups, size, held = [], state.array.size, MAX_SCHEDULE_ENTRIES
+    for n in grid:
+        if held + (n + 1) * size > MAX_SCHEDULE_ENTRIES:
+            groups.append([])
+            held = 0
+        groups[-1].append(n)
+        held += (n + 1) * size
+    return groups
+
+
+def even_schedule(path: StatePath, n_steps) -> TransportSchedule | list[TransportSchedule]:
+    """Reparametrize a path by arc length into N equal steps, or each N of a sequence.
 
     Equidistribution (de Boor, *A Practical Guide to Splines*, ch. XIV):
     from t = i/N, each pass measures the step angles 2 arccos F and moves
@@ -360,30 +392,69 @@ def even_schedule(path: StatePath, n_steps: int) -> TransportSchedule:
     STEP_NOISE / mean^2 where the sampled states resolve no less; when a
     pass does not lower the spread; or after MAX_PASSES passes.  Paths of
     constant speed or shorter than DEGENERATE_LENGTH keep t = i/N exactly.
-    N > MAX_STEPS, or N + 1 rows of more than MAX_SCHEDULE_ENTRIES entries
-    in all, raises DimensionCapExceeded before any sampling.  One
-    DEBUG record gives the passes, the stop reason and the spread, and the
-    rows are the states the kept pass sampled and validated.
+
+    An int N gives one schedule; a sequence of N gives one per entry, in
+    order, each bit for bit the schedule of its N alone.  The N of a
+    sequence run their passes in lockstep: every N still moving is sampled,
+    validated and measured in one stack per round.  An N below 1 or above
+    MAX_STEPS, N + 1 rows of more than MAX_SCHEDULE_ENTRIES entries, or a
+    sequence whose rows together hold more, raises before any sampling.
+    One DEBUG record per schedule, in order, gives N, the passes, the stop
+    reason and the spread.  The rows are the states the kept pass sampled
+    and validated, and the schedule carries their spectra.
     """
-    _check_steps(n_steps, path.start)
-    ts = np.linspace(0.0, 1.0, n_steps + 1)
-    best, reason = (np.inf,), "pass cap"
-    for passes in range(1, MAX_PASSES + 1):
-        rows, steps = _sampled_step_lengths(path, ts)
-        total = float(steps.sum())
-        if total < DEGENERATE_LENGTH:
-            best, reason = (0.0, ts, rows, steps), "degenerate"
+    single = np.ndim(n_steps) == 0
+    grid = [n_steps] if single else list(n_steps)
+    if not grid:
+        raise ValueError("need at least one N")
+    for n in grid:
+        _check_steps(n, path.start)
+    size = path.start.array.size
+    _refuse_above(MAX_SCHEDULE_ENTRIES // size, f"N + 1 summed over the grid (states of {size} entries)",
+                  sum(n + 1 for n in grid), "sum")
+    places, ts = _stacked(grid), [np.linspace(0.0, 1.0, n + 1) for n in grid]
+    best = [(np.inf, None, None)] * len(grid)   # the spread, ts and steps of each N's kept pass
+    stops, moving, kept = [None] * len(grid), range(len(grid)), None
+    for round_ in range(1, MAX_PASSES + 1):
+        rows, steps, spectra = _sampled_step_lengths(path, np.concatenate([ts[i] for i in moving]))
+        stacks = (rows,) if spectra is None else (rows, spectra.eigenvalues, spectra.eigenvectors)
+        if kept is None:
+            kept = stacks   # round one stacks every N at its place; a later kept pass is copied there
+        still = []
+        for i, here in zip(moving, _stacked([grid[i] for i in moving])):
+            n, own = grid[i], steps[here.start:here.stop - 1]
+            total = float(own.sum())
+            spread = 0.0 if total < DEGENERATE_LENGTH else float(np.ptp(own)) * n / total
+            if total < DEGENERATE_LENGTH:
+                reason = "degenerate"
+            elif spread >= best[i][0]:
+                reason = "stall"
+            elif spread <= max(SPREAD_TOL, STEP_NOISE * (n / total) ** 2):
+                reason = "tolerance"
+            else:
+                reason = None
+            if reason != "stall":
+                best[i] = (spread, ts[i], own.copy())
+                if round_ > 1:
+                    for k in range(len(kept)):
+                        kept[k][places[i]] = stacks[k][here]
+            if reason is None and round_ < MAX_PASSES:
+                ts[i] = np.interp(total * np.arange(n + 1) / n, np.cumsum(np.r_[0.0, own]), ts[i])
+                ts[i][0], ts[i][-1] = 0.0, 1.0
+                still.append(i)
+            else:
+                stops[i] = (round_, reason or "pass cap")
+        del rows, steps, spectra, stacks   # freed before the next round's stacks are filled
+        moving = still
+        if not moving:
             break
-        spread = float(np.ptp(steps)) * n_steps / total
-        if spread >= best[0]:
-            reason = "stall"
-            break
-        best = (spread, ts, rows, steps)
-        if spread <= max(SPREAD_TOL, STEP_NOISE * (n_steps / total) ** 2):
-            reason = "tolerance"
-            break
-        ts = np.interp(total * np.arange(n_steps + 1) / n_steps, np.cumsum(np.r_[0.0, steps]), ts)
-        ts[0], ts[-1] = 0.0, 1.0
-    spread, ts, rows, steps = best
-    _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n_steps, passes, reason, spread)
-    return TransportSchedule(rows, _freeze(ts), _freeze(steps))
+    for stack in kept:
+        _freeze(stack)
+    schedules = []
+    for n, own, (spread, kept_ts, steps), (passes, reason) in zip(grid, places, best, stops):
+        _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n, passes, reason, spread)
+        schedule = TransportSchedule(kept[0][own], _freeze(kept_ts), _freeze(steps))
+        dec = SpectralDecomposition(kept[1][own], kept[2][own]) if len(kept) == 3 else None
+        object.__setattr__(schedule, "_validated", (schedule.rows, dec))
+        schedules.append(schedule)
+    return schedules[0] if single else schedules

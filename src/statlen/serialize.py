@@ -7,13 +7,24 @@ run metadata as leading ``# key=value`` comment lines.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 
 from .exceptions import ValidationError
+from .geometry import MAX_SCHEDULE_ENTRIES
 from .states import State, validate_density, validate_distribution
+
+# The bytes a JSON file may hold.  A state that can still be transported one
+# step (N + 1 = 2 rows) has at most MAX_SCHEDULE_ENTRIES / 2 entries, so the two
+# states of a config hold at most MAX_SCHEDULE_ENTRIES.  An entry written as
+# [re, im] takes at most 54 bytes: two doubles of up to 24 characters each in
+# repr, 2 brackets, a comma and 3 bytes of separators; 64 bounds it: 2^30 bytes.
+JSON_BYTES_CAP = MAX_SCHEDULE_ENTRIES * 64
 
 
 def format_float(value: float) -> str:
@@ -117,14 +128,23 @@ def _finite_numbers(values, what: str) -> list:
 def _read_json(path, what: str):
     """The JSON value in the file at ``path``; the package's one JSON reader.
 
-    A file that is not UTF-8, not JSON or nested past the parser's recursion
-    limit raises ValidationError naming ``what``; one that cannot be opened, OSError.
+    A file over JSON_BYTES_CAP bytes, one that is not UTF-8, not JSON or nested
+    past the parser's recursion limit raises ValidationError naming ``what``;
+    one that cannot be opened, OSError.  A regular file's size is checked before
+    it is read, and any other file, a pipe or a device, is read to one byte past the cap.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValidationError(f"{what} is not a readable JSON file: {exc}") from exc
+    with open(path, "rb") as fh:
+        info, data = os.fstat(fh.fileno()), bytearray()
+        over = stat.S_ISREG(info.st_mode) and info.st_size > JSON_BYTES_CAP
+        while not over and (chunk := fh.read(min(1 << 20, JSON_BYTES_CAP + 1 - len(data)))):
+            data += chunk
+            over = len(data) > JSON_BYTES_CAP
+    if over:
+        raise ValidationError(f"{what} holds more than the {JSON_BYTES_CAP} bytes a JSON file may")
+    try:   # decoded as a text-mode open(path, encoding="utf-8") reads, newlines translated
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not a readable JSON file: {exc}") from exc
 
 
 def load_state(path) -> State:

@@ -156,15 +156,16 @@ class TransportReport:
 def run_transport(schedule: TransportSchedule) -> TransportReport:
     """Measure the step yields of ``schedule.rows`` and the end fidelity, from one validation.
 
-    The rows are validated, and decomposed, once as a stack; validation
-    leaves the clean rows of ``even_schedule`` bit for bit as they are.  A
+    A schedule from ``even_schedule`` carries the validation and the spectra
+    of its kept pass, and the yields are taken from them.  The rows of a
+    schedule made by hand are validated, and decomposed, once as a stack: a
     row that is not a state raises there (:class:`ValidationError` for a
     non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
-    :class:`NotNormalized`, naming the row), and a consecutive pair that
+    :class:`NotNormalized`, naming the row).  A consecutive pair that
     violates support raises :class:`InfiniteYield` with the step index.  The
     yields and the fidelity are those of the validated rows.
     """
-    rows, dec = _validate_rows(schedule.rows)
+    rows, dec = schedule._validated or _validate_rows(schedule.rows)
     yields = _step_entropies(rows, dec)
     broken = np.flatnonzero(np.isinf(yields))
     if broken.size:

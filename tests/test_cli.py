@@ -14,6 +14,7 @@ from statlen import (
     random_distribution,
     random_state,
     run_transport,
+    state_fidelity,
     validate_distribution,
 )
 from statlen.reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP
@@ -168,6 +169,14 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match="at most 64 random states"):
             next_seed()
 
+    def test_inline_states_draw_no_seed_pool(self, tmp_path, monkeypatch):
+        def no_seed_sequence(*args, **kwargs):
+            raise AssertionError("SeedSequence built for a run that draws no random state")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        code, _ = _run(tmp_path, "fidelity", {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B})
+        assert code == EXIT_OK
+
 
 class TestTransportCommand:
     def test_grid_rows_and_columns(self, tmp_path):
@@ -258,6 +267,65 @@ class TestTransportCommand:
         assert code == EXIT_OK
         assert [r.args[0] for r in caplog.records if r.name == "statlen.geometry"] == [4, 16]
         assert out.read_bytes() == quiet
+
+    def test_traced_routing(self, tmp_path, monkeypatch):
+        """The public names the benchmark's tracer wraps still carry the work: one
+        even_schedule call takes the whole sorted grid, the endpoint fidelity comes
+        from state_fidelity once per N, and run_transport on an even schedule passes
+        only its 2 end rows through eigh."""
+        grids, fidelities, eigh_rows = [], [], []
+        schedule, fidelity, run, eigh = even_schedule, state_fidelity, run_transport, np.linalg.eigh
+
+        def scheduled(path, n_steps):
+            grids.append(n_steps)
+            return schedule(path, n_steps)
+
+        def measured(a, b):
+            fidelities.append(1)
+            return fidelity(a, b)
+
+        def transported(plan):
+            eigh_rows.append(0)
+            return run(plan)
+
+        def counted(mats, *args, **kwargs):
+            if eigh_rows:
+                eigh_rows[-1] += 1 if np.ndim(mats) == 2 else len(mats)
+            return eigh(mats, *args, **kwargs)
+
+        monkeypatch.setattr("statlen.cli.even_schedule", scheduled)
+        for module in ("cli", "geometry", "transport"):   # every module that holds the name
+            monkeypatch.setattr(f"statlen.{module}.state_fidelity", measured)
+        monkeypatch.setattr("statlen.cli.run_transport", transported)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        config = {"path": {"type": "mixture", "state_a": _random_quantum(3), "state_b": _random_quantum(3)},
+                  "N_grid": [64, 16, 32]}
+        code, _ = _run(tmp_path, "transport", config)
+        assert code == EXIT_OK
+        assert grids == [[16, 32, 64]]
+        assert len(fidelities) == 3
+        assert eigh_rows == [2, 2, 2]
+
+    def test_grid_past_one_call_gives_the_same_record(self, tmp_path, monkeypatch):
+        # d = 4 rows of 4 entries: a cap of 1200 entries holds N 16 and 64 (328 rows)
+        # but not 256 (257 rows) with them, so the grid takes two calls
+        config = {"path": {"type": "mixture", "state_a": _random_classical(4), "state_b": _random_classical(4)},
+                  "N_grid": [256, 16, 64]}
+        monkeypatch.chdir(tmp_path)   # one relative --out keeps the config hash of both runs
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["transport", "--config", "run.json", "--out", "run.csv"]) == EXIT_OK
+        one_call = Path("run.csv").read_bytes()
+        schedule, grids = even_schedule, []
+
+        def scheduled(path, n_steps):
+            grids.append(n_steps)
+            return schedule(path, n_steps)
+
+        monkeypatch.setattr("statlen.geometry.MAX_SCHEDULE_ENTRIES", 4 * 300)
+        monkeypatch.setattr("statlen.cli.even_schedule", scheduled)
+        assert main(["transport", "--config", "run.json", "--out", "run.csv"]) == EXIT_OK
+        assert grids == [[16, 64], [256]]
+        assert Path("run.csv").read_bytes() == one_call
 
     def test_geodesic_on_noncommuting_qutrits(self, tmp_path):
         config = {
@@ -541,6 +609,10 @@ def _random_quantum(dim: int) -> dict:
     return {"kind": "random-quantum", "dim": dim, "rank": dim}
 
 
+def _random_classical(dim: int) -> dict:
+    return {"kind": "random-classical", "dim": dim}
+
+
 # SHA-256 of the CSV and the JSON record of each run whose numbers come through the
 # chord kernel, the reservoir step's decomposition or the probe table, taken with
 # numpy 2.4.6 before those kernels stopped forming what their callers do not read:
@@ -568,6 +640,25 @@ PINNED_RECORDS = {
                                "state_b": _random_quantum(3)}, "N_grid": [16, 64]},
         "aa55131a6202cdfa92dedac7623c72a51deb6d210f12da9138862f273b2e44e6",
         "0cb50bd38c7b15b796b147409c987dbddcba55a57510b6ec19fb0a26ff1fb48e",
+    ),
+    # classical transport, taken before the N of a grid ran their passes in lockstep
+    "transport-classical-geodesic": (
+        "transport", {"path": {"type": "geodesic", "state_a": _random_classical(4),
+                               "state_b": _random_classical(4)}, "N_grid": [16, 64, 256]},
+        "6c9342eb3931185a606e3c925d80ec3d15b5776a883936fc81fc2d7ebb81d045",
+        "7821b57ad9e9903ba53ce677b2315680aa2fd906d29917f51bee4baba9708758",
+    ),
+    "transport-classical-mixture": (
+        "transport", {"path": {"type": "mixture", "state_a": _random_classical(4),
+                               "state_b": _random_classical(4)}, "N_grid": [16, 64, 256]},
+        "f73ce46f30769dcdd2f7d54102289dd16296b1ede65621885f60fd315ed8c33c",
+        "961bd8ae3d367be358de28318945f6a0e47b55e2f95b9c31ecf02ef2b1c650e1",
+    ),
+    "transport-classical-unsorted-duplicate": (
+        "transport", {"path": {"type": "mixture", "state_a": _random_classical(4),
+                               "state_b": _random_classical(4)}, "N_grid": [64, 16, 64]},
+        "66daed5a87db217ba78695f15504fee37ae770d238ff01e8ac4d4b2f551b84b9",
+        "685627c4e6ced71cf96de4f6e60a923c5adcf87998ccba500a32308717d8272b",
     ),
     "fidelity": (
         "fidelity", {"state_a": _random_quantum(3), "state_b": _random_quantum(3)},
@@ -948,6 +1039,33 @@ def test_refused_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case
     err = capsys.readouterr().err
     assert err.startswith(f"statlen: {line}")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+JSON_PADDED = _json(CLASSICAL_B) + b" " * 300   # a state, past a 256-byte cap only by its padding
+
+
+@pytest.mark.parametrize("config, state", [
+    ("/dev/zero", None),
+    ("c.json", None),
+    ("c.json", "/dev/zero"),
+    ("c.json", "state.json"),
+], ids=["config-device", "config-file", "state-file-device", "state-file-file"])
+def test_json_past_the_byte_cap_exits_2(tmp_path, capsys, monkeypatch, config, state):
+    """A JSON file is read to at most one byte past the cap, and a regular file is
+    refused by its size, before it is read."""
+    monkeypatch.setattr("statlen.serialize.JSON_BYTES_CAP", 256)
+    monkeypatch.chdir(tmp_path)
+    if state is None:
+        Path("c.json").write_bytes(_json({"state_a": CLASSICAL_A, "state_b": CLASSICAL_B}) + b" " * 300)
+        what = "config"
+    else:
+        Path("c.json").write_bytes(_json({"state_a": {"file": state}, "state_b": CLASSICAL_B}))
+        Path("state.json").write_bytes(JSON_PADDED)
+        what = "state file"
+    assert main(["fidelity", "--config", config, "--out", "r.csv"]) == EXIT_INVALID
+    assert not Path("r.csv").exists()
+    err = capsys.readouterr().err
+    assert err == f"statlen: ValidationError: {what} holds more than the 256 bytes a JSON file may\n"
 
 
 class TestProbeCommand:

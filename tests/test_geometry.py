@@ -43,6 +43,7 @@ from statlen.geometry import (
     STEP_NOISE,
     _sampled_step_lengths,
 )
+from statlen.states import _validate_rows
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -714,7 +715,8 @@ class TestEvenSchedule:
 
     def test_blocks_fill_one_stack(self):
         # d = 8: a block is 256 rows, so N = 1024 takes 4 blocks and N = 8192 takes 32;
-        # beyond the rows stack a pass holds one block's work, whatever the number of blocks
+        # beyond the rows stack and its carried spectra a pass holds one block's work,
+        # whatever the number of blocks
         path = geodesic_path(random_state(8, 8, 1), random_state(8, 8, 2))
         excess = {}
         for n_steps in (1024, 8192):
@@ -724,7 +726,8 @@ class TestEvenSchedule:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            excess[n_steps] = peak - schedule.rows.nbytes
+            spectra = schedule._validated[1]
+            excess[n_steps] = peak - schedule.rows.nbytes - spectra.eigenvalues.nbytes - spectra.eigenvectors.nbytes
         assert excess[8192] < 1.25 * excess[1024]
         assert not schedule.rows.flags.writeable
         assert np.array_equal(schedule.rows, path.sample(schedule.ts)[0])
@@ -966,3 +969,113 @@ class TestBatchedPaths:
         path = _path_of_kind(kind, 13, 3)
         states = _reference_samples(kind, path, np.linspace(0.0, 1.0, 41))
         assert np.array_equal(_steps(path, 40), _reference_steps(states))
+
+
+# ---------- a grid of schedules in lockstep against one schedule per N ----------
+
+def _schedule_bytes(schedule) -> list:
+    """The bytes of a schedule's rows, ts, step lengths and carried spectra."""
+    rows, spectra = schedule._validated
+    assert rows is schedule.rows
+    carried = [] if spectra is None else [spectra.eigenvalues, spectra.eigenvectors]
+    return [a.tobytes() for a in [schedule.rows, schedule.ts, schedule.step_lengths] + carried]
+
+
+def _logged(caplog, run):
+    """``run()`` and the args of the DEBUG records it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="statlen"):
+        out = run()
+    return out, [r.args for r in caplog.records if r.name == "statlen.geometry"]
+
+
+def _assert_grid_is_single_calls(caplog, path, grid):
+    schedules, args = _logged(caplog, lambda: even_schedule(path, grid))
+    assert len(schedules) == len(args) == len(grid)
+    for n, schedule, logged in zip(grid, schedules, args):
+        alone, (alone_logged,) = _logged(caplog, lambda: even_schedule(path, n))
+        assert logged == alone_logged and logged[0] == n
+        assert _schedule_bytes(schedule) == _schedule_bytes(alone)
+        assert not any(a.flags.writeable for a in (schedule.rows, schedule.ts, schedule.step_lengths))
+        rows, spectra = _validate_rows(schedule.rows)
+        assert rows.tobytes() == schedule.rows.tobytes()
+        if spectra is not None:   # the carried spectra are those of the rows
+            carried = schedule._validated[1]
+            assert spectra.eigenvalues.tobytes() == carried.eigenvalues.tobytes()
+            assert spectra.eigenvectors.tobytes() == carried.eigenvectors.tobytes()
+    return args
+
+
+GRID = [64, 1, 16, 64, 7]   # unsorted, with a duplicate and N = 1
+
+
+class TestScheduleGrid:
+    """A sequence of N runs its passes in lockstep, each N bit for bit as when alone."""
+
+    @pytest.mark.parametrize("kind", PATH_KINDS)
+    def test_grid_is_single_calls(self, caplog, kind):
+        _assert_grid_is_single_calls(caplog, _path_of_kind(kind, 5, 3), GRID)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (random_state(2, 1, 3), random_state(2, 2, 4)),
+            (random_state(3, 1, 5), random_state(3, 3, 6)),
+            (validate_distribution([0.5, 0.5, 0.0, 0.0]), random_distribution(4, 9)),
+        ],
+        ids=["rank-1-qubit", "rank-1-qutrit", "zero-weights"],
+    )
+    def test_rank_deficient_mixture(self, caplog, start, end):
+        args = _assert_grid_is_single_calls(caplog, linear_mixture_path(start, end), GRID + [256])
+        assert max(a[1] for a in args) > 1   # the N leave the lockstep at different rounds
+
+    def test_stalling_sampler(self, caplog):
+        geo = geodesic_path(P_HALF, P_SKEW)
+        path = StatePath(P_HALF, P_SKEW, lambda ts: geo.sample(np.floor(ts * 5) / 5)[0])
+        args = _assert_grid_is_single_calls(caplog, path, [16, 8, 64, 8])
+        assert {a[2] for a in args} == {"stall"}
+
+    def test_pass_cap(self, caplog, monkeypatch):
+        monkeypatch.setattr("statlen.geometry.MAX_PASSES", 3)
+        path = linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4))
+        args = _assert_grid_is_single_calls(caplog, path, [64, 1, 256])
+        assert [a[1:3] for a in args] == [(3, "pass cap"), (1, "tolerance"), (3, "pass cap")]
+
+    def test_degenerate_path(self, caplog):
+        args = _assert_grid_is_single_calls(caplog, linear_mixture_path(RHO_FULL, RHO_FULL), [16, 1])
+        assert [a[1:] for a in args] == [(1, "degenerate", 0.0)] * 2
+
+    def test_an_int_is_the_one_element_grid(self):
+        path = linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4))
+        (listed,) = even_schedule(path, [64])
+        assert _schedule_bytes(listed) == _schedule_bytes(even_schedule(path, 64))
+
+    def test_grid_refusals(self, monkeypatch):
+        path = StatePath(P_HALF, P_SKEW, _never)
+        with pytest.raises(ValueError, match="at least one N"):
+            even_schedule(path, [])
+        with pytest.raises(ValueError, match="at least one step"):
+            even_schedule(path, [16, 0])
+        with pytest.raises(DimensionCapExceeded, match="largest feasible N is 65536"):
+            even_schedule(path, [16, MAX_STEPS + 1])
+        # rows of 2 entries: a cap of 200 entries holds 100 rows, one N of 99 but not N 49 and 50
+        monkeypatch.setattr("statlen.geometry.MAX_SCHEDULE_ENTRIES", 200)
+        even_schedule(geodesic_path(P_HALF, P_SKEW), [99])
+        with pytest.raises(DimensionCapExceeded) as err:
+            even_schedule(path, [49, 50])
+        assert err.value.max_feasible == 100
+        assert "N + 1 summed over the grid (states of 2 entries) 101 exceeds cap 100" in str(err.value)
+
+    def test_rounds_hold_the_kept_and_the_current_stacks(self):
+        # d = 8 mixture at N = 4096 takes 4 passes: beyond the kept rows and spectra a
+        # round holds its own stacks and one block's work, never a third stack
+        path = linear_mixture_path(random_state(8, 8, 1), random_state(8, 8, 2))
+        tracemalloc.start()
+        try:
+            schedule = even_schedule(path, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        spectra = schedule._validated[1]
+        kept = schedule.rows.nbytes + spectra.eigenvalues.nbytes + spectra.eigenvectors.nbytes
+        assert peak < 2.5 * kept

@@ -235,8 +235,9 @@ class TestRunTransport:
             assert even <= total * (1.0 + 1e-3)
 
     def test_each_row_is_decomposed_once(self, monkeypatch):
-        """The 17 rows of 16 steps, validated once for the yields, then the 2 end rows
-        for the fidelity: 19 rows through eigh, where validating the end rows again
+        """An even schedule carries the spectra of its 17 rows, so only the 2 end rows
+        pass through eigh, for the fidelity.  The same rows in a schedule made by hand
+        are validated once for the yields: 19 rows, where validating the end rows again
         made 21."""
         eigh, rows_seen = np.linalg.eigh, []
 
@@ -246,9 +247,15 @@ class TestRunTransport:
 
         rho, sigma = random_state(3, 3, 5), random_state(3, 3, 6)
         schedule = even_schedule(geodesic_path(rho, sigma), 16)
+        by_hand = TransportSchedule(schedule.rows, schedule.ts, schedule.step_lengths)
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        run_transport(schedule)
+        carried = run_transport(schedule)
+        assert sum(rows_seen) == 2
+        rows_seen.clear()
+        validated = run_transport(by_hand)
         assert sum(rows_seen) == 19
+        assert np.array_equal(validated.step_yields, carried.step_yields)
+        assert validated.endpoint_fidelity == carried.endpoint_fidelity
         rows_seen.clear()
         relative_entropy(rho, sigma)
         assert sum(rows_seen) == 2

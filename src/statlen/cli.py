@@ -124,18 +124,13 @@ SEED_POOL_SIZE = 64   # random-state draws one run may make
 
 def _seed_pool(seed: int):
     """The run's random-state seeds, drawn from ``SeedSequence(seed)`` on the first draw."""
-    seeds = None
 
-    def next_seed() -> int:
-        nonlocal seeds
-        if seeds is None:
-            seeds = iter(np.random.SeedSequence(seed).generate_state(SEED_POOL_SIZE))
-        drawn = next(seeds, None)
-        if drawn is None:
-            raise ConfigError(f"a run may draw at most {SEED_POOL_SIZE} random states")
-        return int(drawn)
+    def seeds():
+        yield from np.random.SeedSequence(seed).generate_state(SEED_POOL_SIZE)
+        raise ConfigError(f"a run may draw at most {SEED_POOL_SIZE} random states")
 
-    return next_seed
+    pool = seeds()
+    return lambda: int(next(pool))
 
 
 def _canonical(resolved: dict) -> str:
@@ -153,9 +148,8 @@ def _record_meta(resolved: dict, canonical: str) -> dict:
     }
 
 
-def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict, canonical=None) -> None:
-    """Write the record; ``canonical`` is ``_canonical(resolved)`` when the caller has it."""
-    canonical = _canonical(resolved) if canonical is None else canonical
+def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict, canonical: str) -> None:
+    """Write the record; ``canonical`` is ``_canonical(resolved)``, serialized once per run."""
     record = _record_meta(resolved, canonical)
     if resolved["format"] == "csv":
         record["config"] = canonical
@@ -194,7 +188,7 @@ def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
         "length_fisher": geodesic_length_fisher(fid),
         "length_bures": geodesic_length_bures(fid),
     }
-    _write_record(resolved, tuple(results), [tuple(results.values())], {}, results)
+    _write_record(resolved, tuple(results), [tuple(results.values())], {}, results, _canonical(resolved))
     return EXIT_OK
 
 
@@ -218,25 +212,24 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     )
     rows = []
     results = []
-    schedules = [s for group in _schedule_groups(grid, path.start) for s in even_schedule(path, group)]
-    for n, schedule in zip(grid, schedules):
-        report = run_transport(schedule)
-        ds = report.total_entropy
-        ell = report.total_length
-        entry = {
-            "N": n,
-            "ell": ell,
-            "Delta_S": ds,
-            "bound_path_length": report.bound_path_length,
-            "bound_fidelity": report.bound_fidelity,
-            "nu": serialize._json_float(report.nu),
-            "rate_ratio": ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0,
-        }
-        results.append(entry)
-        rows.append(
-            (n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"])
-        )
-    _write_record(resolved, columns, rows, {}, {"grid": results})
+    for group in _schedule_groups(grid, path.start):   # one group's schedules alive at a time
+        for n, report in zip(group, map(run_transport, even_schedule(path, group))):
+            ds = report.total_entropy
+            ell = report.total_length
+            entry = {
+                "N": n,
+                "ell": ell,
+                "Delta_S": ds,
+                "bound_path_length": report.bound_path_length,
+                "bound_fidelity": report.bound_fidelity,
+                "nu": serialize._json_float(report.nu),
+                "rate_ratio": ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0,
+            }
+            results.append(entry)
+            rows.append(
+                (n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"])
+            )
+    _write_record(resolved, columns, rows, {}, {"grid": results}, _canonical(resolved))
     return EXIT_OK
 
 
@@ -257,6 +250,7 @@ def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
         zip(results["n"], results["delta_S"], results["gap"]),
         {"reference": serialize.format_float(scan.reference), "mode": scan.mode},
         results,
+        _canonical(resolved),
     )
     return EXIT_OK
 
@@ -334,7 +328,7 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
     }
     columns = ("eps", "ratio_metric", "ratio_kubo_mori")
     rows = zip(*(results[c] for c in columns))
-    _write_record(resolved, columns, rows, {"metric": probe.metric_name}, results)
+    _write_record(resolved, columns, rows, {"metric": probe.metric_name}, results, _canonical(resolved))
     return EXIT_OK
 
 

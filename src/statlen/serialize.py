@@ -7,7 +7,6 @@ run metadata as leading ``# key=value`` comment lines.
 """
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -141,8 +140,9 @@ def _read_json(path, what: str):
             over = len(data) > JSON_BYTES_CAP
     if over:
         raise ValidationError(f"{what} holds more than the {JSON_BYTES_CAP} bytes a JSON file may")
-    try:   # decoded as a text-mode open(path, encoding="utf-8") reads, newlines translated
-        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    try:   # the bytes are let go before the text is parsed
+        data = data.decode("utf-8")
+        return json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not a readable JSON file: {exc}") from exc
 

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,23 @@ class TestTransportCommand:
         assert main(["transport", "--config", "run.json", "--out", "run.csv"]) == EXIT_OK
         assert grids == [[16, 64], [256]]
         assert Path("run.csv").read_bytes() == one_call
+
+    def test_a_grid_of_groups_holds_one_group_at_a_time(self, tmp_path, monkeypatch):
+        # a cap of 4096 rows of d = 4 makes each N below its own group; holding every
+        # group's schedules at once would raise the peak by half for these four
+        monkeypatch.setattr("statlen.geometry.MAX_SCHEDULE_ENTRIES", 4 * 4096)
+        path = {"type": "mixture", "state_a": _random_classical(4), "state_b": _random_classical(4)}
+        peaks = []
+        for grid in ([4095], [4092, 4093, 4094, 4095]):
+            _run(tmp_path, "transport", {"path": path, "N_grid": grid})   # warm caches outside the trace
+            tracemalloc.start()
+            try:
+                code, _ = _run(tmp_path, "transport", {"path": path, "N_grid": grid})
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_geodesic_on_noncommuting_qutrits(self, tmp_path):
         config = {

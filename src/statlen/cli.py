@@ -31,8 +31,6 @@ from .geometry import (
     geodesic_path,
     linear_mixture_path,
     state_fidelity,
-    _check_steps,
-    _schedule_groups,
 )
 from .pathopt import DEFAULT_MAX_ITER, minimize_path
 from .reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP, convergence_scan
@@ -198,8 +196,6 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         raise ConfigError(f"N_grid must be a list of one or more N, got {config['N_grid']!r}")
     grid = sorted(_count(n, "N_grid") for n in config["N_grid"])
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
-    for n in grid:
-        _check_steps(n, path.start)
     resolved["path"] = resolved_spec
     columns = (
         "N",
@@ -212,23 +208,20 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     )
     rows = []
     results = []
-    for group in _schedule_groups(grid, path.start):   # one group's schedules alive at a time
-        for n, report in zip(group, map(run_transport, even_schedule(path, group))):
-            ds = report.total_entropy
-            ell = report.total_length
-            entry = {
-                "N": n,
-                "ell": ell,
-                "Delta_S": ds,
-                "bound_path_length": report.bound_path_length,
-                "bound_fidelity": report.bound_fidelity,
-                "nu": serialize._json_float(report.nu),
-                "rate_ratio": ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0,
-            }
-            results.append(entry)
-            rows.append(
-                (n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"])
-            )
+    for n, report in zip(grid, map(run_transport, even_schedule(path, grid))):
+        ds = report.total_entropy
+        ell = report.total_length
+        entry = {
+            "N": n,
+            "ell": ell,
+            "Delta_S": ds,
+            "bound_path_length": report.bound_path_length,
+            "bound_fidelity": report.bound_fidelity,
+            "nu": serialize._json_float(report.nu),
+            "rate_ratio": ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0,
+        }
+        results.append(entry)
+        rows.append((n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"]))
     _write_record(resolved, columns, rows, {}, {"grid": results}, _canonical(resolved))
     return EXIT_OK
 

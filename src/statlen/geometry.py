@@ -21,7 +21,7 @@ from the shape of their arrays.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,8 +34,8 @@ from .exceptions import (
     _refuse_above,
 )
 from .states import (
+    SUPPORT_FLOOR,
     VALIDATION_TOL,
-    SpectralDecomposition,
     State,
     TangentPerturbation,
     spectral,
@@ -50,10 +50,11 @@ RANK_TOL = 1e-10          # a smallest eigenvalue at or below this is rank-defic
 DEGENERATE_LENGTH = 1e-12
 SAMPLE_BLOCK_BYTES = 1 << 18   # size of one state stack in a dense path evaluation
 MAX_STEPS = 65536              # cap on the steps of an even schedule
-MAX_SCHEDULE_ENTRIES = 2 ** 24  # cap on the entries of a schedule's rows stack
+MAX_SCHEDULE_ENTRIES = 2 ** 24  # cap on the state entries one schedule pass samples: N + 1 per distinct N
 SPREAD_TOL = 1e-8              # even-schedule target for (max - min)/mean of the steps
 STEP_NOISE = 256 * np.finfo(float).eps  # least spread the sampled states resolve, times mean step^2
 MAX_PASSES = 64                # cap on the equidistribution passes of an even schedule
+LEAK_TOL = 1e-12               # tolerated weight outside the support of the second state of a step
 _log = logging.getLogger(__name__)
 
 
@@ -295,90 +296,125 @@ def linear_mixture_path(a, b) -> StatePath:
     return StatePath(a, b, _points)
 
 
+# ---------- step yields ----------
+
+def _step_entropies(rows: np.ndarray, dec) -> np.ndarray:
+    """S(rows[i] || rows[i+1]) of a stack and its decomposition from ``states._validate_rows``.
+
+    +inf past ``LEAK_TOL``.  Klein's form sum_ij P_ij a_i (r - 1 - ln r),
+    r = b_j / a_i, over the spectra of a and b with overlaps
+    P_ij = |<i|j>|^2: the weights themselves and P = I for classical rows
+    (``dec`` None), the eigenpairs of ``dec`` for matrices.  Every term is
+    nonnegative, so the ~ theta^2/(2 N^2) yield of a short step is not a
+    difference of O(1) traces.  r - 1 is exact for 1/2 <= r <= 2, where
+    log1p(r - 1) would return the same ln r; below, ln r keeps the low
+    bits of r that r - 1 drops.  The form equals S + tr b - tr a, so each
+    spectrum is divided by its sum rather than corrected afterwards, which
+    would bring back an O(1) cancellation.  A zero weight gives no ratio:
+    a_i = 0 gives b_j, and b_j = 0 gives nothing but puts P_ij a_i into
+    the leak.  Computed eigenvalues at or below ``SUPPORT_FLOOR`` count as
+    zeros; exact classical weights are zeros only when they are 0, and an
+    a_i below the least normal double, where b_j / a_i could overflow,
+    takes its a_i -> 0 limit b_j, off by less than 2e-305.  Each yield
+    depends on its own two rows only, so a stack taken in blocks gives the
+    yields of the whole stack, bit for bit.
+    """
+    if dec is None:
+        lam = rows / rows.sum(axis=1, keepdims=True)
+        a, b, overlap, floor = lam[:-1], lam[1:], 1.0, 0.0
+    else:
+        vec, lam = dec.eigenvectors, dec.eigenvalues / dec.eigenvalues.sum(axis=1, keepdims=True)
+        overlap = np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
+        a, b, floor = lam[:-1, :, None], lam[1:, None, :], SUPPORT_FLOOR
+    live_a, live_b = a > max(floor, np.finfo(float).tiny), b > floor
+    r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
+    terms = overlap * np.where(live_a, a * (r - 1.0 - np.log(r)), np.where(live_b, b, 0.0))
+    axes = tuple(range(1, rows.ndim))
+    leak = np.sum(overlap * np.where(live_b, 0.0, a), axis=axes)
+    return np.where(leak > LEAK_TOL, np.inf, terms.sum(axis=axes))
+
+
 # ---------- discrete lengths and schedules ----------
 
 def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
-    """The path's validated states at ``ts``, the step lengths between consecutive ones, their spectra.
+    """The step lengths and the step yields between the path's consecutive validated states at ``ts``.
 
-    The states are sampled, validated and compared in stacked blocks that
-    overlap by one parameter, which bounds the memory whatever len(ts) is.
-    Written block by block into writable stacks, the rows and their spectra
-    (None on classical paths) are bit for bit ``path.sample(ts)``.
+    The states are sampled, validated, compared and their yields taken in
+    stacked blocks that overlap by one parameter, and only the two arrays
+    of len(ts) - 1 values are kept, which bounds the memory whatever
+    len(ts) is.  The lengths are the chord angles of ``path.sample(ts)``
+    and the yields its ``_step_entropies``, bit for bit.
     """
-    start = path.start.array
-    block = max(1, SAMPLE_BLOCK_BYTES // start.nbytes)
-    shape, quantum = (ts.size,) + start.shape, start.ndim == 2
-    rows, chords = np.empty(shape, complex if quantum else float), []
-    spectra = SpectralDecomposition(np.empty(shape[:2]), np.empty(shape, complex)) if quantum else None
-    for i in range(0, max(ts.size - 1, 1), block):
+    block = max(1, SAMPLE_BLOCK_BYTES // path.start.array.nbytes)
+    steps, yields = np.empty(ts.size - 1), np.empty(ts.size - 1)
+    for i in range(0, ts.size - 1, block):
         sampled, dec = path.sample(ts[i:i + block + 1])
         roots = _sqrt_rows(sampled, dec)
-        chords.append(_uhlmann(roots[:-1], roots[1:])[1])
-        rows[i:i + len(sampled)] = sampled
-        if quantum:
-            spectra.eigenvalues[i:i + len(sampled)] = dec.eigenvalues
-            spectra.eigenvectors[i:i + len(sampled)] = dec.eigenvectors
-    return rows, _angles(np.concatenate(chords)), spectra
+        steps[i:i + block] = _angles(_uhlmann(roots[:-1], roots[1:])[1])
+        yields[i:i + block] = _step_entropies(sampled, dec)
+    return steps, yields
 
 
 @dataclass(frozen=True, eq=False)
 class TransportSchedule:
-    """N steps: the N + 1 validated states as one (N + 1, d[, d]) stack, their ts, the step lengths.
+    """N steps from ``start`` to ``end``: their N + 1 parameters, step lengths and step yields.
 
-    A schedule from :func:`even_schedule` also carries ``(rows, spectra)``
-    as its kept pass validated them, which :func:`run_transport` reuses; one
-    made by hand carries None, and its rows are validated there.
+    The yield of step i is S(rho_i || rho_{i+1}) of the validated states at
+    ``ts[i]`` and ``ts[i + 1]``, +inf past LEAK_TOL.  :func:`even_schedule`
+    takes the yields in the pass that measures the steps, and keeps no
+    states; :meth:`from_rows` takes them from a stack of states made by hand.
     """
 
-    rows: np.ndarray
+    start: State
+    end: State
     ts: np.ndarray
     step_lengths: np.ndarray
-    _validated: tuple = field(default=None, init=False, repr=False)
+    step_yields: np.ndarray
 
     def __post_init__(self):
-        if self.rows.ndim not in (2, 3):
-            raise DimensionMismatch(f"schedule rows cannot have shape {self.rows.shape}")
-        if len(self.rows) < 2:
-            raise ValueError(f"need at least one step, got {len(self.rows)} rows")
-        n, sizes = self.n_steps, (len(self.ts), len(self.step_lengths))
+        _pair_kind(self.start, self.end)
+        n, sizes = len(self.step_yields), (len(self.ts), len(self.step_lengths))
+        if n < 1:
+            raise ValueError(f"need at least one step, got {n}")
         if sizes != (n + 1, n):
             raise ValueError(f"{n} steps need {n + 1} ts and {n} step lengths, got {sizes}")
 
+    @classmethod
+    def from_rows(cls, rows, ts, step_lengths) -> TransportSchedule:
+        """The schedule of N + 1 states given as one (N + 1, d) or (N + 1, d, d) stack.
+
+        The stack is validated, and decomposed, once: rows of any other rank
+        raise DimensionMismatch, fewer than two rows ValueError, and a row
+        that is not a state what validation raises for it
+        (:class:`ValidationError` for a non-finite entry, then
+        :class:`NotHermitian`, :class:`NotPositive` or :class:`NotNormalized`,
+        naming the row).  The endpoints and the yields are those of the
+        validated rows.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim not in (2, 3):
+            raise DimensionMismatch(f"schedule rows cannot have shape {rows.shape}")
+        if len(rows) < 2:
+            raise ValueError(f"need at least one step, got {len(rows)} rows")
+        rows, dec = _validate_rows(rows)
+        return cls(State(rows[0]), State(rows[-1]), ts, step_lengths, _freeze(_step_entropies(rows, dec)))
+
     @property
     def kind(self) -> str:
-        return "classical" if self.rows.ndim == 2 else "quantum"
+        return self.start.kind
 
     @property
     def n_steps(self) -> int:
-        return len(self.rows) - 1
+        return len(self.step_yields)
 
 
 def _check_steps(n_steps: int, state: State) -> None:
-    """Refuse N < 1, N > MAX_STEPS, and N + 1 rows like ``state`` above MAX_SCHEDULE_ENTRIES entries."""
+    """Refuse N < 1, N > MAX_STEPS, and N + 1 states like ``state`` above MAX_SCHEDULE_ENTRIES entries."""
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     _refuse_above(MAX_STEPS, "N", n_steps, "N")
     size = state.array.size
     _refuse_above(MAX_SCHEDULE_ENTRIES // size - 1, f"N (of states of {size} entries)", n_steps, "N")
-
-
-def _stacked(grid) -> list:
-    """The slice of each N's N + 1 rows in one stack of the grid's rows, in order."""
-    ends = np.cumsum([n + 1 for n in grid])
-    return [slice(int(end) - n - 1, int(end)) for n, end in zip(grid, ends)]
-
-
-def _schedule_groups(grid, state: State) -> list:
-    """The grid cut into runs of consecutive N whose N + 1 rows like ``state`` together fit
-    MAX_SCHEDULE_ENTRIES entries: the largest grids one :func:`even_schedule` call takes."""
-    groups, size, held = [], state.array.size, MAX_SCHEDULE_ENTRIES
-    for n in grid:
-        if held + (n + 1) * size > MAX_SCHEDULE_ENTRIES:
-            groups.append([])
-            held = 0
-        groups[-1].append(n)
-        held += (n + 1) * size
-    return groups
 
 
 def even_schedule(path: StatePath, n_steps) -> TransportSchedule | list[TransportSchedule]:
@@ -392,16 +428,18 @@ def even_schedule(path: StatePath, n_steps) -> TransportSchedule | list[Transpor
     STEP_NOISE / mean^2 where the sampled states resolve no less; when a
     pass does not lower the spread; or after MAX_PASSES passes.  Paths of
     constant speed or shorter than DEGENERATE_LENGTH keep t = i/N exactly.
+    Each pass also takes the step yields of the states it measures, so the
+    schedule carries the kept pass's ts, step lengths and yields, and no
+    states: the memory is one block's work and O(N) values, whatever N is.
 
     An int N gives one schedule; a sequence of N gives one per entry, in
-    order, each bit for bit the schedule of its N alone.  The N of a
-    sequence run their passes in lockstep: every N still moving is sampled,
-    validated and measured in one stack per round.  An N below 1 or above
-    MAX_STEPS, N + 1 rows of more than MAX_SCHEDULE_ENTRIES entries, or a
-    sequence whose rows together hold more, raises before any sampling.
-    One DEBUG record per schedule, in order, gives N, the passes, the stop
-    reason and the spread.  The rows are the states the kept pass sampled
-    and validated, and the schedule carries their spectra.
+    order, each bit for bit the schedule of its N alone.  The distinct N of
+    a sequence run their passes in lockstep: every N still moving is
+    sampled, validated and measured once per round, in one stream of
+    blocks.  An N below 1 or above MAX_STEPS, N + 1 states of more than
+    MAX_SCHEDULE_ENTRIES entries, or distinct N whose states together hold
+    more, raises before any sampling.  One DEBUG record per entry, in
+    order, gives N, the passes, the stop reason and the spread.
     """
     single = np.ndim(n_steps) == 0
     grid = [n_steps] if single else list(n_steps)
@@ -409,52 +447,40 @@ def even_schedule(path: StatePath, n_steps) -> TransportSchedule | list[Transpor
         raise ValueError("need at least one N")
     for n in grid:
         _check_steps(n, path.start)
-    size = path.start.array.size
-    _refuse_above(MAX_SCHEDULE_ENTRIES // size, f"N + 1 summed over the grid (states of {size} entries)",
-                  sum(n + 1 for n in grid), "sum")
-    places, ts = _stacked(grid), [np.linspace(0.0, 1.0, n + 1) for n in grid]
-    best = [(np.inf, None, None)] * len(grid)   # the spread, ts and steps of each N's kept pass
-    stops, moving, kept = [None] * len(grid), range(len(grid)), None
+    distinct, size = list(dict.fromkeys(grid)), path.start.array.size
+    _refuse_above(MAX_SCHEDULE_ENTRIES // size, f"N + 1 summed over the grid's distinct N (states of {size} "
+                  "entries)", sum(n + 1 for n in distinct), "sum")
+    ts = {n: np.linspace(0.0, 1.0, n + 1) for n in distinct}
+    best = dict.fromkeys(distinct, (np.inf,))   # the spread, ts, steps and yields of each N's kept pass
+    stops, moving = {}, distinct
     for round_ in range(1, MAX_PASSES + 1):
-        rows, steps, spectra = _sampled_step_lengths(path, np.concatenate([ts[i] for i in moving]))
-        stacks = (rows,) if spectra is None else (rows, spectra.eigenvalues, spectra.eigenvectors)
-        if kept is None:
-            kept = stacks   # round one stacks every N at its place; a later kept pass is copied there
-        still = []
-        for i, here in zip(moving, _stacked([grid[i] for i in moving])):
-            n, own = grid[i], steps[here.start:here.stop - 1]
+        steps, yields = _sampled_step_lengths(path, np.concatenate([ts[n] for n in moving]))
+        still, at = [], 0
+        for n in moving:
+            own = steps[at:at + n]
             total = float(own.sum())
             spread = 0.0 if total < DEGENERATE_LENGTH else float(np.ptp(own)) * n / total
             if total < DEGENERATE_LENGTH:
                 reason = "degenerate"
-            elif spread >= best[i][0]:
+            elif spread >= best[n][0]:
                 reason = "stall"
             elif spread <= max(SPREAD_TOL, STEP_NOISE * (n / total) ** 2):
                 reason = "tolerance"
             else:
                 reason = None
             if reason != "stall":
-                best[i] = (spread, ts[i], own.copy())
-                if round_ > 1:
-                    for k in range(len(kept)):
-                        kept[k][places[i]] = stacks[k][here]
+                best[n] = (spread, ts[n], own.copy(), yields[at:at + n].copy())
             if reason is None and round_ < MAX_PASSES:
-                ts[i] = np.interp(total * np.arange(n + 1) / n, np.cumsum(np.r_[0.0, own]), ts[i])
-                ts[i][0], ts[i][-1] = 0.0, 1.0
-                still.append(i)
+                ts[n] = np.interp(total * np.arange(n + 1) / n, np.cumsum(np.r_[0.0, own]), ts[n])
+                ts[n][0], ts[n][-1] = 0.0, 1.0
+                still.append(n)
             else:
-                stops[i] = (round_, reason or "pass cap")
-        del rows, steps, spectra, stacks   # freed before the next round's stacks are filled
+                stops[n] = (round_, reason or "pass cap")
+            at += n + 1
         moving = still
         if not moving:
             break
-    for stack in kept:
-        _freeze(stack)
-    schedules = []
-    for n, own, (spread, kept_ts, steps), (passes, reason) in zip(grid, places, best, stops):
-        _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n, passes, reason, spread)
-        schedule = TransportSchedule(kept[0][own], _freeze(kept_ts), _freeze(steps))
-        dec = SpectralDecomposition(kept[1][own], kept[2][own]) if len(kept) == 3 else None
-        object.__setattr__(schedule, "_validated", (schedule.rows, dec))
-        schedules.append(schedule)
-    return schedules[0] if single else schedules
+    schedules = {n: TransportSchedule(path.start, path.end, *map(_freeze, best[n][1:])) for n in distinct}
+    for n in grid:
+        _log.debug("even_schedule N=%d: %d passes, stop: %s, spread %.3e", n, *stops[n], best[n][0])
+    return schedules[n_steps] if single else [schedules[n] for n in grid]

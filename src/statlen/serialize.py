@@ -130,14 +130,18 @@ def _read_json(path, what: str):
     A file over JSON_BYTES_CAP bytes, one that is not UTF-8, not JSON or nested
     past the parser's recursion limit raises ValidationError naming ``what``;
     one that cannot be opened, OSError.  A regular file's size is checked before
-    it is read, and any other file, a pipe or a device, is read to one byte past the cap.
+    it is read, and any other file, a pipe or a device, is read to one byte past the
+    cap; one that fills the memory the process may hold first raises ValidationError too.
     """
-    with open(path, "rb") as fh:
-        info, data = os.fstat(fh.fileno()), bytearray()
-        over = stat.S_ISREG(info.st_mode) and info.st_size > JSON_BYTES_CAP
-        while not over and (chunk := fh.read(min(1 << 20, JSON_BYTES_CAP + 1 - len(data)))):
-            data += chunk
-            over = len(data) > JSON_BYTES_CAP
+    try:
+        with open(path, "rb") as fh:
+            info, data = os.fstat(fh.fileno()), bytearray()
+            over = stat.S_ISREG(info.st_mode) and info.st_size > JSON_BYTES_CAP
+            while not over and (chunk := fh.read(min(1 << 20, JSON_BYTES_CAP + 1 - len(data)))):
+                data += chunk
+                over = len(data) > JSON_BYTES_CAP
+    except MemoryError as exc:
+        raise ValidationError(f"{what} holds more bytes than the memory left to read it") from exc
     if over:
         raise ValidationError(f"{what} holds more than the {JSON_BYTES_CAP} bytes a JSON file may")
     try:   # the bytes are let go before the text is parsed

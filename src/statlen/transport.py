@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InfiniteYield, RankDeficient, _refuse_above
+from .exceptions import InfiniteYield, RankDeficient, ValidationError, _refuse_above
 from .geometry import (
     MAX_SCHEDULE_ENTRIES,
     RANK_TOL,
@@ -22,19 +22,16 @@ from .geometry import (
     kubo_mori_element,
     metric_element,
     state_fidelity,
+    _step_entropies,
     _tangent_kind,
 )
 from .states import (
-    SUPPORT_FLOOR,
     State,
     TangentPerturbation,
     _freeze,
     _pair_kind,
     _validate_rows,
 )
-
-LEAK_TOL = 1e-12   # tolerated weight outside the support of the second state
-
 
 def relative_entropy(a, b) -> float:
     """S(a||b) in nats; +inf when a has weight outside the support of b.
@@ -46,40 +43,6 @@ def relative_entropy(a, b) -> float:
     """
     _pair_kind(a, b)
     return float(_step_entropies(*_validate_rows(np.stack((a.array, b.array))))[0])
-
-
-def _step_entropies(rows: np.ndarray, dec) -> np.ndarray:
-    """S(rows[i] || rows[i+1]) of a stack and its decomposition from ``states._validate_rows``.
-
-    +inf past ``LEAK_TOL``.  Klein's form sum_ij P_ij a_i (r - 1 - ln r),
-    r = b_j / a_i, over the spectra of a and b with overlaps
-    P_ij = |<i|j>|^2: the weights themselves and P = I for classical rows
-    (``dec`` None), the eigenpairs of ``dec`` for matrices.  Every term is
-    nonnegative, so the ~ theta^2/(2 N^2) yield of a short step is not a
-    difference of O(1) traces.  r - 1 is exact for 1/2 <= r <= 2, where
-    log1p(r - 1) would return the same ln r; below, ln r keeps the low
-    bits of r that r - 1 drops.  The form equals S + tr b - tr a, so each
-    spectrum is divided by its sum rather than corrected afterwards, which
-    would bring back an O(1) cancellation.  A zero weight gives no ratio:
-    a_i = 0 gives b_j, and b_j = 0 gives nothing but puts P_ij a_i into
-    the leak.  Computed eigenvalues at or below ``SUPPORT_FLOOR`` count as
-    zeros; exact classical weights are zeros only when they are 0, and an
-    a_i below the least normal double, where b_j / a_i could overflow,
-    takes its a_i -> 0 limit b_j, off by less than 2e-305.
-    """
-    if dec is None:
-        lam = rows / rows.sum(axis=1, keepdims=True)
-        a, b, overlap, floor = lam[:-1], lam[1:], 1.0, 0.0
-    else:
-        vec, lam = dec.eigenvectors, dec.eigenvalues / dec.eigenvalues.sum(axis=1, keepdims=True)
-        overlap = np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
-        a, b, floor = lam[:-1, :, None], lam[1:, None, :], SUPPORT_FLOOR
-    live_a, live_b = a > max(floor, np.finfo(float).tiny), b > floor
-    r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
-    terms = overlap * np.where(live_a, a * (r - 1.0 - np.log(r)), np.where(live_b, b, 0.0))
-    axes = tuple(range(1, rows.ndim))
-    leak = np.sum(overlap * np.where(live_b, 0.0, a), axis=axes)
-    return np.where(leak > LEAK_TOL, np.inf, terms.sum(axis=axes))
 
 
 def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
@@ -154,25 +117,19 @@ class TransportReport:
 
 
 def run_transport(schedule: TransportSchedule) -> TransportReport:
-    """Measure the step yields of ``schedule.rows`` and the end fidelity, from one validation.
+    """Report a schedule's step lengths and yields with the fidelity of its endpoints.
 
-    A schedule from ``even_schedule`` carries the validation and the spectra
-    of its kept pass, and the yields are taken from them.  The rows of a
-    schedule made by hand are validated, and decomposed, once as a stack: a
-    row that is not a state raises there (:class:`ValidationError` for a
-    non-finite entry, then :class:`NotHermitian`, :class:`NotPositive` or
-    :class:`NotNormalized`, naming the row).  A consecutive pair that
-    violates support raises :class:`InfiniteYield` with the step index.  The
-    yields and the fidelity are those of the validated rows.
+    The yields are those the schedule carries; a step whose yield is
+    infinite, a support violation, raises :class:`InfiniteYield` with the
+    first such step's index.  The endpoint fidelity is
+    ``state_fidelity(schedule.start, schedule.end)``.
     """
-    rows, dec = schedule._validated or _validate_rows(schedule.rows)
-    yields = _step_entropies(rows, dec)
-    broken = np.flatnonzero(np.isinf(yields))
+    broken = np.flatnonzero(np.isinf(schedule.step_yields))
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
-    fid = state_fidelity(State(rows[0]), State(rows[-1]))
-    return TransportReport(schedule.kind, schedule.step_lengths, _freeze(yields), fid)
+    fid = state_fidelity(schedule.start, schedule.end)
+    return TransportReport(schedule.kind, schedule.step_lengths, schedule.step_yields, fid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +154,11 @@ class ExpansionProbe:
 def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> ExpansionProbe:
     """Tabulate S(rho||rho + eps drho) / (dl^2/2) over a descending eps grid.
 
-    The perturbed states form one stack, held to a schedule's MAX_SCHEDULE_ENTRIES
+    The perturbed states form one stack, held to a schedule pass's MAX_SCHEDULE_ENTRIES
     entries: a longer grid raises DimensionCapExceeded, and a rank-deficient state
     RankDeficient (a density matrix's from its metric element), before any stack.
+    An eps whose metric or Kubo-Mori element underflows to 0 has no ratio, and
+    raises ValidationError before any stack.
     """
     eps = np.asarray(eps_list, dtype=np.float64)
     if eps.ndim != 1 or eps.size == 0:
@@ -213,6 +172,9 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
             f"expansion probe needs a full-rank state, got a least weight {state.array.min():.3e}")
     metric = np.array([metric_element(state, perturbation, e) for e in eps])
     kubo_mori = np.array([kubo_mori_element(state, perturbation, e) for e in eps])
+    unresolved = (metric == 0.0) | (kubo_mori == 0.0)
+    if unresolved.any():
+        raise ValidationError(f"eps {float(eps[unresolved][0])!r} gives a metric element of 0, which no ratio divides")
     base = state.array
     perturbed = _validate_rows(base + eps.reshape((-1,) + (1,) * base.ndim) * perturbation.delta)[0]
     entropies = np.array([relative_entropy(state, State(row)) for row in perturbed])

@@ -316,8 +316,10 @@ def test_fisher_element_of_a_tiny_weight_stays_finite(element, weights, tangent)
 @pytest.mark.parametrize("h", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
 def test_even_schedule_steps_of_a_short_geodesic(h, n_steps):
     p, v = np.array([0.1, 0.2, 0.3, 0.4]), np.array([1.0, -1.0, 0.5, -0.5])
-    schedule = even_schedule(geodesic_path(validate_distribution(p), validate_distribution(p + h * v)), n_steps)
-    for a, b, step in zip(schedule.rows[:-1], schedule.rows[1:], schedule.step_lengths):
+    path = geodesic_path(validate_distribution(p), validate_distribution(p + h * v))
+    schedule = even_schedule(path, n_steps)
+    rows = path.sample(schedule.ts)[0]
+    for a, b, step in zip(rows[:-1], rows[1:], schedule.step_lengths):
         chord = mpmath.sqrt(mpmath.fsum(
             (mpmath.sqrt(mpmath.mpf(float(x))) - mpmath.sqrt(mpmath.mpf(float(y)))) ** 2 for x, y in zip(a, b)
         ))

@@ -3,7 +3,8 @@ import json
 import logging
 import os
 import re
-import tracemalloc
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -235,10 +236,10 @@ class TestTransportCommand:
         assert "largest feasible N is 65536" in capsys.readouterr().err
 
     def test_grid_over_the_cap_is_refused_before_any_schedule(self, tmp_path, capsys, monkeypatch):
-        def no_schedule(*args, **kwargs):
-            raise AssertionError("even_schedule called for a grid over the cap")
+        def no_sample(*args, **kwargs):
+            raise AssertionError("path sampled for a grid over the cap")
 
-        monkeypatch.setattr("statlen.cli.even_schedule", no_schedule)
+        monkeypatch.setattr("statlen.geometry.StatePath.sample", no_sample)
         config = {"path": GEODESIC_CLASSICAL, "N_grid": [16, 65537]}
         code, out = _run(tmp_path, "transport", config)
         assert code == EXIT_CAP
@@ -246,11 +247,11 @@ class TestTransportCommand:
         assert "largest feasible N is 65536" in capsys.readouterr().err
 
     def test_rows_stack_cap_exits_3_before_any_schedule(self, tmp_path, capsys, monkeypatch):
-        # N 65536 passes MAX_STEPS, but its rows at d = 64 would hold 4.3 GB
-        def no_schedule(*args, **kwargs):
-            raise AssertionError("even_schedule called for a grid over the cap")
+        # N 65536 passes MAX_STEPS, but one pass over its states at d = 64 would sample 4.3 GB
+        def no_sample(*args, **kwargs):
+            raise AssertionError("path sampled for a grid over the cap")
 
-        monkeypatch.setattr("statlen.cli.even_schedule", no_schedule)
+        monkeypatch.setattr("statlen.geometry.StatePath.sample", no_sample)
         spec = {"kind": "random-quantum", "dim": 64, "rank": 64}
         config = {"path": {"type": "geodesic", "state_a": spec, "state_b": spec}, "N_grid": [16, 65536]}
         code, out = _run(tmp_path, "transport", config)
@@ -307,43 +308,23 @@ class TestTransportCommand:
         assert len(fidelities) == 3
         assert eigh_rows == [2, 2, 2]
 
-    def test_grid_past_one_call_gives_the_same_record(self, tmp_path, monkeypatch):
-        # d = 4 rows of 4 entries: a cap of 1200 entries holds N 16 and 64 (328 rows)
-        # but not 256 (257 rows) with them, so the grid takes two calls
-        config = {"path": {"type": "mixture", "state_a": _random_classical(4), "state_b": _random_classical(4)},
-                  "N_grid": [256, 16, 64]}
-        monkeypatch.chdir(tmp_path)   # one relative --out keeps the config hash of both runs
-        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
-        assert main(["transport", "--config", "run.json", "--out", "run.csv"]) == EXIT_OK
-        one_call = Path("run.csv").read_bytes()
-        schedule, grids = even_schedule, []
-
-        def scheduled(path, n_steps):
-            grids.append(n_steps)
-            return schedule(path, n_steps)
+    def test_grid_past_the_pass_cap_exits_3_before_any_schedule(self, tmp_path, capsys, monkeypatch):
+        # d = 4 states of 4 entries: a cap of 1200 entries takes each N alone, but one pass
+        # over 16, 64 and 256 samples 339 states, and the grid is one call
+        def no_sample(*args, **kwargs):
+            raise AssertionError("path sampled for a grid over the cap")
 
         monkeypatch.setattr("statlen.geometry.MAX_SCHEDULE_ENTRIES", 4 * 300)
-        monkeypatch.setattr("statlen.cli.even_schedule", scheduled)
-        assert main(["transport", "--config", "run.json", "--out", "run.csv"]) == EXIT_OK
-        assert grids == [[16, 64], [256]]
-        assert Path("run.csv").read_bytes() == one_call
-
-    def test_a_grid_of_groups_holds_one_group_at_a_time(self, tmp_path, monkeypatch):
-        # a cap of 4096 rows of d = 4 makes each N below its own group; holding every
-        # group's schedules at once would raise the peak by half for these four
-        monkeypatch.setattr("statlen.geometry.MAX_SCHEDULE_ENTRIES", 4 * 4096)
-        path = {"type": "mixture", "state_a": _random_classical(4), "state_b": _random_classical(4)}
-        peaks = []
-        for grid in ([4095], [4092, 4093, 4094, 4095]):
-            _run(tmp_path, "transport", {"path": path, "N_grid": grid})   # warm caches outside the trace
-            tracemalloc.start()
-            try:
-                code, _ = _run(tmp_path, "transport", {"path": path, "N_grid": grid})
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == EXIT_OK
-        assert peaks[1] < 1.1 * peaks[0]
+        monkeypatch.setattr("statlen.geometry.StatePath.sample", no_sample)
+        config = {"path": {"type": "mixture", "state_a": _random_classical(4), "state_b": _random_classical(4)},
+                  "N_grid": [256, 16, 64]}
+        code, out = _run(tmp_path, "transport", config)
+        assert code == EXIT_CAP
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "statlen: N + 1 summed over the grid's distinct N (states of 4 entries) 339 exceeds cap 300; "
+            "largest feasible sum is 300\n"
+        )
 
     def test_geodesic_on_noncommuting_qutrits(self, tmp_path):
         config = {
@@ -1086,6 +1067,25 @@ def test_json_past_the_byte_cap_exits_2(tmp_path, capsys, monkeypatch, config, s
     assert err == f"statlen: ValidationError: {what} holds more than the 256 bytes a JSON file may\n"
 
 
+def test_a_device_past_the_memory_left_exits_2(tmp_path):
+    """Under a 400 MB address-space limit, /dev/zero runs the read out of memory before the
+    byte cap: the MemoryError is refused as input, where it once left main with exit 1."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from statlen.cli import main\n"
+        "sys.exit(main(['fidelity', '--config', '/dev/zero', '--out', 'r.csv']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INVALID, done.stderr
+    assert done.stderr == "statlen: ValidationError: config holds more bytes than the memory left to read it\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestProbeCommand:
     def test_classical_table(self, tmp_path):
         config = {
@@ -1124,3 +1124,14 @@ class TestProbeCommand:
         assert code == EXIT_CAP
         assert not out.exists()
         assert "4097 exceeds cap 4096; largest feasible eps_grid length is 4096" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_eps_whose_elements_underflow_exits_2(self, tmp_path, capsys, fmt):
+        # (1e-300)^2 underflows to 0 in both elements: the ratios were NaN, a bare NaN in JSON
+        config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": [1e-2, 1e-300]}
+        code, out = _run(tmp_path, "probe", config, extra_args=("--format", fmt))
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "statlen: ValidationError: eps 1e-300 gives a metric element of 0, which no ratio divides\n"
+        )

@@ -27,6 +27,7 @@ from statlen import (
     random_distribution,
     random_state,
     relative_entropy,
+    run_transport,
     state_fidelity,
     step_entropy_production,
     tangent_classical,
@@ -42,8 +43,8 @@ from statlen.geometry import (
     SPREAD_TOL,
     STEP_NOISE,
     _sampled_step_lengths,
+    _step_entropies,
 )
-from statlen.states import _validate_rows
 
 P_HALF = validate_distribution([0.5, 0.5])
 P_SKEW = validate_distribution([0.9, 0.1])
@@ -59,7 +60,7 @@ def _random_pair(dim, seed):
 
 def _steps(path, n_steps):
     """The Bures angles of the N steps between the path's states at t = i/N."""
-    return _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))[1]
+    return _sampled_step_lengths(path, np.linspace(0.0, 1.0, n_steps + 1))[0]
 
 
 def _haar_basis(dim, seed):
@@ -580,7 +581,7 @@ class TestEvenSchedule:
         assert f"largest feasible N is {MAX_STEPS}" in str(err.value)
 
     def test_rows_stack_cap(self):
-        # (N + 1) d^2 entries: d = 64 allows N up to 2**24 // 4096 - 1, refused unsampled
+        # a pass samples (N + 1) d^2 entries: d = 64 allows N up to 2**24 // 4096 - 1, refused unsampled
         rho, sigma = random_state(64, 1, 1), random_state(64, 1, 2)
         with pytest.raises(DimensionCapExceeded) as err:
             even_schedule(StatePath(rho, sigma, _never), 4096)
@@ -605,7 +606,9 @@ class TestEvenSchedule:
     def test_single_step(self):
         schedule = even_schedule(geodesic_path(P_HALF, P_SKEW), 1)
         assert schedule.n_steps == 1
-        assert np.array_equal(schedule.rows, np.stack((P_HALF.array, P_SKEW.array)))
+        assert schedule.start is P_HALF and schedule.end is P_SKEW
+        assert np.array_equal(schedule.ts, [0.0, 1.0])
+        assert schedule.step_yields[0] == relative_entropy(P_HALF, P_SKEW)
 
     def test_degenerate_path_gives_trivial_schedule(self):
         schedule = even_schedule(linear_mixture_path(P_HALF, P_HALF), 8)
@@ -679,7 +682,7 @@ class TestEvenSchedule:
     )
     def test_sampler_runs_once_per_pass(self, caplog, start, end):
         # N + 1 states fit one block, so each pass samples them in one call,
-        # and the rows are those the kept pass sampled
+        # and the yields are those of the states the kept pass sampled
         mixture = linear_mixture_path(start, end)
         calls = []
 
@@ -692,7 +695,7 @@ class TestEvenSchedule:
         passes = caplog.records[0].args[1]
         assert passes > 1
         assert calls == [63] * passes
-        assert np.array_equal(schedule.rows, mixture.sample(schedule.ts)[0])
+        assert np.array_equal(schedule.step_yields, _step_entropies(*mixture.sample(schedule.ts)))
 
     @pytest.mark.parametrize("n_steps", [8, 16, 64])
     def test_stall_keeps_the_rows_of_the_best_pass(self, caplog, n_steps):
@@ -711,26 +714,27 @@ class TestEvenSchedule:
         passes, reason = caplog.records[0].args[1:3]
         assert reason == "stall"
         assert calls == [n_steps - 1] * passes
-        assert np.array_equal(schedule.rows, path.sample(schedule.ts)[0])
+        assert np.array_equal(schedule.step_yields, _step_entropies(*path.sample(schedule.ts)))
 
-    def test_blocks_fill_one_stack(self):
-        # d = 8: a block is 256 rows, so N = 1024 takes 4 blocks and N = 8192 takes 32;
-        # beyond the rows stack and its carried spectra a pass holds one block's work,
-        # whatever the number of blocks
-        path = geodesic_path(random_state(8, 8, 1), random_state(8, 8, 2))
-        excess = {}
-        for n_steps in (1024, 8192):
+    @pytest.mark.parametrize("build", [geodesic_path, linear_mixture_path], ids=["geodesic", "mixture"])
+    def test_a_pass_streams_its_blocks(self, build):
+        # d = 8: a block is 256 rows, so N = 1024 takes 4 blocks and N = 16384 takes 64.
+        # A schedule keeps its ts, step lengths and yields, 3 * 8 * (N + 1) bytes, and no
+        # states; beyond a few such arrays a pass holds one block's work, whatever N is
+        path = build(random_state(8, 8, 1), random_state(8, 8, 2))
+        run_transport(even_schedule(path, 4))   # warm caches outside the trace
+        peaks = {}
+        for n_steps in (1024, 8192, 16384):
             tracemalloc.start()
             try:
-                schedule = even_schedule(path, n_steps)
-                peak = tracemalloc.get_traced_memory()[1]
+                report = run_transport(even_schedule(path, n_steps))
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            spectra = schedule._validated[1]
-            excess[n_steps] = peak - schedule.rows.nbytes - spectra.eigenvalues.nbytes - spectra.eigenvectors.nbytes
+            assert report.n_steps == n_steps
+        excess = {n: peak - 3 * 8 * (n + 1) for n, peak in peaks.items()}
         assert excess[8192] < 1.25 * excess[1024]
-        assert not schedule.rows.flags.writeable
-        assert np.array_equal(schedule.rows, path.sample(schedule.ts)[0])
+        assert peaks[16384] < 5 << 20
 
 
 # ---------- batched sampling and schedules against the per-sample reference ----------
@@ -960,9 +964,11 @@ class TestBatchedPaths:
         ts, steps = _reference_even_schedule(kind, 11, 4, n_steps)
         assert np.array_equal(schedule.ts, ts)
         assert np.array_equal(schedule.step_lengths, steps)
-        assert schedule.rows.shape[0] == n_steps + 1
-        for row, expected in zip(schedule.rows, _reference_samples(kind, path, ts)):
+        rows, dec = path.sample(schedule.ts)
+        assert rows.shape[0] == n_steps + 1
+        for row, expected in zip(rows, _reference_samples(kind, path, ts)):
             assert np.array_equal(row, expected.array)
+        assert np.array_equal(schedule.step_yields, _step_entropies(rows, dec))
 
     @pytest.mark.parametrize("kind", PATH_KINDS)
     def test_discrete_length_matches_reference(self, kind):
@@ -974,11 +980,8 @@ class TestBatchedPaths:
 # ---------- a grid of schedules in lockstep against one schedule per N ----------
 
 def _schedule_bytes(schedule) -> list:
-    """The bytes of a schedule's rows, ts, step lengths and carried spectra."""
-    rows, spectra = schedule._validated
-    assert rows is schedule.rows
-    carried = [] if spectra is None else [spectra.eigenvalues, spectra.eigenvectors]
-    return [a.tobytes() for a in [schedule.rows, schedule.ts, schedule.step_lengths] + carried]
+    """The bytes of a schedule's ts, step lengths and step yields."""
+    return [a.tobytes() for a in (schedule.ts, schedule.step_lengths, schedule.step_yields)]
 
 
 def _logged(caplog, run):
@@ -996,13 +999,10 @@ def _assert_grid_is_single_calls(caplog, path, grid):
         alone, (alone_logged,) = _logged(caplog, lambda: even_schedule(path, n))
         assert logged == alone_logged and logged[0] == n
         assert _schedule_bytes(schedule) == _schedule_bytes(alone)
-        assert not any(a.flags.writeable for a in (schedule.rows, schedule.ts, schedule.step_lengths))
-        rows, spectra = _validate_rows(schedule.rows)
-        assert rows.tobytes() == schedule.rows.tobytes()
-        if spectra is not None:   # the carried spectra are those of the rows
-            carried = schedule._validated[1]
-            assert spectra.eigenvalues.tobytes() == carried.eigenvalues.tobytes()
-            assert spectra.eigenvectors.tobytes() == carried.eigenvectors.tobytes()
+        assert not any(a.flags.writeable for a in (schedule.ts, schedule.step_lengths, schedule.step_yields))
+        assert schedule.start is path.start and schedule.end is path.end
+        # the carried yields are those of the states at the kept ts, sampled again as one stack
+        assert np.array_equal(schedule.step_yields, _step_entropies(*path.sample(schedule.ts)))
     return args
 
 
@@ -1064,18 +1064,22 @@ class TestScheduleGrid:
         with pytest.raises(DimensionCapExceeded) as err:
             even_schedule(path, [49, 50])
         assert err.value.max_feasible == 100
-        assert "N + 1 summed over the grid (states of 2 entries) 101 exceeds cap 100" in str(err.value)
+        assert "N + 1 summed over the grid's distinct N (states of 2 entries) 101 exceeds cap 100" in str(err.value)
+        # a duplicate N is sampled once per round, so it counts once
+        assert len(even_schedule(geodesic_path(P_HALF, P_SKEW), [99, 99])) == 2
 
-    def test_rounds_hold_the_kept_and_the_current_stacks(self):
-        # d = 8 mixture at N = 4096 takes 4 passes: beyond the kept rows and spectra a
-        # round holds its own stacks and one block's work, never a third stack
-        path = linear_mixture_path(random_state(8, 8, 1), random_state(8, 8, 2))
-        tracemalloc.start()
-        try:
-            schedule = even_schedule(path, 4096)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        spectra = schedule._validated[1]
-        kept = schedule.rows.nbytes + spectra.eigenvalues.nbytes + spectra.eigenvectors.nbytes
-        assert peak < 2.5 * kept
+    def test_a_duplicate_n_is_sampled_once_per_round(self, caplog):
+        mixture = linear_mixture_path(random_state(2, 1, 3), random_state(2, 2, 4))
+        calls = []
+
+        def counting(ts):
+            calls.append(ts.size)
+            return mixture.sampler(ts)
+
+        path = StatePath(mixture.start, mixture.end, counting)
+        distinct, _ = _logged(caplog, lambda: even_schedule(path, [16, 64]))
+        sampled, calls[:] = calls[:], []
+        repeated, args = _logged(caplog, lambda: even_schedule(path, [64, 16, 64]))
+        assert calls == sampled and len(calls) > 1
+        assert [a[0] for a in args] == [64, 16, 64] and args[0] == args[2]
+        assert [_schedule_bytes(s) for s in repeated] == [_schedule_bytes(s) for s in distinct[::-1] + distinct[1:]]

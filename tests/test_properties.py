@@ -25,13 +25,12 @@ from statlen import (
     validate_density,
     validate_distribution,
 )
-from statlen.geometry import _angles, _sampled_step_lengths, _uhlmann
+from statlen.geometry import LEAK_TOL, _angles, _sampled_step_lengths, _uhlmann
 from statlen.states import (
     SUPPORT_FLOOR,
     _sqrt_rows,
     _validate_rows,
 )
-from statlen.transport import LEAK_TOL
 
 EPS = np.finfo(float).eps
 
@@ -254,7 +253,7 @@ class TestDiagonalGeodesic:
         diagonals = np.diagonal(quantum.sample(ts)[0], axis1=1, axis2=2)
         assert np.max(np.abs(classical.sample(ts)[0] - diagonals)) <= 1e-12
         grid = np.linspace(0, 1, n_steps + 1)
-        steps = [_sampled_step_lengths(path, grid)[1] for path in (classical, quantum)]
+        steps = [_sampled_step_lengths(path, grid)[0] for path in (classical, quantum)]
         assert np.max(np.abs(steps[0] - steps[1])) <= 1e-12
 
 
@@ -347,7 +346,7 @@ class TestScheduleYields:
         a, b = _pair(kind.split("-")[0], dim, ranks, seed)
         path = (geodesic_path if geodesic else linear_mixture_path)(a, b)
         schedule = even_schedule(path, n_steps)
-        rows = schedule.rows
+        rows = path.sample(schedule.ts)[0]
         expected = np.array([_oracle_yield(rows[i], rows[i + 1]) for i in range(n_steps)])
         broken = np.flatnonzero(np.isinf(expected))
         if broken.size:
@@ -376,7 +375,7 @@ class TestScheduleYields:
         states[step] = _state(kind, dim, dim, seed)
         ts = np.linspace(0.0, 1.0, n_steps + 1)
         rows = np.stack([s.array if kind == "classical" else s.array for s in states])
-        schedule = TransportSchedule(rows, ts, np.zeros(n_steps))
+        schedule = TransportSchedule.from_rows(rows, ts, np.zeros(n_steps))
         with pytest.raises(InfiniteYield) as err:
             run_transport(schedule)
         assert err.value.step == step

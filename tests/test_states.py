@@ -14,7 +14,6 @@ from statlen import (
     entropy,
     random_distribution,
     random_state,
-    run_transport,
     spectral,
     tangent_classical,
     tangent_quantum,
@@ -425,7 +424,7 @@ class TestBatchedValidation:
     @settings(deadline=None, derandomize=True, max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), data=st.data())
     def test_transport_refuses_a_row_as_validation_does(self, raw_row, kinds, seed, dim, data):
-        """A row validation refuses makes run_transport raise the same exception class."""
+        """A row validation refuses makes a schedule's rows constructor raise the same exception class."""
         defects = data.draw(st.lists(
             st.tuples(st.sampled_from(kinds), st.sampled_from([1.0, 1e2, 1e4, 1e6])),
             min_size=1, max_size=4,
@@ -440,9 +439,8 @@ class TestBatchedValidation:
                 expected = type(exc)
             else:
                 continue
-            schedule = TransportSchedule(np.stack([clean, row]), np.array([0.0, 1.0]), np.zeros(1))
             with pytest.raises(expected, match="row 1 is not a") as info:
-                run_transport(schedule)
+                TransportSchedule.from_rows(np.stack([clean, row]), np.array([0.0, 1.0]), np.zeros(1))
             assert type(info.value) is expected
 
     def test_defects_are_repaired_not_passed(self):

@@ -235,10 +235,10 @@ class TestRunTransport:
             assert even <= total * (1.0 + 1e-3)
 
     def test_each_row_is_decomposed_once(self, monkeypatch):
-        """An even schedule carries the spectra of its 17 rows, so only the 2 end rows
-        pass through eigh, for the fidelity.  The same rows in a schedule made by hand
-        are validated once for the yields: 19 rows, where validating the end rows again
-        made 21."""
+        """An even schedule carries the yields its kept pass took, so run_transport passes
+        only the 2 end rows through eigh, for the fidelity.  The same 17 rows made into a
+        schedule by hand are validated once for the yields: 19 rows in all, where
+        validating the end rows again made 21."""
         eigh, rows_seen = np.linalg.eigh, []
 
         def counted(mats, *args, **kwargs):
@@ -246,13 +246,14 @@ class TestRunTransport:
             return eigh(mats, *args, **kwargs)
 
         rho, sigma = random_state(3, 3, 5), random_state(3, 3, 6)
-        schedule = even_schedule(geodesic_path(rho, sigma), 16)
-        by_hand = TransportSchedule(schedule.rows, schedule.ts, schedule.step_lengths)
+        path = geodesic_path(rho, sigma)
+        schedule = even_schedule(path, 16)
+        rows = path.sample(schedule.ts)[0]
         monkeypatch.setattr(np.linalg, "eigh", counted)
         carried = run_transport(schedule)
         assert sum(rows_seen) == 2
         rows_seen.clear()
-        validated = run_transport(by_hand)
+        validated = run_transport(TransportSchedule.from_rows(rows, schedule.ts, schedule.step_lengths))
         assert sum(rows_seen) == 19
         assert np.array_equal(validated.step_yields, carried.step_yields)
         assert validated.endpoint_fidelity == carried.endpoint_fidelity
@@ -401,8 +402,11 @@ class TestScheduleInvariants:
     def test_schedule_endpoints_pinned(self):
         path = geodesic_path(P_HALF, P_SKEW)
         schedule = even_schedule(path, 16)
-        assert np.array_equal(schedule.rows[0], P_HALF.array)
-        assert np.array_equal(schedule.rows[-1], P_SKEW.array)
+        assert schedule.start is P_HALF and schedule.end is P_SKEW
+        assert (schedule.ts[0], schedule.ts[-1]) == (0.0, 1.0)
+        rows = path.sample(schedule.ts)[0]
+        assert np.array_equal(rows[0], P_HALF.array)
+        assert np.array_equal(rows[-1], P_SKEW.array)
 
     def test_handmade_schedule_runs(self):
         states = tuple(
@@ -414,7 +418,7 @@ class TestScheduleInvariants:
                 geodesic_length_fisher(state_fidelity(states[1], states[2])),
             ]
         )
-        schedule = TransportSchedule(np.stack([s.array for s in states]), np.array([0.0, 0.5, 1.0]), lengths)
+        schedule = TransportSchedule.from_rows(np.stack([s.array for s in states]), np.array([0.0, 0.5, 1.0]), lengths)
         report = run_transport(schedule)
         assert report.total_entropy > 0.0
         assert report.endpoint_fidelity == state_fidelity(states[0], states[-1])
@@ -431,7 +435,7 @@ class TestScheduleInvariants:
     def test_end_rows_in_the_tolerated_band_are_validated(self, rows):
         """The classical end row once reached the fidelity unrepaired: a RuntimeWarning and a nan."""
         validate = validate_distribution if rows.ndim == 2 else validate_density
-        report = run_transport(TransportSchedule(rows, np.array([0.0, 1.0]), np.array([0.3])))
+        report = run_transport(TransportSchedule.from_rows(rows, np.array([0.0, 1.0]), np.array([0.3])))
         a, b = validate(rows[0]), validate(rows[1])
         assert math.isfinite(report.endpoint_fidelity)
         assert report.endpoint_fidelity == state_fidelity(a, b)
@@ -447,7 +451,7 @@ class TestScheduleInvariants:
         """N is read from the rows; the "n-steps" rows make 5 steps of 2-step ts and lengths."""
         rows = np.tile(P_HALF.array, (n_rows, 1))
         with pytest.raises(ValueError, match=f"{n_steps} steps need"):
-            TransportSchedule(rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths))
+            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths))
 
     @pytest.mark.parametrize(
         "rows, n_ts, n_lengths",
@@ -457,16 +461,16 @@ class TestScheduleInvariants:
     def test_fewer_than_two_rows_rejected(self, rows, n_ts, n_lengths):
         """A one-row schedule once constructed, and run_transport took its yields first."""
         with pytest.raises(ValueError, match="need at least one step"):
-            TransportSchedule(rows, np.zeros(n_ts), np.zeros(n_lengths))
+            TransportSchedule.from_rows(rows, np.zeros(n_ts), np.zeros(n_lengths))
 
     @pytest.mark.parametrize("rows", [np.ones((3, 2, 2, 1))], ids=["rank-3-rows"])
     def test_kind_that_disagrees_with_the_rows_rejected(self, rows):
         with pytest.raises(DimensionMismatch):
-            TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
+            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
 
     @pytest.mark.parametrize("rows", [np.tile(P_HALF.array, (3, 1)), np.tile(np.eye(2) / 2, (3, 1, 1))])
     def test_kind_and_steps_are_read_from_the_rows(self, rows):
-        schedule = TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
+        schedule = TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
         assert (schedule.kind, schedule.n_steps) == ("classical" if rows.ndim == 2 else "quantum", 2)
 
     @pytest.mark.parametrize(
@@ -487,12 +491,11 @@ class TestScheduleInvariants:
         ],
     )
     def test_rows_that_are_not_states_rejected(self, kind, rows):
-        """Before any yield is reported: the first case once gave total_entropy 1.148
+        """Before any schedule is made: the first case once gave total_entropy 1.148
         with a nan fidelity."""
         rows = np.array(rows, dtype=float if kind == "classical" else complex)
-        schedule = TransportSchedule(rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3))
         with pytest.raises(ValidationError, match="row [01] is not a"):
-            run_transport(schedule)
+            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3))
 
     @pytest.mark.parametrize(
         "row",
@@ -506,8 +509,7 @@ class TestScheduleInvariants:
         with pytest.raises(ValidationError) as expected:
             validate(row)
         clean = np.full(2, 0.5) if row.ndim == 1 else np.eye(2, dtype=complex) / 2
-        schedule = TransportSchedule(np.stack([clean, row, clean]), np.linspace(0.0, 1.0, 3), np.zeros(2))
         with pytest.raises(ValidationError) as raised:
-            run_transport(schedule)
+            TransportSchedule.from_rows(np.stack([clean, row, clean]), np.linspace(0.0, 1.0, 3), np.zeros(2))
         assert type(raised.value) is type(expected.value) is ValidationError
         assert str(raised.value) == str(expected.value).replace("row 0", "row 1")

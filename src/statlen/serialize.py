@@ -131,8 +131,10 @@ def _read_json(path, what: str):
     past the parser's recursion limit raises ValidationError naming ``what``;
     one that cannot be opened, OSError.  A regular file's size is checked before
     it is read, and any other file, a pipe or a device, is read to one byte past the
-    cap; one that fills the memory the process may hold first raises ValidationError too.
+    cap; one whose bytes, text or parsed value fill the memory the process may hold
+    raises ValidationError too.
     """
+    memory = f"{what} holds more bytes than the memory left to read it"
     try:
         with open(path, "rb") as fh:
             info, data = os.fstat(fh.fileno()), bytearray()
@@ -141,12 +143,14 @@ def _read_json(path, what: str):
                 data += chunk
                 over = len(data) > JSON_BYTES_CAP
     except MemoryError as exc:
-        raise ValidationError(f"{what} holds more bytes than the memory left to read it") from exc
+        raise ValidationError(memory) from exc
     if over:
         raise ValidationError(f"{what} holds more than the {JSON_BYTES_CAP} bytes a JSON file may")
     try:   # the bytes are let go before the text is parsed
         data = data.decode("utf-8")
         return json.loads(data)
+    except MemoryError as exc:
+        raise ValidationError(memory) from exc
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not a readable JSON file: {exc}") from exc
 

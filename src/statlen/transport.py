@@ -157,8 +157,8 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
     The perturbed states form one stack, held to a schedule pass's MAX_SCHEDULE_ENTRIES
     entries: a longer grid raises DimensionCapExceeded, and a rank-deficient state
     RankDeficient (a density matrix's from its metric element), before any stack.
-    An eps whose metric or Kubo-Mori element underflows to 0 has no ratio, and
-    raises ValidationError before any stack.
+    A zero perturbation, and an eps whose metric or Kubo-Mori element underflows
+    to 0, have no ratio, and raise ValidationError before any stack.
     """
     eps = np.asarray(eps_list, dtype=np.float64)
     if eps.ndim != 1 or eps.size == 0:
@@ -170,11 +170,14 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
     if classical and state.array.min() <= RANK_TOL:
         raise RankDeficient(
             f"expansion probe needs a full-rank state, got a least weight {state.array.min():.3e}")
+    if not np.any(perturbation.delta):
+        raise ValidationError("perturbation is 0, which gives every eps a metric element of 0")
     metric = np.array([metric_element(state, perturbation, e) for e in eps])
     kubo_mori = np.array([kubo_mori_element(state, perturbation, e) for e in eps])
     unresolved = (metric == 0.0) | (kubo_mori == 0.0)
     if unresolved.any():
-        raise ValidationError(f"eps {float(eps[unresolved][0])!r} gives a metric element of 0, which no ratio divides")
+        raise ValidationError(
+            f"eps {float(eps[unresolved][0])!r} gives a metric or Kubo-Mori element of 0, which no ratio divides")
     base = state.array
     perturbed = _validate_rows(base + eps.reshape((-1,) + (1,) * base.ndim) * perturbation.delta)[0]
     entropies = np.array([relative_entropy(state, State(row)) for row in perturbed])

@@ -1067,14 +1067,20 @@ def test_json_past_the_byte_cap_exits_2(tmp_path, capsys, monkeypatch, config, s
     assert err == f"statlen: ValidationError: {what} holds more than the 256 bytes a JSON file may\n"
 
 
-def test_a_device_past_the_memory_left_exits_2(tmp_path):
+@pytest.mark.parametrize("source", ["device", "regular"])
+def test_input_past_the_memory_left_exits_2(tmp_path, source):
     """Under a 400 MB address-space limit, /dev/zero runs the read out of memory before the
-    byte cap: the MemoryError is refused as input, where it once left main with exit 1."""
+    byte cap, and a 32 MB regular file of 11M empty lists runs the parse out of it: each
+    MemoryError is refused as input, where it once left main with exit 1."""
+    config = "/dev/zero"
+    if source == "regular":
+        config = "lists.json"
+        (tmp_path / config).write_text("[" + "[]," * (11 << 20) + "[]]")
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
         "from statlen.cli import main\n"
-        "sys.exit(main(['fidelity', '--config', '/dev/zero', '--out', 'r.csv']))\n"
+        f"sys.exit(main(['fidelity', '--config', {config!r}, '--out', 'r.csv']))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -1083,7 +1089,7 @@ def test_a_device_past_the_memory_left_exits_2(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_INVALID, done.stderr
     assert done.stderr == "statlen: ValidationError: config holds more bytes than the memory left to read it\n"
-    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path / "r.csv").exists()
 
 
 class TestProbeCommand:
@@ -1133,5 +1139,16 @@ class TestProbeCommand:
         assert code == EXIT_INVALID
         assert not out.exists()
         assert capsys.readouterr().err == (
-            "statlen: ValidationError: eps 1e-300 gives a metric element of 0, which no ratio divides\n"
+            "statlen: ValidationError: eps 1e-300 gives a metric or Kubo-Mori element of 0, which no ratio divides\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_zero_perturbation_exits_2(self, tmp_path, capsys, fmt):
+        # every element is 0 here whatever eps is, so the perturbation is named, not an eps
+        config = {"state": CLASSICAL_A, "perturbation": [0.0, 0.0], "eps_grid": [1e-2, 1e-3]}
+        code, out = _run(tmp_path, "probe", config, extra_args=("--format", fmt))
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "statlen: ValidationError: perturbation is 0, which gives every eps a metric element of 0\n"
         )

@@ -723,18 +723,25 @@ class TestEvenSchedule:
         # states; beyond a few such arrays a pass holds one block's work, whatever N is
         path = build(random_state(8, 8, 1), random_state(8, 8, 2))
         run_transport(even_schedule(path, 4))   # warm caches outside the trace
-        peaks = {}
+        peaks, kept = {}, {}
         for n_steps in (1024, 8192, 16384):
             tracemalloc.start()
             try:
-                report = run_transport(even_schedule(path, n_steps))
+                schedule = even_schedule(path, n_steps)
+                report = run_transport(schedule)
                 peaks[n_steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert report.n_steps == n_steps
+            if n_steps < 16384:
+                kept[n_steps] = schedule, report
         excess = {n: peak - 3 * 8 * (n + 1) for n, peak in peaks.items()}
         assert excess[8192] < 1.25 * excess[1024]
         assert peaks[16384] < 5 << 20
+        # yields taken block by block, across every block boundary, are the whole stack's
+        for schedule, report in kept.values():
+            assert np.array_equal(schedule.step_yields, _step_entropies(*path.sample(schedule.ts)))
+            assert np.array_equal(schedule.step_lengths, report.step_lengths)
 
 
 # ---------- batched sampling and schedules against the per-sample reference ----------

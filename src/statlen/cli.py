@@ -4,7 +4,16 @@ Each subcommand reads a JSON config that describes one experiment, runs
 it, and writes a CSV or JSON record.  The run settings ``--seed``,
 ``--out`` and ``--format`` are flags only.  Every output embeds the tool
 version, a SHA-256 hash of the fully resolved config, and the seed, and
-contains no timestamps, so a repeated run produces byte-identical files.
+contains no timestamps, so a repeated run produces byte-identical files:
+on one numpy build, one SIMD dispatch target and one OpenBLAS kernel.
+Another dispatch target or kernel rounds differently, and 7 to 8 of the
+record digests the tests pin move.
+
+``serialize`` builds each record whole before it opens the file.  JSON
+records are strict: an infinite value is the string ``"inf"``, and a NaN
+in either format is refused (status 2) before any file is written.
+``probe`` refuses an eps below its floor, where a ratio keeps fewer than
+6 digits (:func:`statlen.transport.expansion_probe`).
 
 Exit status: 0 success, 2 invalid input, 3 resource cap exceeded,
 4 optimizer did not converge.  ``main`` refuses input in one place and
@@ -16,30 +25,17 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 
 import numpy as np
 
-from . import __version__
-from . import serialize
+from . import __version__, serialize
 from .exceptions import DimensionCapExceeded, StatlenError, _refuse_above
-from .geometry import (
-    even_schedule,
-    geodesic_length_bures,
-    geodesic_length_fisher,
-    geodesic_path,
-    linear_mixture_path,
-    state_fidelity,
-)
+from .geometry import (even_schedule, geodesic_length_bures, geodesic_length_fisher, geodesic_path,
+                       linear_mixture_path, state_fidelity)
 from .pathopt import DEFAULT_MAX_ITER, minimize_path
 from .reservoir import CLASSICAL_DIM_CAP, QUANTUM_DIM_CAP, convergence_scan
-from .states import (
-    random_distribution,
-    random_state,
-    tangent_classical,
-    tangent_quantum,
-)
+from .states import random_distribution, random_state, tangent_classical, tangent_quantum
 from .transport import expansion_probe, run_transport
 
 EXIT_OK = 0
@@ -131,34 +127,19 @@ def _seed_pool(seed: int):
     return lambda: int(next(pool))
 
 
-def _canonical(resolved: dict) -> str:
-    """The resolved config as the canonical JSON that is hashed and written to CSV records."""
-    return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict, history=()) -> None:
+    """Write the run's record, and its CSV ``history`` ``(path, columns, rows)`` if given.
 
-
-def _record_meta(resolved: dict, canonical: str) -> dict:
-    """Metadata every output file carries: tool, version, config hash and seed."""
-    return {
-        "tool": "statlen",
-        "version": __version__,
-        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "seed": resolved["seed"],
-    }
-
-
-def _write_record(resolved: dict, columns, rows, metadata: dict, results: dict, canonical: str) -> None:
-    """Write the record; ``canonical`` is ``_canonical(resolved)``, serialized once per run."""
-    record = _record_meta(resolved, canonical)
-    if resolved["format"] == "csv":
-        record["config"] = canonical
-        record.update(metadata)
-        serialize.write_csv(resolved["out"], columns, rows, record)
-    else:
-        record["config"] = resolved
-        record["results"] = results
-        with open(resolved["out"], "w", newline="\n", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    Every file carries the tool, version, config hash and seed; a CSV record adds the
+    canonical config and ``metadata``, a JSON record the resolved config and ``results``.
+    """
+    canonical = serialize._canonical(resolved)
+    config_hash = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    meta = {"tool": "statlen", "version": __version__, "config_hash": config_hash, "seed": resolved["seed"]}
+    fmt = resolved["format"]
+    record = {**meta, "config": canonical, **metadata} if fmt == "csv" else {**meta, "config": resolved}
+    tables = [(history[0], "csv", meta, *history[1:], None)] if history else []
+    serialize.write_records((resolved["out"], fmt, record, columns, rows, results), *tables)
 
 
 # ---------- experiments ----------
@@ -186,7 +167,7 @@ def cmd_fidelity(config: dict, resolved: dict, seed_pool) -> int:
         "length_fisher": geodesic_length_fisher(fid),
         "length_bures": geodesic_length_bures(fid),
     }
-    _write_record(resolved, tuple(results), [tuple(results.values())], {}, results, _canonical(resolved))
+    _write_record(resolved, tuple(results), [tuple(results.values())], {}, results)
     return EXIT_OK
 
 
@@ -197,17 +178,8 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     grid = sorted(_count(n, "N_grid") for n in config["N_grid"])
     path, resolved_spec = _path_from_config(config["path"], seed_pool)
     resolved["path"] = resolved_spec
-    columns = (
-        "N",
-        "Delta_S",
-        "N_Delta_S",
-        "half_ell_sq",
-        "bound_fidelity",
-        "nu",
-        "rate_ratio",
-    )
-    rows = []
-    results = []
+    columns = ("N", "Delta_S", "N_Delta_S", "half_ell_sq", "bound_fidelity", "nu", "rate_ratio")
+    rows, results = [], []
     for n, report in zip(grid, map(run_transport, even_schedule(path, grid))):
         ds = report.total_entropy
         ell = report.total_length
@@ -222,7 +194,7 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
         }
         results.append(entry)
         rows.append((n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"]))
-    _write_record(resolved, columns, rows, {}, {"grid": results}, _canonical(resolved))
+    _write_record(resolved, columns, rows, {}, {"grid": results})
     return EXIT_OK
 
 
@@ -237,14 +209,9 @@ def cmd_reservoir(config: dict, resolved: dict, seed_pool) -> int:
         "delta_S": [float(x) for x in scan.delta_S],
         "gap": [serialize._json_float(x) for x in scan.gaps],
     }
-    _write_record(
-        resolved,
-        ("n", "delta_S_n", "gap_n"),
-        zip(results["n"], results["delta_S"], results["gap"]),
-        {"reference": serialize.format_float(scan.reference), "mode": scan.mode},
-        results,
-        _canonical(resolved),
-    )
+    rows = zip(results["n"], results["delta_S"], results["gap"])
+    metadata = {"reference": serialize.format_float(scan.reference), "mode": scan.mode}
+    _write_record(resolved, ("n", "delta_S_n", "gap_n"), rows, metadata, results)
     return EXIT_OK
 
 
@@ -261,14 +228,9 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
     ridge = config.get("ridge")
     if ridge is not None and serialize._finite_number(ridge, "ridge") < 0:
         raise ConfigError(f"ridge must be null or a number >= 0, got {ridge!r}")
-    result = minimize_path(
-        a,
-        b,
-        _count(config["N"], "N"),
-        seed_path,
-        max_iter=_count(config.get("max_iter", DEFAULT_MAX_ITER), "max_iter"),
-        ridge=ridge,
-    )
+    n_steps = _count(config["N"], "N")
+    max_iter = _count(config.get("max_iter", DEFAULT_MAX_ITER), "max_iter")
+    result = minimize_path(a, b, n_steps, seed_path, max_iter=max_iter, ridge=ridge)
     fid = state_fidelity(a, b)
     results = {
         "kind": result.kind,
@@ -281,24 +243,15 @@ def cmd_geodesic(config: dict, resolved: dict, seed_pool) -> int:
         "candidate_arc": geodesic_length_fisher(fid),
         "candidate_chordal": geodesic_length_bures(fid),
     }
-    columns = (
-        "final_length",
-        "candidate_arc",
-        "candidate_chordal",
-        "final_energy",
-        "iterations",
-        "converged",
-    )
+    columns = ("final_length", "candidate_arc", "candidate_chordal", "final_energy", "iterations", "converged")
     history_out = resolved["history_out"] = resolved["out"] + ".history.csv"
-    canonical = _canonical(resolved)
-    serialize.write_csv(
+    history = (
         history_out,
         ("iter", "length", "energy", "step_cv"),
         zip(range(result.lengths.size), result.lengths, result.energies, result.step_cvs),
-        _record_meta(resolved, canonical),
     )
     metadata = {"history": history_out, "stop_reason": result.stop_reason}
-    _write_record(resolved, columns, [tuple(results[c] for c in columns)], metadata, results, canonical)
+    _write_record(resolved, columns, [tuple(results[c] for c in columns)], metadata, results, history)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -316,12 +269,12 @@ def cmd_probe(config: dict, resolved: dict, seed_pool) -> int:
     results = {
         "metric": probe.metric_name,
         "eps": [float(e) for e in probe.eps],
-        "ratio_metric": [float(r) for r in probe.ratio_metric],
-        "ratio_kubo_mori": [float(r) for r in probe.ratio_kubo_mori],
+        "ratio_metric": [serialize._json_float(r) for r in probe.ratio_metric],
+        "ratio_kubo_mori": [serialize._json_float(r) for r in probe.ratio_kubo_mori],
     }
     columns = ("eps", "ratio_metric", "ratio_kubo_mori")
     rows = zip(*(results[c] for c in columns))
-    _write_record(resolved, columns, rows, {"metric": probe.metric_name}, results, _canonical(resolved))
+    _write_record(resolved, columns, rows, {"metric": probe.metric_name}, results)
     return EXIT_OK
 
 

@@ -330,7 +330,7 @@ def _step_entropies(rows: np.ndarray, dec) -> np.ndarray:
     r = np.where(live_a & live_b, b / np.where(live_a, a, 1.0), 1.0)
     terms = overlap * np.where(live_a, a * (r - 1.0 - np.log(r)), np.where(live_b, b, 0.0))
     axes = tuple(range(1, rows.ndim))
-    leak = np.sum(overlap * np.where(live_b, 0.0, a), axis=axes)
+    leak = (overlap * np.where(live_b, 0.0, a)).sum(axis=axes)
     return np.where(leak > LEAK_TOL, np.inf, terms.sum(axis=axes))
 
 
@@ -459,7 +459,7 @@ def even_schedule(path: StatePath, n_steps) -> TransportSchedule | list[Transpor
         for n in moving:
             own = steps[at:at + n]
             total = float(own.sum())
-            spread = 0.0 if total < DEGENERATE_LENGTH else float(np.ptp(own)) * n / total
+            spread = 0.0 if total < DEGENERATE_LENGTH else float(own.max() - own.min()) * n / total
             if total < DEGENERATE_LENGTH:
                 reason = "degenerate"
             elif spread >= best[n][0]:
@@ -471,7 +471,7 @@ def even_schedule(path: StatePath, n_steps) -> TransportSchedule | list[Transpor
             if reason != "stall":
                 best[n] = (spread, ts[n], own.copy(), yields[at:at + n].copy())
             if reason is None and round_ < MAX_PASSES:
-                ts[n] = np.interp(total * np.arange(n + 1) / n, np.cumsum(np.r_[0.0, own]), ts[n])
+                ts[n] = np.interp(total * np.arange(n + 1) / n, np.concatenate(([0.0], own)).cumsum(), ts[n])
                 ts[n][0], ts[n][-1] = 0.0, 1.0
                 still.append(n)
             else:

@@ -72,8 +72,8 @@ def _check_step(a, b, n: int) -> None:
 
 def _runs(counts: np.ndarray):
     """For groups of the given sizes, the group of each item and its place in it."""
-    group = np.repeat(np.arange(counts.size), counts)
-    return group, np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+    group = np.arange(counts.size).repeat(counts)
+    return group, np.arange(group.size) - (counts.cumsum() - counts)[group]
 
 
 def _type_weights(p: np.ndarray, q: np.ndarray, n: int):
@@ -270,7 +270,7 @@ def _block_spectrum(r: np.ndarray, s: np.ndarray, n: int):
     twirl = np.zeros((multiplicity.size // size, size, size), complex)
     twirl[origin[row], local[row], local[col]] = upper
     twirl[origin[row], local[col], local[row]] = upper.conj()
-    twirl[origin, local, local] = (weight * scale) @ np.diagonal(r).real
+    twirl[origin, local, local] = (weight * scale) @ r.diagonal().real
     values = np.linalg.eigvalsh(twirl) / n
     # each block's eigenvalues are accurate to about size * eps of its largest one: below, zero
     values = np.where(values > size * np.finfo(float).eps * values[:, -1:], values, 0.0)

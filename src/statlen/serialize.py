@@ -1,9 +1,10 @@
-"""Structured-text (JSON-compatible) and CSV serialization.
+"""Structured-text (JSON-compatible) and CSV serialization: the one JSON reader and record writer.
 
 States travel as ``{"kind": "classical", "weights": [...]}`` or
 ``{"kind": "quantum", "matrix": [[[re, im], ...], ...]}``.  CSV output
 uses '.' decimals, 12 significant digits, LF line endings, and carries
-run metadata as leading ``# key=value`` comment lines.
+run metadata as leading ``# key=value`` comment lines; JSON output is
+strict.  Every record is built whole before its file is opened.
 """
 from __future__ import annotations
 
@@ -27,13 +28,21 @@ JSON_BYTES_CAP = MAX_SCHEDULE_ENTRIES * 64
 
 
 def format_float(value: float) -> str:
-    """12-significant-digit text used in every CSV cell."""
-    return format(float(value), ".12g")
+    """12-significant-digit text used in every CSV cell; a NaN has none and raises ValidationError."""
+    text = format(float(value), ".12g")
+    if text == "nan":
+        raise ValidationError("a record value is NaN, which no record holds")
+    return text
 
 
 def _json_float(value: float):
-    # strict JSON has no Infinity literal
-    return float(value) if math.isfinite(value) else "inf"
+    # strict JSON has no Infinity literal; a NaN stays a float, which the record writer refuses
+    return "inf" if value == math.inf else float(value)
+
+
+def _canonical(resolved: dict) -> str:
+    """The resolved config as the canonical JSON that is hashed and written to CSV records."""
+    return json.dumps(resolved, sort_keys=True, separators=(",", ":"))
 
 
 def _cell(value) -> str:
@@ -46,14 +55,27 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, metadata=None) -> None:
-    """Write rows with optional ``# key=value`` metadata lines, LF-terminated."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+def write_records(*records) -> None:
+    """Write each ``(path, fmt, metadata, columns, rows, results)`` record whole, every text built first.
+
+    ``csv``: a ``# key=value`` line per metadata entry, the ``columns`` header and a line per row.
+    ``json``: ``metadata`` and ``"results"``, indented, key-sorted and strict.  A NaN raises
+    ValidationError before any file is opened, so a refused run leaves every file as it was.
+    """
+    texts = []
+    for path, fmt, metadata, columns, rows, results in records:
+        if fmt == "csv":
+            lines = [f"# {key}={value}" for key, value in metadata.items()] + [",".join(columns)]
+            text = "\n".join(lines + [",".join(map(_cell, row)) for row in rows])
+        else:
+            try:
+                text = json.dumps({**metadata, "results": results}, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                raise ValidationError(f"a record value is not strict JSON: {exc}") from exc
+        texts.append((path, text + "\n"))
+    for path, text in texts:
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 # ---------- states ----------
@@ -127,14 +149,12 @@ def _finite_numbers(values, what: str) -> list:
 def _read_json(path, what: str):
     """The JSON value in the file at ``path``; the package's one JSON reader.
 
-    A file over JSON_BYTES_CAP bytes, one that is not UTF-8, not JSON or nested
-    past the parser's recursion limit raises ValidationError naming ``what``;
-    one that cannot be opened, OSError.  A regular file's size is checked before
-    it is read, and any other file, a pipe or a device, is read to one byte past the
-    cap; one whose bytes, text or parsed value fill the memory the process may hold
-    raises ValidationError too.
+    A file over JSON_BYTES_CAP bytes, one that is not UTF-8, not JSON, nested past
+    the parser's recursion limit, or whose bytes, text or value fill the memory left
+    raises ValidationError naming ``what``; one that cannot be opened, OSError.  A
+    regular file's size is checked before it is read, and any other file, a pipe or
+    a device, is read to one byte past the cap.
     """
-    memory = f"{what} holds more bytes than the memory left to read it"
     try:
         with open(path, "rb") as fh:
             info, data = os.fstat(fh.fileno()), bytearray()
@@ -142,17 +162,14 @@ def _read_json(path, what: str):
             while not over and (chunk := fh.read(min(1 << 20, JSON_BYTES_CAP + 1 - len(data)))):
                 data += chunk
                 over = len(data) > JSON_BYTES_CAP
+        if not over:
+            data = data.decode("utf-8")   # the bytes are let go before the text is parsed
+            return json.loads(data)
     except MemoryError as exc:
-        raise ValidationError(memory) from exc
-    if over:
-        raise ValidationError(f"{what} holds more than the {JSON_BYTES_CAP} bytes a JSON file may")
-    try:   # the bytes are let go before the text is parsed
-        data = data.decode("utf-8")
-        return json.loads(data)
-    except MemoryError as exc:
-        raise ValidationError(memory) from exc
+        raise ValidationError(f"{what} holds more bytes than the memory left to read it") from exc
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not a readable JSON file: {exc}") from exc
+    raise ValidationError(f"{what} holds more than the {JSON_BYTES_CAP} bytes a JSON file may")
 
 
 def load_state(path) -> State:

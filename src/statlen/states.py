@@ -169,7 +169,7 @@ def _validate_rows(raw):
         if sym.any():
             rows[sym] = 0.5 * (rows[sym] + adjoint[sym])
         dec = spectral(rows)
-        least, total = dec.eigenvalues[:, -1], np.real(np.trace(rows, axis1=1, axis2=2))
+        least, total = dec.eigenvalues[:, -1], rows.trace(axis1=1, axis2=2).real
     _state_test(least, total)
     if rows.ndim == 2:
         clip = least < 0.0
@@ -293,7 +293,7 @@ def _entropy_of_weights(weights: np.ndarray, multiplicity=None, floor: float = 0
     terms = kept * np.log(kept)
     if multiplicity is not None:
         terms = multiplicity[keep] * terms
-    return max(0.0, float(-np.sum(terms)))
+    return max(0.0, float(-terms.sum()))
 
 
 def entropy(state) -> float:

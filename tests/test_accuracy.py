@@ -16,6 +16,7 @@ output of the code it checks.
 | relative entropy, probability vectors | [1/2, 1/2] against [1 - 1e-15, 1e-15], S = 16.576; a weight of 1e-320 | 1.8e-16 | 10 U |
 | relative entropy of a short step, probability vectors and diagonal density matrices | p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2) and p = (0.7, 0.3), v = (1, -1); h = 1e-3 to 1e-6 | 3.6e-11 | 6 U sum a abs(ln r) / S + (terms + d + 1) U, at most 5.6e-10 |
 | Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
+| expansion probe ratio S / (KM / 2) where the floor accepts eps | p = (1/2, 1/2), dp = (1, -1); random_distribution(4, 3), dp = (1, -1, 1/2, -1/2)/10; random_state(2, 2, 5) and random_state(3, 3, 7) with fixed traceless tangents; eps = 1e-2 to 1e-14 | 4.6e-8 | 10**-PROBE_DIGITS = 1e-6 (the floor's target, derived in expansion_probe) |
 | even-schedule step, probability vectors | geodesics p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2), h = 1e-3 to 1e-7, N = 1, 8, 64 | 7.4e-9 | 2 U / c + (d + 4) U for a chord c, at most 7.1e-8 |
 
 The reservoir step sums exact type weights and subtracts entropies of
@@ -88,11 +89,14 @@ import numpy as np
 import pytest
 
 from statlen import (
+    ValidationError,
     convergence_scan,
     even_schedule,
+    expansion_probe,
     geodesic_path,
     kubo_mori_element,
     metric_element,
+    random_distribution,
     random_state,
     relative_entropy,
     spectral,
@@ -103,6 +107,7 @@ from statlen import (
     validate_distribution,
 )
 from statlen.reservoir import _gl_structure
+from statlen.transport import PROBE_DIGITS
 
 U = 2.0 ** -53
 mpmath.mp.dps = 50
@@ -325,3 +330,49 @@ def test_even_schedule_steps_of_a_short_geodesic(h, n_steps):
         ))
         exact = 4 * mpmath.asin(chord / 2)
         assert abs((step - exact) / exact) <= 2 * U / float(chord) + (p.size + 4) * U
+
+
+PROBE_CASES = {
+    "half": ([0.5, 0.5], [1.0, -1.0]),
+    "classical-d4": (random_distribution(4, 3).array, [0.1, -0.1, 0.05, -0.05]),
+    "qubit": (random_state(2, 2, 5).array, [[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]),
+    "qutrit": (random_state(3, 3, 7).array, [[0.1, 0.2 + 0.15j, -0.05 + 0.05j],
+                                             [0.2 - 0.15j, -0.3, 0.1 - 0.1j],
+                                             [-0.05 - 0.05j, 0.1 + 0.1j, 0.2]]),
+}
+
+
+def _reference_probe_entropy(state, delta, eps) -> mpmath.mpf:
+    """50-digit S(rho || rho + eps drho) of the double inputs, sum_ij |<i|j>|^2 lam_i (ln lam_i - ln mu_j)."""
+    e = mpmath.mpf(eps)
+    if state.ndim == 1:
+        weights = [(mpmath.mpf(float(a)), mpmath.mpf(float(d))) for a, d in zip(state, delta)]
+        return mpmath.fsum(a * mpmath.log(a / (a + e * d)) for a, d in weights)
+    rho = _mp_matrix(state)
+    (lam, u), (mu, v) = mpmath.eigh(rho), mpmath.eigh(rho + e * _mp_matrix(delta))
+    overlap = u.H * v
+    return mpmath.fsum(lam[i] * (mpmath.log(lam[i]) - mpmath.fsum(abs(overlap[i, j]) ** 2 * mpmath.log(mu[j])
+                                                                for j in range(len(mu)))) for i in range(len(lam)))
+
+
+@pytest.mark.parametrize("case", PROBE_CASES)
+def test_probe_ratios_the_floor_accepts_keep_its_digits(case):
+    # S's error against the 50-digit S of the same double inputs, over the probe's own
+    # Kubo-Mori element, which is good to 10 U (above); the floor is derived in expansion_probe
+    array, tangent = PROBE_CASES[case]
+    if np.ndim(array) == 1:
+        state, dp = validate_distribution(array), tangent_classical(tangent)
+    else:
+        state, dp = validate_density(array), tangent_quantum(np.array(tangent))
+    accepted = []
+    for eps in 10.0 ** -np.arange(2, 15):
+        try:
+            probe = expansion_probe(state, dp, [eps])
+        except ValidationError as exc:
+            assert "below the probe's floor" in str(exc)
+            continue
+        exact = _reference_probe_entropy(state.array, dp.delta, eps) / (0.5 * kubo_mori_element(state, dp, eps))
+        assert abs((probe.ratio_kubo_mori[0] - exact) / exact) <= 10.0 ** -PROBE_DIGITS
+        accepted.append(eps)
+    # the floor refuses only the small eps: the accepted ones are a run from 1e-2 down, of six or more
+    assert accepted == list(10.0 ** -np.arange(2, 2 + len(accepted))) and len(accepted) >= 6

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -1133,13 +1134,15 @@ class TestProbeCommand:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_eps_whose_elements_underflow_exits_2(self, tmp_path, capsys, fmt):
-        # (1e-300)^2 underflows to 0 in both elements: the ratios were NaN, a bare NaN in JSON
+        # (1e-300)^2 underflows to 0 in both elements: the ratios were NaN, a bare NaN in JSON;
+        # an element of 0 is below the probe's floor at any eps
         config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": [1e-2, 1e-300]}
         code, out = _run(tmp_path, "probe", config, extra_args=("--format", fmt))
         assert code == EXIT_INVALID
         assert not out.exists()
         assert capsys.readouterr().err == (
-            "statlen: ValidationError: eps 1e-300 gives a metric or Kubo-Mori element of 0, which no ratio divides\n"
+            "statlen: ValidationError: eps 1e-300 is below the probe's floor for this state "
+            "and perturbation, where a ratio keeps fewer than 6 digits\n"
         )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1152,3 +1155,53 @@ class TestProbeCommand:
         assert capsys.readouterr().err == (
             "statlen: ValidationError: perturbation is 0, which gives every eps a metric element of 0\n"
         )
+
+
+class TestProbeFloor:
+    """The probe refuses an eps whose ratios its yield kernel cannot resolve to PROBE_DIGITS."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("eps", [1e-16, 1e-100, 1e-150, 1e-160])
+    def test_an_eps_below_the_floor_exits_2(self, tmp_path, capsys, eps, fmt):
+        # these read 0.616 (1e-16) and 0 (the others) in both columns before the floor
+        config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": [1e-2, eps]}
+        code, out = _run(tmp_path, "probe", config, extra_args=("--format", fmt))
+        assert code == EXIT_INVALID
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"statlen: ValidationError: eps {eps!r} is below the probe's floor for this state "
+            "and perturbation, where a ratio keeps fewer than 6 digits\n"
+        )
+
+    def test_an_eps_above_the_floor_is_tabulated(self, tmp_path):
+        config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": [1e-2, 1e-8]}
+        code, out = _run(tmp_path, "probe", config)
+        assert code == EXIT_OK
+        assert out.read_text().endswith("1e-08,1.00000000859,1.00000000859\n")
+
+    def test_an_infinite_ratio_is_the_string_inf(self, tmp_path):
+        # p + eps dp = (1, 0) leaves the support of p: S is infinite, which JSON writes as "inf"
+        config = {"state": CLASSICAL_A, "perturbation": [1.0, -1.0], "eps_grid": [0.5, 1e-2]}
+        assert _run(tmp_path, "probe", config, name="csv")[0] == EXIT_OK
+        assert _run(tmp_path, "probe", config, name="json", extra_args=("--format", "json"))[0] == EXIT_OK
+        assert "\n0.5,inf,inf\n" in (tmp_path / "csv.out").read_text()
+        results = json.loads((tmp_path / "json.out").read_text(), parse_constant=pytest.fail)["results"]
+        assert results["ratio_metric"][0] == results["ratio_kubo_mori"][0] == "inf"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nan_result_exits_2_and_leaves_every_file_as_it_was(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.setattr("statlen.cli.state_fidelity", lambda a, b: math.nan)
+    earlier = tmp_path / "run.out"
+    earlier.write_text("an earlier record\n")
+    config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B}
+    assert _run(tmp_path, "fidelity", config, extra_args=("--format", fmt))[0] == EXIT_INVALID
+    assert earlier.read_text() == "an earlier record\n"
+    # the search's history holds no NaN, and is not written when its record is refused
+    config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 4}
+    code, out = _run(tmp_path, "geodesic", config, name="search", extra_args=("--format", fmt))
+    assert code == EXIT_INVALID
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "run.out", "search.json"]
+    lines = capsys.readouterr().err.splitlines()
+    message = "a record value is NaN" if fmt == "csv" else "a record value is not strict JSON"
+    assert len(lines) == 2 and all(line.startswith(f"statlen: ValidationError: {message}") for line in lines)

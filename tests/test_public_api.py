@@ -182,25 +182,49 @@ def test_refusals_are_reported_in_one_place():
     assert _places_calling("stderr") == {"cli.main"}
 
 
+def test_files_are_opened_and_json_encoded_only_in_serialize():
+    """``serialize`` owns every byte the package reads or writes: ``_read_json`` and
+    ``write_records`` open the files, and only it encodes JSON, so ``cli`` opens no
+    file and writes no record of its own."""
+    assert _places_calling("open") == {"serialize._read_json", "serialize.write_records"}
+    assert _places_calling("dump") | _places_calling("dumps") == {"serialize._canonical", "serialize.write_records"}
+
+
 def test_json_is_decoded_in_one_place():
     """Configs and state files are read through ``serialize._read_json``, which turns
     a file that does not decode into a ValidationError."""
     assert _places_calling("load") | _places_calling("loads") == {"serialize._read_json"}
 
 
+# Hot kernels, by module (None: every function of it), that take no numpy wrapper.
+HOT_KERNELS = {
+    "pathopt": None,
+    "states": ("_entropy_of_weights", "_validate_rows"),
+    "geometry": ("_step_entropies", "even_schedule"),
+    "reservoir": ("_runs", "_block_spectrum"),
+}
+NUMPY_WRAPPERS = ("sum", "all", "real", "repeat", "cumsum", "trace", "diagonal", "ptp", "r_")
+
+
 def test_search_loop_takes_no_reduction_wrappers():
-    """The optimizer runs its reductions through the ndarray methods (``.sum()``,
-    ``.all()``, ``.real``): the ``np.sum``/``np.all``/``np.real`` wrappers apply the
-    same ufunc reductions but cost more per call than its few-dozen-entry arithmetic."""
-    path = next(p for p in PACKAGE if p.name == "pathopt.py")
-    calls = sorted(
-        (node.lineno, node.func.attr)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("sum", "all", "real")
-        and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
-    )
-    assert not calls, f"pathopt.py calls numpy reduction wrappers: {calls}"
+    """The optimizer and the hot kernels of validation, step yields, schedules and
+    reservoir steps run their reductions and reshapes through the ndarray methods
+    (``.sum()``, ``.real``, ``.repeat``, ``.cumsum()``, ``.trace``, ``.diagonal()``)
+    or plain arithmetic: the ``np.sum``/``np.real``/``np.repeat``/... wrappers, and
+    ``np.ptp`` and ``np.r_``, apply the same operations at a higher cost per call
+    than the few-dozen-entry arithmetic of these loops."""
+    calls = []
+    for module, names in HOT_KERNELS.items():
+        tree = ast.parse((ROOT / "src" / "statlen" / f"{module}.py").read_text(encoding="utf-8"))
+        tops = [top for top in tree.body if names is None or getattr(top, "name", None) in names]
+        assert names is None or len(tops) == len(names), f"{module}.py lacks one of {names}"
+        calls += [
+            (module, node.lineno, node.attr)
+            for top in tops for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in NUMPY_WRAPPERS
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        ]
+    assert not calls, f"hot kernels take numpy wrappers: {calls}"
 
 
 def _run_python(*args) -> subprocess.CompletedProcess:

@@ -77,11 +77,8 @@ class TestStateRoundtrip:
 class TestCsvOutput:
     def test_formatting_and_line_endings(self, tmp_path):
         target = tmp_path / "t.csv"
-        serialize.write_csv(
-            target,
-            ("a", "b"),
-            [(1, 1.0 / 3.0), (2, float("inf"))],
-            {"tool": "statlen"},
+        serialize.write_records(
+            (target, "csv", {"tool": "statlen"}, ("a", "b"), [(1, 1.0 / 3.0), (2, float("inf"))], None)
         )
         raw = target.read_bytes()
         assert b"\r" not in raw
@@ -90,3 +87,16 @@ class TestCsvOutput:
         assert text.splitlines()[0] == "# tool=statlen"
         assert "0.333333333333" in text  # 12 significant digits
         assert "inf" in text
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nan_is_refused_before_any_file_opens(tmp_path, fmt):
+    first, second = tmp_path / "first", tmp_path / "second"
+    second.write_text("kept\n")
+    records = [(first, "csv", {"tool": "statlen"}, ("a",), [(1.0,)], None),
+               (second, fmt, {"tool": "statlen"}, ("a",), [(float("nan"),)], {"a": [float("nan")]})]
+    with pytest.raises(ValidationError, match="NaN|not strict JSON"):
+        serialize.write_records(*records)
+    assert not first.exists()
+    assert second.read_text() == "kept\n"
+

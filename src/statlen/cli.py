@@ -11,7 +11,8 @@ record digests the tests pin move.
 
 ``serialize`` builds each record whole before it opens the file.  JSON
 records are strict: an infinite value is the string ``"inf"``, and a NaN
-in either format is refused (status 2) before any file is written.
+in either format is refused (status 2) before any file is written, as is
+a target that is a directory.
 ``probe`` refuses an eps below its floor, where a ratio keeps fewer than
 6 digits (:func:`statlen.transport.expansion_probe`).
 

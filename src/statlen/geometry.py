@@ -108,28 +108,46 @@ def state_fidelity(a, b) -> float:
 
 # ---------- local metric elements ----------
 
-def _fisher_sum(p: State, dp: TangentPerturbation, eps: float) -> float:
-    """sum (eps dp_a)^2 / p_a over the exact support p_a > 0, outside which dp must vanish.
+def _elements(state, tangent: TangentPerturbation, eps):
+    """``(metric, kubo_mori, scale)``: the Fisher-Bures and Kubo-Mori elements of e*tangent at a state per e of ``eps``.
 
-    Scaling dp by eps first keeps a subnormal p_a from overflowing a
-    quotient whose product with eps^2 is finite.
+    The state's spectrum is read once.  A probability vector's weights p are
+    exact: the tangent must vanish where p = 0, and both elements are Fisher's
+    sum (e dp_a)^2 / p_a over p_a > 0, e applied first so that a subnormal p_a
+    does not overflow a quotient whose product with e^2 is finite.  A density
+    matrix is decomposed once, descending; a least eigenvalue at or below
+    RANK_TOL raises RankDeficient.  Each e*drho is rotated into that eigenbasis
+    whole, not e times one rotated drho, so every e gets the bits of a grid of
+    that e alone; |<i|e drho|j>|^2 is weighted by 2/(lam_i + lam_j) for Bures
+    and by the Kubo-Mori coefficient (ln lam_i - ln lam_j)/(lam_i - lam_j),
+    1/lam on the diagonal.  Where 1/2 <= lam_i/lam_j <= 2, lam_i - lam_j is
+    exact and the log ratio is log1p((lam_i - lam_j)/lam_j); further apart,
+    where log1p would lose digits near -1, the logarithms are subtracted.
+    ``scale`` is the R of the expansion probe's floor: sum |dp| for weights,
+    lam_max sum_ij |<i|drho|j>| / min(lam_i, lam_j) for a density matrix.
     """
-    dead = p.array == 0.0
-    if np.any(dead) and float(np.max(np.abs(dp.delta[dead]))) > VALIDATION_TOL:
-        raise SupportViolation("tangent is nonzero where the distribution vanishes")
-    return float(np.sum((eps * dp.delta[~dead]) ** 2 / p.array[~dead]))
-
-
-def _full_rank_step(rho: State, drho: TangentPerturbation, eps: float):
-    """The eigenvalues of rho and eps*drho in its eigenbasis; rank-deficient rho raises."""
-    dec = spectral(rho)
-    smallest = float(dec.eigenvalues[-1])
-    if smallest <= RANK_TOL:
-        raise RankDeficient(
-            f"smallest eigenvalue {smallest:.3e} is at or below {RANK_TOL}; "
-            "regularize explicitly with add_ridge(rho, delta)"
-        )
-    return dec.eigenvalues, dec.eigenvectors.conj().T @ (eps * drho.delta) @ dec.eigenvectors
+    eps, delta = np.asarray(eps, dtype=np.float64), tangent.delta
+    if _tangent_kind(state, tangent) == "classical":
+        p = state.array
+        dead = p == 0.0
+        if np.any(dead) and float(np.max(np.abs(delta[dead]))) > VALIDATION_TOL:
+            raise SupportViolation("tangent is nonzero where the distribution vanishes")
+        fisher = ((eps[:, None] * delta[~dead]) ** 2 / p[~dead]).sum(axis=1)
+        return fisher, fisher, np.abs(delta).sum()
+    dec = spectral(state)
+    lam, vec = dec.eigenvalues, dec.eigenvectors
+    if lam[-1] <= RANK_TOL:
+        raise RankDeficient(f"smallest eigenvalue {float(lam[-1]):.3e} is at or below {RANK_TOL}; "
+                            "regularize explicitly with add_ridge(rho, delta)")
+    li, lj = lam[:, None], lam[None, :]
+    diff = li - lj
+    near = np.abs(diff) <= 1e-8 * (li + lj)
+    close = (li <= 2.0 * lj) & (lj <= 2.0 * li)
+    log_ratio = np.where(close, np.log1p(diff / lj), np.log(li) - np.log(lj))
+    coeff = np.where(near, 2.0 / (li + lj), log_ratio / np.where(near, 1.0, diff))
+    squared = np.abs(vec.conj().T @ (eps[:, None, None] * delta) @ vec) ** 2
+    scale = lam[0] * (np.abs(vec.conj().T @ delta @ vec) / np.minimum(li, lj)).sum()
+    return 2.0 * (squared / (li + lj)).sum(axis=(1, 2)), (squared * coeff).sum(axis=(1, 2)), scale
 
 
 def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
@@ -143,10 +161,7 @@ def metric_element(state, tangent: TangentPerturbation, eps: float) -> float:
     density matrices raise instead of being regularized silently;
     ``add_ridge`` mixes in delta*I/d explicitly.
     """
-    if _tangent_kind(state, tangent) == "classical":
-        return _fisher_sum(state, tangent, eps)
-    lam, step = _full_rank_step(state, tangent, eps)
-    return float(2.0 * np.sum(np.abs(step) ** 2 / (lam[:, None] + lam[None, :])))
+    return float(_elements(state, tangent, [eps])[0][0])
 
 
 def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
@@ -154,22 +169,10 @@ def kubo_mori_element(state, tangent: TangentPerturbation, eps: float) -> float:
 
     In the eigenbasis of rho the coefficient of |<i|drho|j>|^2 is
     (ln lam_i - ln lam_j)/(lam_i - lam_j), read as 1/lam on the diagonal.
-    Where 1/2 <= lam_i/lam_j <= 2, lam_i - lam_j is exact and the log
-    ratio is log1p((lam_i - lam_j)/lam_j); further apart, where log1p
-    would lose digits near -1, the logarithms are subtracted.  On a
-    probability vector only the diagonal remains, so this is the Fisher
+    On a probability vector only the diagonal remains, so this is the Fisher
     sum of :func:`metric_element`, bit for bit.
     """
-    if _tangent_kind(state, tangent) == "classical":
-        return _fisher_sum(state, tangent, eps)
-    lam, step = _full_rank_step(state, tangent, eps)
-    li, lj = lam[:, None], lam[None, :]
-    diff = li - lj
-    near = np.abs(diff) <= 1e-8 * (li + lj)
-    close = (li <= 2.0 * lj) & (lj <= 2.0 * li)
-    log_ratio = np.where(close, np.log1p(diff / lj), np.log(li) - np.log(lj))
-    coeff = np.where(near, 2.0 / (li + lj), log_ratio / np.where(near, 1.0, diff))
-    return float(np.sum(np.abs(step) ** 2 * coeff))
+    return float(_elements(state, tangent, [eps])[1][0])
 
 
 # ---------- geodesic lengths from fidelity ----------

@@ -60,7 +60,8 @@ def write_records(*records) -> None:
 
     ``csv``: a ``# key=value`` line per metadata entry, the ``columns`` header and a line per row.
     ``json``: ``metadata`` and ``"results"``, indented, key-sorted and strict.  A NaN raises
-    ValidationError before any file is opened, so a refused run leaves every file as it was.
+    ValidationError, and a target that is a directory IsADirectoryError, before any file is
+    opened, so a refused run leaves every file as it was.
     """
     texts = []
     for path, fmt, metadata, columns, rows, results in records:
@@ -72,6 +73,8 @@ def write_records(*records) -> None:
                 text = json.dumps({**metadata, "results": results}, indent=2, sort_keys=True, allow_nan=False)
             except ValueError as exc:
                 raise ValidationError(f"a record value is not strict JSON: {exc}") from exc
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{os.fspath(path)!r} is a directory, not a record file")
         texts.append((path, text + "\n"))
     for path, text in texts:
         with open(path, "w", newline="\n", encoding="utf-8") as fh:

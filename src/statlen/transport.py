@@ -19,10 +19,8 @@ from .geometry import (
     MAX_SCHEDULE_ENTRIES,
     RANK_TOL,
     TransportSchedule,
-    kubo_mori_element,
-    metric_element,
     state_fidelity,
-    _full_rank_step,
+    _elements,
     _step_entropies,
     _tangent_kind,
 )
@@ -161,7 +159,7 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
 
     The perturbed states form one stack, held to a schedule pass's MAX_SCHEDULE_ENTRIES
     entries: a longer grid raises DimensionCapExceeded, and a rank-deficient state
-    RankDeficient (a density matrix's from its metric element), before any stack.
+    RankDeficient (a density matrix's as its elements are taken), before any stack.
     A zero perturbation, and an eps below the probe's floor, raise ValidationError
     before any stack.
 
@@ -169,7 +167,8 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
     relative, u the unit roundoff, so S is off by about u eps R, with
     R = sum_ij |drho_ij| s_ij / min(lam_i, lam_j) in the eigenbasis of rho:
     s_ij = p_i for exact weights (R = sum |dp|), and the largest eigenvalue
-    for a density matrix, whose eigenvalues are computed to u times it.  The
+    for a density matrix, whose eigenvalues are computed to u times it.  One
+    decomposition of rho gives R and both elements of every eps.  The
     estimate PROBE_ROUNDING eps R / (KM / 2), KM the Kubo-Mori element, falls
     as 1/eps; an eps where it exceeds 10^-PROBE_DIGITS is refused, as is one
     whose element underflows to 0, where it is infinite.  The Bures element
@@ -191,13 +190,7 @@ def expansion_probe(state, perturbation: TangentPerturbation, eps_list) -> Expan
         raise RankDeficient(f"expansion probe needs a full-rank state, got a least weight {state.array.min():.3e}")
     if not np.any(perturbation.delta):
         raise ValidationError("perturbation is 0, which gives every eps a metric element of 0")
-    metric = np.array([metric_element(state, perturbation, e) for e in eps])
-    kubo_mori = np.array([kubo_mori_element(state, perturbation, e) for e in eps])
-    if classical:
-        scale = np.abs(perturbation.delta).sum()   # R of the docstring
-    else:
-        lam, step = _full_rank_step(state, perturbation, 1.0)
-        scale = lam[0] * (np.abs(step) / np.minimum.outer(lam, lam)).sum()
+    metric, kubo_mori, scale = _elements(state, perturbation, eps)
     coarse = 0.5 * kubo_mori * 10.0 ** -PROBE_DIGITS < PROBE_ROUNDING * eps * scale
     if coarse.any():
         raise ValidationError(f"eps {float(eps[coarse][0])!r} is below the probe's floor for this state and "

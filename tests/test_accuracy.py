@@ -18,6 +18,7 @@ output of the code it checks.
 | Fisher element, probability vectors (metric and Kubo-Mori) | [1/2, 1/2, 1e-320] with dp = (0, 1, -1); [1 - 1e-15, 1e-15] with dp = (1, -1); eps = 1e-17 | 1.0e-16 | 10 U |
 | expansion probe ratio S / (KM / 2) where the floor accepts eps | p = (1/2, 1/2), dp = (1, -1); random_distribution(4, 3), dp = (1, -1, 1/2, -1/2)/10; random_state(2, 2, 5) and random_state(3, 3, 7) with fixed traceless tangents; eps = 1e-2 to 1e-14 | 4.6e-8 | 10**-PROBE_DIGITS = 1e-6 (the floor's target, derived in expansion_probe) |
 | even-schedule step, probability vectors | geodesics p -> p + h v, p = (0.1, 0.2, 0.3, 0.4), v = (1, -1, 1/2, -1/2), h = 1e-3 to 1e-7, N = 1, 8, 64 | 7.4e-9 | 2 U / c + (d + 4) U for a chord c, at most 7.1e-8 |
+| lengths and bounds near F = 1, probability vectors: `geodesic_length_fisher(F)`, the classical `bound_fidelity` at N = 1, the chord step length | q = (0.4, 0.3, 0.2, 0.1), p = q + h (1, -1, 1/2, -1/2), h = 1e-4 to 1e-7 (1 - F = 1.2e-8 to 1.2e-14) | 3.0e-3, 6.0e-3, 9.4e-11 | (d + 1) U / theta**2 + 2 U for theta = arccos F (2.3e-2 at h = 1e-7), twice that plus U, and 2 U / c + (d + 4) U (1.4e-9) |
 
 The reservoir step sums exact type weights and subtracts entropies of
 size n ln d to get a result of size h**2, so its rounding is of order U
@@ -81,6 +82,17 @@ relative to the chord, the cancellation.  The squares and their sum
 take d U, half of which reaches c through the root, the root and arcsin
 two U more, a difference outside Sterbenz's range one U; arcsin passes
 a small argument's relative error on unchanged, and 1/2 and 4 are exact.
+Near F = 1 the lengths and bounds read from F lose what the chord keeps.
+F = sum sqrt(p q) takes two roundings per term, 3/2 U relative, and the
+sum of d terms d - 1 more, so F is off by under (d + 1/2) U.  arccos moves
+that to theta by 1/sin(theta), about 1/theta, so theta is off by
+(d + 1/2) U / theta**2 relative, plus one U of arccos: 2.3e-2 at
+1 - F = 1.2e-14, where 3.0e-3 was measured.  The bound squares theta, which
+doubles that and adds a U.  The chord of the same pair is good to 9.4e-11.
+The two 50-digit references differ on these rows themselves: c**2 is
+2 (1 - F) plus the two rows' deviations of their sums from one, 2.8e-17 each
+here, which moves the angle by 1.2e-3 at h = 1e-7; so each value is checked
+against its own formula.
 """
 import itertools
 
@@ -93,13 +105,16 @@ from statlen import (
     convergence_scan,
     even_schedule,
     expansion_probe,
+    geodesic_length_fisher,
     geodesic_path,
     kubo_mori_element,
     metric_element,
     random_distribution,
     random_state,
     relative_entropy,
+    run_transport,
     spectral,
+    state_fidelity,
     step_entropy_production,
     tangent_classical,
     tangent_quantum,
@@ -330,6 +345,25 @@ def test_even_schedule_steps_of_a_short_geodesic(h, n_steps):
         ))
         exact = 4 * mpmath.asin(chord / 2)
         assert abs((step - exact) / exact) <= 2 * U / float(chord) + (p.size + 4) * U
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_lengths_and_bounds_near_unit_fidelity(h):
+    # each value against its own formula in 50 digits on the same validated rows: 2 arccos F and
+    # 2 arccos(F)**2 of the exact F = sum sqrt(x y), and 4 arcsin(c/2) of the exact chord
+    q, v = np.array([0.4, 0.3, 0.2, 0.1]), np.array([1.0, -1.0, 0.5, -0.5])
+    a, b = validate_distribution(q), validate_distribution(q + h * v)
+    x, y = ([mpmath.mpf(float(w)) for w in s.array] for s in (a, b))
+    theta = mpmath.acos(mpmath.fsum(mpmath.sqrt(s * t) for s, t in zip(x, y)))
+    chord = mpmath.sqrt(mpmath.fsum((mpmath.sqrt(s) - mpmath.sqrt(t)) ** 2 for s, t in zip(x, y)))
+    report = run_transport(even_schedule(geodesic_path(a, b), 1))
+    angle_bound = (q.size + 1) * U / theta ** 2 + 2 * U
+    for value, exact, bound in (
+        (geodesic_length_fisher(state_fidelity(a, b)), 2 * theta, angle_bound),
+        (report.bound_fidelity, 2 * theta ** 2, 2 * angle_bound + U),
+        (report.total_length, 4 * mpmath.asin(chord / 2), 2 * U / chord + (q.size + 4) * U),
+    ):
+        assert abs((value - exact) / exact) <= bound
 
 
 PROBE_CASES = {

@@ -1205,3 +1205,24 @@ def test_a_nan_result_exits_2_and_leaves_every_file_as_it_was(tmp_path, capsys, 
     lines = capsys.readouterr().err.splitlines()
     message = "a record value is NaN" if fmt == "csv" else "a record value is not strict JSON"
     assert len(lines) == 2 and all(line.startswith(f"statlen: ValidationError: {message}") for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("directory", ["history", "out"])
+def test_a_directory_target_exits_2_and_leaves_every_file_as_it_was(tmp_path, capsys, directory, fmt):
+    # a geodesic run writes its record and then its history; either target may be a directory,
+    # and the other file, whether it is new or there from an earlier run, is left as it was
+    config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 4}
+    out, history = tmp_path / "run.out", tmp_path / "run.out.history.csv"
+    target, other = (history, out) if directory == "history" else (out, history)
+    target.mkdir()
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    for earlier in (False, True):
+        if earlier:
+            other.write_text("an earlier file\n")
+        before = sorted((p.name, p.is_dir() or p.read_bytes()) for p in tmp_path.iterdir())
+        assert _run(tmp_path, "geodesic", config, extra_args=("--format", fmt))[0] == EXIT_INVALID
+        after = sorted((p.name, p.is_dir() or p.read_bytes()) for p in tmp_path.iterdir())
+        assert after == before and list(target.iterdir()) == []
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"statlen: IsADirectoryError: {str(target)!r} is a directory, not a record file"]

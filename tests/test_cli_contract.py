@@ -3,7 +3,9 @@
 Whatever a config holds, ``cli.main`` exits 0, 2, 3 or 4 and warns of
 nothing.  On 2 or 3 it prints one stderr line and leaves no file; on 0 or 4
 every record it wrote is strict JSON, or CSV whose cells are finite numbers,
-the documented ``inf`` or a boolean.
+the documented ``inf`` or a boolean.  Three configs whose records hold that
+``inf`` run as examples in both formats under every subcommand, and the one
+each is written for must write its infinite fields as ``inf``.
 """
 import contextlib
 import io
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from statlen.cli import EXIT_CAP, EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_OK, main
 
@@ -111,6 +113,40 @@ GRAMMAR = {
 }
 
 
+HALF, CERTAIN = ({"kind": "classical", "weights": w} for w in ([0.5, 0.5], [1.0, 0.0]))
+# Configs whose record holds the documented inf, with the CSV and the JSON fields that read it.
+INFINITE = {
+    "transport": ({"path": {"type": "geodesic", "state_a": HALF, "state_b": HALF}, "N_grid": [2]},
+                  {"nu"}, {"nu"}),
+    "reservoir": ({"state_a": HALF, "state_b": CERTAIN, "n_max": 2}, {"reference", "gap_n"}, {"reference", "gap"}),
+    "probe": ({"state": HALF, "perturbation": [1.0, -1.0], "eps_grid": [0.5, 1e-2]},
+              {"ratio_metric", "ratio_kubo_mori"}, {"ratio_metric", "ratio_kubo_mori"}),
+}
+
+
+class _Given:
+    """Stands in for ``st.data()`` in an @example: each draw returns the value given for its label."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
+def _infinite_fields(text: str, fmt: str) -> set:
+    """The fields of a record that read inf: a CSV cell or ``# key=`` line, or a JSON results value."""
+    if fmt == "csv":
+        lines = text.splitlines()
+        meta = {line[2:].split("=", 1)[0] for line in lines if line.startswith("# ") and line.endswith("=inf")}
+        table = [line.split(",") for line in lines if not line.startswith("# ")]
+        return meta | {name for name, *cells in zip(*table) if "inf" in cells}
+    found, results = set(), json.loads(text)["results"]
+    for row in results.get("grid", [results]):
+        found |= {key for key, value in row.items() if value == "inf" or isinstance(value, list) and "inf" in value}
+    return found
+
+
 def _refuses_constants(name):
     raise AssertionError(f"record holds the non-strict JSON constant {name}")
 
@@ -126,6 +162,12 @@ def _check_csv(text: str) -> None:
 @pytest.mark.parametrize("command", sorted(GRAMMAR))
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(data=st.data())
+@example(data=_Given(config=INFINITE["transport"][0], format="csv", seed=0))
+@example(data=_Given(config=INFINITE["transport"][0], format="json", seed=0))
+@example(data=_Given(config=INFINITE["reservoir"][0], format="csv", seed=0))
+@example(data=_Given(config=INFINITE["reservoir"][0], format="json", seed=0))
+@example(data=_Given(config=INFINITE["probe"][0], format="csv", seed=0))
+@example(data=_Given(config=INFINITE["probe"][0], format="json", seed=0))
 def test_any_config_keeps_the_contract(command, data):
     config = data.draw(GRAMMAR[command], label="config")
     fmt = data.draw(st.sampled_from(["csv", "json"]), label="format")
@@ -155,3 +197,6 @@ def test_any_config_keeps_the_contract(command, data):
                 json.loads(text, parse_constant=_refuses_constants)
             else:
                 _check_csv(text)
+        if command in INFINITE and config == INFINITE[command][0]:
+            text = (tmp / "record.out").read_text(encoding="utf-8")
+            assert _infinite_fields(text, fmt) == INFINITE[command][1 if fmt == "csv" else 2]

@@ -332,6 +332,36 @@ class TestExpansionProbe:
         with pytest.raises(RankDeficient, match="add_ridge"):
             expansion_probe(rho, drho, [1e-3])
 
+    def test_one_decomposition_serves_both_elements_and_the_floor(self, monkeypatch):
+        """A d = 3 density matrix with 4 eps passes 13 rows through eigh: its own row once,
+        for both element columns and the floor, the 4 perturbed rows once, and 2 rows per
+        relative_entropy, which the S column calls once per eps.  Taking the base again
+        for each element, eps and the floor made 21.  A probability vector passes none."""
+        eigh, rows_seen, entropy_calls = np.linalg.eigh, [], []
+
+        def counted(mats, *args, **kwargs):
+            rows_seen.append(1 if np.ndim(mats) == 2 else len(mats))
+            return eigh(mats, *args, **kwargs)
+
+        def relative(a, b):
+            entropy_calls.append(1)
+            return relative_entropy(a, b)
+
+        rho = random_state(3, 3, 7)
+        drho = tangent_quantum([[0.1, 0.2 + 0.15j, -0.05 + 0.05j], [0.2 - 0.15j, -0.3, 0.1 - 0.1j],
+                                [-0.05 - 0.05j, 0.1 + 0.1j, 0.2]])
+        p, dp = validate_distribution([0.4, 0.3, 0.2, 0.1]), tangent_classical([1.0, -1.0, 0.5, -0.5])
+        eps = [1e-2, 1e-3, 1e-4, 1e-5]
+        expected = [expansion_probe(rho, drho, eps), expansion_probe(p, dp, eps)]
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(transport, "relative_entropy", relative)
+        for (state, tangent, rows), before in zip(((rho, drho, 13), (p, dp, 0)), expected):
+            del rows_seen[:], entropy_calls[:]
+            probe = expansion_probe(state, tangent, eps)
+            assert (sum(rows_seen), len(entropy_calls)) == (rows, 4)
+            for column in ("relative_entropies", "ratio_metric", "ratio_kubo_mori"):
+                assert np.array_equal(getattr(probe, column), getattr(before, column))
+
 
     def test_grid_past_the_entries_budget_is_refused_before_the_stack(self, monkeypatch):
         """The perturbed stack holds len(eps) states: at d = 64 (4096 entries each) the

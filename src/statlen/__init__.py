@@ -44,6 +44,7 @@ from .geometry import (
     StatePath,
     TransportSchedule,
     even_schedule,
+    geodesic_bound,
     geodesic_length_bures,
     geodesic_length_fisher,
     geodesic_path,
@@ -54,9 +55,7 @@ from .geometry import (
 )
 from .transport import (
     ExpansionProbe,
-    TransportReport,
     expansion_probe,
-    geodesic_bound,
     relative_entropy,
     run_transport,
 )
@@ -74,11 +73,10 @@ __all__ = [
     "SpectralDecomposition", "State", "TangentPerturbation", "add_ridge", "entropy",
     "random_distribution", "random_state", "spectral", "tangent_classical", "tangent_quantum",
     "validate_density", "validate_distribution",
-    "StatePath", "TransportSchedule", "even_schedule", "geodesic_length_bures",
+    "StatePath", "TransportSchedule", "even_schedule", "geodesic_bound", "geodesic_length_bures",
     "geodesic_length_fisher", "geodesic_path", "kubo_mori_element", "linear_mixture_path",
     "metric_element", "state_fidelity",
-    "ExpansionProbe", "TransportReport", "expansion_probe", "geodesic_bound",
-    "relative_entropy", "run_transport",
+    "ExpansionProbe", "expansion_probe", "relative_entropy", "run_transport",
     "ReservoirScanResult", "convergence_scan", "step_entropy_production",
     "PathOptimizationResult", "minimize_path",
 ]

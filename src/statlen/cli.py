@@ -9,7 +9,8 @@ on one numpy build, one SIMD dispatch target and one OpenBLAS kernel.
 Another dispatch target or kernel rounds differently, and 7 to 8 of the
 record digests the tests pin move.
 
-``serialize`` builds each record whole before it opens the file.  JSON
+``serialize`` builds each record whole before it opens a file, and
+replaces no target until every file of the run is written.  JSON
 records are strict: an infinite value is the string ``"inf"``, and a NaN
 in either format is refused (status 2) before any file is written, as is
 a target that is a directory.
@@ -181,17 +182,17 @@ def cmd_transport(config: dict, resolved: dict, seed_pool) -> int:
     resolved["path"] = resolved_spec
     columns = ("N", "Delta_S", "N_Delta_S", "half_ell_sq", "bound_fidelity", "nu", "rate_ratio")
     rows, results = [], []
-    for n, report in zip(grid, map(run_transport, even_schedule(path, grid))):
-        ds = report.total_entropy
-        ell = report.total_length
+    for n, schedule in zip(grid, map(run_transport, even_schedule(path, grid))):
+        ds = schedule.total_entropy
+        ell = schedule.total_length
         entry = {
             "N": n,
             "ell": ell,
             "Delta_S": ds,
-            "bound_path_length": report.bound_path_length,
-            "bound_fidelity": report.bound_fidelity,
-            "nu": serialize._json_float(report.nu),
-            "rate_ratio": ds * 2.0 * report.nu / ell if ell > 0.0 else 0.0,
+            "bound_path_length": schedule.bound_path_length,
+            "bound_fidelity": schedule.bound_fidelity,
+            "nu": serialize._json_float(schedule.nu),
+            "rate_ratio": ds * 2.0 * schedule.nu / ell if ell > 0.0 else 0.0,
         }
         results.append(entry)
         rows.append((n, ds, n * ds, 0.5 * ell * ell, entry["bound_fidelity"], entry["nu"], entry["rate_ratio"]))

@@ -1,4 +1,4 @@
-"""Fidelities, local metric elements, geodesic lengths, and discrete paths.
+"""Fidelities, local metric elements, geodesic lengths and bounds, discrete paths, and transport schedules.
 
 Conventions
 -----------
@@ -194,6 +194,28 @@ def geodesic_length_bures(fidelity: float) -> float:
     return float(2.0 * np.sqrt(max(0.0, 1.0 - f * f)))
 
 
+def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
+    """The l^2/(2N) that N-step transport between states of fidelity F is compared with.
+
+    (2/N)(arccos F)^2 for classical states takes the geodesic length
+    2 arccos F; (2/N)(1 - F^2) for quantum states takes the chordal
+    distance 2 sqrt(1 - F^2), which is shorter.  Neither is a bound at
+    every N.  The classical value is the large-N entropy of the geodesic
+    schedule, which reads down to 0.898 of it at N = 4, 0.945 at N = 8,
+    0.971 at N = 16 and 0.993 at N = 64 (smallest ratio over 40 seeded
+    pairs of 4-outcome distributions).
+    """
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    f = float(np.clip(fidelity, 0.0, 1.0))
+    if kind == "quantum":
+        return 2.0 * (1.0 - f * f) / n_steps
+    if kind == "classical":
+        angle = float(np.arccos(f))
+        return 2.0 * angle * angle / n_steps
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 # ---------- paths ----------
 
 @dataclass(frozen=True, eq=False)
@@ -339,22 +361,24 @@ def _step_entropies(rows: np.ndarray, dec) -> np.ndarray:
 
 # ---------- discrete lengths and schedules ----------
 
+def _measure(rows: np.ndarray, dec):
+    """The chord angles and ``_step_entropies`` of a validated stack and its decomposition, row pair by row pair."""
+    roots = _sqrt_rows(rows, dec)
+    return _angles(_uhlmann(roots[:-1], roots[1:])[1]), _step_entropies(rows, dec)
+
+
 def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
     """The step lengths and the step yields between the path's consecutive validated states at ``ts``.
 
-    The states are sampled, validated, compared and their yields taken in
-    stacked blocks that overlap by one parameter, and only the two arrays
-    of len(ts) - 1 values are kept, which bounds the memory whatever
-    len(ts) is.  The lengths are the chord angles of ``path.sample(ts)``
-    and the yields its ``_step_entropies``, bit for bit.
+    The states are sampled, validated and measured in stacked blocks that
+    overlap by one parameter, and only the two arrays of len(ts) - 1 values
+    are kept, which bounds the memory whatever len(ts) is.  They are
+    :func:`_measure` of ``path.sample(ts)``, bit for bit.
     """
     block = max(1, SAMPLE_BLOCK_BYTES // path.start.array.nbytes)
     steps, yields = np.empty(ts.size - 1), np.empty(ts.size - 1)
     for i in range(0, ts.size - 1, block):
-        sampled, dec = path.sample(ts[i:i + block + 1])
-        roots = _sqrt_rows(sampled, dec)
-        steps[i:i + block] = _angles(_uhlmann(roots[:-1], roots[1:])[1])
-        yields[i:i + block] = _step_entropies(sampled, dec)
+        steps[i:i + block], yields[i:i + block] = _measure(*path.sample(ts[i:i + block + 1]))
     return steps, yields
 
 
@@ -362,10 +386,13 @@ def _sampled_step_lengths(path: StatePath, ts: np.ndarray):
 class TransportSchedule:
     """N steps from ``start`` to ``end``: their N + 1 parameters, step lengths and step yields.
 
-    The yield of step i is S(rho_i || rho_{i+1}) of the validated states at
-    ``ts[i]`` and ``ts[i + 1]``, +inf past LEAK_TOL.  :func:`even_schedule`
-    takes the yields in the pass that measures the steps, and keeps no
-    states; :meth:`from_rows` takes them from a stack of states made by hand.
+    A schedule is its own transport report.  Step i has the Bures angle and the
+    yield S(rho_i || rho_{i+1}), +inf past LEAK_TOL, of the validated states at
+    ``ts[i]`` and ``ts[i + 1]``, from :func:`_measure`: :func:`even_schedule`
+    keeps its kept pass's, and :meth:`from_rows` measures a stack made by hand.
+    ``nu`` is steps per unit length, ``bound_path_length`` l^2/(2N) of the
+    measured length, and ``bound_fidelity`` the :func:`geodesic_bound` of
+    ``endpoint_fidelity``, which takes ``state_fidelity(start, end)`` per read.
     """
 
     start: State
@@ -383,7 +410,7 @@ class TransportSchedule:
             raise ValueError(f"{n} steps need {n + 1} ts and {n} step lengths, got {sizes}")
 
     @classmethod
-    def from_rows(cls, rows, ts, step_lengths) -> TransportSchedule:
+    def from_rows(cls, rows, ts) -> TransportSchedule:
         """The schedule of N + 1 states given as one (N + 1, d) or (N + 1, d, d) stack.
 
         The stack is validated, and decomposed, once: rows of any other rank
@@ -391,8 +418,8 @@ class TransportSchedule:
         that is not a state what validation raises for it
         (:class:`ValidationError` for a non-finite entry, then
         :class:`NotHermitian`, :class:`NotPositive` or :class:`NotNormalized`,
-        naming the row).  The endpoints and the yields are those of the
-        validated rows.
+        naming the row).  The endpoints are the validated rows, and the step
+        lengths and yields are measured from them as an even schedule's are.
         """
         rows = np.asarray(rows)
         if rows.ndim not in (2, 3):
@@ -400,7 +427,7 @@ class TransportSchedule:
         if len(rows) < 2:
             raise ValueError(f"need at least one step, got {len(rows)} rows")
         rows, dec = _validate_rows(rows)
-        return cls(State(rows[0]), State(rows[-1]), ts, step_lengths, _freeze(_step_entropies(rows, dec)))
+        return cls(State(rows[0]), State(rows[-1]), ts, *map(_freeze, _measure(rows, dec)))
 
     @property
     def kind(self) -> str:
@@ -409,6 +436,32 @@ class TransportSchedule:
     @property
     def n_steps(self) -> int:
         return len(self.step_yields)
+
+    @property
+    def total_entropy(self) -> float:
+        return float(self.step_yields.sum())
+
+    @property
+    def total_length(self) -> float:
+        return float(self.step_lengths.sum())
+
+    @property
+    def nu(self) -> float:
+        total_length = self.total_length
+        return np.inf if total_length == 0.0 else self.n_steps / total_length
+
+    @property
+    def bound_path_length(self) -> float:
+        total_length = self.total_length
+        return total_length * total_length / (2.0 * self.n_steps)
+
+    @property
+    def endpoint_fidelity(self) -> float:
+        return state_fidelity(self.start, self.end)
+
+    @property
+    def bound_fidelity(self) -> float:
+        return geodesic_bound(self.endpoint_fidelity, self.n_steps, self.kind)
 
 
 def _check_steps(n_steps: int, state: State) -> None:

@@ -61,7 +61,9 @@ def write_records(*records) -> None:
     ``csv``: a ``# key=value`` line per metadata entry, the ``columns`` header and a line per row.
     ``json``: ``metadata`` and ``"results"``, indented, key-sorted and strict.  A NaN raises
     ValidationError, and a target that is a directory IsADirectoryError, before any file is
-    opened, so a refused run leaves every file as it was.
+    opened.  Each text goes to a temporary sibling, and only once every one is written is each
+    moved onto its target; an OSError removes the temporaries and is raised again, so a run
+    refused, or failed while writing, leaves every file as it was.
     """
     texts = []
     for path, fmt, metadata, columns, rows, results in records:
@@ -75,10 +77,18 @@ def write_records(*records) -> None:
                 raise ValidationError(f"a record value is not strict JSON: {exc}") from exc
         if os.path.isdir(path):
             raise IsADirectoryError(f"{os.fspath(path)!r} is a directory, not a record file")
-        texts.append((path, text + "\n"))
-    for path, text in texts:
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(text)
+        texts.append((path, f"{os.fspath(path)}.{os.getpid()}.tmp", text + "\n"))
+    try:
+        for _, temp, text in texts:
+            with open(temp, "w", newline="\n", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, temp, _ in texts:
+            os.replace(temp, path)
+    except OSError:
+        for _, temp, _ in texts:
+            if os.path.lexists(temp):
+                os.remove(temp)
+        raise
 
 
 # ---------- states ----------

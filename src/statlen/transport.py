@@ -1,15 +1,16 @@
-"""Relative entropies and the entropy accounting of sequential transport.
+"""Relative entropies, the refusal point of sequential transport, and the expansion probe.
 
 A single equilibration step from rho to sigma produces S(rho||sigma) of
-entropy; a schedule of N steps produces the sum of its per-step yields.
-For evenly spaced steps along a path of length l the total approaches
-l^2/(2N), which is the bound this module exposes alongside the measured
-sums.  Infinite relative entropy (a support violation) is a first-class
-value here, not an exception, so callers can see which step broke.
+entropy; a schedule of N steps produces the sum of its per-step yields,
+which the :class:`~statlen.geometry.TransportSchedule` carries with its
+totals and bounds.  For evenly spaced steps along a path of length l the
+total approaches l^2/(2N).  Infinite relative entropy (a support
+violation) is a first-class value of :func:`relative_entropy`, not an
+exception; :func:`run_transport` refuses a schedule with one, naming the
+step that broke.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from .geometry import (
     MAX_SCHEDULE_ENTRIES,
     RANK_TOL,
     TransportSchedule,
-    state_fidelity,
     _elements,
     _step_entropies,
     _tangent_kind,
@@ -48,91 +48,19 @@ def relative_entropy(a, b) -> float:
     return float(_step_entropies(*_validate_rows(np.stack((a.array, b.array))))[0])
 
 
-def geodesic_bound(fidelity: float, n_steps: int, kind: str) -> float:
-    """The l^2/(2N) that N-step transport between states of fidelity F is compared with.
+def run_transport(schedule: TransportSchedule) -> TransportSchedule:
+    """The schedule itself, once no step's yield is infinite.
 
-    (2/N)(arccos F)^2 for classical states takes the geodesic length
-    2 arccos F; (2/N)(1 - F^2) for quantum states takes the chordal
-    distance 2 sqrt(1 - F^2), which is shorter.  Neither is a bound at
-    every N.  The classical value is the large-N entropy of the geodesic
-    schedule, which reads down to 0.898 of it at N = 4, 0.945 at N = 8,
-    0.971 at N = 16 and 0.993 at N = 64 (smallest ratio over 40 seeded
-    pairs of 4-outcome distributions).
-    """
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    f = float(np.clip(fidelity, 0.0, 1.0))
-    if kind == "quantum":
-        return 2.0 * (1.0 - f * f) / n_steps
-    if kind == "classical":
-        angle = float(np.arccos(f))
-        return 2.0 * angle * angle / n_steps
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class TransportReport:
-    """Entropy accounting for one executed transport schedule.
-
-    The fields are what was measured; the totals and bounds are read from
-    them.  ``nu`` is the number of steps per unit path length;
-    ``bound_path_length`` is l^2/(2N) for the measured length,
-    ``bound_fidelity`` the endpoint-fidelity value of :func:`geodesic_bound`,
-    which the entropy of a classical geodesic schedule approaches as N grows
-    (and may undercut at small N).
-    """
-
-    kind: str
-    step_lengths: np.ndarray
-    step_yields: np.ndarray
-    endpoint_fidelity: float
-
-    def __post_init__(self):
-        n, m = len(self.step_lengths), len(self.step_yields)
-        if n != m:
-            raise ValueError(f"need one yield per step length, got {n} lengths and {m} yields")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.step_lengths)
-
-    @property
-    def total_entropy(self) -> float:
-        return float(self.step_yields.sum())
-
-    @property
-    def total_length(self) -> float:
-        return float(self.step_lengths.sum())
-
-    @property
-    def nu(self) -> float:
-        total_length = self.total_length
-        return math.inf if total_length == 0.0 else self.n_steps / total_length
-
-    @property
-    def bound_path_length(self) -> float:
-        total_length = self.total_length
-        return total_length * total_length / (2.0 * self.n_steps)
-
-    @property
-    def bound_fidelity(self) -> float:
-        return geodesic_bound(self.endpoint_fidelity, self.n_steps, self.kind)
-
-
-def run_transport(schedule: TransportSchedule) -> TransportReport:
-    """Report a schedule's step lengths and yields with the fidelity of its endpoints.
-
-    The yields are those the schedule carries; a step whose yield is
+    A schedule is its own report: it carries its step lengths and yields,
+    and reads its totals and bounds from them.  A step whose yield is
     infinite, a support violation, raises :class:`InfiniteYield` with the
-    first such step's index.  The endpoint fidelity is
-    ``state_fidelity(schedule.start, schedule.end)``.
+    first such step's index.
     """
     broken = np.flatnonzero(np.isinf(schedule.step_yields))
     if broken.size:
         step = int(broken[0])
         raise InfiniteYield(f"support violation at step {step}", step=step)
-    fid = state_fidelity(schedule.start, schedule.end)
-    return TransportReport(schedule.kind, schedule.step_lengths, schedule.step_yields, fid)
+    return schedule
 
 
 @dataclass(frozen=True, eq=False)

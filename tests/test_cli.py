@@ -274,8 +274,8 @@ class TestTransportCommand:
     def test_traced_routing(self, tmp_path, monkeypatch):
         """The public names the benchmark's tracer wraps still carry the work: one
         even_schedule call takes the whole sorted grid, the endpoint fidelity comes
-        from state_fidelity once per N, and run_transport on an even schedule passes
-        only its 2 end rows through eigh."""
+        from state_fidelity once per N, run_transport on an even schedule passes no row
+        through eigh, and reading its bound_fidelity passes the 2 end rows."""
         grids, fidelities, eigh_rows = [], [], []
         schedule, fidelity, run, eigh = even_schedule, state_fidelity, run_transport, np.linalg.eigh
 
@@ -289,7 +289,9 @@ class TestTransportCommand:
 
         def transported(plan):
             eigh_rows.append(0)
-            return run(plan)
+            done = run(plan)
+            eigh_rows.append(0)   # the rows decomposed after run_transport, until the next N
+            return done
 
         def counted(mats, *args, **kwargs):
             if eigh_rows:
@@ -297,7 +299,7 @@ class TestTransportCommand:
             return eigh(mats, *args, **kwargs)
 
         monkeypatch.setattr("statlen.cli.even_schedule", scheduled)
-        for module in ("cli", "geometry", "transport"):   # every module that holds the name
+        for module in ("cli", "geometry"):   # every module that holds the name
             monkeypatch.setattr(f"statlen.{module}.state_fidelity", measured)
         monkeypatch.setattr("statlen.cli.run_transport", transported)
         monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -307,7 +309,7 @@ class TestTransportCommand:
         assert code == EXIT_OK
         assert grids == [[16, 32, 64]]
         assert len(fidelities) == 3
-        assert eigh_rows == [2, 2, 2]
+        assert eigh_rows == [0, 2] * 3
 
     def test_grid_past_the_pass_cap_exits_3_before_any_schedule(self, tmp_path, capsys, monkeypatch):
         # d = 4 states of 4 entries: a cap of 1200 entries takes each N alone, but one pass
@@ -1226,3 +1228,30 @@ def test_a_directory_target_exits_2_and_leaves_every_file_as_it_was(tmp_path, ca
         assert after == before and list(target.iterdir()) == []
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"statlen: IsADirectoryError: {str(target)!r} is a directory, not a record file"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failed_history_write_exits_2_and_leaves_every_file_as_it_was(tmp_path, capsys, monkeypatch, fmt):
+    # the record's text is written, and the history's file made, before the history's write
+    # fails: no target is replaced until every text is written, and no temporary stays behind
+    real_open = open
+
+    def full_disk(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if ".history.csv" in os.fspath(path):
+            fh.close()
+            raise OSError(28, "No space left on device")
+        return fh
+
+    monkeypatch.setattr("statlen.serialize.open", full_disk, raising=False)
+    config = {"state_a": CLASSICAL_A, "state_b": CLASSICAL_B, "N": 4}
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "run.out").write_text("an earlier record\n")
+    (tmp_path / "run.out.history.csv").write_text("an earlier history\n")
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    assert _run(tmp_path, "geodesic", config, extra_args=("--format", fmt))[0] == EXIT_INVALID
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+    assert capsys.readouterr().err == "statlen: OSError: [Errno 28] No space left on device\n"
+    monkeypatch.undo()
+    assert _run(tmp_path, "geodesic", config, extra_args=("--format", fmt))[0] == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "run.out", "run.out.history.csv"]

@@ -327,6 +327,25 @@ def _oracle_yield(a: np.ndarray, b: np.ndarray) -> float:
 YIELD_TOL = 1e-12
 
 
+class TestHandmadeSchedule:
+    """A schedule made by hand from an even schedule's states is that schedule."""
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(**PAIRS, wide=st.booleans(), geodesic=st.booleans(), n_steps=st.integers(1, 600))
+    def test_from_rows_of_an_even_schedule_is_that_schedule(self, kind, dim, ranks, seed, wide, geodesic, n_steps):
+        """A d = 8 density matrix takes 256 rows per block, so up to 3 blocks of the even pass."""
+        dim = 8 if wide else dim
+        a, b = _pair(kind, dim, ranks, seed)
+        path = (geodesic_path if geodesic else linear_mixture_path)(a, b)
+        even = even_schedule(path, n_steps)
+        made = TransportSchedule.from_rows(path.sample(even.ts)[0], even.ts)
+        assert np.array_equal(made.step_lengths, even.step_lengths)
+        assert np.array_equal(made.step_yields, even.step_yields)
+        for name in ("n_steps", "total_entropy", "total_length", "nu", "bound_path_length",
+                     "endpoint_fidelity", "bound_fidelity"):
+            assert getattr(made, name) == getattr(even, name), name
+
+
 class TestScheduleYields:
     """run_transport's step yields against a per-pair loop, and the step an
     infinite yield is reported at."""
@@ -375,7 +394,7 @@ class TestScheduleYields:
         states[step] = _state(kind, dim, dim, seed)
         ts = np.linspace(0.0, 1.0, n_steps + 1)
         rows = np.stack([s.array if kind == "classical" else s.array for s in states])
-        schedule = TransportSchedule.from_rows(rows, ts, np.zeros(n_steps))
+        schedule = TransportSchedule.from_rows(rows, ts)
         with pytest.raises(InfiniteYield) as err:
             run_transport(schedule)
         assert err.value.step == step

@@ -440,7 +440,7 @@ class TestBatchedValidation:
             else:
                 continue
             with pytest.raises(expected, match="row 1 is not a") as info:
-                TransportSchedule.from_rows(np.stack([clean, row]), np.array([0.0, 1.0]), np.zeros(1))
+                TransportSchedule.from_rows(np.stack([clean, row]), np.array([0.0, 1.0]))
             assert type(info.value) is expected
 
     def test_defects_are_repaired_not_passed(self):

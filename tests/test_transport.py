@@ -10,7 +10,6 @@ from statlen import (
     InfiniteYield,
     RankDeficient,
     State,
-    TransportReport,
     ValidationError,
     even_schedule,
     expansion_probe,
@@ -90,24 +89,24 @@ class TestRelativeEntropy:
             relative_entropy(P_HALF, random_state(2, 2, 0))
 
 
-def _report_of_steps(step_lengths) -> TransportReport:
-    """A classical report of the given step lengths, with zero yields and unit fidelity."""
+def _schedule_of_steps(step_lengths) -> TransportSchedule:
+    """A classical schedule of the given step lengths, with zero yields and unit fidelity."""
     steps = np.asarray(step_lengths, dtype=float)
-    return TransportReport("classical", steps, np.zeros(steps.size), 1.0)
+    return TransportSchedule(P_HALF, P_HALF, np.linspace(0.0, 1.0, steps.size + 1), steps, np.zeros(steps.size))
 
 
 class TestClosedForms:
     def test_min_entropy_production_trivials(self):
         # bound_path_length is l^2/(2N) of the measured length
-        assert _report_of_steps(np.zeros(10)).bound_path_length == 0.0
-        assert _report_of_steps(np.full(100, np.pi / 100)).bound_path_length == pytest.approx(
+        assert _schedule_of_steps(np.zeros(10)).bound_path_length == 0.0
+        assert _schedule_of_steps(np.full(100, np.pi / 100)).bound_path_length == pytest.approx(
             0.049348022005446790, rel=1e-12
         )
 
     def test_min_entropy_production_halves_with_n(self):
         # one step carries the whole length 0.7, so both totals read 0.7 exactly
-        value = _report_of_steps(np.r_[0.7, np.zeros(63)]).bound_path_length
-        assert _report_of_steps(np.r_[0.7, np.zeros(127)]).bound_path_length == value / 2.0
+        value = _schedule_of_steps(np.r_[0.7, np.zeros(63)]).bound_path_length
+        assert _schedule_of_steps(np.r_[0.7, np.zeros(127)]).bound_path_length == value / 2.0
 
     def test_geodesic_bound_trivials(self):
         assert geodesic_bound(1.0, 4, "quantum") == 0.0
@@ -173,8 +172,7 @@ class TestRunTransport:
         schedule = even_schedule(linear_mixture_path(a, b), 24)
         report = run_transport(schedule)
         n, ell = report.n_steps, report.total_length
-        assert report.kind == schedule.kind == kind
-        assert report.step_lengths is schedule.step_lengths
+        assert report is schedule and report.kind == kind
         assert n == len(report.step_lengths) == len(report.step_yields) == schedule.n_steps == 24
         assert report.total_entropy == float(report.step_yields.sum())
         assert ell == float(report.step_lengths.sum())
@@ -184,16 +182,18 @@ class TestRunTransport:
         assert report.bound_fidelity == geodesic_bound(report.endpoint_fidelity, n, kind)
 
     @pytest.mark.parametrize(
-        "field", ["n_steps", "total_entropy", "total_length", "nu", "bound_path_length", "bound_fidelity"]
+        "field",
+        ["n_steps", "total_entropy", "total_length", "nu", "bound_path_length", "bound_fidelity", "endpoint_fidelity"],
     )
     def test_report_takes_no_derived_field(self, field):
-        """A report once took each of these as a field and accepted any that disagreed."""
+        """A report once took each of these as a field and accepted any that disagreed;
+        the schedule, which is the report now, reads them all from its own fields."""
         with pytest.raises(TypeError):
-            TransportReport("classical", np.ones(2), np.zeros(2), 1.0, **{field: 0.0})
+            TransportSchedule(P_HALF, P_SKEW, np.linspace(0.0, 1.0, 3), np.ones(2), np.zeros(2), **{field: 0.0})
 
     def test_report_refuses_lengths_and_yields_of_different_sizes(self):
-        with pytest.raises(ValueError, match="2 lengths and 3 yields"):
-            TransportReport("classical", np.ones(2), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match=r"3 steps need 4 ts and 3 step lengths, got \(4, 2\)"):
+            TransportSchedule(P_HALF, P_SKEW, np.linspace(0.0, 1.0, 4), np.ones(2), np.zeros(3))
 
     def test_scaling_toward_minimum(self):
         path = geodesic_path(P_HALF, P_SKEW)
@@ -235,10 +235,10 @@ class TestRunTransport:
             assert even <= total * (1.0 + 1e-3)
 
     def test_each_row_is_decomposed_once(self, monkeypatch):
-        """An even schedule carries the yields its kept pass took, so run_transport passes
-        only the 2 end rows through eigh, for the fidelity.  The same 17 rows made into a
-        schedule by hand are validated once for the yields: 19 rows in all, where
-        validating the end rows again made 21."""
+        """An even schedule carries the lengths and yields its kept pass took, so
+        run_transport passes no row through eigh, and reading the endpoint fidelity passes
+        the 2 end rows.  The same 17 rows made into a schedule by hand are validated, and
+        decomposed, once for both its lengths and its yields."""
         eigh, rows_seen = np.linalg.eigh, []
 
         def counted(mats, *args, **kwargs):
@@ -251,12 +251,15 @@ class TestRunTransport:
         rows = path.sample(schedule.ts)[0]
         monkeypatch.setattr(np.linalg, "eigh", counted)
         carried = run_transport(schedule)
+        assert sum(rows_seen) == 0
+        fidelity = carried.endpoint_fidelity
         assert sum(rows_seen) == 2
         rows_seen.clear()
-        validated = run_transport(TransportSchedule.from_rows(rows, schedule.ts, schedule.step_lengths))
-        assert sum(rows_seen) == 19
+        validated = run_transport(TransportSchedule.from_rows(rows, schedule.ts))
+        assert sum(rows_seen) == 17
+        assert np.array_equal(validated.step_lengths, carried.step_lengths)
         assert np.array_equal(validated.step_yields, carried.step_yields)
-        assert validated.endpoint_fidelity == carried.endpoint_fidelity
+        assert validated.endpoint_fidelity == fidelity
         rows_seen.clear()
         relative_entropy(rho, sigma)
         assert sum(rows_seen) == 2
@@ -448,7 +451,7 @@ class TestScheduleInvariants:
                 geodesic_length_fisher(state_fidelity(states[1], states[2])),
             ]
         )
-        schedule = TransportSchedule.from_rows(np.stack([s.array for s in states]), np.array([0.0, 0.5, 1.0]), lengths)
+        schedule = TransportSchedule.from_rows(np.stack([s.array for s in states]), np.array([0.0, 0.5, 1.0]))
         report = run_transport(schedule)
         assert report.total_entropy > 0.0
         assert report.endpoint_fidelity == state_fidelity(states[0], states[-1])
@@ -465,7 +468,7 @@ class TestScheduleInvariants:
     def test_end_rows_in_the_tolerated_band_are_validated(self, rows):
         """The classical end row once reached the fidelity unrepaired: a RuntimeWarning and a nan."""
         validate = validate_distribution if rows.ndim == 2 else validate_density
-        report = run_transport(TransportSchedule.from_rows(rows, np.array([0.0, 1.0]), np.array([0.3])))
+        report = run_transport(TransportSchedule.from_rows(rows, np.array([0.0, 1.0])))
         a, b = validate(rows[0]), validate(rows[1])
         assert math.isfinite(report.endpoint_fidelity)
         assert report.endpoint_fidelity == state_fidelity(a, b)
@@ -473,34 +476,44 @@ class TestScheduleInvariants:
         assert report.step_yields[0] == relative_entropy(a, b)
 
     @pytest.mark.parametrize(
-        "n_rows, n_ts, n_lengths, n_steps",
-        [(6, 3, 2, 5), (3, 6, 2, 2), (3, 3, 5, 2)],
+        "n_yields, n_ts, n_lengths",
+        [(5, 3, 2), (2, 6, 2), (2, 3, 5)],
         ids=["n-steps", "ts", "step-lengths"],
     )
-    def test_sizes_that_disagree_rejected(self, n_rows, n_ts, n_lengths, n_steps):
-        """N is read from the rows; the "n-steps" rows make 5 steps of 2-step ts and lengths."""
+    def test_sizes_that_disagree_rejected(self, n_yields, n_ts, n_lengths):
+        """N is read from the yields; the "n-steps" yields make 5 steps of 2-step ts and lengths."""
+        with pytest.raises(ValueError, match=f"{n_yields} steps need"):
+            TransportSchedule(P_HALF, P_SKEW, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths), np.zeros(n_yields))
+
+    @pytest.mark.parametrize("n_rows, n_ts", [(6, 3), (3, 6)], ids=["rows", "ts"])
+    def test_ts_that_disagree_with_the_rows_rejected(self, n_rows, n_ts):
+        """N is read from the rows, which give the step lengths and yields."""
         rows = np.tile(P_HALF.array, (n_rows, 1))
-        with pytest.raises(ValueError, match=f"{n_steps} steps need"):
-            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, n_ts), np.zeros(n_lengths))
+        with pytest.raises(ValueError, match=f"{n_rows - 1} steps need {n_rows} ts"):
+            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, n_ts))
 
     @pytest.mark.parametrize(
-        "rows, n_ts, n_lengths",
-        [(np.array([[0.5, 0.5]]), 1, 0), (np.zeros((0, 2)), 0, 0)],
+        "rows, n_ts",
+        [(np.array([[0.5, 0.5]]), 1), (np.zeros((0, 2)), 0)],
         ids=["one-row", "no-rows"],
     )
-    def test_fewer_than_two_rows_rejected(self, rows, n_ts, n_lengths):
+    def test_fewer_than_two_rows_rejected(self, rows, n_ts):
         """A one-row schedule once constructed, and run_transport took its yields first."""
         with pytest.raises(ValueError, match="need at least one step"):
-            TransportSchedule.from_rows(rows, np.zeros(n_ts), np.zeros(n_lengths))
+            TransportSchedule.from_rows(rows, np.zeros(n_ts))
+
+    def test_no_steps_rejected_by_the_constructor(self):
+        with pytest.raises(ValueError, match="need at least one step, got 0"):
+            TransportSchedule(P_HALF, P_SKEW, np.zeros(1), np.zeros(0), np.zeros(0))
 
     @pytest.mark.parametrize("rows", [np.ones((3, 2, 2, 1))], ids=["rank-3-rows"])
     def test_kind_that_disagrees_with_the_rows_rejected(self, rows):
         with pytest.raises(DimensionMismatch):
-            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
+            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("rows", [np.tile(P_HALF.array, (3, 1)), np.tile(np.eye(2) / 2, (3, 1, 1))])
     def test_kind_and_steps_are_read_from_the_rows(self, rows):
-        schedule = TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3), np.zeros(2))
+        schedule = TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3))
         assert (schedule.kind, schedule.n_steps) == ("classical" if rows.ndim == 2 else "quantum", 2)
 
     @pytest.mark.parametrize(
@@ -525,7 +538,7 @@ class TestScheduleInvariants:
         with a nan fidelity."""
         rows = np.array(rows, dtype=float if kind == "classical" else complex)
         with pytest.raises(ValidationError, match="row [01] is not a"):
-            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3), np.full(2, 0.3))
+            TransportSchedule.from_rows(rows, np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize(
         "row",
@@ -540,6 +553,6 @@ class TestScheduleInvariants:
             validate(row)
         clean = np.full(2, 0.5) if row.ndim == 1 else np.eye(2, dtype=complex) / 2
         with pytest.raises(ValidationError) as raised:
-            TransportSchedule.from_rows(np.stack([clean, row, clean]), np.linspace(0.0, 1.0, 3), np.zeros(2))
+            TransportSchedule.from_rows(np.stack([clean, row, clean]), np.linspace(0.0, 1.0, 3))
         assert type(raised.value) is type(expected.value) is ValidationError
         assert str(raised.value) == str(expected.value).replace("row 0", "row 1")
